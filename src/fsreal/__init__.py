@@ -27,13 +27,7 @@ from .forward import (
 from .bruteforce import brute_force_continuous_1d, brute_force_discrete_1d
 from .discrete import solve as solve_discrete_1d
 from .folding import CreaseAssignment, check_foldable, extract_curves, infer_creases, solve_fpt
-from .pseudopoly import (
-    compatibility_search,
-    fixed_boundary_dp,
-    solve_pseudo_poly,
-    subdivide_and_type,
-    variable_boundary_dp,
-)
+from .pseudopoly import fixed_boundary_dp, solve_pseudo_poly, subdivide_and_type
 from .generators import (
     OrientedLine,
     PartitionInstance,
@@ -73,11 +67,9 @@ __all__ = [
     "extract_curves",
     "infer_creases",
     "solve_fpt",
-    "compatibility_search",
     "fixed_boundary_dp",
     "solve_pseudo_poly",
     "subdivide_and_type",
-    "variable_boundary_dp",
     "OrientedLine",
     "PartitionInstance",
     "SignVectorSet",

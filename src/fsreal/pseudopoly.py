@@ -1,10 +1,20 @@
 """Pseudo-polynomial solver for integer-dimension 1D diagrams.
 
-Segments are subdivided and typed by their row/column slice status, partial
-cells anchor rigid components of the placement graph, and the remaining
-uncertainty subcurves are placed by boolean reachability tables over integer
-positions. A compatibility search over the middle-region sizes (bounded by
-2*eps) ties the two curves together; every YES is verified forward.
+Segments are subdivided and typed by their row/column slice status (far,
+close or boundary), and partial cells anchor subsegments in rigid frames,
+one per component of the placement graph (at most two; the second floats
+with an unknown reflection rho and translation tau). The far and close
+subsegments left between anchored ones form runs, placed by boolean
+reachability tables over integer positions in the region that the hulls of
+the two curves leave them.
+
+The search over the unknowns is exact. tau comes from the cross-frame
+equations and the net displacements of the runs bridging the two frames.
+Unless both curves have close runs, every hull extreme that a run is checked
+against is pinned or anchored, so one candidate per (rho, tau) suffices.
+Otherwise each extreme lies within 2*eps of its anchored extent, and for
+each hull of P only the minimal staircase of hulls of Q at which Q's runs
+fit is tried. Every YES is verified forward.
 """
 
 from __future__ import annotations
@@ -28,8 +38,6 @@ from .model import (
     structural_problems,
 )
 from .forward import compute_diagram_1d
-
-_CANDIDATE_CAP = 200_000
 
 TYPE_FAR = 1
 TYPE_CLOSE = 2
@@ -208,9 +216,9 @@ def build_placement_graph(typed: TypedDiagram) -> PlacementGraph:
 
 @dataclass
 class Anchoring:
-    """Relative placements of boundary-type subsegments, one rigid frame per
-    non-singleton component; frame 1 (if present) floats with an unknown
-    translation and reflection resolved during the candidate search."""
+    """Relative placements of the subsegments that touch a partial cell, one
+    rigid frame per non-singleton component; frame 1 (if present) floats with
+    an unknown translation and reflection resolved during the search."""
 
     frames: list[dict[tuple[str, int], tuple[int, int]]]  # node -> (start, sigma)
     frame_of: dict[tuple[str, int], int]
@@ -224,8 +232,9 @@ def _cell_relation(cell: CellContent, eps: int):
 
 def anchor_components(typed: TypedDiagram, graph: PlacementGraph) -> Optional[Anchoring]:
     """Propagate relative positions over partial cells within each component
-    (consistency-checked), then bind consecutive boundary subsegments of the
-    same curve; contradictions mean the instance is not realizable."""
+    (consistency-checked), then bind consecutive anchored subsegments of the
+    same curve: a shared vertex within a frame, a cross-frame equation between
+    frames; contradictions mean the instance is not realizable."""
     eps = typed.eps
     adjacency: dict[tuple[str, int], list[tuple[tuple[str, int], CellContent]]] = {}
     for i, j in graph.edges:
@@ -283,11 +292,9 @@ def anchor_components(typed: TypedDiagram, graph: PlacementGraph) -> Optional[An
     for curve, segs in (("P", typed.p_segs), ("Q", typed.q_segs)):
         for k in range(len(segs) - 1):
             a, b = (curve, k), (curve, k + 1)
-            if segs[k].kind != TYPE_BOUNDARY or segs[k + 1].kind != TYPE_BOUNDARY:
-                continue
             fa, fb = frame_of.get(a), frame_of.get(b)
             if fa is None or fb is None:
-                return None  # boundary subsegment without a partial cell
+                continue  # a run starts or ends here
             sa, ga = frames[fa][a]
             end_a = sa + ga * segs[k].length
             sb, _ = frames[fb][b]
@@ -431,62 +438,6 @@ def dp_extract_path(table: DPTable, start_pos: int) -> Optional[list[int]]:
         path.append(chosen)
         pos = chosen
     return path
-
-
-@dataclass
-class VariableTable:
-    """Per-size acceptance of a middle-region subcurve.
-
-    ``accept[alpha]`` holds the feasible first-vertex position mask when the
-    subcurve is confined to a window of size alpha (alpha in 1..2*eps).
-    ``spanning`` marks subcurves whose two endpoints sit on the two region
-    boundaries, which are compatible only with region size exactly alpha.
-    """
-
-    curve: str
-    lengths: tuple[int, ...]
-    spanning: bool
-    end_constrained: bool
-    accept: dict[int, DPTable]
-
-    def compatible(self, region: int) -> bool:
-        if self.spanning:
-            table = self.accept.get(region)
-            return table is not None and bool((table.masks[0] >> region) & 1)
-        return any(a <= region and t.realizable() for a, t in self.accept.items())
-
-
-def variable_boundary_dp(
-    lengths: Sequence[int],
-    eps: int,
-    curve: str = "Q",
-    spanning: bool = False,
-    end_constrained: bool = True,
-    forced_first: Optional[int] = None,
-    forced_last: Optional[int] = None,
-) -> VariableTable:
-    """Tables R(k, s, alpha) for every window size alpha in 1..2*eps."""
-    accept = {}
-    for alpha in range(1, 2 * eps + 1):
-        start_c = alpha if spanning else None
-        end_c = 0 if (end_constrained or spanning) else None
-        accept[alpha] = fixed_boundary_dp(
-            lengths, alpha, start_c, end_c, forced_first=forced_first, forced_last=forced_last
-        )
-    return VariableTable(curve, tuple(int(x) for x in lengths), spanning, end_constrained, accept)
-
-
-def compatibility_search(tables: Sequence[VariableTable], eps: int) -> Optional[tuple[int, int]]:
-    """First (r_P, r_Q) in lexicographic order compatible with every table."""
-    p_tables = [t for t in tables if t.curve == "P"]
-    q_tables = [t for t in tables if t.curve == "Q"]
-    for r_p in range(1, 2 * eps + 1):
-        if not all(t.compatible(r_p) for t in p_tables):
-            continue
-        for r_q in range(1, 2 * eps + 1):
-            if all(t.compatible(r_q) for t in q_tables):
-                return (r_p, r_q)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -678,86 +629,47 @@ def _attachment(typed, anchoring: Anchoring, curve: str, seg3: int, end_hi: bool
 
 
 # ---------------------------------------------------------------------------
-# Candidate search and assembly.
+# Exact search over the frame placement and the hull extremes, and assembly.
 
 
-@dataclass
-class _Candidate:
-    rho: int
-    tau: int
-    values: dict[str, Optional[int]]  # LP, RP, LQ, RQ (None = irrelevant)
-
-
-def _net_displacements(lengths: Sequence[int], cap: int = 4096) -> Optional[set[int]]:
-    """All signed sums of the segment lengths (walk net displacement)."""
-    if 1 << len(lengths) > cap:
-        return None
+def _net_displacements(lengths: Sequence[int]) -> set[int]:
+    """All signed sums of the segment lengths (walk net displacement): at
+    most 2 * sum(lengths) + 1 values."""
     sums = {0}
     for length in lengths:
         sums = {s + length for s in sums} | {s - length for s in sums}
     return sums
 
 
-def _bridge_taus(runs: list[Run], rho: int) -> Optional[set[int]]:
-    """Frame-1 translations consistent with runs attached in both frames."""
-    taus: Optional[set[int]] = None
-    for run in runs:
-        if run.attach_lo is None or run.attach_hi is None:
-            continue
-        fa, va, _ = run.attach_lo
-        fb, vb, _ = run.attach_hi
-        if fa == fb:
-            continue
-        nets = _net_displacements(run.lengths)
-        if nets is None:
-            continue
-        if fa == 0:
-            cand = {va + net - rho * vb for net in nets}
-        else:
-            cand = {vb - net - rho * va for net in nets}
-        taus = cand if taus is None else taus & cand
-    return taus
+def _frame_candidates(anchoring: Anchoring, runs: list[Run]):
+    """Every placement tau + rho * value of frame 1 that meets the cross-frame
+    equations and the net displacement of every run bridging the two frames.
 
-
-def _frame_candidates(anchoring: Anchoring, pins: list[Pin], runs: list[Run], eps: int):
+    Each frame holds nodes of both curves, so both curves pass from one frame
+    to the other, each through a cross-frame equation or a bridging run: the
+    candidates are finite, and none means that rho admits no placement.
+    """
     if len(anchoring.frames) <= 1:
         yield 1, 0
         return
-    eqs = list(anchoring.cross_eqs)
-    by_var: dict[str, list[Pin]] = {}
-    for pin in pins:
-        by_var.setdefault(pin.var, []).append(pin)
-    for var_pins in by_var.values():
-        f0 = [p for p in var_pins if p.frame == 0]
-        f1 = [p for p in var_pins if p.frame == 1]
-        if f0 and f1:
-            eqs.append((0, f0[0].value, 1, f1[0].value))
-    ext0 = [v for node, (v, s) in anchoring.frames[0].items()]
-    ext1 = [v for node, (v, s) in anchoring.frames[1].items()]
     for rho in (1, -1):
-        taus = set()
-        for fa, va, fb, vb in eqs:
-            if fa == fb:
+        taus: Optional[set[int]] = None
+        for fa, va, fb, vb in anchoring.cross_eqs:
+            cand = {va - rho * vb if fa == 0 else vb - rho * va}
+            taus = cand if taus is None else taus & cand
+        for run in runs:
+            if run.attach_lo is None or run.attach_hi is None or run.attach_lo[0] == run.attach_hi[0]:
                 continue
+            fa, va, _ = run.attach_lo
+            _, vb, _ = run.attach_hi
+            nets = _net_displacements(run.lengths)
             if fa == 0:
-                taus.add(va - rho * vb)
+                cand = {va + net - rho * vb for net in nets}
             else:
-                taus.add(vb - rho * va)
-        if not taus:
-            bridged = _bridge_taus(runs, rho)
-            if bridged is not None:
-                taus = bridged
-        if not taus:
-            lo = min(ext0) - (max(ext1) - min(ext1)) - 8 * eps
-            hi = max(ext0) + (max(ext1) - min(ext1)) + 8 * eps
-            taus = set(range(lo, hi + 1))
+                cand = {vb - net - rho * va for net in nets}
+            taus = cand if taus is None else taus & cand
         for tau in sorted(taus):
-            ok = all(
-                (va if fa == 0 else tau + rho * va) == (vb if fb == 0 else tau + rho * vb)
-                for fa, va, fb, vb in eqs
-            )
-            if ok:
-                yield rho, tau
+            yield rho, tau
 
 
 def _glob(frame: int, value: int, rho: int, tau: int) -> int:
@@ -787,12 +699,6 @@ def solve_pseudo_poly(diagram: FreeSpaceDiagram1D) -> Optional[Witness]:
     anchoring = anchor_components(typed, graph)
     if anchoring is None:
         return None
-    if len(graph.non_singleton) == 2:
-        for placement in anchoring.frames:
-            vals = [v for v, _ in placement.values()]
-            ends = [v + s * _seg_len(typed, n) for n, (v, s) in placement.items()]
-            if max(vals + ends) - min(vals + ends) > 2 * eps:
-                return None
 
     collected_p = _collect_runs(typed, anchoring, "P")
     collected_q = _collect_runs(typed, anchoring, "Q")
@@ -811,14 +717,9 @@ def solve_pseudo_poly(diagram: FreeSpaceDiagram1D) -> Optional[Witness]:
     if TYPE_CLOSE in q_kinds and TYPE_FAR in p_kinds:
         return None
 
-    tried = 0
-    for rho, tau in _frame_candidates(anchoring, pins, p_runs + q_runs, eps):
-        values = _resolve_vars(typed, anchoring, pins, p_runs, q_runs, rho, tau, eps)
-        for cand in values:
-            tried += 1
-            if tried > _CANDIDATE_CAP:
-                return None
-            witness = _attempt(diagram, typed, anchoring, p_runs, q_runs, rho, tau, cand, eps)
+    for rho, tau in _frame_candidates(anchoring, p_runs + q_runs):
+        for values in _hull_candidates(typed, anchoring, pins, p_runs, q_runs, rho, tau, eps):
+            witness = _attempt(diagram, typed, anchoring, p_runs, q_runs, rho, tau, values, eps)
             if witness is not None:
                 return witness
     return None
@@ -842,86 +743,80 @@ def _anchored_extent(typed, anchoring, rho, tau, curve) -> Optional[tuple[int, i
     return min(vals), max(vals)
 
 
-def _resolve_vars(typed, anchoring, pins, p_runs, q_runs, rho, tau, eps):
-    """Candidate assignments for the four extreme values, from pins first and
-    small integer windows when a consumed extreme stays unpinned."""
-    pin_vals: dict[str, set[int]] = {}
+def _hull_candidates(typed, anchoring, pins, p_runs, q_runs, rho, tau, eps):
+    """Values of the hull extremes LP, RP, LQ, RQ to try for one frame
+    placement (None: no run is checked against that extreme).
+
+    A close subsegment of one curve never coexists with a far one of the
+    other, so unless both curves have close runs, every extreme that a run is
+    checked against is pinned or is the other curve's anchored extent: one
+    candidate suffices. Otherwise every run is close and hangs off an
+    anchored vertex inside a window narrower than 2*eps, so each hull is
+    narrower than 2*eps and holds its anchored extent. Close runs only fit
+    more easily as their own hull grows and less easily as the other hull
+    grows, so for each (LP, RP) only the minimal (LQ, RQ) at which Q's runs
+    fit are tried.
+    """
+    pinned: dict[str, int] = {}
     for pin in pins:
-        pin_vals.setdefault(pin.var, set()).add(_glob(pin.frame, pin.value, rho, tau))
-    for var, vals in pin_vals.items():
-        if len(vals) > 1:
-            return []
+        value = _glob(pin.frame, pin.value, rho, tau)
+        if pinned.setdefault(pin.var, value) != value:
+            return
+    lo_p, hi_p = _anchored_extent(typed, anchoring, rho, tau, "P")
+    lo_q, hi_q = _anchored_extent(typed, anchoring, rho, tau, "Q")
 
-    ext_p = _anchored_extent(typed, anchoring, rho, tau, "P")
-    ext_q = _anchored_extent(typed, anchoring, rho, tau, "Q")
+    if not (any(r.kind == TYPE_CLOSE for r in p_runs) and any(r.kind == TYPE_CLOSE for r in q_runs)):
+        yield {
+            "LP": pinned.get("LP", lo_p) if q_runs else None,
+            "RP": pinned.get("RP", hi_p) if q_runs else None,
+            "LQ": pinned.get("LQ", lo_q) if p_runs else None,
+            "RQ": pinned.get("RQ", hi_q) if p_runs else None,
+        }
+        return
 
-    consumed = {
-        "LP": any(r.curve == "Q" for r in q_runs),
-        "RP": any(r.curve == "Q" for r in q_runs),
-        "LQ": any(r.curve == "P" for r in p_runs),
-        "RQ": any(r.curve == "P" for r in p_runs),
-    }
-    # type-1 runs only consume the matching side, but sides are resolved at
-    # candidate time; keep both extremes available whenever runs exist.
+    def options(var: str, values: range):
+        """Values of one extreme, from its anchored extent outward."""
+        if var not in pinned:
+            return values
+        return [pinned[var]] if pinned[var] in values else []
 
-    def options(var: str) -> list[Optional[int]]:
-        if var in pin_vals:
-            return sorted(pin_vals[var])
-        if not consumed[var]:
-            return [None]
-        ext = ext_p if var in ("LP", "RP") else ext_q
-        if ext is None:
-            return [None]
-        lo_ext, hi_ext = ext
-        # Exact first: a middle run of the other curve attaches at a vertex
-        # sitting on a region end (this extreme shifted by eps); then the
-        # anchored extent; then windows for extremes the own middle runs may
-        # extend past the anchored values.
-        own_runs = p_runs if var in ("LP", "RP") else q_runs
-        other_runs = q_runs if var in ("LP", "RP") else p_runs
-        out: list[Optional[int]] = []
-        for r in other_runs:
-            if r.kind != TYPE_CLOSE:
-                continue
-            for att in (r.attach_lo, r.attach_hi):
-                if att is None:
-                    continue
-                t_val = _glob(att[0], att[1], rho, tau)
-                out.append(t_val - eps if var in ("LP", "LQ") else t_val + eps)
-        out.append(lo_ext if var in ("LP", "LQ") else hi_ext)
-        for r in own_runs:
-            if r.kind != TYPE_CLOSE:
-                continue
-            for att in (r.attach_lo, r.attach_hi):
-                if att is None:
-                    continue
-                t_val = _glob(att[0], att[1], rho, tau)
-                if var in ("LP", "LQ"):
-                    out.extend(range(t_val - 2 * eps, t_val + 1))
-                else:
-                    out.extend(range(t_val, t_val + 2 * eps + 1))
-        if any(r.kind == TYPE_CLOSE for r in other_runs):
-            # middle region of the other curve: spans below 2*eps only
-            if var in ("LP", "LQ"):
-                out.extend(range(hi_ext - 2 * eps + 1, lo_ext + 1))
-            else:
-                out.extend(range(hi_ext, lo_ext + 2 * eps))
-        seen = []
-        for v in out:
-            if v is None or (var in ("LP", "LQ") and v <= lo_ext) or (var in ("RP", "RQ") and v >= hi_ext):
-                if v not in seen:
-                    seen.append(v)
-        return seen
+    lqs = options("LQ", range(lo_q, hi_q - 2 * eps, -1))
+    rqs = options("RQ", range(hi_q, lo_q + 2 * eps))
+    for lp in options("LP", range(lo_p, hi_p - 2 * eps, -1)):
+        for rp in options("RP", range(hi_p, lo_p + 2 * eps)):
+            if rp - lp >= 2 * eps:
+                break  # Q's close runs need a window [rp - eps, lp + eps] of size >= 1
 
-    for lp in options("LP"):
-        for rp in options("RP"):
-            if lp is not None and rp is not None and not (rp > lp):
-                continue
-            for lq in options("LQ"):
-                for rq in options("RQ"):
-                    if lq is not None and rq is not None and not (rq > lq):
-                        continue
-                    yield {"LP": lp, "RP": rp, "LQ": lq, "RQ": rq}
+            def q_fits(lq: int, rq: int) -> bool:
+                return all(_place_run(run, lp, rp, lq, rq, rho, tau, eps) is not None for run in q_runs)
+
+            for lq, rq in _minimal_pairs(lqs, rqs, q_fits):
+                yield {"LP": lp, "RP": rp, "LQ": lq, "RQ": rq}
+
+
+def _minimal_pairs(lows, highs, fits):
+    """The minimal pairs (low, high) with fits(low, high): those that no
+    other fitting pair lies inside.
+
+    ``lows`` descend and ``highs`` ascend, and fits only gains as low falls
+    and high rises, so the least fitting high never rises from one low to
+    the next: O(len(lows) + len(highs)) checks.
+    """
+    top = len(highs)  # index of the least high that fit the previous low; len: none did
+    for low in lows:
+        if top < len(highs):
+            least = top
+            while least > 0 and fits(low, highs[least - 1]):
+                least -= 1
+            if least == top:
+                continue  # the pair at the previous low lies inside
+            top = least
+        elif highs and fits(low, highs[-1]):
+            # upward from the anchored extent, so that a fit there stays cheap
+            top = next(i for i, high in enumerate(highs) if fits(low, high))
+        else:
+            continue
+        yield low, highs[top]
 
 
 def _attempt(diagram, typed, anchoring, p_runs, q_runs, rho, tau, values, eps) -> Optional[Witness]:

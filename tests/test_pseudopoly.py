@@ -8,20 +8,17 @@ from fsreal import (
     Curve1D,
     FreeSpaceDiagram1D,
     brute_force_continuous_1d,
-    compatibility_search,
     compute_diagram_1d,
     fixed_boundary_dp,
     gen_partition,
     solve_fpt,
     solve_pseudo_poly,
     subdivide_and_type,
-    variable_boundary_dp,
 )
 from fsreal.pseudopoly import (
     TYPE_BOUNDARY,
     TYPE_CLOSE,
     TYPE_FAR,
-    VariableTable,
     anchor_components,
     build_placement_graph,
 )
@@ -136,36 +133,6 @@ def test_fixed_dp_segment_exceeding_region():
     assert not table.realizable()
 
 
-def test_variable_dp_single_unit_segment():
-    vt = variable_boundary_dp([1], 2, end_constrained=False)
-    feasible = {a for a, t in vt.accept.items() if t.realizable()}
-    assert feasible == {2, 3, 4}
-
-
-def test_variable_dp_spanning_compatibility():
-    # a spanning subcurve is compatible only with the region size it walks:
-    # lengths (2, 1) from alpha to 0 with the middle vertex strictly inside
-    # force alpha = 3 (path 3 -> 1 -> 0)
-    vt = variable_boundary_dp([2, 1], 3, spanning=True)
-    assert {r for r in range(1, 7) if vt.compatible(r)} == {3}
-
-
-def test_compatibility_search_vacuous():
-    assert compatibility_search([], 3) == (1, 1)
-
-
-def test_compatibility_search_forced_pair():
-    forced = VariableTable("P", (4,), True, True, {4: fixed_boundary_dp([4], 4, 4, 0)})
-    assert forced.compatible(4)
-    assert compatibility_search([forced], 3) == (4, 1)
-
-
-def test_compatibility_search_contradiction():
-    a = VariableTable("Q", (2,), True, True, {2: fixed_boundary_dp([2], 2, 2, 0)})
-    b = VariableTable("Q", (4,), True, True, {4: fixed_boundary_dp([4], 4, 4, 0)})
-    assert compatibility_search([a, b], 3) is None
-
-
 def test_solve_partition_instances(partition_diagram):
     w = solve_pseudo_poly(partition_diagram)
     assert w is not None
@@ -246,3 +213,50 @@ def test_placement_graph_two_components_from_short_curves():
     w = solve_pseudo_poly(d)
     assert w is not None
     assert compute_diagram_1d(w.curve_p, w.curve_q, 3) == d
+
+
+def test_minimal_pairs_match_brute_force():
+    from fsreal.pseudopoly import _minimal_pairs
+
+    rng = random.Random(8)
+    for _ in range(300):
+        lows = range(0, -rng.randint(0, 7), -1)
+        highs = range(0, rng.randint(0, 7))
+        # an upward-closed predicate: some generator lies inside the pair
+        gens = [(rng.randint(-8, 0), rng.randint(0, 8)) for _ in range(rng.randint(0, 3))]
+
+        def fits(low, high):
+            return any(low <= gl and high >= gh for gl, gh in gens)
+
+        pairs = [(lo, hi) for lo in lows for hi in highs if fits(lo, hi)]
+        minimal = [
+            (lo, hi) for lo, hi in pairs if not any((l2, h2) != (lo, hi) and l2 >= lo and h2 <= hi for l2, h2 in pairs)
+        ]
+        assert list(_minimal_pairs(lows, highs, fits)) == minimal
+
+
+# The 60 x 20 forward diagram at eps 20 quoted in bench/README.md.
+_LONG_P = (
+    0, -9, -11, -13, -14, -8, -16, -23, -21, -19, -15, -12, -9, -3, -5, -13, -19, -25, -27, -19,
+    -9, 0, -9, -16, -20, -22, -17, -21, -24, -27, -21, -25, -22, -23, -18, -17, -9, -3, 3, -7,
+    -13, -8, -4, -9, -15, -23, -14, -11, -14, -20, -10, -11, -6, -11, -1, -4, 2, -8, -3, -10, -17,
+)
+_LONG_Q = (0, -10, -15, -18, -10, -5, -10, -5, -7, -5, -7, -17, -8, -4, 2, 3, -1, 6, 11, 14, 13)
+
+
+@pytest.mark.parametrize(
+    "p, q, eps",
+    [
+        ((0, -6, 4), (-4, 2), 6),  # only the reflected frame placement exists
+        ((-2, 6, 9), (2, 6, 11, 6, 13), 6),  # a frame spans more than 2*eps
+        ((3, 4, 3, 0, -1), (0, -3, 0, 3, 0), 3),  # the same, with close runs on Q only
+        # both curves have close runs
+        ((0, 2, 8, 2, -4, 0, 1, 4, 1, 4, 1, -4, -5, -8), (16, 14, 12, 13, 12, 11, 6, 8, 10, 7, 8, 11), 19),
+        (_LONG_P, _LONG_Q, 20),
+    ],
+)
+def test_forward_diagram_solves_yes(p, q, eps):
+    d = compute_diagram_1d(Curve1D(p), Curve1D(q), eps)
+    w = solve_pseudo_poly(d)
+    assert w is not None
+    assert compute_diagram_1d(w.curve_p, w.curve_q, eps) == d
