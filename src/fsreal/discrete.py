@@ -4,6 +4,12 @@ Pipeline per connected component of the derived unit-interval graph:
 anchored BFS ordering, two order refinements, a greedy unit-interval
 arrangement, and verification that every row's prescribed cell exists.
 Every YES answer carries a witness reproducing the matrix exactly.
+
+The geometry runs on Python ints: a component of m columns is laid out at
+eps = 1/2 on the grid of unit 1/(8m), where the interval width 2*eps is 8m,
+eps is 4m and the spacing quantum eps/(2m) is 2. :func:`solve` converts each
+point of the witness to a ``Fraction`` once, when it assembles the
+components.
 """
 
 from __future__ import annotations
@@ -309,18 +315,19 @@ def extend_global_order(state: OrderState) -> Optional[list[int]]:
     return order
 
 
-def build_arrangement(order: Sequence[int], g: UnitIntervalGraph, eps: Fraction = Fraction(1, 2)) -> Optional[dict[int, Fraction]]:
-    """Interval centers realizing a total order, spaced on a quantum grid.
+def build_arrangement(order: Sequence[int], g: UnitIntervalGraph) -> Optional[dict[int, int]]:
+    """Interval centers realizing a total order, on the component's grid.
 
     The order is valid only if every vertex's later neighbors form a
     contiguous block and the blocks are monotone; the centers then come from
     the merged endpoint sequence (left endpoints in order, each right
     endpoint after its last neighbor's left endpoint), solved exactly with
-    spacing quantum eps/(2m) between consecutive endpoints.
+    spacing quantum 2 between consecutive endpoints. Centers are ints in
+    units of 1/(8m) for a component of m columns: at eps = 1/2 the interval
+    width 2*eps is 8m and the quantum eps/(2m) is 2, so every endpoint is
+    even.
     """
-    eps = rat(eps)
     m = len(order)
-    delta = eps / (2 * m)
     suffix_masks = [0] * (m + 1)
     for k in range(m - 1, -1, -1):
         suffix_masks[k] = suffix_masks[k + 1] | (1 << order[k])
@@ -336,26 +343,25 @@ def build_arrangement(order: Sequence[int], g: UnitIntervalGraph, eps: Fraction 
         if k > 0 and last[k] < last[k - 1]:
             return None  # equal lengths force monotone right endpoints
     # merged endpoint chain: after l_j come the right endpoints r_i with
-    # last(i) = j, ordered by i
-    events: list[tuple[str, int]] = []
+    # last(i) = j, ordered by i; each event is (interval, offset of the
+    # endpoint from the interval's left end)
+    width = 8 * m
     by_slot: dict[int, list[int]] = {}
     for i, c in enumerate(last):
         by_slot.setdefault(c, []).append(i)
+    events: list[tuple[int, int]] = []
     for j in range(m):
-        events.append(("l", j))
-        for i in by_slot.get(j, []):
-            events.append(("r", i))
-    width = 2 * eps
-    left = [Fraction(0)] * m
+        events.append((j, 0))
+        events.extend((i, width) for i in by_slot.get(j, ()))
+    left = [0] * m
     for _ in range(2 * m + 1):
         changed = False
         prev = None
-        for kind, idx in events:
-            val = left[idx] + (width if kind == "r" else 0)
-            if prev is not None and val < prev + delta:
-                need = prev + delta
-                left[idx] = need - width if kind == "r" else need
-                val = need
+        for idx, off in events:
+            val = left[idx] + off
+            if prev is not None and val < prev + 2:
+                val = prev + 2
+                left[idx] = val - off
                 changed = True
             prev = val
         if not changed:
@@ -363,63 +369,60 @@ def build_arrangement(order: Sequence[int], g: UnitIntervalGraph, eps: Fraction 
     else:
         return None
     prev = None
-    for kind, idx in events:
-        val = left[idx] + (width if kind == "r" else 0)
-        if prev is not None and val < prev + delta:
+    for idx, off in events:
+        val = left[idx] + off
+        if prev is not None and val < prev + 2:
             return None
         prev = val
-    # gauge: the first center sits at 0
+    # gauge: the first center, the leftmost (left ends increase along the
+    # chain), sits at 0
     return {order[k]: left[k] - left[0] for k in range(m)}
 
 
-def verify_and_witness(
-    positions: dict[int, Fraction],
-    rows: Sequence[int],
-    eps: Fraction = Fraction(1, 2),
-) -> Optional[dict[int, Fraction]]:
+def verify_and_witness(positions: dict[int, int], rows: Sequence[int]) -> Optional[dict[int, int]]:
     """Map each row to a point of an arrangement cell covering exactly the
-    row's columns. Returns {row index: point}, or None if some prescribed
-    cell does not exist. Rows with empty support are skipped (they are placed
-    in the global outside cell by the caller)."""
-    eps = rat(eps)
+    row's columns. ``positions`` are the int centers of
+    :func:`build_arrangement` (unit 1/(8m), so eps is 4m); the points are
+    ints on the same grid, cell endpoints or midpoints of consecutive
+    endpoints (exact, as endpoints are even). Returns {row index: point}, or
+    None if some prescribed cell does not exist. Rows with empty support are
+    skipped (they are placed in the global outside cell by the caller)."""
+    eps = 4 * len(positions)
     cols = sorted(positions, key=lambda v: (positions[v], v))
     centers = [positions[v] for v in cols]
-    rank = {v: k for k, v in enumerate(cols)}
+    prefix = [0]  # prefix[k]: mask of the k leftmost columns
+    for v in cols:
+        prefix.append(prefix[-1] | 1 << v)
     events = sorted({c - eps for c in centers} | {c + eps for c in centers})
-    reps: list[Fraction] = []
+    reps: list[int] = []
     for idx, x in enumerate(events):
         reps.append(x)
         if idx + 1 < len(events):
-            reps.append((x + events[idx + 1]) / 2)
-    range_rep: dict[tuple[int, int], Fraction] = {}
+            reps.append((x + events[idx + 1]) // 2)
+    # a cell covers the centers within eps of its points, a run of columns
+    # in center order; key each cell by its column mask
+    cell_rep: dict[int, int] = {}
     for x in reps:
         lo = bisect_left(centers, x - eps)
-        hi = bisect_right(centers, x + eps) - 1
-        if lo <= hi:
-            range_rep.setdefault((lo, hi), x)
-    out: dict[int, Fraction] = {}
+        hi = bisect_right(centers, x + eps)
+        if lo < hi:
+            cell_rep.setdefault(prefix[hi] ^ prefix[lo], x)
+    out: dict[int, int] = {}
     for r_idx, row in enumerate(rows):
         if row == 0:
             continue
-        members = _mask_bits(row)
-        ranks = [rank[v] for v in members]
-        lo, hi = min(ranks), max(ranks)
-        if hi - lo + 1 != len(ranks):
-            return None
-        rep = range_rep.get((lo, hi))
+        rep = cell_rep.get(row)
         if rep is None:
             return None
         out[r_idx] = rep
     return out
 
 
-def _solve_component(g: UnitIntervalGraph, component: list[int], rows: list[int]):
+def _solve_component(g: UnitIntervalGraph, component: list[int], comp_rows: list[tuple[int, int]]):
     """Run steps 2-7 on one component, retrying the second anchor class on
-    failure. Returns (positions, row placements) or None."""
-    comp_mask = 0
-    for v in component:
-        comp_mask |= 1 << v
-    comp_rows = [(idx, r) for idx, r in enumerate(rows) if r and r & comp_mask]
+    failure. ``comp_rows`` are the (row index, mask) pairs of the nonempty
+    rows inside the component. Returns (positions, row placements) as ints
+    on the component's grid (unit 1/(8m)), or None."""
     classes = choose_left_anchor(g, component)
     if len(classes) > 2:
         return None
@@ -431,10 +434,11 @@ def _solve_component(g: UnitIntervalGraph, component: list[int], rows: list[int]
         attempts.append(cls)
         if len(cls) > 1:
             attempts.extend([v] for v in cls)
+    masks = [r for _, r in comp_rows]
     for anchor_class in attempts:
         state = bfs_partial_order(g, anchor_class)
         refine_by_d(g, state)
-        if refine_by_rows(state, [r for _, r in comp_rows]) is None:
+        if refine_by_rows(state, masks) is None:
             continue
         order = extend_global_order(state)
         if order is None:
@@ -442,11 +446,10 @@ def _solve_component(g: UnitIntervalGraph, component: list[int], rows: list[int]
         positions = build_arrangement(order, g)
         if positions is None:
             continue
-        placed = verify_and_witness(positions, [r for _, r in comp_rows])
+        placed = verify_and_witness(positions, masks)
         if placed is None:
             continue
-        row_points = {comp_rows[k][0]: pt for k, pt in placed.items()}
-        return positions, row_points
+        return positions, {comp_rows[k][0]: x for k, x in placed.items()}
     return None
 
 
@@ -462,41 +465,45 @@ def solve(matrix, eps=Fraction(1, 2)) -> Optional[Witness]:
     eps = rat(eps)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    half = Fraction(1, 2)
     g = build_uig(matrix)
-    rows = g.row_masks
-    q_pos: dict[int, Fraction] = {}
-    p_pos: dict[int, Fraction] = {}
-    offset = Fraction(0)
-    first = True
-    for component in g.components():
-        solved = _solve_component(g, component, rows)
-        if solved is None:
+    components = g.components()
+    # a nonempty row is a clique, so its lowest column names its component
+    comp_of = [0] * g.m
+    for c, component in enumerate(components):
+        for v in component:
+            comp_of[v] = c
+    comp_rows: list[list[tuple[int, int]]] = [[] for _ in components]
+    for r_idx, row in enumerate(g.row_masks):
+        if row:
+            comp_rows[comp_of[(row & -row).bit_length() - 1]].append((r_idx, row))
+    solved = []
+    for component, rows in zip(components, comp_rows):
+        placed = _solve_component(g, component, rows)
+        if placed is None:
             return None
-        positions, row_points = solved
-        low = min(positions.values())
-        if first:
-            shift = -low
-            first = False
-        else:
-            shift = offset - low + 2 * half + 1
-        for v, value in positions.items():
-            q_pos[v] = value + shift
-        for r_idx, pt in row_points.items():
-            p_pos[r_idx] = pt + shift
-        offset = max(q_pos[v] for v in positions)
+        solved.append(placed)
 
-    if not q_pos:  # no columns would be invalid; matrices have >= 1 column
-        return None
-    outside = min(q_pos.values()) - half - 1
-    p_points = [p_pos.get(r_idx, outside) for r_idx in range(matrix.n_rows)]
-    q_points = [q_pos[v] for v in range(matrix.m_cols)]
-    scale = eps / half
-    witness = Witness(
-        PointSeq1D([p * scale for p in p_points]),
-        PointSeq1D([q * scale for q in q_points]),
-        eps,
-    )
+    # At eps = 1/2, each component's grid (unit u, leftmost center at 0) is
+    # shifted to start at base: the previous component's rightmost center
+    # plus a gap of 2, or 0 for the first. Point x lands at base + x/u, and
+    # the witness is that scaled by eps/(1/2).
+    scale = 2 * eps
+    q_points = [Fraction(0)] * matrix.m_cols
+    p_points = [-3 * eps] * matrix.n_rows  # 2*eps left of every interval
+    base = Fraction(0)
+    for positions, row_points in solved:
+        unit = 8 * len(positions)
+        start = scale * base
+        # scale * (base + x/unit) == (at_zero + per_unit * x) / den
+        den = start.denominator * scale.denominator * unit
+        at_zero = start.numerator * scale.denominator * unit
+        per_unit = scale.numerator * start.denominator
+        for v, x in positions.items():
+            q_points[v] = Fraction(at_zero + per_unit * x, den)
+        for r_idx, x in row_points.items():
+            p_points[r_idx] = Fraction(at_zero + per_unit * x, den)
+        base += Fraction(max(positions.values()), unit) + 2
+    witness = Witness(PointSeq1D(p_points), PointSeq1D(q_points), eps)
     if compute_matrix(witness.curve_p, witness.curve_q, eps) != matrix:
         raise AssertionError("internal error: discrete witness failed verification")
     return witness

@@ -43,6 +43,13 @@ def _check_keys(obj: dict, required: set[str], optional: set[str] = frozenset())
         raise FormatError(f"unknown fields: {sorted(unknown)}")
 
 
+def _int_in(value, field: str) -> int:
+    """An exact JSON integer: ``1.0`` and ``true`` are rejected."""
+    if type(value) is not int:
+        raise FormatError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def _rat_in(value) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise FormatError(f"expected a rational string or integer, got {value!r}")
@@ -146,11 +153,12 @@ def _parse_matrix(obj: dict) -> FreeSpaceMatrix:
     entries = obj["entries"]
     if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
         raise FormatError("entries must be a list of rows")
-    if len(entries) != obj["rows"] or any(len(r) != obj["cols"] for r in entries):
+    rows, cols = _int_in(obj["rows"], "rows"), _int_in(obj["cols"], "cols")
+    if len(entries) != rows or any(len(r) != cols for r in entries):
         raise FormatError("entries shape does not match rows/cols")
     for row in entries:
         for v in row:
-            if v not in (0, 1) or isinstance(v, bool):
+            if type(v) is not int or v not in (0, 1):
                 raise FormatError(f"matrix entries must be 0 or 1, got {v!r}")
     try:
         return FreeSpaceMatrix(entries)
@@ -177,7 +185,7 @@ def _parse_diagram(obj: dict) -> FreeSpaceDiagram1D:
             status = c.get("status")
             if status == "partial":
                 _check_keys(c, {"status", "sigma", "cLo", "cHi"})
-                if c["sigma"] not in (1, -1):
+                if _int_in(c["sigma"], "sigma") not in (1, -1):
                     raise FormatError("sigma must be 1 or -1")
                 out_col.append(CellContent.partial(c["sigma"], _rat_in(c["cLo"]), _rat_in(c["cHi"])))
             elif status in ("empty", "full"):
@@ -198,7 +206,7 @@ def _parse_diagram(obj: dict) -> FreeSpaceDiagram1D:
 
 def _parse_curves(obj: dict) -> Witness:
     _check_keys(obj, {"format", "kind", "epsilon", "dimension", "curveKind", "curveP", "curveQ"})
-    dim = obj["dimension"]
+    dim = _int_in(obj["dimension"], "dimension")
     if dim == 1:
         eps = _rat_in(obj["epsilon"])
         pv = [_rat_in(v) for v in obj["curveP"]]
@@ -211,7 +219,7 @@ def _parse_curves(obj: dict) -> Witness:
         except ValueError as exc:
             raise FormatError(str(exc)) from None
         raise FormatError(f"unknown curveKind {obj['curveKind']!r}")
-    if not isinstance(dim, int) or dim < 2:
+    if dim < 2:
         raise FormatError("dimension must be 1 or an integer >= 2")
     try:
         eps = float(obj["epsilon"]) if not isinstance(obj["epsilon"], str) else float(rat(obj["epsilon"]))

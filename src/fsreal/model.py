@@ -1,8 +1,10 @@
 """Exact domain types shared by all solvers.
 
 All 1D combinatorial data (coordinates, epsilon, cell dimensions, slab
-intercepts) is carried as `fractions.Fraction`; geometry in dimension >= 2
-lives in floats and is handled in :mod:`fsreal.forward`.
+intercepts) is carried as `fractions.Fraction`; the discrete solver
+computes on an exact integer grid internally and returns Fractions.
+Geometry in dimension >= 2 lives in floats and is handled in
+:mod:`fsreal.forward`.
 """
 
 from __future__ import annotations
@@ -262,12 +264,13 @@ class FreeSpaceMatrix:
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        arr = np.asarray(entries, dtype=np.uint8)
+        arr = np.asarray(entries)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("matrix must be two-dimensional and non-empty")
-        if not np.isin(arr, (0, 1)).all():
+        # checked before the cast, which would truncate floats and wrap ints
+        if arr.dtype.kind not in "biu" or (arr.dtype.kind != "b" and (arr >> 1).any()):
             raise ValueError("matrix entries must be 0 or 1")
-        arr = arr.copy()
+        arr = arr.astype(np.uint8)
         arr.flags.writeable = False
         self.entries = arr
 

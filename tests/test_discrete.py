@@ -152,25 +152,27 @@ def test_extension_detects_conflicting_pulls():
 
 
 def test_arrangement_path_intersections_match_graph():
+    # centers are ints in units of 1/(8m): the interval width 2*eps is 8m
     g = build_uig(FreeSpaceMatrix([[1, 1, 0], [0, 1, 1]]))
-    pos = build_arrangement([0, 1, 2], g, Fraction(1, 2))
+    pos = build_arrangement([0, 1, 2], g)
     assert pos is not None
     for u in range(3):
         for v in range(u + 1, 3):
-            touching = abs(pos[u] - pos[v]) <= 1
+            touching = abs(pos[u] - pos[v]) <= 8 * 3
             assert touching == bool(g.adj[u] >> v & 1)
 
 
 def test_arrangement_single_vertex():
     g = build_uig(FreeSpaceMatrix([[1]]))
-    assert build_arrangement([0], g) == {0: Fraction(0)}
+    pos = build_arrangement([0], g)
+    assert pos == {0: 0} and type(pos[0]) is int
 
 
 def test_arrangement_triangle_fits_unit_window():
     g = build_uig(FreeSpaceMatrix([[1, 1, 1]]))
     pos = build_arrangement([0, 1, 2], g)
     assert pos is not None
-    assert max(pos.values()) - min(pos.values()) <= 1
+    assert max(pos.values()) - min(pos.values()) <= 8 * 3
 
 
 def test_verify_and_witness_finds_prescribed_cells():
@@ -178,6 +180,7 @@ def test_verify_and_witness_finds_prescribed_cells():
     pos = build_arrangement([0, 1], g)
     placed = verify_and_witness(pos, [0b01, 0b11, 0b10])
     assert placed is not None and set(placed) == {0, 1, 2}
+    assert all(type(x) is int for x in placed.values())
 
 
 def test_solve_trivial_yes():
@@ -230,3 +233,81 @@ def test_agreement_with_oracle_random_m5():
         assert (solve_discrete_1d(matrix) is not None) == (
             brute_force_discrete_1d(matrix) is not None
         )
+
+
+def _assert_verified_yes(matrix):
+    w = solve_discrete_1d(matrix)
+    assert w is not None
+    assert compute_matrix(w.curve_p, w.curve_q, w.epsilon) == matrix
+
+
+def test_interleaved_components_with_empty_rows():
+    # components {0, 2, 4} (a path) and {1, 3}; rows 2 and 5 are empty
+    ent = [
+        [1, 0, 1, 0, 0],
+        [0, 0, 1, 0, 1],
+        [0, 0, 0, 0, 0],
+        [0, 1, 0, 1, 0],
+        [0, 0, 0, 1, 0],
+        [0, 0, 0, 0, 0],
+        [1, 0, 0, 0, 0],
+    ]
+    matrix = FreeSpaceMatrix(ent)
+    assert sorted(build_uig(matrix).components()) == [[0, 2, 4], [1, 3]]
+    _assert_verified_yes(matrix)
+
+
+def test_permuted_block_diagonal_agrees_with_oracle():
+    # 2 or 3 random blocks of at most 5 columns in all (the oracle's cost
+    # grows steeply beyond), plus an empty row; rows and columns shuffled.
+    # Most draws are realizable, so draw until 20 unrealizable ones are seen.
+    rng = random.Random(33)
+    verdicts = []
+    for _ in range(1000):
+        sizes = rng.choice([[4, 1], [3, 2], [3, 1, 1], [2, 2, 1]])
+        rng.shuffle(sizes)
+        m = sum(sizes)
+        ent = [[0] * m]
+        start = 0
+        for k in sizes:
+            for _ in range(rng.randint(1, 6)):
+                row = [0] * m
+                row[start:start + k] = [rng.randint(0, 1) for _ in range(k)]
+                ent.append(row)
+            start += k
+        rng.shuffle(ent)
+        perm = list(range(m))
+        rng.shuffle(perm)
+        matrix = FreeSpaceMatrix([[row[p] for p in perm] for row in ent])
+        expected = brute_force_discrete_1d(matrix) is not None
+        solved = solve_discrete_1d(matrix)
+        assert (solved is not None) == expected
+        if solved is not None:
+            assert compute_matrix(solved.curve_p, solved.curve_q, solved.epsilon) == matrix
+        verdicts.append(expected)
+        if verdicts.count(False) == 20:
+            break
+    assert verdicts.count(False) == 20 and verdicts.count(True) >= 20
+
+
+def _walks(rng, k):
+    """Two integer walks with steps -9..9, Q shifted to P's median."""
+    p, q = [0], [0]
+    for _ in range(k - 1):
+        p.append(p[-1] + rng.randint(-9, 9))
+        q.append(q[-1] + rng.randint(-9, 9))
+    shift = sorted(p)[k // 2] - sorted(q)[k // 2]
+    return p, [x + shift for x in q]
+
+
+def test_forward_walk_matrices_solve_yes():
+    # eps 1/16 of the range: one giant UIG component; eps 1: several
+    rng = random.Random(5)
+    for giant in (True, False):
+        for _ in range(3):
+            p, q = _walks(rng, 200)
+            eps = max(9, (max(p + q) - min(p + q)) // 16) if giant else 1
+            matrix = compute_matrix(p, q, eps)
+            sizes = [len(c) for c in build_uig(matrix).components()]
+            assert max(sizes) > 100 if giant else len(sizes) >= 5
+            _assert_verified_yes(matrix)

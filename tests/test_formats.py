@@ -68,6 +68,33 @@ def test_bad_entry_rejected():
         parse(json.dumps(bad))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("entries", [[1.0]]), ("entries", [[True]]), ("entries", [["1"]]), ("rows", 1.0), ("cols", True)],
+)
+def test_matrix_non_integer_numbers_rejected(field, value):
+    obj = {"format": "fsreal/1", "kind": "matrix", "rows": 1, "cols": 1, "entries": [[1]]}
+    obj[field] = value
+    with pytest.raises(FormatError):
+        parse(json.dumps(obj))
+
+
+@pytest.mark.parametrize("sigma", [1.0, -1.0, True])
+def test_partial_cell_non_integer_sigma_rejected(sigma):
+    obj = json.loads(serialize(gen_partition([2, 2])))
+    cell = next(c for col in obj["cells"] for c in col if c["status"] == "partial")
+    cell["sigma"] = sigma
+    with pytest.raises(FormatError):
+        parse(json.dumps(obj))
+
+
+def test_curves_non_integer_dimension_rejected():
+    obj = json.loads(serialize(Witness(PointSeq1D([0]), PointSeq1D([1]), 1)))
+    obj["dimension"] = 1.0
+    with pytest.raises(FormatError):
+        parse(json.dumps(obj))
+
+
 def test_unknown_field_rejected():
     bad = {"format": "fsreal/1", "kind": "matrix", "rows": 1, "cols": 1, "entries": [[1]], "extra": 1}
     with pytest.raises(FormatError):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fsreal import (
@@ -13,6 +14,7 @@ from fsreal import (
     UnitIntervalArrangement,
     rat,
     rat_str,
+    solve_discrete_1d,
     validate_diagram,
 )
 from fsreal.model import cell_edge_interval, consistency_problems, structural_problems
@@ -66,6 +68,22 @@ def test_matrix_rejects_bad_entries():
         FreeSpaceMatrix([[0, 2]])
     m = FreeSpaceMatrix([[1, 0], [0, 1]])
     assert m.n_rows == 2 and m.m_cols == 2
+
+
+@pytest.mark.parametrize("bad", [[[0.5, 1]], [[1.0, 0.0]], [["1", 0]], [[256, 0]], [[-1, 0]]])
+def test_matrix_rejects_non_binary_entries_before_cast(bad):
+    # a cast to uint8 first would truncate 0.5 to 0, accept "1" and wrap or
+    # overflow on 256 and -1
+    with pytest.raises(ValueError):
+        FreeSpaceMatrix(bad)
+    with pytest.raises(ValueError):
+        solve_discrete_1d(bad)
+
+
+def test_matrix_accepts_bool_and_int_arrays():
+    expected = FreeSpaceMatrix([[1, 0]])
+    assert FreeSpaceMatrix([[True, False]]) == expected
+    assert FreeSpaceMatrix(np.array([[1, 0]], dtype=np.int64)) == expected
 
 
 def _single_cell(cell, w=2, h=2, eps=1):
