@@ -4,12 +4,15 @@ Grid lines are labeled fold/straight from local white-space evidence; the
 unknown lines (2^k of them) are enumerated, and each full assignment is
 checked by folding the diagram one axis at a time with safe end folds and
 crimps, gluing layers whose white space aligns exactly.
+
+The consistency check, the crease inference and the fold checks run on the
+diagram scaled to Python ints (:func:`fsreal.model.scale_to_integers`); the
+witness is read off the caller's diagram in `fractions.Fraction`s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .model import (
@@ -25,6 +28,7 @@ from .model import (
     cell_transpose,
     classify_slab,
     consistency_problems,
+    scale_to_integers,
     structural_problems,
 )
 from .forward import compute_diagram_1d
@@ -48,12 +52,12 @@ class CreaseAssignment:
         return sum(1 for s in self.vertical + self.horizontal if s == UNKNOWN)
 
 
-def _mirror_compatible(left: CellContent, w_l, right: CellContent, w_r, h, eps) -> bool:
+def _mirror_compatible(left: CellContent, w_l, right: CellContent, w_r, h) -> bool:
     """White space of the two cells is symmetric through the shared line on
     the overlap window (a fold at the line is consistent with this pair)."""
     t = min(w_l, w_r)
     a = cell_restrict_x(left, w_l, h, w_l - t, w_l)
-    b = cell_mirror_x(cell_restrict_x(right, w_r, h, Fraction(0), t), t, h)
+    b = cell_mirror_x(cell_restrict_x(right, w_r, h, 0, t), t, h)
     return a == b
 
 
@@ -97,7 +101,7 @@ def _line_labels(columns, widths, heights, eps) -> tuple[list[str], list[str]]:
     notes = []
     for i in range(len(columns) - 1):
         fold_ok = all(
-            _mirror_compatible(columns[i][j], widths[i], columns[i + 1][j], widths[i + 1], heights[j], eps)
+            _mirror_compatible(columns[i][j], widths[i], columns[i + 1][j], widths[i + 1], heights[j])
             for j in range(len(heights))
         )
         straight_ok = all(
@@ -145,14 +149,14 @@ def infer_creases(diagram: FreeSpaceDiagram1D) -> CreaseAssignment:
 
 @dataclass
 class _Face:
-    width: Fraction
-    pieces: list[tuple[Fraction, tuple[CellContent, ...]]]
+    width: int
+    pieces: list[tuple[int, tuple[CellContent, ...]]]
 
 
-def _sub_pieces(pieces, a: Fraction, b: Fraction, heights) -> list:
+def _sub_pieces(pieces, a: int, b: int, heights) -> list:
     """Restrict a piece list to the span [a, b], re-based to 0."""
     out = []
-    x = Fraction(0)
+    x = 0
     for length, cells in pieces:
         lo = max(a, x)
         hi = min(b, x + length)
@@ -182,7 +186,7 @@ def _mirror_pieces(pieces, heights) -> list:
 def _pieces_equal(p1, p2, heights) -> bool:
     """Exact white-space equality of two piece lists of equal total span."""
     i = j = 0
-    off1 = off2 = Fraction(0)
+    off1 = off2 = 0
     while i < len(p1) and j < len(p2):
         l1, c1 = p1[i]
         l2, c2 = p2[j]
@@ -196,14 +200,14 @@ def _pieces_equal(p1, p2, heights) -> bool:
         off2 += step
         if off1 == l1:
             i += 1
-            off1 = Fraction(0)
+            off1 = 0
         if off2 == l2:
             j += 1
-            off2 = Fraction(0)
+            off2 = 0
     return i == len(p1) and j == len(p2)
 
 
-def _fold_axis(faces: list[_Face], heights, eps) -> Optional[_Face]:
+def _fold_axis(faces: list[_Face], heights) -> Optional[_Face]:
     """Fold a 1D crease pattern flat with safe end folds and crimps, checking
     white-space alignment of every newly overlapped extent."""
     while len(faces) > 1:
@@ -219,7 +223,7 @@ def _fold_axis(faces: list[_Face], heights, eps) -> Optional[_Face]:
         if pick == 0:
             f0, f1 = faces[0], faces[1]
             image = _mirror_pieces(f0.pieces, heights)
-            target = _sub_pieces(f1.pieces, Fraction(0), f0.width, heights)
+            target = _sub_pieces(f1.pieces, 0, f0.width, heights)
             if not _pieces_equal(image, target, heights):
                 return None
             faces = faces[1:]
@@ -235,7 +239,7 @@ def _fold_axis(faces: list[_Face], heights, eps) -> Optional[_Face]:
             tail = _sub_pieces(prev_f.pieces, prev_f.width - mid.width, prev_f.width, heights)
             if not _pieces_equal(_mirror_pieces(mid.pieces, heights), tail, heights):
                 return None
-            overlap = _sub_pieces(nxt.pieces, Fraction(0), mid.width, heights)
+            overlap = _sub_pieces(nxt.pieces, 0, mid.width, heights)
             if not _pieces_equal(overlap, tail, heights):
                 return None
             merged = _Face(
@@ -271,7 +275,7 @@ def _build_faces(columns, widths, heights, labels, eps) -> Optional[list[_Face]]
     return faces
 
 
-def _flatten_face(face: _Face, heights, eps) -> Optional[tuple[Fraction, tuple[CellContent, ...]]]:
+def _flatten_face(face: _Face, heights, eps) -> Optional[tuple[int, tuple[CellContent, ...]]]:
     """Merge a folded face's profile into one cell per row.
 
     The folded image of the axis is covered by a single segment pair per row,
@@ -309,7 +313,7 @@ def check_foldable(diagram: FreeSpaceDiagram1D, vertical: Sequence[str], horizon
     faces = _build_faces(diagram.cells, widths, heights, vertical, eps)
     if faces is None:
         return False
-    final_col = _fold_axis(faces, heights, eps)
+    final_col = _fold_axis(faces, heights)
     if final_col is None:
         return False
     flattened = _flatten_face(final_col, heights, eps)
@@ -322,7 +326,7 @@ def check_foldable(diagram: FreeSpaceDiagram1D, vertical: Sequence[str], horizon
     faces_t = _build_faces(cols_t, heights, [width], horizontal, eps)
     if faces_t is None:
         return False
-    final_row = _fold_axis(faces_t, [width], eps)
+    final_row = _fold_axis(faces_t, [width])
     if final_row is None:
         return False
     return _flatten_face(final_row, [width], eps) is not None
@@ -359,13 +363,13 @@ def extract_curves(
         if first_partial:
             break
 
-    p_pts = [Fraction(0)]
+    p_pts = [0]
     for s, w in zip(sp, widths):
         p_pts.append(p_pts[-1] + s * w)
 
     if first_partial is None:
         sq = sq_rel
-        pref_q = [Fraction(0)]
+        pref_q = [0]
         for s, h in zip(sq, heights):
             pref_q.append(pref_q[-1] + s * h)
         if any(diagram.cells[i][j].status == FULL for i in range(diagram.n_cols) for j in range(diagram.m_rows)):
@@ -387,7 +391,7 @@ def extract_curves(
             c = diagram.cells[i][j]
             if c.status == PARTIAL and sp[i] * sq[j] != c.sigma:
                 return None
-    pref_q = [Fraction(0)]
+    pref_q = [0]
     for s, h in zip(sq, heights):
         pref_q.append(pref_q[-1] + s * h)
     # c_lo = sq_j * (Pstart - Qstart) - eps
@@ -404,13 +408,19 @@ def solve_fpt(diagram: FreeSpaceDiagram1D) -> Optional[Witness]:
     lines left to right then horizontal bottom to top); the first accepted
     assignment yields the witness, which is re-verified by the forward
     computation before it is returned.
+
+    The consistency check, the crease inference and every fold check run on
+    the diagram scaled to ints. The witness is read off the caller's diagram,
+    because its far placement and centering are not scale-invariant, and is
+    verified against it.
     """
     problems = structural_problems(diagram)
     if problems:
         raise ValueError("invalid diagram: " + "; ".join(problems))
-    if consistency_problems(diagram):
+    scaled, _ = scale_to_integers(diagram)
+    if consistency_problems(scaled):
         return None  # no curve pair produces disagreeing boundary restrictions
-    inferred = infer_creases(diagram)
+    inferred = infer_creases(scaled)
     if inferred.contradictions:
         return None
     slots = [("v", i) for i, s in enumerate(inferred.vertical) if s == UNKNOWN]
@@ -426,7 +436,7 @@ def solve_fpt(diagram: FreeSpaceDiagram1D) -> Optional[Witness]:
                 vertical[idx] = label
             else:
                 horizontal[idx] = label
-        if not check_foldable(diagram, vertical, horizontal):
+        if not check_foldable(scaled, vertical, horizontal):
             continue
         witness = extract_curves(diagram, vertical, horizontal)
         if witness is None:

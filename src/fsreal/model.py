@@ -1,14 +1,17 @@
 """Exact domain types shared by all solvers.
 
 All 1D combinatorial data (coordinates, epsilon, cell dimensions, slab
-intercepts) is carried as `fractions.Fraction`; the discrete solver
-computes on an exact integer grid internally and returns Fractions.
-Geometry in dimension >= 2 lives in floats and is handled in
-:mod:`fsreal.forward`.
+intercepts) is carried as `fractions.Fraction`. The solvers compute on
+Python ints internally and return Fractions: the discrete solver on an
+exact integer grid, the two diagram solvers on the diagram scaled by
+:func:`scale_to_integers`. The cell algebra below is written for either
+number type and returns ints on int input. Geometry in dimension >= 2
+lives in floats and is handled in :mod:`fsreal.forward`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -169,7 +172,7 @@ def slab_value_range(sigma: int, w: Fraction, h: Fraction) -> tuple[Fraction, Fr
     """Range of y - sigma*x over the cell box [0,w] x [0,h]."""
     if sigma == 1:
         return -w, h
-    return Fraction(0), w + h
+    return 0, w + h
 
 
 def classify_slab(sigma: int, c_lo: Fraction, c_hi: Fraction, w: Fraction, h: Fraction) -> CellContent:
@@ -232,7 +235,7 @@ def cell_edge_interval(
     if cell.status == EMPTY:
         return None
     if cell.status == FULL:
-        return (Fraction(0), h) if edge in ("L", "R") else (Fraction(0), w)
+        return (0, h) if edge in ("L", "R") else (0, w)
     s, lo, hi = cell.sigma, cell.c_lo, cell.c_hi
     if edge == "L":
         a, b, cap = lo, hi, h
@@ -252,7 +255,7 @@ def cell_edge_interval(
         cap = w
     else:
         raise ValueError(f"unknown edge {edge!r}")
-    a2, b2 = max(a, Fraction(0)), min(b, cap)
+    a2, b2 = max(a, 0), min(b, cap)
     if a2 > b2:
         return None
     return a2, b2
@@ -325,6 +328,38 @@ class FreeSpaceDiagram1D:
 
     def cell(self, i: int, j: int) -> CellContent:
         return self.cells[i][j]
+
+
+def scale_to_integers(d: FreeSpaceDiagram1D) -> tuple[FreeSpaceDiagram1D, int]:
+    """The diagram with epsilon, the widths, the heights and the slab
+    intercepts multiplied by L, the least common multiple of their
+    denominators, every field a Python int; and L.
+
+    Realizability and every test the diagram solvers make are invariant
+    under this positive scaling, so they decide on the scaled diagram.
+    """
+    partial = [c for col in d.cells for c in col if c.status == PARTIAL]
+    scale = math.lcm(
+        d.epsilon.denominator,
+        *(v.denominator for v in d.col_widths),
+        *(v.denominator for v in d.row_heights),
+        *(c.c_lo.denominator for c in partial),
+        *(c.c_hi.denominator for c in partial),
+    )
+
+    def up(v) -> int:
+        return v.numerator * (scale // v.denominator)
+
+    cells = tuple(
+        tuple(c if c.status != PARTIAL else CellContent(PARTIAL, c.sigma, up(c.c_lo), up(c.c_hi)) for c in col)
+        for col in d.cells
+    )
+    scaled = object.__new__(FreeSpaceDiagram1D)  # __init__ would coerce the ints to Fractions
+    object.__setattr__(scaled, "epsilon", up(d.epsilon))
+    object.__setattr__(scaled, "col_widths", tuple(up(w) for w in d.col_widths))
+    object.__setattr__(scaled, "row_heights", tuple(up(h) for h in d.row_heights))
+    object.__setattr__(scaled, "cells", cells)
+    return scaled, scale
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,11 @@ against is pinned or anchored, so one candidate per (rho, tau) suffices.
 Otherwise each extreme lies within 2*eps of its anchored extent, and for
 each hull of P only the minimal staircase of hulls of Q at which Q's runs
 fit is tried. Every YES is verified forward.
+
+The solver scales the diagram with :func:`fsreal.model.scale_to_integers`
+and requires the scale to be 1; the consistency check, the typing, the
+anchoring and the search all run on Python ints, and the witness is
+returned in `fractions.Fraction`s.
 """
 
 from __future__ import annotations
@@ -34,7 +39,10 @@ from .model import (
     cell_edge_interval,
     cell_restrict_x,
     cell_restrict_y,
+    cell_transpose,
+    classify_slab,
     consistency_problems,
+    scale_to_integers,
     structural_problems,
 )
 from .forward import compute_diagram_1d
@@ -70,12 +78,6 @@ class TypedDiagram:
         return [s.length for s in self.q_segs]
 
 
-def _require_int(value: Fraction, what: str) -> int:
-    if Fraction(value).denominator != 1:
-        raise ValueError(f"pseudo-polynomial solver needs integer {what} (got {value})")
-    return int(value)
-
-
 def _column_breakpoints(cells_col, w: int, heights) -> list[int]:
     """x positions where some cell's slice status can change."""
     points = set()
@@ -88,24 +90,26 @@ def _column_breakpoints(cells_col, w: int, heights) -> list[int]:
             for level in (0, h):
                 x = s * (level - bound)
                 if 0 < x < w:
-                    points.add(_require_int(Fraction(x), "subdivision point"))
+                    points.add(x)
     return sorted(points)
 
 
-def _slice_status(cell: CellContent, h: int, x: Fraction) -> str:
+def _slice_status(cell: CellContent, h: int, x2: int) -> str:
+    """Status of the cell's vertical slice at x = x2 / 2 (doubled coordinates
+    keep a midpoint between two integer breakpoints an int)."""
     if cell.status != PARTIAL:
         return cell.status
-    lo = cell.c_lo + cell.sigma * x
-    hi = cell.c_hi + cell.sigma * x
-    if lo > h or hi < 0:
+    lo = 2 * cell.c_lo + cell.sigma * x2
+    hi = 2 * cell.c_hi + cell.sigma * x2
+    if lo > 2 * h or hi < 0:
         return EMPTY
-    if lo <= 0 and hi >= h:
+    if lo <= 0 and hi >= 2 * h:
         return FULL
     return PARTIAL
 
 
-def _column_kind(cells_col, heights, x: Fraction) -> int:
-    statuses = [_slice_status(cell, heights[j], x) for j, cell in enumerate(cells_col)]
+def _column_kind(cells_col, heights, x2: int) -> int:
+    statuses = [_slice_status(cell, heights[j], x2) for j, cell in enumerate(cells_col)]
     if all(s == EMPTY for s in statuses):
         return TYPE_FAR
     if all(s == FULL for s in statuses):
@@ -121,7 +125,7 @@ def _subdivide_axis(columns, widths, heights) -> list[tuple[int, list[tuple[int,
         cuts = [0] + _column_breakpoints(col, w, heights) + [w]
         pieces = []
         for a, b in zip(cuts, cuts[1:]):
-            kind = _column_kind(col, heights, Fraction(a + b, 2))
+            kind = _column_kind(col, heights, a + b)
             if pieces and pieces[-1][2] == kind:
                 off, length, _ = pieces[-1]
                 pieces[-1] = (off, length + (b - a), kind)
@@ -133,15 +137,19 @@ def _subdivide_axis(columns, widths, heights) -> list[tuple[int, list[tuple[int,
 
 def subdivide_and_type(diagram: FreeSpaceDiagram1D) -> TypedDiagram:
     """Insert subdivision vertices wherever a segment's slice status changes
-    and type every resulting subsegment (far / close / boundary)."""
-    eps = _require_int(diagram.epsilon, "epsilon")
-    widths = [_require_int(w, "cell width") for w in diagram.col_widths]
-    heights = [_require_int(h, "cell height") for h in diagram.row_heights]
-    for i in range(diagram.n_cols):
-        for j in range(diagram.m_rows):
-            c = diagram.cells[i][j]
-            if c.status == PARTIAL:
-                _require_int(c.c_lo, "slab intercept")
+    and type every resulting subsegment (far / close / boundary).
+
+    The diagram must have integer dimensions and intercepts; the typed
+    diagram holds them as Python ints."""
+    diagram, scale = scale_to_integers(diagram)
+    if scale != 1:
+        raise ValueError(
+            "pseudo-polynomial solver needs integer epsilon, cell widths, cell heights and slab intercepts "
+            f"(got a common denominator of {scale})"
+        )
+    eps = diagram.epsilon
+    widths = diagram.col_widths
+    heights = diagram.row_heights
 
     p_pieces = _subdivide_axis(
         [tuple(diagram.cells[i]) for i in range(diagram.n_cols)], widths, heights
@@ -151,8 +159,6 @@ def subdivide_and_type(diagram: FreeSpaceDiagram1D) -> TypedDiagram:
     ]
     # slice status of row j at height y: reuse the column machinery on the
     # transposed cells
-    from .model import cell_transpose
-
     rows_tc = [tuple(cell_transpose(c) for c in row) for row in rows_t]
     q_pieces = _subdivide_axis(rows_tc, heights, widths)
 
@@ -166,8 +172,8 @@ def subdivide_and_type(diagram: FreeSpaceDiagram1D) -> TypedDiagram:
             base = diagram.cells[ps.orig][qs.orig]
             w0 = widths[ps.orig]
             h0 = heights[qs.orig]
-            c = cell_restrict_x(base, w0, h0, Fraction(ps.offset), Fraction(ps.offset + ps.length))
-            c = cell_restrict_y(c, Fraction(ps.length), h0, Fraction(qs.offset), Fraction(qs.offset + qs.length))
+            c = cell_restrict_x(base, w0, h0, ps.offset, ps.offset + ps.length)
+            c = cell_restrict_y(c, ps.length, h0, qs.offset, qs.offset + qs.length)
             row_out.append(c)
         cells.append(row_out)
     return TypedDiagram(eps, p_segs, q_segs, cells)
@@ -254,7 +260,6 @@ def anchor_components(typed: TypedDiagram, graph: PlacementGraph) -> Optional[An
             start, sigma = placement[node]
             for other, cell in adjacency.get(node, ()):  # relation: c_lo = sQ*(Ps - Qs) - eps
                 sig_prod, gap = _cell_relation(cell, eps)
-                gap = _require_int(Fraction(gap), "slab intercept")
                 if node[0] == "P":
                     s_q = sig_prod * sigma
                     o_start = start - s_q * gap
@@ -307,11 +312,9 @@ def anchor_components(typed: TypedDiagram, graph: PlacementGraph) -> Optional[An
 
 
 def _expected_cell(start_p: int, sig_p: int, w: int, start_q: int, sig_q: int, h: int, eps: int) -> CellContent:
-    from .model import classify_slab
-
     sigma = sig_p * sig_q
     c_lo = sig_q * (start_p - start_q) - eps
-    return classify_slab(sigma, Fraction(c_lo), Fraction(c_lo + 2 * eps), Fraction(w), Fraction(h))
+    return classify_slab(sigma, c_lo, c_lo + 2 * eps, w, h)
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +468,8 @@ class Pin:
     value: int
 
 
-def _merged_intervals(intervals: list[tuple[Fraction, Fraction]]) -> list[tuple[Fraction, Fraction]]:
-    out: list[list[Fraction]] = []
+def _merged_intervals(intervals: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    out: list[list[int]] = []
     for a, b in sorted(intervals):
         if out and a <= out[-1][1]:
             out[-1][1] = max(out[-1][1], b)
@@ -501,8 +504,6 @@ def _transition_pins(
         other_curve = "P"
     else:
         other_segs = typed.q_segs
-        from .model import cell_transpose
-
         cells = [cell_transpose(typed.cells[seg3][j]) for j in range(len(other_segs))]
         boxes = [(s.length, seg.length) for s in other_segs]
         other_curve = "Q"
@@ -518,7 +519,7 @@ def _transition_pins(
         if cell.status == EMPTY:
             continue
         w, h = boxes[idx]
-        iv = cell_edge_interval(cell, Fraction(w), Fraction(h), edge)
+        iv = cell_edge_interval(cell, w, h, edge)
         if iv is not None:
             intervals.append((iv[0] + offsets[idx], iv[1] + offsets[idx]))
     signs = set()
@@ -557,7 +558,7 @@ def _transition_pins(
         return [Pin(var_l, frame, t_value - eps)]
 
 
-def _locate_candidates(offsets: list[int], lengths: list[int], x: Fraction) -> list[tuple[int, Fraction]]:
+def _locate_candidates(offsets: list[int], lengths: list[int], x: int) -> list[tuple[int, int]]:
     """Subsegments containing arc position x (two at a shared wall)."""
     out = []
     for k in range(len(offsets)):
@@ -682,9 +683,10 @@ def solve_pseudo_poly(diagram: FreeSpaceDiagram1D) -> Optional[Witness]:
     problems = structural_problems(diagram)
     if problems:
         raise ValueError("invalid diagram: " + "; ".join(problems))
-    if consistency_problems(diagram):
+    scaled, _ = scale_to_integers(diagram)
+    if consistency_problems(scaled):
         return None  # no curve pair produces disagreeing boundary restrictions
-    typed = subdivide_and_type(diagram)
+    typed = subdivide_and_type(diagram)  # rejects a diagram that is not integral
     eps = typed.eps
 
     statuses = {typed.cells[i][j].status for i in range(len(typed.p_segs)) for j in range(len(typed.q_segs))}

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +21,21 @@ def random_integer_curves(seed: int, n_segs: int, m_segs: int, max_step: int = 5
 def random_integer_diagram(seed: int, n_segs: int, m_segs: int, eps: int, max_step: int = 5):
     p, q = random_integer_curves(seed, n_segs, m_segs, max_step)
     return compute_diagram_1d(p, q, eps)
+
+
+def random_rational_diagram(rng: random.Random, max_p_segs: int = 5, max_q_segs: int = 4):
+    """Forward diagram of two walks whose vertices share a denominator of 2,
+    3, 4 or 6, at a rational eps."""
+    den = rng.choice([2, 3, 4, 6])
+
+    def walk(k):
+        pts = [Fraction(rng.randint(-6, 6), den)]
+        for _ in range(k):
+            pts.append(pts[-1] + rng.choice([-1, 1]) * Fraction(rng.randint(1, 10), den))
+        return Curve1D(pts)
+
+    eps = Fraction(rng.randint(1, 10), rng.choice([1, 2, 3, 4]))
+    return compute_diagram_1d(walk(rng.randint(1, max_p_segs)), walk(rng.randint(1, max_q_segs)), eps)
 
 
 @pytest.fixture

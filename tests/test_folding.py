@@ -17,7 +17,7 @@ from fsreal import (
 )
 from fsreal.folding import FOLD, STRAIGHT, UNKNOWN
 
-from conftest import random_integer_diagram
+from conftest import random_integer_diagram, random_rational_diagram
 
 
 def test_infer_fold_at_alternating_slopes():
@@ -145,3 +145,32 @@ def test_fold_alignment_rejects_one_bad_layer():
     cells[2][0] = CellContent(c.status, -c.sigma, c.c_lo, c.c_hi)
     broken = FreeSpaceDiagram1D(d.epsilon, d.col_widths, d.row_heights, cells)
     assert not check_foldable(broken, [FOLD, FOLD], [])
+
+
+def _divided(d: FreeSpaceDiagram1D, k: int) -> FreeSpaceDiagram1D:
+    """The diagram with every length and intercept divided by k."""
+    cells = [
+        [c if not c.is_partial else CellContent.partial(c.sigma, c.c_lo / k, c.c_hi / k) for c in col]
+        for col in d.cells
+    ]
+    return FreeSpaceDiagram1D(d.epsilon / k, [w / k for w in d.col_widths], [h / k for h in d.row_heights], cells)
+
+
+def test_forward_diagrams_of_rational_curves_solve_yes():
+    # the solver decides on the diagram scaled to ints; the witness must
+    # still reproduce the caller's rational diagram
+    rng = random.Random(2024)
+    for _ in range(60):
+        d = random_rational_diagram(rng)
+        w = solve_fpt(d)
+        assert w is not None, d
+        assert compute_diagram_1d(w.curve_p, w.curve_q, d.epsilon) == d
+
+
+def test_partition_divided_by_three_keeps_its_answer():
+    assert solve_fpt(_divided(gen_partition([1, 1, 1]), 3)) is None
+    assert solve_fpt(_divided(gen_partition([1, 1, 4]), 3)) is None  # even sum, no balanced split
+    balanced = _divided(gen_partition([3, 2, 1, 2]), 3)
+    w = solve_fpt(balanced)
+    assert w is not None
+    assert compute_diagram_1d(w.curve_p, w.curve_q, balanced.epsilon) == balanced

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -17,9 +18,21 @@ from fsreal import (
     solve_discrete_1d,
     validate_diagram,
 )
-from fsreal.model import cell_edge_interval, consistency_problems, structural_problems
+from fsreal.model import (
+    PARTIAL,
+    cell_edge_interval,
+    cell_mirror_x,
+    cell_restrict_x,
+    cell_restrict_y,
+    cell_transpose,
+    classify_slab,
+    consistency_problems,
+    scale_to_integers,
+    slab_value_range,
+    structural_problems,
+)
 
-from conftest import random_integer_diagram
+from conftest import random_integer_diagram, random_rational_diagram
 
 
 def test_rat_parsing():
@@ -150,3 +163,82 @@ def test_arrangement_cells_partition_covered_range():
     interior = cells[1:-1]
     for a, b in zip(interior, interior[1:]):
         assert a.hi == b.lo
+
+
+def _diagram_fields(d):
+    """epsilon, widths, heights and the partial cells' intercepts, in order."""
+    values = [d.epsilon, *d.col_widths, *d.row_heights]
+    for col in d.cells:
+        for c in col:
+            if c.status == PARTIAL:
+                values += [c.c_lo, c.c_hi]
+    return values
+
+
+def test_scale_to_integers_rational_diagram():
+    rng = random.Random(12)
+    for _ in range(30):
+        d = random_rational_diagram(rng, 4, 3)
+        scaled, scale = scale_to_integers(d)
+        fields = _diagram_fields(d)
+        assert scale == math.lcm(*(v.denominator for v in fields))
+        scaled_fields = _diagram_fields(scaled)
+        assert all(type(v) is int for v in scaled_fields)
+        assert [Fraction(v, scale) for v in scaled_fields] == fields
+        assert [[c.status for c in col] for col in scaled.cells] == [[c.status for c in col] for col in d.cells]
+        assert [[c.sigma for c in col] for col in scaled.cells] == [[c.sigma for c in col] for col in d.cells]
+
+
+def test_scale_to_integers_integer_diagram_unchanged():
+    for seed in range(20):
+        rng = random.Random(seed)
+        d = random_integer_diagram(seed, rng.randint(1, 5), rng.randint(1, 4), rng.randint(1, 4))
+        scaled, scale = scale_to_integers(d)
+        assert scale == 1
+        assert all(type(v) is int for v in _diagram_fields(scaled))
+        assert scaled == d
+
+
+def _cell_algebra_results(sigma, w, h, lo, hi, num):
+    """(name, result) of every cell-algebra function on one slab, with the
+    lengths and intercepts given as ``num``."""
+    cell = CellContent(PARTIAL, sigma, num(lo), num(hi))
+    nw, nh = num(w), num(h)
+    out = [
+        ("slab_value_range", slab_value_range(sigma, nw, nh)),
+        ("classify_slab", classify_slab(sigma, num(lo), num(hi), nw, nh)),
+        ("cell_mirror_x", cell_mirror_x(cell, nw, nh)),
+        ("cell_transpose", cell_transpose(cell)),
+    ]
+    out += [("cell_edge_interval", cell_edge_interval(cell, nw, nh, edge)) for edge in "LRBT"]
+    for x0 in range(w):
+        for x1 in range(x0 + 1, w + 1):
+            out.append(("cell_restrict_x", cell_restrict_x(cell, nw, nh, num(x0), num(x1))))
+    for y0 in range(h):
+        for y1 in range(y0 + 1, h + 1):
+            out.append(("cell_restrict_y", cell_restrict_y(cell, nw, nh, num(y0), num(y1))))
+    return out
+
+
+def _int_fields(result) -> bool:
+    if result is None:
+        return True
+    if isinstance(result, CellContent):
+        return all(v is None or type(v) is int for v in (result.c_lo, result.c_hi))
+    return all(type(v) is int for v in result)
+
+
+def test_cell_algebra_int_input_matches_fraction_input():
+    checked = 0
+    for sigma in (1, -1):
+        for w in range(1, 4):
+            for h in range(1, 4):
+                for lo in range(-4, 5):
+                    for hi in range(lo, 5):
+                        ints = _cell_algebra_results(sigma, w, h, lo, hi, int)
+                        fractions = _cell_algebra_results(sigma, w, h, lo, hi, Fraction)
+                        assert ints == fractions, (sigma, w, h, lo, hi)
+                        for name, result in ints:
+                            assert _int_fields(result), (name, sigma, w, h, lo, hi, result)
+                        checked += len(ints)
+    assert checked > 10000
