@@ -50,6 +50,13 @@ def _int_in(value, field: str) -> int:
     return value
 
 
+def _list_in(value, field: str) -> list:
+    """A JSON array: a string or an object is not read as a sequence."""
+    if not isinstance(value, list):
+        raise FormatError(f"{field} must be an array, got {value!r}")
+    return value
+
+
 def _rat_in(value) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise FormatError(f"expected a rational string or integer, got {value!r}")
@@ -169,8 +176,8 @@ def _parse_matrix(obj: dict) -> FreeSpaceMatrix:
 def _parse_diagram(obj: dict) -> FreeSpaceDiagram1D:
     _check_keys(obj, {"format", "kind", "epsilon", "colWidths", "rowHeights", "cells"})
     eps = _rat_in(obj["epsilon"])
-    widths = [_rat_in(w) for w in obj["colWidths"]]
-    heights = [_rat_in(h) for h in obj["rowHeights"]]
+    widths = [_rat_in(w) for w in _list_in(obj["colWidths"], "colWidths")]
+    heights = [_rat_in(h) for h in _list_in(obj["rowHeights"], "rowHeights")]
     raw = obj["cells"]
     if not isinstance(raw, list) or len(raw) != len(widths):
         raise FormatError("cells must have one column per colWidth")
@@ -209,8 +216,8 @@ def _parse_curves(obj: dict) -> Witness:
     dim = _int_in(obj["dimension"], "dimension")
     if dim == 1:
         eps = _rat_in(obj["epsilon"])
-        pv = [_rat_in(v) for v in obj["curveP"]]
-        qv = [_rat_in(v) for v in obj["curveQ"]]
+        pv = [_rat_in(v) for v in _list_in(obj["curveP"], "curveP")]
+        qv = [_rat_in(v) for v in _list_in(obj["curveQ"], "curveQ")]
         try:
             if obj["curveKind"] == "polyline":
                 return Witness(Curve1D(pv), Curve1D(qv), eps)

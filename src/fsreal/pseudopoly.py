@@ -6,7 +6,10 @@ one per component of the placement graph (at most two; the second floats
 with an unknown reflection rho and translation tau). The far and close
 subsegments left between anchored ones form runs, placed by boolean
 reachability tables over integer positions in the region that the hulls of
-the two curves leave them.
+the two curves leave them: beyond the eps boundary for a far run, open at
+that boundary, and a closed window for a close (middle) run, since full
+cells are closed conditions. A diagram of full cells only is realizable iff
+the smallest closed windows that hold the two curves sum to at most 2*eps.
 
 The search over the unknowns is exact. tau comes from the cross-frame
 equations and the net displacements of the runs bridging the two frames.
@@ -321,125 +324,76 @@ def _expected_cell(start_p: int, sig_p: int, w: int, start_q: int, sig_q: int, h
 # Reachability tables over integer positions (boolean, bitmask encoded).
 
 
-@dataclass
-class DPTable:
-    """Boolean reachability R(k, s) over positions 0..cap of a region.
-
-    The table is anchored at the subcurve's last vertex; ``masks[k]`` has bit
-    s set iff the suffix starting at vertex k embeds with that vertex at s.
-    Transitions into intermediate vertices are strict (0 < s < bound) and
-    non-strict exactly at the constrained terminal, matching the base case.
-    """
-
-    lengths: tuple[int, ...]
-    bound: Optional[int]  # region size, None = unbounded
-    cap: int
-    masks: list[int]
-    start_constraint: Optional[int]
-    end_constraint: Optional[int]
-    interior_mask: int = -1
-    forced_first: Optional[int] = None
-    forced_last: Optional[int] = None
-
-    def accepted(self) -> int:
-        """Bitmask of feasible first-vertex positions."""
-        if self.start_constraint is None:
-            return self.masks[0]
-        return self.masks[0] & (1 << self.start_constraint)
-
-    def realizable(self) -> bool:
-        return self.accepted() != 0
+def _step_dirs(idx: int, k: int, first_dir: Optional[int], last_dir: Optional[int]) -> tuple[int, ...]:
+    """Directions step idx of k may take, rightward first; on a one-step run
+    the forced first direction wins."""
+    if idx == 0 and first_dir is not None:
+        return (first_dir,)
+    if idx == k - 1 and last_dir is not None:
+        return (last_dir,)
+    return (1, -1)
 
 
 def fixed_boundary_dp(
     lengths: Sequence[int],
     bound: Optional[int],
-    start_constraint: Optional[int] = None,
-    end_constraint: Optional[int] = 0,
-    forced_first: Optional[int] = None,
-    forced_last: Optional[int] = None,
-    interior_lo_strict: bool = True,
-    interior_hi_strict: bool = True,
-) -> DPTable:
-    """Reachability of a subcurve in the region [0, bound] (bound None for an
-    unbounded region, positions capped by the total subcurve length).
+    start: Optional[int] = None,
+    end: Optional[int] = 0,
+    first_dir: Optional[int] = None,
+    last_dir: Optional[int] = None,
+) -> list[int]:
+    """Reachability of a subcurve over the integer positions of a region.
 
-    ``end_constraint``/``start_constraint`` fix vertex positions to a value in
-    the region; ``forced_first``/``forced_last`` restrict the first/last step
-    direction (+1 right, -1 left), used when the neighboring vertex is a
-    subdivision point where the curve may not turn. Step destinations obey
-    the strict guards 0 < s < bound; only the transition into a constrained
-    terminal is exempt, matching the base case that places it on a boundary.
-    The strictness of either guard can be lifted for closed regions.
+    The region is either far, ``bound=None``: unbounded and open at the eps
+    boundary 0, so a free vertex lies at 1, 2, ...; or a middle window, the
+    closed interval [0, bound], since full cells are closed conditions.
+    Positions are capped at ``sum(lengths) + max(start, end)`` (and at bound).
+    ``start``/``end`` fix the first/last vertex to a position (None: free);
+    ``first_dir``/``last_dir`` force the first/last step direction (+1 right,
+    -1 left), used where the neighboring vertex is a subdivision point at
+    which the curve may not turn.
+
+    Bit s of ``masks[k]`` is set iff the suffix from vertex k embeds with
+    vertex k at s, every vertex within its guard: its fixed position, or the
+    region. ``masks[0]`` is the set of feasible first positions.
     """
-    lengths = tuple(int(x) for x in lengths)
-    total = sum(lengths)
-    base_cap = total + max(start_constraint or 0, end_constraint or 0)
-    cap = base_cap if bound is None else min(bound, base_cap)
-    cap = max(cap, 0)
-    full_mask = (1 << (cap + 1)) - 1
-    strict_mask = full_mask
-    if interior_lo_strict:
-        strict_mask &= ~1
-    if interior_hi_strict and bound is not None and bound <= cap:
-        strict_mask &= ~(1 << bound)
     k = len(lengths)
-    if end_constraint is not None:
-        base = 1 << end_constraint if 0 <= end_constraint <= cap else 0
-    else:
-        base = full_mask
+    cap = sum(lengths) + max(0, start or 0, end or 0)
+    if bound is not None:
+        cap = min(cap, bound)
+    full = (1 << (cap + 1)) - 1
+    region = full if bound is not None else full & ~1
+
+    def guard(pos: Optional[int]) -> int:
+        if pos is None:
+            return region
+        return 1 << pos if 0 <= pos <= cap else 0
+
     masks = [0] * (k + 1)
-    masks[k] = base
+    masks[k] = guard(end)
     for idx in range(k - 1, -1, -1):
         step = lengths[idx]
         nxt = masks[idx + 1]
-        if idx + 1 < k or end_constraint is None:
-            nxt &= strict_mask
-        if idx == 0 and forced_first is not None:
-            dirs = (forced_first,)
-        elif idx == k - 1 and forced_last is not None:
-            dirs = (forced_last,)
-        else:
-            dirs = (1, -1)
         cur = 0
-        for d in dirs:
-            if d == 1:
-                cur |= nxt >> step
-            else:
-                cur |= (nxt << step) & full_mask
-        masks[idx] = cur
-    return DPTable(lengths, bound, cap, masks, start_constraint, end_constraint, strict_mask, forced_first, forced_last)
+        for d in _step_dirs(idx, k, first_dir, last_dir):
+            cur |= nxt >> step if d == 1 else (nxt << step) & full
+        masks[idx] = cur & (guard(start) if idx == 0 else region)
+    return masks
 
 
-def dp_extract_path(table: DPTable, start_pos: int) -> Optional[list[int]]:
-    """One vertex-position path from a feasible first position (replayable
-    parent links: at each step prefer the rightward branch)."""
-    if not (table.masks[0] >> start_pos) & 1:
-        return None
-    path = [start_pos]
-    pos = start_pos
-    k = len(table.lengths)
-    for idx in range(k):
-        step = table.lengths[idx]
-        nxt_mask = table.masks[idx + 1]
-        if idx + 1 < k or table.end_constraint is None:
-            nxt_mask &= table.interior_mask
-        if idx == 0 and table.forced_first is not None:
-            dirs = (table.forced_first,)
-        elif idx == k - 1 and table.forced_last is not None:
-            dirs = (table.forced_last,)
-        else:
-            dirs = (1, -1)
-        chosen = None
-        for d in dirs:
-            s2 = pos + d * step
-            if 0 <= s2 <= table.cap and (nxt_mask >> s2) & 1:
-                chosen = s2
-                break
-        if chosen is None:
-            return None
-        path.append(chosen)
-        pos = chosen
+def dp_extract_path(
+    masks: list[int], lengths: Sequence[int], first_dir: Optional[int] = None, last_dir: Optional[int] = None
+) -> list[int]:
+    """Vertex positions of one embedding from the tables of
+    :func:`fixed_boundary_dp` (called with the same lengths and directions,
+    ``masks[0]`` nonempty): start at the lowest feasible position and prefer
+    the rightward step."""
+    pos = (masks[0] & -masks[0]).bit_length() - 1
+    path = [pos]
+    for idx, step in enumerate(lengths):
+        targets = (pos + d * step for d in _step_dirs(idx, len(lengths), first_dir, last_dir))
+        pos = next(t for t in targets if t >= 0 and (masks[idx + 1] >> t) & 1)
+        path.append(pos)
     return path
 
 
@@ -934,7 +888,7 @@ def _place_run(
         # region coordinates: distance away from the boundary
         flip = -1 if side == "L" else 1
         boundary = left_b if side == "L" else right_b
-        return _run_path(run, att_lo, att_hi, boundary, flip, bound=None, eps=eps, strict_free=True)
+        return _run_path(run, att_lo, att_hi, boundary, flip, None)
 
     # middle run: confined to [other_hi - eps, other_lo + eps], intersected
     # with the run's own declared hull
@@ -949,7 +903,7 @@ def _place_run(
     r_size = hi_val - lo_val
     if r_size < 1:
         return None
-    return _run_path(run, att_lo, att_hi, lo_val, 1, bound=r_size, eps=eps, strict_free=False)
+    return _run_path(run, att_lo, att_hi, lo_val, 1, r_size)
 
 
 def _att_global(att, rho, tau):
@@ -963,57 +917,23 @@ def _att_global(att, rho, tau):
     return (g, gf)
 
 
-def _run_path(run: Run, att_lo, att_hi, base: int, flip: int, bound: Optional[int], eps: int, strict_free: bool) -> Optional[list[int]]:
-    """Solve one run in region coordinates pos = flip * (value - base).
-
-    Far runs (strict_free) keep every unattached vertex strictly beyond the
-    eps boundary at region coordinate 0; middle runs use closed guards
-    everywhere since full cells are closed conditions.
-    """
-
-    def to_region(v: int) -> int:
-        return flip * (v - base)
-
-    def to_value(p: int) -> int:
-        return base + flip * p
-
-    start_c = end_c = None
-    forced_first = forced_last = None
+def _run_path(run: Run, att_lo, att_hi, base: int, flip: int, bound: Optional[int]) -> Optional[list[int]]:
+    """Solve one run in region coordinates pos = flip * (value - base): a far
+    run (bound None) beyond the eps boundary at 0, a middle run in the closed
+    window [0, bound]; see :func:`fixed_boundary_dp`."""
+    start = end = first_dir = last_dir = None
     if att_lo is not None:
-        start_c = to_region(att_lo[0])
+        start = flip * (att_lo[0] - base)
         if att_lo[1] is not None:
-            forced_first = att_lo[1] * flip
+            first_dir = att_lo[1] * flip
     if att_hi is not None:
-        end_c = to_region(att_hi[0])
+        end = flip * (att_hi[0] - base)
         if att_hi[1] is not None:
-            forced_last = att_hi[1] * flip
-
-    limit = bound
-    for c in (start_c, end_c):
-        if c is not None and (c < 0 or (limit is not None and c > limit)):
-            return None
-    table = fixed_boundary_dp(
-        run.lengths,
-        limit,
-        start_constraint=start_c,
-        end_constraint=end_c,
-        forced_first=forced_first,
-        forced_last=forced_last,
-        interior_lo_strict=strict_free,
-        interior_hi_strict=strict_free,
-    )
-    accepted = table.accepted()
-    if strict_free and start_c is None:
-        accepted &= ~1  # a free far end must stay strictly beyond the boundary
-        if limit is not None and limit <= table.cap:
-            accepted &= ~(1 << limit)
-    if accepted == 0:
+            last_dir = att_hi[1] * flip
+    masks = fixed_boundary_dp(run.lengths, bound, start, end, first_dir, last_dir)
+    if not masks[0]:
         return None
-    start_pos = (accepted & -accepted).bit_length() - 1
-    path = dp_extract_path(table, start_pos)
-    if path is None:
-        return None
-    return [to_value(p) for p in path]
+    return [base + flip * p for p in dp_extract_path(masks, run.lengths, first_dir, last_dir)]
 
 
 def _far_witness(diagram: FreeSpaceDiagram1D) -> Optional[Witness]:
@@ -1033,47 +953,33 @@ def _far_witness(diagram: FreeSpaceDiagram1D) -> Optional[Witness]:
     return None
 
 
-def _closed_window_table(lengths, alpha: int) -> DPTable:
-    # full cells are closed conditions: vertices may touch the window ends
-    return fixed_boundary_dp(
-        lengths,
-        alpha,
-        start_constraint=None,
-        end_constraint=None,
-        interior_lo_strict=False,
-        interior_hi_strict=False,
-    )
-
-
-def _all_full_witness(diagram: FreeSpaceDiagram1D, typed: TypedDiagram) -> Optional[Witness]:
-    eps = typed.eps
-    tables_p = {a: _closed_window_table(typed.widths, a) for a in range(1, 2 * eps + 1)}
-    tables_q = {a: _closed_window_table(typed.heights, a) for a in range(1, 2 * eps + 1)}
-    for a_p in range(1, 2 * eps + 1):
-        if not tables_p[a_p].realizable():
-            continue
-        for a_q in range(1, 2 * eps + 1 - a_p + 1):
-            if a_p + a_q > 2 * eps:
-                break
-            if not tables_q[a_q].realizable():
-                continue
-            path_p = _first_path(tables_p[a_p])
-            path_q = _first_path(tables_q[a_q])
-            if path_p is None or path_q is None:
-                continue
-            # center the two windows on each other
-            shift = Fraction(a_p - a_q, 2)
-            p_pts = [Fraction(v) for v in path_p]
-            q_pts = [Fraction(v) + shift for v in path_q]
-            witness = Witness(Curve1D(p_pts), Curve1D(q_pts), diagram.epsilon)
-            if compute_diagram_1d(witness.curve_p, witness.curve_q, diagram.epsilon) == diagram:
-                return witness
+def _smallest_window(lengths: Sequence[int], limit: int) -> Optional[tuple[int, list[int]]]:
+    """The smallest closed window [0, a], a <= limit, that holds a walk with
+    these steps, and that walk; a window only gains walks as it grows."""
+    for a in range(1, limit + 1):
+        masks = fixed_boundary_dp(lengths, a, end=None)
+        if masks[0]:
+            return a, dp_extract_path(masks, lengths)
     return None
 
 
-def _first_path(table: DPTable) -> Optional[list[int]]:
-    accepted = table.accepted()
-    if accepted == 0:
+def _all_full_witness(diagram: FreeSpaceDiagram1D, typed: TypedDiagram) -> Optional[Witness]:
+    """Every point of each curve lies within eps of every point of the other
+    iff the curves fit in windows of sizes a_p + a_q <= 2*eps centred on
+    each other, so the smallest window of each curve decides."""
+    eps = typed.eps
+    found_p = _smallest_window(typed.widths, 2 * eps - 1)
+    if found_p is None:
         return None
-    start = (accepted & -accepted).bit_length() - 1
-    return dp_extract_path(table, start)
+    a_p, path_p = found_p
+    found_q = _smallest_window(typed.heights, 2 * eps - a_p)
+    if found_q is None:
+        return None
+    a_q, path_q = found_q
+    shift = Fraction(a_p - a_q, 2)
+    p_pts = [Fraction(v) for v in path_p]
+    q_pts = [Fraction(v) + shift for v in path_q]
+    witness = Witness(Curve1D(p_pts), Curve1D(q_pts), diagram.epsilon)
+    if compute_diagram_1d(witness.curve_p, witness.curve_q, diagram.epsilon) == diagram:
+        return witness
+    return None

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from fsreal import gen_random_instance
 from fsreal.cli import main
 from fsreal.formats import parse, serialize
@@ -56,6 +58,17 @@ def test_invalid_input_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"format": "fsreal/1", "kind": "matrix", "rows": 1, "cols": 1, "entries": [[3]]}')
     assert main(["solve", "--mode", "discrete1d", "--in", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("widths", ["34", 7])
+def test_non_array_widths_exit_code(tmp_path, widths):
+    from fsreal import Curve1D, compute_diagram_1d
+
+    obj = json.loads(serialize(compute_diagram_1d(Curve1D([0, 3, -1]), Curve1D([0, 2]), 1)))
+    obj["colWidths"] = widths
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["solve", "--mode", "cont1d-dp", "--in", str(bad)]) == 2
 
 
 def test_missing_file_exit_code():

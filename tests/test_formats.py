@@ -95,6 +95,30 @@ def test_curves_non_integer_dimension_rejected():
         parse(json.dumps(obj))
 
 
+# a diagram of widths (3, 4) and height (2), and curves (3, 4) and (2, 5): a
+# digit string or an object keyed by the same digits reads as the same values
+_ARRAY_FIELDS = {
+    "colWidths": ("34", {"3": 0, "4": 0}, 7),
+    "rowHeights": ("2", {"2": 0}, 2),
+    "curveP": ("34", {"3": 0, "4": 0}, 3),
+    "curveQ": ("25", {"2": 0, "5": 0}, 2),
+}
+
+
+def _array_field_instance(field):
+    if field.startswith("curve"):
+        return Witness(Curve1D([3, 4]), Curve1D([2, 5]), 1)
+    return compute_diagram_1d(Curve1D([0, 3, -1]), Curve1D([0, 2]), 1)
+
+
+@pytest.mark.parametrize("field, value", [(f, v) for f, values in _ARRAY_FIELDS.items() for v in values])
+def test_array_fields_require_json_arrays(field, value):
+    obj = json.loads(serialize(_array_field_instance(field)))
+    obj[field] = value
+    with pytest.raises(FormatError, match=f"{field} must be an array"):
+        parse(json.dumps(obj))
+
+
 def test_unknown_field_rejected():
     bad = {"format": "fsreal/1", "kind": "matrix", "rows": 1, "cols": 1, "entries": [[1]], "extra": 1}
     with pytest.raises(FormatError):

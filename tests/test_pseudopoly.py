@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from fsreal.pseudopoly import (
     TYPE_FAR,
     anchor_components,
     build_placement_graph,
+    dp_extract_path,
 )
 
 from conftest import random_integer_diagram
@@ -118,19 +120,19 @@ def test_anchoring_detects_inconsistent_intercepts():
 
 
 def test_fixed_dp_base_case():
-    table = fixed_boundary_dp([2, 3], 6, end_constraint=0)
-    assert table.masks[-1] == 1  # R(j, 0) true, R(j, s != 0) false
+    masks = fixed_boundary_dp([2, 3], 6, end=0)
+    assert masks[-1] == 1  # R(j, 0) true, R(j, s != 0) false
 
 
 def test_fixed_dp_three_vertex_example():
     # lengths (1,1), last vertex at 0, region [0,2]: first vertex at 0 or 2
-    table = fixed_boundary_dp([1, 1], 2, start_constraint=None, end_constraint=0)
-    assert table.masks[0] == 0b101
+    masks = fixed_boundary_dp([1, 1], 2, start=None, end=0)
+    assert masks[0] == 0b101
 
 
 def test_fixed_dp_segment_exceeding_region():
-    table = fixed_boundary_dp([5], 3, start_constraint=3, end_constraint=0)
-    assert not table.realizable()
+    masks = fixed_boundary_dp([5], 3, start=3, end=0)
+    assert masks[0] == 0
 
 
 def test_solve_partition_instances(partition_diagram):
@@ -150,6 +152,28 @@ def test_three_way_agreement_on_random_diagrams():
         assert b == f == p
 
 
+def test_all_full_diagrams_agree_with_oracle():
+    # widths and heights at most eps, so every cell can be full; P = (3, 1, 3)
+    # needs a window of 4 and Q = (3) one of 3, more than 2*eps together
+    full = CellContent.full()
+    rng = random.Random(31)
+    shapes = [(3, [3, 1, 3], [3])]
+    for _ in range(120):
+        eps = rng.randint(1, 8)
+        widths = [rng.randint(1, eps) for _ in range(rng.randint(1, 6))]
+        shapes.append((eps, widths, [rng.randint(1, eps) for _ in range(rng.randint(1, 4))]))
+    answers = []
+    for eps, widths, heights in shapes:
+        d = FreeSpaceDiagram1D(eps, widths, heights, [[full] * len(heights) for _ in widths])
+        w = solve_pseudo_poly(d)
+        assert (w is not None) == (brute_force_continuous_1d(d) is not None) == (solve_fpt(d) is not None)
+        if w is not None:
+            assert compute_diagram_1d(w.curve_p, w.curve_q, eps) == d
+        answers.append(w is not None)
+    assert answers[0] is False
+    assert answers.count(False) > 1
+
+
 def test_witness_positions_respect_regions():
     # replayed witness reproduces the diagram, so every placement obeyed the
     # region bounds; spot-check a far-run instance explicitly
@@ -164,41 +188,64 @@ def test_witness_positions_respect_regions():
         assert v > q_high + 1 or v < q_low - 1
 
 
-def test_dp_path_replay_respects_bounds():
-    from fsreal.pseudopoly import dp_extract_path
+def _walk_ok(path, lengths, bound, start, end, first_dir, last_dir):
+    """Whether a vertex path takes the given steps in the allowed directions
+    and keeps every vertex at its fixed position (which may lie on the far
+    boundary 0) or inside the region, and within the cap."""
+    cap = sum(lengths) + max(0, start or 0, end or 0)
+    if bound is not None:
+        cap = min(cap, bound)
+    lowest = 0 if bound is not None else 1  # a far region is open at 0
+    k = len(lengths)
+    dirs = [1 if b > a else -1 for a, b in zip(path, path[1:])]
+    if [abs(b - a) for a, b in zip(path, path[1:])] != list(lengths):
+        return False
+    if first_dir is not None and dirs[0] != first_dir:
+        return False
+    if last_dir is not None and dirs[-1] != last_dir and not (k == 1 and first_dir is not None):
+        return False
+    fixed = {0: start, k: end}
+    return all(
+        0 <= pos <= cap and (pos == fixed[idx] if fixed.get(idx) is not None else pos >= lowest)
+        for idx, pos in enumerate(path)
+    )
 
+
+def test_dp_matches_brute_force_step_directions():
     rng = random.Random(13)
-    for _ in range(120):
+    for _ in range(600):
         k = rng.randint(1, 6)
         lengths = [rng.randint(1, 5) for _ in range(k)]
         bound = rng.choice([None, rng.randint(1, 12)])
-        end_c = rng.choice([0, None])
-        table = fixed_boundary_dp(lengths, bound, end_constraint=end_c)
-        accepted = table.accepted()
-        s = accepted
-        while s:
-            start = (s & -s).bit_length() - 1
-            s &= s - 1
-            path = dp_extract_path(table, start)
-            assert path is not None
-            for a, b, step in zip(path, path[1:], lengths):
-                assert abs(b - a) == step
-            for idx, pos in enumerate(path):
-                assert 0 <= pos <= table.cap
-                interior = 0 < idx < len(path) - 1
-                if interior:
-                    assert pos > 0
-                    if bound is not None:
-                        assert pos < bound
-            if end_c is not None:
-                assert path[-1] == end_c
+        start = rng.choice([None, rng.randint(0, 8)])
+        end = rng.choice([None, rng.randint(0, 8)])
+        first_dir = rng.choice([None, 1, -1])
+        last_dir = rng.choice([None, 1, -1])
+        guards = (bound, start, end, first_dir, last_dir)
+        masks = fixed_boundary_dp(lengths, *guards)
+        # every walk starts within the cap, which is at most sum + 8 here
+        walks = [
+            path
+            for s0 in range(sum(lengths) + 9)
+            for dirs in itertools.product((1, -1), repeat=k)
+            for path in [list(itertools.accumulate((d * step for d, step in zip(dirs, lengths)), initial=s0))]
+            if _walk_ok(path, lengths, *guards)
+        ]
+        starts = {path[0] for path in walks}
+        assert {s for s in range(masks[0].bit_length()) if (masks[0] >> s) & 1} == starts, (lengths, guards)
+        if walks:
+            # the replay takes the lowest start, then the rightward step wherever
+            # a walk goes on from it: the greatest walk from that start
+            lowest = min(starts)
+            expected = max(path for path in walks if path[0] == lowest)
+            assert dp_extract_path(masks, lengths, first_dir, last_dir) == expected, (lengths, guards)
 
 
 def test_dp_table_size_bound():
-    table = fixed_boundary_dp([3, 2, 4], 7, end_constraint=0)
+    masks = fixed_boundary_dp([3, 2, 4], 7, end=0)
     n_prime = 3
-    assert len(table.masks) == n_prime + 1
-    assert table.cap <= min(7, 3 + 2 + 4)
+    assert len(masks) == n_prime + 1
+    assert all(m.bit_length() <= min(7, 3 + 2 + 4) + 1 for m in masks)
 
 
 def test_placement_graph_two_components_from_short_curves():
