@@ -15,7 +15,7 @@ from .bruteforce import brute_force_continuous_1d, brute_force_discrete_1d
 from .discrete import solve as solve_discrete
 from .folding import solve_fpt
 from .forward import compute_diagram_1d, compute_matrix, verify_witness
-from .generators import PartitionInstance, gen_partition, gen_random_instance, gen_stretchability
+from .generators import PartitionInstance, SignVectorSet, gen_partition, gen_random_instance, gen_stretchability
 from .model import FreeSpaceDiagram1D, FreeSpaceMatrix, Witness, rat, structural_problems
 from .pseudopoly import solve_pseudo_poly
 from .render import render_ascii, render_svg
@@ -106,8 +106,6 @@ def _cmd_gen(args) -> int:
             raise InputError(str(exc)) from None
     elif args.stretchability is not None:
         signs = _read_instance(args.stretchability)
-        from .generators import SignVectorSet
-
         if not isinstance(signs, SignVectorSet):
             raise InputError("stretchability input must be a signvectors file")
         instance = gen_stretchability(signs)

@@ -5,11 +5,13 @@ anchored BFS ordering, two order refinements, a greedy unit-interval
 arrangement, and verification that every row's prescribed cell exists.
 Every YES answer carries a witness reproducing the matrix exactly.
 
-The geometry runs on Python ints: a component of m columns is laid out at
-eps = 1/2 on the grid of unit 1/(8m), where the interval width 2*eps is 8m,
-eps is 4m and the spacing quantum eps/(2m) is 2. :func:`solve` converts each
-point of the witness to a ``Fraction`` once, when it assembles the
-components.
+Every set of columns, from the adjacency of the graph through the row
+refinements to the blocks of the linear extension, is a Python int mask
+(bit v is column v). The geometry runs on Python ints too: a component of m
+columns is laid out at eps = 1/2 on the grid of unit 1/(8m), where the
+interval width 2*eps is 8m, eps is 4m and the spacing quantum eps/(2m) is
+2. :func:`solve` converts each point of the witness to a ``Fraction`` once,
+when it assembles the components.
 """
 
 from __future__ import annotations
@@ -24,14 +26,12 @@ import numpy as np
 from .model import FreeSpaceMatrix, PointSeq1D, Witness, rat
 from .forward import compute_matrix
 
-_NUMPY_UIG_THRESHOLD = 64 * 64
-
 
 class UnitIntervalGraph:
     """Columns of the matrix as vertices; rows contribute cliques.
 
-    Adjacency is kept both ways the algorithm needs it: per-vertex bitmasks
-    (python ints) for set algebra, built via BLAS for large matrices.
+    ``adj[v]`` is the int mask of v's neighbors and ``row_masks[r]`` the int
+    mask of row r's 1 columns.
     """
 
     __slots__ = ("m", "adj", "row_masks")
@@ -70,6 +70,7 @@ class UnitIntervalGraph:
 
 
 def _mask_bits(mask: int) -> list[int]:
+    """The set bits of ``mask``, ascending."""
     out = []
     while mask:
         v = (mask & -mask).bit_length() - 1
@@ -82,24 +83,26 @@ def build_uig(matrix: FreeSpaceMatrix) -> UnitIntervalGraph:
     """Abstract unit-interval graph: an edge joins two columns that share a
     row with both entries 1."""
     ent = matrix.entries
-    n, m = ent.shape
+    m = ent.shape[1]
     row_masks = [int.from_bytes(np.packbits(r, bitorder="little").tobytes(), "little") for r in ent]
     adj = [0] * m
-    if n * m >= _NUMPY_UIG_THRESHOLD:
-        co = (ent.T.astype(np.float32) @ ent.astype(np.float32)) > 0
-        np.fill_diagonal(co, False)
-        packed = np.packbits(co, axis=1, bitorder="little")
-        adj = [int.from_bytes(packed[v].tobytes(), "little") for v in range(m)]
-    else:
-        for rm in row_masks:
-            u = rm
-            while u:
-                v = (u & -u).bit_length() - 1
-                adj[v] |= rm
-                u &= u - 1
-        for v in range(m):
-            adj[v] &= ~(1 << v)
+    for rm in set(row_masks):  # equal rows add the same clique
+        u = rm
+        while u:
+            v = (u & -u).bit_length() - 1
+            adj[v] |= rm
+            u &= u - 1
+    for v in range(m):
+        adj[v] &= ~(1 << v)
     return UnitIntervalGraph(m, adj, row_masks)
+
+
+def _prefix_masks(order: Sequence[int]) -> list[int]:
+    """``prefix[k]`` is the mask of the first k vertices of ``order``."""
+    prefix = [0]
+    for v in order:
+        prefix.append(prefix[-1] | 1 << v)
+    return prefix
 
 
 @dataclass
@@ -201,46 +204,35 @@ def refine_by_rows(state: OrderState, rows: Sequence[int]) -> Optional[OrderStat
     For a row with support I and a class C with proper nonempty C' = C & I:
     an outside member of I ordered before (after) C pulls C' before (after)
     C \\ C'. A row demanding both directions at once is a contradiction.
+    Classes are sorted by (level, D), so a class's index is its place in
+    that order.
     """
-    key_of = {v: (state.level[v], state.d_value[v]) for v in state.vertices}
-    class_masks = []
-    for cls in state.classes:
-        mask = 0
-        for v in cls:
-            mask |= 1 << v
-        class_masks.append(mask)
+    class_masks = [sum(1 << v for v in cls) for cls in state.classes]
     for row in rows:
-        touched: dict[int, int] = {}
-        kmin = kmax = None
+        # (class index, row & class) in order of the row's lowest column in
+        # each class; lo and hi are the least and greatest class index
+        touched = []
+        lo, hi = len(class_masks), -1
         u = row
         while u:
-            v = (u & -u).bit_length() - 1
-            idx = state.class_of[v]
-            touched[idx] = touched.get(idx, 0) | (1 << v)
-            k = key_of[v]
-            if kmin is None or k < kmin:
-                kmin = k
-            if kmax is None or k > kmax:
-                kmax = k
-            u &= u - 1
+            idx = state.class_of[(u & -u).bit_length() - 1]
+            sub = row & class_masks[idx]
+            touched.append((idx, sub))
+            lo, hi = min(lo, idx), max(hi, idx)
+            u &= ~sub
         if len(touched) == 1:
-            ((idx, sub),) = touched.items()
+            ((idx, sub),) = touched
             if sub != class_masks[idx]:
                 state.within_rows.setdefault(idx, []).append(sub)
             continue
-        for idx, sub in touched.items():
-            full = class_masks[idx]
-            if sub == full:
+        for idx, sub in touched:
+            if sub == class_masks[idx]:
                 continue
-            head = state.classes[idx][0]
-            cls_key = (state.level[head], state.d_value[head])
-            has_before = kmin < cls_key
-            has_after = kmax > cls_key
-            if has_before and has_after:
+            if lo < idx < hi:
                 return None
-            if has_before:
+            if lo < idx:
                 state.constraints.setdefault(idx, []).append((sub, "left"))
-            elif has_after:
+            elif hi > idx:
                 state.constraints.setdefault(idx, []).append((sub, "right"))
     return state
 
@@ -281,35 +273,34 @@ def _within_sides(sets: list[int], first: bool, last: bool) -> Optional[list[tup
 
 def extend_global_order(state: OrderState) -> Optional[list[int]]:
     """Linear extension of levels, D order, and row refinements; ties broken
-    by ascending column index. Returns None when the refinements conflict."""
+    by ascending column index. Returns None when the refinements conflict.
+
+    Each rule (sub, side) names a proper nonempty subset of its class, so it
+    holds iff sub is the class's first (``left``) or last (``right``)
+    sub.bit_count() vertices of the order."""
     order: list[int] = []
     n_classes = len(state.classes)
     for idx, cls in enumerate(state.classes):
         extra = _within_sides(state.within_rows.get(idx, []), idx == 0, idx == n_classes - 1)
         if extra is None:
             return None
-        blocks: list[list[int]] = [sorted(cls)]
-        for sub, side in list(state.constraints.get(idx, ())) + extra:
-            new_blocks: list[list[int]] = []
+        rules = state.constraints.get(idx, []) + extra
+        blocks = [sum(1 << v for v in cls)]
+        for sub, side in rules:
+            new_blocks: list[int] = []
             for blk in blocks:
-                inside = [v for v in blk if sub >> v & 1]
-                outside = [v for v in blk if not sub >> v & 1]
+                inside, outside = blk & sub, blk & ~sub
                 if inside and outside:
-                    pair = [inside, outside] if side == "left" else [outside, inside]
-                    new_blocks.extend(pair)
+                    new_blocks.extend((inside, outside) if side == "left" else (outside, inside))
                 else:
                     new_blocks.append(blk)
             blocks = new_blocks
-        flat = [v for blk in blocks for v in blk]
-        pos = {v: k for k, v in enumerate(flat)}
-        for sub, side in list(state.constraints.get(idx, ())) + extra:
-            inside = [v for v in flat if sub >> v & 1]
-            outside = [v for v in flat if not sub >> v & 1]
-            if not inside or not outside:
-                continue
-            if side == "left" and max(pos[v] for v in inside) > min(pos[v] for v in outside):
-                return None
-            if side == "right" and min(pos[v] for v in inside) < max(pos[v] for v in outside):
+        flat = [v for blk in blocks for v in _mask_bits(blk)]
+        prefix = _prefix_masks(flat)
+        for sub, side in rules:
+            k = sub.bit_count()
+            held = prefix[k] == sub if side == "left" else prefix[-1] ^ prefix[-1 - k] == sub
+            if not held:
                 return None
         order.extend(flat)
     return order
@@ -328,16 +319,14 @@ def build_arrangement(order: Sequence[int], g: UnitIntervalGraph) -> Optional[di
     even.
     """
     m = len(order)
-    suffix_masks = [0] * (m + 1)
-    for k in range(m - 1, -1, -1):
-        suffix_masks[k] = suffix_masks[k + 1] | (1 << order[k])
+    prefix = _prefix_masks(order)
     last = [0] * m
     for k, v in enumerate(order):
-        later = g.adj[v] & suffix_masks[k + 1]
+        later = g.adj[v] & (prefix[m] ^ prefix[k + 1])
         cnt = later.bit_count()
         last[k] = k + cnt
         if cnt:
-            block = suffix_masks[k + 1] & ~suffix_masks[k + cnt + 1]
+            block = prefix[k + 1 + cnt] ^ prefix[k + 1]
             if later != block:
                 return None  # later neighbors are not contiguous
         if k > 0 and last[k] < last[k - 1]:
@@ -390,9 +379,7 @@ def verify_and_witness(positions: dict[int, int], rows: Sequence[int]) -> Option
     eps = 4 * len(positions)
     cols = sorted(positions, key=lambda v: (positions[v], v))
     centers = [positions[v] for v in cols]
-    prefix = [0]  # prefix[k]: mask of the k leftmost columns
-    for v in cols:
-        prefix.append(prefix[-1] | 1 << v)
+    prefix = _prefix_masks(cols)
     events = sorted({c - eps for c in centers} | {c + eps for c in centers})
     reps: list[int] = []
     for idx, x in enumerate(events):

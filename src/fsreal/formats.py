@@ -7,6 +7,7 @@ for 1D data; curves in R^d use plain JSON numbers.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Union
 
@@ -54,6 +55,18 @@ def _list_in(value, field: str) -> list:
     """A JSON array: a string or an object is not read as a sequence."""
     if not isinstance(value, list):
         raise FormatError(f"{field} must be an array, got {value!r}")
+    return value
+
+
+def _point_in(value, dim: int, field: str) -> list:
+    """A vertex in R^dim: a JSON array of ``dim`` finite numbers (``true`` is
+    not a number)."""
+    if (
+        not isinstance(value, list)
+        or len(value) != dim
+        or any(isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x) for x in value)
+    ):
+        raise FormatError(f"{field} vertices must be arrays of {dim} finite numbers, got {value!r}")
     return value
 
 
@@ -228,9 +241,11 @@ def _parse_curves(obj: dict) -> Witness:
         raise FormatError(f"unknown curveKind {obj['curveKind']!r}")
     if dim < 2:
         raise FormatError("dimension must be 1 or an integer >= 2")
+    pv = [_point_in(v, dim, "curveP") for v in _list_in(obj["curveP"], "curveP")]
+    qv = [_point_in(v, dim, "curveQ") for v in _list_in(obj["curveQ"], "curveQ")]
     try:
         eps = float(obj["epsilon"]) if not isinstance(obj["epsilon"], str) else float(rat(obj["epsilon"]))
-        return Witness(CurveD(obj["curveP"]), CurveD(obj["curveQ"]), eps)
+        return Witness(CurveD(pv), CurveD(qv), eps)
     except (ValueError, TypeError) as exc:
         raise FormatError(str(exc)) from None
 

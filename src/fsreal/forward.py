@@ -254,18 +254,10 @@ def relative_placement_from_cell(cell: EllipseCell, eps: float, tol: float = TOL
     return RelativePlacement(angle=angle, dist_p=cx, dist_q=cy)
 
 
-def verify_witness_matrix(witness: Witness, matrix: FreeSpaceMatrix) -> bool:
-    return compute_matrix(witness.curve_p, witness.curve_q, witness.epsilon) == matrix
-
-
-def verify_witness_diagram(witness: Witness, diagram: FreeSpaceDiagram1D) -> bool:
-    return compute_diagram_1d(witness.curve_p, witness.curve_q, witness.epsilon) == diagram
-
-
 def verify_witness(witness: Witness, instance: Union[FreeSpaceMatrix, FreeSpaceDiagram1D]) -> bool:
     """True iff forward computation of the witness reproduces the instance."""
     if isinstance(instance, FreeSpaceMatrix):
-        return verify_witness_matrix(witness, instance)
+        return compute_matrix(witness.curve_p, witness.curve_q, witness.epsilon) == instance
     if isinstance(instance, FreeSpaceDiagram1D):
-        return verify_witness_diagram(witness, instance)
+        return compute_diagram_1d(witness.curve_p, witness.curve_q, witness.epsilon) == instance
     raise TypeError(f"cannot verify against {type(instance).__name__}")

@@ -71,6 +71,17 @@ def test_non_array_widths_exit_code(tmp_path, widths):
     assert main(["solve", "--mode", "cont1d-dp", "--in", str(bad)]) == 2
 
 
+def test_verify_rejects_witness_of_wrong_dimension(tmp_path):
+    from fsreal import CurveD, FreeSpaceMatrix, Witness
+
+    inst = _write(tmp_path, "m.json", FreeSpaceMatrix([[1]]))
+    obj = json.loads(serialize(Witness(CurveD([[0, 0]]), CurveD([[0, 0]]), 0.5)))
+    obj["dimension"] = 3  # the points are 2D
+    bad = tmp_path / "w.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["verify", "--instance", inst, "--witness", str(bad)]) == 2
+
+
 def test_missing_file_exit_code():
     assert main(["solve", "--mode", "discrete1d", "--in", "/nonexistent.json"]) == 2
 

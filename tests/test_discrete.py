@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+import numpy as np
+import pytest
+
 from fsreal import FreeSpaceMatrix, compute_matrix, solve_discrete_1d
 from fsreal.bruteforce import brute_force_discrete_1d
 from fsreal.discrete import (
@@ -30,6 +33,19 @@ def test_build_uig_two_components():
 def test_build_uig_triangle():
     g = build_uig(FreeSpaceMatrix([[1, 1, 1]] * 3))
     assert g.adj == [0b110, 0b101, 0b011]
+
+
+def test_build_uig_matches_cooccurrence_matrix():
+    # sides above 64 with repeated rows; the reference is the co-occurrence
+    # matrix E^T E with the diagonal cleared
+    rng = np.random.default_rng(3)
+    for n, m, density in ((80, 70, 0.05), (200, 90, 0.3), (70, 300, 0.02)):
+        base = (rng.random((n // 2, m)) < density).astype(np.uint8)
+        ent = base[rng.integers(0, len(base), size=n)]
+        co = (ent.T.astype(np.int64) @ ent.astype(np.int64)) > 0
+        np.fill_diagonal(co, False)
+        g = build_uig(FreeSpaceMatrix(ent))
+        assert g.adj == [sum(1 << int(u) for u in np.flatnonzero(co[v])) for v in range(m)]
 
 
 def test_anchor_candidates_on_path():
@@ -132,6 +148,53 @@ def test_refine_by_rows_direct_contradiction():
     state.classes = [[0], [1, 2], [3]]
     state.class_of = {0: 0, 1: 1, 2: 1, 3: 2}
     assert refine_by_rows(state, [0b1011]) is None
+
+
+def _ordered_classes():
+    # classes in (level, D) order: [3], [1, 2], [0]; the column order differs,
+    # so a row's lowest column can lie in a later class than another one the
+    # row touches
+    state = OrderState(vertices=[0, 1, 2, 3], level={3: 1, 1: 2, 2: 2, 0: 3})
+    state.d_value = {0: 0, 1: 0, 2: 0, 3: 0}
+    state.classes = [[3], [1, 2], [0]]
+    state.class_of = {3: 0, 1: 1, 2: 1, 0: 2}
+    return state
+
+
+def test_refine_by_rows_sides_follow_class_order_not_column_order():
+    state = _ordered_classes()
+    # row {0, 2} visits class 2 (column 0) before class 1, yet pulls {2} to
+    # the right of class 1; row {1, 3} visits class 1 before class 0, yet
+    # pulls {1} to the left
+    assert refine_by_rows(state, [0b0101, 0b1010]) is not None
+    assert state.constraints == {1: [(0b0100, "right"), (0b0010, "left")]}
+    assert extend_global_order(state) == [3, 1, 2, 0]
+
+
+def test_refine_by_rows_contradiction_across_column_order():
+    # {0, 1, 3} meets class 1 in {1} and reaches classes 0 and 2 on both sides;
+    # it visits class 2 first and class 0 last
+    assert refine_by_rows(_ordered_classes(), [0b1011]) is None
+
+
+def _one_class(n, rules):
+    state = OrderState(vertices=list(range(n)), level=dict.fromkeys(range(n), 1))
+    state.d_value = dict.fromkeys(range(n), 0)
+    state.classes = [list(range(n))]
+    state.class_of = dict.fromkeys(range(n), 0)
+    state.constraints = {0: rules}
+    return state
+
+
+def test_extension_honours_right_rule():
+    assert extend_global_order(_one_class(3, [(0b001, "right")])) == [1, 2, 0]
+    assert extend_global_order(_one_class(4, [(0b0011, "left"), (0b1000, "right")])) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_extension_rejects_subset_straddling_earlier_blocks(side):
+    # {0, 1} | {2, 3}, then {1, 2} meets both blocks and cannot be one end
+    assert extend_global_order(_one_class(4, [(0b0011, "left"), (0b0110, side)])) is None
 
 
 def test_extension_tie_break_by_index():

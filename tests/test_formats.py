@@ -5,6 +5,7 @@ import pytest
 
 from fsreal import (
     Curve1D,
+    CurveD,
     PointSeq1D,
     SignVectorSet,
     Witness,
@@ -116,6 +117,35 @@ def test_array_fields_require_json_arrays(field, value):
     obj = json.loads(serialize(_array_field_instance(field)))
     obj[field] = value
     with pytest.raises(FormatError, match=f"{field} must be an array"):
+        parse(json.dumps(obj))
+
+
+def _plane_witness():
+    return Witness(CurveD([[0, 0], [1, 2.5]]), CurveD([[3, 4]]), 0.5)
+
+
+def test_plane_witness_round_trip():
+    assert _round_trip(_plane_witness()) == _plane_witness()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("dimension", 3),
+        ("curveP", ["12", "34"]),
+        ("curveP", {"12": 0, "34": 0}),
+        ("curveQ", [[0, True]]),
+        ("curveQ", [[0, 0, 0]]),
+        ("curveQ", [[0]]),
+        ("curveQ", [[0, None]]),
+        ("curveQ", [[0, float("nan")]]),
+        ("curveP", 12),
+    ],
+)
+def test_plane_curves_require_arrays_of_numbers(field, value):
+    obj = json.loads(serialize(_plane_witness()))
+    obj[field] = value
+    with pytest.raises(FormatError):
         parse(json.dumps(obj))
 
 
