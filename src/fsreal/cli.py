@@ -16,7 +16,7 @@ from .discrete import solve as solve_discrete
 from .folding import solve_fpt
 from .forward import compute_diagram_1d, compute_matrix, verify_witness
 from .generators import PartitionInstance, SignVectorSet, gen_partition, gen_random_instance, gen_stretchability
-from .model import FreeSpaceDiagram1D, FreeSpaceMatrix, Witness, rat, structural_problems
+from .model import Curve1D, FreeSpaceDiagram1D, FreeSpaceMatrix, Witness, rat, structural_problems
 from .pseudopoly import solve_pseudo_poly
 from .render import render_ascii, render_svg
 
@@ -52,11 +52,17 @@ def _cmd_forward(args) -> int:
     witness = _read_instance(args.curves)
     if not isinstance(witness, Witness):
         raise InputError("forward needs a curves file")
-    eps = rat(args.eps) if args.eps is not None else witness.epsilon
-    if args.as_kind == "diagram":
-        instance = compute_diagram_1d(witness.curve_p, witness.curve_q, eps)
-    else:
-        instance = compute_matrix(witness.curve_p, witness.curve_q, eps)
+    if args.as_kind == "diagram" and not isinstance(witness.curve_p, Curve1D):
+        raise InputError("--as diagram needs 1D polyline curves")
+    try:
+        eps = rat(args.eps) if args.eps is not None else witness.epsilon
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"--eps must be a rational, got {args.eps!r}") from None
+    forward = compute_diagram_1d if args.as_kind == "diagram" else compute_matrix
+    try:
+        instance = forward(witness.curve_p, witness.curve_q, eps)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     _write_output(formats.serialize(instance), args.out)
     return EXIT_YES
 

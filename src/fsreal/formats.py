@@ -79,6 +79,20 @@ def _rat_in(value) -> Fraction:
         raise FormatError(f"bad rational {value!r}: {exc}") from None
 
 
+def _eps_in(value, exact: bool):
+    """A positive epsilon: a rational for 1D curves (``exact``), otherwise a
+    finite float, which may also be given as a JSON number."""
+    eps = value if isinstance(value, float) and not exact else _rat_in(value)
+    if not exact:
+        try:
+            eps = float(eps)
+        except OverflowError:
+            eps = math.inf
+    if not eps > 0 or eps == math.inf:
+        raise FormatError(f"epsilon must be positive and finite, got {value!r}")
+    return eps
+
+
 def serialize(instance: Instance) -> str:
     return json.dumps(_to_obj(instance), indent=2) + "\n"
 
@@ -228,7 +242,7 @@ def _parse_curves(obj: dict) -> Witness:
     _check_keys(obj, {"format", "kind", "epsilon", "dimension", "curveKind", "curveP", "curveQ"})
     dim = _int_in(obj["dimension"], "dimension")
     if dim == 1:
-        eps = _rat_in(obj["epsilon"])
+        eps = _eps_in(obj["epsilon"], exact=True)
         pv = [_rat_in(v) for v in _list_in(obj["curveP"], "curveP")]
         qv = [_rat_in(v) for v in _list_in(obj["curveQ"], "curveQ")]
         try:
@@ -243,8 +257,8 @@ def _parse_curves(obj: dict) -> Witness:
         raise FormatError("dimension must be 1 or an integer >= 2")
     pv = [_point_in(v, dim, "curveP") for v in _list_in(obj["curveP"], "curveP")]
     qv = [_point_in(v, dim, "curveQ") for v in _list_in(obj["curveQ"], "curveQ")]
+    eps = _eps_in(obj["epsilon"], exact=False)
     try:
-        eps = float(obj["epsilon"]) if not isinstance(obj["epsilon"], str) else float(rat(obj["epsilon"]))
         return Witness(CurveD(pv), CurveD(qv), eps)
     except (ValueError, TypeError) as exc:
         raise FormatError(str(exc)) from None

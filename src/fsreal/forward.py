@@ -56,15 +56,18 @@ def compute_matrix(p, q, eps, tol: float = TOL) -> FreeSpaceMatrix:
         raise ValueError("curves must be non-empty")
     if _is_1d(P) != _is_1d(Q):
         raise ValueError("curves must live in the same dimension")
+    eps = rat(eps) if _is_1d(P) else float(eps)
+    if not eps > 0:
+        raise ValueError("epsilon must be positive")
     if _is_1d(P):
-        return _matrix_1d(P, Q, rat(eps))
+        return _matrix_1d(P, Q, eps)
     d = len(P[0])
     if any(len(v) != d for v in P) or any(len(v) != d for v in Q):
         raise ValueError("curves must live in the same dimension")
     A = np.asarray(P, dtype=float)
     B = np.asarray(Q, dtype=float)
     dist = np.sqrt(((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2))
-    return FreeSpaceMatrix((dist <= float(eps) + tol).astype(np.uint8))
+    return FreeSpaceMatrix((dist <= eps + tol).astype(np.uint8))
 
 
 def _matrix_1d(P, Q, eps: Fraction) -> FreeSpaceMatrix:

@@ -14,10 +14,10 @@ the smallest closed windows that hold the two curves sum to at most 2*eps.
 The search over the unknowns is exact. tau comes from the cross-frame
 equations and the net displacements of the runs bridging the two frames.
 Unless both curves have close runs, every hull extreme that a run is checked
-against is pinned or anchored, so one candidate per (rho, tau) suffices.
-Otherwise each extreme lies within 2*eps of its anchored extent, and for
-each hull of P only the minimal staircase of hulls of Q at which Q's runs
-fit is tried. Every YES is verified forward.
+against is the other curve's anchored extent, so one candidate per
+(rho, tau) suffices. Otherwise each extreme lies within 2*eps of its
+anchored extent, and for each hull of P only the minimal staircase of hulls
+of Q at which Q's runs fit is tried. Every YES is verified forward.
 
 The solver scales the diagram with :func:`fsreal.model.scale_to_integers`
 and requires the scale to be 1; the consistency check, the typing, the
@@ -39,7 +39,6 @@ from .model import (
     Curve1D,
     FreeSpaceDiagram1D,
     Witness,
-    cell_edge_interval,
     cell_restrict_x,
     cell_restrict_y,
     cell_transpose,
@@ -398,7 +397,7 @@ def dp_extract_path(
 
 
 # ---------------------------------------------------------------------------
-# Structure extraction: uncertainty runs, attachments, and boundary pins.
+# Structure extraction: uncertainty runs and their attachments.
 
 
 @dataclass
@@ -415,172 +414,49 @@ class Run:
     attach_hi: Optional[tuple[int, int, Optional[int]]] = None
 
 
-@dataclass
-class Pin:
-    var: str  # 'LP', 'RP', 'LQ', 'RQ'
-    frame: int
-    value: int
-
-
-def _merged_intervals(intervals: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    out: list[list[int]] = []
-    for a, b in sorted(intervals):
-        if out and a <= out[-1][1]:
-            out[-1][1] = max(out[-1][1], b)
-        else:
-            out.append([a, b])
-    return [(a, b) for a, b in out]
-
-
-def _transition_pins(
-    typed: TypedDiagram, anchoring: Anchoring, curve: str, seg3: int, end_hi: bool, other_kind: int
-) -> Optional[list[Pin]]:
-    """Pins induced by the transition at one end of a boundary subsegment.
-
-    The white slice at the transition parameter ends at exactly-eps witnesses
-    whose anchored positions sit eps above or below the transition vertex;
-    above pins the other curve's left extreme, below its right extreme (the
-    roles swap for transitions into fully-covered subsegments).
-    """
-    eps = typed.eps
-    node = (curve, seg3)
-    frame = anchoring.frame_of.get(node)
-    if frame is None:
-        return None
-    start, sigma = anchoring.frames[frame][node]
-    seg = (typed.p_segs if curve == "P" else typed.q_segs)[seg3]
-    t_value = start + sigma * seg.length if end_hi else start
-
-    if curve == "Q":
-        other_segs = typed.p_segs
-        cells = [typed.cells[i][seg3] for i in range(len(other_segs))]
-        boxes = [(s.length, seg.length) for s in other_segs]
-        other_curve = "P"
-    else:
-        other_segs = typed.q_segs
-        cells = [cell_transpose(typed.cells[seg3][j]) for j in range(len(other_segs))]
-        boxes = [(s.length, seg.length) for s in other_segs]
-        other_curve = "Q"
-
-    edge = "T" if end_hi else "B"
-    intervals = []
-    offsets = []
-    total = 0
-    for s in other_segs:
-        offsets.append(total)
-        total += s.length
-    for idx, cell in enumerate(cells):
-        if cell.status == EMPTY:
-            continue
-        w, h = boxes[idx]
-        iv = cell_edge_interval(cell, w, h, edge)
-        if iv is not None:
-            intervals.append((iv[0] + offsets[idx], iv[1] + offsets[idx]))
-    signs = set()
-    lengths_other = [s.length for s in other_segs]
-    for a, b in _merged_intervals(intervals):
-        for x in (a, b):
-            if x == 0 or x == total:
-                continue  # clipped by the domain, not an exactly-eps witness
-            value = None
-            for k, local in _locate_candidates(offsets, lengths_other, x):
-                onode = (other_curve, k)
-                if anchoring.frame_of.get(onode) == frame:
-                    ostart, osigma = anchoring.frames[frame][onode]
-                    value = ostart + osigma * local
-                    break
-            if value is None:
-                return None
-            diff = value - t_value
-            if abs(diff) != eps:
-                return None
-            signs.add(1 if diff > 0 else -1)
-    if not signs:
-        return []
-    if len(signs) > 1:
-        return None
-    sign = signs.pop()
-    var_l = "LP" if other_curve == "P" else "LQ"
-    var_r = "RP" if other_curve == "P" else "RQ"
-    if other_kind == TYPE_FAR:
-        if sign > 0:
-            return [Pin(var_l, frame, t_value + eps)]
-        return [Pin(var_r, frame, t_value - eps)]
-    else:  # transition into the middle region
-        if sign > 0:
-            return [Pin(var_r, frame, t_value + eps)]
-        return [Pin(var_l, frame, t_value - eps)]
-
-
-def _locate_candidates(offsets: list[int], lengths: list[int], x: int) -> list[tuple[int, int]]:
-    """Subsegments containing arc position x (two at a shared wall)."""
-    out = []
-    for k in range(len(offsets)):
-        local = x - offsets[k]
-        if 0 <= local <= lengths[k]:
-            out.append((k, local))
-    return out
-
-
-def _collect_runs(typed: TypedDiagram, anchoring: Anchoring, curve: str) -> Optional[tuple[list[Run], list[Pin]]]:
+def _collect_runs(typed: TypedDiagram, anchoring: Anchoring, curve: str) -> list[Run]:
     """Maximal runs of unanchored subsegments, with attachment values taken
-    from the neighboring anchored subsegments."""
+    from the neighboring anchored subsegments.
+
+    An unanchored subsegment touches no partial cell, so its typed cells are
+    all empty (far) or all full (close): a boundary piece has a partial slice
+    at its midpoint, since a full slice next to an empty one fails the
+    grid-line check. A far and a close piece are never adjacent, as the line
+    of their shared vertex would be both empty and full, so each run has one
+    kind; being maximal, a run ends at the curve's ends or at anchored
+    subsegments.
+    """
     segs = typed.p_segs if curve == "P" else typed.q_segs
     anchored = [(curve, k) in anchoring.frame_of for k in range(len(segs))]
     runs: list[Run] = []
-    pins: list[Pin] = []
     idx = 0
     while idx < len(segs):
         if anchored[idx]:
             idx += 1
             continue
-        kind = segs[idx].kind
-        if kind == TYPE_BOUNDARY:
-            return None  # a boundary-type subsegment must touch a partial cell
         first = idx
         while idx < len(segs) and not anchored[idx]:
-            if segs[idx].kind != kind:
-                return None  # far and close subsegments are never adjacent
             idx += 1
         last = idx - 1
-        run = Run(curve, kind, first, last, tuple(segs[t].length for t in range(first, last + 1)))
+        run = Run(curve, segs[first].kind, first, last, tuple(s.length for s in segs[first : last + 1]))
         if first > 0:
-            att = _attachment(typed, anchoring, curve, first - 1, end_hi=True)
-            if att is None:
-                return None
-            frame, value, sigma_n = att
-            forced = sigma_n if segs[first - 1].orig == segs[first].orig else None
-            run.attach_lo = (frame, value, forced)
-            if segs[first - 1].kind == TYPE_BOUNDARY:
-                new_pins = _transition_pins(typed, anchoring, curve, first - 1, True, kind)
-                if new_pins is None:
-                    return None
-                pins.extend(new_pins)
+            run.attach_lo = _attachment(typed, anchoring, curve, first - 1, first, end_hi=True)
         if last + 1 < len(segs):
-            att = _attachment(typed, anchoring, curve, last + 1, end_hi=False)
-            if att is None:
-                return None
-            frame, value, sigma_n = att
-            forced = sigma_n if segs[last + 1].orig == segs[last].orig else None
-            run.attach_hi = (frame, value, forced)
-            if segs[last + 1].kind == TYPE_BOUNDARY:
-                new_pins = _transition_pins(typed, anchoring, curve, last + 1, False, kind)
-                if new_pins is None:
-                    return None
-                pins.extend(new_pins)
+            run.attach_hi = _attachment(typed, anchoring, curve, last + 1, last, end_hi=False)
         runs.append(run)
-    return runs, pins
+    return runs
 
 
-def _attachment(typed, anchoring: Anchoring, curve: str, seg3: int, end_hi: bool):
+def _attachment(typed, anchoring: Anchoring, curve: str, seg3: int, run_seg: int, end_hi: bool):
+    """(frame, value, forced direction) of the vertex that anchored
+    subsegment seg3 shares with the run; the direction is forced where the
+    two pieces come from one original segment."""
     node = (curve, seg3)
-    frame = anchoring.frame_of.get(node)
-    if frame is None:
-        return None
+    frame = anchoring.frame_of[node]
     start, sigma = anchoring.frames[frame][node]
-    seg = (typed.p_segs if curve == "P" else typed.q_segs)[seg3]
-    value = start + sigma * seg.length if end_hi else start
-    return frame, value, sigma
+    segs = typed.p_segs if curve == "P" else typed.q_segs
+    value = start + sigma * segs[seg3].length if end_hi else start
+    return frame, value, sigma if segs[seg3].orig == segs[run_seg].orig else None
 
 
 # ---------------------------------------------------------------------------
@@ -656,25 +532,10 @@ def solve_pseudo_poly(diagram: FreeSpaceDiagram1D) -> Optional[Witness]:
     if anchoring is None:
         return None
 
-    collected_p = _collect_runs(typed, anchoring, "P")
-    collected_q = _collect_runs(typed, anchoring, "Q")
-    if collected_p is None or collected_q is None:
-        return None
-    p_runs, pins_p = collected_p
-    q_runs, pins_q = collected_q
-    pins = pins_p + pins_q
-
-    p_kinds = {s.kind for s in typed.p_segs}
-    q_kinds = {s.kind for s in typed.q_segs}
-    # a fully-covered subsegment of one curve contradicts any far subsegment
-    # of the other (within eps of everything vs. beyond eps of something)
-    if TYPE_CLOSE in p_kinds and TYPE_FAR in q_kinds:
-        return None
-    if TYPE_CLOSE in q_kinds and TYPE_FAR in p_kinds:
-        return None
-
+    p_runs = _collect_runs(typed, anchoring, "P")
+    q_runs = _collect_runs(typed, anchoring, "Q")
     for rho, tau in _frame_candidates(anchoring, p_runs + q_runs):
-        for values in _hull_candidates(typed, anchoring, pins, p_runs, q_runs, rho, tau, eps):
+        for values in _hull_candidates(typed, anchoring, p_runs, q_runs, rho, tau, eps):
             witness = _attempt(diagram, typed, anchoring, p_runs, q_runs, rho, tau, values, eps)
             if witness is not None:
                 return witness
@@ -685,7 +546,7 @@ def _seg_len(typed: TypedDiagram, node: tuple[str, int]) -> int:
     return (typed.p_segs if node[0] == "P" else typed.q_segs)[node[1]].length
 
 
-def _anchored_extent(typed, anchoring, rho, tau, curve) -> Optional[tuple[int, int]]:
+def _anchored_extent(typed, anchoring, rho, tau, curve) -> tuple[int, int]:
     vals = []
     for frame_idx, placement in enumerate(anchoring.frames):
         for node, (start, sigma) in placement.items():
@@ -694,52 +555,41 @@ def _anchored_extent(typed, anchoring, rho, tau, curve) -> Optional[tuple[int, i
             g = _glob(frame_idx, start, rho, tau)
             gs = rho * sigma if frame_idx == 1 else sigma
             vals.extend([g, g + gs * _seg_len(typed, node)])
-    if not vals:
-        return None
     return min(vals), max(vals)
 
 
-def _hull_candidates(typed, anchoring, pins, p_runs, q_runs, rho, tau, eps):
+def _hull_candidates(typed, anchoring, p_runs, q_runs, rho, tau, eps):
     """Values of the hull extremes LP, RP, LQ, RQ to try for one frame
-    placement (None: no run is checked against that extreme).
+    placement, each the anchored extent or outward of it (None: no run is
+    checked against that extreme).
 
     A close subsegment of one curve never coexists with a far one of the
-    other, so unless both curves have close runs, every extreme that a run is
-    checked against is pinned or is the other curve's anchored extent: one
-    candidate suffices. Otherwise every run is close and hangs off an
-    anchored vertex inside a window narrower than 2*eps, so each hull is
-    narrower than 2*eps and holds its anchored extent. Close runs only fit
+    other: the point (midpoint of the close piece, midpoint of the far piece)
+    would be both white and black. So unless both curves have close runs,
+    every extreme that a run is checked against is the other curve's
+    anchored extent: one candidate suffices. Otherwise every run is close and
+    hangs off an anchored vertex inside a window narrower than 2*eps, so each
+    hull is narrower than 2*eps and holds its anchored extent. Close runs only fit
     more easily as their own hull grows and less easily as the other hull
     grows, so for each (LP, RP) only the minimal (LQ, RQ) at which Q's runs
     fit are tried.
     """
-    pinned: dict[str, int] = {}
-    for pin in pins:
-        value = _glob(pin.frame, pin.value, rho, tau)
-        if pinned.setdefault(pin.var, value) != value:
-            return
     lo_p, hi_p = _anchored_extent(typed, anchoring, rho, tau, "P")
     lo_q, hi_q = _anchored_extent(typed, anchoring, rho, tau, "Q")
 
     if not (any(r.kind == TYPE_CLOSE for r in p_runs) and any(r.kind == TYPE_CLOSE for r in q_runs)):
         yield {
-            "LP": pinned.get("LP", lo_p) if q_runs else None,
-            "RP": pinned.get("RP", hi_p) if q_runs else None,
-            "LQ": pinned.get("LQ", lo_q) if p_runs else None,
-            "RQ": pinned.get("RQ", hi_q) if p_runs else None,
+            "LP": lo_p if q_runs else None,
+            "RP": hi_p if q_runs else None,
+            "LQ": lo_q if p_runs else None,
+            "RQ": hi_q if p_runs else None,
         }
         return
 
-    def options(var: str, values: range):
-        """Values of one extreme, from its anchored extent outward."""
-        if var not in pinned:
-            return values
-        return [pinned[var]] if pinned[var] in values else []
-
-    lqs = options("LQ", range(lo_q, hi_q - 2 * eps, -1))
-    rqs = options("RQ", range(hi_q, lo_q + 2 * eps))
-    for lp in options("LP", range(lo_p, hi_p - 2 * eps, -1)):
-        for rp in options("RP", range(hi_p, lo_p + 2 * eps)):
+    lqs = range(lo_q, hi_q - 2 * eps, -1)
+    rqs = range(hi_q, lo_q + 2 * eps)
+    for lp in range(lo_p, hi_p - 2 * eps, -1):
+        for rp in range(hi_p, lo_p + 2 * eps):
             if rp - lp >= 2 * eps:
                 break  # Q's close runs need a window [rp - eps, lp + eps] of size >= 1
 
@@ -776,21 +626,8 @@ def _minimal_pairs(lows, highs, fits):
 
 
 def _attempt(diagram, typed, anchoring, p_runs, q_runs, rho, tau, values, eps) -> Optional[Witness]:
-    ext_p = _anchored_extent(typed, anchoring, rho, tau, "P")
-    ext_q = _anchored_extent(typed, anchoring, rho, tau, "Q")
     lp, rp = values["LP"], values["RP"]
     lq, rq = values["LQ"], values["RQ"]
-    if ext_p is not None:
-        if lp is not None and lp > ext_p[0]:
-            return None
-        if rp is not None and rp < ext_p[1]:
-            return None
-    if ext_q is not None:
-        if lq is not None and lq > ext_q[0]:
-            return None
-        if rq is not None and rq < ext_q[1]:
-            return None
-
     placements: dict[tuple[str, int], list[int]] = {}
 
     for runs, other_lo, other_hi, own_lo, own_hi in (
@@ -816,10 +653,8 @@ def _attempt(diagram, typed, anchoring, p_runs, q_runs, rho, tau, values, eps) -
                 g = _glob(frame, start, rho, tau)
                 gs = rho * sigma if frame == 1 else sigma
                 pair = [g, g + gs * seg.length]
-            elif node in placements:
-                pair = placements[node]
             else:
-                return None
+                pair = placements[node]  # every unanchored subsegment lies in a run
             for slot, val in zip((k, k + 1), pair):
                 if verts[slot] is None:
                     verts[slot] = val
@@ -850,8 +685,8 @@ def _attempt(diagram, typed, anchoring, p_runs, q_runs, rho, tau, values, eps) -
 
 def _place_run(
     run: Run,
-    other_lo: Optional[int],
-    other_hi: Optional[int],
+    other_lo: int,
+    other_hi: int,
     own_lo: Optional[int],
     own_hi: Optional[int],
     rho,
@@ -866,8 +701,6 @@ def _place_run(
     att_hi = _att_global(run.attach_hi, rho, tau)
 
     if run.kind == TYPE_FAR:
-        if other_lo is None or other_hi is None:
-            return None
         left_b = other_lo - eps
         right_b = other_hi + eps
         side = None
@@ -883,8 +716,6 @@ def _place_run(
             if side is not None and side != s:
                 return None
             side = s
-        if side is None:
-            return None  # a far run detached at both ends means an empty diagram
         # region coordinates: distance away from the boundary
         flip = -1 if side == "L" else 1
         boundary = left_b if side == "L" else right_b
@@ -892,8 +723,6 @@ def _place_run(
 
     # middle run: confined to [other_hi - eps, other_lo + eps], intersected
     # with the run's own declared hull
-    if other_lo is None or other_hi is None:
-        return None
     lo_val = other_hi - eps
     hi_val = other_lo + eps
     if own_lo is not None and own_lo > lo_val:

@@ -82,6 +82,48 @@ def test_verify_rejects_witness_of_wrong_dimension(tmp_path):
     assert main(["verify", "--instance", inst, "--witness", str(bad)]) == 2
 
 
+
+def _curves_file(tmp_path, epsilon="1"):
+    from fsreal import Curve1D, Witness
+
+    obj = json.loads(serialize(Witness(Curve1D([0, 2, 1]), Curve1D([1, 3]), 1)))
+    obj["epsilon"] = epsilon
+    path = tmp_path / "curves.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def test_verify_rejects_nonpositive_epsilon(tmp_path):
+    from fsreal import FreeSpaceMatrix
+
+    inst = _write(tmp_path, "m.json", FreeSpaceMatrix([[1], [0], [1]]))
+    assert main(["verify", "--instance", inst, "--witness", _curves_file(tmp_path, "-1")]) == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--eps", "abc"],
+        ["--eps", "1/0"],
+        ["--eps", "0"],
+        ["--eps", "-1", "--as", "diagram"],
+        ["--eps", "0", "--as", "matrix"],
+        ["--eps", "-1", "--as", "matrix"],
+    ],
+)
+def test_forward_bad_eps_exit_code(tmp_path, args):
+    out = tmp_path / "out.json"
+    assert main(["forward", "--curves", _curves_file(tmp_path), "--out", str(out)] + args) == 2
+    assert not out.exists()
+
+
+def test_forward_bad_curves_exit_code(tmp_path):
+    from fsreal import CurveD, Witness
+
+    assert main(["forward", "--curves", _curves_file(tmp_path, "-1")]) == 2
+    plane = _write(tmp_path, "plane.json", Witness(CurveD([[0, 0]]), CurveD([[1, 1]]), 0.5))
+    assert main(["forward", "--curves", plane, "--as", "diagram"]) == 2
+
 def test_missing_file_exit_code():
     assert main(["solve", "--mode", "discrete1d", "--in", "/nonexistent.json"]) == 2
 

@@ -149,6 +149,16 @@ def test_plane_curves_require_arrays_of_numbers(field, value):
         parse(json.dumps(obj))
 
 
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("epsilon", ["-1", "0", -1, 0, True, float("nan"), float("inf")])
+def test_curves_epsilon_must_be_positive_and_finite(dimension, epsilon):
+    witness = _plane_witness() if dimension == 2 else Witness(Curve1D([0, 2]), Curve1D([1, 3]), 1)
+    obj = json.loads(serialize(witness))
+    obj["epsilon"] = epsilon
+    with pytest.raises(FormatError):
+        parse(json.dumps(obj))
+
 def test_unknown_field_rejected():
     bad = {"format": "fsreal/1", "kind": "matrix", "rows": 1, "cols": 1, "entries": [[1]], "extra": 1}
     with pytest.raises(FormatError):

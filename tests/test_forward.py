@@ -45,6 +45,13 @@ def test_matrix_dimension_mismatch():
         compute_matrix([0, 1], CurveD([(0, 0), (1, 1)]), 1)
 
 
+
+@pytest.mark.parametrize("p, q", [([0, 1], [0]), (CurveD([(0, 0)]), CurveD([(1, 1)]))])
+@pytest.mark.parametrize("eps", [0, -1])
+def test_matrix_rejects_nonpositive_eps(p, q, eps):
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        compute_matrix(p, q, eps)
+
 def test_matrix_monotone_in_eps():
     rng = random.Random(11)
     for _ in range(40):

@@ -5,7 +5,7 @@ corpus of criterion 4 stays at eps <= 3).
 Forward diagrams must all solve YES with a forward-verified witness, and
 consistent mutated and partition diagrams must get the verdict of
 ``solve_fpt``. Run as a script to count false NOs and disagreements on
-larger corpora of the same shapes:
+larger corpora of the same shapes; it exits 1 if there is any:
 
     PYTHONPATH=src python tests/test_fuzz_pseudopoly.py 600 1692
 """
@@ -77,3 +77,4 @@ if __name__ == "__main__":
         yes += fpt
         disagree += (solve_pseudo_poly(d) is not None) != fpt
     print(f"consistent: {disagree} disagreements with solve_fpt of {n_consistent} ({yes} realizable)")
+    sys.exit(1 if false_no or disagree else 0)

@@ -16,16 +16,19 @@ from fsreal import (
     solve_pseudo_poly,
     subdivide_and_type,
 )
+from fsreal.model import consistency_problems
 from fsreal.pseudopoly import (
     TYPE_BOUNDARY,
     TYPE_CLOSE,
     TYPE_FAR,
+    _collect_runs,
     anchor_components,
     build_placement_graph,
     dp_extract_path,
 )
 
 from conftest import random_integer_diagram
+from test_fuzz_pseudopoly import consistent_diagrams, forward_diagrams
 
 
 def _diagram(eps, widths, heights, cells):
@@ -280,6 +283,60 @@ def test_minimal_pairs_match_brute_force():
             (lo, hi) for lo, hi in pairs if not any((l2, h2) != (lo, hi) and l2 >= lo and h2 <= hi for l2, h2 in pairs)
         ]
         assert list(_minimal_pairs(lows, highs, fits)) == minimal
+
+
+def test_typing_and_anchoring_invariants():
+    """The facts behind the solver's run collection and search, which have no
+    NO exit of their own: once the grid-line check has passed, no curve has a
+    close subsegment while the other has a far one; once anchoring has
+    succeeded, every unanchored subsegment is far or close, each run has one
+    kind, and each run's neighbours on its curve are anchored."""
+    rng = random.Random(11)
+    partitions = [gen_partition([rng.randint(1, 30) for _ in range(rng.randint(2, 9))]) for _ in range(40)]
+    # forward diagrams whose partial cells fall into two frames (rare in the corpora)
+    two_frames = [
+        compute_diagram_1d(Curve1D(p), Curve1D(q), eps)
+        for p, q, eps in (
+            ((2, -2), (-2, 0, 3), 3),
+            ((0, -6, 4), (-4, 2), 6),
+            ((-2, 6, 9), (2, 6, 11, 6, 13), 6),
+            ((3, 4, 3, 0, -1), (0, -3, 0, 3, 0), 3),
+        )
+    ]
+    diagrams = itertools.chain(
+        forward_diagrams(60, seed=7), consistent_diagrams(120, seed=8), partitions, two_frames
+    )
+    anchored = 0
+    for index, diagram in enumerate(diagrams):
+        if consistency_problems(diagram):
+            continue
+        typed = subdivide_and_type(diagram)
+        p_kinds = {s.kind for s in typed.p_segs}
+        q_kinds = {s.kind for s in typed.q_segs}
+        assert not (TYPE_CLOSE in p_kinds and TYPE_FAR in q_kinds), index
+        assert not (TYPE_CLOSE in q_kinds and TYPE_FAR in p_kinds), index
+        graph = build_placement_graph(typed)
+        if not graph.edges or len(graph.non_singleton) > 2:
+            continue
+        anchoring = anchor_components(typed, graph)
+        if anchoring is None:
+            continue
+        anchored += 1
+        for curve, segs in (("P", typed.p_segs), ("Q", typed.q_segs)):
+            free = [(curve, k) not in anchoring.frame_of for k in range(len(segs))]
+            assert not all(free), index
+            in_runs = []
+            for run in _collect_runs(typed, anchoring, curve):
+                members = range(run.first, run.last + 1)
+                in_runs += members
+                assert {segs[k].kind for k in members} == {run.kind} and run.kind in (TYPE_FAR, TYPE_CLOSE), index
+                for att, k in ((run.attach_lo, run.first - 1), (run.attach_hi, run.last + 1)):
+                    if 0 <= k < len(segs):
+                        assert att is not None and att[0] == anchoring.frame_of[(curve, k)], index
+                    else:
+                        assert att is None, index
+            assert in_runs == [k for k in range(len(segs)) if free[k]], index
+    assert anchored >= 190
 
 
 # The 60 x 20 forward diagram at eps 20 quoted in bench/README.md.
