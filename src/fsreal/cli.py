@@ -16,7 +16,7 @@ from .discrete import solve as solve_discrete
 from .folding import solve_fpt
 from .forward import compute_diagram_1d, compute_matrix, verify_witness
 from .generators import PartitionInstance, SignVectorSet, gen_partition, gen_random_instance, gen_stretchability
-from .model import Curve1D, FreeSpaceDiagram1D, FreeSpaceMatrix, Witness, rat, structural_problems
+from .model import Curve1D, CurveD, FreeSpaceDiagram1D, FreeSpaceMatrix, Witness, structural_problems
 from .pseudopoly import solve_pseudo_poly
 from .render import render_ascii, render_svg
 
@@ -48,16 +48,29 @@ def _write_output(text: str, path):
         Path(path).write_text(text, encoding="utf-8")
 
 
+def _eps_arg(text: str, exact: bool):
+    """``--eps`` under the rule for a curves file's epsilon: a positive
+    rational for 1D curves, a positive finite number (decimal or "num/den")
+    for curves in R^d."""
+    value = text
+    if not exact:
+        try:
+            value = float(text)
+        except ValueError:
+            pass  # "num/den" is read as a rational
+    try:
+        return formats._eps_in(value, exact)
+    except formats.FormatError as exc:
+        raise InputError(f"--eps: {exc}") from None
+
+
 def _cmd_forward(args) -> int:
     witness = _read_instance(args.curves)
     if not isinstance(witness, Witness):
         raise InputError("forward needs a curves file")
     if args.as_kind == "diagram" and not isinstance(witness.curve_p, Curve1D):
         raise InputError("--as diagram needs 1D polyline curves")
-    try:
-        eps = rat(args.eps) if args.eps is not None else witness.epsilon
-    except (ValueError, ZeroDivisionError):
-        raise InputError(f"--eps must be a rational, got {args.eps!r}") from None
+    eps = witness.epsilon if args.eps is None else _eps_arg(args.eps, exact=not isinstance(witness.curve_p, CurveD))
     forward = compute_diagram_1d if args.as_kind == "diagram" else compute_matrix
     try:
         instance = forward(witness.curve_p, witness.curve_q, eps)

@@ -5,9 +5,10 @@ unknown lines (2^k of them) are enumerated, and each full assignment is
 checked by folding the diagram one axis at a time with safe end folds and
 crimps, gluing layers whose white space aligns exactly.
 
-The consistency check, the crease inference and the fold checks run on the
-diagram scaled to Python ints (:func:`fsreal.model.scale_to_integers`); the
-witness is read off the caller's diagram in `fractions.Fraction`s.
+The structural and consistency checks, the crease inference and the fold
+checks run on the diagram scaled to Python ints
+(:func:`fsreal.model.scale_to_integers`); the witness is read off the
+caller's diagram in `fractions.Fraction`s.
 """
 
 from __future__ import annotations
@@ -409,15 +410,15 @@ def solve_fpt(diagram: FreeSpaceDiagram1D) -> Optional[Witness]:
     assignment yields the witness, which is re-verified by the forward
     computation before it is returned.
 
-    The consistency check, the crease inference and every fold check run on
-    the diagram scaled to ints. The witness is read off the caller's diagram,
-    because its far placement and centering are not scale-invariant, and is
-    verified against it.
+    The structural and consistency checks, the crease inference and every
+    fold check run on the diagram scaled to ints. The witness is read off
+    the caller's diagram, because its far placement and centering are not
+    scale-invariant, and is verified against it.
     """
-    problems = structural_problems(diagram)
+    scaled, _ = scale_to_integers(diagram)
+    problems = structural_problems(scaled)
     if problems:
         raise ValueError("invalid diagram: " + "; ".join(problems))
-    scaled, _ = scale_to_integers(diagram)
     if consistency_problems(scaled):
         return None  # no curve pair produces disagreeing boundary restrictions
     inferred = infer_creases(scaled)

@@ -1,5 +1,10 @@
 """Forward free-space computation: matrices and 1D diagrams from curves,
-per-cell ellipse geometry in the plane, and witness verification."""
+per-cell ellipse geometry in the plane, and witness verification.
+
+In 1D both forward computations run on integers: the curves and eps are
+scaled by the least common multiple of their own denominators, and a
+diagram's widths, heights and slab intercepts are returned as Fractions.
+"""
 
 from __future__ import annotations
 
@@ -11,13 +16,14 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .model import (
+    PARTIAL,
+    CellContent,
     Curve1D,
     CurveD,
     FreeSpaceDiagram1D,
     FreeSpaceMatrix,
     PointSeq1D,
     Witness,
-    classify_slab,
     rat,
 )
 
@@ -28,6 +34,9 @@ ELLIPSE_EMPTY = "empty"
 ELLIPSE_FULL = "full"
 PARTIAL_ELLIPSE = "partial_ellipse"
 PARTIAL_SLAB = "partial_slab"
+
+_EMPTY_CELL = CellContent.empty()
+_FULL_CELL = CellContent.full()
 
 
 def _point_list(curve) -> list:
@@ -70,15 +79,17 @@ def compute_matrix(p, q, eps, tol: float = TOL) -> FreeSpaceMatrix:
     return FreeSpaceMatrix((dist <= eps + tol).astype(np.uint8))
 
 
+def _scaled_1d(P: Sequence[Fraction], Q: Sequence[Fraction], eps: Fraction) -> tuple[list[int], list[int], int, int]:
+    """P, Q and eps as Python ints, multiplied by L, the least common
+    multiple of their denominators; and L."""
+    scale = math.lcm(eps.denominator, *(v.denominator for v in P), *(v.denominator for v in Q))
+    pi = [v.numerator * (scale // v.denominator) for v in P]
+    qi = [v.numerator * (scale // v.denominator) for v in Q]
+    return pi, qi, eps.numerator * (scale // eps.denominator), scale
+
+
 def _matrix_1d(P, Q, eps: Fraction) -> FreeSpaceMatrix:
-    pr = [rat(v) for v in P]
-    qr = [rat(v) for v in Q]
-    scale = 1
-    for v in pr + qr + [eps]:
-        scale = scale * v.denominator // math.gcd(scale, v.denominator)
-    pi = [v.numerator * (scale // v.denominator) for v in pr]
-    qi = [v.numerator * (scale // v.denominator) for v in qr]
-    ei = eps.numerator * (scale // eps.denominator)
+    pi, qi, ei, _ = _scaled_1d([rat(v) for v in P], [rat(v) for v in Q], eps)
     bound = max((abs(x) for x in pi + qi + [ei]), default=0)
     if bound < 2**62:
         a = np.asarray(pi, dtype=np.int64)
@@ -94,24 +105,42 @@ def compute_diagram_1d(p: Curve1D, q: Curve1D, eps) -> FreeSpaceDiagram1D:
 
     Cell (i, j) is the slab |P_i(x) - Q_j(y)| <= eps classified against the
     cell box; orientation is the product of the two segments' orientations.
+
+    The cells are computed on Python ints: the vertices and eps are scaled
+    by the least common multiple of their own denominators (never by a
+    solver's scale, so the check stays independent of the code it checks).
+    The widths, heights and partial-cell intercepts are returned as
+    Fractions.
     """
     eps = rat(eps)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    widths = p.segment_lengths
-    heights = q.segment_lengths
-    sp = p.orientations
-    sq = q.orientations
+    pi, qi, e, scale = _scaled_1d(p.vertices, q.vertices, eps)
+    q_segs = [(b > a, a, abs(b - a)) for a, b in zip(qi, qi[1:])]
     cols = []
-    for i in range(p.n_segments):
+    for a, b in zip(pi, pi[1:]):
+        w = abs(b - a)
         col = []
-        p_start = p.vertices[i]
-        for j in range(q.n_segments):
-            q_start = q.vertices[j]
-            sigma = sp[i] * sq[j]
-            c_lo = sq[j] * (p_start - q_start) - eps
-            col.append(classify_slab(sigma, c_lo, c_lo + 2 * eps, widths[i], heights[j]))
-        cols.append(tuple(col))
+        for q_up, c, h in q_segs:
+            # c_lo = sq * (p_start - q_start) - eps; sigma = sp * sq
+            if q_up:
+                c_lo = a - c - e
+                sigma = 1 if b > a else -1
+            else:
+                c_lo = c - a - e
+                sigma = -1 if b > a else 1
+            c_hi = c_lo + 2 * e
+            # the box's range of y - sigma*x, as in model.classify_slab
+            vmin, vmax = (-w, h) if sigma == 1 else (0, w + h)
+            if c_lo > vmax or c_hi < vmin:
+                col.append(_EMPTY_CELL)
+            elif c_lo <= vmin and c_hi >= vmax:
+                col.append(_FULL_CELL)
+            else:
+                col.append(CellContent(PARTIAL, sigma, Fraction(c_lo, scale), Fraction(c_hi, scale)))
+        cols.append(col)
+    widths = [Fraction(abs(b - a), scale) for a, b in zip(pi, pi[1:])]
+    heights = [Fraction(h, scale) for _, _, h in q_segs]
     return FreeSpaceDiagram1D(eps, widths, heights, cols)
 
 

@@ -20,9 +20,9 @@ anchored extent, and for each hull of P only the minimal staircase of hulls
 of Q at which Q's runs fit is tried. Every YES is verified forward.
 
 The solver scales the diagram with :func:`fsreal.model.scale_to_integers`
-and requires the scale to be 1; the consistency check, the typing, the
-anchoring and the search all run on Python ints, and the witness is
-returned in `fractions.Fraction`s.
+and requires the scale to be 1; the structural and consistency checks, the
+typing, the anchoring and the search all run on Python ints, and the
+witness is returned in `fractions.Fraction`s.
 """
 
 from __future__ import annotations
@@ -510,10 +510,10 @@ def _glob(frame: int, value: int, rho: int, tau: int) -> int:
 def solve_pseudo_poly(diagram: FreeSpaceDiagram1D) -> Optional[Witness]:
     """Decide realizability of an integer-dimension diagram; returns a
     forward-verified witness or None."""
-    problems = structural_problems(diagram)
+    scaled, _ = scale_to_integers(diagram)
+    problems = structural_problems(scaled)
     if problems:
         raise ValueError("invalid diagram: " + "; ".join(problems))
-    scaled, _ = scale_to_integers(diagram)
     if consistency_problems(scaled):
         return None  # no curve pair produces disagreeing boundary restrictions
     typed = subdivide_and_type(diagram)  # rejects a diagram that is not integral

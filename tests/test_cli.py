@@ -109,6 +109,7 @@ def test_verify_rejects_nonpositive_epsilon(tmp_path):
         ["--eps", "-1", "--as", "diagram"],
         ["--eps", "0", "--as", "matrix"],
         ["--eps", "-1", "--as", "matrix"],
+        ["--eps", "0.5", "--as", "matrix"],  # 1D curves take a rational eps only
     ],
 )
 def test_forward_bad_eps_exit_code(tmp_path, args):
@@ -123,6 +124,23 @@ def test_forward_bad_curves_exit_code(tmp_path):
     assert main(["forward", "--curves", _curves_file(tmp_path, "-1")]) == 2
     plane = _write(tmp_path, "plane.json", Witness(CurveD([[0, 0]]), CurveD([[1, 1]]), 0.5))
     assert main(["forward", "--curves", plane, "--as", "diagram"]) == 2
+
+@pytest.mark.parametrize(
+    "eps, value",
+    [("0.5", 0.5), ("1/2", 0.5), ("1e-1", 0.1), ("3", 3.0), ("inf", None), ("nan", None), ("-0.5", None), ("0", None), ("abc", None)],
+)
+def test_forward_plane_curves_eps(tmp_path, eps, value):
+    from fsreal import CurveD, Witness, compute_matrix
+
+    p, q = CurveD([[0, 0], [1, 0]]), CurveD([[0, 0.4], [3, 3]])
+    plane = _write(tmp_path, "plane.json", Witness(p, q, 2))
+    out = tmp_path / "out.json"
+    code = main(["forward", "--curves", plane, "--as", "matrix", "--eps", eps, "--out", str(out)])
+    if value is None:
+        assert code == 2 and not out.exists()
+    else:
+        assert code == 0 and parse(out.read_text()) == compute_matrix(p, q, value)
+
 
 def test_missing_file_exit_code():
     assert main(["solve", "--mode", "discrete1d", "--in", "/nonexistent.json"]) == 2

@@ -9,10 +9,12 @@ from fsreal import (
     Curve1D,
     CurveD,
     FreeSpaceMatrix,
+    Witness,
     cell_ellipse_2d,
     compute_diagram_1d,
     compute_matrix,
     relative_placement_from_cell,
+    verify_witness,
 )
 from fsreal.forward import (
     ELLIPSE_EMPTY,
@@ -21,7 +23,8 @@ from fsreal.forward import (
     PARTIAL_SLAB,
     EllipseCell,
 )
-from fsreal.model import EMPTY, FULL, PARTIAL
+from fsreal.formats import parse, serialize
+from fsreal.model import EMPTY, FULL, PARTIAL, classify_slab
 
 from conftest import random_integer_curves
 
@@ -103,6 +106,94 @@ def test_folding_vertex_mirrors_the_strip():
         left = d.cells[0][j]
         right = d.cells[1][j]
         assert cell_mirror_x(right, d.col_widths[1], d.row_heights[j]) == left
+
+
+def _rational_curve(rng, n_vertices):
+    pts = [Fraction(rng.randint(-20, 20), rng.randint(1, 6))]
+    while len(pts) < n_vertices:
+        v = Fraction(rng.randint(-20, 20), rng.randint(1, 6))
+        if v != pts[-1]:
+            pts.append(v)
+    return Curve1D(pts)
+
+
+def _reference_cell(p, q, eps, i, j):
+    """The slab of cell (i, j) classified in Fractions, from its definition:
+    |P_i(x) - Q_j(y)| <= eps with P_i(x) = p_i + sp*x and Q_j(y) = q_j + sq*y,
+    i.e. sq*(p_i - q_j) - eps <= y - sp*sq*x <= sq*(p_i - q_j) + eps."""
+    sp = 1 if p.vertices[i + 1] > p.vertices[i] else -1
+    sq = 1 if q.vertices[j + 1] > q.vertices[j] else -1
+    mid = sq * (p.vertices[i] - q.vertices[j])
+    w = abs(p.vertices[i + 1] - p.vertices[i])
+    h = abs(q.vertices[j + 1] - q.vertices[j])
+    return classify_slab(sp * sq, mid - eps, mid + eps, w, h)
+
+
+def test_diagram_cells_match_fraction_reference():
+    rng = random.Random(23)
+    partial = 0
+    for _ in range(300):
+        p = _rational_curve(rng, rng.randint(2, 7))
+        q = _rational_curve(rng, rng.randint(2, 7))
+        eps = Fraction(rng.randint(1, 30), rng.randint(1, 6))
+        d = compute_diagram_1d(p, q, eps)
+        assert d.epsilon == eps
+        assert d.col_widths == p.segment_lengths and d.row_heights == q.segment_lengths
+        for i in range(p.n_segments):
+            for j in range(q.n_segments):
+                assert d.cells[i][j] == _reference_cell(p, q, eps, i, j)
+                partial += d.cells[i][j].status == PARTIAL
+    assert partial > 500
+
+
+@pytest.mark.parametrize(
+    "p, q, eps, status",
+    [
+        # sigma = 1 (both up), box range of y - x is [-w, h] = [-2, 1]
+        ([0, 2], [-2, -1], 1, PARTIAL),  # c_lo == vmax: touches the corner (0, h)
+        ([0, 2], [3, 4], 1, PARTIAL),  # c_hi == vmin: touches the corner (w, 0)
+        ([0, 2], [-2 - Fraction(1, 3), -1 - Fraction(1, 3)], 1, EMPTY),  # c_lo > vmax
+        ([0, 2], [0, 2], 2, FULL),  # c_lo == vmin and c_hi == vmax
+        ([0, 2], [0, 2], 2 - Fraction(1, 3), PARTIAL),
+        # sigma = -1 (P down, Q up), box range of y + x is [0, w + h] = [0, 3]
+        ([2, 0], [3, 4], 1, PARTIAL),  # c_hi == vmin: touches the corner (0, 0)
+        ([2, 0], [-2, -1], 1, PARTIAL),  # c_lo == vmax: touches the corner (w, h)
+        ([2, 0], [-2 - Fraction(1, 3), -1 - Fraction(1, 3)], 1, EMPTY),  # c_lo > vmax
+        ([2, 0], [Fraction(1, 2), Fraction(3, 2)], Fraction(3, 2), FULL),  # exact cover
+    ],
+)
+def test_diagram_boundary_cells(p, q, eps, status):
+    scale = Fraction(1, 3)  # the same cells at a scale whose LCM is not 1
+    for k in (1, scale):
+        pk, qk = Curve1D([k * v for v in p]), Curve1D([k * v for v in q])
+        cell = compute_diagram_1d(pk, qk, k * eps).cells[0][0]
+        assert cell.status == status
+        assert cell == _reference_cell(pk, qk, k * eps, 0, 0)
+
+
+def test_diagram_fields_are_fractions_and_round_trip():
+    rng = random.Random(29)
+    for _ in range(40):
+        d = compute_diagram_1d(_rational_curve(rng, 5), _rational_curve(rng, 4), Fraction(rng.randint(1, 30), 7))
+        cells = [c for col in d.cells for c in col]
+        values = [d.epsilon, *d.col_widths, *d.row_heights]
+        values += [v for c in cells if c.status == PARTIAL for v in (c.c_lo, c.c_hi)]
+        assert all(type(v) is Fraction for v in values)
+        assert all(type(c.sigma) is int for c in cells)
+        text = serialize(d)
+        assert parse(text) == d and serialize(parse(text)) == text
+
+
+def test_moved_witness_vertex_is_caught():
+    for seed in range(20):
+        p, q = random_integer_curves(seed, 4, 3)
+        witness = Witness(p, q, 2)
+        d = compute_diagram_1d(p, q, 2)
+        assert verify_witness(witness, d)
+        k = seed % len(p.vertices)
+        moved = list(p.vertices)
+        moved[k] += Fraction(1, 3)
+        assert not verify_witness(Witness(Curve1D(moved), q, 2), d)
 
 
 def test_ellipse_perpendicular_is_circle():

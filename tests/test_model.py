@@ -16,6 +16,8 @@ from fsreal import (
     rat,
     rat_str,
     solve_discrete_1d,
+    solve_fpt,
+    solve_pseudo_poly,
     validate_diagram,
 )
 from fsreal.model import (
@@ -242,3 +244,24 @@ def test_cell_algebra_int_input_matches_fraction_input():
                             assert _int_fields(result), (name, sigma, w, h, lo, hi, result)
                         checked += len(ints)
     assert checked > 10000
+
+
+_F = Fraction
+_MALFORMED_RATIONAL = [
+    FreeSpaceDiagram1D(_F(1, 2), [_F(3, 2)], [1], [[CellContent.partial(1, 0, _F(1, 3))]]),  # slab width
+    FreeSpaceDiagram1D(_F(3, 2), [_F(1, 2)], [_F(1, 2)], [[CellContent.partial(1, _F(-3, 2), _F(3, 2))]]),
+    FreeSpaceDiagram1D(_F(1, 3), [_F(1, 3)], [_F(1, 4)], [[CellContent.partial(1, _F(5, 3), _F(7, 3))]]),
+    FreeSpaceDiagram1D(_F(-1, 3), [_F(1, 2), _F(-2, 5)], [0], [[CellContent.empty()], [CellContent.full()]]),
+    FreeSpaceDiagram1D(_F(1, 2), [_F(1, 2)], [_F(1, 3), 1], [[CellContent.full()]]),
+]
+
+
+@pytest.mark.parametrize("solve", [solve_fpt, solve_pseudo_poly])
+@pytest.mark.parametrize("d", _MALFORMED_RATIONAL)
+def test_solvers_reject_malformed_rational_diagram_with_its_problems(solve, d):
+    # the solvers check the scaled diagram; the messages name no values
+    problems = structural_problems(d)
+    assert problems and structural_problems(scale_to_integers(d)[0]) == problems
+    with pytest.raises(ValueError) as exc:
+        solve(d)
+    assert str(exc.value) == "invalid diagram: " + "; ".join(problems)
