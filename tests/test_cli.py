@@ -125,9 +125,20 @@ def test_forward_bad_curves_exit_code(tmp_path):
     plane = _write(tmp_path, "plane.json", Witness(CurveD([[0, 0]]), CurveD([[1, 1]]), 0.5))
     assert main(["forward", "--curves", plane, "--as", "diagram"]) == 2
 
+
 @pytest.mark.parametrize(
     "eps, value",
-    [("0.5", 0.5), ("1/2", 0.5), ("1e-1", 0.1), ("3", 3.0), ("inf", None), ("nan", None), ("-0.5", None), ("0", None), ("abc", None)],
+    [
+        ("0.5", 0.5),
+        ("1/2", 0.5),
+        ("1e-1", 0.1),
+        ("3", 3.0),
+        ("inf", None),
+        ("nan", None),
+        ("-0.5", None),
+        ("0", None),
+        ("abc", None),
+    ],
 )
 def test_forward_plane_curves_eps(tmp_path, eps, value):
     from fsreal import CurveD, Witness, compute_matrix
