@@ -291,5 +291,7 @@ def verify_witness(witness: Witness, instance: Union[FreeSpaceMatrix, FreeSpaceD
     if isinstance(instance, FreeSpaceMatrix):
         return compute_matrix(witness.curve_p, witness.curve_q, witness.epsilon) == instance
     if isinstance(instance, FreeSpaceDiagram1D):
+        if not (isinstance(witness.curve_p, Curve1D) and isinstance(witness.curve_q, Curve1D)):
+            raise ValueError("a diagram1d instance needs 1D polyline curves")
         return compute_diagram_1d(witness.curve_p, witness.curve_q, witness.epsilon) == instance
     raise TypeError(f"cannot verify against {type(instance).__name__}")

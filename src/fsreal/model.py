@@ -447,6 +447,9 @@ def structural_problems(d: FreeSpaceDiagram1D) -> list[str]:
     if any(len(col) != d.m_rows for col in d.cells):
         problems.append("cell grid height does not match rowHeights")
         return problems
+    if d.n_cols == 0 or d.m_rows == 0:
+        problems.append("cell grid is empty")
+        return problems
     for i, w in enumerate(d.col_widths):
         if w <= 0:
             problems.append(f"column {i}: width must be positive")

@@ -19,16 +19,19 @@ against is the other curve's anchored extent, so one candidate per
 anchored extent, and for each hull of P only the minimal staircase of hulls
 of Q at which Q's runs fit is tried. Every YES is verified forward.
 
-The solver scales the diagram with :func:`fsreal.model.scale_to_integers`
-and requires the scale to be 1; the structural and consistency checks, the
-typing, the anchoring and the search all run on Python ints, and the
-witness is returned in `fractions.Fraction`s.
+The solver scales the diagram once at entry with
+:func:`fsreal.model.scale_to_integers` and, once the consistency check has
+passed, requires the scale to be 1; the structural and consistency checks,
+the typing, the anchoring and the search all run on that scaled diagram's
+Python ints, and the witness is returned in `fractions.Fraction`s, checked
+forward against the caller's diagram.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .model import (
@@ -141,14 +144,9 @@ def subdivide_and_type(diagram: FreeSpaceDiagram1D) -> TypedDiagram:
     """Insert subdivision vertices wherever a segment's slice status changes
     and type every resulting subsegment (far / close / boundary).
 
-    The diagram must have integer dimensions and intercepts; the typed
-    diagram holds them as Python ints."""
-    diagram, scale = scale_to_integers(diagram)
-    if scale != 1:
-        raise ValueError(
-            "pseudo-polynomial solver needs integer epsilon, cell widths, cell heights and slab intercepts "
-            f"(got a common denominator of {scale})"
-        )
+    Takes the scaled diagram, as :func:`fsreal.model.scale_to_integers`
+    returns it at scale 1: every dimension and intercept a Python int, as in
+    the typed diagram."""
     eps = diagram.epsilon
     widths = diagram.col_widths
     heights = diagram.row_heights
@@ -185,41 +183,31 @@ def subdivide_and_type(diagram: FreeSpaceDiagram1D) -> TypedDiagram:
 class PlacementGraph:
     """Bipartite graph on subsegments; an edge marks a partial cell."""
 
-    edges: list[tuple[int, int]]
-    components: list[list[tuple[str, int]]]
-
-    @property
-    def non_singleton(self) -> list[list[tuple[str, int]]]:
-        return [c for c in self.components if len(c) > 1]
+    adjacency: dict[tuple[str, int], list[tuple[str, int]]]
+    non_singleton: list[list[tuple[str, int]]]  # components with an edge, breadth-first from the least node
 
 
 def build_placement_graph(typed: TypedDiagram) -> PlacementGraph:
-    n, m = len(typed.p_segs), len(typed.q_segs)
-    edges = [(i, j) for i in range(n) for j in range(m) if typed.cells[i][j].status == PARTIAL]
-    parent: dict[tuple[str, int], tuple[str, int]] = {}
-
-    def find(x):
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for i in range(n):
-        find(("P", i))
-    for j in range(m):
-        find(("Q", j))
-    for i, j in edges:
-        union(("P", i), ("Q", j))
-    groups: dict[tuple[str, int], list[tuple[str, int]]] = {}
-    for node in list(parent):
-        groups.setdefault(find(node), []).append(node)
-    comps = sorted(groups.values(), key=lambda c: sorted(c)[0])
-    return PlacementGraph(edges, [sorted(c) for c in comps])
+    adjacency: dict[tuple[str, int], list[tuple[str, int]]] = {}
+    for i, row in enumerate(typed.cells):
+        for j, cell in enumerate(row):
+            if cell.status == PARTIAL:
+                adjacency.setdefault(("P", i), []).append(("Q", j))
+                adjacency.setdefault(("Q", j), []).append(("P", i))
+    components: list[list[tuple[str, int]]] = []
+    seen: set[tuple[str, int]] = set()
+    for root in sorted(adjacency):
+        if root in seen:
+            continue
+        seen.add(root)
+        comp = [root]
+        for node in comp:  # comp grows as the walk reaches new nodes
+            for other in adjacency[node]:
+                if other not in seen:
+                    seen.add(other)
+                    comp.append(other)
+        components.append(comp)
+    return PlacementGraph(adjacency, components)
 
 
 @dataclass
@@ -244,29 +232,20 @@ def anchor_components(typed: TypedDiagram, graph: PlacementGraph) -> Optional[An
     same curve: a shared vertex within a frame, a cross-frame equation between
     frames; contradictions mean the instance is not realizable."""
     eps = typed.eps
-    adjacency: dict[tuple[str, int], list[tuple[tuple[str, int], CellContent]]] = {}
-    for i, j in graph.edges:
-        cell = typed.cells[i][j]
-        adjacency.setdefault(("P", i), []).append((("Q", j), cell))
-        adjacency.setdefault(("Q", j), []).append((("P", i), cell))
-
     frames: list[dict[tuple[str, int], tuple[int, int]]] = []
     frame_of: dict[tuple[str, int], int] = {}
     for comp in graph.non_singleton:
-        placement: dict[tuple[str, int], tuple[int, int]] = {}
-        root = comp[0]
-        placement[root] = (0, 1)
-        queue = [root]
-        while queue:
-            node = queue.pop()
+        placement: dict[tuple[str, int], tuple[int, int]] = {comp[0]: (0, 1)}
+        for node in comp:  # breadth-first, so the node is placed already
             start, sigma = placement[node]
-            for other, cell in adjacency.get(node, ()):  # relation: c_lo = sQ*(Ps - Qs) - eps
-                sig_prod, gap = _cell_relation(cell, eps)
+            for other in graph.adjacency[node]:  # relation: c_lo = sQ*(Ps - Qs) - eps
                 if node[0] == "P":
+                    sig_prod, gap = _cell_relation(typed.cells[node[1]][other[1]], eps)
                     s_q = sig_prod * sigma
                     o_start = start - s_q * gap
                     o_sigma = s_q
                 else:
+                    sig_prod, gap = _cell_relation(typed.cells[other[1]][node[1]], eps)
                     s_q = sigma
                     o_sigma = sig_prod * s_q
                     o_start = start + s_q * gap
@@ -275,7 +254,6 @@ def anchor_components(typed: TypedDiagram, graph: PlacementGraph) -> Optional[An
                         return None
                 else:
                     placement[other] = (o_start, o_sigma)
-                    queue.append(other)
         idx = len(frames)
         frames.append(placement)
         for node in placement:
@@ -503,25 +481,34 @@ def _frame_candidates(anchoring: Anchoring, runs: list[Run]):
             yield rho, tau
 
 
-def _glob(frame: int, value: int, rho: int, tau: int) -> int:
-    return value if frame == 0 else tau + rho * value
+def _to_global(frame: int, value: int, direction: Optional[int], rho: int, tau: int):
+    """A frame's position and direction (or None) in global coordinates:
+    frame 0 is global, frame 1 is reflected by rho and translated by tau."""
+    if frame == 0:
+        return value, direction
+    return tau + rho * value, None if direction is None else rho * direction
 
 
 def solve_pseudo_poly(diagram: FreeSpaceDiagram1D) -> Optional[Witness]:
     """Decide realizability of an integer-dimension diagram; returns a
     forward-verified witness or None."""
-    scaled, _ = scale_to_integers(diagram)
+    scaled, scale = scale_to_integers(diagram)
     problems = structural_problems(scaled)
     if problems:
         raise ValueError("invalid diagram: " + "; ".join(problems))
     if consistency_problems(scaled):
         return None  # no curve pair produces disagreeing boundary restrictions
-    typed = subdivide_and_type(diagram)  # rejects a diagram that is not integral
+    if scale != 1:
+        raise ValueError(
+            "pseudo-polynomial solver needs integer epsilon, cell widths, cell heights and slab intercepts "
+            f"(got a common denominator of {scale})"
+        )
+    typed = subdivide_and_type(scaled)
     eps = typed.eps
 
     statuses = {typed.cells[i][j].status for i in range(len(typed.p_segs)) for j in range(len(typed.q_segs))}
     if statuses == {EMPTY}:
-        return _far_witness(diagram)
+        return _far_witness(diagram, typed)
     if statuses == {FULL}:
         return _all_full_witness(diagram, typed)
 
@@ -542,20 +529,17 @@ def solve_pseudo_poly(diagram: FreeSpaceDiagram1D) -> Optional[Witness]:
     return None
 
 
-def _seg_len(typed: TypedDiagram, node: tuple[str, int]) -> int:
-    return (typed.p_segs if node[0] == "P" else typed.q_segs)[node[1]].length
+def _anchored_ends(typed, anchoring, node, rho, tau) -> tuple[int, int]:
+    """Global start and end of an anchored subsegment."""
+    frame = anchoring.frame_of[node]
+    start, sigma = _to_global(frame, *anchoring.frames[frame][node], rho, tau)
+    length = (typed.p_segs if node[0] == "P" else typed.q_segs)[node[1]].length
+    return start, start + sigma * length
 
 
 def _anchored_extent(typed, anchoring, rho, tau, curve) -> tuple[int, int]:
-    vals = []
-    for frame_idx, placement in enumerate(anchoring.frames):
-        for node, (start, sigma) in placement.items():
-            if node[0] != curve:
-                continue
-            g = _glob(frame_idx, start, rho, tau)
-            gs = rho * sigma if frame_idx == 1 else sigma
-            vals.extend([g, g + gs * _seg_len(typed, node)])
-    return min(vals), max(vals)
+    ends = [_anchored_ends(typed, anchoring, node, rho, tau) for node in anchoring.frame_of if node[0] == curve]
+    return min(min(e) for e in ends), max(max(e) for e in ends)
 
 
 def _hull_candidates(typed, anchoring, p_runs, q_runs, rho, tau, eps):
@@ -645,14 +629,10 @@ def _attempt(diagram, typed, anchoring, p_runs, q_runs, rho, tau, values, eps) -
     curves = {}
     for curve, segs in (("P", typed.p_segs), ("Q", typed.q_segs)):
         verts: list[Optional[int]] = [None] * (len(segs) + 1)
-        for k, seg in enumerate(segs):
+        for k in range(len(segs)):
             node = (curve, k)
-            frame = anchoring.frame_of.get(node)
-            if frame is not None:
-                start, sigma = anchoring.frames[frame][node]
-                g = _glob(frame, start, rho, tau)
-                gs = rho * sigma if frame == 1 else sigma
-                pair = [g, g + gs * seg.length]
+            if node in anchoring.frame_of:
+                pair = _anchored_ends(typed, anchoring, node, rho, tau)
             else:
                 pair = placements[node]  # every unanchored subsegment lies in a run
             for slot, val in zip((k, k + 1), pair):
@@ -676,11 +656,7 @@ def _attempt(diagram, typed, anchoring, p_runs, q_runs, rho, tau, values, eps) -
         if any(a == b for a, b in zip(original, original[1:])):
             return None
         curves[curve] = original
-
-    witness = Witness(Curve1D(curves["P"]), Curve1D(curves["Q"]), diagram.epsilon)
-    if compute_diagram_1d(witness.curve_p, witness.curve_q, diagram.epsilon) == diagram:
-        return witness
-    return None
+    return _checked_witness(diagram, curves["P"], curves["Q"])
 
 
 def _place_run(
@@ -697,8 +673,7 @@ def _place_run(
     extreme values (other curve's extremes define the region; the run's own
     declared extremes bound middle runs so the two middles stay mutually
     within eps)."""
-    att_lo = _att_global(run.attach_lo, rho, tau)
-    att_hi = _att_global(run.attach_hi, rho, tau)
+    att_lo, att_hi = (None if att is None else _to_global(*att, rho, tau) for att in (run.attach_lo, run.attach_hi))
 
     if run.kind == TYPE_FAR:
         left_b = other_lo - eps
@@ -735,17 +710,6 @@ def _place_run(
     return _run_path(run, att_lo, att_hi, lo_val, 1, r_size)
 
 
-def _att_global(att, rho, tau):
-    if att is None:
-        return None
-    frame, value, forced = att
-    g = _glob(frame, value, rho, tau)
-    gf = None
-    if forced is not None:
-        gf = rho * forced if frame == 1 else forced
-    return (g, gf)
-
-
 def _run_path(run: Run, att_lo, att_hi, base: int, flip: int, bound: Optional[int]) -> Optional[list[int]]:
     """Solve one run in region coordinates pos = flip * (value - base): a far
     run (bound None) beyond the eps boundary at 0, a middle run in the closed
@@ -765,21 +729,19 @@ def _run_path(run: Run, att_lo, att_hi, base: int, flip: int, bound: Optional[in
     return [base + flip * p for p in dp_extract_path(masks, run.lengths, first_dir, last_dir)]
 
 
-def _far_witness(diagram: FreeSpaceDiagram1D) -> Optional[Witness]:
-    eps = diagram.epsilon
-    p_pts = [Fraction(0)]
-    for w in diagram.col_widths:
-        p_pts.append(p_pts[-1] + w)
-    span_p = max(p_pts) - min(p_pts)
-    span_q = sum(diagram.row_heights)
-    q0 = min(p_pts) + span_p + span_q + 2 * eps + 1
-    q_pts = [q0]
-    for h in diagram.row_heights:
-        q_pts.append(q_pts[-1] + h)
-    witness = Witness(Curve1D(p_pts), Curve1D(q_pts), eps)
-    if compute_diagram_1d(witness.curve_p, witness.curve_q, eps) == diagram:
+def _checked_witness(diagram: FreeSpaceDiagram1D, p_pts, q_pts) -> Optional[Witness]:
+    """The witness with these vertices if it reproduces the caller's diagram."""
+    witness = Witness(Curve1D(p_pts), Curve1D(q_pts), diagram.epsilon)
+    if compute_diagram_1d(witness.curve_p, witness.curve_q, diagram.epsilon) == diagram:
         return witness
     return None
+
+
+def _far_witness(diagram: FreeSpaceDiagram1D, typed: TypedDiagram) -> Optional[Witness]:
+    """Both curves run rightward, Q starting more than 2*eps beyond P's end."""
+    p_pts = list(accumulate(typed.widths, initial=0))
+    q0 = p_pts[-1] + sum(typed.heights) + 2 * typed.eps + 1
+    return _checked_witness(diagram, p_pts, accumulate(typed.heights, initial=q0))
 
 
 def _smallest_window(lengths: Sequence[int], limit: int) -> Optional[tuple[int, list[int]]]:
@@ -806,9 +768,4 @@ def _all_full_witness(diagram: FreeSpaceDiagram1D, typed: TypedDiagram) -> Optio
         return None
     a_q, path_q = found_q
     shift = Fraction(a_p - a_q, 2)
-    p_pts = [Fraction(v) for v in path_p]
-    q_pts = [Fraction(v) + shift for v in path_q]
-    witness = Witness(Curve1D(p_pts), Curve1D(q_pts), diagram.epsilon)
-    if compute_diagram_1d(witness.curve_p, witness.curve_q, diagram.epsilon) == diagram:
-        return witness
-    return None
+    return _checked_witness(diagram, path_p, [v + shift for v in path_q])

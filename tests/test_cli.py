@@ -71,6 +71,29 @@ def test_non_array_widths_exit_code(tmp_path, widths):
     assert main(["solve", "--mode", "cont1d-dp", "--in", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("widths, heights", [([], []), ([], ["1"]), (["1", "2"], [])])
+def test_empty_diagram_exit_code(tmp_path, capsys, widths, heights):
+    obj = {"format": "fsreal/1", "kind": "diagram1d", "epsilon": "1"}
+    obj.update(colWidths=widths, rowHeights=heights, cells=[[] for _ in widths])
+    bad = tmp_path / "empty.json"
+    bad.write_text(json.dumps(obj))
+    for args in (["solve", "--mode", "cont1d-fpt"], ["solve", "--mode", "cont1d-dp"], ["render", "--ascii"]):
+        assert main(args + ["--in", str(bad)]) == 2
+        assert "cell grid is empty" in capsys.readouterr().err
+
+
+def test_verify_diagram_rejects_curves_that_are_not_1d_polylines(tmp_path, capsys):
+    from fsreal import Curve1D, CurveD, PointSeq1D, Witness, compute_diagram_1d
+
+    inst = _write(tmp_path, "d.json", compute_diagram_1d(Curve1D([0, 2, 1]), Curve1D([1, 3]), 1))
+    points = Witness(PointSeq1D([0, 2, 1]), PointSeq1D([1, 3]), 1)
+    plane = Witness(CurveD([[0, 0]]), CurveD([[1, 1]]), 1.0)
+    for curves in (points, plane):
+        wit = _write(tmp_path, "w.json", curves)
+        assert main(["verify", "--instance", inst, "--witness", wit]) == 2
+        assert "1D polyline curves" in capsys.readouterr().err
+
+
 def test_verify_rejects_witness_of_wrong_dimension(tmp_path):
     from fsreal import CurveD, FreeSpaceMatrix, Witness
 

@@ -128,6 +128,15 @@ def test_validate_full_coverage_rejected():
     assert any("covers the whole cell" in p for p in validate_diagram(d2))
 
 
+@pytest.mark.parametrize("widths, heights", [([], []), ([], [1]), ([1, 2], [])])
+def test_empty_grid_rejected(widths, heights):
+    d = FreeSpaceDiagram1D(1, widths, heights, [[] for _ in widths])
+    assert structural_problems(d) == ["cell grid is empty"]
+    for solve in (solve_fpt, solve_pseudo_poly):
+        with pytest.raises(ValueError, match="cell grid is empty"):
+            solve(d)
+
+
 def test_boundary_consistency_detection():
     good = CellContent.partial(1, -1, 1)
     bad = CellContent.partial(1, 0, 2)

@@ -16,7 +16,7 @@ from fsreal import (
     solve_pseudo_poly,
     subdivide_and_type,
 )
-from fsreal.model import consistency_problems
+from fsreal.model import consistency_problems, scale_to_integers
 from fsreal.pseudopoly import (
     TYPE_BOUNDARY,
     TYPE_CLOSE,
@@ -35,16 +35,21 @@ def _diagram(eps, widths, heights, cells):
     return FreeSpaceDiagram1D(eps, widths, heights, cells)
 
 
+def _typed(diagram):
+    """The typed diagram, from the diagram scaled as the solver scales it."""
+    return subdivide_and_type(scale_to_integers(diagram)[0])
+
+
 def test_typing_all_empty():
     d = _diagram(1, [2, 3], [2], [[CellContent.empty()], [CellContent.empty()]])
-    typed = subdivide_and_type(d)
+    typed = _typed(d)
     assert all(s.kind == TYPE_FAR for s in typed.p_segs)
     assert all(s.kind == TYPE_FAR for s in typed.q_segs)
 
 
 def test_typing_all_full():
     d = compute_diagram_1d(Curve1D([0, 1]), Curve1D([0, 1]), 5)
-    typed = subdivide_and_type(d)
+    typed = _typed(d)
     assert all(s.kind == TYPE_CLOSE for s in typed.p_segs)
     assert all(s.kind == TYPE_CLOSE for s in typed.q_segs)
 
@@ -52,22 +57,50 @@ def test_typing_all_full():
 def test_typing_partial_cell_spanning_its_row():
     # 2x1 grid: first column partial spanning the whole row, second empty
     d = compute_diagram_1d(Curve1D([0, 2, 8]), Curve1D([0, 2]), 1)
-    typed = subdivide_and_type(d)
+    typed = _typed(d)
     assert typed.q_segs[0].kind == TYPE_BOUNDARY
     kinds = {(s.orig, s.kind) for s in typed.p_segs}
     assert (0, TYPE_BOUNDARY) in kinds
     assert any(orig == 1 and kind == TYPE_FAR for orig, kind in kinds)
 
 
-def test_typing_requires_integers():
+def test_solver_requires_integers():
     d = _diagram(Fraction(1, 2), [1], [1], [[CellContent.empty()]])
-    with pytest.raises(ValueError):
-        subdivide_and_type(d)
+    with pytest.raises(ValueError, match="common denominator of 2"):
+        solve_pseudo_poly(d)
+    d = compute_diagram_1d(Curve1D([0, Fraction(3, 2), 3]), Curve1D([0, 2]), 1)
+    with pytest.raises(ValueError, match="common denominator of 2"):
+        solve_pseudo_poly(d)
+    cells = [list(col) for col in d.cells]
+    c = cells[1][0]
+    cells[1][0] = CellContent(c.status, c.sigma, c.c_lo + Fraction(1, 2), c.c_hi + Fraction(1, 2))
+    mutated = FreeSpaceDiagram1D(d.epsilon, d.col_widths, d.row_heights, cells)
+    # the consistency check runs first, so an inconsistent rational diagram is NO
+    assert consistency_problems(mutated)
+    assert solve_pseudo_poly(mutated) is None
+
+
+def test_one_scale_per_decision(monkeypatch):
+    import fsreal.pseudopoly
+
+    calls = []
+    scale = fsreal.pseudopoly.scale_to_integers
+    monkeypatch.setattr(fsreal.pseudopoly, "scale_to_integers", lambda d: calls.append(d) or scale(d))
+    diagrams = [
+        _diagram(1, [2, 3], [2], [[CellContent.empty()], [CellContent.empty()]]),  # all far
+        compute_diagram_1d(Curve1D([0, 1]), Curve1D([0, 1]), 5),  # all full
+        compute_diagram_1d(Curve1D([0, 2, 8, 4]), Curve1D([0, 2]), 1),  # a far run
+        gen_partition([1, 1, 1]),  # NO
+    ]
+    for d in diagrams:
+        calls.clear()
+        solve_pseudo_poly(d)
+        assert len(calls) == 1
 
 
 def test_placement_graph_diagonal_chain():
     d = compute_diagram_1d(Curve1D([0, 2, 4]), Curve1D([0, 2, 4]), 1)
-    typed = subdivide_and_type(d)
+    typed = _typed(d)
     g = build_placement_graph(typed)
     assert len(g.non_singleton) == 1
 
@@ -87,7 +120,7 @@ def test_anchoring_reproduces_forward_layout():
     p = Curve1D([0, 3, 1])
     q = Curve1D([1, 4])
     d = compute_diagram_1d(p, q, 2)
-    typed = subdivide_and_type(d)
+    typed = _typed(d)
     g = build_placement_graph(typed)
     anch = anchor_components(typed, g)
     assert anch is not None
@@ -257,7 +290,7 @@ def test_placement_graph_two_components_from_short_curves():
     p = Curve1D([2, -2])
     q = Curve1D([-2, 0, 3])
     d = compute_diagram_1d(p, q, 3)
-    typed = subdivide_and_type(d)
+    typed = _typed(d)
     g = build_placement_graph(typed)
     assert len(g.non_singleton) == 2
     w = solve_pseudo_poly(d)
@@ -310,13 +343,13 @@ def test_typing_and_anchoring_invariants():
     for index, diagram in enumerate(diagrams):
         if consistency_problems(diagram):
             continue
-        typed = subdivide_and_type(diagram)
+        typed = _typed(diagram)
         p_kinds = {s.kind for s in typed.p_segs}
         q_kinds = {s.kind for s in typed.q_segs}
         assert not (TYPE_CLOSE in p_kinds and TYPE_FAR in q_kinds), index
         assert not (TYPE_CLOSE in q_kinds and TYPE_FAR in p_kinds), index
         graph = build_placement_graph(typed)
-        if not graph.edges or len(graph.non_singleton) > 2:
+        if not graph.adjacency or len(graph.non_singleton) > 2:
             continue
         anchoring = anchor_components(typed, graph)
         if anchoring is None:
