@@ -1,12 +1,20 @@
 """Fixed-parameter solver for continuous 1D realizability.
 
-Grid lines are labeled fold/straight from local white-space evidence; the
-unknown lines (2^k of them) are enumerated, and each full assignment is
-checked by folding the diagram one axis at a time with safe end folds and
-crimps, gluing layers whose white space aligns exactly.
+Grid lines are labeled fold/straight from local white-space evidence, and
+the k lines that the evidence leaves open are enumerated, 2^k assignments.
+Once every line has a label the curves are fixed up to isometry:
 
-The structural and consistency checks, the crease inference and the fold
-checks run on the diagram scaled to Python ints
+- the labels fix each segment's orientation relative to the first one;
+- any partial cell (i, j) fixes sigma = sp_i * sq_j, and its
+  c_lo = sq_j * (P_i - Q_j) - eps fixes Q's offset.
+
+A consistent diagram without partial cells is all empty, where the far
+placement always works, or all full, where centring the two hulls is
+optimal. So an assignment is accepted iff the one curve pair it fixes
+reproduces the diagram under the forward computation.
+
+The structural and consistency checks, the crease inference and the
+per-assignment checks run on the diagram scaled to Python ints
 (:func:`fsreal.model.scale_to_integers`); the witness is read off the
 caller's diagram in `fractions.Fraction`s.
 """
@@ -14,6 +22,7 @@ caller's diagram in `fractions.Fraction`s.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .model import (
@@ -82,19 +91,6 @@ def _straight_compatible(left: CellContent, w_l, right: CellContent, w_r, h, eps
     return False  # full next to empty cannot continue
 
 
-def _straight_merge(left: CellContent, w_l, right: CellContent, w_r, h, eps) -> Optional[CellContent]:
-    """Merge two horizontally adjacent cells through a straight line."""
-    if not _straight_compatible(left, w_l, right, w_r, h, eps):
-        return None
-    if left.status == PARTIAL:
-        return classify_slab(left.sigma, left.c_lo, left.c_hi, w_l + w_r, h)
-    if right.status == PARTIAL:
-        return classify_slab(
-            right.sigma, right.c_lo - right.sigma * w_l, right.c_hi - right.sigma * w_l, w_l + w_r, h
-        )
-    return left  # both empty or both full
-
-
 def _line_labels(columns, widths, heights, eps) -> tuple[list[str], list[str]]:
     """Labels and contradiction notes for the lines between consecutive
     column entries; ``columns[i]`` is the cell tuple of column i."""
@@ -144,195 +140,6 @@ def infer_creases(diagram: FreeSpaceDiagram1D) -> CreaseAssignment:
     return CreaseAssignment(tuple(v_labels), tuple(h_labels), notes)
 
 
-# ---------------------------------------------------------------------------
-# Folded-state machinery: faces carry piecewise strips of cells.
-
-
-@dataclass
-class _Face:
-    width: int
-    pieces: list[tuple[int, tuple[CellContent, ...]]]
-
-
-def _sub_pieces(pieces, a: int, b: int, heights) -> list:
-    """Restrict a piece list to the span [a, b], re-based to 0."""
-    out = []
-    x = 0
-    for length, cells in pieces:
-        lo = max(a, x)
-        hi = min(b, x + length)
-        if lo < hi:
-            local_lo = lo - x
-            local_hi = hi - x
-            out.append(
-                (
-                    hi - lo,
-                    tuple(
-                        cell_restrict_x(c, length, heights[j], local_lo, local_hi)
-                        for j, c in enumerate(cells)
-                    ),
-                )
-            )
-        x += length
-    return out
-
-
-def _mirror_pieces(pieces, heights) -> list:
-    return [
-        (length, tuple(cell_mirror_x(c, length, heights[j]) for j, c in enumerate(cells)))
-        for length, cells in reversed(pieces)
-    ]
-
-
-def _pieces_equal(p1, p2, heights) -> bool:
-    """Exact white-space equality of two piece lists of equal total span."""
-    i = j = 0
-    off1 = off2 = 0
-    while i < len(p1) and j < len(p2):
-        l1, c1 = p1[i]
-        l2, c2 = p2[j]
-        step = min(l1 - off1, l2 - off2)
-        for r in range(len(heights)):
-            a = cell_restrict_x(c1[r], l1, heights[r], off1, off1 + step)
-            b = cell_restrict_x(c2[r], l2, heights[r], off2, off2 + step)
-            if a != b:
-                return False
-        off1 += step
-        off2 += step
-        if off1 == l1:
-            i += 1
-            off1 = 0
-        if off2 == l2:
-            j += 1
-            off2 = 0
-    return i == len(p1) and j == len(p2)
-
-
-def _fold_axis(faces: list[_Face], heights) -> Optional[_Face]:
-    """Fold a 1D crease pattern flat with safe end folds and crimps, checking
-    white-space alignment of every newly overlapped extent."""
-    while len(faces) > 1:
-        widths = [f.width for f in faces]
-        last = len(faces) - 1
-        pick = None
-        for idx in range(len(faces)):
-            left_ok = idx == 0 or widths[idx] <= widths[idx - 1]
-            right_ok = idx == last or widths[idx] <= widths[idx + 1]
-            if left_ok and right_ok:
-                pick = idx
-                break
-        if pick == 0:
-            f0, f1 = faces[0], faces[1]
-            image = _mirror_pieces(f0.pieces, heights)
-            target = _sub_pieces(f1.pieces, 0, f0.width, heights)
-            if not _pieces_equal(image, target, heights):
-                return None
-            faces = faces[1:]
-        elif pick == last:
-            fl, fp = faces[last], faces[last - 1]
-            image = _mirror_pieces(fl.pieces, heights)
-            target = _sub_pieces(fp.pieces, fp.width - fl.width, fp.width, heights)
-            if not _pieces_equal(image, target, heights):
-                return None
-            faces = faces[:-1]
-        else:
-            prev_f, mid, nxt = faces[pick - 1], faces[pick], faces[pick + 1]
-            tail = _sub_pieces(prev_f.pieces, prev_f.width - mid.width, prev_f.width, heights)
-            if not _pieces_equal(_mirror_pieces(mid.pieces, heights), tail, heights):
-                return None
-            overlap = _sub_pieces(nxt.pieces, 0, mid.width, heights)
-            if not _pieces_equal(overlap, tail, heights):
-                return None
-            merged = _Face(
-                prev_f.width + nxt.width - mid.width,
-                prev_f.pieces + _sub_pieces(nxt.pieces, mid.width, nxt.width, heights),
-            )
-            faces = faces[: pick - 1] + [merged] + faces[pick + 2 :]
-    return faces[0]
-
-
-def _build_faces(columns, widths, heights, labels, eps) -> Optional[list[_Face]]:
-    """Group columns into faces by merging cells through straight lines."""
-    faces: list[_Face] = []
-    cur_cells = list(columns[0])
-    cur_width = widths[0]
-    for i, label in enumerate(labels):
-        if label == STRAIGHT:
-            nxt_cells = []
-            for j in range(len(heights)):
-                merged = _straight_merge(
-                    cur_cells[j], cur_width, columns[i + 1][j], widths[i + 1], heights[j], eps
-                )
-                if merged is None:
-                    return None
-                nxt_cells.append(merged)
-            cur_cells = nxt_cells
-            cur_width = cur_width + widths[i + 1]
-        else:
-            faces.append(_Face(cur_width, [(cur_width, tuple(cur_cells))]))
-            cur_cells = list(columns[i + 1])
-            cur_width = widths[i + 1]
-    faces.append(_Face(cur_width, [(cur_width, tuple(cur_cells))]))
-    return faces
-
-
-def _flatten_face(face: _Face, heights, eps) -> Optional[tuple[int, tuple[CellContent, ...]]]:
-    """Merge a folded face's profile into one cell per row.
-
-    The folded image of the axis is covered by a single segment pair per row,
-    so the surviving profile must be the restriction of one slab; pieces that
-    cannot continue each other refute the assignment.
-    """
-    (width, strip), *rest = face.pieces
-    strip = list(strip)
-    for length, cells in rest:
-        for j in range(len(heights)):
-            merged = _straight_merge(strip[j], width, cells[j], length, heights[j], eps)
-            if merged is None:
-                return None
-            strip[j] = merged
-        width = width + length
-    return width, tuple(strip)
-
-
-def check_foldable(diagram: FreeSpaceDiagram1D, vertical: Sequence[str], horizontal: Sequence[str]) -> bool:
-    """Check one full fold/straight assignment.
-
-    Straight lines are deleted by merging their cells; each axis is then
-    folded flat (horizontal first), aligning overlapped white space exactly
-    and collapsing the result to a single slab per row; the final single
-    cell must itself be realizable by a segment pair.
-    """
-    eps = diagram.epsilon
-    widths = diagram.col_widths
-    heights = diagram.row_heights
-    for i in range(diagram.n_cols):
-        for j in range(diagram.m_rows):
-            if diagram.cells[i][j].status == FULL and widths[i] + heights[j] > 2 * eps:
-                return False  # no 2*eps slab can cover the cell
-
-    faces = _build_faces(diagram.cells, widths, heights, vertical, eps)
-    if faces is None:
-        return False
-    final_col = _fold_axis(faces, heights)
-    if final_col is None:
-        return False
-    flattened = _flatten_face(final_col, heights, eps)
-    if flattened is None:
-        return False
-    width, strip = flattened
-
-    # transpose: the single surviving column folds along the rows
-    cols_t = [(cell_transpose(strip[j]),) for j in range(diagram.m_rows)]
-    faces_t = _build_faces(cols_t, heights, [width], horizontal, eps)
-    if faces_t is None:
-        return False
-    final_row = _fold_axis(faces_t, [width])
-    if final_row is None:
-        return False
-    return _flatten_face(final_row, [width], eps) is not None
-
-
 def _orientations_from(labels: Sequence[str]) -> list[int]:
     out = [1]
     for label in labels:
@@ -343,7 +150,8 @@ def _orientations_from(labels: Sequence[str]) -> list[int]:
 def extract_curves(
     diagram: FreeSpaceDiagram1D, vertical: Sequence[str], horizontal: Sequence[str]
 ) -> Optional[Witness]:
-    """Read witness curves off an accepted assignment.
+    """The one curve pair a full assignment fixes, or None when a partial
+    cell's slab orientation contradicts the labels.
 
     Fold lines flip segment orientation; the inter-curve offset comes from
     the first partial cell's slab (positive mirror), or from the far/centered
@@ -374,8 +182,8 @@ def extract_curves(
         for s, h in zip(sq, heights):
             pref_q.append(pref_q[-1] + s * h)
         if any(diagram.cells[i][j].status == FULL for i in range(diagram.n_cols) for j in range(diagram.m_rows)):
-            center_p = (min(p_pts) + max(p_pts)) / 2
-            q0 = center_p - (min(pref_q) + max(pref_q)) / 2
+            # centre Q's hull on P's; Fraction keeps int input exact
+            q0 = Fraction(min(p_pts) + max(p_pts) - min(pref_q) - max(pref_q), 2)
         else:
             span_p = max(p_pts) - min(p_pts)
             span_q = max(pref_q) - min(pref_q)
@@ -402,6 +210,17 @@ def extract_curves(
     return Witness(Curve1D(p_pts), Curve1D(q_pts), eps)
 
 
+def check_foldable(diagram: FreeSpaceDiagram1D, vertical: Sequence[str], horizontal: Sequence[str]) -> bool:
+    """Check one full fold/straight assignment.
+
+    True iff the curve pair that :func:`extract_curves` reads off the
+    assignment reproduces the diagram. The assignment fixes the pair up to
+    isometry (see the module docstring), so no other pair can do better.
+    """
+    witness = extract_curves(diagram, vertical, horizontal)
+    return witness is not None and compute_diagram_1d(witness.curve_p, witness.curve_q, diagram.epsilon) == diagram
+
+
 def solve_fpt(diagram: FreeSpaceDiagram1D) -> Optional[Witness]:
     """Decide 1D realizability of a diagram in O(nm * 2^k) time.
 
@@ -410,10 +229,12 @@ def solve_fpt(diagram: FreeSpaceDiagram1D) -> Optional[Witness]:
     assignment yields the witness, which is re-verified by the forward
     computation before it is returned.
 
-    The structural and consistency checks, the crease inference and every
-    fold check run on the diagram scaled to ints. The witness is read off
-    the caller's diagram, because its far placement and centering are not
-    scale-invariant, and is verified against it.
+    Each assignment fixes one curve pair up to isometry, so
+    :func:`check_foldable` decides it by building that pair and computing
+    its diagram forward. The structural and consistency checks, the crease
+    inference and every assignment check run on the diagram scaled to ints.
+    The witness is read off the caller's diagram, so it is in the caller's
+    units, and is verified against it.
     """
     scaled, _ = scale_to_integers(diagram)
     problems = structural_problems(scaled)
@@ -440,8 +261,6 @@ def solve_fpt(diagram: FreeSpaceDiagram1D) -> Optional[Witness]:
         if not check_foldable(scaled, vertical, horizontal):
             continue
         witness = extract_curves(diagram, vertical, horizontal)
-        if witness is None:
-            continue
         if compute_diagram_1d(witness.curve_p, witness.curve_q, diagram.epsilon) == diagram:
             return witness
     return None

@@ -3,6 +3,7 @@ instances built through the forward computation."""
 
 from __future__ import annotations
 
+import numbers
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,10 +31,10 @@ class PartitionInstance:
     items: tuple[int, ...]
 
     def __init__(self, items: Sequence[int]):
-        vals = tuple(int(a) for a in items)
-        if not vals or any(a < 1 for a in vals):
+        vals = tuple(items)
+        if not vals or any(isinstance(a, bool) or not isinstance(a, numbers.Integral) or a < 1 for a in vals):
             raise ValueError("partition items must be positive integers")
-        object.__setattr__(self, "items", vals)
+        object.__setattr__(self, "items", tuple(int(a) for a in vals))
 
     @property
     def total(self) -> int:
@@ -236,7 +237,7 @@ def gen_random_instance(
             matrix = FreeSpaceMatrix(ent)
         return matrix
     if kind == "diagram":
-        e = int(eps) if eps is not None else rng.randint(1, 3)
+        e = rat(eps) if eps is not None else rng.randint(1, 3)
         p = _random_integer_curve(rng, n_points, max_coord)
         q = _random_integer_curve(rng, m_points, max_coord)
         diagram = compute_diagram_1d(p, q, e)

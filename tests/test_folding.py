@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,10 +13,12 @@ from fsreal import (
     compute_diagram_1d,
     extract_curves,
     gen_partition,
+    gen_random_instance,
     infer_creases,
     solve_fpt,
 )
 from fsreal.folding import FOLD, STRAIGHT, UNKNOWN
+from fsreal.model import consistency_problems, scale_to_integers
 
 from conftest import random_integer_diagram, random_rational_diagram
 
@@ -71,6 +74,35 @@ def test_check_foldable_partition_odd_all_assignments_false():
         assert not check_foldable(d, labels, [])
 
 
+def _assignments(diagram):
+    """Every completion of the inferred labels: (vertical, horizontal)."""
+    inferred = infer_creases(diagram)
+    n_v = len(inferred.vertical)
+    labels = inferred.vertical + inferred.horizontal
+    open_lines = [i for i, label in enumerate(labels) if label == UNKNOWN]
+    for choice in itertools.product((FOLD, STRAIGHT), repeat=len(open_lines)):
+        full = list(labels)
+        for i, label in zip(open_lines, choice):
+            full[i] = label
+        yield full[:n_v], full[n_v:]
+
+
+def test_check_foldable_is_scale_invariant():
+    # the solver checks assignments on the diagram scaled to ints, so every
+    # assignment must get the same answer there as on the caller's diagram
+    rng = random.Random(11)
+    checked = accepted = 0
+    for _ in range(150):
+        d = random_rational_diagram(rng)
+        scaled = scale_to_integers(d)[0]
+        for vertical, horizontal in _assignments(d):
+            answer = check_foldable(d, vertical, horizontal)
+            assert answer == check_foldable(scaled, vertical, horizontal), (d, vertical, horizontal)
+            checked += 1
+            accepted += answer
+    assert (checked, accepted) == (1174, 1040)
+
+
 def test_extract_single_partial_cell():
     d = compute_diagram_1d(Curve1D([0, 2]), Curve1D([0, 2]), 1)
     w = extract_curves(d, [], [])
@@ -117,14 +149,33 @@ def test_forward_diagrams_always_solve_yes_exactly():
 
 def test_agreement_with_brute_force():
     rng = random.Random(77)
-    for seed in range(50):
-        d = random_integer_diagram(seed + 500, rng.randint(1, 5), rng.randint(1, 4), rng.randint(1, 3))
-        assert (solve_fpt(d) is not None) == (brute_force_continuous_1d(d) is not None)
+    diagrams = [
+        random_integer_diagram(seed + 500, rng.randint(1, 5), rng.randint(1, 4), rng.randint(1, 3))
+        for seed in range(50)
+    ]
+    # mutated diagrams of the acceptance corpus's shape that get past the
+    # consistency check and the crease inference, so FPT has to decide them
+    for seed in range(2000):
+        d = gen_random_instance(
+            seed,
+            kind="diagram",
+            n_points=rng.randint(2, 8),
+            m_points=rng.randint(2, 6),
+            max_coord=5,
+            eps=rng.randint(1, 3),
+            mutate=True,
+        )
+        if not consistency_problems(d) and not infer_creases(d).contradictions:
+            diagrams.append(d)
+    answers = [solve_fpt(d) is not None for d in diagrams]
+    assert len(diagrams) == 347 and answers.count(False) == 39
+    for d, answer in zip(diagrams, answers):
+        assert answer == (brute_force_continuous_1d(d) is not None), d
 
 
 def test_fold_trace_extent_matches_accordion_image():
-    # the folded extent of the column axis equals the span of the accordion
-    # walk over face widths, independent of the op order
+    # the witness's P folds back onto itself as the input's does, so it
+    # spans exactly as far
     p = Curve1D([0, 3, 1, 4, 0])
     q = Curve1D([0, 2])
     d = compute_diagram_1d(p, q, 1)
@@ -134,8 +185,8 @@ def test_fold_trace_extent_matches_accordion_image():
 
 
 def test_fold_alignment_rejects_one_bad_layer():
-    # three layers fold onto each other; breaking one layer's slab must
-    # surface during gluing even though the other two still align
+    # three layers fold onto each other; flipping one layer's slab must
+    # refute the assignment even though the other two still agree
     p = Curve1D([0, 2, 0, 2])
     q = Curve1D([0, 2])
     d = compute_diagram_1d(p, q, 1)

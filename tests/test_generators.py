@@ -1,5 +1,7 @@
 import itertools
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fsreal import (
@@ -40,6 +42,13 @@ def test_partition_items_validated():
         PartitionInstance([0, 2])
     with pytest.raises(ValueError):
         PartitionInstance([])
+
+
+def test_partition_items_are_not_truncated():
+    for items in ([2.7, True, 3], [True], [2.0, 3], [Fraction(5, 2)], ["3"]):
+        with pytest.raises(ValueError):
+            PartitionInstance(items)
+    assert PartitionInstance([np.int64(3), 2]).items == (3, 2)
 
 
 def test_partition_realizability_matches_subset_sum_small():
@@ -123,6 +132,16 @@ def test_random_instance_deterministic():
     da = gen_random_instance(7, kind="diagram")
     db = gen_random_instance(7, kind="diagram")
     assert da == db
+
+
+def test_random_diagram_keeps_rational_eps():
+    for eps in (Fraction(5, 2), "5/2", Fraction(1, 2)):
+        d = gen_random_instance(3, kind="diagram", eps=eps)
+        assert d.epsilon == Fraction(eps)
+        assert solve_fpt(d) is not None
+    d = gen_random_instance(3, kind="diagram", eps=2)
+    assert d.epsilon == 2
+    assert d == gen_random_instance(3, kind="diagram", eps=Fraction(2))
 
 
 def test_random_matrices_solve_yes():

@@ -9,16 +9,22 @@ alters a witness on purpose must say so and update the digest here.
 import hashlib
 import json
 import random
+from fractions import Fraction
 
-from fsreal import gen_random_instance, infer_creases, solve_fpt, solve_pseudo_poly
+from fsreal import CellContent, FreeSpaceDiagram1D, gen_random_instance, infer_creases, solve_fpt, solve_pseudo_poly
 from fsreal.formats import serialize
 
+from conftest import random_rational_diagram
 from test_fuzz_pseudopoly import consistent_diagrams, forward_diagrams
 
 # 400 diagrams, 267 of them past the consistency check: pseudo-poly answers
 # 218 YES; FPT runs on the 380 with k <= 10 and answers 201 YES
 PSEUDO_POLY_DIGEST = "ca3d76278117493a408b0822ef790289f20f6782c033fb8c7984a0876170bfbd"
 FPT_DIGEST = "c0d64d2038d869dd70be47c1f46bffeeba89376e335f236ac3143e2ff0d6325c"
+# FPT on rational diagrams, whose witness is read off unscaled Fractions:
+# 100 forward diagrams of rational curves, then 60 all-full and 40 all-empty
+# grids of rational sizes (the centred and the far placement)
+FPT_RATIONAL_DIGEST = "7ff8ef20d9553fff3de70e8e858249e5c6dd67ba13e461cc99324495379f3aa5"
 
 
 def _corpus():
@@ -37,6 +43,23 @@ def _corpus():
         )
 
 
+def _uniform_grid(rng: random.Random, cell: CellContent) -> FreeSpaceDiagram1D:
+    def length():
+        return Fraction(rng.randint(1, 12), rng.choice([1, 2, 3, 4, 6]))
+
+    widths = [length() for _ in range(rng.randint(1, 4))]
+    heights = [length() for _ in range(rng.randint(1, 4))]
+    return FreeSpaceDiagram1D(length() * 2, widths, heights, [[cell] * len(heights) for _ in widths])
+
+
+def _rational_corpus():
+    rng = random.Random(8)
+    for _ in range(100):
+        yield random_rational_diagram(rng)
+    for index in range(100):
+        yield _uniform_grid(rng, CellContent.full() if index < 60 else CellContent.empty())
+
+
 def _digest(solve, diagrams) -> str:
     answers = [None if w is None else serialize(w) for w in map(solve, diagrams)]
     return hashlib.sha256(json.dumps(answers).encode()).hexdigest()
@@ -48,3 +71,7 @@ def test_witness_digests():
     assert _digest(solve_pseudo_poly, diagrams) == PSEUDO_POLY_DIGEST
     # FPT tries 2^k crease assignments, so keep it to diagrams with k <= 10
     assert _digest(solve_fpt, [d for d in diagrams if infer_creases(d).k <= 10]) == FPT_DIGEST
+
+
+def test_rational_fpt_witness_digest():
+    assert _digest(solve_fpt, list(_rational_corpus())) == FPT_RATIONAL_DIGEST
