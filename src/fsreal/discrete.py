@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .model import FreeSpaceMatrix, PointSeq1D, Witness, rat
 from .forward import compute_matrix
 
@@ -82,9 +80,8 @@ def _mask_bits(mask: int) -> list[int]:
 def build_uig(matrix: FreeSpaceMatrix) -> UnitIntervalGraph:
     """Abstract unit-interval graph: an edge joins two columns that share a
     row with both entries 1."""
-    ent = matrix.entries
-    m = ent.shape[1]
-    row_masks = [int.from_bytes(np.packbits(r, bitorder="little").tobytes(), "little") for r in ent]
+    m = matrix.m_cols
+    row_masks = matrix.row_masks
     adj = [0] * m
     for rm in set(row_masks):  # equal rows add the same clique
         u = rm

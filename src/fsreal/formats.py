@@ -21,6 +21,7 @@ from .model import (
     Witness,
     rat,
     rat_str,
+    row_mask,
     structural_problems,
 )
 from .generators import SignVectorSet
@@ -104,7 +105,7 @@ def _to_obj(instance: Instance) -> dict:
             "kind": "matrix",
             "rows": instance.n_rows,
             "cols": instance.m_cols,
-            "entries": [[int(v) for v in row] for row in instance.entries],
+            "entries": instance.tolist(),
         }
     if isinstance(instance, FreeSpaceDiagram1D):
         cells = []
@@ -195,7 +196,7 @@ def _parse_matrix(obj: dict) -> FreeSpaceMatrix:
             if type(v) is not int or v not in (0, 1):
                 raise FormatError(f"matrix entries must be 0 or 1, got {v!r}")
     try:
-        return FreeSpaceMatrix(entries)
+        return FreeSpaceMatrix.from_row_masks(cols, map(row_mask, entries))
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 

@@ -4,16 +4,17 @@ per-cell ellipse geometry in the plane, and witness verification.
 In 1D both forward computations run on integers: the curves and eps are
 scaled by the least common multiple of their own denominators, and a
 diagram's widths, heights and slab intercepts are returned as Fractions.
+Only curves in R^d and the planar ellipse geometry use numpy, which they
+import when called.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
-
-import numpy as np
 
 from .model import (
     PARTIAL,
@@ -50,7 +51,8 @@ def _point_list(curve) -> list:
 
 
 def _is_1d(points: Sequence) -> bool:
-    return not isinstance(points[0], (tuple, list, np.ndarray))
+    """True for numbers, False for points given as tuples, lists or arrays."""
+    return not isinstance(points[0], (tuple, list)) and getattr(points[0], "ndim", 0) == 0
 
 
 def compute_matrix(p, q, eps, tol: float = TOL) -> FreeSpaceMatrix:
@@ -73,10 +75,12 @@ def compute_matrix(p, q, eps, tol: float = TOL) -> FreeSpaceMatrix:
     d = len(P[0])
     if any(len(v) != d for v in P) or any(len(v) != d for v in Q):
         raise ValueError("curves must live in the same dimension")
+    import numpy as np
+
     A = np.asarray(P, dtype=float)
     B = np.asarray(Q, dtype=float)
     dist = np.sqrt(((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2))
-    return FreeSpaceMatrix((dist <= eps + tol).astype(np.uint8))
+    return FreeSpaceMatrix(dist <= eps + tol)
 
 
 def _scaled_1d(P: Sequence[Fraction], Q: Sequence[Fraction], eps: Fraction) -> tuple[list[int], list[int], int, int]:
@@ -89,15 +93,17 @@ def _scaled_1d(P: Sequence[Fraction], Q: Sequence[Fraction], eps: Fraction) -> t
 
 
 def _matrix_1d(P, Q, eps: Fraction) -> FreeSpaceMatrix:
+    """Row i is the mask of the q_j in [p_i - eps, p_i + eps]: Q sorted once,
+    ``prefix[k]`` the mask of the k smallest, and row i the difference of
+    the prefixes at the window's two bisections."""
     pi, qi, ei, _ = _scaled_1d([rat(v) for v in P], [rat(v) for v in Q], eps)
-    bound = max((abs(x) for x in pi + qi + [ei]), default=0)
-    if bound < 2**62:
-        a = np.asarray(pi, dtype=np.int64)
-        b = np.asarray(qi, dtype=np.int64)
-        ent = (np.abs(a[:, None] - b[None, :]) <= ei).astype(np.uint8)
-        return FreeSpaceMatrix(ent)
-    ent = [[1 if abs(x - y) <= ei else 0 for y in qi] for x in pi]
-    return FreeSpaceMatrix(ent)
+    order = sorted(range(len(qi)), key=qi.__getitem__)
+    q_sorted = [qi[j] for j in order]
+    prefix = [0]
+    for j in order:
+        prefix.append(prefix[-1] | 1 << j)
+    rows = [prefix[bisect_right(q_sorted, p + ei)] ^ prefix[bisect_left(q_sorted, p - ei)] for p in pi]
+    return FreeSpaceMatrix.from_row_masks(len(qi), rows)
 
 
 def compute_diagram_1d(p: Curve1D, q: Curve1D, eps) -> FreeSpaceDiagram1D:
@@ -183,7 +189,10 @@ class RelativePlacement:
     mirror_ambiguous: bool = True
 
 
-def _seg_frame(seg) -> tuple[np.ndarray, np.ndarray, float]:
+def _seg_frame(seg) -> tuple:
+    """Start point, unit direction and length of a planar segment."""
+    import numpy as np
+
     a = np.asarray(seg[0], dtype=float)
     b = np.asarray(seg[1], dtype=float)
     d = b - a
@@ -200,6 +209,8 @@ def cell_ellipse_2d(seg_p, seg_q, eps: float, tol: float = TOL) -> EllipseCell:
     minimized/maximized over the cell box exactly (convexity puts the max at
     a corner), with absolute tolerance ``tol``.
     """
+    import numpy as np
+
     a0, u, lp = _seg_frame(seg_p)
     c0, v, lq = _seg_frame(seg_q)
     eps = float(eps)
@@ -252,6 +263,8 @@ def cell_ellipse_2d(seg_p, seg_q, eps: float, tol: float = TOL) -> EllipseCell:
 
 
 def _box_min(f, c, w, u, v, lp, lq) -> float:
+    import numpy as np
+
     best = min(f(x, y) for x in (0.0, lp) for y in (0.0, lq))
     den = 1.0 - c * c
     if den > 1e-15:

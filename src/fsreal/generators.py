@@ -1,5 +1,6 @@
 """Instance factories: hardness-reduction constructions and seeded random
-instances built through the forward computation."""
+instances built through the forward computation. Only the planar geometry
+of ``arrangement_to_witness`` uses numpy, which it imports when called."""
 
 from __future__ import annotations
 
@@ -8,8 +9,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
-
-import numpy as np
 
 from .model import (
     CellContent,
@@ -111,15 +110,11 @@ def gen_stretchability(signs: SignVectorSet) -> FreeSpaceMatrix:
     sign vectors describe a line arrangement: column j sets row i to 1 iff
     v_j[i] = +, and row n+i to 1 iff v_j[i] = -."""
     n = signs.n
-    cols = len(signs.vectors)
-    ent = np.zeros((2 * n, cols), dtype=np.uint8)
+    rows = [0] * (2 * n)
     for j, vec in enumerate(signs.vectors):
         for i, sign in enumerate(vec):
-            if sign > 0:
-                ent[i][j] = 1
-            else:
-                ent[n + i][j] = 1
-    return FreeSpaceMatrix(ent)
+            rows[i if sign > 0 else n + i] |= 1 << j
+    return FreeSpaceMatrix.from_row_masks(len(signs.vectors), rows)
 
 
 @dataclass(frozen=True)
@@ -153,6 +148,8 @@ def arrangement_to_witness(
         raise ValueError("need one line per sign coordinate")
     if len(cell_points) != len(signs.vectors):
         raise ValueError("need one interior point per sign vector")
+    import numpy as np
+
     pts = [np.asarray(p, dtype=float) for p in cell_points]
     for vec, point in zip(signs.vectors, pts):
         actual = tuple(line.side(point) for line in lines)
@@ -190,6 +187,8 @@ def arrangement_to_witness(
 
 
 def _disks_contain(signs, lines, pts, touches, normals, r: float) -> bool:
+    import numpy as np
+
     for i in range(signs.n):
         above = touches[i] + r * normals[i]
         below = touches[i] - r * normals[i]
@@ -230,11 +229,11 @@ def gen_random_instance(
             e = float(eps) if eps is not None else rng.uniform(1, max_coord)
             matrix = compute_matrix(CurveD(p), CurveD(q), e)
         if mutate:
-            ent = matrix.entries.copy()
-            i = rng.randrange(ent.shape[0])
-            j = rng.randrange(ent.shape[1])
-            ent[i][j] ^= 1
-            matrix = FreeSpaceMatrix(ent)
+            rows = list(matrix.row_masks)
+            i = rng.randrange(matrix.n_rows)
+            j = rng.randrange(matrix.m_cols)
+            rows[i] ^= 1 << j
+            matrix = FreeSpaceMatrix.from_row_masks(matrix.m_cols, rows)
         return matrix
     if kind == "diagram":
         e = rat(eps) if eps is not None else rng.randint(1, 3)

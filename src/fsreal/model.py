@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-import numpy as np
-
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
@@ -261,44 +259,138 @@ def cell_edge_interval(
     return a2, b2
 
 
-class FreeSpaceMatrix:
-    """Boolean n x m matrix; rows index P points, columns index Q points."""
+_NOT_2D = "matrix must be two-dimensional and non-empty"
+_NOT_BINARY = "matrix entries must be 0 or 1"
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
-    __slots__ = ("entries",)
+
+class FreeSpaceMatrix:
+    """Boolean n x m matrix; rows index P points, columns index Q points.
+
+    The matrix is ``m_cols`` and ``row_masks``, a tuple of one Python int per
+    row: bit j of ``row_masks[i]`` is entry (i, j). Equality, hashing,
+    serialization and every solver read the masks, so a matrix needs no
+    numpy; ``entries`` builds the n x m uint8 numpy array on demand.
+    """
+
+    __slots__ = ("m_cols", "row_masks")
 
     def __init__(self, entries):
-        arr = np.asarray(entries)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError("matrix must be two-dimensional and non-empty")
-        # checked before the cast, which would truncate floats and wrap ints
-        if arr.dtype.kind not in "biu" or (arr.dtype.kind != "b" and (arr >> 1).any()):
-            raise ValueError("matrix entries must be 0 or 1")
-        arr = arr.astype(np.uint8)
-        arr.flags.writeable = False
-        self.entries = arr
+        """``entries``: rows of 0/1 ints or bools (Python or numpy), or a
+        two-dimensional numpy array of a bool or integer dtype."""
+        if hasattr(entries, "dtype") and hasattr(entries, "ndim"):
+            m, masks = _array_masks(entries)
+        else:
+            m, masks = _list_masks(entries)
+        self.m_cols = m
+        self.row_masks = masks
+
+    @classmethod
+    def from_row_masks(cls, m_cols: int, row_masks) -> "FreeSpaceMatrix":
+        """The matrix of ``m_cols`` columns whose row i is the int mask
+        ``row_masks[i]``."""
+        if m_cols < 1:
+            raise ValueError(_NOT_2D)
+        masks = tuple(row_masks)
+        if not masks:
+            raise ValueError(_NOT_2D)
+        if any(type(r) is not int or r < 0 or r >> m_cols for r in masks):
+            raise ValueError(f"row masks must be ints in [0, 2^{m_cols})")
+        matrix = object.__new__(cls)
+        matrix.m_cols = m_cols
+        matrix.row_masks = masks
+        return matrix
 
     @property
     def n_rows(self) -> int:
-        return int(self.entries.shape[0])
+        return len(self.row_masks)
+
+    def tolist(self) -> list[list[int]]:
+        """The entries as n lists of m ints 0/1."""
+        m = self.m_cols
+        return [list(format(r, f"0{m}b")[::-1].encode().translate(_BIT_BYTES)) for r in self.row_masks]
 
     @property
-    def m_cols(self) -> int:
-        return int(self.entries.shape[1])
+    def entries(self):
+        """The entries as a new read-only n x m uint8 numpy array."""
+        import numpy as np
+
+        width = (self.m_cols + 7) // 8
+        packed = b"".join(r.to_bytes(width, "little") for r in self.row_masks)
+        arr = np.frombuffer(packed, dtype=np.uint8).reshape(self.n_rows, width)
+        arr = np.unpackbits(arr, axis=1, count=self.m_cols, bitorder="little")
+        arr.flags.writeable = False
+        return arr
 
     def row_sets(self) -> list[frozenset[int]]:
-        return [frozenset(np.nonzero(r)[0].tolist()) for r in self.entries]
+        out = []
+        for r in self.row_masks:
+            cols = []
+            while r:
+                cols.append((r & -r).bit_length() - 1)
+                r &= r - 1
+            out.append(frozenset(cols))
+        return out
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FreeSpaceMatrix):
-            return np.array_equal(self.entries, other.entries)
+            return self.m_cols == other.m_cols and self.row_masks == other.row_masks
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.entries.shape, self.entries.tobytes()))
+        return hash((self.m_cols, self.row_masks))
 
     def __repr__(self) -> str:
-        rows = ["".join(str(int(v)) for v in r) for r in self.entries]
+        rows = [format(r, f"0{self.m_cols}b")[::-1] for r in self.row_masks]
         return f"FreeSpaceMatrix([{', '.join(rows)}])"
+
+
+def row_mask(bits: list[int]) -> int:
+    """The int mask of a nonempty list of 0/1 ints: bit j is ``bits[j]``."""
+    return int(bytes(bits[::-1]).translate(_BIT_DIGITS), 2)
+
+
+def _array_masks(arr) -> tuple[int, tuple[int, ...]]:
+    import numpy as np
+
+    arr = np.asarray(arr)
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise ValueError(_NOT_2D)
+    # checked before the cast, which would truncate floats and wrap ints
+    if arr.dtype.kind not in "biu" or (arr.dtype.kind != "b" and (arr >> 1).any()):
+        raise ValueError(_NOT_BINARY)
+    packed = np.packbits(arr.astype(bool), axis=1, bitorder="little")
+    return int(arr.shape[1]), tuple(int.from_bytes(r.tobytes(), "little") for r in packed)
+
+
+def _entry_bit(v) -> int:
+    """0 or 1 for an int or bool entry, Python or numpy scalar."""
+    if type(v) is not int and type(v) is not bool:
+        dtype = getattr(v, "dtype", None)
+        if dtype is None or dtype.kind not in "biu" or getattr(v, "ndim", 0) != 0:
+            raise ValueError(_NOT_BINARY)
+        v = int(v)
+    if v not in (0, 1):
+        raise ValueError(_NOT_BINARY)
+    return int(v)
+
+
+def _is_sequence(x) -> bool:
+    """True for what numpy reads as an axis: not a string, not an iterator."""
+    try:
+        return iter(x) is not x and not isinstance(x, (str, bytes))
+    except TypeError:
+        return False
+
+
+def _list_masks(entries) -> tuple[int, tuple[int, ...]]:
+    if not _is_sequence(entries):
+        raise ValueError(_NOT_2D)
+    rows = [list(r) if _is_sequence(r) else None for r in entries]
+    if not rows or None in rows or not rows[0] or any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError(_NOT_2D)
+    return len(rows[0]), tuple(row_mask([_entry_bit(v) for v in r]) for r in rows)
 
 
 @dataclass(frozen=True)

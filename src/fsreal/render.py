@@ -24,7 +24,7 @@ Renderable = Union[FreeSpaceMatrix, FreeSpaceDiagram1D, Witness]
 
 def render_ascii(instance: Renderable) -> str:
     if isinstance(instance, FreeSpaceMatrix):
-        lines = ["".join("#" if v else "." for v in row) for row in instance.entries]
+        lines = ["".join("#" if v else "." for v in row) for row in instance.tolist()]
         return "\n".join(lines) + "\n"
     if isinstance(instance, FreeSpaceDiagram1D):
         rows = []
@@ -97,9 +97,9 @@ def render_svg(instance: Renderable, scale: float = 24.0) -> str:
 def _matrix_svg(m: FreeSpaceMatrix, scale: float) -> str:
     elems = []
     n, cols = m.n_rows, m.m_cols
-    for i in range(n):
-        for j in range(cols):
-            fill = "#ffffff" if m.entries[i][j] else "#555555"
+    for i, row in enumerate(m.tolist()):
+        for j, v in enumerate(row):
+            fill = "#ffffff" if v else "#555555"
             y = (n - 1 - i) * scale
             elems.append(
                 f'<rect x="{j * scale:.2f}" y="{y:.2f}" width="{scale:.2f}" height="{scale:.2f}" '

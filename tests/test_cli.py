@@ -31,6 +31,26 @@ def test_solve_discrete_yes_with_witness(tmp_path, capsys):
     assert main(["verify", "--instance", path, "--witness", out]) == 0
 
 
+def test_parser_built_once_and_options_do_not_carry_over(tmp_path, capsys):
+    from fsreal import FreeSpaceMatrix
+    from fsreal.cli import _parser
+
+    path = _write(tmp_path, "m.json", FreeSpaceMatrix([[1, 0], [1, 1], [0, 1]]))
+    witness = tmp_path / "w.json"
+    assert main(["solve", "--mode", "discrete1d", "--in", path, "--witness", str(witness)]) == 0
+    assert capsys.readouterr().out == "YES\n"
+    witness.unlink()
+    assert main(["solve", "--mode", "discrete1d", "--in", path]) == 0
+    assert capsys.readouterr().out == "YES\n"
+    assert not witness.exists()
+    # --partition and --out of one gen call are gone in the next
+    part = tmp_path / "part.json"
+    assert main(["gen", "--partition", "1,1", "--out", str(part)]) == 0
+    assert main(["gen", "--random", "3", "--kind", "matrix"]) == 0
+    assert parse(capsys.readouterr().out) == gen_random_instance(3, kind="matrix")
+    assert _parser() is _parser()
+
+
 def test_gen_partition_pipe_to_fpt(tmp_path):
     inst = str(tmp_path / "part.json")
     assert main(["gen", "--partition", "3,2,1,2", "--out", inst]) == 0

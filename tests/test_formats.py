@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from fsreal import (
     Curve1D,
     CurveD,
+    FreeSpaceMatrix,
     PointSeq1D,
     SignVectorSet,
     Witness,
@@ -61,6 +63,28 @@ def test_rational_string_parsing():
     obj = json.loads(serialize(d))
     assert obj["epsilon"] == "1/3"
     assert parse(json.dumps(obj)).epsilon == Fraction(1, 3)
+
+
+def test_matrix_parse_builds_row_masks():
+    rng = random.Random(6)
+    for n, m in ((1, 1), (3, 70), (9, 130)):
+        ent = [[rng.randint(0, 1) for _ in range(m)] for _ in range(n)]
+        obj = {"format": "fsreal/1", "kind": "matrix", "rows": n, "cols": m, "entries": ent}
+        text = json.dumps(obj, indent=2) + "\n"
+        matrix = parse(text)
+        assert matrix == FreeSpaceMatrix(ent)
+        assert matrix.row_masks == tuple(sum(v << j for j, v in enumerate(row)) for row in ent)
+        assert serialize(matrix) == text
+
+
+@pytest.mark.parametrize(
+    "rows, cols, entries",
+    [(0, 0, []), (1, 0, [[]]), (2, 2, [[1, 0], [1]]), (1, 2, [[1, 0], [0, 1]]), (1, 1, [1]), (1, 2, [[0, -1]])],
+)
+def test_matrix_bad_shape_rejected(rows, cols, entries):
+    obj = {"format": "fsreal/1", "kind": "matrix", "rows": rows, "cols": cols, "entries": entries}
+    with pytest.raises(FormatError):
+        parse(json.dumps(obj))
 
 
 def test_bad_entry_rejected():

@@ -1,7 +1,8 @@
-"""Golden digest of the diagram solvers' answers.
+"""Golden digests of the solvers' answers.
 
 The sha256 of the serialized witnesses (null for NO) that ``solve_pseudo_poly``
-and ``solve_fpt`` return on a small seeded corpus. A refactor that keeps
+and ``solve_fpt`` return on a small seeded corpus of diagrams, and that the
+discrete solver returns on a seeded corpus of matrices. A refactor that keeps
 verdicts and witnesses byte-identical keeps both digests; a change that
 alters a witness on purpose must say so and update the digest here.
 """
@@ -11,7 +12,17 @@ import json
 import random
 from fractions import Fraction
 
-from fsreal import CellContent, FreeSpaceDiagram1D, gen_random_instance, infer_creases, solve_fpt, solve_pseudo_poly
+from fsreal import (
+    CellContent,
+    FreeSpaceDiagram1D,
+    FreeSpaceMatrix,
+    compute_matrix,
+    gen_random_instance,
+    infer_creases,
+    solve_discrete_1d,
+    solve_fpt,
+    solve_pseudo_poly,
+)
 from fsreal.formats import serialize
 
 from conftest import random_rational_diagram
@@ -25,6 +36,10 @@ FPT_DIGEST = "c0d64d2038d869dd70be47c1f46bffeeba89376e335f236ac3143e2ff0d6325c"
 # 100 forward diagrams of rational curves, then 60 all-full and 40 all-empty
 # grids of rational sizes (the centred and the far placement)
 FPT_RATIONAL_DIGEST = "7ff8ef20d9553fff3de70e8e858249e5c6dd67ba13e461cc99324495379f3aa5"
+# the discrete solver on 120 criterion-1 round trips, 300 random matrices up
+# to 8x8 (94 of the 429 answers are NO), 8 walk matrices and one pair of
+# points beyond 2^62, which an int64 forward kernel could not hold
+DISCRETE_DIGEST = "f7be27afda0f93cb0e4dcdda9dbda98169cf1af47c0bd0936671073ef1a16b9f"
 
 
 def _corpus():
@@ -75,3 +90,36 @@ def test_witness_digests():
 
 def test_rational_fpt_witness_digest():
     assert _digest(solve_fpt, list(_rational_corpus())) == FPT_RATIONAL_DIGEST
+
+
+def _walk(rng: random.Random, k: int) -> list[int]:
+    pts = [0]
+    for _ in range(k - 1):
+        pts.append(pts[-1] + rng.randint(-9, 9))
+    return pts
+
+
+def _discrete_corpus():
+    rng = random.Random(11)
+    for _ in range(120):
+        n, m = rng.randint(1, 50), rng.randint(1, 50)
+        den = rng.choice([1, 2, 3, 4, 8])
+        p = [Fraction(rng.randint(-300, 300), den) for _ in range(n)]
+        q = [Fraction(rng.randint(-300, 300), den) for _ in range(m)]
+        yield compute_matrix(p, q, Fraction(rng.randint(1, 120), 2))
+    for _ in range(300):
+        n, m, density = rng.randint(1, 8), rng.randint(1, 8), rng.uniform(0.2, 0.8)
+        yield FreeSpaceMatrix([[int(rng.random() < density) for _ in range(m)] for _ in range(n)])
+    for k in range(8):
+        p, q = _walk(rng, 40 + 20 * k), _walk(rng, 120 - 10 * k)
+        yield compute_matrix(p, q, max(9, (max(p + q) - min(p + q)) // 16) if k % 2 else 1)
+    big = 2**62
+    p = [Fraction(big + 3 * v, 2) for v in _walk(rng, 30)]
+    q = [big // 2 + 2 * v for v in _walk(rng, 25)]
+    yield compute_matrix(p, q, Fraction(17, 2))
+
+
+def test_discrete_witness_digest():
+    matrices = list(_discrete_corpus())
+    assert len(matrices) == 429
+    assert _digest(solve_discrete_1d, matrices) == DISCRETE_DIGEST

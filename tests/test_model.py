@@ -99,6 +99,48 @@ def test_matrix_accepts_bool_and_int_arrays():
     expected = FreeSpaceMatrix([[1, 0]])
     assert FreeSpaceMatrix([[True, False]]) == expected
     assert FreeSpaceMatrix(np.array([[1, 0]], dtype=np.int64)) == expected
+    assert FreeSpaceMatrix(np.array([[True, False]])) == expected
+    assert FreeSpaceMatrix([np.array([1, 0], dtype=np.uint8)]) == expected
+    assert FreeSpaceMatrix([[np.int64(1), np.bool_(False)]]) == expected
+    assert FreeSpaceMatrix(((1, 0),)) == expected
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [[], [[]], [1, 0], [[1, 0], [1]], [[[1]]], [[1, 0], 7], 5, "10", ["10"], [b"\x01\x00"],
+     (r for r in [[1, 0]]), np.zeros((0, 3), dtype=int), np.zeros(3, dtype=int), np.zeros((1, 1, 1), dtype=int),
+     np.array([[1.0, 0.0]]), np.array([[2, 0]]), np.array([[-1, 0]]), [[np.float64(1.0), 0]], [[None, 0]]],
+)
+def test_matrix_rejects_bad_shapes_and_types(bad):
+    with pytest.raises(ValueError):
+        FreeSpaceMatrix(bad)
+
+
+def test_matrix_row_masks_and_views():
+    rng = random.Random(4)
+    for _ in range(40):
+        n, m = rng.randint(1, 9), rng.randint(1, 140)
+        ent = [[rng.randint(0, 1) for _ in range(m)] for _ in range(n)]
+        matrix = FreeSpaceMatrix(ent)
+        assert matrix.n_rows == n and matrix.m_cols == m
+        assert matrix.row_masks == tuple(sum(v << j for j, v in enumerate(row)) for row in ent)
+        assert matrix.tolist() == ent
+        arr = matrix.entries
+        assert arr.dtype == np.uint8 and arr.shape == (n, m) and not arr.flags.writeable
+        assert arr.tolist() == ent
+        assert FreeSpaceMatrix(arr) == matrix and FreeSpaceMatrix(np.array(ent, dtype=bool)) == matrix
+        assert FreeSpaceMatrix.from_row_masks(m, matrix.row_masks) == matrix
+        assert hash(FreeSpaceMatrix.from_row_masks(m, matrix.row_masks)) == hash(matrix)
+        assert matrix.row_sets() == [frozenset(j for j in range(m) if row[j]) for row in ent]
+        assert repr(matrix) == f"FreeSpaceMatrix([{', '.join(''.join(map(str, row)) for row in ent)}])"
+    # same masks, another width
+    assert FreeSpaceMatrix([[1, 0]]) != FreeSpaceMatrix([[1, 0, 0]])
+
+
+@pytest.mark.parametrize("m, masks", [(0, [0]), (2, []), (2, [4]), (2, [-1]), (2, [True]), (2, [1.0])])
+def test_from_row_masks_rejects_out_of_range(m, masks):
+    with pytest.raises(ValueError):
+        FreeSpaceMatrix.from_row_masks(m, masks)
 
 
 def _single_cell(cell, w=2, h=2, eps=1):
@@ -146,15 +188,53 @@ def test_boundary_consistency_detection():
     assert consistency_problems(d)
 
 
-def test_boundary_check_symmetric():
-    rng = random.Random(3)
-    for seed in range(30):
-        d = random_integer_diagram(seed, rng.randint(1, 4), rng.randint(1, 3), rng.randint(1, 3))
+def test_grid_lines_agree_and_a_shifted_slab_is_named():
+    # forward diagrams: every shared grid line has one white interval from
+    # both sides; shifting one slab breaks exactly the shared lines where its
+    # own edge interval moved, and consistency_problems names those
+    named = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        d = random_integer_diagram(seed, rng.randint(1, 5), rng.randint(1, 4), rng.randint(1, 3))
+        w, h = d.col_widths, d.row_heights
+
+        def edge(cells, i, j, side):
+            return cell_edge_interval(cells[i][j], w[i], h[j], side)
+
         for j in range(d.m_rows):
             for i in range(d.n_cols - 1):
-                left = cell_edge_interval(d.cells[i][j], d.col_widths[i], d.row_heights[j], "R")
-                right = cell_edge_interval(d.cells[i + 1][j], d.col_widths[i + 1], d.row_heights[j], "L")
-                assert (left == right) == (right == left)
+                assert edge(d.cells, i, j, "R") == edge(d.cells, i + 1, j, "L")
+        for i in range(d.n_cols):
+            for j in range(d.m_rows - 1):
+                assert edge(d.cells, i, j, "T") == edge(d.cells, i, j + 1, "B")
+        assert consistency_problems(d) == []
+
+        for i in range(d.n_cols):
+            for j in range(d.m_rows):
+                c = d.cells[i][j]
+                if c.status != PARTIAL:
+                    continue
+                for shift in (-1, 1):
+                    cells = [list(col) for col in d.cells]
+                    cells[i][j] = CellContent(PARTIAL, c.sigma, c.c_lo + shift, c.c_hi + shift)
+                    shifted = FreeSpaceDiagram1D(d.epsilon, w, h, cells)
+                    if structural_problems(shifted):
+                        continue
+                    moved = {side for side in "LRBT" if edge(cells, i, j, side) != edge(d.cells, i, j, side)}
+                    expected = set()
+                    if i > 0 and "L" in moved:
+                        expected.add(f"grid line between columns {i - 1},{i} at row {j}")
+                    if i < d.n_cols - 1 and "R" in moved:
+                        expected.add(f"grid line between columns {i},{i + 1} at row {j}")
+                    if j > 0 and "B" in moved:
+                        expected.add(f"grid line between rows {j - 1},{j} at column {i}")
+                    if j < d.m_rows - 1 and "T" in moved:
+                        expected.add(f"grid line between rows {j},{j + 1} at column {i}")
+                    problems = consistency_problems(shifted)
+                    assert {p.removesuffix(": white sets disagree") for p in problems} == expected
+                    assert len(problems) == len(expected)
+                    named += bool(expected)
+    assert named > 100
 
 
 def test_forward_diagrams_always_validate():
