@@ -1,9 +1,18 @@
 """Polynomial-time realizability of a free space matrix by curves on the line.
 
-Pipeline per connected component of the derived unit-interval graph:
-anchored BFS ordering, two order refinements, a greedy unit-interval
+The solver decides the twin quotient of the matrix: each distinct row and
+each distinct column kept once, in order of first occurrence. Twins share a
+value in the witness: every row takes the P value of its quotient row and
+every column the Q value of its quotient column. This is sound and complete,
+since the quotient is a submatrix of the matrix, and giving a twin column
+the Q value of its representative makes the two columns equal, as they are
+in the matrix (rows likewise). A twin-free matrix is its own quotient.
+
+Pipeline per connected component of the quotient's derived unit-interval
+graph: anchored BFS ordering, two order refinements, a greedy unit-interval
 arrangement, and verification that every row's prescribed cell exists.
-Every YES answer carries a witness reproducing the matrix exactly.
+Every YES answer carries a witness that reproduces the caller's matrix
+exactly.
 
 Every set of columns, from the adjacency of the graph through the row
 refinements to the blocks of the linear extension, is a Python int mask
@@ -77,13 +86,52 @@ def _mask_bits(mask: int) -> list[int]:
     return out
 
 
+def twin_quotient(matrix: FreeSpaceMatrix) -> tuple[FreeSpaceMatrix, list[int], list[int]]:
+    """The matrix with equal rows merged and equal columns merged, each kept
+    once in order of first occurrence; and ``row_class``, ``col_class``, the
+    quotient row of each row and the quotient column of each column.
+
+    The column classes are refined by the distinct rows only: a row moves
+    its part of every class it cuts into a new class, so two columns share
+    a class iff they agree on every row. The work is bounded by the ones of
+    the distinct rows."""
+    row_index: dict[int, int] = {}
+    row_class = [row_index.setdefault(r, len(row_index)) for r in matrix.row_masks]
+    m = matrix.m_cols
+    masks = [(1 << m) - 1]
+    class_of = [0] * m
+    for row in row_index:
+        while row:
+            c = class_of[(row & -row).bit_length() - 1]
+            sub = row & masks[c]
+            row ^= sub
+            if sub != masks[c]:
+                masks[c] ^= sub
+                for v in _mask_bits(sub):
+                    class_of[v] = len(masks)
+                masks.append(sub)
+    # quotient column k is the class with the k-th smallest first column
+    rank = [0] * len(masks)
+    for k, c in enumerate(sorted(range(len(masks)), key=lambda c: masks[c] & -masks[c])):
+        rank[c] = k
+    rows = []
+    for row in row_index:
+        q = 0
+        while row:
+            c = class_of[(row & -row).bit_length() - 1]
+            q |= 1 << rank[c]
+            row ^= masks[c]
+        rows.append(q)
+    return FreeSpaceMatrix.from_row_masks(len(masks), rows), row_class, [rank[c] for c in class_of]
+
+
 def build_uig(matrix: FreeSpaceMatrix) -> UnitIntervalGraph:
     """Abstract unit-interval graph: an edge joins two columns that share a
     row with both entries 1."""
     m = matrix.m_cols
     row_masks = matrix.row_masks
     adj = [0] * m
-    for rm in set(row_masks):  # equal rows add the same clique
+    for rm in row_masks:
         u = rm
         while u:
             v = (u & -u).bit_length() - 1
@@ -440,16 +488,21 @@ def _solve_component(g: UnitIntervalGraph, component: list[int], comp_rows: list
 def solve(matrix, eps=Fraction(1, 2)) -> Optional[Witness]:
     """Decide realizability of a free space matrix in R^1.
 
-    Returns a verified witness (built at eps = 1/2 and rescaled to ``eps``)
-    or None. Components are placed left to right with gaps above 2*eps;
-    empty rows land in the leftmost outside cell.
+    Decides the twin quotient (see :func:`twin_quotient`) and expands its
+    witness by copying: every row takes its quotient row's P value and every
+    column its quotient column's Q value, so equal rows share a point and
+    equal columns share a point. Returns a witness (built at eps = 1/2 and
+    rescaled to ``eps``) that forward computation checks against the
+    caller's matrix, or None. Components are placed left to right with gaps
+    above 2*eps; empty rows land in the leftmost outside cell.
     """
     if not isinstance(matrix, FreeSpaceMatrix):
         matrix = FreeSpaceMatrix(matrix)
     eps = rat(eps)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    g = build_uig(matrix)
+    quotient, row_class, col_class = twin_quotient(matrix)
+    g = build_uig(quotient)
     components = g.components()
     # a nonempty row is a clique, so its lowest column names its component
     comp_of = [0] * g.m
@@ -472,8 +525,8 @@ def solve(matrix, eps=Fraction(1, 2)) -> Optional[Witness]:
     # plus a gap of 2, or 0 for the first. Point x lands at base + x/u, and
     # the witness is that scaled by eps/(1/2).
     scale = 2 * eps
-    q_points = [Fraction(0)] * matrix.m_cols
-    p_points = [-3 * eps] * matrix.n_rows  # 2*eps left of every interval
+    q_points = [Fraction(0)] * quotient.m_cols
+    p_points = [-3 * eps] * quotient.n_rows  # 2*eps left of every interval
     base = Fraction(0)
     for positions, row_points in solved:
         unit = 8 * len(positions)
@@ -487,7 +540,9 @@ def solve(matrix, eps=Fraction(1, 2)) -> Optional[Witness]:
         for r_idx, x in row_points.items():
             p_points[r_idx] = Fraction(at_zero + per_unit * x, den)
         base += Fraction(max(positions.values()), unit) + 2
-    witness = Witness(PointSeq1D(p_points), PointSeq1D(q_points), eps)
+    witness = Witness(
+        PointSeq1D([p_points[k] for k in row_class]), PointSeq1D([q_points[c] for c in col_class]), eps
+    )
     if compute_matrix(witness.curve_p, witness.curve_q, eps) != matrix:
         raise AssertionError("internal error: discrete witness failed verification")
     return witness

@@ -95,18 +95,22 @@ def _eps_in(value, exact: bool):
 
 
 def serialize(instance: Instance) -> str:
+    """Indented JSON; a matrix keeps each row of entries on one line."""
+    if isinstance(instance, FreeSpaceMatrix):
+        return _matrix_text(instance)
     return json.dumps(_to_obj(instance), indent=2) + "\n"
 
 
+def _matrix_text(matrix: FreeSpaceMatrix) -> str:
+    m = matrix.m_cols
+    rows = ",\n".join("    [" + ", ".join(format(r, f"0{m}b")[::-1]) + "]" for r in matrix.row_masks)
+    return (
+        f'{{\n  "format": "{FORMAT}",\n  "kind": "matrix",\n  "rows": {matrix.n_rows},\n  "cols": {m},\n'
+        f'  "entries": [\n{rows}\n  ]\n}}\n'
+    )
+
+
 def _to_obj(instance: Instance) -> dict:
-    if isinstance(instance, FreeSpaceMatrix):
-        return {
-            "format": FORMAT,
-            "kind": "matrix",
-            "rows": instance.n_rows,
-            "cols": instance.m_cols,
-            "entries": instance.tolist(),
-        }
     if isinstance(instance, FreeSpaceDiagram1D):
         cells = []
         for col in instance.cells:

@@ -13,9 +13,11 @@ from fractions import Fraction
 import numpy as np
 
 import fsreal as fs
-from fsreal.bruteforce import brute_force_continuous_1d, realizable_row_families
+from fsreal.bruteforce import brute_force_continuous_1d
 from fsreal.forward import PARTIAL_ELLIPSE
 from fsreal.formats import parse, serialize
+
+from test_exhaustive_discrete import disagreements as exhaustive_disagreements
 
 
 def _report(num, text):
@@ -45,27 +47,7 @@ def test_criterion_1_discrete_round_trip():
 def test_criterion_2_discrete_exhaustive_oracle_equivalence():
     budget = 60.0
     t0 = time.monotonic()
-    n = m = 4
-    fam_masks = []
-    for fam in realizable_row_families(m):
-        mask = 0
-        for cover in fam:
-            bits = 0
-            for c in cover:
-                bits |= 1 << c
-            mask |= 1 << bits
-        fam_masks.append(mask)
-    disagreements = 0
-    for code in range(1 << (n * m)):
-        rows = [(code >> (m * r)) & 0xF for r in range(n)]
-        rowset = 0
-        for rmask in rows:
-            rowset |= 1 << rmask
-        oracle_yes = any((rowset & ~fm) == 0 for fm in fam_masks)
-        ent = [[(rmask >> c) & 1 for c in range(m)] for rmask in rows]
-        solver_yes = fs.solve_discrete_1d(ent) is not None
-        if oracle_yes != solver_yes:
-            disagreements += 1
+    disagreements, _ = exhaustive_disagreements(4, 4)
     elapsed = time.monotonic() - t0
     assert disagreements == 0
     assert elapsed < budget, f"{elapsed:.1f}s over the {budget}s budget"

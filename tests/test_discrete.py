@@ -15,6 +15,7 @@ from fsreal.discrete import (
     extend_global_order,
     refine_by_d,
     refine_by_rows,
+    twin_quotient,
     verify_and_witness,
 )
 
@@ -374,3 +375,80 @@ def test_forward_walk_matrices_solve_yes():
             sizes = [len(c) for c in build_uig(matrix).components()]
             assert max(sizes) > 100 if giant else len(sizes) >= 5
             _assert_verified_yes(matrix)
+
+
+def test_twin_quotient_keeps_first_occurrences():
+    # rows 0 and 2 are equal, as are columns 0 and 3; column 2 is all zero
+    matrix = FreeSpaceMatrix([[1, 1, 0, 1], [0, 1, 0, 0], [1, 1, 0, 1], [1, 0, 0, 1]])
+    quotient, row_class, col_class = twin_quotient(matrix)
+    assert quotient == FreeSpaceMatrix([[1, 1, 0], [0, 1, 0], [1, 0, 0]])
+    assert row_class == [0, 1, 0, 2]
+    assert col_class == [0, 1, 2, 0]
+
+
+def test_twin_free_matrix_is_its_own_quotient():
+    matrix = FreeSpaceMatrix([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    assert twin_quotient(matrix) == (matrix, [0, 1, 2], [0, 1, 2])
+
+
+def _blow_up(rng, ent):
+    """``ent`` with each row and each column repeated 1 to 3 times, then the
+    rows and the columns shuffled."""
+    rows = [row for row in ent for _ in range(rng.randint(1, 3))]
+    cols = [j for j in range(len(ent[0])) for _ in range(rng.randint(1, 3))]
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    return FreeSpaceMatrix([[row[j] for j in cols] for row in rows])
+
+
+def _assert_twins_share_points(matrix, witness):
+    """Equal rows got equal P values, equal columns equal Q values, and the
+    witness reproduces the matrix."""
+    rows = [tuple(row) for row in matrix.tolist()]
+    for points, lines in ((witness.curve_p.points, rows), (witness.curve_q.points, list(zip(*rows)))):
+        first: dict[tuple, Fraction] = {}
+        for line, x in zip(lines, points):
+            assert first.setdefault(line, x) == x
+    assert compute_matrix(witness.curve_p, witness.curve_q, witness.epsilon) == matrix
+
+
+def test_twin_blow_up_keeps_verdict_and_twins_share_points():
+    # bases: random matrices of at most 5 columns, labelled by the oracle,
+    # and round trips of small integer point sets, YES by construction
+    rng = random.Random(12)
+    bases = []
+    for _ in range(150):
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        ent = [[rng.randint(0, 1) for _ in range(m)] for _ in range(n)]
+        bases.append((ent, brute_force_discrete_1d(FreeSpaceMatrix(ent)) is not None))
+    for _ in range(50):
+        p = [rng.randint(-15, 15) for _ in range(rng.randint(1, 10))]
+        q = [rng.randint(-15, 15) for _ in range(rng.randint(1, 10))]
+        bases.append((compute_matrix(p, q, rng.randint(1, 5)).tolist(), True))
+    verdicts = []
+    for ent, expected in bases:
+        blown = _blow_up(rng, ent)
+        witness = solve_discrete_1d(blown)
+        assert (witness is not None) == expected
+        if witness is not None:
+            _assert_twins_share_points(blown, witness)
+        verdicts.append(expected)
+    assert verdicts.count(False) >= 15 and verdicts.count(True) >= 150
+
+
+def test_zero_column_block_and_empty_rows_share_points():
+    rng = random.Random(4)
+    # a path with a block of three all-zero columns, and an empty row
+    ent = [[1, 1, 0, 0, 0, 0], [0, 1, 1, 0, 0, 0], [0, 0, 0, 0, 0, 0]]
+    blown = _blow_up(rng, ent)
+    witness = solve_discrete_1d(blown)
+    assert witness is not None
+    _assert_twins_share_points(blown, witness)
+    assert len(set(witness.curve_q.points)) == 4  # three path columns, one zero class
+    # every row empty: one point for P, one for Q
+    for n, m in ((1, 1), (3, 4), (5, 2)):
+        empty = FreeSpaceMatrix([[0] * m for _ in range(n)])
+        witness = solve_discrete_1d(empty)
+        assert witness is not None
+        _assert_twins_share_points(empty, witness)
+        assert len(set(witness.curve_p.points)) == len(set(witness.curve_q.points)) == 1

@@ -65,16 +65,36 @@ def test_rational_string_parsing():
     assert parse(json.dumps(obj)).epsilon == Fraction(1, 3)
 
 
+def _random_entries(rng, n, m):
+    return [[rng.randint(0, 1) for _ in range(m)] for _ in range(n)]
+
+
 def test_matrix_parse_builds_row_masks():
     rng = random.Random(6)
     for n, m in ((1, 1), (3, 70), (9, 130)):
-        ent = [[rng.randint(0, 1) for _ in range(m)] for _ in range(n)]
-        obj = {"format": "fsreal/1", "kind": "matrix", "rows": n, "cols": m, "entries": ent}
-        text = json.dumps(obj, indent=2) + "\n"
+        ent = _random_entries(rng, n, m)
+        # one row of entries per line
+        rows = ",\n".join("    [" + ", ".join(map(str, row)) + "]" for row in ent)
+        text = (
+            '{\n  "format": "fsreal/1",\n  "kind": "matrix",\n'
+            f'  "rows": {n},\n  "cols": {m},\n  "entries": [\n{rows}\n  ]\n}}\n'
+        )
         matrix = parse(text)
         assert matrix == FreeSpaceMatrix(ent)
         assert matrix.row_masks == tuple(sum(v << j for j, v in enumerate(row)) for row in ent)
         assert serialize(matrix) == text
+
+
+def test_matrix_in_entry_per_line_layout_parses():
+    # the layout written before rows were kept on one line: json.dumps with
+    # indent=2 puts every entry on a line of its own
+    rng = random.Random(7)
+    for n, m in ((1, 1), (4, 9), (12, 70)):
+        ent = _random_entries(rng, n, m)
+        obj = {"format": "fsreal/1", "kind": "matrix", "rows": n, "cols": m, "entries": ent}
+        matrix = parse(json.dumps(obj, indent=2) + "\n")
+        assert matrix == FreeSpaceMatrix(ent)
+        assert parse(serialize(matrix)) == matrix
 
 
 @pytest.mark.parametrize(
