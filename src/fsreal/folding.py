@@ -1,22 +1,34 @@
 """Fixed-parameter solver for continuous 1D realizability.
 
-Grid lines are labeled fold/straight from local white-space evidence, and
-the k lines that the evidence leaves open are enumerated, 2^k assignments.
-Once every line has a label the curves are fixed up to isometry:
+Grid lines are labeled fold/straight from local white-space evidence; the
+lines that the evidence leaves open are the parameter. A full orientation
+vector of both curves fixes the pair up to isometry:
 
 - the labels fix each segment's orientation relative to the first one;
 - any partial cell (i, j) fixes sigma = sp_i * sq_j, and its
   c_lo = sq_j * (P_i - Q_j) - eps fixes Q's offset.
 
-A consistent diagram without partial cells is all empty, where the far
-placement always works, or all full, where centring the two hulls is
-optimal. So an assignment is accepted iff the one curve pair it fixes
-reproduces the diagram under the forward computation.
+:func:`solve_fpt` enumerates only the completions of the labels of the
+side with fewer unknown lines, Q (P after transposing the diagram). With
+P_{i0} = 0 at the first partial cell (i0, j0), each completion fixes Q, and
+column i's cells then depend only on (P_i, P_{i+1}). So P is swept column
+by column outward from i0: the reachable integer positions of each vertex
+are kept as a layer with back-pointers, stepping by +-w_i, and a step
+survives only when its column is the diagram's under
+:func:`fsreal.forward.classify_column`, the cell test of the forward
+computation. That costs O(2^k_short * n * m * R), k_short the unknown lines
+of the enumerated side and R the largest layer.
 
-The structural and consistency checks, the crease inference and the
-per-assignment checks run on the diagram scaled to Python ints
-(:func:`fsreal.model.scale_to_integers`); the witness is read off the
-caller's diagram in `fractions.Fraction`s.
+A consistent diagram without partial cells is all empty, where the far
+placement always works, or all full, where centring the two curves'
+smallest hulls is optimal; the hulls are independent, 2^k_v + 2^k_h.
+
+The structural and consistency checks, the crease inference and the sweep
+run on the diagram scaled to Python ints
+(:func:`fsreal.model.scale_to_integers`). The full assignment found fixes
+the witness, which :func:`extract_curves` reads off the caller's diagram in
+`fractions.Fraction`s and the forward computation checks against it;
+:func:`check_foldable` is that check for one assignment on its own.
 """
 
 from __future__ import annotations
@@ -35,13 +47,13 @@ from .model import (
     Witness,
     cell_mirror_x,
     cell_restrict_x,
-    cell_transpose,
     classify_slab,
     consistency_problems,
     scale_to_integers,
     structural_problems,
+    transpose_diagram,
 )
-from .forward import compute_diagram_1d
+from .forward import classify_column, compute_diagram_1d, q_segments
 
 FOLD = "fold"
 STRAIGHT = "straight"
@@ -117,22 +129,14 @@ def _line_labels(columns, widths, heights, eps) -> tuple[list[str], list[str]]:
     return labels, notes
 
 
-def _transposed(diagram: FreeSpaceDiagram1D):
-    cols_t = tuple(
-        tuple(cell_transpose(diagram.cells[i][j]) for i in range(diagram.n_cols))
-        for j in range(diagram.m_rows)
-    )
-    return cols_t, diagram.row_heights, diagram.col_widths
-
-
 def infer_creases(diagram: FreeSpaceDiagram1D) -> CreaseAssignment:
     """Label every grid line whose adjacent cells admit only one of
     {fold, straight}; lines supporting both stay unknown, lines supporting
     neither are contradictions (the instance is not realizable)."""
     eps = diagram.epsilon
     v_labels, v_bad = _line_labels(diagram.cells, diagram.col_widths, diagram.row_heights, eps)
-    cols_t, widths_t, heights_t = _transposed(diagram)
-    h_labels, h_bad = _line_labels(cols_t, widths_t, heights_t, eps)
+    t = transpose_diagram(diagram)
+    h_labels, h_bad = _line_labels(t.cells, t.col_widths, t.row_heights, eps)
     notes = tuple(
         [f"vertical line {i}: no fold/straight assignment matches the white space" for i in v_bad]
         + [f"horizontal line {j}: no fold/straight assignment matches the white space" for j in h_bad]
@@ -144,6 +148,14 @@ def _orientations_from(labels: Sequence[str]) -> list[int]:
     out = [1]
     for label in labels:
         out.append(-out[-1] if label == FOLD else out[-1])
+    return out
+
+
+def _vertices(lengths: Sequence, orientations: Sequence[int]) -> list:
+    """A curve's vertices from 0: segment i has this length and orientation."""
+    out = [0]
+    for s, length in zip(orientations, lengths):
+        out.append(out[-1] + s * length)
     return out
 
 
@@ -172,15 +184,10 @@ def extract_curves(
         if first_partial:
             break
 
-    p_pts = [0]
-    for s, w in zip(sp, widths):
-        p_pts.append(p_pts[-1] + s * w)
+    p_pts = _vertices(widths, sp)
 
     if first_partial is None:
-        sq = sq_rel
-        pref_q = [0]
-        for s, h in zip(sq, heights):
-            pref_q.append(pref_q[-1] + s * h)
+        pref_q = _vertices(heights, sq_rel)
         if any(diagram.cells[i][j].status == FULL for i in range(diagram.n_cols) for j in range(diagram.m_rows)):
             # centre Q's hull on P's; Fraction keeps int input exact
             q0 = Fraction(min(p_pts) + max(p_pts) - min(pref_q) - max(pref_q), 2)
@@ -200,9 +207,7 @@ def extract_curves(
             c = diagram.cells[i][j]
             if c.status == PARTIAL and sp[i] * sq[j] != c.sigma:
                 return None
-    pref_q = [0]
-    for s, h in zip(sq, heights):
-        pref_q.append(pref_q[-1] + s * h)
+    pref_q = _vertices(heights, sq)
     # c_lo = sq_j * (Pstart - Qstart) - eps
     q_start = p_pts[i0] - sq[j0] * (cell0.c_lo + eps)
     q0 = q_start - pref_q[j0]
@@ -221,20 +226,109 @@ def check_foldable(diagram: FreeSpaceDiagram1D, vertical: Sequence[str], horizon
     return witness is not None and compute_diagram_1d(witness.curve_p, witness.curve_q, diagram.epsilon) == diagram
 
 
+def _completions(labels: Sequence[str]):
+    """Every completion of the labels: the unknown lines as a binary
+    counter, fold = 1, the first unknown line the lowest bit."""
+    open_lines = [i for i, label in enumerate(labels) if label == UNKNOWN]
+    for counter in range(1 << len(open_lines)):
+        full = list(labels)
+        for bit, i in enumerate(open_lines):
+            full[i] = FOLD if counter >> bit & 1 else STRAIGHT
+        yield full
+
+
+def _smallest_hull(lengths: Sequence[int], labels: Sequence[str]) -> list[str]:
+    """The first completion of the labels whose curve spans least."""
+
+    def span(full):
+        vertices = _vertices(lengths, _orientations_from(full))
+        return max(vertices) - min(vertices)
+
+    return min(_completions(labels), key=span)
+
+
+def _slab(sigma: int, c_lo: int, c_hi: int) -> tuple[int, int, int]:
+    return sigma, c_lo, c_hi
+
+
+def _cell_key(cell: CellContent):
+    """The cell as the sweep has :func:`fsreal.forward.classify_column`
+    return it: EMPTY, FULL or the slab's (sigma, c_lo, c_hi)."""
+    return (cell.sigma, cell.c_lo, cell.c_hi) if cell.status == PARTIAL else cell.status
+
+
+def _walk(d: FreeSpaceDiagram1D, targets, q_segs, columns, forward: bool) -> Optional[list[int]]:
+    """P's vertices from P = 0 across ``columns``, taken in this order, each
+    column matching its target; the first vertex is the common one, and the
+    walk runs forward (P_i to P_{i+1}) or backward. None when a layer of
+    reachable positions empties."""
+    e = d.epsilon
+    layers = [{0: None}]
+    for i in columns:
+        w, target, reached = d.col_widths[i], targets[i], {}
+        for x in layers[-1]:
+            for y in (x + w, x - w):
+                if y in reached:
+                    continue
+                a, b = (x, y) if forward else (y, x)
+                if classify_column(a, b, q_segs, e, EMPTY, FULL, _slab) == target:
+                    reached[y] = x
+        if not reached:
+            return None
+        layers.append(reached)
+    x = next(iter(layers[-1]))
+    path = [x]
+    for layer in reversed(layers[1:]):
+        x = layer[x]
+        path.append(x)
+    return path[::-1]
+
+
+def _sweep(d: FreeSpaceDiagram1D, labels: Sequence[str]):
+    """For each completion of Q's labels, the labels of a P whose columns
+    against that Q are all the diagram's, with Q's, if such a P exists. The
+    diagram has a partial cell; the first, (i0, j0), puts P_{i0} at 0 and,
+    given Q's orientation vector, fixes Q."""
+    e = d.epsilon
+    targets = [[_cell_key(c) for c in col] for col in d.cells]
+    partials = [[(j, c[0]) for j, c in enumerate(col) if type(c) is tuple] for col in targets]
+    i0 = next(i for i, col in enumerate(partials) if col)
+    j0 = partials[i0][0][0]
+    c_lo0 = targets[i0][j0][1]
+    # the partial cells of one column share sp_i = sigma_j * sq_j
+    parity = [(j, j2, s * s2) for col in partials for (j, s), (j2, s2) in zip(col, col[1:])]
+    for horizontal in _completions(labels):
+        sq = _orientations_from(horizontal)
+        if any(sq[j] * sq[j2] != s for j, j2, s in parity):
+            continue
+        q = _vertices(d.row_heights, sq)
+        shift = -sq[j0] * (c_lo0 + e) - q[j0]  # c_lo0 = sq_j0 * (0 - Q_j0) - eps
+        q_segs = q_segments([v + shift for v in q])
+        after = _walk(d, targets, q_segs, range(i0, d.n_cols), True)
+        before = after and _walk(d, targets, q_segs, range(i0 - 1, -1, -1), False)
+        if before:
+            p = before[::-1] + after[1:]
+            yield [FOLD if (b - a) * (c - b) < 0 else STRAIGHT for a, b, c in zip(p, p[1:], p[2:])], horizontal
+
+
 def solve_fpt(diagram: FreeSpaceDiagram1D) -> Optional[Witness]:
-    """Decide 1D realizability of a diagram in O(nm * 2^k) time.
+    """Decide 1D realizability of a diagram in O(2^k_short * n * m * R) time.
 
-    Unknown lines are enumerated as a binary counter (fold = 1, vertical
-    lines left to right then horizontal bottom to top); the first accepted
-    assignment yields the witness, which is re-verified by the forward
-    computation before it is returned.
+    k_short is the smaller of the two curves' counts of unknown crease
+    lines, and R the largest layer of reachable positions of the swept
+    curve, at most min(2^i, span / gcd) for vertex i. The completions of
+    that curve's labels are enumerated as a binary counter (fold = 1, its
+    lines in order); when it is P, the diagram is transposed and the labels
+    swapped back. For each completion the other curve is swept column by
+    column (see the module docstring). A diagram without partial cells
+    takes the closed forms: any labels when it is all empty, each curve's
+    smallest hull when it is all full.
 
-    Each assignment fixes one curve pair up to isometry, so
-    :func:`check_foldable` decides it by building that pair and computing
-    its diagram forward. The structural and consistency checks, the crease
-    inference and every assignment check run on the diagram scaled to ints.
-    The witness is read off the caller's diagram, so it is in the caller's
-    units, and is verified against it.
+    The structural and consistency checks, the crease inference and the
+    sweep run on the diagram scaled to ints. The first full assignment found
+    gives the witness: :func:`extract_curves` reads the pair off the
+    caller's diagram, and it is returned once the forward computation
+    reproduces that diagram from it.
     """
     scaled, _ = scale_to_integers(diagram)
     problems = structural_problems(scaled)
@@ -245,21 +339,18 @@ def solve_fpt(diagram: FreeSpaceDiagram1D) -> Optional[Witness]:
     inferred = infer_creases(scaled)
     if inferred.contradictions:
         return None
-    slots = [("v", i) for i, s in enumerate(inferred.vertical) if s == UNKNOWN]
-    slots += [("h", j) for j, s in enumerate(inferred.horizontal) if s == UNKNOWN]
-    base_v = list(inferred.vertical)
-    base_h = list(inferred.horizontal)
-    for counter in range(1 << len(slots)):
-        vertical = list(base_v)
-        horizontal = list(base_h)
-        for bit, (axis, idx) in enumerate(slots):
-            label = FOLD if (counter >> bit) & 1 else STRAIGHT
-            if axis == "v":
-                vertical[idx] = label
-            else:
-                horizontal[idx] = label
-        if not check_foldable(scaled, vertical, horizontal):
-            continue
+    if any(c.status == PARTIAL for col in scaled.cells for c in col):
+        if inferred.vertical.count(UNKNOWN) < inferred.horizontal.count(UNKNOWN):
+            # enumerate P's labels: sweep Q across the transposed diagram
+            assignments = ((v, h) for h, v in _sweep(transpose_diagram(scaled), inferred.vertical))
+        else:
+            assignments = _sweep(scaled, inferred.horizontal)
+    elif scaled.cells[0][0].status == FULL:
+        vertical = _smallest_hull(scaled.col_widths, inferred.vertical)
+        assignments = [(vertical, _smallest_hull(scaled.row_heights, inferred.horizontal))]
+    else:
+        assignments = [(inferred.vertical, inferred.horizontal)]  # all empty: any labels do
+    for vertical, horizontal in assignments:
         witness = extract_curves(diagram, vertical, horizontal)
         if compute_diagram_1d(witness.curve_p, witness.curve_q, diagram.epsilon) == diagram:
             return witness

@@ -106,45 +106,66 @@ def _matrix_1d(P, Q, eps: Fraction) -> FreeSpaceMatrix:
     return FreeSpaceMatrix.from_row_masks(len(qi), rows)
 
 
+def classify_column(a: int, b: int, q_segs, e: int, empty, full, partial) -> list:
+    """The cells of the column of P's segment from a to b, on ints.
+
+    ``q_segs`` holds each Q segment as (up, start, length), up true when it
+    runs in the positive direction. Each cell is ``empty``, ``full`` or, for
+    the slab |P(x) - Q(y)| <= e cut by the cell box,
+    ``partial(sigma, c_lo, c_hi)``: the white set is
+    c_lo <= y - sigma*x <= c_hi. The caller picks the representation, so
+    the forward computation and the FPT sweep share this test.
+    """
+    w = abs(b - a)
+    p_up = b > a
+    cells = []
+    for q_up, c, h in q_segs:
+        # c_lo = sq * (p_start - q_start) - eps; sigma = sp * sq
+        if q_up:
+            c_lo = a - c - e
+            sigma = 1 if p_up else -1
+        else:
+            c_lo = c - a - e
+            sigma = -1 if p_up else 1
+        c_hi = c_lo + 2 * e
+        # the box's range of y - sigma*x, as in model.classify_slab
+        vmin, vmax = (-w, h) if sigma == 1 else (0, w + h)
+        if c_lo > vmax or c_hi < vmin:
+            cells.append(empty)
+        elif c_lo <= vmin and c_hi >= vmax:
+            cells.append(full)
+        else:
+            cells.append(partial(sigma, c_lo, c_hi))
+    return cells
+
+
+def q_segments(q: Sequence[int]) -> list[tuple[bool, int, int]]:
+    """Q's segments as :func:`classify_column` reads them."""
+    return [(b > a, a, abs(b - a)) for a, b in zip(q, q[1:])]
+
+
 def compute_diagram_1d(p: Curve1D, q: Curve1D, eps) -> FreeSpaceDiagram1D:
     """1D free space diagram of two curves under arc-length parametrization.
 
     Cell (i, j) is the slab |P_i(x) - Q_j(y)| <= eps classified against the
     cell box; orientation is the product of the two segments' orientations.
 
-    The cells are computed on Python ints: the vertices and eps are scaled
-    by the least common multiple of their own denominators (never by a
-    solver's scale, so the check stays independent of the code it checks).
-    The widths, heights and partial-cell intercepts are returned as
-    Fractions.
+    The cells are computed on Python ints by :func:`classify_column`: the
+    vertices and eps are scaled by the least common multiple of their own
+    denominators (never by a solver's scale, so the check stays independent
+    of the code it checks). The widths, heights and partial-cell intercepts
+    are returned as Fractions.
     """
     eps = rat(eps)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
     pi, qi, e, scale = _scaled_1d(p.vertices, q.vertices, eps)
-    q_segs = [(b > a, a, abs(b - a)) for a, b in zip(qi, qi[1:])]
-    cols = []
-    for a, b in zip(pi, pi[1:]):
-        w = abs(b - a)
-        col = []
-        for q_up, c, h in q_segs:
-            # c_lo = sq * (p_start - q_start) - eps; sigma = sp * sq
-            if q_up:
-                c_lo = a - c - e
-                sigma = 1 if b > a else -1
-            else:
-                c_lo = c - a - e
-                sigma = -1 if b > a else 1
-            c_hi = c_lo + 2 * e
-            # the box's range of y - sigma*x, as in model.classify_slab
-            vmin, vmax = (-w, h) if sigma == 1 else (0, w + h)
-            if c_lo > vmax or c_hi < vmin:
-                col.append(_EMPTY_CELL)
-            elif c_lo <= vmin and c_hi >= vmax:
-                col.append(_FULL_CELL)
-            else:
-                col.append(CellContent(PARTIAL, sigma, Fraction(c_lo, scale), Fraction(c_hi, scale)))
-        cols.append(col)
+    q_segs = q_segments(qi)
+
+    def partial(sigma: int, c_lo: int, c_hi: int) -> CellContent:
+        return CellContent(PARTIAL, sigma, Fraction(c_lo, scale), Fraction(c_hi, scale))
+
+    cols = [classify_column(a, b, q_segs, e, _EMPTY_CELL, _FULL_CELL, partial) for a, b in zip(pi, pi[1:])]
     widths = [Fraction(abs(b - a), scale) for a, b in zip(pi, pi[1:])]
     heights = [Fraction(h, scale) for _, _, h in q_segs]
     return FreeSpaceDiagram1D(eps, widths, heights, cols)

@@ -446,12 +446,27 @@ def scale_to_integers(d: FreeSpaceDiagram1D) -> tuple[FreeSpaceDiagram1D, int]:
         tuple(c if c.status != PARTIAL else CellContent(PARTIAL, c.sigma, up(c.c_lo), up(c.c_hi)) for c in col)
         for col in d.cells
     )
-    scaled = object.__new__(FreeSpaceDiagram1D)  # __init__ would coerce the ints to Fractions
-    object.__setattr__(scaled, "epsilon", up(d.epsilon))
-    object.__setattr__(scaled, "col_widths", tuple(up(w) for w in d.col_widths))
-    object.__setattr__(scaled, "row_heights", tuple(up(h) for h in d.row_heights))
-    object.__setattr__(scaled, "cells", cells)
-    return scaled, scale
+    widths = tuple(up(w) for w in d.col_widths)
+    heights = tuple(up(h) for h in d.row_heights)
+    return _diagram_as_is(up(d.epsilon), widths, heights, cells), scale
+
+
+def _diagram_as_is(epsilon, col_widths, row_heights, cells) -> FreeSpaceDiagram1D:
+    """A diagram of these fields, ints kept as ints (``__init__`` would
+    coerce them to Fractions)."""
+    d = object.__new__(FreeSpaceDiagram1D)
+    object.__setattr__(d, "epsilon", epsilon)
+    object.__setattr__(d, "col_widths", col_widths)
+    object.__setattr__(d, "row_heights", row_heights)
+    object.__setattr__(d, "cells", cells)
+    return d
+
+
+def transpose_diagram(d: FreeSpaceDiagram1D) -> FreeSpaceDiagram1D:
+    """The diagram of the swapped curve pair (Q, P): rows become columns and
+    each cell is transposed. Int fields stay ints."""
+    cells = tuple(tuple(cell_transpose(d.cells[i][j]) for i in range(d.n_cols)) for j in range(d.m_rows))
+    return _diagram_as_is(d.epsilon, d.row_heights, d.col_widths, cells)
 
 
 @dataclass(frozen=True)

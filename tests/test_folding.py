@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,9 +17,11 @@ from fsreal import (
     gen_random_instance,
     infer_creases,
     solve_fpt,
+    solve_pseudo_poly,
 )
+from fsreal import folding
 from fsreal.folding import FOLD, STRAIGHT, UNKNOWN
-from fsreal.model import consistency_problems, scale_to_integers
+from fsreal.model import consistency_problems, scale_to_integers, transpose_diagram
 
 from conftest import random_integer_diagram, random_rational_diagram
 
@@ -225,3 +228,68 @@ def test_partition_divided_by_three_keeps_its_answer():
     w = solve_fpt(balanced)
     assert w is not None
     assert compute_diagram_1d(w.curve_p, w.curve_q, balanced.epsilon) == balanced
+
+
+def _verified(diagram, witness) -> bool:
+    return witness is not None and compute_diagram_1d(witness.curve_p, witness.curve_q, diagram.epsilon) == diagram
+
+
+def test_sweep_decides_long_diagrams_and_large_partitions():
+    # diagrams of the benchmark's long shape leave about a hundred crease
+    # lines unknown, far beyond an enumeration of all 2^k assignments
+    t0 = time.process_time()
+    rng = random.Random(13)
+    ks = []
+    for index in range(10):
+        n, m, eps = rng.randint(60, 200), rng.randint(2, 6), rng.randint(3, 20)
+        d = random_integer_diagram(rng.randrange(1 << 30), n, m, eps, max_step=10)
+        ks.append(infer_creases(d).k)
+        assert _verified(d, solve_fpt(d)), index
+        assert _verified(d, solve_pseudo_poly(d)), index
+    assert min(ks) >= 30, ks
+    t1 = time.process_time()
+    assert solve_fpt(gen_partition([2] * 23 + [1])) is None  # k = 25, odd sum
+    assert time.process_time() - t1 < 1.0
+    assert time.process_time() - t0 < 20.0
+
+
+def test_transposed_diagram_gets_the_same_verdict(monkeypatch):
+    # solve_fpt enumerates the side with fewer unknown lines; it hands
+    # _sweep the diagram itself when that side is Q and the transposed one
+    # when it is P
+    branches = []
+    current = []
+    sweep = folding._sweep
+
+    def recorded(d, labels):
+        branches.append("Q" if d == current[-1] else "P")
+        return sweep(d, labels)
+
+    monkeypatch.setattr(folding, "_sweep", recorded)
+    rng = random.Random(41)
+    diagrams = []
+    for seed in range(150):
+        diagrams.append(random_integer_diagram(seed, rng.randint(1, 9), rng.randint(1, 5), rng.randint(1, 3)))
+        diagrams.append(
+            gen_random_instance(
+                seed,
+                kind="diagram",
+                n_points=rng.randint(2, 8),
+                m_points=rng.randint(2, 6),
+                max_coord=5,
+                eps=rng.randint(1, 3),
+                mutate=True,
+            )
+        )
+    for index, d in enumerate(diagrams):
+        t = transpose_diagram(d)
+        assert transpose_diagram(t) == d
+        answers = []
+        for instance in (d, t):
+            current.append(scale_to_integers(instance)[0])
+            witness = solve_fpt(instance)
+            assert witness is None or _verified(instance, witness), index
+            answers.append(witness is not None)
+        assert answers[0] == answers[1], index
+    assert len(diagrams) == 300
+    assert branches.count("Q") >= 50 and branches.count("P") >= 50, (branches.count("Q"), branches.count("P"))

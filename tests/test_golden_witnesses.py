@@ -5,8 +5,8 @@ and ``solve_fpt`` return on a small seeded corpus of diagrams, and that the
 discrete solver returns on a seeded corpus of matrices. A refactor that keeps
 verdicts and witnesses byte-identical keeps both digests; a change that
 alters a witness on purpose must say so and update the digest here. The
-discrete verdicts are also pinned on their own, so a change of witnesses
-cannot hide a change of answers.
+FPT and discrete verdicts are also pinned on their own, so a change of
+witnesses cannot hide a change of answers.
 """
 
 import hashlib
@@ -31,13 +31,21 @@ from conftest import random_rational_diagram
 from test_fuzz_pseudopoly import consistent_diagrams, forward_diagrams
 
 # 400 diagrams, 267 of them past the consistency check: pseudo-poly answers
-# 218 YES; FPT runs on the 380 with k <= 10 and answers 201 YES
+# 218 YES; FPT runs on the 380 with k <= 10 and answers 201 YES. The k <= 10
+# filter dates from FPT's enumeration of all 2^k crease assignments; it
+# stays so that the corpus, and with it the digests, stays the same.
 PSEUDO_POLY_DIGEST = "ca3d76278117493a408b0822ef790289f20f6782c033fb8c7984a0876170bfbd"
-FPT_DIGEST = "c0d64d2038d869dd70be47c1f46bffeeba89376e335f236ac3143e2ff0d6325c"
+FPT_DIGEST = "e6fcebb50836af96bf0a11908fb5aa7d6cf3da2afea3ab63845127488eefdc66"
+# the 380 YES/NO answers alone, pinned before the column sweep replaced the
+# enumeration, which changed 75 of the 201 witnesses
+FPT_VERDICT_DIGEST = "b62837efa54585d039bb29ab9c892a4bf1fc47b1df1adfedada8cf03632c46a4"
 # FPT on rational diagrams, whose witness is read off unscaled Fractions:
 # 100 forward diagrams of rational curves, then 60 all-full and 40 all-empty
 # grids of rational sizes (the centred and the far placement)
-FPT_RATIONAL_DIGEST = "7ff8ef20d9553fff3de70e8e858249e5c6dd67ba13e461cc99324495379f3aa5"
+FPT_RATIONAL_DIGEST = "7957b46505e3becb7f920220e37449d787e2710ef3f0e7c74525003dbe6bc22e"
+# its 200 YES/NO answers alone (167 YES), pinned before the column sweep,
+# which changed 56 of the 167 witnesses
+FPT_RATIONAL_VERDICT_DIGEST = "b547ffe16c0f4319792cc4e3b5b80ce6098c85af53f0e83a55cd3daf7ece0a17"
 # the discrete solver on 120 criterion-1 round trips, 300 random matrices up
 # to 8x8 (94 of the 429 answers are NO), 8 walk matrices and one pair of
 # points beyond 2^62, which an int64 forward kernel could not hold. Equal
@@ -89,16 +97,26 @@ def _digest(solve, diagrams) -> str:
     return _sha256([None if w is None else serialize(w) for w in map(solve, diagrams)])
 
 
+def _fpt_digests(diagrams) -> tuple[str, str]:
+    """The witness digest and the verdict digest of solve_fpt."""
+    witnesses = [solve_fpt(d) for d in diagrams]
+    return (
+        _sha256([None if w is None else serialize(w) for w in witnesses]),
+        _sha256([w is not None for w in witnesses]),
+    )
+
+
 def test_witness_digests():
     diagrams = list(_corpus())
     assert len(diagrams) == 400
     assert _digest(solve_pseudo_poly, diagrams) == PSEUDO_POLY_DIGEST
-    # FPT tries 2^k crease assignments, so keep it to diagrams with k <= 10
-    assert _digest(solve_fpt, [d for d in diagrams if infer_creases(d).k <= 10]) == FPT_DIGEST
+    fpt_corpus = [d for d in diagrams if infer_creases(d).k <= 10]
+    assert len(fpt_corpus) == 380
+    assert _fpt_digests(fpt_corpus) == (FPT_DIGEST, FPT_VERDICT_DIGEST)
 
 
 def test_rational_fpt_witness_digest():
-    assert _digest(solve_fpt, list(_rational_corpus())) == FPT_RATIONAL_DIGEST
+    assert _fpt_digests(list(_rational_corpus())) == (FPT_RATIONAL_DIGEST, FPT_RATIONAL_VERDICT_DIGEST)
 
 
 def _walk(rng: random.Random, k: int) -> list[int]:
