@@ -19,9 +19,10 @@ survives only when its column is the diagram's under
 computation. That costs O(2^k_short * n * m * R), k_short the unknown lines
 of the enumerated side and R the largest layer.
 
-A consistent diagram without partial cells is all empty, where the far
-placement always works, or all full, where centring the two curves'
-smallest hulls is optimal; the hulls are independent, 2^k_v + 2^k_h.
+A consistent diagram without partial cells fixes no offset and needs no
+labels: it is all empty or all full, and
+:func:`fsreal.pseudopoly.closed_form_witness` decides it for both solvers
+(the far placement; the two curves' smallest closed windows, centred).
 
 The structural and consistency checks, the crease inference and the sweep
 run on the diagram scaled to Python ints
@@ -54,6 +55,7 @@ from .model import (
     transpose_diagram,
 )
 from .forward import classify_column, compute_diagram_1d, q_segments
+from .pseudopoly import closed_form_witness
 
 FOLD = "fold"
 STRAIGHT = "straight"
@@ -237,16 +239,6 @@ def _completions(labels: Sequence[str]):
         yield full
 
 
-def _smallest_hull(lengths: Sequence[int], labels: Sequence[str]) -> list[str]:
-    """The first completion of the labels whose curve spans least."""
-
-    def span(full):
-        vertices = _vertices(lengths, _orientations_from(full))
-        return max(vertices) - min(vertices)
-
-    return min(_completions(labels), key=span)
-
-
 def _slab(sigma: int, c_lo: int, c_hi: int) -> tuple[int, int, int]:
     return sigma, c_lo, c_hi
 
@@ -321,8 +313,8 @@ def solve_fpt(diagram: FreeSpaceDiagram1D) -> Optional[Witness]:
     lines in order); when it is P, the diagram is transposed and the labels
     swapped back. For each completion the other curve is swept column by
     column (see the module docstring). A diagram without partial cells
-    takes the closed forms: any labels when it is all empty, each curve's
-    smallest hull when it is all full.
+    goes to :func:`fsreal.pseudopoly.closed_form_witness`, pseudo-poly's
+    closed form, which runs in pseudo-polynomial time.
 
     The structural and consistency checks, the crease inference and the
     sweep run on the diagram scaled to ints. The first full assignment found
@@ -330,26 +322,22 @@ def solve_fpt(diagram: FreeSpaceDiagram1D) -> Optional[Witness]:
     caller's diagram, and it is returned once the forward computation
     reproduces that diagram from it.
     """
-    scaled, _ = scale_to_integers(diagram)
+    scaled, scale = scale_to_integers(diagram)
     problems = structural_problems(scaled)
     if problems:
         raise ValueError("invalid diagram: " + "; ".join(problems))
     if consistency_problems(scaled):
         return None  # no curve pair produces disagreeing boundary restrictions
+    if not any(c.status == PARTIAL for col in scaled.cells for c in col):
+        return closed_form_witness(diagram, scaled, scale)
     inferred = infer_creases(scaled)
     if inferred.contradictions:
         return None
-    if any(c.status == PARTIAL for col in scaled.cells for c in col):
-        if inferred.vertical.count(UNKNOWN) < inferred.horizontal.count(UNKNOWN):
-            # enumerate P's labels: sweep Q across the transposed diagram
-            assignments = ((v, h) for h, v in _sweep(transpose_diagram(scaled), inferred.vertical))
-        else:
-            assignments = _sweep(scaled, inferred.horizontal)
-    elif scaled.cells[0][0].status == FULL:
-        vertical = _smallest_hull(scaled.col_widths, inferred.vertical)
-        assignments = [(vertical, _smallest_hull(scaled.row_heights, inferred.horizontal))]
+    if inferred.vertical.count(UNKNOWN) < inferred.horizontal.count(UNKNOWN):
+        # enumerate P's labels: sweep Q across the transposed diagram
+        assignments = ((v, h) for h, v in _sweep(transpose_diagram(scaled), inferred.vertical))
     else:
-        assignments = [(inferred.vertical, inferred.horizontal)]  # all empty: any labels do
+        assignments = _sweep(scaled, inferred.horizontal)
     for vertical, horizontal in assignments:
         witness = extract_curves(diagram, vertical, horizontal)
         if compute_diagram_1d(witness.curve_p, witness.curve_q, diagram.epsilon) == diagram:

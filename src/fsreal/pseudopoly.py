@@ -1,4 +1,4 @@
-"""Pseudo-polynomial solver for integer-dimension 1D diagrams.
+"""Pseudo-polynomial solver for 1D free space diagrams.
 
 Segments are subdivided and typed by their row/column slice status (far,
 close or boundary), and partial cells anchor subsegments in rigid frames,
@@ -8,8 +8,11 @@ subsegments left between anchored ones form runs, placed by boolean
 reachability tables over integer positions in the region that the hulls of
 the two curves leave them: beyond the eps boundary for a far run, open at
 that boundary, and a closed window for a close (middle) run, since full
-cells are closed conditions. A diagram of full cells only is realizable iff
-the smallest closed windows that hold the two curves sum to at most 2*eps.
+cells are closed conditions. A diagram without partial cells is all empty
+or all full, and :func:`closed_form_witness` decides it: the far placement,
+or the smallest closed windows that hold the two curves, which must sum to
+at most 2*eps. :func:`fsreal.folding.solve_fpt` decides such diagrams with
+the same function.
 
 The search over the unknowns is exact. tau comes from the cross-frame
 equations and the net displacements of the runs bridging the two frames.
@@ -20,11 +23,12 @@ anchored extent, and for each hull of P only the minimal staircase of hulls
 of Q at which Q's runs fit is tried. Every YES is verified forward.
 
 The solver scales the diagram once at entry with
-:func:`fsreal.model.scale_to_integers` and, once the consistency check has
-passed, requires the scale to be 1; the structural and consistency checks,
-the typing, the anchoring and the search all run on that scaled diagram's
-Python ints, and the witness is returned in `fractions.Fraction`s, checked
-forward against the caller's diagram.
+:func:`fsreal.model.scale_to_integers`, so a rational diagram is decided as
+the integer one L times its size, which is realizable iff it is. The
+structural and consistency checks, the typing, the anchoring and the search
+all run on that scaled diagram's Python ints; the witness found is divided
+by L into `fractions.Fraction`s and checked forward against the caller's
+diagram.
 """
 
 from __future__ import annotations
@@ -44,11 +48,11 @@ from .model import (
     Witness,
     cell_restrict_x,
     cell_restrict_y,
-    cell_transpose,
     classify_slab,
     consistency_problems,
     scale_to_integers,
     structural_problems,
+    transpose_diagram,
 )
 from .forward import compute_diagram_1d
 
@@ -73,14 +77,6 @@ class TypedDiagram:
     p_segs: list[SubSeg]
     q_segs: list[SubSeg]
     cells: list[list[CellContent]]  # [i][j] over subsegments
-
-    @property
-    def widths(self) -> list[int]:
-        return [s.length for s in self.p_segs]
-
-    @property
-    def heights(self) -> list[int]:
-        return [s.length for s in self.q_segs]
 
 
 def _column_breakpoints(cells_col, w: int, heights) -> list[int]:
@@ -145,22 +141,16 @@ def subdivide_and_type(diagram: FreeSpaceDiagram1D) -> TypedDiagram:
     and type every resulting subsegment (far / close / boundary).
 
     Takes the scaled diagram, as :func:`fsreal.model.scale_to_integers`
-    returns it at scale 1: every dimension and intercept a Python int, as in
-    the typed diagram."""
+    returns it: every dimension and intercept a Python int, as in the typed
+    diagram."""
     eps = diagram.epsilon
     widths = diagram.col_widths
     heights = diagram.row_heights
 
-    p_pieces = _subdivide_axis(
-        [tuple(diagram.cells[i]) for i in range(diagram.n_cols)], widths, heights
-    )
-    rows_t = [
-        tuple(diagram.cells[i][j] for i in range(diagram.n_cols)) for j in range(diagram.m_rows)
-    ]
-    # slice status of row j at height y: reuse the column machinery on the
-    # transposed cells
-    rows_tc = [tuple(cell_transpose(c) for c in row) for row in rows_t]
-    q_pieces = _subdivide_axis(rows_tc, heights, widths)
+    p_pieces = _subdivide_axis(diagram.cells, widths, heights)
+    # slice status of row j at height y: the column machinery on the
+    # transposed diagram
+    q_pieces = _subdivide_axis(transpose_diagram(diagram).cells, heights, widths)
 
     p_segs = [SubSeg(i, off, length, kind) for i, pieces in p_pieces for off, length, kind in pieces]
     q_segs = [SubSeg(j, off, length, kind) for j, pieces in q_pieces for off, length, kind in pieces]
@@ -490,27 +480,19 @@ def _to_global(frame: int, value: int, direction: Optional[int], rho: int, tau: 
 
 
 def solve_pseudo_poly(diagram: FreeSpaceDiagram1D) -> Optional[Witness]:
-    """Decide realizability of an integer-dimension diagram; returns a
-    forward-verified witness or None."""
+    """Decide realizability of a diagram of rational dimensions; returns a
+    forward-verified witness or None. The search runs on the diagram scaled
+    to ints, so its tables are as wide as the scaled dimensions."""
     scaled, scale = scale_to_integers(diagram)
     problems = structural_problems(scaled)
     if problems:
         raise ValueError("invalid diagram: " + "; ".join(problems))
     if consistency_problems(scaled):
         return None  # no curve pair produces disagreeing boundary restrictions
-    if scale != 1:
-        raise ValueError(
-            "pseudo-polynomial solver needs integer epsilon, cell widths, cell heights and slab intercepts "
-            f"(got a common denominator of {scale})"
-        )
+    if not any(c.status == PARTIAL for col in scaled.cells for c in col):
+        return closed_form_witness(diagram, scaled, scale)
     typed = subdivide_and_type(scaled)
     eps = typed.eps
-
-    statuses = {typed.cells[i][j].status for i in range(len(typed.p_segs)) for j in range(len(typed.q_segs))}
-    if statuses == {EMPTY}:
-        return _far_witness(diagram, typed)
-    if statuses == {FULL}:
-        return _all_full_witness(diagram, typed)
 
     graph = build_placement_graph(typed)
     if len(graph.non_singleton) > 2:
@@ -523,7 +505,8 @@ def solve_pseudo_poly(diagram: FreeSpaceDiagram1D) -> Optional[Witness]:
     q_runs = _collect_runs(typed, anchoring, "Q")
     for rho, tau in _frame_candidates(anchoring, p_runs + q_runs):
         for values in _hull_candidates(typed, anchoring, p_runs, q_runs, rho, tau, eps):
-            witness = _attempt(diagram, typed, anchoring, p_runs, q_runs, rho, tau, values, eps)
+            curves = _attempt(typed, anchoring, p_runs, q_runs, rho, tau, values, eps)
+            witness = curves and _checked_witness(diagram, *curves, scale)
             if witness is not None:
                 return witness
     return None
@@ -609,7 +592,9 @@ def _minimal_pairs(lows, highs, fits):
         yield low, highs[top]
 
 
-def _attempt(diagram, typed, anchoring, p_runs, q_runs, rho, tau, values, eps) -> Optional[Witness]:
+def _attempt(typed, anchoring, p_runs, q_runs, rho, tau, values, eps) -> Optional[tuple[list[int], list[int]]]:
+    """The original vertices of P and Q that the runs placed under these
+    candidates and the anchored frames fix, or None."""
     lp, rp = values["LP"], values["RP"]
     lq, rq = values["LQ"], values["RQ"]
     placements: dict[tuple[str, int], list[int]] = {}
@@ -656,7 +641,7 @@ def _attempt(diagram, typed, anchoring, p_runs, q_runs, rho, tau, values, eps) -
         if any(a == b for a, b in zip(original, original[1:])):
             return None
         curves[curve] = original
-    return _checked_witness(diagram, curves["P"], curves["Q"])
+    return curves["P"], curves["Q"]
 
 
 def _place_run(
@@ -729,19 +714,15 @@ def _run_path(run: Run, att_lo, att_hi, base: int, flip: int, bound: Optional[in
     return [base + flip * p for p in dp_extract_path(masks, run.lengths, first_dir, last_dir)]
 
 
-def _checked_witness(diagram: FreeSpaceDiagram1D, p_pts, q_pts) -> Optional[Witness]:
-    """The witness with these vertices if it reproduces the caller's diagram."""
-    witness = Witness(Curve1D(p_pts), Curve1D(q_pts), diagram.epsilon)
+def _checked_witness(diagram: FreeSpaceDiagram1D, p_pts, q_pts, scale: int) -> Optional[Witness]:
+    """The witness with these vertices, divided by ``scale``, if it
+    reproduces the caller's diagram."""
+    witness = Witness(
+        Curve1D(Fraction(v, scale) for v in p_pts), Curve1D(Fraction(v, scale) for v in q_pts), diagram.epsilon
+    )
     if compute_diagram_1d(witness.curve_p, witness.curve_q, diagram.epsilon) == diagram:
         return witness
     return None
-
-
-def _far_witness(diagram: FreeSpaceDiagram1D, typed: TypedDiagram) -> Optional[Witness]:
-    """Both curves run rightward, Q starting more than 2*eps beyond P's end."""
-    p_pts = list(accumulate(typed.widths, initial=0))
-    q0 = p_pts[-1] + sum(typed.heights) + 2 * typed.eps + 1
-    return _checked_witness(diagram, p_pts, accumulate(typed.heights, initial=q0))
 
 
 def _smallest_window(lengths: Sequence[int], limit: int) -> Optional[tuple[int, list[int]]]:
@@ -754,18 +735,30 @@ def _smallest_window(lengths: Sequence[int], limit: int) -> Optional[tuple[int, 
     return None
 
 
-def _all_full_witness(diagram: FreeSpaceDiagram1D, typed: TypedDiagram) -> Optional[Witness]:
-    """Every point of each curve lies within eps of every point of the other
-    iff the curves fit in windows of sizes a_p + a_q <= 2*eps centred on
-    each other, so the smallest window of each curve decides."""
-    eps = typed.eps
-    found_p = _smallest_window(typed.widths, 2 * eps - 1)
+def closed_form_witness(diagram: FreeSpaceDiagram1D, scaled: FreeSpaceDiagram1D, scale: int) -> Optional[Witness]:
+    """Decide a consistent diagram without partial cells; ``scaled, scale``
+    are what :func:`fsreal.model.scale_to_integers` returns for it.
+
+    Such a diagram is all empty or all full, since a full cell next to an
+    empty one fails the grid-line check. All empty: both curves run
+    rightward, Q starting more than 2*eps beyond P's end, placed in the
+    caller's units. All full: every point of each curve lies within eps of
+    every point of the other iff the curves fit in windows of sizes
+    a_p + a_q <= 2*eps centred on each other, so the smallest window of each
+    curve over the scaled ints decides.
+    """
+    if scaled.cells[0][0].status == EMPTY:
+        p_pts = list(accumulate(diagram.col_widths, initial=0))
+        q0 = p_pts[-1] + sum(diagram.row_heights) + 2 * diagram.epsilon + 1
+        return _checked_witness(diagram, p_pts, accumulate(diagram.row_heights, initial=q0), 1)
+    eps = scaled.epsilon
+    found_p = _smallest_window(scaled.col_widths, 2 * eps - 1)
     if found_p is None:
         return None
     a_p, path_p = found_p
-    found_q = _smallest_window(typed.heights, 2 * eps - a_p)
+    found_q = _smallest_window(scaled.row_heights, 2 * eps - a_p)
     if found_q is None:
         return None
     a_q, path_q = found_q
     shift = Fraction(a_p - a_q, 2)
-    return _checked_witness(diagram, path_p, [v + shift for v in path_q])
+    return _checked_witness(diagram, path_p, [v + shift for v in path_q], scale)

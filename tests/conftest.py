@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fsreal import Curve1D, compute_diagram_1d
+from fsreal import CellContent, Curve1D, FreeSpaceDiagram1D, compute_diagram_1d
 
 
 def random_integer_curves(seed: int, n_segs: int, m_segs: int, max_step: int = 5):
@@ -36,6 +36,15 @@ def random_rational_diagram(rng: random.Random, max_p_segs: int = 5, max_q_segs:
 
     eps = Fraction(rng.randint(1, 10), rng.choice([1, 2, 3, 4]))
     return compute_diagram_1d(walk(rng.randint(1, max_p_segs)), walk(rng.randint(1, max_q_segs)), eps)
+
+
+def divided_diagram(d: FreeSpaceDiagram1D, k: int) -> FreeSpaceDiagram1D:
+    """The diagram with every length and intercept divided by k."""
+    cells = [
+        [c if not c.is_partial else CellContent.partial(c.sigma, c.c_lo / k, c.c_hi / k) for c in col]
+        for col in d.cells
+    ]
+    return FreeSpaceDiagram1D(d.epsilon / k, [w / k for w in d.col_widths], [h / k for h in d.row_heights], cells)
 
 
 @pytest.fixture

@@ -74,6 +74,23 @@ def test_forward_round_trip(tmp_path):
     assert json.load(open(inst)) == json.load(open(fwd))
 
 
+def test_rational_diagram_solves_in_both_modes(tmp_path, capsys):
+    from fractions import Fraction
+
+    from fsreal import Curve1D, Witness
+
+    p = Curve1D([0, Fraction(3, 2), Fraction(-1, 3), Fraction(5, 2)])
+    curves = Witness(p, Curve1D([Fraction(1, 2), 2, Fraction(5, 4)]), Fraction(3, 4))
+    inst = str(tmp_path / "d.json")
+    wit = str(tmp_path / "w.json")
+    assert main(["forward", "--curves", _write(tmp_path, "c.json", curves), "--as", "diagram", "--out", inst]) == 0
+    for mode in ("cont1d-dp", "cont1d-fpt"):
+        assert main(["solve", "--mode", mode, "--in", inst, "--witness", wit]) == 0
+        assert capsys.readouterr().out == "YES\n"
+        assert main(["verify", "--instance", inst, "--witness", wit]) == 0
+        assert capsys.readouterr().out == "VERIFIED\n"
+
+
 def test_invalid_input_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"format": "fsreal/1", "kind": "matrix", "rows": 1, "cols": 1, "entries": [[3]]}')

@@ -23,7 +23,7 @@ from fsreal import folding
 from fsreal.folding import FOLD, STRAIGHT, UNKNOWN
 from fsreal.model import consistency_problems, scale_to_integers, transpose_diagram
 
-from conftest import random_integer_diagram, random_rational_diagram
+from conftest import divided_diagram, random_integer_diagram, random_rational_diagram
 
 
 def test_infer_fold_at_alternating_slopes():
@@ -201,15 +201,6 @@ def test_fold_alignment_rejects_one_bad_layer():
     assert not check_foldable(broken, [FOLD, FOLD], [])
 
 
-def _divided(d: FreeSpaceDiagram1D, k: int) -> FreeSpaceDiagram1D:
-    """The diagram with every length and intercept divided by k."""
-    cells = [
-        [c if not c.is_partial else CellContent.partial(c.sigma, c.c_lo / k, c.c_hi / k) for c in col]
-        for col in d.cells
-    ]
-    return FreeSpaceDiagram1D(d.epsilon / k, [w / k for w in d.col_widths], [h / k for h in d.row_heights], cells)
-
-
 def test_forward_diagrams_of_rational_curves_solve_yes():
     # the solver decides on the diagram scaled to ints; the witness must
     # still reproduce the caller's rational diagram
@@ -222,9 +213,9 @@ def test_forward_diagrams_of_rational_curves_solve_yes():
 
 
 def test_partition_divided_by_three_keeps_its_answer():
-    assert solve_fpt(_divided(gen_partition([1, 1, 1]), 3)) is None
-    assert solve_fpt(_divided(gen_partition([1, 1, 4]), 3)) is None  # even sum, no balanced split
-    balanced = _divided(gen_partition([3, 2, 1, 2]), 3)
+    assert solve_fpt(divided_diagram(gen_partition([1, 1, 1]), 3)) is None
+    assert solve_fpt(divided_diagram(gen_partition([1, 1, 4]), 3)) is None  # even sum, no balanced split
+    balanced = divided_diagram(gen_partition([3, 2, 1, 2]), 3)
     w = solve_fpt(balanced)
     assert w is not None
     assert compute_diagram_1d(w.curve_p, w.curve_q, balanced.epsilon) == balanced
@@ -251,6 +242,18 @@ def test_sweep_decides_long_diagrams_and_large_partitions():
     assert solve_fpt(gen_partition([2] * 23 + [1])) is None  # k = 25, odd sum
     assert time.process_time() - t1 < 1.0
     assert time.process_time() - t0 < 20.0
+
+
+def test_all_full_grid_takes_the_closed_form():
+    # the 21 vertical lines stay unknown, and every completion of their
+    # labels reproduces the diagram; the closed form asks only for the
+    # smallest window of each curve
+    d = FreeSpaceDiagram1D(100, [1] * 22, [1], [[CellContent.full()] for _ in range(22)])
+    assert infer_creases(d).k == 21
+    t0 = time.process_time()
+    w = solve_fpt(d)
+    assert time.process_time() - t0 < 0.5
+    assert _verified(d, w)
 
 
 def test_transposed_diagram_gets_the_same_verdict(monkeypatch):

@@ -35,14 +35,19 @@ from test_fuzz_pseudopoly import consistent_diagrams, forward_diagrams
 # filter dates from FPT's enumeration of all 2^k crease assignments; it
 # stays so that the corpus, and with it the digests, stays the same.
 PSEUDO_POLY_DIGEST = "ca3d76278117493a408b0822ef790289f20f6782c033fb8c7984a0876170bfbd"
-FPT_DIGEST = "e6fcebb50836af96bf0a11908fb5aa7d6cf3da2afea3ab63845127488eefdc66"
+# FPT decides the diagrams without partial cells by pseudo-poly's closed
+# form, which centres each curve's smallest window instead of its smallest
+# hull over the crease labels: 16 of the 201 witnesses changed, all on
+# all-full diagrams
+FPT_DIGEST = "8c9ab9133384fd0a9880c7d10921f91427e93ee89e3a9500da52e14ebec99099"
 # the 380 YES/NO answers alone, pinned before the column sweep replaced the
 # enumeration, which changed 75 of the 201 witnesses
 FPT_VERDICT_DIGEST = "b62837efa54585d039bb29ab9c892a4bf1fc47b1df1adfedada8cf03632c46a4"
 # FPT on rational diagrams, whose witness is read off unscaled Fractions:
 # 100 forward diagrams of rational curves, then 60 all-full and 40 all-empty
-# grids of rational sizes (the centred and the far placement)
-FPT_RATIONAL_DIGEST = "7957b46505e3becb7f920220e37449d787e2710ef3f0e7c74525003dbe6bc22e"
+# grids of rational sizes (the centred and the far placement); the shared
+# closed form changed 26 of the 167 witnesses, all on all-full grids
+FPT_RATIONAL_DIGEST = "20dfd670e0cdd189a4fd8c143d15656dd58a791b79057f726d539222a6974115"
 # its 200 YES/NO answers alone (167 YES), pinned before the column sweep,
 # which changed 56 of the 167 witnesses
 FPT_RATIONAL_VERDICT_DIGEST = "b547ffe16c0f4319792cc4e3b5b80ce6098c85af53f0e83a55cd3daf7ece0a17"
