@@ -312,9 +312,9 @@ def solve_fpt(diagram: FreeSpaceDiagram1D) -> Optional[Witness]:
     that curve's labels are enumerated as a binary counter (fold = 1, its
     lines in order); when it is P, the diagram is transposed and the labels
     swapped back. For each completion the other curve is swept column by
-    column (see the module docstring). A diagram without partial cells
-    goes to :func:`fsreal.pseudopoly.closed_form_witness`, pseudo-poly's
-    closed form, which runs in pseudo-polynomial time.
+    column (see the module docstring). A diagram without partial cells goes
+    to :func:`fsreal.pseudopoly.closed_form_witness`, whose window search
+    keeps at most min(2^(n-i), sum(lengths) + 1) pairs per vertex i.
 
     The structural and consistency checks, the crease inference and the
     sweep run on the diagram scaled to ints. The first full assignment found

@@ -726,13 +726,30 @@ def _checked_witness(diagram: FreeSpaceDiagram1D, p_pts, q_pts, scale: int) -> O
 
 
 def _smallest_window(lengths: Sequence[int], limit: int) -> Optional[tuple[int, list[int]]]:
-    """The smallest closed window [0, a], a <= limit, that holds a walk with
-    these steps, and that walk; a window only gains walks as it grows."""
-    for a in range(1, limit + 1):
-        masks = fixed_boundary_dp(lengths, a, end=None)
-        if masks[0]:
-            return a, dp_extract_path(masks, lengths)
-    return None
+    """The smallest closed window [0, a], a <= limit, holding a walk with
+    these steps, and the walk :func:`dp_extract_path` takes in it: the lowest
+    start, then the rightward step wherever the rest still fits. ``fronts[i]``
+    holds the least pairs (down, up) of room that the walk from vertex i
+    needs below and above it: at most min(2^(n-i), sum(lengths) + 1) pairs,
+    so neither the magnitudes nor eps make the search slow."""
+    fronts = [[(0, 0)]]
+    for step in reversed(lengths):
+        rooms = {(max(0, down - step), up + step) for down, up in fronts[-1]}
+        rooms |= {(down + step, max(0, up - step)) for down, up in fronts[-1]}
+        front = []
+        for down, up in sorted(rooms):
+            if not front or up < front[-1][1]:
+                front.append((down, up))
+        fronts.append(front)
+    fronts.reverse()
+    a = min(down + up for down, up in fronts[0])
+    if a > limit:
+        return None
+    path = [min(down for down, up in fronts[0] if down + up == a)]
+    for step, front in zip(lengths, fronts[1:]):
+        pos = path[-1]
+        path.append(next(t for t in (pos + step, pos - step) if any(d <= t and u <= a - t for d, u in front)))
+    return a, path
 
 
 def closed_form_witness(diagram: FreeSpaceDiagram1D, scaled: FreeSpaceDiagram1D, scale: int) -> Optional[Witness]:

@@ -256,6 +256,33 @@ def test_all_full_grid_takes_the_closed_form():
     assert _verified(d, w)
 
 
+def test_all_full_closed_form_is_magnitude_safe():
+    # few long segments: the window search keeps at most 2^(n-i) pairs of
+    # room per vertex, so it needs no table as wide as the lengths, which
+    # the rational grid scales to about 10^6 and 10^12
+    full = CellContent.full()
+    big = 10**6
+    rng = random.Random(8)
+    grids = [
+        (big, [big], [1]),
+        (1, [Fraction(1, 1000003), Fraction(1, 999983)], [1]),
+        (10**8, [rng.randint(1, big) for _ in range(16)], [rng.randint(1, big) for _ in range(3)]),
+        # P = (10^6, 1, 10^6) needs a window of 10^6 + 1, and Q = (10^6)
+        # one of 10^6: more than 2*eps together
+        (big, [big, 1, big], [big]),
+    ]
+    t0 = time.process_time()
+    answers = []
+    for eps, widths, heights in grids:
+        d = FreeSpaceDiagram1D(eps, widths, heights, [[full] * len(heights) for _ in widths])
+        for solver in (solve_fpt, solve_pseudo_poly):
+            w = solver(d)
+            assert w is None or _verified(d, w)
+            answers.append(w is not None)
+    assert time.process_time() - t0 < 0.5
+    assert answers == [True] * 6 + [False] * 2
+
+
 def test_transposed_diagram_gets_the_same_verdict(monkeypatch):
     # solve_fpt enumerates the side with fewer unknown lines; it hands
     # _sweep the diagram itself when that side is Q and the transposed one

@@ -22,6 +22,7 @@ from fsreal.pseudopoly import (
     TYPE_CLOSE,
     TYPE_FAR,
     _collect_runs,
+    _smallest_window,
     anchor_components,
     build_placement_graph,
     dp_extract_path,
@@ -248,6 +249,19 @@ def test_all_full_diagrams_agree_with_oracle():
         answers.append(w is not None)
     assert answers[0] is False
     assert answers.count(False) > 1
+
+
+def test_smallest_window_matches_the_dp_scan():
+    # the closed form's window search gives the size and the walk that the
+    # smallest window accepted by fixed_boundary_dp gives, read off by
+    # dp_extract_path, so the witnesses are those of the DP
+    rng = random.Random(17)
+    for _ in range(2000):
+        lengths = [rng.randint(1, rng.choice([2, 5, 12, 40])) for _ in range(rng.randint(1, 9))]
+        a = next(a for a in itertools.count(1) if fixed_boundary_dp(lengths, a, end=None)[0])
+        walk = dp_extract_path(fixed_boundary_dp(lengths, a, end=None), lengths)
+        assert _smallest_window(lengths, a) == (a, walk), lengths
+        assert _smallest_window(lengths, a - 1) is None
 
 
 def test_witness_positions_respect_regions():
