@@ -25,6 +25,7 @@ from .model import (
     FreeSpaceMatrix,
     PointSeq1D,
     Witness,
+    diagram_as_is,
     rat,
 )
 
@@ -154,7 +155,8 @@ def compute_diagram_1d(p: Curve1D, q: Curve1D, eps) -> FreeSpaceDiagram1D:
     vertices and eps are scaled by the least common multiple of their own
     denominators (never by a solver's scale, so the check stays independent
     of the code it checks). The widths, heights and partial-cell intercepts
-    are returned as Fractions.
+    are returned as Fractions, built from the ints without a gcd when that
+    scale is 1, and the diagram is assembled from them as they are.
     """
     eps = rat(eps)
     if eps <= 0:
@@ -162,13 +164,17 @@ def compute_diagram_1d(p: Curve1D, q: Curve1D, eps) -> FreeSpaceDiagram1D:
     pi, qi, e, scale = _scaled_1d(p.vertices, q.vertices, eps)
     q_segs = q_segments(qi)
 
-    def partial(sigma: int, c_lo: int, c_hi: int) -> CellContent:
-        return CellContent(PARTIAL, sigma, Fraction(c_lo, scale), Fraction(c_hi, scale))
+    num = Fraction if scale == 1 else lambda v: Fraction(v, scale)
 
-    cols = [classify_column(a, b, q_segs, e, _EMPTY_CELL, _FULL_CELL, partial) for a, b in zip(pi, pi[1:])]
-    widths = [Fraction(abs(b - a), scale) for a, b in zip(pi, pi[1:])]
-    heights = [Fraction(h, scale) for _, _, h in q_segs]
-    return FreeSpaceDiagram1D(eps, widths, heights, cols)
+    def partial(sigma: int, c_lo: int, c_hi: int) -> CellContent:
+        return CellContent(PARTIAL, sigma, num(c_lo), num(c_hi))
+
+    cols = tuple(
+        tuple(classify_column(a, b, q_segs, e, _EMPTY_CELL, _FULL_CELL, partial)) for a, b in zip(pi, pi[1:])
+    )
+    widths = tuple(num(abs(b - a)) for a, b in zip(pi, pi[1:]))
+    heights = tuple(num(h) for _, _, h in q_segs)
+    return diagram_as_is(eps, widths, heights, cols)
 
 
 @dataclass(frozen=True)

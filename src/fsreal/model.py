@@ -448,12 +448,12 @@ def scale_to_integers(d: FreeSpaceDiagram1D) -> tuple[FreeSpaceDiagram1D, int]:
     )
     widths = tuple(up(w) for w in d.col_widths)
     heights = tuple(up(h) for h in d.row_heights)
-    return _diagram_as_is(up(d.epsilon), widths, heights, cells), scale
+    return diagram_as_is(up(d.epsilon), widths, heights, cells), scale
 
 
-def _diagram_as_is(epsilon, col_widths, row_heights, cells) -> FreeSpaceDiagram1D:
-    """A diagram of these fields, ints kept as ints (``__init__`` would
-    coerce them to Fractions)."""
+def diagram_as_is(epsilon, col_widths, row_heights, cells) -> FreeSpaceDiagram1D:
+    """A diagram of exactly these fields, which ``__init__`` would coerce to
+    Fractions: ints stay ints, and Fractions are not converted again."""
     d = object.__new__(FreeSpaceDiagram1D)
     object.__setattr__(d, "epsilon", epsilon)
     object.__setattr__(d, "col_widths", col_widths)
@@ -466,7 +466,7 @@ def transpose_diagram(d: FreeSpaceDiagram1D) -> FreeSpaceDiagram1D:
     """The diagram of the swapped curve pair (Q, P): rows become columns and
     each cell is transposed. Int fields stay ints."""
     cells = tuple(tuple(cell_transpose(d.cells[i][j]) for i in range(d.n_cols)) for j in range(d.m_rows))
-    return _diagram_as_is(d.epsilon, d.row_heights, d.col_widths, cells)
+    return diagram_as_is(d.epsilon, d.row_heights, d.col_widths, cells)
 
 
 @dataclass(frozen=True)
@@ -596,19 +596,22 @@ def consistency_problems(d: FreeSpaceDiagram1D) -> list[str]:
     violating this is never realizable (forward computation always agrees),
     so solvers answer NO instead of rejecting it."""
     problems: list[str] = []
+    cells, widths, heights = d.cells, d.col_widths, d.row_heights
     # White space restricted to a shared grid line must agree from both sides.
-    for j in range(d.m_rows):
-        h = d.row_heights[j]
-        for i in range(d.n_cols - 1):
-            left = cell_edge_interval(d.cells[i][j], d.col_widths[i], h, "R")
-            right = cell_edge_interval(d.cells[i + 1][j], d.col_widths[i + 1], h, "L")
-            if left != right:
+    # Two empty cells give None on both sides and two full cells the whole
+    # edge, so only a line with a partial cell or two statuses is compared.
+    for j, h in enumerate(heights):
+        for i in range(len(widths) - 1):
+            left, right = cells[i][j], cells[i + 1][j]
+            if left.status == right.status != PARTIAL:
+                continue
+            if cell_edge_interval(left, widths[i], h, "R") != cell_edge_interval(right, widths[i + 1], h, "L"):
                 problems.append(f"grid line between columns {i},{i + 1} at row {j}: white sets disagree")
-    for i in range(d.n_cols):
-        w = d.col_widths[i]
-        for j in range(d.m_rows - 1):
-            below = cell_edge_interval(d.cells[i][j], w, d.row_heights[j], "T")
-            above = cell_edge_interval(d.cells[i][j + 1], w, d.row_heights[j + 1], "B")
-            if below != above:
+    for i, (col, w) in enumerate(zip(cells, widths)):
+        for j in range(len(heights) - 1):
+            below, above = col[j], col[j + 1]
+            if below.status == above.status != PARTIAL:
+                continue
+            if cell_edge_interval(below, w, heights[j], "T") != cell_edge_interval(above, w, heights[j + 1], "B"):
                 problems.append(f"grid line between rows {j},{j + 1} at column {i}: white sets disagree")
     return problems

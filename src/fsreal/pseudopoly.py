@@ -1,9 +1,13 @@
 """Pseudo-polynomial solver for 1D free space diagrams.
 
 Segments are subdivided and typed by their row/column slice status (far,
-close or boundary), and partial cells anchor subsegments in rigid frames,
-one per component of the placement graph (at most two; the second floats
-with an unknown reflection rho and translation tau). The far and close
+close or boundary) in one sweep per segment: each partial cell turns its
+slice empty, partial, full, partial and empty again at no more than four
+points, so the sweep walks the sorted points of the segment's cells keeping
+two counts, the cells whose slice is not empty and those whose slice is not
+full, and reads the type off them. Partial cells anchor subsegments in rigid
+frames, one per component of the placement graph (at most two; the second
+floats with an unknown reflection rho and translation tau). The far and close
 subsegments left between anchored ones form runs, placed by boolean
 reachability tables over integer positions in the region that the hulls of
 the two curves leave them: beyond the eps boundary for a far run, open at
@@ -52,7 +56,6 @@ from .model import (
     consistency_problems,
     scale_to_integers,
     structural_problems,
-    transpose_diagram,
 )
 from .forward import compute_diagram_1d
 
@@ -79,61 +82,43 @@ class TypedDiagram:
     cells: list[list[CellContent]]  # [i][j] over subsegments
 
 
-def _column_breakpoints(cells_col, w: int, heights) -> list[int]:
-    """x positions where some cell's slice status can change."""
-    points = set()
-    for j, cell in enumerate(cells_col):
-        if cell.status != PARTIAL:
-            continue
-        h = heights[j]
-        s = cell.sigma
-        for bound in (cell.c_lo, cell.c_hi):
-            for level in (0, h):
-                x = s * (level - bound)
-                if 0 < x < w:
-                    points.add(x)
-    return sorted(points)
+def _typed_pieces(orig: int, length: int, cells, spans, q_axis: bool) -> list[SubSeg]:
+    """The typed pieces of segment ``orig`` of this length, P's or Q's,
+    whose cell k pairs it with a segment of length ``spans[k]``.
 
-
-def _slice_status(cell: CellContent, h: int, x2: int) -> str:
-    """Status of the cell's vertical slice at x = x2 / 2 (doubled coordinates
-    keep a midpoint between two integer breakpoints an int)."""
-    if cell.status != PARTIAL:
-        return cell.status
-    lo = 2 * cell.c_lo + cell.sigma * x2
-    hi = 2 * cell.c_hi + cell.sigma * x2
-    if lo > 2 * h or hi < 0:
-        return EMPTY
-    if lo <= 0 and hi >= 2 * h:
-        return FULL
-    return PARTIAL
-
-
-def _column_kind(cells_col, heights, x2: int) -> int:
-    statuses = [_slice_status(cell, heights[j], x2) for j, cell in enumerate(cells_col)]
-    if all(s == EMPTY for s in statuses):
-        return TYPE_FAR
-    if all(s == FULL for s in statuses):
-        return TYPE_CLOSE
-    return TYPE_BOUNDARY
-
-
-def _subdivide_axis(columns, widths, heights) -> list[tuple[int, list[tuple[int, int, int]]]]:
-    """Per original segment: pieces (offset, length, kind)."""
-    out = []
-    for i, col in enumerate(columns):
-        w = widths[i]
-        cuts = [0] + _column_breakpoints(col, w, heights) + [w]
-        pieces = []
-        for a, b in zip(cuts, cuts[1:]):
-            kind = _column_kind(col, heights, a + b)
-            if pieces and pieces[-1][2] == kind:
-                off, length, _ = pieces[-1]
-                pieces[-1] = (off, length + (b - a), kind)
+    Once the other side of a sigma = 1 cell is mirrored, a partial cell's
+    white set is lo <= t + u <= hi over 0 <= u <= span, so its slice at t is
+    nonempty for lo - span < t < hi and full for lo < t < hi - span. One
+    sweep over these points keeps two counts, the cells whose slice is not
+    empty and those whose slice is not full: a piece is far while the first
+    is 0, close while the second is, and boundary otherwise."""
+    statuses = [cell.status for cell in cells]
+    nonempty = statuses.count(FULL)
+    notfull = len(statuses) - nonempty
+    events = []
+    for k in [k for k, status in enumerate(statuses) if status == PARTIAL]:
+        cell, span = cells[k], spans[k]
+        lo, hi = cell.c_lo, cell.c_hi
+        if cell.sigma == 1:
+            lo, hi = (span + lo, span + hi) if q_axis else (span - hi, span - lo)
+        for a, b, d_nonempty, d_notfull in ((lo - span, hi, 1, 0), (lo, hi - span, 0, -1)):
+            a, b = a if a > 0 else 0, b if b < length else length
+            if a < b:
+                events += [(a, d_nonempty, d_notfull), (b, -d_nonempty, -d_notfull)]
+    events.sort()
+    pieces: list[SubSeg] = []
+    at = 0
+    for t, d_nonempty, d_notfull in events + [(length, 0, 0)]:
+        if t > at:
+            kind = TYPE_FAR if not nonempty else TYPE_CLOSE if not notfull else TYPE_BOUNDARY
+            if pieces and pieces[-1].kind == kind:
+                pieces[-1] = SubSeg(orig, pieces[-1].offset, t - pieces[-1].offset, kind)
             else:
-                pieces.append((a, b - a, kind))
-        out.append((i, pieces))
-    return out
+                pieces.append(SubSeg(orig, at, t - at, kind))
+            at = t
+        nonempty += d_nonempty
+        notfull += d_notfull
+    return pieces
 
 
 def subdivide_and_type(diagram: FreeSpaceDiagram1D) -> TypedDiagram:
@@ -143,30 +128,27 @@ def subdivide_and_type(diagram: FreeSpaceDiagram1D) -> TypedDiagram:
     Takes the scaled diagram, as :func:`fsreal.model.scale_to_integers`
     returns it: every dimension and intercept a Python int, as in the typed
     diagram."""
-    eps = diagram.epsilon
     widths = diagram.col_widths
     heights = diagram.row_heights
-
-    p_pieces = _subdivide_axis(diagram.cells, widths, heights)
-    # slice status of row j at height y: the column machinery on the
-    # transposed diagram
-    q_pieces = _subdivide_axis(transpose_diagram(diagram).cells, heights, widths)
-
-    p_segs = [SubSeg(i, off, length, kind) for i, pieces in p_pieces for off, length, kind in pieces]
-    q_segs = [SubSeg(j, off, length, kind) for j, pieces in q_pieces for off, length, kind in pieces]
+    grid = diagram.cells
+    p_segs = [s for i, w in enumerate(widths) for s in _typed_pieces(i, w, grid[i], heights, False)]
+    q_segs = [s for j, h in enumerate(heights) for s in _typed_pieces(j, h, [col[j] for col in grid], widths, True)]
 
     cells: list[list[CellContent]] = []
     for ps in p_segs:
+        w0 = widths[ps.orig]
+        col = grid[ps.orig]
+        if ps.length != w0:
+            x1 = ps.offset + ps.length
+            col = [cell_restrict_x(c, w0, h0, ps.offset, x1) for c, h0 in zip(col, heights)]
         row_out = []
         for qs in q_segs:
-            base = diagram.cells[ps.orig][qs.orig]
-            w0 = widths[ps.orig]
-            h0 = heights[qs.orig]
-            c = cell_restrict_x(base, w0, h0, ps.offset, ps.offset + ps.length)
-            c = cell_restrict_y(c, ps.length, h0, qs.offset, qs.offset + qs.length)
+            c = col[qs.orig]
+            if qs.length != heights[qs.orig]:
+                c = cell_restrict_y(c, ps.length, heights[qs.orig], qs.offset, qs.offset + qs.length)
             row_out.append(c)
         cells.append(row_out)
-    return TypedDiagram(eps, p_segs, q_segs, cells)
+    return TypedDiagram(diagram.epsilon, p_segs, q_segs, cells)
 
 
 @dataclass

@@ -8,6 +8,7 @@ import pytest
 from fsreal import (
     Curve1D,
     CurveD,
+    FreeSpaceDiagram1D,
     FreeSpaceMatrix,
     Witness,
     cell_ellipse_2d,
@@ -172,16 +173,25 @@ def test_diagram_boundary_cells(p, q, eps, status):
 
 
 def test_diagram_fields_are_fractions_and_round_trip():
+    # rational curves, and integer ones, whose own scale is 1: every field is
+    # a Fraction, and the diagram equals the one FreeSpaceDiagram1D builds
     rng = random.Random(29)
-    for _ in range(40):
-        d = compute_diagram_1d(_rational_curve(rng, 5), _rational_curve(rng, 4), Fraction(rng.randint(1, 30), 7))
+    cases = [(_rational_curve(rng, 5), _rational_curve(rng, 4), Fraction(rng.randint(1, 30), 7)) for _ in range(40)]
+    cases += [(*random_integer_curves(seed, 6, 4), rng.randint(1, 4)) for seed in range(40)]
+    partial = 0
+    for p, q, eps in cases:
+        d = compute_diagram_1d(p, q, eps)
         cells = [c for col in d.cells for c in col]
         values = [d.epsilon, *d.col_widths, *d.row_heights]
         values += [v for c in cells if c.status == PARTIAL for v in (c.c_lo, c.c_hi)]
         assert all(type(v) is Fraction for v in values)
         assert all(type(c.sigma) is int for c in cells)
+        partial += sum(c.status == PARTIAL for c in cells)
+        built = FreeSpaceDiagram1D(d.epsilon, list(d.col_widths), list(d.row_heights), [list(col) for col in d.cells])
+        assert d == built and hash(d) == hash(built)
         text = serialize(d)
         assert parse(text) == d and serialize(parse(text)) == text
+    assert partial > 100
 
 
 def test_moved_witness_vertex_is_caught():

@@ -13,6 +13,8 @@ from fsreal import (
     FreeSpaceMatrix,
     PointSeq1D,
     UnitIntervalArrangement,
+    gen_partition,
+    gen_random_instance,
     rat,
     rat_str,
     solve_discrete_1d,
@@ -186,6 +188,74 @@ def test_boundary_consistency_detection():
     assert any("white sets disagree" in p for p in validate_diagram(d))
     assert structural_problems(d) == []
     assert consistency_problems(d)
+
+
+def test_full_cell_next_to_an_empty_cell_is_named():
+    # both cells are non-partial, so the white sets are the whole edge and
+    # None: the grid line is compared, once across columns and once across rows
+    full, empty = CellContent.full(), CellContent.empty()
+    across_columns = FreeSpaceDiagram1D(1, [1, 1], [1], [[full], [empty]])
+    assert consistency_problems(across_columns) == ["grid line between columns 0,1 at row 0: white sets disagree"]
+    across_rows = FreeSpaceDiagram1D(1, [1], [1, 1], [[empty, full]])
+    assert consistency_problems(across_rows) == ["grid line between rows 0,1 at column 0: white sets disagree"]
+
+
+def _reference_grid_problems(d):
+    """The grid-line check without skipping a line between two empty or two
+    full cells: cell_edge_interval on every shared line."""
+    w, h = d.col_widths, d.row_heights
+
+    def edge(i, j, side):
+        return cell_edge_interval(d.cells[i][j], w[i], h[j], side)
+
+    problems = []
+    for j in range(d.m_rows):
+        for i in range(d.n_cols - 1):
+            if edge(i, j, "R") != edge(i + 1, j, "L"):
+                problems.append(f"grid line between columns {i},{i + 1} at row {j}: white sets disagree")
+    for i in range(d.n_cols):
+        for j in range(d.m_rows - 1):
+            if edge(i, j, "T") != edge(i, j + 1, "B"):
+                problems.append(f"grid line between rows {j},{j + 1} at column {i}: white sets disagree")
+    return problems
+
+
+def _random_status_grid(rng: random.Random):
+    """A grid of empty, full and partial cells drawn independently, so that
+    every pair of statuses meets on some grid line."""
+    eps = rng.randint(1, 4)
+    widths = [rng.randint(1, 6) for _ in range(rng.randint(1, 6))]
+    heights = [rng.randint(1, 6) for _ in range(rng.randint(1, 5))]
+
+    def cell():
+        roll = rng.random()
+        if roll < 0.35:
+            return CellContent.empty()
+        if roll < 0.7:
+            return CellContent.full()
+        c_lo = rng.randint(-8, 6)
+        return CellContent.partial(rng.choice([-1, 1]), c_lo, c_lo + 2 * eps)
+
+    return FreeSpaceDiagram1D(eps, widths, heights, [[cell() for _ in heights] for _ in widths])
+
+
+def test_grid_line_check_matches_every_line_compared():
+    from test_fuzz_pseudopoly import consistent_diagrams, forward_diagrams
+
+    rng = random.Random(29)
+    diagrams = list(forward_diagrams(60, seed=3)) + list(consistent_diagrams(60, seed=4))
+    for seed in range(300):
+        n, m, eps = rng.randint(2, 12), rng.randint(2, 8), rng.randint(1, 12)
+        diagrams.append(gen_random_instance(seed, kind="diagram", n_points=n, m_points=m, eps=eps, mutate=True))
+    diagrams += [gen_partition([rng.randint(1, 30) for _ in range(rng.randint(2, 9))]) for _ in range(40)]
+    diagrams += [random_rational_diagram(rng) for _ in range(100)]
+    diagrams += [_random_status_grid(rng) for _ in range(400)]
+    named = 0
+    for index, d in enumerate(diagrams):
+        problems = consistency_problems(d)
+        assert problems == _reference_grid_problems(d), index
+        named += bool(problems)
+    assert named > 500
 
 
 def test_grid_lines_agree_and_a_shifted_slab_is_named():

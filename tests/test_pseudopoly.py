@@ -16,11 +16,22 @@ from fsreal import (
     solve_pseudo_poly,
     subdivide_and_type,
 )
-from fsreal.model import consistency_problems, scale_to_integers, structural_problems
+from fsreal.model import (
+    EMPTY,
+    FULL,
+    PARTIAL,
+    cell_restrict_x,
+    cell_restrict_y,
+    consistency_problems,
+    scale_to_integers,
+    structural_problems,
+    transpose_diagram,
+)
 from fsreal.pseudopoly import (
     TYPE_BOUNDARY,
     TYPE_CLOSE,
     TYPE_FAR,
+    SubSeg,
     _collect_runs,
     _smallest_window,
     anchor_components,
@@ -63,6 +74,102 @@ def test_typing_partial_cell_spanning_its_row():
     kinds = {(s.orig, s.kind) for s in typed.p_segs}
     assert (0, TYPE_BOUNDARY) in kinds
     assert any(orig == 1 and kind == TYPE_FAR for orig, kind in kinds)
+
+
+def _reference_pieces(columns, widths, heights):
+    """A per-slice classifier: cut each segment at every breakpoint of its
+    partial cells and classify all its cells again at the midpoint of every
+    piece (doubled coordinates)."""
+    out = []
+    for i, col in enumerate(columns):
+        w = widths[i]
+        points = {
+            c.sigma * (level - bound)
+            for j, c in enumerate(col)
+            if c.status == PARTIAL
+            for bound in (c.c_lo, c.c_hi)
+            for level in (0, heights[j])
+        }
+        cuts = [0] + sorted(x for x in points if 0 < x < w) + [w]
+        pieces = []
+        for a, b in zip(cuts, cuts[1:]):
+            statuses = set()
+            for j, c in enumerate(col):
+                if c.status != PARTIAL:
+                    statuses.add(c.status)
+                    continue
+                lo, hi, h2 = 2 * c.c_lo + c.sigma * (a + b), 2 * c.c_hi + c.sigma * (a + b), 2 * heights[j]
+                statuses.add(EMPTY if lo > h2 or hi < 0 else FULL if lo <= 0 and hi >= h2 else PARTIAL)
+            kind = TYPE_FAR if statuses == {EMPTY} else TYPE_CLOSE if statuses == {FULL} else TYPE_BOUNDARY
+            if pieces and pieces[-1].kind == kind:
+                pieces[-1] = SubSeg(i, pieces[-1].offset, b - pieces[-1].offset, kind)
+            else:
+                pieces.append(SubSeg(i, a, b - a, kind))
+        out += pieces
+    return out
+
+
+def _reference_typing(scaled):
+    """(p_segs, q_segs, cells) from the per-slice classifier, Q's segments
+    through the transposed diagram, every cell restricted in x, then in y."""
+    widths, heights = scaled.col_widths, scaled.row_heights
+    p_segs = _reference_pieces(scaled.cells, widths, heights)
+    q_segs = _reference_pieces(transpose_diagram(scaled).cells, heights, widths)
+
+    def cell(ps, qs):
+        w, h = widths[ps.orig], heights[qs.orig]
+        c = cell_restrict_x(scaled.cells[ps.orig][qs.orig], w, h, ps.offset, ps.offset + ps.length)
+        return cell_restrict_y(c, ps.length, h, qs.offset, qs.offset + qs.length)
+
+    return p_segs, q_segs, [[cell(ps, qs) for qs in q_segs] for ps in p_segs]
+
+
+def _long_forward_diagrams(rng: random.Random, count: int):
+    """Forward diagrams of 60..200-segment walks against 2..12-segment ones,
+    the shape of the benchmark's long pseudo-poly diagrams."""
+    for _ in range(count):
+        n, m, eps = rng.randint(60, 200), rng.randint(2, 12), rng.randint(2, 20)
+        yield random_integer_diagram(rng.randrange(1 << 30), n, m, eps, max_step=10)
+
+
+def test_typing_sweep_matches_the_per_slice_classifier():
+    rng = random.Random(77)
+    diagrams = [
+        random_integer_diagram(seed, rng.randint(1, 8), rng.randint(1, 6), rng.randint(1, 4)) for seed in range(200)
+    ]
+    diagrams += [random_rational_diagram(rng) for _ in range(150)]
+    diagrams += _rational_one_slab_mutants(random.Random(2024), 60)
+    diagrams += consistent_diagrams(60, seed=12)
+    diagrams += _long_forward_diagrams(random.Random(5), 6)
+    # degenerate cases: a slab line through a cell corner, on the P and on
+    # the Q axis; two rows (columns) whose breakpoints coincide; sigma -1
+    diagrams += [
+        compute_diagram_1d(Curve1D(p), Curve1D(q), eps)
+        for p, q, eps in (
+            ((0, 2), (1, 3), 1),
+            ((0, 4), (2, 0), 1),
+            ((0, 4), (0, 2, 4), 1),
+            ((4, 0, 4), (0, 4), 2),
+            ((0, 2, 0, 2), (3, 1, 3), 1),
+        )
+    ]
+    corner = shared = q_reversed = 0
+    for index, diagram in enumerate(diagrams):
+        scaled = scale_to_integers(diagram)[0]
+        typed = subdivide_and_type(scaled)
+        assert (typed.p_segs, typed.q_segs, typed.cells) == _reference_typing(scaled), index
+        for axis in (scaled, transpose_diagram(scaled)):
+            for col, w in zip(axis.cells, axis.col_widths):
+                per_cell = [
+                    {c.sigma * (level - bound) for bound in (c.c_lo, c.c_hi) for level in (0, h)}
+                    for c, h in zip(col, axis.row_heights)
+                    if c.status == PARTIAL
+                ]
+                corner += any(0 in points or w in points for points in per_cell)
+                inside = [x for points in per_cell for x in points if 0 < x < w]
+                shared += len(inside) > len(set(inside))
+        q_reversed += any(c.status == PARTIAL and c.sigma == -1 for col in scaled.cells for c in col)
+    assert corner > 500 and shared > 500 and q_reversed > 200
 
 
 def test_solver_decides_rational_diagrams():
