@@ -35,6 +35,8 @@ from test_fuzz_pseudopoly import consistent_diagrams, forward_diagrams
 # filter dates from FPT's enumeration of all 2^k crease assignments; it
 # stays so that the corpus, and with it the digests, stays the same.
 PSEUDO_POLY_DIGEST = "ca3d76278117493a408b0822ef790289f20f6782c033fb8c7984a0876170bfbd"
+# the 400 YES/NO answers of solve_pseudo_poly alone (218 YES)
+PSEUDO_POLY_VERDICT_DIGEST = "7978d925a501ec75319db5644bc77cf2835eb44c6b36abcb9b6433fb08b54fc2"
 # FPT decides the diagrams without partial cells by pseudo-poly's closed
 # form, which centres each curve's smallest window instead of its smallest
 # hull over the crease labels: 16 of the 201 witnesses changed, all on
@@ -51,6 +53,9 @@ FPT_RATIONAL_DIGEST = "20dfd670e0cdd189a4fd8c143d15656dd58a791b79057f726d539222a
 # its 200 YES/NO answers alone (167 YES), pinned before the column sweep,
 # which changed 56 of the 167 witnesses
 FPT_RATIONAL_VERDICT_DIGEST = "b547ffe16c0f4319792cc4e3b5b80ce6098c85af53f0e83a55cd3daf7ece0a17"
+# solve_pseudo_poly on the same 200 rational diagrams (167 YES), where the
+# scale of the diagram and of its witness must be handled exactly
+PSEUDO_POLY_RATIONAL_DIGEST = "65bca2457a793a3f50f8de07a728a89333e25baf197c4ff6d073f81889df4ac5"
 # the discrete solver on 120 criterion-1 round trips, 300 random matrices up
 # to 8x8 (94 of the 429 answers are NO), 8 walk matrices and one pair of
 # points beyond 2^62, which an int64 forward kernel could not hold. Equal
@@ -114,7 +119,9 @@ def _fpt_digests(diagrams) -> tuple[str, str]:
 def test_witness_digests():
     diagrams = list(_corpus())
     assert len(diagrams) == 400
-    assert _digest(solve_pseudo_poly, diagrams) == PSEUDO_POLY_DIGEST
+    witnesses = [solve_pseudo_poly(d) for d in diagrams]
+    assert _sha256([w is not None for w in witnesses]) == PSEUDO_POLY_VERDICT_DIGEST
+    assert _sha256([None if w is None else serialize(w) for w in witnesses]) == PSEUDO_POLY_DIGEST
     fpt_corpus = [d for d in diagrams if infer_creases(d).k <= 10]
     assert len(fpt_corpus) == 380
     assert _fpt_digests(fpt_corpus) == (FPT_DIGEST, FPT_VERDICT_DIGEST)
@@ -122,6 +129,10 @@ def test_witness_digests():
 
 def test_rational_fpt_witness_digest():
     assert _fpt_digests(list(_rational_corpus())) == (FPT_RATIONAL_DIGEST, FPT_RATIONAL_VERDICT_DIGEST)
+
+
+def test_rational_pseudo_poly_witness_digest():
+    assert _digest(solve_pseudo_poly, _rational_corpus()) == PSEUDO_POLY_RATIONAL_DIGEST
 
 
 def _walk(rng: random.Random, k: int) -> list[int]:
