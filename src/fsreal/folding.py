@@ -24,18 +24,17 @@ labels: it is all empty or all full, and
 :func:`fsreal.pseudopoly.closed_form_witness` decides it for both solvers
 (the far placement; the two curves' smallest closed windows, centred).
 
-The structural and consistency checks, the crease inference and the sweep
-run on the diagram scaled to Python ints
-(:func:`fsreal.model.scale_to_integers`). The full assignment found fixes
-the witness, which :func:`extract_curves` reads off the caller's diagram in
-`fractions.Fraction`s and the forward computation checks against it;
-:func:`check_foldable` is that check for one assignment on its own.
+The structural and consistency checks, the crease inference, the sweep and
+the witness all read the diagram's int form, its values times its scale.
+The full assignment found fixes the witness, which :func:`extract_curves`
+reads off those ints and the forward computation checks against the
+diagram; :func:`check_foldable` is that check for one assignment on its
+own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .model import (
@@ -50,7 +49,6 @@ from .model import (
     cell_restrict_x,
     classify_slab,
     consistency_problems,
-    scale_to_integers,
     structural_problems,
     transpose_diagram,
 )
@@ -135,10 +133,10 @@ def infer_creases(diagram: FreeSpaceDiagram1D) -> CreaseAssignment:
     """Label every grid line whose adjacent cells admit only one of
     {fold, straight}; lines supporting both stay unknown, lines supporting
     neither are contradictions (the instance is not realizable)."""
-    eps = diagram.epsilon
-    v_labels, v_bad = _line_labels(diagram.cells, diagram.col_widths, diagram.row_heights, eps)
+    eps = diagram.scaled_eps
+    v_labels, v_bad = _line_labels(diagram.scaled_cells, diagram.scaled_widths, diagram.scaled_heights, eps)
     t = transpose_diagram(diagram)
-    h_labels, h_bad = _line_labels(t.cells, t.col_widths, t.row_heights, eps)
+    h_labels, h_bad = _line_labels(t.scaled_cells, t.scaled_widths, t.scaled_heights, eps)
     notes = tuple(
         [f"vertical line {i}: no fold/straight assignment matches the white space" for i in v_bad]
         + [f"horizontal line {j}: no fold/straight assignment matches the white space" for j in h_bad]
@@ -168,53 +166,30 @@ def extract_curves(
     cell's slab orientation contradicts the labels.
 
     Fold lines flip segment orientation; the inter-curve offset comes from
-    the first partial cell's slab (positive mirror), or from the far/centered
-    placement rules when the diagram has no partial cells.
+    the first partial cell's slab (positive mirror). A diagram without
+    partial cells fixes no offset and needs no labels:
+    :func:`fsreal.pseudopoly.closed_form_witness` places it, or answers None.
     """
-    eps = diagram.epsilon
-    widths = diagram.col_widths
-    heights = diagram.row_heights
+    cells = diagram.scaled_cells
+    partials = ((i, j) for i, col in enumerate(cells) for j, c in enumerate(col) if c.status == PARTIAL)
+    i0, j0 = next(partials, (None, None))
+    if i0 is None:
+        return closed_form_witness(diagram)
     sp = _orientations_from(vertical)
     sq_rel = _orientations_from(horizontal)
-
-    first_partial = None
-    for i in range(diagram.n_cols):
-        for j in range(diagram.m_rows):
-            if diagram.cells[i][j].status == PARTIAL:
-                first_partial = (i, j)
-                break
-        if first_partial:
-            break
-
-    p_pts = _vertices(widths, sp)
-
-    if first_partial is None:
-        pref_q = _vertices(heights, sq_rel)
-        if any(diagram.cells[i][j].status == FULL for i in range(diagram.n_cols) for j in range(diagram.m_rows)):
-            # centre Q's hull on P's; Fraction keeps int input exact
-            q0 = Fraction(min(p_pts) + max(p_pts) - min(pref_q) - max(pref_q), 2)
-        else:
-            span_p = max(p_pts) - min(p_pts)
-            span_q = max(pref_q) - min(pref_q)
-            q0 = min(p_pts) + span_p + span_q + 2 * eps + 1 - min(pref_q)
-        q_pts = [q0 + v for v in pref_q]
-        return Witness(Curve1D(p_pts), Curve1D(q_pts), eps)
-
-    i0, j0 = first_partial
-    cell0 = diagram.cells[i0][j0]
+    cell0 = cells[i0][j0]
     sq1 = cell0.sigma * sp[i0] * sq_rel[j0]
     sq = [sq1 * s for s in sq_rel]
-    for i in range(diagram.n_cols):
-        for j in range(diagram.m_rows):
-            c = diagram.cells[i][j]
-            if c.status == PARTIAL and sp[i] * sq[j] != c.sigma:
-                return None
-    pref_q = _vertices(heights, sq)
+    if any(sp[i] * sq[j] != cells[i][j].sigma for i, j in partials):  # the first one agrees by sq1
+        return None
+    p_pts = _vertices(diagram.scaled_widths, sp)
+    pref_q = _vertices(diagram.scaled_heights, sq)
     # c_lo = sq_j * (Pstart - Qstart) - eps
-    q_start = p_pts[i0] - sq[j0] * (cell0.c_lo + eps)
-    q0 = q_start - pref_q[j0]
-    q_pts = [q0 + v for v in pref_q]
-    return Witness(Curve1D(p_pts), Curve1D(q_pts), eps)
+    q0 = p_pts[i0] - sq[j0] * (cell0.c_lo + diagram.scaled_eps) - pref_q[j0]
+    scale = diagram.scale
+    return Witness(
+        Curve1D.from_scaled(scale, p_pts), Curve1D.from_scaled(scale, [q0 + v for v in pref_q]), diagram.epsilon
+    )
 
 
 def check_foldable(diagram: FreeSpaceDiagram1D, vertical: Sequence[str], horizontal: Sequence[str]) -> bool:
@@ -254,10 +229,10 @@ def _walk(d: FreeSpaceDiagram1D, targets, q_segs, columns, forward: bool) -> Opt
     column matching its target; the first vertex is the common one, and the
     walk runs forward (P_i to P_{i+1}) or backward. None when a layer of
     reachable positions empties."""
-    e = d.epsilon
+    e = d.scaled_eps
     layers = [{0: None}]
     for i in columns:
-        w, target, reached = d.col_widths[i], targets[i], {}
+        w, target, reached = d.scaled_widths[i], targets[i], {}
         for x in layers[-1]:
             for y in (x + w, x - w):
                 if y in reached:
@@ -281,8 +256,8 @@ def _sweep(d: FreeSpaceDiagram1D, labels: Sequence[str]):
     against that Q are all the diagram's, with Q's, if such a P exists. The
     diagram has a partial cell; the first, (i0, j0), puts P_{i0} at 0 and,
     given Q's orientation vector, fixes Q."""
-    e = d.epsilon
-    targets = [[_cell_key(c) for c in col] for col in d.cells]
+    e = d.scaled_eps
+    targets = [[_cell_key(c) for c in col] for col in d.scaled_cells]
     partials = [[(j, c[0]) for j, c in enumerate(col) if type(c) is tuple] for col in targets]
     i0 = next(i for i, col in enumerate(partials) if col)
     j0 = partials[i0][0][0]
@@ -293,7 +268,7 @@ def _sweep(d: FreeSpaceDiagram1D, labels: Sequence[str]):
         sq = _orientations_from(horizontal)
         if any(sq[j] * sq[j2] != s for j, j2, s in parity):
             continue
-        q = _vertices(d.row_heights, sq)
+        q = _vertices(d.scaled_heights, sq)
         shift = -sq[j0] * (c_lo0 + e) - q[j0]  # c_lo0 = sq_j0 * (0 - Q_j0) - eps
         q_segs = q_segments([v + shift for v in q])
         after = _walk(d, targets, q_segs, range(i0, d.n_cols), True)
@@ -316,28 +291,26 @@ def solve_fpt(diagram: FreeSpaceDiagram1D) -> Optional[Witness]:
     to :func:`fsreal.pseudopoly.closed_form_witness`, whose window search
     keeps at most min(2^(n-i), sum(lengths) + 1) pairs per vertex i.
 
-    The structural and consistency checks, the crease inference and the
-    sweep run on the diagram scaled to ints. The first full assignment found
-    gives the witness: :func:`extract_curves` reads the pair off the
-    caller's diagram, and it is returned once the forward computation
-    reproduces that diagram from it.
+    Every stage reads the diagram's int form. The first full assignment
+    found gives the witness: :func:`extract_curves` reads the pair off those
+    ints, and it is returned once the forward computation reproduces the
+    diagram from it.
     """
-    scaled, scale = scale_to_integers(diagram)
-    problems = structural_problems(scaled)
+    problems = structural_problems(diagram)
     if problems:
         raise ValueError("invalid diagram: " + "; ".join(problems))
-    if consistency_problems(scaled):
+    if consistency_problems(diagram):
         return None  # no curve pair produces disagreeing boundary restrictions
-    if not any(c.status == PARTIAL for col in scaled.cells for c in col):
-        return closed_form_witness(diagram, scaled, scale)
-    inferred = infer_creases(scaled)
+    if not any(c.status == PARTIAL for col in diagram.scaled_cells for c in col):
+        return closed_form_witness(diagram)
+    inferred = infer_creases(diagram)
     if inferred.contradictions:
         return None
     if inferred.vertical.count(UNKNOWN) < inferred.horizontal.count(UNKNOWN):
         # enumerate P's labels: sweep Q across the transposed diagram
-        assignments = ((v, h) for h, v in _sweep(transpose_diagram(scaled), inferred.vertical))
+        assignments = ((v, h) for h, v in _sweep(transpose_diagram(diagram), inferred.vertical))
     else:
-        assignments = _sweep(scaled, inferred.horizontal)
+        assignments = _sweep(diagram, inferred.horizontal)
     for vertical, horizontal in assignments:
         witness = extract_curves(diagram, vertical, horizontal)
         if compute_diagram_1d(witness.curve_p, witness.curve_q, diagram.epsilon) == diagram:

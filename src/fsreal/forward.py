@@ -3,9 +3,9 @@ per-cell ellipse geometry in the plane, and witness verification.
 
 In 1D both forward computations run on integers: the curves and eps are
 scaled by the least common multiple of their own denominators, and a
-diagram's widths, heights and slab intercepts are returned as Fractions.
-Only curves in R^d and the planar ellipse geometry use numpy, which they
-import when called.
+diagram is returned in its int form, built from those ints. Only curves
+in R^d and the planar ellipse geometry use numpy, which they import when
+called.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence, Union
 
 from .model import (
@@ -25,7 +26,6 @@ from .model import (
     FreeSpaceMatrix,
     PointSeq1D,
     Witness,
-    diagram_as_is,
     rat,
 )
 
@@ -39,6 +39,7 @@ PARTIAL_SLAB = "partial_slab"
 
 _EMPTY_CELL = CellContent.empty()
 _FULL_CELL = CellContent.full()
+_PARTIAL_CELL = partial(CellContent, PARTIAL)
 
 
 def _point_list(curve) -> list:
@@ -151,30 +152,22 @@ def compute_diagram_1d(p: Curve1D, q: Curve1D, eps) -> FreeSpaceDiagram1D:
     Cell (i, j) is the slab |P_i(x) - Q_j(y)| <= eps classified against the
     cell box; orientation is the product of the two segments' orientations.
 
-    The cells are computed on Python ints by :func:`classify_column`: the
-    vertices and eps are scaled by the least common multiple of their own
-    denominators (never by a solver's scale, so the check stays independent
-    of the code it checks). The widths, heights and partial-cell intercepts
-    are returned as Fractions, built from the ints without a gcd when that
-    scale is 1, and the diagram is assembled from them as they are.
+    The cells are computed on Python ints by :func:`classify_column`, with
+    the vertices and eps scaled by the least common multiple of the curves'
+    scales and eps's denominator (never by a solver's scale, so the check
+    stays independent of the code it checks); the diagram is built from
+    those ints without a Fraction.
     """
-    eps = rat(eps)
-    if eps <= 0:
+    e, den = (eps, 1) if type(eps) is int else rat(eps).as_integer_ratio()
+    if e <= 0:
         raise ValueError("epsilon must be positive")
-    pi, qi, e, scale = _scaled_1d(p.vertices, q.vertices, eps)
-    q_segs = q_segments(qi)
-
-    num = Fraction if scale == 1 else lambda v: Fraction(v, scale)
-
-    def partial(sigma: int, c_lo: int, c_hi: int) -> CellContent:
-        return CellContent(PARTIAL, sigma, num(c_lo), num(c_hi))
-
-    cols = tuple(
-        tuple(classify_column(a, b, q_segs, e, _EMPTY_CELL, _FULL_CELL, partial)) for a, b in zip(pi, pi[1:])
-    )
-    widths = tuple(num(abs(b - a)) for a, b in zip(pi, pi[1:]))
-    heights = tuple(num(h) for _, _, h in q_segs)
-    return diagram_as_is(eps, widths, heights, cols)
+    scale = math.lcm(den, p.scale, q.scale)
+    pi = [v * (scale // p.scale) for v in p.scaled_vertices]
+    q_segs = q_segments([v * (scale // q.scale) for v in q.scaled_vertices])
+    e *= scale // den
+    cols = [classify_column(a, b, q_segs, e, _EMPTY_CELL, _FULL_CELL, _PARTIAL_CELL) for a, b in zip(pi, pi[1:])]
+    widths = [abs(b - a) for a, b in zip(pi, pi[1:])]
+    return FreeSpaceDiagram1D.from_scaled(scale, e, widths, [h for _, _, h in q_segs], cols)
 
 
 @dataclass(frozen=True)

@@ -246,7 +246,7 @@ def gen_random_instance(
     raise ValueError(f"unknown instance kind {kind!r}")
 
 
-def _mutate_diagram(rng: random.Random, diagram: FreeSpaceDiagram1D) -> Optional[FreeSpaceDiagram1D]:
+def _mutate_diagram(rng: random.Random, d: FreeSpaceDiagram1D) -> Optional[FreeSpaceDiagram1D]:
     """Shift one partial cell's slab by one unit, keeping the diagram
     structurally well-formed (boundary consistency may break: that is the
     point, such instances are usually unrealizable)."""
@@ -254,17 +254,17 @@ def _mutate_diagram(rng: random.Random, diagram: FreeSpaceDiagram1D) -> Optional
 
     candidates = [
         (i, j, shift)
-        for i in range(diagram.n_cols)
-        for j in range(diagram.m_rows)
-        if diagram.cells[i][j].is_partial
-        for shift in (-1, 1)
+        for i in range(d.n_cols)
+        for j in range(d.m_rows)
+        if d.scaled_cells[i][j].is_partial
+        for shift in (-d.scale, d.scale)
     ]
     rng.shuffle(candidates)
     for i, j, shift in candidates:
-        cols = [list(col) for col in diagram.cells]
+        cols = [list(col) for col in d.scaled_cells]
         c = cols[i][j]
         cols[i][j] = CellContent(c.status, c.sigma, c.c_lo + shift, c.c_hi + shift)
-        mutated = FreeSpaceDiagram1D(diagram.epsilon, diagram.col_widths, diagram.row_heights, cols)
+        mutated = FreeSpaceDiagram1D.from_scaled(d.scale, d.scaled_eps, d.scaled_widths, d.scaled_heights, cols)
         if not structural_problems(mutated):
             return mutated
     return None

@@ -1,12 +1,17 @@
 """Exact domain types shared by all solvers.
 
-All 1D combinatorial data (coordinates, epsilon, cell dimensions, slab
-intercepts) is carried as `fractions.Fraction`. The solvers compute on
-Python ints internally and return Fractions: the discrete solver on an
-exact integer grid, the two diagram solvers on the diagram scaled by
-:func:`scale_to_integers`. The cell algebra below is written for either
-number type and returns ints on int input. Geometry in dimension >= 2
-lives in floats and is handled in :mod:`fsreal.forward`.
+A 1D curve and a 1D diagram are stored in one canonical int form: an int
+``scale``, the least common multiple of the denominators of their values,
+and every value times that scale as an int (the ``scaled_*`` fields), so
+the ints and the scale share no common factor. Equality, hashing and the
+diagram solvers read these ints; the caller-unit `fractions.Fraction`
+views (``vertices``, ``epsilon``, ``col_widths``, ``row_heights``,
+``cells``) are built on first read and then kept. Other 1D data (point
+sequences, arrangements, witness eps) is carried as Fractions, and the
+discrete solver computes on an exact integer grid of its own. The cell
+algebra below is written for either number type and returns ints on int
+input. Geometry in dimension >= 2 lives in floats and is handled in
+:mod:`fsreal.forward`.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 Rational = Fraction
@@ -51,23 +57,50 @@ def _as_rationals(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
     return tuple(rat(v) for v in values)
 
 
+def _number(value: RationalLike):
+    """An int as it is, anything else through :func:`rat`."""
+    return value if type(value) is int else rat(value)
+
+
 @dataclass(frozen=True)
 class Curve1D:
-    """Polygonal curve on the line: >= 2 vertices, no zero-length segments."""
+    """Polygonal curve on the line: >= 2 vertices, no zero-length segments.
 
-    vertices: tuple[Fraction, ...]
+    Stored as ``scaled_vertices``, each vertex times ``scale`` as an int;
+    ``vertices`` are the Fractions, built on first read."""
+
+    scale: int
+    scaled_vertices: tuple[int, ...]
 
     def __init__(self, vertices: Iterable[RationalLike]):
-        object.__setattr__(self, "vertices", _as_rationals(vertices))
-        if len(self.vertices) < 2:
+        values = [_number(v) for v in vertices]
+        scale = math.lcm(*(v.denominator for v in values))
+        self._set(scale, tuple(v.numerator * (scale // v.denominator) for v in values))
+
+    @classmethod
+    def from_scaled(cls, scale: int, scaled_vertices: Iterable[int]) -> "Curve1D":
+        """The curve whose vertices are these ints over ``scale``."""
+        ints = tuple(scaled_vertices)
+        g = math.gcd(scale, *ints)
+        curve = object.__new__(cls)
+        curve._set(scale // g, ints if g == 1 else tuple(v // g for v in ints))
+        return curve
+
+    def _set(self, scale: int, ints: tuple[int, ...]) -> None:
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "scaled_vertices", ints)
+        if len(ints) < 2:
             raise ValueError("a 1D curve needs at least two vertices")
-        for a, b in zip(self.vertices, self.vertices[1:]):
-            if a == b:
-                raise ValueError("consecutive curve vertices must be distinct")
+        if any(a == b for a, b in zip(ints, ints[1:])):
+            raise ValueError("consecutive curve vertices must be distinct")
+
+    @cached_property
+    def vertices(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.scale) for v in self.scaled_vertices)
 
     @property
     def n_segments(self) -> int:
-        return len(self.vertices) - 1
+        return len(self.scaled_vertices) - 1
 
     @property
     def segment_lengths(self) -> tuple[Fraction, ...]:
@@ -75,7 +108,8 @@ class Curve1D:
 
     @property
     def orientations(self) -> tuple[int, ...]:
-        return tuple(1 if b > a else -1 for a, b in zip(self.vertices, self.vertices[1:]))
+        v = self.scaled_vertices
+        return tuple(1 if b > a else -1 for a, b in zip(v, v[1:]))
 
     def folds_at(self, i: int) -> bool:
         """True iff the curve reverses direction at interior vertex ``i``."""
@@ -85,16 +119,8 @@ class Curve1D:
         return o[i - 1] != o[i]
 
     @property
-    def low(self) -> Fraction:
-        return min(self.vertices)
-
-    @property
-    def high(self) -> Fraction:
-        return max(self.vertices)
-
-    @property
     def span(self) -> Fraction:
-        return self.high - self.low
+        return Fraction(max(self.scaled_vertices) - min(self.scaled_vertices), self.scale)
 
 
 @dataclass(frozen=True)
@@ -139,7 +165,8 @@ class CellContent:
     """One diagram cell: empty, full, or a +-45 degree slab (partial).
 
     For a partial cell the white set in cell-local coordinates is
-    ``{(x, y) : c_lo <= y - sigma*x <= c_hi}`` with ``c_hi - c_lo = 2*eps``.
+    ``{(x, y) : c_lo <= y - sigma*x <= c_hi}`` with ``c_hi - c_lo = 2*eps``;
+    the intercepts are ints in a diagram's ``scaled_cells``.
     """
 
     status: str
@@ -393,80 +420,97 @@ def _list_masks(entries) -> tuple[int, tuple[int, ...]]:
     return len(rows[0]), tuple(row_mask([_entry_bit(v) for v in r]) for r in rows)
 
 
+def _intercepts(cells):
+    """c_lo and c_hi of each partial cell, in grid order."""
+    return (v for col in cells for c in col if c.status == PARTIAL for v in (c.c_lo, c.c_hi))
+
+
+def _rescaled(cells, f) -> tuple[tuple[CellContent, ...], ...]:
+    """The cells, each partial cell's intercepts mapped through ``f``."""
+    return tuple(
+        tuple(CellContent(PARTIAL, c.sigma, f(c.c_lo), f(c.c_hi)) if c.status == PARTIAL else c for c in col)
+        for col in cells
+    )
+
+
 @dataclass(frozen=True)
 class FreeSpaceDiagram1D:
     """Cell grid of a 1D free space diagram; ``cells[i][j]`` pairs the i-th
     P segment (column, width ``col_widths[i]``) with the j-th Q segment
-    (row, height ``row_heights[j]``)."""
+    (row, height ``row_heights[j]``).
 
-    epsilon: Fraction
-    col_widths: tuple[Fraction, ...]
-    row_heights: tuple[Fraction, ...]
-    cells: tuple[tuple[CellContent, ...], ...]
+    Stored as ints over one ``scale``: ``scaled_eps``, ``scaled_widths``,
+    ``scaled_heights`` and ``scaled_cells``, whose partial cells carry int
+    intercepts. ``epsilon``, ``col_widths``, ``row_heights`` and ``cells``
+    are the same values as Fractions, built on first read."""
+
+    scale: int
+    scaled_eps: int
+    scaled_widths: tuple[int, ...]
+    scaled_heights: tuple[int, ...]
+    scaled_cells: tuple[tuple[CellContent, ...], ...]
 
     def __init__(self, epsilon, col_widths, row_heights, cells):
-        object.__setattr__(self, "epsilon", rat(epsilon))
-        object.__setattr__(self, "col_widths", _as_rationals(col_widths))
-        object.__setattr__(self, "row_heights", _as_rationals(row_heights))
-        object.__setattr__(self, "cells", tuple(tuple(col) for col in cells))
+        """Only the numbers are converted, so a ragged grid, a nonpositive
+        size or an unknown status reaches :func:`structural_problems`."""
+        widths, heights, cells = list(col_widths), list(row_heights), tuple(tuple(col) for col in cells)
+        scale = math.lcm(*(_number(v).denominator for v in [epsilon, *widths, *heights, *_intercepts(cells)]))
+
+        def up(v) -> int:
+            v = _number(v)
+            return v.numerator * (scale // v.denominator)
+
+        self._set(scale, up(epsilon), tuple(map(up, widths)), tuple(map(up, heights)), _rescaled(cells, up))
+
+    @classmethod
+    def from_scaled(cls, scale: int, scaled_eps: int, scaled_widths, scaled_heights, scaled_cells):
+        """The diagram whose values are these ints over ``scale``; the
+        scale and the ints are divided by their gcd."""
+        cells = tuple(tuple(col) for col in scaled_cells)
+        widths, heights = tuple(scaled_widths), tuple(scaled_heights)
+        g = 1 if scale == 1 else math.gcd(scale, scaled_eps, *widths, *heights, *_intercepts(cells))
+        if g > 1:
+            scale, scaled_eps = scale // g, scaled_eps // g
+            widths, heights = (tuple(v // g for v in values) for values in (widths, heights))
+            cells = _rescaled(cells, lambda v: v // g)
+        diagram = object.__new__(cls)
+        diagram._set(scale, scaled_eps, widths, heights, cells)
+        return diagram
+
+    def _set(self, *values) -> None:
+        for name, value in zip(("scale", "scaled_eps", "scaled_widths", "scaled_heights", "scaled_cells"), values):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def epsilon(self) -> Fraction:
+        return Fraction(self.scaled_eps, self.scale)
+
+    @cached_property
+    def col_widths(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.scale) for v in self.scaled_widths)
+
+    @cached_property
+    def row_heights(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.scale) for v in self.scaled_heights)
+
+    @cached_property
+    def cells(self) -> tuple[tuple[CellContent, ...], ...]:
+        return _rescaled(self.scaled_cells, lambda v: Fraction(v, self.scale))
 
     @property
     def n_cols(self) -> int:
-        return len(self.col_widths)
+        return len(self.scaled_widths)
 
     @property
     def m_rows(self) -> int:
-        return len(self.row_heights)
-
-    def cell(self, i: int, j: int) -> CellContent:
-        return self.cells[i][j]
-
-
-def scale_to_integers(d: FreeSpaceDiagram1D) -> tuple[FreeSpaceDiagram1D, int]:
-    """The diagram with epsilon, the widths, the heights and the slab
-    intercepts multiplied by L, the least common multiple of their
-    denominators, every field a Python int; and L.
-
-    Realizability and every test the diagram solvers make are invariant
-    under this positive scaling, so they decide on the scaled diagram.
-    """
-    partial = [c for col in d.cells for c in col if c.status == PARTIAL]
-    scale = math.lcm(
-        d.epsilon.denominator,
-        *(v.denominator for v in d.col_widths),
-        *(v.denominator for v in d.row_heights),
-        *(c.c_lo.denominator for c in partial),
-        *(c.c_hi.denominator for c in partial),
-    )
-
-    def up(v) -> int:
-        return v.numerator * (scale // v.denominator)
-
-    cells = tuple(
-        tuple(c if c.status != PARTIAL else CellContent(PARTIAL, c.sigma, up(c.c_lo), up(c.c_hi)) for c in col)
-        for col in d.cells
-    )
-    widths = tuple(up(w) for w in d.col_widths)
-    heights = tuple(up(h) for h in d.row_heights)
-    return diagram_as_is(up(d.epsilon), widths, heights, cells), scale
-
-
-def diagram_as_is(epsilon, col_widths, row_heights, cells) -> FreeSpaceDiagram1D:
-    """A diagram of exactly these fields, which ``__init__`` would coerce to
-    Fractions: ints stay ints, and Fractions are not converted again."""
-    d = object.__new__(FreeSpaceDiagram1D)
-    object.__setattr__(d, "epsilon", epsilon)
-    object.__setattr__(d, "col_widths", col_widths)
-    object.__setattr__(d, "row_heights", row_heights)
-    object.__setattr__(d, "cells", cells)
-    return d
+        return len(self.scaled_heights)
 
 
 def transpose_diagram(d: FreeSpaceDiagram1D) -> FreeSpaceDiagram1D:
     """The diagram of the swapped curve pair (Q, P): rows become columns and
-    each cell is transposed. Int fields stay ints."""
-    cells = tuple(tuple(cell_transpose(d.cells[i][j]) for i in range(d.n_cols)) for j in range(d.m_rows))
-    return diagram_as_is(d.epsilon, d.row_heights, d.col_widths, cells)
+    each cell is transposed."""
+    cells = [[cell_transpose(col[j]) for col in d.scaled_cells] for j in range(d.m_rows)]
+    return FreeSpaceDiagram1D.from_scaled(d.scale, d.scaled_eps, d.scaled_heights, d.scaled_widths, cells)
 
 
 @dataclass(frozen=True)
@@ -545,32 +589,30 @@ def validate_diagram(d: FreeSpaceDiagram1D) -> list[str]:
 def structural_problems(d: FreeSpaceDiagram1D) -> list[str]:
     """Shape and per-cell invariants; violations mean malformed data."""
     problems: list[str] = []
-    eps = d.epsilon
+    eps, widths, heights, cells = d.scaled_eps, d.scaled_widths, d.scaled_heights, d.scaled_cells
     if eps <= 0:
         problems.append("epsilon must be positive")
-    if len(d.cells) != d.n_cols:
+    if len(cells) != d.n_cols:
         problems.append("cell grid width does not match colWidths")
         return problems
-    if any(len(col) != d.m_rows for col in d.cells):
+    if any(len(col) != d.m_rows for col in cells):
         problems.append("cell grid height does not match rowHeights")
         return problems
     if d.n_cols == 0 or d.m_rows == 0:
         problems.append("cell grid is empty")
         return problems
-    for i, w in enumerate(d.col_widths):
+    for i, w in enumerate(widths):
         if w <= 0:
             problems.append(f"column {i}: width must be positive")
-    for j, h in enumerate(d.row_heights):
+    for j, h in enumerate(heights):
         if h <= 0:
             problems.append(f"row {j}: height must be positive")
     if problems:
         return problems
 
-    for i in range(d.n_cols):
-        w = d.col_widths[i]
-        for j in range(d.m_rows):
-            h = d.row_heights[j]
-            c = d.cells[i][j]
+    for i, w in enumerate(widths):
+        for j, h in enumerate(heights):
+            c = cells[i][j]
             if c.status not in (EMPTY, FULL, PARTIAL):
                 problems.append(f"cell ({i},{j}): unknown status {c.status!r}")
                 continue
@@ -596,7 +638,7 @@ def consistency_problems(d: FreeSpaceDiagram1D) -> list[str]:
     violating this is never realizable (forward computation always agrees),
     so solvers answer NO instead of rejecting it."""
     problems: list[str] = []
-    cells, widths, heights = d.cells, d.col_widths, d.row_heights
+    cells, widths, heights = d.scaled_cells, d.scaled_widths, d.scaled_heights
     # White space restricted to a shared grid line must agree from both sides.
     # Two empty cells give None on both sides and two full cells the whole
     # edge, so only a line with a partial cell or two statuses is compared.

@@ -26,19 +26,17 @@ against is the other curve's anchored extent, so one candidate per
 anchored extent, and for each hull of P only the minimal staircase of hulls
 of Q at which Q's runs fit is tried. Every YES is verified forward.
 
-The solver scales the diagram once at entry with
-:func:`fsreal.model.scale_to_integers`, so a rational diagram is decided as
-the integer one L times its size, which is realizable iff it is. The
-structural and consistency checks, the typing, the anchoring and the search
-all run on that scaled diagram's Python ints; the witness found is divided
-by L into `fractions.Fraction`s and checked forward against the caller's
-diagram.
+Every stage reads the diagram's int form: its values times its scale L, so
+a rational diagram is decided as the integer one L times its size, which
+is realizable iff it is. The structural and consistency checks, the
+typing, the anchoring and the search all run on those Python ints; the
+witness found is a pair of int curves over L, checked forward against the
+diagram by an int comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from typing import Optional, Sequence
 
@@ -54,7 +52,6 @@ from .model import (
     cell_restrict_y,
     classify_slab,
     consistency_problems,
-    scale_to_integers,
     structural_problems,
 )
 from .forward import compute_diagram_1d
@@ -123,14 +120,11 @@ def _typed_pieces(orig: int, length: int, cells, spans, q_axis: bool) -> list[Su
 
 def subdivide_and_type(diagram: FreeSpaceDiagram1D) -> TypedDiagram:
     """Insert subdivision vertices wherever a segment's slice status changes
-    and type every resulting subsegment (far / close / boundary).
-
-    Takes the scaled diagram, as :func:`fsreal.model.scale_to_integers`
-    returns it: every dimension and intercept a Python int, as in the typed
-    diagram."""
-    widths = diagram.col_widths
-    heights = diagram.row_heights
-    grid = diagram.cells
+    and type every resulting subsegment (far / close / boundary), on the
+    diagram's int form, as in the typed diagram."""
+    widths = diagram.scaled_widths
+    heights = diagram.scaled_heights
+    grid = diagram.scaled_cells
     p_segs = [s for i, w in enumerate(widths) for s in _typed_pieces(i, w, grid[i], heights, False)]
     q_segs = [s for j, h in enumerate(heights) for s in _typed_pieces(j, h, [col[j] for col in grid], widths, True)]
 
@@ -148,7 +142,7 @@ def subdivide_and_type(diagram: FreeSpaceDiagram1D) -> TypedDiagram:
                 c = cell_restrict_y(c, ps.length, heights[qs.orig], qs.offset, qs.offset + qs.length)
             row_out.append(c)
         cells.append(row_out)
-    return TypedDiagram(diagram.epsilon, p_segs, q_segs, cells)
+    return TypedDiagram(diagram.scaled_eps, p_segs, q_segs, cells)
 
 
 @dataclass
@@ -463,17 +457,16 @@ def _to_global(frame: int, value: int, direction: Optional[int], rho: int, tau: 
 
 def solve_pseudo_poly(diagram: FreeSpaceDiagram1D) -> Optional[Witness]:
     """Decide realizability of a diagram of rational dimensions; returns a
-    forward-verified witness or None. The search runs on the diagram scaled
-    to ints, so its tables are as wide as the scaled dimensions."""
-    scaled, scale = scale_to_integers(diagram)
-    problems = structural_problems(scaled)
+    forward-verified witness or None. The search runs on the diagram's int
+    form, so its tables are as wide as the scaled dimensions."""
+    problems = structural_problems(diagram)
     if problems:
         raise ValueError("invalid diagram: " + "; ".join(problems))
-    if consistency_problems(scaled):
+    if consistency_problems(diagram):
         return None  # no curve pair produces disagreeing boundary restrictions
-    if not any(c.status == PARTIAL for col in scaled.cells for c in col):
-        return closed_form_witness(diagram, scaled, scale)
-    typed = subdivide_and_type(scaled)
+    if not any(c.status == PARTIAL for col in diagram.scaled_cells for c in col):
+        return closed_form_witness(diagram)
+    typed = subdivide_and_type(diagram)
     eps = typed.eps
 
     graph = build_placement_graph(typed)
@@ -488,7 +481,7 @@ def solve_pseudo_poly(diagram: FreeSpaceDiagram1D) -> Optional[Witness]:
     for rho, tau in _frame_candidates(anchoring, p_runs + q_runs):
         for values in _hull_candidates(typed, anchoring, p_runs, q_runs, rho, tau, eps):
             curves = _attempt(typed, anchoring, p_runs, q_runs, rho, tau, values, eps)
-            witness = curves and _checked_witness(diagram, *curves, scale)
+            witness = curves and _checked_witness(diagram, *curves, diagram.scale)
             if witness is not None:
                 return witness
     return None
@@ -697,11 +690,9 @@ def _run_path(run: Run, att_lo, att_hi, base: int, flip: int, bound: Optional[in
 
 
 def _checked_witness(diagram: FreeSpaceDiagram1D, p_pts, q_pts, scale: int) -> Optional[Witness]:
-    """The witness with these vertices, divided by ``scale``, if it
-    reproduces the caller's diagram."""
-    witness = Witness(
-        Curve1D(Fraction(v, scale) for v in p_pts), Curve1D(Fraction(v, scale) for v in q_pts), diagram.epsilon
-    )
+    """The witness whose vertices are these ints over ``scale``, if it
+    reproduces the diagram."""
+    witness = Witness(Curve1D.from_scaled(scale, p_pts), Curve1D.from_scaled(scale, q_pts), diagram.epsilon)
     if compute_diagram_1d(witness.curve_p, witness.curve_q, diagram.epsilon) == diagram:
         return witness
     return None
@@ -734,30 +725,29 @@ def _smallest_window(lengths: Sequence[int], limit: int) -> Optional[tuple[int, 
     return a, path
 
 
-def closed_form_witness(diagram: FreeSpaceDiagram1D, scaled: FreeSpaceDiagram1D, scale: int) -> Optional[Witness]:
-    """Decide a consistent diagram without partial cells; ``scaled, scale``
-    are what :func:`fsreal.model.scale_to_integers` returns for it.
+def closed_form_witness(diagram: FreeSpaceDiagram1D) -> Optional[Witness]:
+    """Decide a consistent diagram without partial cells.
 
     Such a diagram is all empty or all full, since a full cell next to an
     empty one fails the grid-line check. All empty: both curves run
-    rightward, Q starting more than 2*eps beyond P's end, placed in the
-    caller's units. All full: every point of each curve lies within eps of
-    every point of the other iff the curves fit in windows of sizes
-    a_p + a_q <= 2*eps centred on each other, so the smallest window of each
-    curve over the scaled ints decides.
+    rightward, Q starting more than 2*eps beyond P's end (one unit more).
+    All full: every point of each curve lies within eps of every point of
+    the other iff the curves fit in windows of sizes a_p + a_q <= 2*eps
+    centred on each other, so the smallest window of each curve decides;
+    the centring shifts Q by (a_p - a_q) / 2, so the witness counts halves.
     """
-    if scaled.cells[0][0].status == EMPTY:
-        p_pts = list(accumulate(diagram.col_widths, initial=0))
-        q0 = p_pts[-1] + sum(diagram.row_heights) + 2 * diagram.epsilon + 1
-        return _checked_witness(diagram, p_pts, accumulate(diagram.row_heights, initial=q0), 1)
-    eps = scaled.epsilon
-    found_p = _smallest_window(scaled.col_widths, 2 * eps - 1)
+    scale, eps = diagram.scale, diagram.scaled_eps
+    widths, heights = diagram.scaled_widths, diagram.scaled_heights
+    if diagram.scaled_cells[0][0].status == EMPTY:
+        p_pts = list(accumulate(widths, initial=0))
+        q0 = p_pts[-1] + sum(heights) + 2 * eps + scale
+        return _checked_witness(diagram, p_pts, accumulate(heights, initial=q0), scale)
+    found_p = _smallest_window(widths, 2 * eps - 1)
     if found_p is None:
         return None
     a_p, path_p = found_p
-    found_q = _smallest_window(scaled.row_heights, 2 * eps - a_p)
+    found_q = _smallest_window(heights, 2 * eps - a_p)
     if found_q is None:
         return None
     a_q, path_q = found_q
-    shift = Fraction(a_p - a_q, 2)
-    return _checked_witness(diagram, path_p, [v + shift for v in path_q], scale)
+    return _checked_witness(diagram, [2 * v for v in path_p], [2 * v + a_p - a_q for v in path_q], 2 * scale)

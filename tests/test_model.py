@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -31,12 +32,11 @@ from fsreal.model import (
     cell_transpose,
     classify_slab,
     consistency_problems,
-    scale_to_integers,
     slab_value_range,
     structural_problems,
 )
 
-from conftest import random_integer_diagram, random_rational_diagram
+from conftest import divided_diagram, random_integer_diagram, random_rational_diagram
 
 
 def test_rat_parsing():
@@ -326,38 +326,72 @@ def test_arrangement_cells_partition_covered_range():
         assert a.hi == b.lo
 
 
-def _diagram_fields(d):
+def _fields(eps, widths, heights, cells):
     """epsilon, widths, heights and the partial cells' intercepts, in order."""
-    values = [d.epsilon, *d.col_widths, *d.row_heights]
-    for col in d.cells:
+    values = [eps, *widths, *heights]
+    for col in cells:
         for c in col:
             if c.status == PARTIAL:
                 values += [c.c_lo, c.c_hi]
     return values
 
 
-def test_scale_to_integers_rational_diagram():
+def _views(d):
+    return _fields(d.epsilon, d.col_widths, d.row_heights, d.cells)
+
+
+def _ints(d):
+    return _fields(d.scaled_eps, d.scaled_widths, d.scaled_heights, d.scaled_cells)
+
+
+def test_rational_diagram_int_form():
     rng = random.Random(12)
     for _ in range(30):
         d = random_rational_diagram(rng, 4, 3)
-        scaled, scale = scale_to_integers(d)
-        fields = _diagram_fields(d)
-        assert scale == math.lcm(*(v.denominator for v in fields))
-        scaled_fields = _diagram_fields(scaled)
-        assert all(type(v) is int for v in scaled_fields)
-        assert [Fraction(v, scale) for v in scaled_fields] == fields
-        assert [[c.status for c in col] for col in scaled.cells] == [[c.status for c in col] for col in d.cells]
-        assert [[c.sigma for c in col] for col in scaled.cells] == [[c.sigma for c in col] for col in d.cells]
+        fields = _views(d)
+        assert all(type(v) is Fraction for v in fields)
+        assert d.scale == math.lcm(*(v.denominator for v in fields))
+        assert all(type(v) is int for v in _ints(d)) and math.gcd(d.scale, *_ints(d)) == 1
+        assert [Fraction(v, d.scale) for v in _ints(d)] == fields
+        assert [[c.status for c in col] for col in d.scaled_cells] == [[c.status for c in col] for col in d.cells]
+        assert [[c.sigma for c in col] for col in d.scaled_cells] == [[c.sigma for c in col] for col in d.cells]
+        # the diagram built from its own Fractions is the same diagram
+        assert FreeSpaceDiagram1D(d.epsilon, d.col_widths, d.row_heights, d.cells) == d
 
 
-def test_scale_to_integers_integer_diagram_unchanged():
+def test_integer_diagram_has_scale_one():
     for seed in range(20):
         rng = random.Random(seed)
         d = random_integer_diagram(seed, rng.randint(1, 5), rng.randint(1, 4), rng.randint(1, 4))
-        scaled, scale = scale_to_integers(d)
-        assert scale == 1
-        assert all(type(v) is int for v in _diagram_fields(scaled))
-        assert scaled == d
+        assert d.scale == 1
+        assert all(type(v) is int for v in _ints(d))
+        assert _ints(d) == _views(d)
+
+
+def test_int_form_at_a_non_minimal_scale_is_the_same_value():
+    # ints times g over the scale times g: equal, and hashing the same, to the
+    # diagram and the curve built from Fractions
+    rng = random.Random(13)
+    for index in range(40):
+        d = random_rational_diagram(rng) if index % 2 else random_integer_diagram(index, 4, 3, 2)
+        built = FreeSpaceDiagram1D(d.epsilon, d.col_widths, d.row_heights, d.cells)
+        for g in (2, 3, 12):
+            cells = [
+                [c if c.status != PARTIAL else CellContent(PARTIAL, c.sigma, g * c.c_lo, g * c.c_hi) for c in col]
+                for col in d.scaled_cells
+            ]
+            widths, heights = [g * w for w in d.scaled_widths], [g * h for h in d.scaled_heights]
+            scaled = FreeSpaceDiagram1D.from_scaled(g * d.scale, g * d.scaled_eps, widths, heights, cells)
+            assert scaled == built and hash(scaled) == hash(built), (index, g)
+            assert (scaled.scale, scaled.scaled_cells) == (d.scale, d.scaled_cells)
+        ints = list(accumulate(d.scaled_widths, initial=0))
+        curve = Curve1D(accumulate(d.col_widths, initial=0))
+        for g in (2, 3, 12):
+            scaled = Curve1D.from_scaled(g * d.scale, [g * v for v in ints])
+            assert scaled == curve and hash(scaled) == hash(curve), (index, g)
+            assert scaled.vertices == curve.vertices == tuple(Fraction(v, d.scale) for v in ints)
+    assert Curve1D([Fraction(1, 2), Fraction(2, 3), 1]).scaled_vertices == (3, 4, 6)
+    assert Curve1D.from_scaled(4, [6, 4, 2]) == Curve1D([Fraction(3, 2), 1, Fraction(1, 2)])
 
 
 def _cell_algebra_results(sigma, w, h, lo, hi, num):
@@ -418,9 +452,9 @@ _MALFORMED_RATIONAL = [
 @pytest.mark.parametrize("solve", [solve_fpt, solve_pseudo_poly])
 @pytest.mark.parametrize("d", _MALFORMED_RATIONAL)
 def test_solvers_reject_malformed_rational_diagram_with_its_problems(solve, d):
-    # the solvers check the scaled diagram; the messages name no values
+    # the messages name no values, so a copy L times the size gets the same
     problems = structural_problems(d)
-    assert problems and structural_problems(scale_to_integers(d)[0]) == problems
+    assert problems and structural_problems(divided_diagram(d, Fraction(1, d.scale))) == problems
     with pytest.raises(ValueError) as exc:
         solve(d)
     assert str(exc.value) == "invalid diagram: " + "; ".join(problems)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,6 @@ from fsreal.model import (
     cell_restrict_x,
     cell_restrict_y,
     consistency_problems,
-    scale_to_integers,
     structural_problems,
     transpose_diagram,
 )
@@ -47,21 +47,16 @@ def _diagram(eps, widths, heights, cells):
     return FreeSpaceDiagram1D(eps, widths, heights, cells)
 
 
-def _typed(diagram):
-    """The typed diagram, from the diagram scaled as the solver scales it."""
-    return subdivide_and_type(scale_to_integers(diagram)[0])
-
-
 def test_typing_all_empty():
     d = _diagram(1, [2, 3], [2], [[CellContent.empty()], [CellContent.empty()]])
-    typed = _typed(d)
+    typed = subdivide_and_type(d)
     assert all(s.kind == TYPE_FAR for s in typed.p_segs)
     assert all(s.kind == TYPE_FAR for s in typed.q_segs)
 
 
 def test_typing_all_full():
     d = compute_diagram_1d(Curve1D([0, 1]), Curve1D([0, 1]), 5)
-    typed = _typed(d)
+    typed = subdivide_and_type(d)
     assert all(s.kind == TYPE_CLOSE for s in typed.p_segs)
     assert all(s.kind == TYPE_CLOSE for s in typed.q_segs)
 
@@ -69,7 +64,7 @@ def test_typing_all_full():
 def test_typing_partial_cell_spanning_its_row():
     # 2x1 grid: first column partial spanning the whole row, second empty
     d = compute_diagram_1d(Curve1D([0, 2, 8]), Curve1D([0, 2]), 1)
-    typed = _typed(d)
+    typed = subdivide_and_type(d)
     assert typed.q_segs[0].kind == TYPE_BOUNDARY
     kinds = {(s.orig, s.kind) for s in typed.p_segs}
     assert (0, TYPE_BOUNDARY) in kinds
@@ -155,8 +150,10 @@ def test_typing_sweep_matches_the_per_slice_classifier():
     ]
     corner = shared = q_reversed = 0
     for index, diagram in enumerate(diagrams):
-        scaled = scale_to_integers(diagram)[0]
-        typed = subdivide_and_type(scaled)
+        # the reference reads the Fractions of an explicit copy L times the
+        # size; the sweep reads the diagram's ints, which are in those units
+        scaled = divided_diagram(diagram, Fraction(1, diagram.scale))
+        typed = subdivide_and_type(diagram)
         assert (typed.p_segs, typed.q_segs, typed.cells) == _reference_typing(scaled), index
         for axis in (scaled, transpose_diagram(scaled)):
             for col, w in zip(axis.cells, axis.col_widths):
@@ -200,27 +197,46 @@ def test_solver_decides_rational_diagrams():
     assert solve_pseudo_poly(mutated) is None
 
 
-def test_one_scale_per_decision(monkeypatch):
-    import fsreal.pseudopoly
-
-    calls = []
-    scale = fsreal.pseudopoly.scale_to_integers
-    monkeypatch.setattr(fsreal.pseudopoly, "scale_to_integers", lambda d: calls.append(d) or scale(d))
-    diagrams = [
-        _diagram(1, [2, 3], [2], [[CellContent.empty()], [CellContent.empty()]]),  # all far
+def test_solvers_build_no_fractions(monkeypatch):
+    # both solvers decide on the diagram's ints and check their witness by an
+    # int comparison: no Fraction is built in the solver modules or in the
+    # forward computation, counted at the first caller outside fractions
+    # (Fraction arithmetic builds its result there)
+    rng = random.Random(16)
+    diagrams = [random_integer_diagram(seed, 6, 3, 2) for seed in range(8)]
+    diagrams += [random_rational_diagram(rng) for _ in range(12)]
+    diagrams += [gen_partition([3, 2, 1, 2]), gen_partition([1, 1, 4]), divided_diagram(gen_partition([3, 2, 1, 2]), 3)]
+    diagrams += [
+        _diagram(1, [2, 3], [2], [[CellContent.empty()], [CellContent.empty()]]),  # all empty
+        _diagram(Fraction(1, 2), [Fraction(1, 3)], [1], [[CellContent.empty()]]),
         compute_diagram_1d(Curve1D([0, 1]), Curve1D([0, 1]), 5),  # all full
+        _diagram(Fraction(7, 3), [Fraction(1, 2), Fraction(5, 4)], [Fraction(2, 3)], [[CellContent.full()]] * 2),
         compute_diagram_1d(Curve1D([0, 2, 8, 4]), Curve1D([0, 2]), 1),  # a far run
         gen_partition([1, 1, 1]),  # NO
     ]
-    for d in diagrams:
-        calls.clear()
-        solve_pseudo_poly(d)
-        assert len(calls) == 1
+    counts = {}
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        frame = sys._getframe(1)
+        while frame.f_globals["__name__"] == "fractions":
+            frame = frame.f_back
+        name = frame.f_globals["__name__"]
+        counts[name] = counts.get(name, 0) + 1
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    assert Fraction(1, 2) + 1 == Fraction(3, 2) and counts == {__name__: 3}
+    answers = [(solve_fpt(d) is not None, solve_pseudo_poly(d) is not None) for d in diagrams]
+    solver_modules = ("fsreal.folding", "fsreal.pseudopoly", "fsreal.forward")
+    assert [counts.get(name, 0) for name in solver_modules] == [0, 0, 0], counts
+    monkeypatch.undo()
+    assert all(a == b for a, b in answers) and 20 < sum(a for a, _ in answers) < len(diagrams)
 
 
 def test_placement_graph_diagonal_chain():
     d = compute_diagram_1d(Curve1D([0, 2, 4]), Curve1D([0, 2, 4]), 1)
-    typed = _typed(d)
+    typed = subdivide_and_type(d)
     g = build_placement_graph(typed)
     assert len(g.non_singleton) == 1
 
@@ -240,7 +256,7 @@ def test_anchoring_reproduces_forward_layout():
     p = Curve1D([0, 3, 1])
     q = Curve1D([1, 4])
     d = compute_diagram_1d(p, q, 2)
-    typed = _typed(d)
+    typed = subdivide_and_type(d)
     g = build_placement_graph(typed)
     anch = anchor_components(typed, g)
     assert anch is not None
@@ -451,7 +467,7 @@ def test_placement_graph_two_components_from_short_curves():
     p = Curve1D([2, -2])
     q = Curve1D([-2, 0, 3])
     d = compute_diagram_1d(p, q, 3)
-    typed = _typed(d)
+    typed = subdivide_and_type(d)
     g = build_placement_graph(typed)
     assert len(g.non_singleton) == 2
     w = solve_pseudo_poly(d)
@@ -504,7 +520,7 @@ def test_typing_and_anchoring_invariants():
     for index, diagram in enumerate(diagrams):
         if consistency_problems(diagram):
             continue
-        typed = _typed(diagram)
+        typed = subdivide_and_type(diagram)
         p_kinds = {s.kind for s in typed.p_segs}
         q_kinds = {s.kind for s in typed.q_segs}
         assert not (TYPE_CLOSE in p_kinds and TYPE_FAR in q_kinds), index
