@@ -206,8 +206,8 @@ def test_fold_alignment_rejects_one_bad_layer():
 
 
 def test_forward_diagrams_of_rational_curves_solve_yes():
-    # the solver decides on the diagram scaled to ints; the witness must
-    # still reproduce the caller's rational diagram
+    # the solver decides on the diagram's int numerators; the witness, ints
+    # over the diagram's scale, must reproduce the rational diagram
     rng = random.Random(2024)
     for _ in range(60):
         d = random_rational_diagram(rng)

@@ -170,8 +170,8 @@ def test_typing_sweep_matches_the_per_slice_classifier():
 
 
 def test_solver_decides_rational_diagrams():
-    # the search runs on the diagram scaled to ints; the witness, divided by
-    # the scale, must reproduce the caller's rational diagram
+    # the search runs on the diagram's int numerators; the witness, ints over
+    # the diagram's scale, must reproduce the rational diagram
     d = _diagram(Fraction(1, 2), [1], [1], [[CellContent.empty()]])
     assert _verified(d, solve_pseudo_poly(d))
     rng = random.Random(2024)
