@@ -8,8 +8,6 @@ from .model import (
     FreeSpaceDiagram1D,
     FreeSpaceMatrix,
     PointSeq1D,
-    Rational,
-    UnitIntervalArrangement,
     Witness,
     rat,
     rat_str,
@@ -46,8 +44,6 @@ __all__ = [
     "FreeSpaceDiagram1D",
     "FreeSpaceMatrix",
     "PointSeq1D",
-    "Rational",
-    "UnitIntervalArrangement",
     "Witness",
     "rat",
     "rat_str",

@@ -18,7 +18,6 @@ from .model import (
     FreeSpaceDiagram1D,
     FreeSpaceMatrix,
     PointSeq1D,
-    UnitIntervalArrangement,
     Witness,
 )
 from .forward import compute_diagram_1d, compute_matrix
@@ -91,6 +90,19 @@ def _materialize(pattern: tuple[int, ...], m: int) -> Optional[list[Fraction]]:
     return pos
 
 
+def arrangement_cells(centers: list[Fraction], eps: Fraction) -> list[tuple[frozenset[int], Fraction]]:
+    """(cover, representative) of each maximal constant-cover region of the
+    intervals [c - eps, c + eps], in order along the line: the two outside
+    regions, every endpoint, and each open gap between consecutive
+    endpoints (at its midpoint)."""
+    events = sorted({c - eps for c in centers} | {c + eps for c in centers})
+    reps = [events[0] - 1]
+    for x, y in zip(events, events[1:]):
+        reps += [x, (x + y) / 2]
+    reps += [events[-1], events[-1] + 1]
+    return [(frozenset(j for j, c in enumerate(centers) if c - eps <= x <= c + eps), x) for x in reps]
+
+
 @lru_cache(maxsize=None)
 def arrangements(m: int) -> tuple[tuple[tuple[Fraction, ...], tuple[tuple[frozenset, Fraction], ...]], ...]:
     """All combinatorial classes of m unit intervals: (centers per column,
@@ -103,8 +115,7 @@ def arrangements(m: int) -> tuple[tuple[tuple[Fraction, ...], tuple[tuple[frozen
         if left is None:  # spacing quantum always suffices; defensive only
             continue
         centers_sorted = [l + eps for l in left]
-        arr = UnitIntervalArrangement(centers_sorted, eps)
-        base_cells = [(c.cover, c.representative) for c in arr.cells()]
+        base_cells = arrangement_cells(centers_sorted, eps)
         for perm in itertools.permutations(range(m)):
             # perm[k] = column placed at sorted slot k
             centers = [Fraction(0)] * m

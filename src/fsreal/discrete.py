@@ -19,12 +19,14 @@ refinements to the blocks of the linear extension, is a Python int mask
 (bit v is column v). The geometry runs on Python ints too: a component of m
 columns is laid out at eps = 1/2 on the grid of unit 1/(8m), where the
 interval width 2*eps is 8m, eps is 4m and the spacing quantum eps/(2m) is
-2. :func:`solve` converts each point of the witness to a ``Fraction`` once,
-when it assembles the components.
+2. :func:`solve` lays all components out on one int grid whose unit divides
+every component's, and builds the witness's point sequences from those ints
+in their int form, without a Fraction.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -520,28 +522,29 @@ def solve(matrix, eps=Fraction(1, 2)) -> Optional[Witness]:
             return None
         solved.append(placed)
 
-    # At eps = 1/2, each component's grid (unit u, leftmost center at 0) is
-    # shifted to start at base: the previous component's rightmost center
-    # plus a gap of 2, or 0 for the first. Point x lands at base + x/u, and
-    # the witness is that scaled by eps/(1/2).
-    scale = 2 * eps
-    q_points = [Fraction(0)] * quotient.m_cols
-    p_points = [-3 * eps] * quotient.n_rows  # 2*eps left of every interval
-    base = Fraction(0)
+    # At eps = 1/2 the components sit left to right on one int grid of unit
+    # 1/U, U the least common multiple of their 8m, so a component's unit
+    # 1/(8m) is U/(8m) grid steps. Each component starts at base: the
+    # previous component's rightmost center plus a gap of 2 (2U steps), or
+    # 0 for the first. Point X on the grid is X/U at eps = 1/2, and the
+    # witness is that scaled by eps/(1/2): X * num / ((U/2) * den).
+    grid = math.lcm(*(8 * len(positions) for positions, _ in solved))
+    q_ints = [0] * quotient.m_cols
+    p_ints = [-3 * grid // 2] * quotient.n_rows  # 2*eps left of every interval
+    base = 0
     for positions, row_points in solved:
-        unit = 8 * len(positions)
-        start = scale * base
-        # scale * (base + x/unit) == (at_zero + per_unit * x) / den
-        den = start.denominator * scale.denominator * unit
-        at_zero = start.numerator * scale.denominator * unit
-        per_unit = scale.numerator * start.denominator
+        step = grid // (8 * len(positions))
         for v, x in positions.items():
-            q_points[v] = Fraction(at_zero + per_unit * x, den)
+            q_ints[v] = base + step * x
         for r_idx, x in row_points.items():
-            p_points[r_idx] = Fraction(at_zero + per_unit * x, den)
-        base += Fraction(max(positions.values()), unit) + 2
+            p_ints[r_idx] = base + step * x
+        base += step * max(positions.values()) + 2 * grid
+    num, den = eps.as_integer_ratio()
+    scale = grid // 2 * den
     witness = Witness(
-        PointSeq1D([p_points[k] for k in row_class]), PointSeq1D([q_points[c] for c in col_class]), eps
+        PointSeq1D.from_scaled(scale, [num * p_ints[k] for k in row_class]),
+        PointSeq1D.from_scaled(scale, [num * q_ints[c] for c in col_class]),
+        eps,
     )
     if compute_matrix(witness.curve_p, witness.curve_q, eps) != matrix:
         raise AssertionError("internal error: discrete witness failed verification")

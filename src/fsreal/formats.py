@@ -22,6 +22,7 @@ from .model import (
     rat,
     rat_str,
     row_mask,
+    scaled_str,
     structural_problems,
 )
 from .generators import SignVectorSet
@@ -112,24 +113,14 @@ def _matrix_text(matrix: FreeSpaceMatrix) -> str:
 
 def _to_obj(instance: Instance) -> dict:
     if isinstance(instance, FreeSpaceDiagram1D):
-        cells = []
-        for col in instance.cells:
-            out_col = []
-            for c in col:
-                if c.is_partial:
-                    out_col.append(
-                        {"status": "partial", "sigma": c.sigma, "cLo": rat_str(c.c_lo), "cHi": rat_str(c.c_hi)}
-                    )
-                else:
-                    out_col.append({"status": c.status})
-            cells.append(out_col)
+        scale = instance.scale
         return {
             "format": FORMAT,
             "kind": "diagram1d",
-            "epsilon": rat_str(instance.epsilon),
-            "colWidths": [rat_str(w) for w in instance.col_widths],
-            "rowHeights": [rat_str(h) for h in instance.row_heights],
-            "cells": cells,
+            "epsilon": scaled_str(instance.scaled_eps, scale),
+            "colWidths": [scaled_str(w, scale) for w in instance.scaled_widths],
+            "rowHeights": [scaled_str(h, scale) for h in instance.scaled_heights],
+            "cells": [[_cell_obj(c, scale) for c in col] for col in instance.scaled_cells],
         }
     if isinstance(instance, Witness):
         return {
@@ -147,6 +138,14 @@ def _to_obj(instance: Instance) -> dict:
     raise TypeError(f"cannot serialize {type(instance).__name__}")
 
 
+def _cell_obj(cell: CellContent, scale: int) -> dict:
+    """A cell of a diagram's ``scaled_cells``, its intercepts over ``scale``."""
+    if not cell.is_partial:
+        return {"status": cell.status}
+    lo, hi = scaled_str(cell.c_lo, scale), scaled_str(cell.c_hi, scale)
+    return {"status": "partial", "sigma": cell.sigma, "cLo": lo, "cHi": hi}
+
+
 def _curves_obj(p, q) -> dict:
     if isinstance(p, CurveD):
         return {
@@ -155,15 +154,19 @@ def _curves_obj(p, q) -> dict:
             "curveP": [list(v) for v in p.vertices],
             "curveQ": [list(v) for v in q.vertices],
         }
-    kind = "polyline" if isinstance(p, Curve1D) else "points"
-    pv = p.vertices if isinstance(p, Curve1D) else p.points
-    qv = q.vertices if isinstance(q, Curve1D) else q.points
     return {
         "dimension": 1,
-        "curveKind": kind,
-        "curveP": [rat_str(v) for v in pv],
-        "curveQ": [rat_str(v) for v in qv],
+        "curveKind": "polyline" if isinstance(p, Curve1D) else "points",
+        "curveP": _values_1d(p),
+        "curveQ": _values_1d(q),
     }
+
+
+def _values_1d(curve) -> list[str]:
+    """The values of a 1D curve or point sequence, each formatted from its
+    int over the curve's scale."""
+    ints = curve.scaled_vertices if isinstance(curve, Curve1D) else curve.scaled_points
+    return [scaled_str(v, curve.scale) for v in ints]
 
 
 def parse(text: str) -> Instance:

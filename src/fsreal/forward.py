@@ -1,11 +1,11 @@
 """Forward free-space computation: matrices and 1D diagrams from curves,
 per-cell ellipse geometry in the plane, and witness verification.
 
-In 1D both forward computations run on integers: the curves and eps are
-scaled by the least common multiple of their own denominators, and a
-diagram is returned in its int form, built from those ints. Only curves
-in R^d and the planar ellipse geometry use numpy, which they import when
-called.
+In 1D both forward computations read the curves' int form and build no
+Fraction: the curves' ints and eps are brought to the least common multiple
+of the curves' scales and eps's denominator, and a diagram is returned in
+its int form, built from those ints. Only curves in R^d and the planar
+ellipse geometry use numpy, which they import when called.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from typing import Optional, Sequence, Union
 
@@ -42,19 +41,25 @@ _FULL_CELL = CellContent.full()
 _PARTIAL_CELL = partial(CellContent, PARTIAL)
 
 
-def _point_list(curve) -> list:
-    if isinstance(curve, Curve1D):
-        return list(curve.vertices)
-    if isinstance(curve, PointSeq1D):
-        return list(curve.points)
-    if isinstance(curve, CurveD):
-        return list(curve.vertices)
-    return list(curve)
+def _point_list(curve):
+    """A 1D curve or point sequence as it is, a list of rationals as a
+    :class:`PointSeq1D`, and points in R^d as a list."""
+    if isinstance(curve, (Curve1D, PointSeq1D)):
+        return curve
+    points = list(curve.vertices if isinstance(curve, CurveD) else curve)
+    if not points:
+        raise ValueError("curves must be non-empty")
+    if isinstance(points[0], (tuple, list)) or getattr(points[0], "ndim", 0) != 0:
+        return points
+    return PointSeq1D(points)
 
 
-def _is_1d(points: Sequence) -> bool:
-    """True for numbers, False for points given as tuples, lists or arrays."""
-    return not isinstance(points[0], (tuple, list)) and getattr(points[0], "ndim", 0) == 0
+def _exact_eps(eps) -> tuple[int, int]:
+    """Numerator and denominator of a positive rational eps."""
+    e, den = (eps, 1) if type(eps) is int else rat(eps).as_integer_ratio()
+    if e <= 0:
+        raise ValueError("epsilon must be positive")
+    return e, den
 
 
 def compute_matrix(p, q, eps, tol: float = TOL) -> FreeSpaceMatrix:
@@ -65,15 +70,14 @@ def compute_matrix(p, q, eps, tol: float = TOL) -> FreeSpaceMatrix:
     """
     P = _point_list(p)
     Q = _point_list(q)
-    if not P or not Q:
-        raise ValueError("curves must be non-empty")
-    if _is_1d(P) != _is_1d(Q):
+    exact = isinstance(P, (Curve1D, PointSeq1D))
+    if exact != isinstance(Q, (Curve1D, PointSeq1D)):
         raise ValueError("curves must live in the same dimension")
-    eps = rat(eps) if _is_1d(P) else float(eps)
+    if exact:
+        return _matrix_1d(P, Q, eps)
+    eps = float(eps)
     if not eps > 0:
         raise ValueError("epsilon must be positive")
-    if _is_1d(P):
-        return _matrix_1d(P, Q, eps)
     d = len(P[0])
     if any(len(v) != d for v in P) or any(len(v) != d for v in Q):
         raise ValueError("curves must live in the same dimension")
@@ -85,26 +89,25 @@ def compute_matrix(p, q, eps, tol: float = TOL) -> FreeSpaceMatrix:
     return FreeSpaceMatrix(dist <= eps + tol)
 
 
-def _scaled_1d(P: Sequence[Fraction], Q: Sequence[Fraction], eps: Fraction) -> tuple[list[int], list[int], int, int]:
-    """P, Q and eps as Python ints, multiplied by L, the least common
-    multiple of their denominators; and L."""
-    scale = math.lcm(eps.denominator, *(v.denominator for v in P), *(v.denominator for v in Q))
-    pi = [v.numerator * (scale // v.denominator) for v in P]
-    qi = [v.numerator * (scale // v.denominator) for v in Q]
-    return pi, qi, eps.numerator * (scale // eps.denominator), scale
-
-
-def _matrix_1d(P, Q, eps: Fraction) -> FreeSpaceMatrix:
-    """Row i is the mask of the q_j in [p_i - eps, p_i + eps]: Q sorted once,
-    ``prefix[k]`` the mask of the k smallest, and row i the difference of
-    the prefixes at the window's two bisections."""
-    pi, qi, ei, _ = _scaled_1d([rat(v) for v in P], [rat(v) for v in Q], eps)
+def _matrix_1d(p, q, eps) -> FreeSpaceMatrix:
+    """Row i is the mask of the q_j in [p_i - eps, p_i + eps], on ints: the
+    points and eps brought to the least common multiple of the two scales
+    and eps's denominator, as in :func:`compute_diagram_1d`. Q is sorted
+    once, ``prefix[k]`` is the mask of the k smallest, and row i the
+    difference of the prefixes at the window's two bisections."""
+    e, den = _exact_eps(eps)
+    scale = math.lcm(den, p.scale, q.scale)
+    pi, qi = (
+        [v * (scale // c.scale) for v in (c.scaled_vertices if isinstance(c, Curve1D) else c.scaled_points)]
+        for c in (p, q)
+    )
+    e *= scale // den
     order = sorted(range(len(qi)), key=qi.__getitem__)
     q_sorted = [qi[j] for j in order]
     prefix = [0]
     for j in order:
         prefix.append(prefix[-1] | 1 << j)
-    rows = [prefix[bisect_right(q_sorted, p + ei)] ^ prefix[bisect_left(q_sorted, p - ei)] for p in pi]
+    rows = [prefix[bisect_right(q_sorted, p + e)] ^ prefix[bisect_left(q_sorted, p - e)] for p in pi]
     return FreeSpaceMatrix.from_row_masks(len(qi), rows)
 
 
@@ -158,9 +161,7 @@ def compute_diagram_1d(p: Curve1D, q: Curve1D, eps) -> FreeSpaceDiagram1D:
     stays independent of the code it checks); the diagram is built from
     those ints without a Fraction.
     """
-    e, den = (eps, 1) if type(eps) is int else rat(eps).as_integer_ratio()
-    if e <= 0:
-        raise ValueError("epsilon must be positive")
+    e, den = _exact_eps(eps)
     scale = math.lcm(den, p.scale, q.scale)
     pi = [v * (scale // p.scale) for v in p.scaled_vertices]
     q_segs = q_segments([v * (scale // q.scale) for v in q.scaled_vertices])

@@ -1,16 +1,15 @@
 """Exact domain types shared by all solvers.
 
-A 1D curve and a 1D diagram are stored in one canonical int form: an int
-``scale``, the least common multiple of the denominators of their values,
-and every value times that scale as an int (the ``scaled_*`` fields), so
-the ints and the scale share no common factor. Equality, hashing and the
-diagram solvers read these ints; the caller-unit `fractions.Fraction`
-views (``vertices``, ``epsilon``, ``col_widths``, ``row_heights``,
-``cells``) are built on first read and then kept. Other 1D data (point
-sequences, arrangements, witness eps) is carried as Fractions, and the
-discrete solver computes on an exact integer grid of its own. The cell
-algebra below is written for either number type and returns ints on int
-input. Geometry in dimension >= 2 lives in floats and is handled in
+Every exact 1D value (a curve, a point sequence, a diagram) is stored in one
+canonical int form: an int ``scale``, the least common multiple of the
+denominators of its values, and every value times that scale as an int (the
+``scaled_*`` fields), so the ints and the scale share no common factor.
+Equality, hashing, the solvers and serialization read these ints; the
+caller-unit `fractions.Fraction` views (``vertices``, ``points``,
+``epsilon``, ``col_widths``, ``row_heights``, ``cells``) are built on first
+read and then kept. A witness's eps stays a Fraction. The cell algebra
+below is written for either number type and returns ints on int input.
+Geometry in dimension >= 2 lives in floats and is handled in
 :mod:`fsreal.forward`.
 """
 
@@ -20,9 +19,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from typing import Iterable, Optional, Sequence, Union
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 EMPTY = "empty"
@@ -45,21 +44,40 @@ def rat(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
-def rat_str(q: Fraction) -> str:
-    """Render a rational as "num" or "num/den" (canonical reduced form)."""
-    q = Fraction(q)
+def rat_str(q: Union[Fraction, int]) -> str:
+    """Render a Fraction or an int, already in lowest terms, as "num" or
+    "num/den"; no Fraction is built."""
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
 
 
-def _as_rationals(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
-    return tuple(rat(v) for v in values)
+def scaled_str(value: int, scale: int) -> str:
+    """Render the rational ``value / scale`` of two ints as :func:`rat_str`
+    does, after one gcd."""
+    g = math.gcd(value, scale)
+    if g == scale:
+        return str(value // g)
+    return f"{value // g}/{scale // g}"
 
 
 def _number(value: RationalLike):
     """An int as it is, anything else through :func:`rat`."""
     return value if type(value) is int else rat(value)
+
+
+def _scaled(values: Iterable[RationalLike]) -> tuple[int, list[int]]:
+    """The least common multiple of the values' denominators, and each
+    value times it as an int; the two share no common factor."""
+    numbers = [_number(v) for v in values]
+    scale = math.lcm(*(v.denominator for v in numbers))
+    return scale, [v.numerator * (scale // v.denominator) for v in numbers]
+
+
+def _reduced(scale: int, ints: Sequence[int]) -> tuple[int, Sequence[int]]:
+    """``scale`` and ``ints`` divided by their gcd."""
+    g = math.gcd(scale, *ints)
+    return (scale, ints) if g == 1 else (scale // g, [v // g for v in ints])
 
 
 @dataclass(frozen=True)
@@ -73,20 +91,17 @@ class Curve1D:
     scaled_vertices: tuple[int, ...]
 
     def __init__(self, vertices: Iterable[RationalLike]):
-        values = [_number(v) for v in vertices]
-        scale = math.lcm(*(v.denominator for v in values))
-        self._set(scale, tuple(v.numerator * (scale // v.denominator) for v in values))
+        self._set(*_scaled(vertices))
 
     @classmethod
     def from_scaled(cls, scale: int, scaled_vertices: Iterable[int]) -> "Curve1D":
         """The curve whose vertices are these ints over ``scale``."""
-        ints = tuple(scaled_vertices)
-        g = math.gcd(scale, *ints)
         curve = object.__new__(cls)
-        curve._set(scale // g, ints if g == 1 else tuple(v // g for v in ints))
+        curve._set(*_reduced(scale, tuple(scaled_vertices)))
         return curve
 
-    def _set(self, scale: int, ints: tuple[int, ...]) -> None:
+    def _set(self, scale: int, ints: Sequence[int]) -> None:
+        ints = tuple(ints)
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "scaled_vertices", ints)
         if len(ints) < 2:
@@ -125,17 +140,37 @@ class Curve1D:
 
 @dataclass(frozen=True)
 class PointSeq1D:
-    """Discrete curve on the line: an ordered point sequence, repeats allowed."""
+    """Discrete curve on the line: an ordered point sequence, repeats allowed.
 
-    points: tuple[Fraction, ...]
+    Stored as ``scaled_points``, each point times ``scale`` as an int;
+    ``points`` are the Fractions, built on first read."""
+
+    scale: int
+    scaled_points: tuple[int, ...]
 
     def __init__(self, points: Iterable[RationalLike]):
-        object.__setattr__(self, "points", _as_rationals(points))
-        if not self.points:
+        self._set(*_scaled(points))
+
+    @classmethod
+    def from_scaled(cls, scale: int, scaled_points: Iterable[int]) -> "PointSeq1D":
+        """The sequence whose points are these ints over ``scale``."""
+        seq = object.__new__(cls)
+        seq._set(*_reduced(scale, tuple(scaled_points)))
+        return seq
+
+    def _set(self, scale: int, ints: Sequence[int]) -> None:
+        ints = tuple(ints)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "scaled_points", ints)
+        if not ints:
             raise ValueError("a point sequence needs at least one point")
 
+    @cached_property
+    def points(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.scale) for v in self.scaled_points)
+
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.scaled_points)
 
 
 @dataclass(frozen=True)
@@ -454,30 +489,31 @@ class FreeSpaceDiagram1D:
         """Only the numbers are converted, so a ragged grid, a nonpositive
         size or an unknown status reaches :func:`structural_problems`."""
         widths, heights, cells = list(col_widths), list(row_heights), tuple(tuple(col) for col in cells)
-        scale = math.lcm(*(_number(v).denominator for v in [epsilon, *widths, *heights, *_intercepts(cells)]))
-
-        def up(v) -> int:
-            v = _number(v)
-            return v.numerator * (scale // v.denominator)
-
-        self._set(scale, up(epsilon), tuple(map(up, widths)), tuple(map(up, heights)), _rescaled(cells, up))
+        self._set(*_scaled([epsilon, *widths, *heights, *_intercepts(cells)]), len(widths), len(heights), cells)
 
     @classmethod
     def from_scaled(cls, scale: int, scaled_eps: int, scaled_widths, scaled_heights, scaled_cells):
         """The diagram whose values are these ints over ``scale``; the
         scale and the ints are divided by their gcd."""
-        cells = tuple(tuple(col) for col in scaled_cells)
         widths, heights = tuple(scaled_widths), tuple(scaled_heights)
-        g = 1 if scale == 1 else math.gcd(scale, scaled_eps, *widths, *heights, *_intercepts(cells))
-        if g > 1:
-            scale, scaled_eps = scale // g, scaled_eps // g
-            widths, heights = (tuple(v // g for v in values) for values in (widths, heights))
-            cells = _rescaled(cells, lambda v: v // g)
+        cells = tuple(tuple(col) for col in scaled_cells)
         diagram = object.__new__(cls)
-        diagram._set(scale, scaled_eps, widths, heights, cells)
+        if scale > 1:
+            reduced_scale, ints = _reduced(scale, [scaled_eps, *widths, *heights, *_intercepts(cells)])
+            if reduced_scale < scale:
+                diagram._set(reduced_scale, ints, len(widths), len(heights), cells)
+                return diagram
+        diagram._store(scale, scaled_eps, widths, heights, cells)
         return diagram
 
-    def _set(self, *values) -> None:
+    def _set(self, scale: int, ints: Sequence[int], n: int, m: int, cells) -> None:
+        """Store ``ints`` over ``scale``: eps, the n widths, the m heights,
+        then the intercepts of the partial ``cells`` in grid order."""
+        it = iter(ints)
+        eps, widths, heights = next(it), tuple(islice(it, n)), tuple(islice(it, m))
+        self._store(scale, eps, widths, heights, _rescaled(cells, lambda _: next(it)))
+
+    def _store(self, *values) -> None:
         for name, value in zip(("scale", "scaled_eps", "scaled_widths", "scaled_heights", "scaled_cells"), values):
             object.__setattr__(self, name, value)
 
@@ -511,56 +547,6 @@ def transpose_diagram(d: FreeSpaceDiagram1D) -> FreeSpaceDiagram1D:
     each cell is transposed."""
     cells = [[cell_transpose(col[j]) for col in d.scaled_cells] for j in range(d.m_rows)]
     return FreeSpaceDiagram1D.from_scaled(d.scale, d.scaled_eps, d.scaled_heights, d.scaled_widths, cells)
-
-
-@dataclass(frozen=True)
-class ArrangementCell:
-    """Maximal interval of the line with a constant covering set."""
-
-    lo: Fraction
-    hi: Fraction
-    cover: frozenset[int]
-    representative: Fraction
-
-
-@dataclass(frozen=True)
-class UnitIntervalArrangement:
-    """Intervals [q_j - eps, q_j + eps] around ordered positions q_j."""
-
-    positions: tuple[Fraction, ...]
-    radius: Fraction
-
-    def __init__(self, positions, radius):
-        object.__setattr__(self, "positions", _as_rationals(positions))
-        object.__setattr__(self, "radius", rat(radius))
-        if self.radius <= 0:
-            raise ValueError("interval radius must be positive")
-        if any(a > b for a, b in zip(self.positions, self.positions[1:])):
-            raise ValueError("positions must be nondecreasing")
-
-    def cover_at(self, x: Fraction) -> frozenset[int]:
-        e = self.radius
-        return frozenset(j for j, q in enumerate(self.positions) if q - e <= x <= q + e)
-
-    def cells(self) -> list[ArrangementCell]:
-        """Maximal constant-cover regions over the covered range, plus the two
-        outside cells. Degenerate single-point regions are included."""
-        if not self.positions:
-            return []
-        e = self.radius
-        events = sorted({q - e for q in self.positions} | {q + e for q in self.positions})
-        out: list[ArrangementCell] = []
-        lo0 = events[0]
-        out.append(ArrangementCell(lo0 - 2, lo0, frozenset(), lo0 - 1))
-        for idx, x in enumerate(events):
-            out.append(ArrangementCell(x, x, self.cover_at(x), x))
-            if idx + 1 < len(events):
-                y = events[idx + 1]
-                mid = (x + y) / 2
-                out.append(ArrangementCell(x, y, self.cover_at(mid), mid))
-        hi0 = events[-1]
-        out.append(ArrangementCell(hi0, hi0 + 2, frozenset(), hi0 + 1))
-        return out
 
 
 @dataclass(frozen=True)

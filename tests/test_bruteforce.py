@@ -11,7 +11,7 @@ from fsreal import (
     compute_matrix,
     gen_partition,
 )
-from fsreal.bruteforce import arrangements, realizable_row_families
+from fsreal.bruteforce import arrangement_cells, arrangements, realizable_row_families
 
 
 def test_single_entry_matrix():
@@ -73,3 +73,19 @@ def test_continuous_cap():
     d = gen_partition([1] * 25)
     with pytest.raises(ValueError):
         brute_force_continuous_1d(d)
+
+
+def test_arrangement_cells_partition_covered_range():
+    centers, eps = [0, Fraction(3, 4), 3], Fraction(1, 2)
+    cells = arrangement_cells(centers, eps)
+    assert cells[0][0] == frozenset()
+    assert cells[-1][0] == frozenset()
+    for cover, rep in cells:
+        assert cover == frozenset(j for j, c in enumerate(centers) if c - eps <= rep <= c + eps)
+    # the interior regions alternate endpoints and the open gaps between
+    # consecutive endpoints, so they tile the covered range
+    events = sorted({c + s * eps for c in centers for s in (-1, 1)})
+    interior = [rep for _, rep in cells[1:-1]]
+    assert interior[::2] == events
+    assert all(a < gap < b for a, gap, b in zip(interior[::2], interior[1::2], interior[2::2]))
+    assert cells[0][1] < events[0] and cells[-1][1] > events[-1]

@@ -1,11 +1,13 @@
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fsreal import FreeSpaceMatrix, compute_matrix, solve_discrete_1d
+from fsreal import FreeSpaceMatrix, PointSeq1D, compute_matrix, solve_discrete_1d, verify_witness
 from fsreal.bruteforce import brute_force_discrete_1d
+from fsreal.formats import parse, serialize
 from fsreal.discrete import (
     OrderState,
     bfs_partial_order,
@@ -375,6 +377,56 @@ def test_forward_walk_matrices_solve_yes():
             sizes = [len(c) for c in build_uig(matrix).components()]
             assert max(sizes) > 100 if giant else len(sizes) >= 5
             _assert_verified_yes(matrix)
+
+
+def test_discrete_builds_no_fractions(monkeypatch):
+    # the solver places its witness on one int grid and builds the point
+    # sequences in their int form; the forward check and serialization read
+    # those ints. No Fraction is built in discrete, forward or formats,
+    # counted at the first caller outside fractions (Fraction arithmetic
+    # builds its result there)
+    rng = random.Random(17)
+    cases = []
+    for _ in range(30):
+        p = PointSeq1D(Fraction(rng.randint(-60, 60), rng.choice([1, 3, 7])) for _ in range(rng.randint(1, 8)))
+        q = PointSeq1D(Fraction(rng.randint(-60, 60), rng.choice([1, 2, 5])) for _ in range(rng.randint(1, 8)))
+        cases.append((compute_matrix(p, q, Fraction(rng.randint(1, 30), rng.choice([1, 3, 4]))), None))
+    for _ in range(30):
+        n, m = rng.randint(3, 8), rng.randint(1, 6)
+        ent = [[rng.randint(0, 1) for _ in range(m)] for _ in range(n)]
+        ent[rng.randrange(n)] = [0] * m
+        cases.append((FreeSpaceMatrix(ent), rng.choice([Fraction(1, 2), Fraction(5, 3), 2])))
+    for _ in range(3):
+        p, q = _walks(rng, 60)
+        cases.append((compute_matrix(p, q, 1), Fraction(7, 11)))
+    counts = {}
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        frame = sys._getframe(1)
+        while frame.f_globals["__name__"] == "fractions":
+            frame = frame.f_back
+        name = frame.f_globals["__name__"]
+        counts[name] = counts.get(name, 0) + 1
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    assert Fraction(1, 2) + 1 == Fraction(3, 2) and counts == {__name__: 3}
+    answers = []
+    for matrix, eps in cases:
+        witness = solve_discrete_1d(matrix) if eps is None else solve_discrete_1d(matrix, eps)
+        if witness is None:
+            answers.append(None)
+        else:
+            text = serialize(witness)
+            again = parse(text)
+            answers.append(verify_witness(again, matrix) and serialize(again) == text)
+        serialize(matrix)
+    modules = ("fsreal.discrete", "fsreal.forward", "fsreal.formats")
+    assert [counts.get(name, 0) for name in modules] == [0, 0, 0], counts
+    monkeypatch.undo()
+    assert all(answers[:30]) and all(answers[-3:]) and None in answers and all(a in (True, None) for a in answers)
+    assert max(len(build_uig(matrix).components()) for matrix, _ in cases[-3:]) >= 5
 
 
 def test_twin_quotient_keeps_first_occurrences():

@@ -13,7 +13,7 @@ from fsreal import (
     FreeSpaceDiagram1D,
     FreeSpaceMatrix,
     PointSeq1D,
-    UnitIntervalArrangement,
+    compute_matrix,
     gen_partition,
     gen_random_instance,
     rat,
@@ -32,6 +32,7 @@ from fsreal.model import (
     cell_transpose,
     classify_slab,
     consistency_problems,
+    scaled_str,
     slab_value_range,
     structural_problems,
 )
@@ -45,6 +46,7 @@ def test_rat_parsing():
     assert rat(Fraction(2, 4)) == Fraction(1, 2)
     assert rat_str(Fraction(6, 4)) == "3/2"
     assert rat_str(Fraction(5)) == "5"
+    assert [scaled_str(v, s) for v, s in ((-6, 8), (8, 4), (0, 5), (7, 1), (3, 6))] == ["-3/4", "2", "0", "7", "1/2"]
 
 
 def test_rational_arithmetic_is_exact():
@@ -69,6 +71,36 @@ def test_curve1d_invariants():
 def test_point_seq_allows_repeats():
     s = PointSeq1D([1, 1, 2])
     assert len(s) == 3
+
+
+def test_point_seq_int_form():
+    s = PointSeq1D([Fraction(1, 2), 1, Fraction(-3, 4)])
+    assert (s.scale, s.scaled_points) == (4, (2, 4, -3))
+    assert s.points == (Fraction(1, 2), Fraction(1), Fraction(-3, 4))
+    t = PointSeq1D.from_scaled(8, [4, 8, -6])
+    assert (t.scale, t.scaled_points) == (4, (2, 4, -3))
+    assert t == s and hash(t) == hash(s)
+    assert PointSeq1D(["1/2", "1", "-3/4"]) == s
+    with pytest.raises(ValueError):
+        PointSeq1D([])
+    with pytest.raises(ValueError):
+        PointSeq1D.from_scaled(8, [])
+    # compute_matrix reads the same ints from raw lists, curves and point
+    # sequences, and agrees with the definition on Fractions
+    rng = random.Random(17)
+    for _ in range(60):
+        p, q = ([Fraction(rng.randint(-40, 40), rng.choice([1, 2, 3, 7]))] for _ in range(2))
+        for pts in (p, q):
+            k = rng.randint(2, 7)
+            while len(pts) < k:
+                v = Fraction(rng.randint(-40, 40), rng.choice([1, 2, 3, 5, 7]))
+                if v != pts[-1]:
+                    pts.append(v)
+        eps = Fraction(rng.randint(1, 40), rng.choice([1, 2, 3, 10]))
+        expected = [[int(abs(a - b) <= eps) for b in q] for a in p]
+        assert compute_matrix(p, q, eps).tolist() == expected
+        for cp, cq in ((PointSeq1D(p), PointSeq1D(q)), (Curve1D(p), Curve1D(q)), (Curve1D(p), q), (p, PointSeq1D(q))):
+            assert compute_matrix(cp, cq, eps).tolist() == expected
 
 
 def test_curved_checks_dimension():
@@ -312,18 +344,6 @@ def test_forward_diagrams_always_validate():
         rng = random.Random(seed)
         d = random_integer_diagram(seed, rng.randint(1, 5), rng.randint(1, 4), rng.randint(1, 4))
         assert validate_diagram(d) == []
-
-
-def test_arrangement_cells_partition_covered_range():
-    arr = UnitIntervalArrangement([0, Fraction(3, 4), 3], Fraction(1, 2))
-    cells = arr.cells()
-    assert cells[0].cover == frozenset()
-    assert cells[-1].cover == frozenset()
-    for cell in cells:
-        assert cell.cover == arr.cover_at(cell.representative)
-    interior = cells[1:-1]
-    for a, b in zip(interior, interior[1:]):
-        assert a.hi == b.lo
 
 
 def _fields(eps, widths, heights, cells):
