@@ -11,7 +11,7 @@ from .model import (
     Witness,
     rat,
     rat_str,
-    validate_diagram,
+    consistency_problems,
 )
 from .forward import (
     EllipseCell,
@@ -47,7 +47,7 @@ __all__ = [
     "Witness",
     "rat",
     "rat_str",
-    "validate_diagram",
+    "consistency_problems",
     "EllipseCell",
     "RelativePlacement",
     "cell_ellipse_2d",

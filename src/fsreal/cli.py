@@ -17,7 +17,8 @@ from .discrete import solve as solve_discrete
 from .folding import solve_fpt
 from .forward import compute_diagram_1d, compute_matrix, verify_witness
 from .generators import PartitionInstance, SignVectorSet, gen_partition, gen_random_instance, gen_stretchability
-from .model import Curve1D, CurveD, FreeSpaceDiagram1D, FreeSpaceMatrix, Witness, structural_problems
+from .model import Curve1D, CurveD, FreeSpaceDiagram1D, FreeSpaceMatrix, Witness
+from .model import structural_problems  # noqa: F401  not called: bench/tracing.py patches this name
 from .pseudopoly import solve_pseudo_poly
 from .render import render_ascii, render_svg
 
@@ -97,10 +98,6 @@ def _cmd_solve(args) -> int:
         raise InputError(f"mode {args.mode} needs a matrix instance")
     if want == "diagram" and not isinstance(instance, FreeSpaceDiagram1D):
         raise InputError(f"mode {args.mode} needs a diagram1d instance")
-    if isinstance(instance, FreeSpaceDiagram1D):
-        problems = structural_problems(instance)
-        if problems:
-            raise InputError("invalid diagram: " + "; ".join(problems))
     try:
         witness = run(instance)
     except ValueError as exc:

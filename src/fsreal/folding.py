@@ -24,8 +24,9 @@ labels: it is all empty or all full, and
 :func:`fsreal.pseudopoly.closed_form_witness` decides it for both solvers
 (the far placement; the two curves' smallest closed windows, centred).
 
-The structural and consistency checks, the crease inference, the sweep and
-the witness all read the diagram's int form, its values times its scale.
+The consistency check, the crease inference, the sweep and the witness all
+read the diagram's int form, its values times its scale; the diagram was
+checked to be well formed when it was built.
 The full assignment found fixes the witness, which :func:`extract_curves`
 reads off those ints and the forward computation checks against the
 diagram; :func:`check_foldable` is that check for one assignment on its
@@ -49,7 +50,7 @@ from .model import (
     cell_restrict_x,
     classify_slab,
     consistency_problems,
-    structural_problems,
+    structural_problems,  # noqa: F401  not called: bench/tracing.py patches this name
     transpose_diagram,
 )
 from .forward import classify_column, compute_diagram_1d, q_segments
@@ -296,9 +297,6 @@ def solve_fpt(diagram: FreeSpaceDiagram1D) -> Optional[Witness]:
     ints, and it is returned once the forward computation reproduces the
     diagram from it.
     """
-    problems = structural_problems(diagram)
-    if problems:
-        raise ValueError("invalid diagram: " + "; ".join(problems))
     if consistency_problems(diagram):
         return None  # no curve pair produces disagreeing boundary restrictions
     if not any(c.status == PARTIAL for col in diagram.scaled_cells for c in col):

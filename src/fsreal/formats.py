@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import Union
 
 from .model import (
+    PARTIAL,
     CellContent,
     Curve1D,
     CurveD,
@@ -23,7 +24,6 @@ from .model import (
     rat_str,
     row_mask,
     scaled_str,
-    structural_problems,
 )
 from .generators import SignVectorSet
 
@@ -213,23 +213,16 @@ def _parse_diagram(obj: dict) -> FreeSpaceDiagram1D:
     eps = _rat_in(obj["epsilon"])
     widths = [_rat_in(w) for w in _list_in(obj["colWidths"], "colWidths")]
     heights = [_rat_in(h) for h in _list_in(obj["rowHeights"], "rowHeights")]
-    raw = obj["cells"]
-    if not isinstance(raw, list) or len(raw) != len(widths):
-        raise FormatError("cells must have one column per colWidth")
     cols = []
-    for col in raw:
-        if not isinstance(col, list) or len(col) != len(heights):
-            raise FormatError("each cell column must have one cell per rowHeight")
+    for col in _list_in(obj["cells"], "cells"):
         out_col = []
-        for c in col:
+        for c in _list_in(col, "each cell column"):
             if not isinstance(c, dict):
                 raise FormatError("cells must be objects")
             status = c.get("status")
             if status == "partial":
                 _check_keys(c, {"status", "sigma", "cLo", "cHi"})
-                if _int_in(c["sigma"], "sigma") not in (1, -1):
-                    raise FormatError("sigma must be 1 or -1")
-                out_col.append(CellContent.partial(c["sigma"], _rat_in(c["cLo"]), _rat_in(c["cHi"])))
+                out_col.append(CellContent(PARTIAL, _int_in(c["sigma"], "sigma"), _rat_in(c["cLo"]), _rat_in(c["cHi"])))
             elif status in ("empty", "full"):
                 _check_keys(c, {"status"})
                 out_col.append(CellContent.empty() if status == "empty" else CellContent.full())
@@ -237,13 +230,9 @@ def _parse_diagram(obj: dict) -> FreeSpaceDiagram1D:
                 raise FormatError(f"unknown cell status {status!r}")
         cols.append(out_col)
     try:
-        diagram = FreeSpaceDiagram1D(eps, widths, heights, cols)
+        return FreeSpaceDiagram1D(eps, widths, heights, cols)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
-    problems = structural_problems(diagram)
-    if problems:
-        raise FormatError("invalid diagram: " + "; ".join(problems))
-    return diagram
 
 
 def _parse_curves(obj: dict) -> Witness:

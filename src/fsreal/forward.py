@@ -159,7 +159,8 @@ def compute_diagram_1d(p: Curve1D, q: Curve1D, eps) -> FreeSpaceDiagram1D:
     the vertices and eps scaled by the least common multiple of the curves'
     scales and eps's denominator (never by a solver's scale, so the check
     stays independent of the code it checks); the diagram is built from
-    those ints without a Fraction.
+    those ints without a Fraction, and without the constructors' structural
+    check, which every cell of :func:`classify_column` passes.
     """
     e, den = _exact_eps(eps)
     scale = math.lcm(den, p.scale, q.scale)
@@ -168,7 +169,7 @@ def compute_diagram_1d(p: Curve1D, q: Curve1D, eps) -> FreeSpaceDiagram1D:
     e *= scale // den
     cols = [classify_column(a, b, q_segs, e, _EMPTY_CELL, _FULL_CELL, _PARTIAL_CELL) for a, b in zip(pi, pi[1:])]
     widths = [abs(b - a) for a, b in zip(pi, pi[1:])]
-    return FreeSpaceDiagram1D.from_scaled(scale, e, widths, [h for _, _, h in q_segs], cols)
+    return FreeSpaceDiagram1D._built(scale, e, widths, [h for _, _, h in q_segs], cols)
 
 
 @dataclass(frozen=True)

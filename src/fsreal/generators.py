@@ -250,8 +250,6 @@ def _mutate_diagram(rng: random.Random, d: FreeSpaceDiagram1D) -> Optional[FreeS
     """Shift one partial cell's slab by one unit, keeping the diagram
     structurally well-formed (boundary consistency may break: that is the
     point, such instances are usually unrealizable)."""
-    from .model import structural_problems
-
     candidates = [
         (i, j, shift)
         for i in range(d.n_cols)
@@ -264,9 +262,10 @@ def _mutate_diagram(rng: random.Random, d: FreeSpaceDiagram1D) -> Optional[FreeS
         cols = [list(col) for col in d.scaled_cells]
         c = cols[i][j]
         cols[i][j] = CellContent(c.status, c.sigma, c.c_lo + shift, c.c_hi + shift)
-        mutated = FreeSpaceDiagram1D.from_scaled(d.scale, d.scaled_eps, d.scaled_widths, d.scaled_heights, cols)
-        if not structural_problems(mutated):
-            return mutated
+        try:
+            return FreeSpaceDiagram1D.from_scaled(d.scale, d.scaled_eps, d.scaled_widths, d.scaled_heights, cols)
+        except ValueError:
+            continue  # the shifted slab misses the cell or covers it
     return None
 
 

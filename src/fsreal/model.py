@@ -74,6 +74,11 @@ def _scaled(values: Iterable[RationalLike]) -> tuple[int, list[int]]:
     return scale, [v.numerator * (scale // v.denominator) for v in numbers]
 
 
+def _check_scale(scale) -> None:
+    if type(scale) is not int or scale < 1:
+        raise ValueError(f"scale must be a positive int, got {scale!r}")
+
+
 def _reduced(scale: int, ints: Sequence[int]) -> tuple[int, Sequence[int]]:
     """``scale`` and ``ints`` divided by their gcd."""
     g = math.gcd(scale, *ints)
@@ -95,7 +100,8 @@ class Curve1D:
 
     @classmethod
     def from_scaled(cls, scale: int, scaled_vertices: Iterable[int]) -> "Curve1D":
-        """The curve whose vertices are these ints over ``scale``."""
+        """The curve whose vertices are these ints over ``scale``, a positive int."""
+        _check_scale(scale)
         curve = object.__new__(cls)
         curve._set(*_reduced(scale, tuple(scaled_vertices)))
         return curve
@@ -153,7 +159,8 @@ class PointSeq1D:
 
     @classmethod
     def from_scaled(cls, scale: int, scaled_points: Iterable[int]) -> "PointSeq1D":
-        """The sequence whose points are these ints over ``scale``."""
+        """The sequence whose points are these ints over ``scale``, a positive int."""
+        _check_scale(scale)
         seq = object.__new__(cls)
         seq._set(*_reduced(scale, tuple(scaled_points)))
         return seq
@@ -477,7 +484,11 @@ class FreeSpaceDiagram1D:
     Stored as ints over one ``scale``: ``scaled_eps``, ``scaled_widths``,
     ``scaled_heights`` and ``scaled_cells``, whose partial cells carry int
     intercepts. ``epsilon``, ``col_widths``, ``row_heights`` and ``cells``
-    are the same values as Fractions, built on first read."""
+    are the same values as Fractions, built on first read.
+
+    Both constructors run :func:`structural_problems` and raise
+    ``ValueError("invalid diagram: ...")`` on a malformed diagram, so a
+    built diagram can fail only :func:`consistency_problems`."""
 
     scale: int
     scaled_eps: int
@@ -486,15 +497,21 @@ class FreeSpaceDiagram1D:
     scaled_cells: tuple[tuple[CellContent, ...], ...]
 
     def __init__(self, epsilon, col_widths, row_heights, cells):
-        """Only the numbers are converted, so a ragged grid, a nonpositive
-        size or an unknown status reaches :func:`structural_problems`."""
         widths, heights, cells = list(col_widths), list(row_heights), tuple(tuple(col) for col in cells)
         self._set(*_scaled([epsilon, *widths, *heights, *_intercepts(cells)]), len(widths), len(heights), cells)
+        _check_diagram(self)
 
     @classmethod
     def from_scaled(cls, scale: int, scaled_eps: int, scaled_widths, scaled_heights, scaled_cells):
-        """The diagram whose values are these ints over ``scale``; the
-        scale and the ints are divided by their gcd."""
+        """The diagram whose values are these ints over ``scale``, a
+        positive int; the scale and the ints are divided by their gcd."""
+        _check_scale(scale)
+        return _check_diagram(cls._built(scale, scaled_eps, scaled_widths, scaled_heights, scaled_cells))
+
+    @classmethod
+    def _built(cls, scale: int, scaled_eps: int, scaled_widths, scaled_heights, scaled_cells):
+        """:meth:`from_scaled` unchecked, for the diagrams well formed by
+        construction: the forward computation's and :func:`transpose_diagram`'s."""
         widths, heights = tuple(scaled_widths), tuple(scaled_heights)
         cells = tuple(tuple(col) for col in scaled_cells)
         diagram = object.__new__(cls)
@@ -546,7 +563,7 @@ def transpose_diagram(d: FreeSpaceDiagram1D) -> FreeSpaceDiagram1D:
     """The diagram of the swapped curve pair (Q, P): rows become columns and
     each cell is transposed."""
     cells = [[cell_transpose(col[j]) for col in d.scaled_cells] for j in range(d.m_rows)]
-    return FreeSpaceDiagram1D.from_scaled(d.scale, d.scaled_eps, d.scaled_heights, d.scaled_widths, cells)
+    return FreeSpaceDiagram1D._built(d.scale, d.scaled_eps, d.scaled_heights, d.scaled_widths, cells)
 
 
 @dataclass(frozen=True)
@@ -564,12 +581,11 @@ class Witness:
         object.__setattr__(self, "epsilon", rat(epsilon) if not isinstance(epsilon, float) else epsilon)
 
 
-def validate_diagram(d: FreeSpaceDiagram1D) -> list[str]:
-    """Check all diagram invariants; returns a list of violations (empty = valid)."""
+def _check_diagram(d: FreeSpaceDiagram1D) -> FreeSpaceDiagram1D:
     problems = structural_problems(d)
     if problems:
-        return problems
-    return consistency_problems(d)
+        raise ValueError("invalid diagram: " + "; ".join(problems))
+    return d
 
 
 def structural_problems(d: FreeSpaceDiagram1D) -> list[str]:

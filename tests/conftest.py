@@ -52,3 +52,24 @@ def partition_diagram():
     from fsreal import gen_partition
 
     return gen_partition([3, 2, 1, 2])
+
+
+@pytest.fixture
+def structural_checks(monkeypatch):
+    """The diagrams passed to ``model.structural_problems`` while the test
+    runs, counted at every module that has the name."""
+    import sys
+
+    from fsreal import model
+
+    calls = []
+    real = model.structural_problems
+
+    def counted(d):
+        calls.append(d)
+        return real(d)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fsreal") and getattr(module, "structural_problems", None) is real:
+            monkeypatch.setattr(module, "structural_problems", counted)
+    return calls

@@ -97,6 +97,42 @@ def test_invalid_input_exit_code(tmp_path):
     assert main(["solve", "--mode", "discrete1d", "--in", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("mode", ["cont1d-fpt", "cont1d-dp"])
+@pytest.mark.parametrize("items, code", [([3, 2, 1, 2], 0), ([1, 1, 1], 1)])
+def test_one_structural_check_per_diagram_decision(tmp_path, capsys, structural_checks, mode, items, code):
+    # parsing builds the diagram, which checks itself; nothing after that
+    # checks it again
+    from fsreal import gen_partition
+
+    path = _write(tmp_path, "d.json", gen_partition(items))
+    structural_checks.clear()
+    assert main(["solve", "--mode", mode, "--in", path, "--witness", str(tmp_path / "w.json")]) == code
+    assert len(structural_checks) == 1
+
+
+@pytest.mark.parametrize("mode", ["cont1d-fpt", "cont1d-dp", "brute-cont"])
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (lambda obj, cell: cell.update(cHi="99"), "cell (0,0): slab width != 2*eps"),
+        (lambda obj, cell: cell.update(sigma=2), "cell (0,0): slab orientation must be +1 or -1"),
+        (lambda obj, cell: obj["cells"].pop(), "cell grid width does not match colWidths"),
+        (lambda obj, cell: obj["cells"][1].append({"status": "empty"}), "cell grid height does not match rowHeights"),
+        (lambda obj, cell: obj.update(epsilon="-1"), "epsilon must be positive"),
+    ],
+    ids=["slab-width", "sigma", "missing-column", "long-column", "epsilon"],
+)
+def test_malformed_diagram_file_exits_2_with_its_problem(tmp_path, capsys, mode, edit, problem):
+    from fsreal import gen_partition
+
+    obj = json.loads(serialize(gen_partition([2, 2])))
+    edit(obj, obj["cells"][0][0])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["solve", "--mode", mode, "--in", str(bad)]) == 2
+    assert f"invalid diagram: {problem}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("widths", ["34", 7])
 def test_non_array_widths_exit_code(tmp_path, widths):
     from fsreal import Curve1D, compute_diagram_1d

@@ -51,9 +51,10 @@ def test_infer_contradiction_reported():
     good = compute_diagram_1d(Curve1D([0, 2, 0]), Curve1D([0, 2]), 1)
     cells = [list(col) for col in good.cells]
     c = cells[1][0]
-    cells[1][0] = CellContent(c.status, c.sigma, c.c_lo + 4, c.c_hi + 4)
-    # keep it structurally valid but locally unmatchable
+    cells[1][0] = CellContent(c.status, c.sigma, c.c_lo + 2, c.c_hi + 2)
+    # structurally valid (the constructor checks it) but locally unmatchable
     bad = FreeSpaceDiagram1D(good.epsilon, good.col_widths, good.row_heights, cells)
+    assert consistency_problems(bad)
     ca = infer_creases(bad)
     assert ca.contradictions
 
@@ -140,9 +141,9 @@ def test_solve_partition_odd_sum_no():
 
 
 def test_solve_rejects_malformed_diagram():
-    bad = FreeSpaceDiagram1D(1, [2], [2], [[CellContent.partial(1, 0, 1)]])
-    with pytest.raises(ValueError):
-        solve_fpt(bad)
+    # the diagram rejects itself when it is built, before a solver sees it
+    with pytest.raises(ValueError, match=r"^invalid diagram: cell \(0,0\): slab width != 2\*eps$"):
+        solve_fpt(FreeSpaceDiagram1D(1, [2], [2], [[CellContent.partial(1, 0, 1)]]))
 
 
 def test_forward_diagrams_always_solve_yes_exactly():

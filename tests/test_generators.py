@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -15,9 +16,10 @@ from fsreal import (
     gen_stretchability,
     has_balanced_partition,
     solve_fpt,
-    validate_diagram,
 )
-from fsreal.model import FreeSpaceDiagram1D, FreeSpaceMatrix, structural_problems
+from fsreal.model import FreeSpaceDiagram1D, FreeSpaceMatrix, consistency_problems, structural_problems, transpose_diagram
+
+from conftest import random_rational_diagram
 
 
 def test_partition_reference_instance_widths(partition_diagram):
@@ -155,7 +157,7 @@ def test_random_matrices_solve_yes():
 def test_random_diagrams_validate_and_solve_yes():
     for seed in range(25):
         d = gen_random_instance(seed, kind="diagram")
-        assert validate_diagram(d) == []
+        assert structural_problems(d) == [] and consistency_problems(d) == []
         assert solve_fpt(d) is not None
 
 
@@ -175,7 +177,13 @@ def test_mutation_breaks_realizability_statistic():
 
 
 def test_mutated_diagrams_stay_structurally_valid():
+    # the forward computation and transpose_diagram build diagrams without
+    # the constructors' structural check; this is the check that vouches
+    # for them
+    rng = random.Random(181)
     for seed in range(40):
         d = gen_random_instance(seed, kind="diagram", mutate=True)
         assert isinstance(d, FreeSpaceDiagram1D)
-        assert structural_problems(d) == []
+        for built in (d, gen_random_instance(seed, kind="diagram"), random_rational_diagram(rng)):
+            assert structural_problems(built) == []
+            assert structural_problems(transpose_diagram(built)) == []

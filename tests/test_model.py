@@ -13,6 +13,7 @@ from fsreal import (
     FreeSpaceDiagram1D,
     FreeSpaceMatrix,
     PointSeq1D,
+    compute_diagram_1d,
     compute_matrix,
     gen_partition,
     gen_random_instance,
@@ -21,7 +22,6 @@ from fsreal import (
     solve_discrete_1d,
     solve_fpt,
     solve_pseudo_poly,
-    validate_diagram,
 )
 from fsreal.model import (
     PARTIAL,
@@ -101,6 +101,33 @@ def test_point_seq_int_form():
         assert compute_matrix(p, q, eps).tolist() == expected
         for cp, cq in ((PointSeq1D(p), PointSeq1D(q)), (Curve1D(p), Curve1D(q)), (Curve1D(p), q), (p, PointSeq1D(q))):
             assert compute_matrix(cp, cq, eps).tolist() == expected
+
+
+_BAD_SCALES = [0, -1, -4, True, 1.0, Fraction(1), "1", None]
+
+
+@pytest.mark.parametrize("scale", _BAD_SCALES)
+def test_curve_from_scaled_rejects_a_scale_that_is_not_a_positive_int(scale):
+    # at scale -1 the ints [0, 1] would be the vertices (0, -1)
+    with pytest.raises(ValueError, match="scale must be a positive int"):
+        Curve1D.from_scaled(scale, [0, 1])
+    assert Curve1D.from_scaled(1, [0, 1]) == Curve1D([0, 1])
+
+
+@pytest.mark.parametrize("scale", _BAD_SCALES)
+def test_point_seq_from_scaled_rejects_a_scale_that_is_not_a_positive_int(scale):
+    with pytest.raises(ValueError, match="scale must be a positive int"):
+        PointSeq1D.from_scaled(scale, [0, 1])
+    assert PointSeq1D.from_scaled(1, [0, 1]) == PointSeq1D([0, 1])
+
+
+@pytest.mark.parametrize("scale", _BAD_SCALES)
+def test_diagram_from_scaled_rejects_a_scale_that_is_not_a_positive_int(scale):
+    # at scale -1 every int passes the structural check, which reads only
+    # the ints, but epsilon would be -1
+    with pytest.raises(ValueError, match="scale must be a positive int"):
+        FreeSpaceDiagram1D.from_scaled(scale, 1, [1], [1], [[CellContent.empty()]])
+    assert FreeSpaceDiagram1D.from_scaled(1, 1, [1], [1], [[CellContent.empty()]]).epsilon == 1
 
 
 def test_curved_checks_dimension():
@@ -183,43 +210,41 @@ def _single_cell(cell, w=2, h=2, eps=1):
 
 def test_validate_single_partial_ok():
     d = _single_cell(CellContent.partial(1, -1, 1))
-    assert validate_diagram(d) == []
+    assert structural_problems(d) == [] and consistency_problems(d) == []
 
 
 def test_validate_slab_width():
-    d = _single_cell(CellContent(status="partial", sigma=1, c_lo=Fraction(0), c_hi=Fraction(1)))
-    assert any("slab width" in p for p in validate_diagram(d))
+    with pytest.raises(ValueError, match=r"^invalid diagram: cell \(0,0\): slab width != 2\*eps$"):
+        _single_cell(CellContent(status="partial", sigma=1, c_lo=Fraction(0), c_hi=Fraction(1)))
 
 
 def test_validate_empty_white_set():
-    d = _single_cell(CellContent.partial(1, 10, 12))
-    assert any("white set empty" in p for p in validate_diagram(d))
+    with pytest.raises(ValueError, match=r"^invalid diagram: cell \(0,0\): white set empty$"):
+        _single_cell(CellContent.partial(1, 10, 12))
 
 
 def test_validate_full_coverage_rejected():
-    d = _single_cell(CellContent.partial(1, -10, -8), w=Fraction(1, 2), h=Fraction(1, 2), eps=1)
     # slab way below the cell: empty; slab covering it entirely: not partial
-    assert validate_diagram(d)
-    d2 = FreeSpaceDiagram1D(4, [1], [1], [[CellContent.partial(1, -4, 4)]])
-    assert any("covers the whole cell" in p for p in validate_diagram(d2))
+    with pytest.raises(ValueError, match="white set empty"):
+        _single_cell(CellContent.partial(1, -10, -8), w=Fraction(1, 2), h=Fraction(1, 2), eps=1)
+    with pytest.raises(ValueError, match="covers the whole cell"):
+        FreeSpaceDiagram1D(4, [1], [1], [[CellContent.partial(1, -4, 4)]])
 
 
 @pytest.mark.parametrize("widths, heights", [([], []), ([], [1]), ([1, 2], [])])
 def test_empty_grid_rejected(widths, heights):
-    d = FreeSpaceDiagram1D(1, widths, heights, [[] for _ in widths])
-    assert structural_problems(d) == ["cell grid is empty"]
-    for solve in (solve_fpt, solve_pseudo_poly):
-        with pytest.raises(ValueError, match="cell grid is empty"):
-            solve(d)
+    with pytest.raises(ValueError, match="^invalid diagram: cell grid is empty$"):
+        FreeSpaceDiagram1D(1, widths, heights, [[] for _ in widths])
+    with pytest.raises(ValueError, match="^invalid diagram: cell grid is empty$"):
+        FreeSpaceDiagram1D.from_scaled(1, 1, widths, heights, [[] for _ in widths])
 
 
 def test_boundary_consistency_detection():
     good = CellContent.partial(1, -1, 1)
     bad = CellContent.partial(1, 0, 2)
     d = FreeSpaceDiagram1D(1, [2, 2], [2], [[good], [bad]])
-    assert any("white sets disagree" in p for p in validate_diagram(d))
     assert structural_problems(d) == []
-    assert consistency_problems(d)
+    assert consistency_problems(d) == ["grid line between columns 0,1 at row 0: white sets disagree"]
 
 
 def test_full_cell_next_to_an_empty_cell_is_named():
@@ -259,16 +284,18 @@ def _random_status_grid(rng: random.Random):
     widths = [rng.randint(1, 6) for _ in range(rng.randint(1, 6))]
     heights = [rng.randint(1, 6) for _ in range(rng.randint(1, 5))]
 
-    def cell():
+    def cell(w, h):
         roll = rng.random()
         if roll < 0.35:
             return CellContent.empty()
         if roll < 0.7:
             return CellContent.full()
         c_lo = rng.randint(-8, 6)
-        return CellContent.partial(rng.choice([-1, 1]), c_lo, c_lo + 2 * eps)
+        # a slab that misses the cell box or covers it is an empty or a full
+        # cell, as a well-formed diagram must have it
+        return classify_slab(rng.choice([-1, 1]), c_lo, c_lo + 2 * eps, w, h)
 
-    return FreeSpaceDiagram1D(eps, widths, heights, [[cell() for _ in heights] for _ in widths])
+    return FreeSpaceDiagram1D(eps, widths, heights, [[cell(w, h) for h in heights] for w in widths])
 
 
 def test_grid_line_check_matches_every_line_compared():
@@ -319,8 +346,9 @@ def test_grid_lines_agree_and_a_shifted_slab_is_named():
                 for shift in (-1, 1):
                     cells = [list(col) for col in d.cells]
                     cells[i][j] = CellContent(PARTIAL, c.sigma, c.c_lo + shift, c.c_hi + shift)
-                    shifted = FreeSpaceDiagram1D(d.epsilon, w, h, cells)
-                    if structural_problems(shifted):
+                    try:
+                        shifted = FreeSpaceDiagram1D(d.epsilon, w, h, cells)
+                    except ValueError:
                         continue
                     moved = {side for side in "LRBT" if edge(cells, i, j, side) != edge(d.cells, i, j, side)}
                     expected = set()
@@ -343,7 +371,7 @@ def test_forward_diagrams_always_validate():
     for seed in range(60):
         rng = random.Random(seed)
         d = random_integer_diagram(seed, rng.randint(1, 5), rng.randint(1, 4), rng.randint(1, 4))
-        assert validate_diagram(d) == []
+        assert structural_problems(d) == [] and consistency_problems(d) == []
 
 
 def _fields(eps, widths, heights, cells):
@@ -460,21 +488,66 @@ def test_cell_algebra_int_input_matches_fraction_input():
 
 
 _F = Fraction
+# the fields of malformed rational diagrams, and their problems
 _MALFORMED_RATIONAL = [
-    FreeSpaceDiagram1D(_F(1, 2), [_F(3, 2)], [1], [[CellContent.partial(1, 0, _F(1, 3))]]),  # slab width
-    FreeSpaceDiagram1D(_F(3, 2), [_F(1, 2)], [_F(1, 2)], [[CellContent.partial(1, _F(-3, 2), _F(3, 2))]]),
-    FreeSpaceDiagram1D(_F(1, 3), [_F(1, 3)], [_F(1, 4)], [[CellContent.partial(1, _F(5, 3), _F(7, 3))]]),
-    FreeSpaceDiagram1D(_F(-1, 3), [_F(1, 2), _F(-2, 5)], [0], [[CellContent.empty()], [CellContent.full()]]),
-    FreeSpaceDiagram1D(_F(1, 2), [_F(1, 2)], [_F(1, 3), 1], [[CellContent.full()]]),
+    ((_F(1, 2), [_F(3, 2)], [1], [[CellContent.partial(1, 0, _F(1, 3))]]), ["cell (0,0): slab width != 2*eps"]),
+    (
+        (_F(3, 2), [_F(1, 2)], [_F(1, 2)], [[CellContent.partial(1, _F(-3, 2), _F(3, 2))]]),
+        ["cell (0,0): slab covers the whole cell"],
+    ),
+    ((_F(1, 3), [_F(1, 3)], [_F(1, 4)], [[CellContent.partial(1, _F(5, 3), _F(7, 3))]]), ["cell (0,0): white set empty"]),
+    (
+        (_F(-1, 3), [_F(1, 2), _F(-2, 5)], [0], [[CellContent.empty()], [CellContent.full()]]),
+        ["epsilon must be positive", "column 1: width must be positive", "row 0: height must be positive"],
+    ),
+    ((_F(1, 2), [_F(1, 2)], [_F(1, 3), 1], [[CellContent.full()]]), ["cell grid height does not match rowHeights"]),
 ]
+
+
+def _int_form(eps, widths, heights, cells):
+    """The scale L of the fields and the fields times L, as ints."""
+    scale = math.lcm(*(Fraction(v).denominator for v in _fields(eps, widths, heights, cells)))
+    cells = [[c if c.status != PARTIAL else CellContent(PARTIAL, c.sigma, int(c.c_lo * scale), int(c.c_hi * scale)) for c in col] for col in cells]
+    return scale, int(eps * scale), [int(w * scale) for w in widths], [int(h * scale) for h in heights], cells
 
 
 @pytest.mark.parametrize("solve", [solve_fpt, solve_pseudo_poly])
 @pytest.mark.parametrize("d", _MALFORMED_RATIONAL)
 def test_solvers_reject_malformed_rational_diagram_with_its_problems(solve, d):
-    # the messages name no values, so a copy L times the size gets the same
-    problems = structural_problems(d)
-    assert problems and structural_problems(divided_diagram(d, Fraction(1, d.scale))) == problems
-    with pytest.raises(ValueError) as exc:
-        solve(d)
-    assert str(exc.value) == "invalid diagram: " + "; ".join(problems)
+    # a malformed diagram rejects itself when it is built, so no solver sees
+    # it; the messages name no values, so its int form over its scale and
+    # the integer copy L times the size get the same one
+    fields, problems = d
+    scale, *ints = _int_form(*fields)
+    for build in (
+        lambda: FreeSpaceDiagram1D(*fields),
+        lambda: FreeSpaceDiagram1D.from_scaled(scale, *ints),
+        lambda: FreeSpaceDiagram1D.from_scaled(1, *ints),
+    ):
+        with pytest.raises(ValueError) as exc:
+            solve(build())
+        assert str(exc.value) == "invalid diagram: " + "; ".join(problems)
+
+
+def test_solvers_and_forward_run_no_structural_check(structural_checks):
+    # a built diagram is well formed, so neither solver checks it again, and
+    # the forward computation and transpose_diagram build theirs unchecked
+    from fsreal.model import transpose_diagram
+
+    rng = random.Random(18)
+    diagrams = [gen_partition([3, 2, 1, 2]), gen_partition([1, 1, 1]), random_rational_diagram(rng)]
+    diagrams += [gen_random_instance(seed, kind="diagram", mutate=seed % 2 == 1) for seed in range(8)]
+    diagrams += [transpose_diagram(d) for d in diagrams]
+    structural_checks.clear()
+    answers = []
+    for d in diagrams:
+        for solve in (solve_fpt, solve_pseudo_poly):
+            witness = solve(d)
+            answers.append(witness is not None)
+            if witness is not None:
+                assert compute_diagram_1d(witness.curve_p, witness.curve_q, witness.epsilon) == d
+    assert structural_checks == []
+    assert True in answers and False in answers
+    # the count does see the constructor's check
+    FreeSpaceDiagram1D(1, [2], [2], [[CellContent.partial(1, -1, 1)]])
+    assert len(structural_checks) == 1
