@@ -152,6 +152,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_render(args) -> int:
     instance = _read_instance(args.infile)
+    if not isinstance(instance, (FreeSpaceMatrix, FreeSpaceDiagram1D, Witness)):
+        raise InputError("render needs a matrix, diagram1d or curves file")
     if args.ascii:
         _write_output(render_ascii(instance), args.out)
     else:

@@ -14,10 +14,11 @@ P_{i0} = 0 at the first partial cell (i0, j0), each completion fixes Q, and
 column i's cells then depend only on (P_i, P_{i+1}). So P is swept column
 by column outward from i0: the reachable integer positions of each vertex
 are kept as a layer with back-pointers, stepping by +-w_i, and a step
-survives only when its column is the diagram's under
-:func:`fsreal.forward.classify_column`, the cell test of the forward
-computation. That costs O(2^k_short * n * m * R), k_short the unknown lines
-of the enumerated side and R the largest layer.
+survives only when :func:`fsreal.forward.classify_column`, the cell test of
+the forward computation (and of pseudo-poly's frame check), returns the
+diagram's column: the cells are one value type, compared as they are.
+That costs O(2^k_short * n * m * R), k_short the unknown lines of the
+enumerated side and R the largest layer.
 
 A consistent diagram without partial cells fixes no offset and needs no
 labels: it is all empty or all full, and
@@ -215,31 +216,21 @@ def _completions(labels: Sequence[str]):
         yield full
 
 
-def _slab(sigma: int, c_lo: int, c_hi: int) -> tuple[int, int, int]:
-    return sigma, c_lo, c_hi
-
-
-def _cell_key(cell: CellContent):
-    """The cell as the sweep has :func:`fsreal.forward.classify_column`
-    return it: EMPTY, FULL or the slab's (sigma, c_lo, c_hi)."""
-    return (cell.sigma, cell.c_lo, cell.c_hi) if cell.status == PARTIAL else cell.status
-
-
-def _walk(d: FreeSpaceDiagram1D, targets, q_segs, columns, forward: bool) -> Optional[list[int]]:
+def _walk(d: FreeSpaceDiagram1D, q_segs, columns, forward: bool) -> Optional[list[int]]:
     """P's vertices from P = 0 across ``columns``, taken in this order, each
-    column matching its target; the first vertex is the common one, and the
+    column's cells the diagram's; the first vertex is the common one, and the
     walk runs forward (P_i to P_{i+1}) or backward. None when a layer of
     reachable positions empties."""
     e = d.scaled_eps
     layers = [{0: None}]
     for i in columns:
-        w, target, reached = d.scaled_widths[i], targets[i], {}
+        w, target, reached = d.scaled_widths[i], d.scaled_cells[i], {}
         for x in layers[-1]:
             for y in (x + w, x - w):
                 if y in reached:
                     continue
                 a, b = (x, y) if forward else (y, x)
-                if classify_column(a, b, q_segs, e, EMPTY, FULL, _slab) == target:
+                if classify_column(a, b, q_segs, e) == target:
                     reached[y] = x
         if not reached:
             return None
@@ -258,11 +249,10 @@ def _sweep(d: FreeSpaceDiagram1D, labels: Sequence[str]):
     diagram has a partial cell; the first, (i0, j0), puts P_{i0} at 0 and,
     given Q's orientation vector, fixes Q."""
     e = d.scaled_eps
-    targets = [[_cell_key(c) for c in col] for col in d.scaled_cells]
-    partials = [[(j, c[0]) for j, c in enumerate(col) if type(c) is tuple] for col in targets]
+    partials = [[(j, c.sigma) for j, c in enumerate(col) if c.status == PARTIAL] for col in d.scaled_cells]
     i0 = next(i for i, col in enumerate(partials) if col)
     j0 = partials[i0][0][0]
-    c_lo0 = targets[i0][j0][1]
+    c_lo0 = d.scaled_cells[i0][j0].c_lo
     # the partial cells of one column share sp_i = sigma_j * sq_j
     parity = [(j, j2, s * s2) for col in partials for (j, s), (j2, s2) in zip(col, col[1:])]
     for horizontal in _completions(labels):
@@ -272,8 +262,8 @@ def _sweep(d: FreeSpaceDiagram1D, labels: Sequence[str]):
         q = _vertices(d.scaled_heights, sq)
         shift = -sq[j0] * (c_lo0 + e) - q[j0]  # c_lo0 = sq_j0 * (0 - Q_j0) - eps
         q_segs = q_segments([v + shift for v in q])
-        after = _walk(d, targets, q_segs, range(i0, d.n_cols), True)
-        before = after and _walk(d, targets, q_segs, range(i0 - 1, -1, -1), False)
+        after = _walk(d, q_segs, range(i0, d.n_cols), True)
+        before = after and _walk(d, q_segs, range(i0 - 1, -1, -1), False)
         if before:
             p = before[::-1] + after[1:]
             yield [FOLD if (b - a) * (c - b) < 0 else STRAIGHT for a, b, c in zip(p, p[1:], p[2:])], horizontal

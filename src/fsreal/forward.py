@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional, Sequence, Union
 
 from .model import (
@@ -38,7 +37,6 @@ PARTIAL_SLAB = "partial_slab"
 
 _EMPTY_CELL = CellContent.empty()
 _FULL_CELL = CellContent.full()
-_PARTIAL_CELL = partial(CellContent, PARTIAL)
 
 
 def _point_list(curve):
@@ -111,15 +109,14 @@ def _matrix_1d(p, q, eps) -> FreeSpaceMatrix:
     return FreeSpaceMatrix.from_row_masks(len(qi), rows)
 
 
-def classify_column(a: int, b: int, q_segs, e: int, empty, full, partial) -> list:
+def classify_column(a: int, b: int, q_segs, e: int) -> tuple[CellContent, ...]:
     """The cells of the column of P's segment from a to b, on ints.
 
     ``q_segs`` holds each Q segment as (up, start, length), up true when it
-    runs in the positive direction. Each cell is ``empty``, ``full`` or, for
-    the slab |P(x) - Q(y)| <= e cut by the cell box,
-    ``partial(sigma, c_lo, c_hi)``: the white set is
-    c_lo <= y - sigma*x <= c_hi. The caller picks the representation, so
-    the forward computation and the FPT sweep share this test.
+    runs in the positive direction. Each cell is empty, full or, for the
+    slab |P(x) - Q(y)| <= e cut by the cell box, partial with the white set
+    c_lo <= y - sigma*x <= c_hi. The forward computation, the FPT sweep and
+    pseudo-poly's frame check compare these cells with a diagram's.
     """
     w = abs(b - a)
     p_up = b > a
@@ -136,12 +133,12 @@ def classify_column(a: int, b: int, q_segs, e: int, empty, full, partial) -> lis
         # the box's range of y - sigma*x, as in model.classify_slab
         vmin, vmax = (-w, h) if sigma == 1 else (0, w + h)
         if c_lo > vmax or c_hi < vmin:
-            cells.append(empty)
+            cells.append(_EMPTY_CELL)
         elif c_lo <= vmin and c_hi >= vmax:
-            cells.append(full)
+            cells.append(_FULL_CELL)
         else:
-            cells.append(partial(sigma, c_lo, c_hi))
-    return cells
+            cells.append(CellContent(PARTIAL, sigma, c_lo, c_hi))
+    return tuple(cells)
 
 
 def q_segments(q: Sequence[int]) -> list[tuple[bool, int, int]]:
@@ -167,7 +164,7 @@ def compute_diagram_1d(p: Curve1D, q: Curve1D, eps) -> FreeSpaceDiagram1D:
     pi = [v * (scale // p.scale) for v in p.scaled_vertices]
     q_segs = q_segments([v * (scale // q.scale) for v in q.scaled_vertices])
     e *= scale // den
-    cols = [classify_column(a, b, q_segs, e, _EMPTY_CELL, _FULL_CELL, _PARTIAL_CELL) for a, b in zip(pi, pi[1:])]
+    cols = [classify_column(a, b, q_segs, e) for a, b in zip(pi, pi[1:])]
     widths = [abs(b - a) for a, b in zip(pi, pi[1:])]
     return FreeSpaceDiagram1D._built(scale, e, widths, [h for _, _, h in q_segs], cols)
 

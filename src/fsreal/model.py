@@ -9,6 +9,10 @@ caller-unit `fractions.Fraction` views (``vertices``, ``points``,
 ``epsilon``, ``col_widths``, ``row_heights``, ``cells``) are built on first
 read and then kept. A witness's eps stays a Fraction. The cell algebra
 below is written for either number type and returns ints on int input.
+Every module's cells are one value type, :class:`CellContent`, and
+:func:`classify_slab` is the one slab-in-box test here; the forward
+computation's kernel inlines it, and the FPT sweep and pseudo-poly's frame
+check compare that kernel's cells with a diagram's.
 Geometry in dimension >= 2 lives in floats and is handled in
 :mod:`fsreal.forward`.
 """
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -202,13 +206,13 @@ class CurveD:
         return len(self.vertices[0])
 
 
-@dataclass(frozen=True)
-class CellContent:
+class CellContent(NamedTuple):
     """One diagram cell: empty, full, or a +-45 degree slab (partial).
 
     For a partial cell the white set in cell-local coordinates is
     ``{(x, y) : c_lo <= y - sigma*x <= c_hi}`` with ``c_hi - c_lo = 2*eps``;
-    the intercepts are ints in a diagram's ``scaled_cells``.
+    the intercepts are ints in a diagram's ``scaled_cells``. A named tuple,
+    so cells compare and hash as tuples do.
     """
 
     status: str
@@ -626,10 +630,10 @@ def structural_problems(d: FreeSpaceDiagram1D) -> list[str]:
             if c.c_hi - c.c_lo != 2 * eps:
                 problems.append(f"cell ({i},{j}): slab width != 2*eps")
                 continue
-            vmin, vmax = slab_value_range(c.sigma, w, h)
-            if c.c_lo > vmax or c.c_hi < vmin:
+            status = classify_slab(c.sigma, c.c_lo, c.c_hi, w, h).status
+            if status == EMPTY:
                 problems.append(f"cell ({i},{j}): white set empty")
-            elif c.c_lo <= vmin and c.c_hi >= vmax:
+            elif status == FULL:
                 problems.append(f"cell ({i},{j}): slab covers the whole cell")
     return problems
 

@@ -7,16 +7,18 @@ points, so the sweep walks the sorted points of the segment's cells keeping
 two counts, the cells whose slice is not empty and those whose slice is not
 full, and reads the type off them. Partial cells anchor subsegments in rigid
 frames, one per component of the placement graph (at most two; the second
-floats with an unknown reflection rho and translation tau). The far and close
-subsegments left between anchored ones form runs, placed by boolean
-reachability tables over integer positions in the region that the hulls of
-the two curves leave them: beyond the eps boundary for a far run, open at
-that boundary, and a closed window for a close (middle) run, since full
-cells are closed conditions. A diagram without partial cells is all empty
-or all full, and :func:`closed_form_witness` decides it: the far placement,
-or the smallest closed windows that hold the two curves, which must sum to
-at most 2*eps. :func:`fsreal.folding.solve_fpt` decides such diagrams with
-the same function.
+floats with an unknown reflection rho and translation tau); each frame's
+cells are checked with the forward computation's cell test, whose cells are
+the diagram's own value type. The far and close subsegments left between
+anchored ones form runs, placed by boolean reachability tables over integer
+positions in the region that the hulls of the two curves leave them: beyond
+the eps boundary for a far run, open at that boundary, and a closed window
+for a close (middle) run, since full cells are closed conditions. A
+diagram without partial cells is all empty or all full, and
+:func:`closed_form_witness` decides it: the far placement, or the smallest
+closed windows that hold the two curves, which must sum to at most 2*eps.
+:func:`fsreal.folding.solve_fpt` decides such diagrams with the same
+function.
 
 The search over the unknowns is exact. tau comes from the cross-frame
 equations and the net displacements of the runs bridging the two frames.
@@ -50,11 +52,10 @@ from .model import (
     Witness,
     cell_restrict_x,
     cell_restrict_y,
-    classify_slab,
     consistency_problems,
     structural_problems,  # noqa: F401  not called: bench/tracing.py patches this name
 )
-from .forward import compute_diagram_1d
+from .forward import classify_column, compute_diagram_1d
 
 TYPE_FAR = 1
 TYPE_CLOSE = 2
@@ -187,16 +188,12 @@ class Anchoring:
     cross_eqs: list[tuple[int, int, int, int]]  # (frame_a, value_a, frame_b, value_b)
 
 
-def _cell_relation(cell: CellContent, eps: int):
-    """start_P - start_Q and orientation product demanded by a partial cell."""
-    return cell.sigma, cell.c_lo + eps
-
-
 def anchor_components(typed: TypedDiagram, graph: PlacementGraph) -> Optional[Anchoring]:
-    """Propagate relative positions over partial cells within each component
-    (consistency-checked), then bind consecutive anchored subsegments of the
-    same curve: a shared vertex within a frame, a cross-frame equation between
-    frames; contradictions mean the instance is not realizable."""
+    """Propagate relative positions over partial cells within each component,
+    check each frame's P x Q cells with :func:`fsreal.forward.classify_column`,
+    then bind consecutive anchored subsegments of the same curve: a shared
+    vertex within a frame, a cross-frame equation between frames;
+    contradictions mean the instance is not realizable."""
     eps = typed.eps
     frames: list[dict[tuple[str, int], tuple[int, int]]] = []
     frame_of: dict[tuple[str, int], int] = {}
@@ -206,15 +203,13 @@ def anchor_components(typed: TypedDiagram, graph: PlacementGraph) -> Optional[An
             start, sigma = placement[node]
             for other in graph.adjacency[node]:  # relation: c_lo = sQ*(Ps - Qs) - eps
                 if node[0] == "P":
-                    sig_prod, gap = _cell_relation(typed.cells[node[1]][other[1]], eps)
-                    s_q = sig_prod * sigma
-                    o_start = start - s_q * gap
-                    o_sigma = s_q
+                    cell = typed.cells[node[1]][other[1]]
+                    o_sigma = cell.sigma * sigma  # sQ
+                    o_start = start - o_sigma * (cell.c_lo + eps)
                 else:
-                    sig_prod, gap = _cell_relation(typed.cells[other[1]][node[1]], eps)
-                    s_q = sigma
-                    o_sigma = sig_prod * s_q
-                    o_start = start + s_q * gap
+                    cell = typed.cells[other[1]][node[1]]
+                    o_sigma = cell.sigma * sigma  # sP
+                    o_start = start + sigma * (cell.c_lo + eps)
                 if other in placement:
                     if placement[other] != (o_start, o_sigma):
                         return None
@@ -225,18 +220,16 @@ def anchor_components(typed: TypedDiagram, graph: PlacementGraph) -> Optional[An
         for node in placement:
             frame_of[node] = idx
 
-    # verify every anchored pair within one frame against the recorded cell
-    for idx, placement in enumerate(frames):
-        p_nodes = [n for n in placement if n[0] == "P"]
-        q_nodes = [n for n in placement if n[0] == "Q"]
-        for pn in p_nodes:
-            ps = typed.p_segs[pn[1]]
-            start_p, sig_p = placement[pn]
-            for qn in q_nodes:
-                qs = typed.q_segs[qn[1]]
-                start_q, sig_q = placement[qn]
-                expected = _expected_cell(start_p, sig_p, ps.length, start_q, sig_q, qs.length, eps)
-                if expected != typed.cells[pn[1]][qn[1]]:
+    # every anchored pair within one frame must give its typed cell under
+    # the forward computation's cell test: one column per P piece
+    for placement in frames:
+        q_idx = [j for curve, j in placement if curve == "Q"]
+        q_segs = [(placement["Q", j][1] == 1, placement["Q", j][0], typed.q_segs[j].length) for j in q_idx]
+        for (curve, i), (start, sigma) in placement.items():
+            if curve == "P":
+                row = typed.cells[i]
+                end = start + sigma * typed.p_segs[i].length
+                if classify_column(start, end, q_segs, eps) != tuple([row[j] for j in q_idx]):
                     return None
 
     cross: list[tuple[int, int, int, int]] = []
@@ -255,12 +248,6 @@ def anchor_components(typed: TypedDiagram, graph: PlacementGraph) -> Optional[An
             else:
                 cross.append((fa, end_a, fb, sb))
     return Anchoring(frames, frame_of, cross)
-
-
-def _expected_cell(start_p: int, sig_p: int, w: int, start_q: int, sig_q: int, h: int, eps: int) -> CellContent:
-    sigma = sig_p * sig_q
-    c_lo = sig_q * (start_p - start_q) - eps
-    return classify_slab(sigma, c_lo, c_lo + 2 * eps, w, h)
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,17 @@ def test_render_ascii_and_svg(tmp_path, capsys, partition_diagram):
     assert text.startswith("<svg") and "polygon" in text
 
 
+@pytest.mark.parametrize("args", [["--ascii"], ["--out", "x.svg"]])
+def test_render_rejects_signvectors_file(tmp_path, capsys, args):
+    from fsreal import SignVectorSet
+
+    signs = _write(tmp_path, "s.json", SignVectorSet.from_strings(["-", "+"]))
+    args = [str(tmp_path / a) if a.endswith(".svg") else a for a in args]
+    assert main(["render", "--in", signs, *args]) == 2
+    assert "render needs a matrix, diagram1d or curves file" in capsys.readouterr().err
+    assert not (tmp_path / "x.svg").exists()
+
+
 def test_render_matrix_and_witness_smoke(tmp_path):
     m = gen_random_instance(3, kind="matrix")
     assert "#" in render_ascii(m) or "." in render_ascii(m)

@@ -204,6 +204,22 @@ def test_from_row_masks_rejects_out_of_range(m, masks):
         FreeSpaceMatrix.from_row_masks(m, masks)
 
 
+def test_cell_content_is_an_immutable_value():
+    cell = CellContent.partial(1, -1, 1)
+    assert cell == CellContent("partial", 1, Fraction(-1), Fraction(1)) == CellContent(status=PARTIAL, sigma=1, c_lo=-1, c_hi=1)
+    assert (cell.status, cell.sigma, cell.c_lo, cell.c_hi, cell.is_partial) == (PARTIAL, 1, -1, 1, True)
+    assert hash(CellContent(PARTIAL, 1, -1, 1)) == hash(cell)  # int against Fraction intercepts
+    assert len({cell, CellContent(PARTIAL, 1, -1, 1), CellContent.partial(-1, -1, 1)}) == 2
+    assert CellContent.empty() == CellContent("empty") and CellContent.full() == CellContent("full", 0, None, None)
+    assert not CellContent.full().is_partial and CellContent.empty() != CellContent.full()
+    assert repr(cell) == "CellContent(status='partial', sigma=1, c_lo=Fraction(-1, 1), c_hi=Fraction(1, 1))"
+    assert repr(CellContent.empty()) == "CellContent(status='empty', sigma=0, c_lo=None, c_hi=None)"
+    with pytest.raises(AttributeError):
+        cell.c_lo = 0
+    with pytest.raises(ValueError, match="slab orientation"):
+        CellContent.partial(0, -1, 1)
+
+
 def _single_cell(cell, w=2, h=2, eps=1):
     return FreeSpaceDiagram1D(eps, [w], [h], [[cell]])
 

@@ -1,7 +1,8 @@
 """The 1D path runs without numpy.
 
 Matrices are int row masks from file to witness check, so every command on
-1D data decides without importing numpy; only curves in R^d load it.
+1D data decides, and renders, without importing numpy; only curves in R^d
+load it.
 """
 
 import os
@@ -55,6 +56,9 @@ _SCRIPT = textwrap.dedent(
         run("verify", "--instance", part, "--witness", witness)
     run("solve", "--mode", "cont1d-dp", "--in", long, "--witness", witness)
     run("verify", "--instance", long, "--witness", witness)
+    for path in (part, matrix, witness):
+        run("render", "--in", path, "--ascii")
+        run("render", "--in", path, "--out", f"{work}/render.svg")
     assert "numpy" not in sys.modules, "the 1D path imported numpy"
 
     plane = write("plane.json", Witness(CurveD([(0, 0), (3, 1)]), CurveD([(1, 1), (0, 2)]), 1.5))

@@ -274,7 +274,7 @@ def test_anchoring_reproduces_forward_layout():
         assert frame[b][0] - frame[a][0] == true_gap
 
 
-def test_anchoring_detects_inconsistent_intercepts():
+def test_shifted_intercepts_fail_the_grid_line_check():
     p = Curve1D([0, 2, 4])
     q = Curve1D([0, 2, 4])
     d = compute_diagram_1d(p, q, 1)
@@ -283,7 +283,33 @@ def test_anchoring_detects_inconsistent_intercepts():
     assert c.is_partial
     cells[1][1] = CellContent(c.status, c.sigma, c.c_lo + 2, c.c_hi + 2)
     mutated = FreeSpaceDiagram1D(d.epsilon, d.col_widths, d.row_heights, cells)
+    assert consistency_problems(mutated) == [
+        "grid line between columns 0,1 at row 1: white sets disagree",
+        "grid line between rows 0,1 at column 1: white sets disagree",
+    ]
     assert solve_pseudo_poly(mutated) is None
+
+
+def test_frame_check_rejects_a_consistent_diagram():
+    # consistent on every grid line, one placement-graph component, and
+    # not realizable: the frame's placement matches every partial cell it
+    # was propagated over, but not every P x Q cell of the frame
+    d = _diagram(
+        3,
+        [2, 5],
+        [5, 3, 4],
+        [
+            [CellContent.partial(1, -5, 1), CellContent.partial(-1, 4, 10), CellContent.partial(-1, 1, 7)],
+            [CellContent.partial(1, -3, 3), CellContent.partial(-1, 2, 8), CellContent.full()],
+        ],
+    )
+    assert consistency_problems(d) == []
+    typed = subdivide_and_type(d)
+    graph = build_placement_graph(typed)
+    assert len(graph.non_singleton) == 1
+    assert brute_force_continuous_1d(d) is None
+    assert anchor_components(typed, graph) is None
+    assert solve_pseudo_poly(d) is None
 
 
 def test_fixed_dp_base_case():
