@@ -1,7 +1,17 @@
 """Strict JSON serialization of instances and witnesses (schema fsreal/1).
 
 Rationals travel as "num/den" strings so files never contain binary floats
-for 1D data; curves in R^d use plain JSON numbers.
+for 1D data; curves in R^d use plain JSON numbers. A matrix is written one
+row per line, each row a string over ``0``/``1`` whose character j is entry
+j; rows given as arrays of 0/1 ints, as earlier files hold them, are still
+read.
+
+The reader does its per-value work in C where it can: a string row becomes
+its int mask through one ``int(row[::-1], 2)``, and the exact 1D values are
+checked only for their JSON type and handed to the model's constructors as
+read, which scale them as int pairs (numerator, denominator) through the
+grammar of :func:`fsreal.model.rat`. Only a curves file's epsilon is read as
+a Fraction.
 """
 
 from __future__ import annotations
@@ -37,6 +47,8 @@ class FormatError(ValueError):
 
 
 def _check_keys(obj: dict, required: set[str], optional: set[str] = frozenset()) -> None:
+    if obj.keys() == required:
+        return
     keys = set(obj)
     missing = required - keys
     unknown = keys - required - optional
@@ -72,19 +84,38 @@ def _point_in(value, dim: int, field: str) -> list:
     return value
 
 
-def _rat_in(value) -> Fraction:
-    if isinstance(value, bool) or not isinstance(value, (str, int)):
+_RATIONAL_TYPES = frozenset({int, str})
+
+
+def _rational_in(value):
+    """A JSON integer or "num/den" string, left as read for the model's
+    constructors and :func:`rat` to read; ``true``, floats and ``null`` are
+    rejected."""
+    if type(value) not in _RATIONAL_TYPES:
         raise FormatError(f"expected a rational string or integer, got {value!r}")
-    try:
-        return rat(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"bad rational {value!r}: {exc}") from None
+    return value
+
+
+def _rationals_in(value, field: str) -> list:
+    """A JSON array of :func:`_rational_in` values, its types checked at once."""
+    values = _list_in(value, field)
+    if not {*map(type, values)} <= _RATIONAL_TYPES:
+        for v in values:
+            _rational_in(v)
+    return values
 
 
 def _eps_in(value, exact: bool):
     """A positive epsilon: a rational for 1D curves (``exact``), otherwise a
     finite float, which may also be given as a JSON number."""
-    eps = value if isinstance(value, float) and not exact else _rat_in(value)
+    if isinstance(value, float) and not exact:
+        eps = value
+    else:
+        value = _rational_in(value)
+        try:
+            eps = rat(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise FormatError(str(exc)) from None
     if not exact:
         try:
             eps = float(eps)
@@ -96,15 +127,16 @@ def _eps_in(value, exact: bool):
 
 
 def serialize(instance: Instance) -> str:
-    """Indented JSON; a matrix keeps each row of entries on one line."""
+    """Indented JSON; a matrix is written one row string per line."""
     if isinstance(instance, FreeSpaceMatrix):
         return _matrix_text(instance)
     return json.dumps(_to_obj(instance), indent=2) + "\n"
 
 
 def _matrix_text(matrix: FreeSpaceMatrix) -> str:
+    """Each row as a string over 0/1 whose character j is bit j of its mask."""
     m = matrix.m_cols
-    rows = ",\n".join("    [" + ", ".join(format(r, f"0{m}b")[::-1]) + "]" for r in matrix.row_masks)
+    rows = ",\n".join(f'    "{format(r, f"0{m}b")[::-1]}"' for r in matrix.row_masks)
     return (
         f'{{\n  "format": "{FORMAT}",\n  "kind": "matrix",\n  "rows": {matrix.n_rows},\n  "cols": {m},\n'
         f'  "entries": [\n{rows}\n  ]\n}}\n'
@@ -193,45 +225,62 @@ def parse(text: str) -> Instance:
 def _parse_matrix(obj: dict) -> FreeSpaceMatrix:
     _check_keys(obj, {"format", "kind", "rows", "cols", "entries"})
     entries = obj["entries"]
-    if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
+    if not isinstance(entries, list):
         raise FormatError("entries must be a list of rows")
+    strings = all(type(r) is str for r in entries)
+    if not strings and not all(isinstance(r, list) for r in entries):
+        raise FormatError("entries must be a list of rows, all strings or all arrays")
     rows, cols = _int_in(obj["rows"], "rows"), _int_in(obj["cols"], "cols")
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise FormatError("entries shape does not match rows/cols")
-    for row in entries:
-        for v in row:
-            if type(v) is not int or v not in (0, 1):
-                raise FormatError(f"matrix entries must be 0 or 1, got {v!r}")
+    if strings:
+        # strip("01") leaves any sign, space, underscore or other digit that
+        # int() would read; the masks stay lazy, so cols < 1 is refused first
+        for row in entries:
+            if row.strip("01"):
+                raise FormatError(f"matrix rows must be strings over 0 and 1, got {row[:40]!r}")
+        masks = (int(row[::-1], 2) for row in entries)
+    else:
+        for row in entries:
+            for v in row:
+                if type(v) is not int or v not in (0, 1):
+                    raise FormatError(f"matrix entries must be 0 or 1, got {v!r}")
+        masks = map(row_mask, entries)
     try:
-        return FreeSpaceMatrix.from_row_masks(cols, map(row_mask, entries))
+        return FreeSpaceMatrix.from_row_masks(cols, masks)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 
 
+_PARTIAL_KEYS = frozenset({"status", "sigma", "cLo", "cHi"})
+_STATUS_KEYS = frozenset({"status"})
+_STATUS_CELLS = {"empty": CellContent.empty(), "full": CellContent.full()}
+
+
+def _cell_in(c) -> CellContent:
+    """A cell, a partial cell's intercepts still as read."""
+    if not isinstance(c, dict):
+        raise FormatError("cells must be objects")
+    status = c.get("status")
+    if status == "partial":
+        _check_keys(c, _PARTIAL_KEYS)
+        lo, hi = _rational_in(c["cLo"]), _rational_in(c["cHi"])
+        return CellContent(PARTIAL, _int_in(c["sigma"], "sigma"), lo, hi)
+    if status in ("empty", "full"):
+        _check_keys(c, _STATUS_KEYS)
+        return _STATUS_CELLS[status]
+    raise FormatError(f"unknown cell status {status!r}")
+
+
 def _parse_diagram(obj: dict) -> FreeSpaceDiagram1D:
     _check_keys(obj, {"format", "kind", "epsilon", "colWidths", "rowHeights", "cells"})
-    eps = _rat_in(obj["epsilon"])
-    widths = [_rat_in(w) for w in _list_in(obj["colWidths"], "colWidths")]
-    heights = [_rat_in(h) for h in _list_in(obj["rowHeights"], "rowHeights")]
-    cols = []
-    for col in _list_in(obj["cells"], "cells"):
-        out_col = []
-        for c in _list_in(col, "each cell column"):
-            if not isinstance(c, dict):
-                raise FormatError("cells must be objects")
-            status = c.get("status")
-            if status == "partial":
-                _check_keys(c, {"status", "sigma", "cLo", "cHi"})
-                out_col.append(CellContent(PARTIAL, _int_in(c["sigma"], "sigma"), _rat_in(c["cLo"]), _rat_in(c["cHi"])))
-            elif status in ("empty", "full"):
-                _check_keys(c, {"status"})
-                out_col.append(CellContent.empty() if status == "empty" else CellContent.full())
-            else:
-                raise FormatError(f"unknown cell status {status!r}")
-        cols.append(out_col)
+    eps = _rational_in(obj["epsilon"])
+    widths = _rationals_in(obj["colWidths"], "colWidths")
+    heights = _rationals_in(obj["rowHeights"], "rowHeights")
+    cols = [[_cell_in(c) for c in _list_in(col, "each cell column")] for col in _list_in(obj["cells"], "cells")]
     try:
         return FreeSpaceDiagram1D(eps, widths, heights, cols)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(str(exc)) from None
 
 
@@ -240,14 +289,14 @@ def _parse_curves(obj: dict) -> Witness:
     dim = _int_in(obj["dimension"], "dimension")
     if dim == 1:
         eps = _eps_in(obj["epsilon"], exact=True)
-        pv = [_rat_in(v) for v in _list_in(obj["curveP"], "curveP")]
-        qv = [_rat_in(v) for v in _list_in(obj["curveQ"], "curveQ")]
+        pv = _rationals_in(obj["curveP"], "curveP")
+        qv = _rationals_in(obj["curveQ"], "curveQ")
         try:
             if obj["curveKind"] == "polyline":
                 return Witness(Curve1D(pv), Curve1D(qv), eps)
             if obj["curveKind"] == "points":
                 return Witness(PointSeq1D(pv), PointSeq1D(qv), eps)
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(str(exc)) from None
         raise FormatError(f"unknown curveKind {obj['curveKind']!r}")
     if dim < 2:

@@ -86,6 +86,8 @@ class SignVectorSet:
         if not vecs:
             raise ValueError("sign vector set must be non-empty")
         n = len(vecs[0])
+        if n == 0:
+            raise ValueError("an arrangement needs at least one line")
         if any(len(v) != n for v in vecs):
             raise ValueError("all sign vectors must have the same length")
         if any(x not in (-1, 1) for v in vecs for x in v):

@@ -40,12 +40,21 @@ def rat(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        text = value.strip()
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
+        return Fraction(*_pair(value))
     raise TypeError(f"cannot interpret {value!r} as a rational")
+
+
+def _pair(text: str) -> tuple[int, int]:
+    """A "num" or "num/den" string as (numerator, nonzero denominator), not
+    reduced: the one grammar of rational strings, read without a Fraction."""
+    num, slash, den = text.strip().partition("/")
+    try:
+        n, d = int(num), int(den) if slash else 1
+    except ValueError:
+        raise ValueError(f"bad rational {text!r}") from None
+    if d == 0:
+        raise ZeroDivisionError(f"zero denominator in {text!r}")
+    return n, d
 
 
 def rat_str(q: Union[Fraction, int]) -> str:
@@ -65,17 +74,25 @@ def scaled_str(value: int, scale: int) -> str:
     return f"{value // g}/{scale // g}"
 
 
-def _number(value: RationalLike):
-    """An int as it is, anything else through :func:`rat`."""
-    return value if type(value) is int else rat(value)
+def _ratio(value: RationalLike) -> tuple[int, int]:
+    """(numerator, nonzero denominator) of an int, of a string through
+    :func:`_pair`, or of anything else through :func:`rat`."""
+    if type(value) is int:
+        return value, 1
+    if type(value) is str:
+        return _pair(value)
+    q = rat(value)
+    return q.numerator, q.denominator
 
 
-def _scaled(values: Iterable[RationalLike]) -> tuple[int, list[int]]:
+def _scaled(values: Iterable[RationalLike]) -> tuple[int, Sequence[int]]:
     """The least common multiple of the values' denominators, and each
-    value times it as an int; the two share no common factor."""
-    numbers = [_number(v) for v in values]
-    scale = math.lcm(*(v.denominator for v in numbers))
-    return scale, [v.numerator * (scale // v.denominator) for v in numbers]
+    value times it as an int, divided by their gcd so that the two share no
+    common factor; ints and strings build no Fraction. ``math.lcm`` is never
+    negative, so a negative denominator moves its sign to the int."""
+    ratios = [_ratio(v) for v in values]
+    scale = math.lcm(*(d for _, d in ratios))
+    return _reduced(scale, [n * (scale // d) for n, d in ratios])
 
 
 def _check_scale(scale) -> None:
@@ -85,7 +102,7 @@ def _check_scale(scale) -> None:
 
 def _reduced(scale: int, ints: Sequence[int]) -> tuple[int, Sequence[int]]:
     """``scale`` and ``ints`` divided by their gcd."""
-    g = math.gcd(scale, *ints)
+    g = math.gcd(scale, *ints) if scale > 1 else 1
     return (scale, ints) if g == 1 else (scale // g, [v // g for v in ints])
 
 

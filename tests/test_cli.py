@@ -276,6 +276,14 @@ def test_gen_stretchability(tmp_path):
     assert matrix.entries.tolist() == [[0, 1], [1, 0]]
 
 
+def test_gen_stretchability_of_empty_vectors_exits_2(tmp_path, capsys):
+    # n = 0 lines: one expected cell, so the set once reached an index error
+    signs = tmp_path / "s.json"
+    signs.write_text(json.dumps({"format": "fsreal/1", "kind": "signvectors", "vectors": [""]}))
+    assert main(["gen", "--stretchability", str(signs)]) == 2
+    assert "an arrangement needs at least one line" in capsys.readouterr().err
+
+
 def test_render_ascii_and_svg(tmp_path, capsys, partition_diagram):
     inst = _write(tmp_path, "d.json", partition_diagram)
     assert main(["render", "--in", inst, "--ascii"]) == 0

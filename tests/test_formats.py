@@ -1,6 +1,9 @@
+import importlib
 import json
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,7 @@ from fsreal import (
     gen_random_instance,
 )
 from fsreal.formats import FormatError, parse, serialize
+from fsreal.model import rat
 
 
 def _round_trip(instance):
@@ -69,20 +73,26 @@ def _random_entries(rng, n, m):
     return [[rng.randint(0, 1) for _ in range(m)] for _ in range(n)]
 
 
+def _matrix_file(n, m, rows):
+    return (
+        '{\n  "format": "fsreal/1",\n  "kind": "matrix",\n'
+        f'  "rows": {n},\n  "cols": {m},\n  "entries": [\n' + ",\n".join(rows) + "\n  ]\n}\n"
+    )
+
+
 def test_matrix_parse_builds_row_masks():
     rng = random.Random(6)
-    for n, m in ((1, 1), (3, 70), (9, 130)):
+    for n, m in ((1, 1), (3, 70), (9, 130), (1, 10_000)):
         ent = _random_entries(rng, n, m)
-        # one row of entries per line
-        rows = ",\n".join("    [" + ", ".join(map(str, row)) + "]" for row in ent)
-        text = (
-            '{\n  "format": "fsreal/1",\n  "kind": "matrix",\n'
-            f'  "rows": {n},\n  "cols": {m},\n  "entries": [\n{rows}\n  ]\n}}\n'
-        )
-        matrix = parse(text)
+        # the layout of earlier files: one array of entries per line
+        arrays = _matrix_file(n, m, ["    [" + ", ".join(map(str, row)) + "]" for row in ent])
+        matrix = parse(arrays)
         assert matrix == FreeSpaceMatrix(ent)
         assert matrix.row_masks == tuple(sum(v << j for j, v in enumerate(row)) for row in ent)
-        assert serialize(matrix) == text
+        # serialize writes one string per row, character j being entry j
+        strings = _matrix_file(n, m, ['    "' + "".join(map(str, row)) + '"' for row in ent])
+        assert serialize(matrix) == strings
+        assert parse(strings) == matrix
 
 
 def test_matrix_in_entry_per_line_layout_parses():
@@ -94,12 +104,75 @@ def test_matrix_in_entry_per_line_layout_parses():
         obj = {"format": "fsreal/1", "kind": "matrix", "rows": n, "cols": m, "entries": ent}
         matrix = parse(json.dumps(obj, indent=2) + "\n")
         assert matrix == FreeSpaceMatrix(ent)
+        assert parse(_matrix_file(n, m, ["    " + json.dumps(row) for row in ent])) == matrix
         assert parse(serialize(matrix)) == matrix
 
 
 @pytest.mark.parametrize(
+    "cols, entries",
+    [
+        (3, ["012"]),
+        (3, ["0 1"]),
+        (3, [" 01"]),
+        (3, ["0b1"]),
+        (3, ["1_0"]),
+        (2, ["+1"]),
+        (2, ["\u0661\u0660"]),  # Arabic-Indic digits, which int() reads
+        (3, ["01"]),
+        (2, ["01", "011"]),
+        (2, ["01", [0, 1]]),
+        (1, [1]),
+        (1, [["1"]]),
+        (0, [""]),
+    ],
+)
+def test_matrix_string_row_rejected(cols, entries):
+    obj = {"format": "fsreal/1", "kind": "matrix", "rows": len(entries), "cols": cols, "entries": entries}
+    with pytest.raises(FormatError):
+        parse(json.dumps(obj))
+
+
+def _array_rows(text):
+    obj = json.loads(text)
+    obj["entries"] = [[int(ch) for ch in row] for row in obj["entries"]]
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_cli_solve_corpus_files_read_in_both_layouts(seed, tmp_path, monkeypatch):
+    # every file the benchmark's cli-solve workload writes: a matrix reads
+    # the same with its rows as strings or as arrays, and serialize gives
+    # back the text it was read from
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    # import bench/corpus.py afresh; sys.modules gets back what it held
+    monkeypatch.setitem(sys.modules, "corpus", None)
+    del sys.modules["corpus"]
+    corpus = importlib.import_module("corpus")
+    decisions = corpus.WORKLOADS["cli-solve"](seed, tmp_path)
+    matrices = 0
+    for decision in decisions:
+        text = Path(decision.path).read_text(encoding="utf-8")
+        instance = parse(text)
+        assert instance == decision.case.instance
+        assert serialize(instance) == text
+        if isinstance(instance, FreeSpaceMatrix):
+            matrices += 1
+            assert parse(_array_rows(text)) == instance
+    assert matrices > 0
+
+
+@pytest.mark.parametrize(
     "rows, cols, entries",
-    [(0, 0, []), (1, 0, [[]]), (2, 2, [[1, 0], [1]]), (1, 2, [[1, 0], [0, 1]]), (1, 1, [1]), (1, 2, [[0, -1]])],
+    [
+        (0, 0, []),
+        (1, 0, [[]]),
+        (2, 2, [[1, 0], [1]]),
+        (1, 2, [[1, 0], [0, 1]]),
+        (1, 1, [1]),
+        (1, 2, [[0, -1]]),
+        (0, 1, []),
+        (1, -1, [""]),
+    ],
 )
 def test_matrix_bad_shape_rejected(rows, cols, entries):
     obj = {"format": "fsreal/1", "kind": "matrix", "rows": rows, "cols": cols, "entries": entries}
@@ -131,6 +204,107 @@ def test_partial_cell_non_integer_sigma_rejected(sigma):
     cell["sigma"] = sigma
     with pytest.raises(FormatError):
         parse(json.dumps(obj))
+
+
+@pytest.mark.parametrize(
+    "status, cell",
+    [
+        ("empty", {"status": "half"}),
+        ("empty", {"status": ["empty"]}),
+        ("empty", {"status": None}),
+        ("empty", {"status": "empty", "sigma": 1}),
+        ("empty", {}),
+        ("partial", {"status": "partial", "sigma": 1, "cLo": "0"}),
+        ("partial", {"status": "partial", "sigma": 1, "cLo": True, "cHi": "2"}),
+        ("partial", {"status": "partial", "sigma": 1, "cLo": "0", "cHi": 2.0}),
+    ],
+)
+def test_bad_cell_rejected(status, cell):
+    obj = json.loads(serialize(gen_partition([2, 2])))
+    col = next(col for col in obj["cells"] if any(c["status"] == status for c in col))
+    col[next(j for j, c in enumerate(col) if c["status"] == status)] = cell
+    with pytest.raises(FormatError):
+        parse(json.dumps(obj))
+
+
+# each value of a diagram or 1D curves file is read as an int pair through
+# the grammar model.rat reads strings with; the file takes exactly what rat
+# takes from a JSON integer or string, and no true, 1.0 or null
+@pytest.mark.parametrize(
+    "value",
+    ["3", " 3 ", "-3/4", "3/-4", "6/8", "1_000", "+2", " 1 / 2 ", "1/0", "1.5", "", "/", "1/2/3", 7, -7, True, 1.0, None],
+)
+def test_value_reader_agrees_with_rat(value):
+    try:
+        expected = rat(value) if type(value) in (int, str) else None
+    except (ValueError, ZeroDivisionError):
+        expected = None
+    points = json.loads(serialize(Witness(PointSeq1D([0, 100]), PointSeq1D([1]), 1)))
+    points["curveP"][0] = value
+    diagram = json.loads(serialize(gen_partition([1, 1])))
+    diagram["colWidths"][1] = value
+    texts = [json.dumps(points), json.dumps(diagram)]
+    if expected is None:
+        for text in texts:
+            with pytest.raises(FormatError):
+                parse(text)
+        return
+    assert parse(texts[0]).curve_p.points[0] == expected
+    if expected > 0:
+        assert parse(texts[1]).col_widths[1] == expected
+        points["epsilon"] = value
+        assert parse(json.dumps(points)).epsilon == expected
+
+
+def _count_fractions(monkeypatch, fn) -> int:
+    count = 0
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        nonlocal count
+        count += 1
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    try:
+        fn()
+    finally:
+        monkeypatch.undo()
+    return count
+
+
+def test_parse_builds_no_fractions(monkeypatch):
+    # diagram values are read as int pairs and stored over one scale; a 1D
+    # curves file builds one Fraction, its epsilon
+    diagrams = [
+        gen_partition([3, 2, 1, 2]),
+        compute_diagram_1d(Curve1D([0, Fraction(5, 3), -1]), Curve1D([Fraction(1, 3), Fraction(7, 6)]), Fraction(1, 2)),
+        compute_diagram_1d(
+            Curve1D([Fraction(1, 1000003), Fraction(3000010, 1000003)]),
+            Curve1D([Fraction(499992, 999983), Fraction(3499941, 999983)]),
+            1,
+        ),
+    ]
+    texts = [serialize(d) for d in diagrams]
+    assert [d.scale for d in diagrams] == [1, 6, 1000003 * 999983]
+    parsed = []
+    assert _count_fractions(monkeypatch, lambda: parsed.extend(map(parse, texts))) == 0
+    assert parsed == diagrams
+    rng = random.Random(3)
+    for k in (2, 40, 400):
+        values = [v + Fraction(1, rng.choice([2, 3, 7])) for v in range(k)]
+        points = Witness(PointSeq1D(values), PointSeq1D(Fraction(v, 5) for v in range(k)), Fraction(3, 4))
+        for witness in (points, Witness(Curve1D(values), Curve1D(values[::-1]), 2)):
+            text = serialize(witness)
+            out = []
+            assert _count_fractions(monkeypatch, lambda: out.append(parse(text))) == 1
+            assert out[0] == witness
+
+
+def test_empty_sign_vectors_rejected():
+    # no lines: the one expected cell has no all-plus partner
+    with pytest.raises(FormatError, match="at least one line"):
+        parse(json.dumps({"format": "fsreal/1", "kind": "signvectors", "vectors": [""]}))
 
 
 def test_curves_non_integer_dimension_rejected():

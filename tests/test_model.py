@@ -49,6 +49,20 @@ def test_rat_parsing():
     assert [scaled_str(v, s) for v, s in ((-6, 8), (8, 4), (0, 5), (7, 1), (3, 6))] == ["-3/4", "2", "0", "7", "1/2"]
 
 
+def test_constructors_read_strings_as_int_pairs():
+    # "num/den" strings are scaled as int pairs, unreduced and with the sign
+    # on either side, to the same canonical form as their Fractions
+    curve = Curve1D(["6/8", "3/-4", " 1_000 ", 2])
+    assert (curve.scale, curve.scaled_vertices) == (4, (3, -3, 4000, 8))
+    assert curve == Curve1D([Fraction(3, 4), Fraction(-3, 4), 1000, 2])
+    points = PointSeq1D(["-2/-6", "4/6"])
+    assert (points.scale, points.scaled_points) == (3, (1, 2))
+    with pytest.raises(ZeroDivisionError, match="zero denominator"):
+        Curve1D(["0", "1/0"])
+    with pytest.raises(ValueError, match="bad rational"):
+        PointSeq1D(["1/2/3"])
+
+
 def test_rational_arithmetic_is_exact():
     rng = random.Random(0)
     for _ in range(200):
