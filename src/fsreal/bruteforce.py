@@ -141,16 +141,16 @@ def realizable_row_families(m: int) -> list[frozenset[frozenset[int]]]:
     return sorted(families, key=lambda fam: (len(fam), sorted(map(sorted, fam))))
 
 
-def brute_force_discrete_1d(matrix: FreeSpaceMatrix, cap: int = DISCRETE_CAP) -> Optional[Witness]:
-    """Exhaustive oracle for discrete 1D realizability (m <= cap columns).
+def brute_force_discrete_1d(matrix: FreeSpaceMatrix) -> Optional[Witness]:
+    """Exhaustive oracle for discrete 1D realizability (m <= DISCRETE_CAP columns).
 
     Enumerates every combinatorial class of interval-endpoint orders, checks
     that each row's prescribed cell exists, and places P points at cell
     representatives. The returned witness is verified by compute_matrix.
     """
     m = matrix.m_cols
-    if m > cap:
-        raise ValueError(f"brute force capped at {cap} columns (got {m})")
+    if m > DISCRETE_CAP:
+        raise ValueError(f"brute force capped at {DISCRETE_CAP} columns (got {m})")
     rows = matrix.row_sets()
     for centers, cells in arrangements(m):
         cover_map: dict[frozenset, Fraction] = {}
@@ -175,8 +175,8 @@ def _orientation_vectors(n_free: int):
         yield [1 if (bits >> k) & 1 == 0 else -1 for k in range(n_free)]
 
 
-def brute_force_continuous_1d(diagram: FreeSpaceDiagram1D, cap: int = CONTINUOUS_CAP) -> Optional[Witness]:
-    """Exhaustive oracle for continuous 1D realizability (n+m segments <= cap).
+def brute_force_continuous_1d(diagram: FreeSpaceDiagram1D) -> Optional[Witness]:
+    """Exhaustive oracle for continuous 1D realizability (n+m segments <= CONTINUOUS_CAP).
 
     Enumerates segment orientation vectors (P's first segment fixed positive;
     all of Q's free, covering both mirror classes), fixes the inter-curve
@@ -185,8 +185,8 @@ def brute_force_continuous_1d(diagram: FreeSpaceDiagram1D, cap: int = CONTINUOUS
     """
     n = diagram.n_cols
     m = diagram.m_rows
-    if n + m > cap:
-        raise ValueError(f"brute force capped at {cap} segments (got {n + m})")
+    if n + m > CONTINUOUS_CAP:
+        raise ValueError(f"brute force capped at {CONTINUOUS_CAP} segments (got {n + m})")
     eps = diagram.epsilon
     widths = diagram.col_widths
     heights = diagram.row_heights

@@ -285,37 +285,23 @@ def refine_by_rows(state: OrderState, rows: Sequence[int]) -> Optional[OrderStat
 
 
 def _within_sides(sets: list[int], first: bool, last: bool) -> Optional[list[tuple[int, str]]]:
-    """Assign within-class row subsets to a free end of the class.
+    """Assign within-class row subsets to the class's free end: the left end
+    of the first class, the right end of the last; None for a class flanked
+    by its own neighbors on both sides. The sets at one end must form a
+    containment chain, which :func:`extend_global_order` checks.
 
-    Prefix sets must form a containment chain, as must suffix sets, so
-    incomparable pairs go to opposite ends; the incomparability graph must be
-    bipartite and each end must actually be free."""
+    No class with subsets is both first and last. Such a class would be its
+    component's only class, the anchor class, which
+    :func:`choose_left_anchor` takes from the deepest BFS level from the
+    component's least vertex: it is the whole component only for a
+    one-vertex component, whose class has no proper subset."""
     uniq = sorted(set(sets), key=lambda msk: (msk.bit_count(), msk))
     if not uniq:
         return []
     if not first and not last:
-        return None  # the class is flanked by its own neighbors on both sides
-    if first != last:
-        side = "left" if first else "right"
-        return [(s, side) for s in uniq]
-    color: dict[int, int] = {}
-    for root in uniq:
-        if root in color:
-            continue
-        color[root] = 0
-        queue = [root]
-        while queue:
-            a = queue.pop()
-            for b in uniq:
-                comparable = (a & b) == a or (a & b) == b
-                if comparable:
-                    continue
-                if b not in color:
-                    color[b] = 1 - color[a]
-                    queue.append(b)
-                elif color[b] == color[a]:
-                    return None  # three pairwise-incomparable subsets
-    return [(s, "left" if color[s] == 0 else "right") for s in uniq]
+        return None
+    side = "left" if first else "right"
+    return [(s, side) for s in uniq]
 
 
 def extend_global_order(state: OrderState) -> Optional[list[int]]:
@@ -389,6 +375,17 @@ def build_arrangement(order: Sequence[int], g: UnitIntervalGraph) -> Optional[di
     for j in range(m):
         events.append((j, 0))
         events.extend((i, width) for i in by_slot.get(j, ()))
+
+    # Each sweep raises every endpoint to at least 2 past the one before it;
+    # a sweep that changes nothing leaves every gap at least 2. The sweeps
+    # settle: after the two checks above, left ends and right ends both run
+    # in index order along the chain, each right end after its own left end,
+    # at most 2m - 1 chain steps, so the gaps need at most 4m - 2 of the
+    # width 8m. Every cycle of the constraints (+2 per chain step forward,
+    # -8m from a right end back to its left end) is then negative, and a
+    # longest path takes each interval's back link at most once: the sweeps
+    # settle within m + 2 <= 2m + 1 passes. The bound stays so that no loop
+    # can hang, and the forward check in :func:`solve` guards the witness.
     left = [0] * m
     for _ in range(2 * m + 1):
         changed = False
@@ -402,14 +399,6 @@ def build_arrangement(order: Sequence[int], g: UnitIntervalGraph) -> Optional[di
             prev = val
         if not changed:
             break
-    else:
-        return None
-    prev = None
-    for idx, off in events:
-        val = left[idx] + off
-        if prev is not None and val < prev + 2:
-            return None
-        prev = val
     # gauge: the first center, the leftmost (left ends increase along the
     # chain), sits at 0
     return {order[k]: left[k] - left[0] for k in range(m)}
@@ -420,9 +409,9 @@ def verify_and_witness(positions: dict[int, int], rows: Sequence[int]) -> Option
     row's columns. ``positions`` are the int centers of
     :func:`build_arrangement` (unit 1/(8m), so eps is 4m); the points are
     ints on the same grid, cell endpoints or midpoints of consecutive
-    endpoints (exact, as endpoints are even). Returns {row index: point}, or
-    None if some prescribed cell does not exist. Rows with empty support are
-    skipped (they are placed in the global outside cell by the caller)."""
+    endpoints (exact, as endpoints are even). ``rows`` are nonempty column
+    masks: the caller places empty rows in the global outside cell. Returns
+    {row index: point}, or None if some prescribed cell does not exist."""
     eps = 4 * len(positions)
     cols = sorted(positions, key=lambda v: (positions[v], v))
     centers = [positions[v] for v in cols]
@@ -443,8 +432,6 @@ def verify_and_witness(positions: dict[int, int], rows: Sequence[int]) -> Option
             cell_rep.setdefault(prefix[hi] ^ prefix[lo], x)
     out: dict[int, int] = {}
     for r_idx, row in enumerate(rows):
-        if row == 0:
-            continue
         rep = cell_rep.get(row)
         if rep is None:
             return None

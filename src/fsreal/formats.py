@@ -46,12 +46,12 @@ class FormatError(ValueError):
     """Raised for malformed files, schema violations, or invalid instances."""
 
 
-def _check_keys(obj: dict, required: set[str], optional: set[str] = frozenset()) -> None:
+def _check_keys(obj: dict, required: set[str]) -> None:
     if obj.keys() == required:
         return
     keys = set(obj)
     missing = required - keys
-    unknown = keys - required - optional
+    unknown = keys - required
     if missing:
         raise FormatError(f"missing fields: {sorted(missing)}")
     if unknown:

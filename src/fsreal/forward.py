@@ -60,11 +60,11 @@ def _exact_eps(eps) -> tuple[int, int]:
     return e, den
 
 
-def compute_matrix(p, q, eps, tol: float = TOL) -> FreeSpaceMatrix:
+def compute_matrix(p, q, eps) -> FreeSpaceMatrix:
     """Free space matrix: entry (i, j) is 1 iff ||p_i - q_j|| <= eps.
 
     1D inputs (numbers / rationals) are compared exactly; inputs in R^d use
-    floats with absolute tolerance ``tol`` on the distance.
+    floats with absolute tolerance ``TOL`` on the distance.
     """
     P = _point_list(p)
     Q = _point_list(q)
@@ -84,7 +84,7 @@ def compute_matrix(p, q, eps, tol: float = TOL) -> FreeSpaceMatrix:
     A = np.asarray(P, dtype=float)
     B = np.asarray(Q, dtype=float)
     dist = np.sqrt(((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2))
-    return FreeSpaceMatrix(dist <= eps + tol)
+    return FreeSpaceMatrix(dist <= eps + TOL)
 
 
 def _matrix_1d(p, q, eps) -> FreeSpaceMatrix:
@@ -221,12 +221,12 @@ def _seg_frame(seg) -> tuple:
     return a, d / length, length
 
 
-def cell_ellipse_2d(seg_p, seg_q, eps: float, tol: float = TOL) -> EllipseCell:
+def cell_ellipse_2d(seg_p, seg_q, eps: float) -> EllipseCell:
     """Classify the free space of two planar segments within their cell.
 
     Segments are ((x, y), (x, y)) pairs. The quadratic distance form is
     minimized/maximized over the cell box exactly (convexity puts the max at
-    a corner), with absolute tolerance ``tol``.
+    a corner), with absolute tolerance ``TOL``.
     """
     import numpy as np
 
@@ -247,9 +247,9 @@ def cell_ellipse_2d(seg_p, seg_q, eps: float, tol: float = TOL) -> EllipseCell:
     fmax = max(corners)
     fmin = _box_min(f, c, w, u, v, lp, lq)
 
-    if fmin > target + tol:
+    if fmin > target + TOL:
         return EllipseCell(ELLIPSE_EMPTY)
-    if fmax <= target + tol:
+    if fmax <= target + TOL:
         return EllipseCell(ELLIPSE_FULL)
 
     if abs(abs(c) - 1.0) <= 1e-12:
@@ -305,13 +305,13 @@ def _box_min(f, c, w, u, v, lp, lq) -> float:
     return best
 
 
-def relative_placement_from_cell(cell: EllipseCell, eps: float, tol: float = TOL) -> RelativePlacement:
+def relative_placement_from_cell(cell: EllipseCell, eps: float) -> RelativePlacement:
     """Invert a partial ellipse cell to the segments' relative placement."""
     if cell.status != PARTIAL_ELLIPSE:
         raise ValueError("relative placement is defined for partial ellipse cells")
     a_eff = cell.semi_major if cell.major_axis_sign == 1 else cell.semi_minor
     arg = float(eps) / (math.sqrt(2.0) * a_eff)
-    if arg > 1.0 + tol:
+    if arg > 1.0 + TOL:
         raise ValueError("inconsistent cell: eps exceeds sqrt(2) * slab-axis half-width")
     angle = math.asin(min(arg, 1.0))
     cx, cy = cell.center if cell.center is not None else (math.nan, math.nan)

@@ -206,12 +206,11 @@ def gen_random_instance(
     kind: str = "matrix",
     n_points: int = 6,
     m_points: int = 5,
-    dimension: int = 1,
     max_coord: int = 12,
     eps: Optional[Union[int, str, Fraction]] = None,
     mutate: bool = False,
 ) -> Union[FreeSpaceMatrix, FreeSpaceDiagram1D]:
-    """Seed-reproducible instances drawn from random curves.
+    """Seed-reproducible instances drawn from random curves on the line.
 
     Unmutated outputs are realizable by construction; the mutation knob flips
     one matrix entry or shifts one partial cell's intercepts, which usually
@@ -219,17 +218,11 @@ def gen_random_instance(
     """
     rng = random.Random(seed)
     if kind == "matrix":
-        if dimension == 1:
-            den = rng.choice([1, 2, 3, 4])
-            p = [Fraction(rng.randint(-max_coord * den, max_coord * den), den) for _ in range(n_points)]
-            q = [Fraction(rng.randint(-max_coord * den, max_coord * den), den) for _ in range(m_points)]
-            e = rat(eps) if eps is not None else Fraction(rng.randint(1, 2 * max_coord), 2)
-            matrix = compute_matrix(PointSeq1D(p), PointSeq1D(q), e)
-        else:
-            p = [tuple(rng.uniform(-max_coord, max_coord) for _ in range(dimension)) for _ in range(n_points)]
-            q = [tuple(rng.uniform(-max_coord, max_coord) for _ in range(dimension)) for _ in range(m_points)]
-            e = float(eps) if eps is not None else rng.uniform(1, max_coord)
-            matrix = compute_matrix(CurveD(p), CurveD(q), e)
+        den = rng.choice([1, 2, 3, 4])
+        p = [Fraction(rng.randint(-max_coord * den, max_coord * den), den) for _ in range(n_points)]
+        q = [Fraction(rng.randint(-max_coord * den, max_coord * den), den) for _ in range(m_points)]
+        e = rat(eps) if eps is not None else Fraction(rng.randint(1, 2 * max_coord), 2)
+        matrix = compute_matrix(PointSeq1D(p), PointSeq1D(q), e)
         if mutate:
             rows = list(matrix.row_masks)
             i = rng.randrange(matrix.n_rows)

@@ -145,24 +145,9 @@ class Curve1D:
         return len(self.scaled_vertices) - 1
 
     @property
-    def segment_lengths(self) -> tuple[Fraction, ...]:
-        return tuple(abs(b - a) for a, b in zip(self.vertices, self.vertices[1:]))
-
-    @property
     def orientations(self) -> tuple[int, ...]:
         v = self.scaled_vertices
         return tuple(1 if b > a else -1 for a, b in zip(v, v[1:]))
-
-    def folds_at(self, i: int) -> bool:
-        """True iff the curve reverses direction at interior vertex ``i``."""
-        if not 1 <= i <= self.n_segments - 1:
-            raise IndexError("folding is defined at interior vertices only")
-        o = self.orientations
-        return o[i - 1] != o[i]
-
-    @property
-    def span(self) -> Fraction:
-        return Fraction(max(self.scaled_vertices) - min(self.scaled_vertices), self.scale)
 
 
 @dataclass(frozen=True)

@@ -553,10 +553,19 @@ def _minimal_pairs(lows, highs, fits):
 
 def _attempt(typed, anchoring, p_runs, q_runs, rho, tau, values, eps) -> Optional[tuple[list[int], list[int]]]:
     """The original vertices of P and Q that the runs placed under these
-    candidates and the anchored frames fix, or None."""
+    candidates and the anchored frames fix, or None.
+
+    Each curve is read straight off its pieces' (start, end) pairs, since two
+    pieces never disagree at the vertex they share: a run's path starts and
+    ends at its attachments' global values (:func:`_run_path` fixes them),
+    two consecutive pieces of one frame meet (:func:`anchor_components`
+    checks it), and every tau meets every cross-frame equation
+    (:func:`_frame_candidates` intersects them). No piece is flat: each has
+    positive length, and a path step or a frame moves by it. Once the pieces
+    of each original segment run one way, its ends differ by its width."""
     lp, rp = values["LP"], values["RP"]
     lq, rq = values["LQ"], values["RQ"]
-    placements: dict[tuple[str, int], list[int]] = {}
+    ends: dict[tuple[str, int], tuple[int, int]] = {}
 
     for runs, other_lo, other_hi, own_lo, own_hi in (
         (q_runs, lp, rp, lq, rq),
@@ -567,39 +576,24 @@ def _attempt(typed, anchoring, p_runs, q_runs, rho, tau, values, eps) -> Optiona
             if path is None:
                 return None
             for off, idx in enumerate(range(run.first, run.last + 1)):
-                placements[(run.curve, idx)] = [path[off], path[off + 1]]
+                ends[(run.curve, idx)] = path[off], path[off + 1]
 
-    # assemble curves from anchored frames and run paths
     curves = {}
     for curve, segs in (("P", typed.p_segs), ("Q", typed.q_segs)):
-        verts: list[Optional[int]] = [None] * (len(segs) + 1)
-        for k in range(len(segs)):
-            node = (curve, k)
-            if node in anchoring.frame_of:
-                pair = _anchored_ends(typed, anchoring, node, rho, tau)
-            else:
-                pair = placements[node]  # every unanchored subsegment lies in a run
-            for slot, val in zip((k, k + 1), pair):
-                if verts[slot] is None:
-                    verts[slot] = val
-                elif verts[slot] != val:
-                    return None
-        # orientation must not change at subdivision vertices
+        pairs = [
+            ends.get(node) or _anchored_ends(typed, anchoring, node, rho, tau)
+            for node in [(curve, k) for k in range(len(segs))]
+        ]
+        # orientation must not change at subdivision vertices: two anchored
+        # pieces of one segment in different frames can disagree under rho
+        rising = [end > start for start, end in pairs]
         for k in range(len(segs) - 1):
-            if segs[k].orig == segs[k + 1].orig:
-                d0 = verts[k + 1] - verts[k]
-                d1 = verts[k + 2] - verts[k + 1]
-                if d0 == 0 or d1 == 0 or (d0 > 0) != (d1 > 0):
-                    return None
-        # keep original vertices only
-        original: list[int] = [verts[0]]
-        for k in range(len(segs) - 1):
-            if segs[k].orig != segs[k + 1].orig:
-                original.append(verts[k + 1])
-        original.append(verts[-1])
-        if any(a == b for a, b in zip(original, original[1:])):
-            return None
-        curves[curve] = original
+            if segs[k].orig == segs[k + 1].orig and rising[k] != rising[k + 1]:
+                return None
+        # keep original vertices only: P's or Q's start, then the end of each segment's last piece
+        curves[curve] = [pairs[0][0]] + [
+            pairs[k][1] for k in range(len(segs)) if k + 1 == len(segs) or segs[k].orig != segs[k + 1].orig
+        ]
     return curves["P"], curves["Q"]
 
 
@@ -616,29 +610,22 @@ def _place_run(
     """Concrete vertex positions for an uncertainty run under candidate
     extreme values (other curve's extremes define the region; the run's own
     declared extremes bound middle runs so the two middles stay mutually
-    within eps)."""
+    within eps).
+
+    A far run lies on the side of its first attachment: left of the band
+    [other_lo - eps, other_hi + eps] if that attachment is at or beyond its
+    left end, else right of it (right too when the run has no attachment).
+    An attachment inside the band, or one on the other side, then sits at a
+    negative region coordinate, where :func:`fixed_boundary_dp` admits no
+    position, so such a run gets no path."""
     att_lo, att_hi = (None if att is None else _to_global(*att, rho, tau) for att in (run.attach_lo, run.attach_hi))
 
     if run.kind == TYPE_FAR:
         left_b = other_lo - eps
-        right_b = other_hi + eps
-        side = None
-        for att in (att_lo, att_hi):
-            if att is None:
-                continue
-            if att[0] <= left_b:
-                s = "L"
-            elif att[0] >= right_b:
-                s = "R"
-            else:
-                return None  # attachment inside the forbidden band
-            if side is not None and side != s:
-                return None
-            side = s
-        # region coordinates: distance away from the boundary
-        flip = -1 if side == "L" else 1
-        boundary = left_b if side == "L" else right_b
-        return _run_path(run, att_lo, att_hi, boundary, flip, None)
+        att = att_lo or att_hi
+        if att is not None and att[0] <= left_b:
+            return _run_path(run, att_lo, att_hi, left_b, -1, None)
+        return _run_path(run, att_lo, att_hi, other_hi + eps, 1, None)
 
     # middle run: confined to [other_hi - eps, other_lo + eps], intersected
     # with the run's own declared hull

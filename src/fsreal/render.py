@@ -2,7 +2,8 @@
 
 Rendering is read-only: it never re-decides anything, it just draws what the
 instance says. Diagram white space is drawn as slab polygons clipped to their
-cells; matrices become checkerboards.
+cells; matrices become checkerboards. SVG lengths are ``SCALE`` units per
+instance unit.
 """
 
 from __future__ import annotations
@@ -16,10 +17,12 @@ from .model import (
     FreeSpaceMatrix,
     PointSeq1D,
     Witness,
+    cell_edge_interval,
     rat_str,
 )
 
 Renderable = Union[FreeSpaceMatrix, FreeSpaceDiagram1D, Witness]
+SCALE = 24.0
 
 
 def render_ascii(instance: Renderable) -> str:
@@ -48,15 +51,17 @@ def render_ascii(instance: Renderable) -> str:
     raise TypeError(f"cannot render {type(instance).__name__}")
 
 
-def _witness_ascii(w: Witness) -> str:
-    def pts(curve):
-        if isinstance(curve, Curve1D):
-            return list(curve.vertices)
-        if isinstance(curve, PointSeq1D):
-            return list(curve.points)
-        return None
+def _line_points(curve):
+    """The values of a curve on the line, or None for a curve in R^d."""
+    if isinstance(curve, Curve1D):
+        return list(curve.vertices)
+    if isinstance(curve, PointSeq1D):
+        return list(curve.points)
+    return None
 
-    p, q = pts(w.curve_p), pts(w.curve_q)
+
+def _witness_ascii(w: Witness) -> str:
+    p, q = _line_points(w.curve_p), _line_points(w.curve_q)
     if p is None or q is None:
         return f"witness in R^{w.curve_p.dimension}, eps={w.epsilon}\n"
     out = [f"eps = {w.epsilon}"]
@@ -84,33 +89,33 @@ def _svg(elements: list[str], width: float, height: float) -> str:
     return "\n".join([head] + elements + ["</svg>"]) + "\n"
 
 
-def render_svg(instance: Renderable, scale: float = 24.0) -> str:
+def render_svg(instance: Renderable) -> str:
     if isinstance(instance, FreeSpaceMatrix):
-        return _matrix_svg(instance, scale)
+        return _matrix_svg(instance)
     if isinstance(instance, FreeSpaceDiagram1D):
-        return _diagram_svg(instance, scale)
+        return _diagram_svg(instance)
     if isinstance(instance, Witness):
-        return _witness_svg(instance, scale)
+        return _witness_svg(instance)
     raise TypeError(f"cannot render {type(instance).__name__}")
 
 
-def _matrix_svg(m: FreeSpaceMatrix, scale: float) -> str:
+def _matrix_svg(m: FreeSpaceMatrix) -> str:
     elems = []
     n, cols = m.n_rows, m.m_cols
     for i, row in enumerate(m.tolist()):
         for j, v in enumerate(row):
             fill = "#ffffff" if v else "#555555"
-            y = (n - 1 - i) * scale
+            y = (n - 1 - i) * SCALE
             elems.append(
-                f'<rect x="{j * scale:.2f}" y="{y:.2f}" width="{scale:.2f}" height="{scale:.2f}" '
+                f'<rect x="{j * SCALE:.2f}" y="{y:.2f}" width="{SCALE:.2f}" height="{SCALE:.2f}" '
                 f'fill="{fill}" stroke="#222222" stroke-width="0.5"/>'
             )
-    return _svg(elems, cols * scale, n * scale)
+    return _svg(elems, cols * SCALE, n * SCALE)
 
 
-def _diagram_svg(d: FreeSpaceDiagram1D, scale: float) -> str:
-    widths = [float(w) * scale for w in d.col_widths]
-    heights = [float(h) * scale for h in d.row_heights]
+def _diagram_svg(d: FreeSpaceDiagram1D) -> str:
+    widths = [float(w) * SCALE for w in d.col_widths]
+    heights = [float(h) * SCALE for h in d.row_heights]
     total_w = sum(widths)
     total_h = sum(heights)
     xs = [0.0]
@@ -126,7 +131,7 @@ def _diagram_svg(d: FreeSpaceDiagram1D, scale: float) -> str:
             if poly is None:
                 continue
             pts = " ".join(
-                f"{xs[i] + float(x) * scale:.2f},{total_h - (ys[j] + float(y) * scale):.2f}" for x, y in poly
+                f"{xs[i] + float(x) * SCALE:.2f},{total_h - (ys[j] + float(y) * SCALE):.2f}" for x, y in poly
             )
             elems.append(f'<polygon points="{pts}" fill="#ffffff"/>')
     for x in xs:
@@ -143,60 +148,27 @@ def _diagram_svg(d: FreeSpaceDiagram1D, scale: float) -> str:
 
 
 def _cell_polygon(d: FreeSpaceDiagram1D, i: int, j: int):
-    """White region of one cell as a polygon in cell-local coordinates."""
+    """White region of one cell as a polygon in cell-local coordinates: the
+    white interval of each edge, walked counterclockwise from (0, 0)."""
     c = d.cells[i][j]
     w, h = d.col_widths[i], d.row_heights[j]
-    if c.status == "empty":
-        return None
-    if c.status == "full":
-        return [(0, 0), (w, 0), (w, h), (0, h)]
-    # walk the cell boundary and keep corners inside the slab
-    corners = [(Fraction(0), Fraction(0)), (w, Fraction(0)), (w, h), (Fraction(0), h)]
     points = []
-    for idx in range(4):
-        a = corners[idx]
-        b = corners[(idx + 1) % 4]
-        if _in_slab(c, a):
-            points.append(a)
-        for t in _edge_slab_crossings(c, a, b):
-            points.append(t)
-    # dedupe consecutive
-    out = []
-    for p in points:
-        if not out or out[-1] != p:
-            out.append(p)
-    return out or None
-
-
-def _in_slab(c, point) -> bool:
-    v = point[1] - c.sigma * point[0]
-    return c.c_lo <= v <= c.c_hi
-
-
-def _edge_slab_crossings(c, a, b):
-    crossings = []
-    for bound in (c.c_lo, c.c_hi):
-        # param point = a + t*(b-a); solve y - sigma*x = bound
-        dx = b[0] - a[0]
-        dy = b[1] - a[1]
-        denom = dy - c.sigma * dx
-        if denom == 0:
+    for edge in "BRTL":
+        interval = cell_edge_interval(c, w, h, edge)
+        if interval is None:
             continue
-        t = (bound - (a[1] - c.sigma * a[0])) / denom
-        if 0 < t < 1:
-            crossings.append((t, (a[0] + t * dx, a[1] + t * dy)))
-    return [p for _, p in sorted(crossings)]
+        lo, hi = interval
+        ends = {"B": [(lo, 0), (hi, 0)], "R": [(w, lo), (w, hi)], "T": [(hi, h), (lo, h)], "L": [(0, hi), (0, lo)]}
+        for point in ends[edge]:
+            if not points or points[-1] != point:
+                points.append(point)
+    if len(points) > 1 and points[-1] == points[0]:
+        points.pop()
+    return points or None
 
 
-def _witness_svg(w: Witness, scale: float) -> str:
-    def pts(curve):
-        if isinstance(curve, Curve1D):
-            return list(curve.vertices)
-        if isinstance(curve, PointSeq1D):
-            return list(curve.points)
-        return None
-
-    p, q = pts(w.curve_p), pts(w.curve_q)
+def _witness_svg(w: Witness) -> str:
+    p, q = _line_points(w.curve_p), _line_points(w.curve_q)
     if p is None:  # planar witness: draw the points directly
         elems = []
         all_pts = list(w.curve_p.vertices) + list(w.curve_q.vertices)
@@ -204,10 +176,10 @@ def _witness_svg(w: Witness, scale: float) -> str:
         ys = [v[1] for v in all_pts]
         dx, dy = min(xs), min(ys)
         for v in w.curve_p.vertices:
-            elems.append(f'<rect x="{(v[0]-dx)*scale:.2f}" y="{(v[1]-dy)*scale:.2f}" width="4" height="4" fill="#c02020"/>')
+            elems.append(f'<rect x="{(v[0]-dx)*SCALE:.2f}" y="{(v[1]-dy)*SCALE:.2f}" width="4" height="4" fill="#c02020"/>')
         for v in w.curve_q.vertices:
-            elems.append(f'<circle cx="{(v[0]-dx)*scale:.2f}" cy="{(v[1]-dy)*scale:.2f}" r="3" fill="#2020c0"/>')
-        return _svg(elems, (max(xs) - dx) * scale + 8, (max(ys) - dy) * scale + 8)
+            elems.append(f'<circle cx="{(v[0]-dx)*SCALE:.2f}" cy="{(v[1]-dy)*SCALE:.2f}" r="3" fill="#2020c0"/>')
+        return _svg(elems, (max(xs) - dx) * SCALE + 8, (max(ys) - dy) * SCALE + 8)
     lo = min(p + q)
     hi = max(p + q)
     span = float(hi - lo) or 1.0

@@ -44,12 +44,26 @@ def test_criterion_1_discrete_round_trip():
     _report(1, f"1000 discrete round trips (n,m <= 50) in {elapsed:.1f}s")
 
 
-def test_criterion_2_discrete_exhaustive_oracle_equivalence():
+def test_criterion_2_discrete_exhaustive_oracle_equivalence(monkeypatch):
+    # over the same solves, the premise of discrete._within_sides: no class
+    # with within-class rows is both the first and the last of its component
+    from fsreal import discrete
+
+    within_sides = discrete._within_sides
+    ends = {"first and last": 0, "with rows": 0}
+
+    def checked(sets, first, last):
+        ends["first and last"] += first and last
+        ends["with rows"] += bool(first and last and sets)
+        return within_sides(sets, first, last)
+
+    monkeypatch.setattr(discrete, "_within_sides", checked)
     budget = 60.0
     t0 = time.monotonic()
     disagreements, _ = exhaustive_disagreements(4, 4)
     elapsed = time.monotonic() - t0
     assert disagreements == 0
+    assert ends["first and last"] > 0 and ends["with rows"] == 0
     assert elapsed < budget, f"{elapsed:.1f}s over the {budget}s budget"
     _report(2, f"all 65,536 4x4 matrices agree with the endpoint-order oracle in {elapsed:.1f}s")
 

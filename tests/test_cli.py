@@ -249,6 +249,52 @@ def test_forward_plane_curves_eps(tmp_path, eps, value):
         assert code == 0 and parse(out.read_text()) == compute_matrix(p, q, value)
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["solve", "--mode", "discrete1d", "--in", "{diagram}"], "mode discrete1d needs a matrix instance"),
+        (["solve", "--mode", "cont1d-dp", "--in", "{matrix}"], "mode cont1d-dp needs a diagram1d instance"),
+        (["solve", "--mode", "cont1d-dp", "--in", "{curves}"], "mode cont1d-dp needs a diagram1d instance"),
+        (["forward", "--curves", "{matrix}"], "forward needs a curves file"),
+        (["verify", "--instance", "{matrix}", "--witness", "{matrix}"], "witness file must contain curves"),
+        (["verify", "--instance", "{curves}", "--witness", "{curves}"], "instance must be a matrix or diagram1d file"),
+        (["render", "--in", "{diagram}"], "render needs --out FILE.svg or --ascii"),
+        (["gen", "--stretchability", "{matrix}"], "stretchability input must be a signvectors file"),
+    ],
+    ids=[
+        "discrete-on-diagram",
+        "dp-on-matrix",
+        "dp-on-curves",
+        "forward-on-matrix",
+        "verify-matrix-witness",
+        "verify-curves-instance",
+        "render-nowhere",
+        "stretchability-of-matrix",
+    ],
+)
+def test_wrong_kind_of_file_exits_2(tmp_path, capsys, command, message):
+    from fsreal import Curve1D, FreeSpaceMatrix, Witness, compute_diagram_1d
+
+    files = {
+        "diagram": _write(tmp_path, "d.json", compute_diagram_1d(Curve1D([0, 2, 1]), Curve1D([1, 3]), 1)),
+        "matrix": _write(tmp_path, "m.json", FreeSpaceMatrix([[1, 0], [1, 1]])),
+        "curves": _write(tmp_path, "c.json", Witness(Curve1D([0, 2, 1]), Curve1D([1, 3]), 1)),
+    }
+    assert main([arg.format(**files) for arg in command]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
+    from fsreal import FreeSpaceMatrix, cli
+
+    def broken(matrix):
+        raise RuntimeError("broken invariant")
+
+    monkeypatch.setattr(cli, "solve_discrete", broken)
+    path = _write(tmp_path, "m.json", FreeSpaceMatrix([[1]]))
+    assert main(["solve", "--mode", "discrete1d", "--in", path]) == 3
+    assert capsys.readouterr().err == "internal error: broken invariant\n"
+
 def test_missing_file_exit_code():
     assert main(["solve", "--mode", "discrete1d", "--in", "/nonexistent.json"]) == 2
 

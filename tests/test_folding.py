@@ -189,7 +189,7 @@ def test_fold_trace_extent_matches_accordion_image():
     d = compute_diagram_1d(p, q, 1)
     w = solve_fpt(d)
     assert w is not None
-    assert max(w.curve_p.vertices) - min(w.curve_p.vertices) == p.span
+    assert max(w.curve_p.vertices) - min(w.curve_p.vertices) == max(p.vertices) - min(p.vertices)
 
 
 def test_fold_alignment_rejects_one_bad_layer():

@@ -139,7 +139,8 @@ def test_diagram_cells_match_fraction_reference():
         eps = Fraction(rng.randint(1, 30), rng.randint(1, 6))
         d = compute_diagram_1d(p, q, eps)
         assert d.epsilon == eps
-        assert d.col_widths == p.segment_lengths and d.row_heights == q.segment_lengths
+        for curve, lengths in ((p, d.col_widths), (q, d.row_heights)):
+            assert lengths == tuple(abs(b - a) for a, b in zip(curve.vertices, curve.vertices[1:]))
         for i in range(p.n_segments):
             for j in range(q.n_segments):
                 assert d.cells[i][j] == _reference_cell(p, q, eps, i, j)

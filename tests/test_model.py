@@ -73,9 +73,8 @@ def test_rational_arithmetic_is_exact():
 
 def test_curve1d_invariants():
     c = Curve1D([0, 2, 1])
-    assert c.segment_lengths == (Fraction(2), Fraction(1))
-    assert c.orientations == (1, -1)
-    assert c.folds_at(1)
+    assert c.vertices == (Fraction(0), Fraction(2), Fraction(1))
+    assert c.orientations == (1, -1)  # it folds at vertex 1
     with pytest.raises(ValueError):
         Curve1D([0])
     with pytest.raises(ValueError):

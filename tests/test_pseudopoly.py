@@ -30,8 +30,10 @@ from fsreal.pseudopoly import (
     TYPE_BOUNDARY,
     TYPE_CLOSE,
     TYPE_FAR,
+    Run,
     SubSeg,
     _collect_runs,
+    _place_run,
     _smallest_window,
     anchor_components,
     build_placement_graph,
@@ -521,6 +523,24 @@ def test_minimal_pairs_match_brute_force():
         assert list(_minimal_pairs(lows, highs, fits)) == minimal
 
 
+def _two_frame_diagrams():
+    """Forward diagrams whose partial cells fall into two frames (rare in the
+    corpora); in the last three, a curve passes from one frame straight to
+    the other, which makes a cross-frame equation."""
+    return [
+        compute_diagram_1d(Curve1D(p), Curve1D(q), eps)
+        for p, q, eps in (
+            ((2, -2), (-2, 0, 3), 3),
+            ((0, -6, 4), (-4, 2), 6),
+            ((-2, 6, 9), (2, 6, 11, 6, 13), 6),
+            ((3, 4, 3, 0, -1), (0, -3, 0, 3, 0), 3),
+            ((1, 3, 0, -3), (2, 0, -2), 3),
+            ((1, 4, 0), (3, 2, 0), 2),
+            ((-2, 4, 8), (-2, 1, 3, 7), 5),
+        )
+    ]
+
+
 def test_typing_and_anchoring_invariants():
     """The facts behind the solver's run collection and search, which have no
     NO exit of their own: once the grid-line check has passed, no curve has a
@@ -529,18 +549,8 @@ def test_typing_and_anchoring_invariants():
     kind, and each run's neighbours on its curve are anchored."""
     rng = random.Random(11)
     partitions = [gen_partition([rng.randint(1, 30) for _ in range(rng.randint(2, 9))]) for _ in range(40)]
-    # forward diagrams whose partial cells fall into two frames (rare in the corpora)
-    two_frames = [
-        compute_diagram_1d(Curve1D(p), Curve1D(q), eps)
-        for p, q, eps in (
-            ((2, -2), (-2, 0, 3), 3),
-            ((0, -6, 4), (-4, 2), 6),
-            ((-2, 6, 9), (2, 6, 11, 6, 13), 6),
-            ((3, 4, 3, 0, -1), (0, -3, 0, 3, 0), 3),
-        )
-    ]
     diagrams = itertools.chain(
-        forward_diagrams(60, seed=7), consistent_diagrams(120, seed=8), partitions, two_frames
+        forward_diagrams(60, seed=7), consistent_diagrams(120, seed=8), partitions, _two_frame_diagrams()
     )
     anchored = 0
     for index, diagram in enumerate(diagrams):
@@ -573,6 +583,76 @@ def test_typing_and_anchoring_invariants():
                         assert att is None, index
             assert in_runs == [k for k in range(len(segs)) if free[k]], index
     assert anchored >= 190
+
+
+
+def test_run_paths_end_at_attachments_and_taus_meet_cross_equations(monkeypatch):
+    """The premises on which _attempt reads each curve straight off its
+    pieces, with no check that two pieces agree at a shared vertex: a run's
+    path starts and ends at its attachments' global values, and every frame
+    placement meets every cross-frame equation."""
+    import fsreal.pseudopoly as pp
+
+    place_run, frame_candidates = pp._place_run, pp._frame_candidates
+    seen = {"ends": 0, "equations": 0}
+
+    def checked_place_run(run, other_lo, other_hi, own_lo, own_hi, rho, tau, eps):
+        path = place_run(run, other_lo, other_hi, own_lo, own_hi, rho, tau, eps)
+        if path is not None:
+            assert len(path) == len(run.lengths) + 1
+            for att, vertex in ((run.attach_lo, path[0]), (run.attach_hi, path[-1])):
+                if att is not None:
+                    assert vertex == pp._to_global(*att, rho, tau)[0]
+                    seen["ends"] += 1
+        return path
+
+    def checked_candidates(anchoring, runs):
+        for rho, tau in frame_candidates(anchoring, runs):
+            for fa, va, fb, vb in anchoring.cross_eqs:
+                assert pp._to_global(fa, va, None, rho, tau)[0] == pp._to_global(fb, vb, None, rho, tau)[0]
+                seen["equations"] += 1
+            yield rho, tau
+
+    monkeypatch.setattr(pp, "_place_run", checked_place_run)
+    monkeypatch.setattr(pp, "_frame_candidates", checked_candidates)
+    for diagram in itertools.chain(forward_diagrams(40, seed=7), consistent_diagrams(80, seed=8), _two_frame_diagrams()):
+        solve_pseudo_poly(diagram)
+    assert seen["ends"] >= 1000 and seen["equations"] >= 5
+
+
+@pytest.mark.parametrize(
+    "attach_lo, attach_hi",
+    [
+        ((0, 2, None), None),
+        (None, (0, 5, None)),
+        ((1, -3, None), None),
+        ((0, -3, None), (0, 7, None)),
+        ((0, 7, None), (0, -3, None)),
+        ((0, -3, None), (0, 0, None)),
+    ],
+    ids=["first-inside", "last-inside", "reflected-inside", "left-then-right", "right-then-left", "left-then-inside"],
+)
+def test_far_run_attached_inside_the_band_or_on_both_sides_gets_no_path(attach_lo, attach_hi):
+    # the other curve spans [0, 4] at eps 2, so the band is [-2, 6]; frame 1
+    # is reflected (rho = -1, tau = 0), so its value -3 is 3 globally
+    run = Run("P", TYPE_FAR, 0, 1, (1, 1), attach_lo, attach_hi)
+    assert _place_run(run, 0, 4, None, None, -1, 0, 2) is None
+
+
+@pytest.mark.parametrize(
+    "attach_lo, attach_hi, path",
+    [
+        ((0, -3, None), None, [-3, -4, -5]),
+        ((1, 3, None), (0, -5, None), [-3, -4, -5]),
+        ((0, -2, None), None, [-2, -3, -4]),
+        (None, (0, 7, None), [7, 8, 7]),
+        (None, None, [7, 8, 7]),
+    ],
+    ids=["left", "left-both-ends", "left-at-the-boundary", "right", "unattached"],
+)
+def test_far_run_lies_on_the_side_of_its_first_attachment(attach_lo, attach_hi, path):
+    run = Run("P", TYPE_FAR, 0, 1, (1, 1), attach_lo, attach_hi)
+    assert _place_run(run, 0, 4, None, None, -1, 0, 2) == path
 
 
 # The 60 x 20 forward diagram at eps 20 quoted in bench/README.md.
