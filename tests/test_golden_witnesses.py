@@ -6,7 +6,9 @@ discrete solver returns on a seeded corpus of matrices. A refactor that keeps
 verdicts and witnesses byte-identical keeps both digests; a change that
 alters a witness on purpose must say so and update the digest here. The
 FPT and discrete verdicts are also pinned on their own, so a change of
-witnesses cannot hide a change of answers.
+witnesses cannot hide a change of answers, and so are the crease labels of
+``infer_creases``, on a corpus that adds diagrams failing the consistency
+check.
 """
 
 import hashlib
@@ -19,6 +21,7 @@ from fsreal import (
     FreeSpaceDiagram1D,
     FreeSpaceMatrix,
     compute_matrix,
+    gen_partition,
     gen_random_instance,
     infer_creases,
     solve_discrete_1d,
@@ -27,7 +30,7 @@ from fsreal import (
 )
 from fsreal.formats import serialize
 
-from conftest import random_rational_diagram
+from conftest import random_integer_diagram, random_rational_diagram
 from test_fuzz_pseudopoly import consistent_diagrams, forward_diagrams
 
 # 400 diagrams, 267 of them past the consistency check: pseudo-poly answers
@@ -64,6 +67,12 @@ PSEUDO_POLY_RATIONAL_DIGEST = "65bca2457a793a3f50f8de07a728a89333e25baf197c4ff6d
 DISCRETE_DIGEST = "053e19c4502773f008d0fa026833eea2d1eb8238d2e7d24da13973a6c257b34d"
 # the 429 YES/NO answers alone (335 YES)
 DISCRETE_VERDICT_DIGEST = "f7ebf9f79a8ae02fb00998188e807fefd9a41360bd2d9a7c783a650d51426cf5"
+# infer_creases's (vertical, horizontal, contradictions) on 900 diagrams:
+# the 400 of the witness corpus, the 200 rational ones, 100 partitions and
+# 200 forward diagrams with one to three cells replaced. 273 of the 900
+# fail the consistency check (140 of the last 200), so their labels reach
+# no witness digest; 282 have a contradiction
+CREASE_DIGEST = "a3bd97fcd373c4c45271067a5995c9773704f2c48929e8fb84ae3aaba251573f"
 
 
 def _corpus():
@@ -125,6 +134,48 @@ def test_witness_digests():
     fpt_corpus = [d for d in diagrams if infer_creases(d).k <= 10]
     assert len(fpt_corpus) == 380
     assert _fpt_digests(fpt_corpus) == (FPT_DIGEST, FPT_VERDICT_DIGEST)
+
+
+def _scrambled(rng: random.Random, d: FreeSpaceDiagram1D) -> FreeSpaceDiagram1D:
+    """The diagram with up to three cells replaced by an empty cell, a full
+    cell, or the slab shifted or turned, each replacement kept when the
+    diagram stays well formed."""
+    cols = [list(col) for col in d.scaled_cells]
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.randrange(d.n_cols), rng.randrange(d.m_rows)
+        c = cols[i][j]
+        if not c.is_partial or rng.random() < 0.3:
+            cols[i][j] = rng.choice([CellContent.empty(), CellContent.full()])
+        elif rng.random() < 0.5:
+            shift = rng.choice([-1, 1]) * rng.randint(1, 2 * d.scaled_eps)
+            cols[i][j] = CellContent(c.status, c.sigma, c.c_lo + shift, c.c_hi + shift)
+        else:
+            cols[i][j] = CellContent(c.status, -c.sigma, c.c_lo, c.c_hi)
+        try:
+            FreeSpaceDiagram1D.from_scaled(d.scale, d.scaled_eps, d.scaled_widths, d.scaled_heights, cols)
+        except ValueError:
+            cols[i][j] = c
+    return FreeSpaceDiagram1D.from_scaled(d.scale, d.scaled_eps, d.scaled_widths, d.scaled_heights, cols)
+
+
+def _crease_corpus():
+    yield from _corpus()
+    yield from _rational_corpus()
+    rng = random.Random(10)
+    for _ in range(100):
+        yield gen_partition([rng.randint(1, 12) for _ in range(rng.randint(2, 8))])
+    for index in range(200):
+        if index % 2:
+            d = random_rational_diagram(rng)
+        else:
+            d = random_integer_diagram(index, rng.randint(1, 6), rng.randint(1, 5), rng.randint(1, 4))
+        yield _scrambled(rng, d)
+
+
+def test_crease_label_digest():
+    labels = [infer_creases(d) for d in _crease_corpus()]
+    assert len(labels) == 900
+    assert _sha256([[c.vertical, c.horizontal, c.contradictions] for c in labels]) == CREASE_DIGEST
 
 
 def test_rational_fpt_witness_digest():
