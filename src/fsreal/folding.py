@@ -1,8 +1,12 @@
 """Fixed-parameter solver for continuous 1D realizability.
 
 Grid lines are labeled fold/straight from local white-space evidence; the
-lines that the evidence leaves open are the parameter. A full orientation
-vector of both curves fixes the pair up to isometry:
+lines that the evidence leaves open are the parameter. The evidence is read
+row by row with :func:`fsreal.forward.classify_column`: a partial cell next
+to the line fixes its P segment against the row's Q segment, and the cell
+across the line must be the one the kernel gives under a fold (or a straight
+vertex) there. A full orientation vector of both curves fixes the pair up
+to isometry:
 
 - the labels fix each segment's orientation relative to the first one;
 - any partial cell (i, j) fixes sigma = sp_i * sq_j, and its
@@ -15,8 +19,9 @@ column i's cells then depend only on (P_i, P_{i+1}). So P is swept column
 by column outward from i0: the reachable integer positions of each vertex
 are kept as a layer with back-pointers, stepping by +-w_i, and a step
 survives only when :func:`fsreal.forward.classify_column`, the cell test of
-the forward computation (and of pseudo-poly's frame check), returns the
-diagram's column: the cells are one value type, compared as they are.
+the forward computation (and of the labels and pseudo-poly's frame check),
+returns the diagram's column: the cells are one value type, compared as
+they are.
 That costs O(2^k_short * n * m * R), k_short the unknown lines of the
 enumerated side and R the largest layer.
 
@@ -47,9 +52,6 @@ from .model import (
     Curve1D,
     FreeSpaceDiagram1D,
     Witness,
-    cell_mirror_x,
-    cell_restrict_x,
-    classify_slab,
     consistency_problems,
     structural_problems,  # noqa: F401  not called: bench/tracing.py patches this name
     transpose_diagram,
@@ -76,33 +78,24 @@ class CreaseAssignment:
         return sum(1 for s in self.vertical + self.horizontal if s == UNKNOWN)
 
 
-def _mirror_compatible(left: CellContent, w_l, right: CellContent, w_r, h) -> bool:
-    """White space of the two cells is symmetric through the shared line on
-    the overlap window (a fold at the line is consistent with this pair)."""
-    t = min(w_l, w_r)
-    a = cell_restrict_x(left, w_l, h, w_l - t, w_l)
-    b = cell_mirror_x(cell_restrict_x(right, w_r, h, 0, t), t, h)
-    return a == b
+def _continues(left: CellContent, w_l, right: CellContent, w_r, h, e, fold: bool) -> bool:
+    """Two P segments meeting at the line, with a fold there or straight,
+    give these two cells against one Q segment of length h.
 
-
-def _straight_compatible(left: CellContent, w_l, right: CellContent, w_r, h, eps) -> bool:
-    """Some single slab consistent with both cells continues across the line
-    (a straight vertex at the line is consistent with this pair)."""
+    A partial cell fixes its P segment, run from 0 to its width, against the
+    Q segment, and :func:`fsreal.forward.classify_column` gives the other
+    cell; two cells without a slab fold into each other iff they are equal,
+    and continue straight iff both are empty or both full with the whole
+    row within 2*eps."""
     if left.status == PARTIAL:
-        expected = classify_slab(
-            left.sigma, left.c_lo + left.sigma * w_l, left.c_hi + left.sigma * w_l, w_r, h
-        )
-        return expected == right
+        q_seg = (left.sigma == 1, -left.sigma * (left.c_lo + e), h)
+        return classify_column(w_l, w_l - w_r if fold else w_l + w_r, (q_seg,), e)[0] == right
     if right.status == PARTIAL:
-        expected = classify_slab(
-            right.sigma, right.c_lo - right.sigma * w_l, right.c_hi - right.sigma * w_l, w_l, h
-        )
-        return expected == left
-    if left.status == EMPTY and right.status == EMPTY:
-        return True
-    if left.status == FULL and right.status == FULL:
-        return w_l + w_r + h <= 2 * eps
-    return False  # full next to empty cannot continue
+        q_seg = (right.sigma == 1, -right.sigma * (right.c_lo + e), h)
+        return classify_column(w_l if fold else -w_l, 0, (q_seg,), e)[0] == left
+    if fold or left.status == EMPTY:
+        return left == right
+    return right.status == FULL and w_l + w_r + h <= 2 * e
 
 
 def _line_labels(columns, widths, heights, eps) -> tuple[list[str], list[str]]:
@@ -111,14 +104,10 @@ def _line_labels(columns, widths, heights, eps) -> tuple[list[str], list[str]]:
     labels = []
     notes = []
     for i in range(len(columns) - 1):
-        fold_ok = all(
-            _mirror_compatible(columns[i][j], widths[i], columns[i + 1][j], widths[i + 1], heights[j])
-            for j in range(len(heights))
-        )
-        straight_ok = all(
-            _straight_compatible(columns[i][j], widths[i], columns[i + 1][j], widths[i + 1], heights[j], eps)
-            for j in range(len(heights))
-        )
+        rows = list(zip(columns[i], columns[i + 1], heights))
+        w_l, w_r = widths[i], widths[i + 1]
+        fold_ok = all(_continues(left, w_l, right, w_r, h, eps, True) for left, right, h in rows)
+        straight_ok = all(_continues(left, w_l, right, w_r, h, eps, False) for left, right, h in rows)
         if fold_ok and straight_ok:
             labels.append(UNKNOWN)
         elif fold_ok:

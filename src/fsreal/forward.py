@@ -115,8 +115,9 @@ def classify_column(a: int, b: int, q_segs, e: int) -> tuple[CellContent, ...]:
     ``q_segs`` holds each Q segment as (up, start, length), up true when it
     runs in the positive direction. Each cell is empty, full or, for the
     slab |P(x) - Q(y)| <= e cut by the cell box, partial with the white set
-    c_lo <= y - sigma*x <= c_hi. The forward computation, the FPT sweep and
-    pseudo-poly's frame check compare these cells with a diagram's.
+    c_lo <= y - sigma*x <= c_hi. The forward computation, FPT's crease
+    labels, its sweep and pseudo-poly's frame check compare these cells with
+    a diagram's.
     """
     w = abs(b - a)
     p_up = b > a

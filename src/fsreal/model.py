@@ -11,8 +11,10 @@ read and then kept. A witness's eps stays a Fraction. The cell algebra
 below is written for either number type and returns ints on int input.
 Every module's cells are one value type, :class:`CellContent`, and
 :func:`classify_slab` is the one slab-in-box test here; the forward
-computation's kernel inlines it, and the FPT sweep and pseudo-poly's frame
-check compare that kernel's cells with a diagram's.
+computation's kernel inlines it, and FPT's crease labels, its sweep and
+pseudo-poly's frame check compare that kernel's cells with a diagram's.
+What stays here serves the diagram itself (its checks and its transpose)
+and pseudo-poly's typing, which cuts slabs with :func:`cell_restrict`.
 Geometry in dimension >= 2 lives in floats and is handled in
 :mod:`fsreal.forward`.
 """
@@ -140,15 +142,6 @@ class Curve1D:
     def vertices(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(v, self.scale) for v in self.scaled_vertices)
 
-    @property
-    def n_segments(self) -> int:
-        return len(self.scaled_vertices) - 1
-
-    @property
-    def orientations(self) -> tuple[int, ...]:
-        v = self.scaled_vertices
-        return tuple(1 if b > a else -1 for a, b in zip(v, v[1:]))
-
 
 @dataclass(frozen=True)
 class PointSeq1D:
@@ -241,16 +234,9 @@ class CellContent(NamedTuple):
         return self.status == PARTIAL
 
 
-def slab_value_range(sigma: int, w: Fraction, h: Fraction) -> tuple[Fraction, Fraction]:
-    """Range of y - sigma*x over the cell box [0,w] x [0,h]."""
-    if sigma == 1:
-        return -w, h
-    return 0, w + h
-
-
 def classify_slab(sigma: int, c_lo: Fraction, c_hi: Fraction, w: Fraction, h: Fraction) -> CellContent:
     """Classify the slab's intersection with a w x h box (closed sets)."""
-    vmin, vmax = slab_value_range(sigma, w, h)
+    vmin, vmax = (-w, h) if sigma == 1 else (0, w + h)  # the box's range of y - sigma*x
     if c_lo > vmax or c_hi < vmin:
         return CellContent.empty()
     if c_lo <= vmin and c_hi >= vmax:
@@ -258,33 +244,14 @@ def classify_slab(sigma: int, c_lo: Fraction, c_hi: Fraction, w: Fraction, h: Fr
     return CellContent(PARTIAL, sigma, c_lo, c_hi)
 
 
-def cell_restrict_x(cell: CellContent, w: Fraction, h: Fraction, x0: Fraction, x1: Fraction) -> CellContent:
-    """Cell content restricted to x in [x0, x1], re-based to [0, x1-x0]."""
+def cell_restrict(cell: CellContent, x0: Fraction, y0: Fraction, w: Fraction, h: Fraction) -> CellContent:
+    """Cell content restricted to the w x h box at (x0, y0), re-based to
+    [0, w] x [0, h]."""
     if cell.status != PARTIAL:
         return cell
-    # y - sigma*(x0 + x') = (y - sigma*x') - sigma*x0
-    lo = cell.c_lo + cell.sigma * x0
-    hi = cell.c_hi + cell.sigma * x0
-    return classify_slab(cell.sigma, lo, hi, x1 - x0, h)
-
-
-def cell_restrict_y(cell: CellContent, w: Fraction, h: Fraction, y0: Fraction, y1: Fraction) -> CellContent:
-    """Cell content restricted to y in [y0, y1], re-based to [0, y1-y0]."""
-    if cell.status != PARTIAL:
-        return cell
-    lo = cell.c_lo - y0
-    hi = cell.c_hi - y0
-    return classify_slab(cell.sigma, lo, hi, w, y1 - y0)
-
-
-def cell_mirror_x(cell: CellContent, w: Fraction, h: Fraction) -> CellContent:
-    """Cell content under the reflection x -> w - x."""
-    if cell.status != PARTIAL:
-        return cell
-    # y - sigma*(w - x) = (y + sigma*x) - sigma*w
-    lo = cell.c_lo + cell.sigma * w
-    hi = cell.c_hi + cell.sigma * w
-    return classify_slab(-cell.sigma, lo, hi, w, h)
+    # y0 + y' - sigma*(x0 + x') = (y' - sigma*x') + y0 - sigma*x0
+    shift = cell.sigma * x0 - y0
+    return classify_slab(cell.sigma, cell.c_lo + shift, cell.c_hi + shift, w, h)
 
 
 def cell_transpose(cell: CellContent) -> CellContent:

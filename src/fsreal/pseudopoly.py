@@ -50,8 +50,7 @@ from .model import (
     Curve1D,
     FreeSpaceDiagram1D,
     Witness,
-    cell_restrict_x,
-    cell_restrict_y,
+    cell_restrict,
     consistency_problems,
     structural_problems,  # noqa: F401  not called: bench/tracing.py patches this name
 )
@@ -129,18 +128,17 @@ def subdivide_and_type(diagram: FreeSpaceDiagram1D) -> TypedDiagram:
     p_segs = [s for i, w in enumerate(widths) for s in _typed_pieces(i, w, grid[i], heights, False)]
     q_segs = [s for j, h in enumerate(heights) for s in _typed_pieces(j, h, [col[j] for col in grid], widths, True)]
 
+    # only a slab cut by a split piece changes: other cells are kept as they are
+    q_split = [(qs, qs.length != heights[qs.orig]) for qs in q_segs]
     cells: list[list[CellContent]] = []
     for ps in p_segs:
-        w0 = widths[ps.orig]
         col = grid[ps.orig]
-        if ps.length != w0:
-            x1 = ps.offset + ps.length
-            col = [cell_restrict_x(c, w0, h0, ps.offset, x1) for c, h0 in zip(col, heights)]
+        p_split = ps.length != widths[ps.orig]
         row_out = []
-        for qs in q_segs:
+        for qs, split in q_split:
             c = col[qs.orig]
-            if qs.length != heights[qs.orig]:
-                c = cell_restrict_y(c, ps.length, heights[qs.orig], qs.offset, qs.offset + qs.length)
+            if c.status == PARTIAL and (p_split or split):
+                c = cell_restrict(c, ps.offset, qs.offset, ps.length, qs.length)
             row_out.append(c)
         cells.append(row_out)
     return TypedDiagram(diagram.scaled_eps, p_segs, q_segs, cells)

@@ -9,6 +9,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -309,5 +310,5 @@ def test_criterion_9_cli_contract(tmp_path):
 
     svg = str(tmp_path / "out.svg")
     assert main(["render", "--in", str(tmp_path / "diagram.json"), "--out", svg]) == 0
-    assert open(svg).read().startswith("<svg")
+    assert Path(svg).read_text().startswith("<svg")
     _report(9, "exit codes 0/1/2 honored end to end; fixture corpus round-trips losslessly")

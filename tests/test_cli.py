@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -71,7 +72,7 @@ def test_forward_round_trip(tmp_path):
     main(["gen", "--partition", "2,2", "--out", inst])
     assert main(["solve", "--mode", "cont1d-fpt", "--in", inst, "--witness", wit]) == 0
     assert main(["forward", "--curves", wit, "--as", "diagram", "--out", fwd]) == 0
-    assert json.load(open(inst)) == json.load(open(fwd))
+    assert json.loads(Path(inst).read_text()) == json.loads(Path(fwd).read_text())
 
 
 def test_rational_diagram_solves_in_both_modes(tmp_path, capsys):
@@ -303,6 +304,12 @@ def test_gen_requires_exactly_one_source(tmp_path):
     assert main(["gen", "--partition", "1,2", "--random", "3"]) == 2
 
 
+@pytest.mark.parametrize("items", ["3,0", "3,x"])
+def test_gen_partition_of_bad_items_exits_2(capsys, items):
+    assert main(["gen", "--partition", items]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_gen_random_modes(tmp_path):
     out = str(tmp_path / "r.json")
     assert main(["gen", "--random", "5", "--kind", "matrix", "--out", out]) == 0
@@ -318,7 +325,7 @@ def test_gen_stretchability(tmp_path):
     out = str(tmp_path / "m.json")
     (tmp_path / "s.json").write_text(serialize(SignVectorSet.from_strings(["-", "+"])))
     assert main(["gen", "--stretchability", signs, "--out", out]) == 0
-    matrix = parse(open(out).read())
+    matrix = parse(Path(out).read_text())
     assert matrix.entries.tolist() == [[0, 1], [1, 0]]
 
 
@@ -337,7 +344,7 @@ def test_render_ascii_and_svg(tmp_path, capsys, partition_diagram):
     assert "/" in out and "\\" in out
     svg = str(tmp_path / "d.svg")
     assert main(["render", "--in", inst, "--out", svg]) == 0
-    text = open(svg).read()
+    text = Path(svg).read_text()
     assert text.startswith("<svg") and "polygon" in text
 
 
@@ -369,3 +376,15 @@ def test_brute_modes_available(tmp_path):
 
     path = _write(tmp_path, "m.json", FreeSpaceMatrix([[1, 0], [1, 1]]))
     assert main(["solve", "--mode", "brute-discrete", "--in", path]) == 0
+
+
+def test_brute_modes_past_their_caps_exit_2(tmp_path, capsys):
+    from fsreal import Curve1D, FreeSpaceMatrix, compute_diagram_1d
+
+    wide = _write(tmp_path, "m.json", FreeSpaceMatrix([[1] * 7]))
+    assert main(["solve", "--mode", "brute-discrete", "--in", wide]) == 2
+    assert "capped at 6 columns" in capsys.readouterr().err
+    # 11 + 10 segments
+    long = _write(tmp_path, "d.json", compute_diagram_1d(Curve1D(range(12)), Curve1D(range(11)), 1))
+    assert main(["solve", "--mode", "brute-cont", "--in", long]) == 2
+    assert "capped at 20 segments" in capsys.readouterr().err

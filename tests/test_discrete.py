@@ -278,6 +278,12 @@ def test_solve_rescales_to_caller_epsilon():
     assert compute_matrix(w.curve_p, w.curve_q, 3) == m
 
 
+@pytest.mark.parametrize("eps", [0, -1, "-1/2"])
+def test_solve_rejects_nonpositive_epsilon(eps):
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        solve_discrete_1d(FreeSpaceMatrix([[1]]), eps=eps)
+
+
 def test_column_permutation_preserves_answer():
     rng = random.Random(9)
     for _ in range(40):

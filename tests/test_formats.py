@@ -377,6 +377,28 @@ def test_curves_epsilon_must_be_positive_and_finite(dimension, epsilon):
     with pytest.raises(FormatError):
         parse(json.dumps(obj))
 
+_DIAGRAM = json.loads(serialize(gen_partition([2, 2])))
+_CURVES_1D = json.loads(serialize(Witness(Curve1D([0, 2]), Curve1D([1, 3]), 1)))
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ([], "top-level value must be an object"),
+        ({"format": "fsreal/1", "kind": "matrix", "rows": 1, "cols": 2, "entries": "11"}, "entries must be a list"),
+        ({**_DIAGRAM, "cells": [["empty"]] + _DIAGRAM["cells"][1:]}, "cells must be objects"),
+        ({**_CURVES_1D, "curveKind": "spline"}, "unknown curveKind"),
+        ({**_CURVES_1D, "dimension": 0}, "dimension must be 1 or an integer >= 2"),
+        ({**json.loads(serialize(_plane_witness())), "curveP": []}, "at least one vertex"),
+        ({"format": "fsreal/1", "kind": "signvectors", "vectors": [1]}, "vectors must be strings"),
+        ({"format": "fsreal/1", "kind": "signvectors", "vectors": ["+0"]}, "vectors must be strings"),
+    ],
+)
+def test_outside_input_rejected(obj, message):
+    with pytest.raises(FormatError, match=message):
+        parse(json.dumps(obj))
+
+
 def test_unknown_field_rejected():
     bad = {"format": "fsreal/1", "kind": "matrix", "rows": 1, "cols": 1, "entries": [[1]], "extra": 1}
     with pytest.raises(FormatError):

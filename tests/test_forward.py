@@ -89,11 +89,20 @@ def test_slab_orientation_is_product_of_segment_orientations():
     for seed in range(40):
         p, q = random_integer_curves(seed, 4, 3)
         d = compute_diagram_1d(p, q, 2)
+        sp, sq = ([1 if b > a else -1 for a, b in zip(v, v[1:])] for v in (p.scaled_vertices, q.scaled_vertices))
         for i in range(d.n_cols):
             for j in range(d.m_rows):
                 cell = d.cells[i][j]
                 if cell.status == PARTIAL:
-                    assert cell.sigma == p.orientations[i] * q.orientations[j]
+                    assert cell.sigma == sp[i] * sq[j]
+
+
+def _mirror_x(cell, w, h):
+    """The cell under the reflection x -> w - x of its w x h box."""
+    if cell.status != PARTIAL:
+        return cell
+    # y - sigma*(w - x) = (y + sigma*x) - sigma*w
+    return classify_slab(-cell.sigma, cell.c_lo + cell.sigma * w, cell.c_hi + cell.sigma * w, w, h)
 
 
 def test_folding_vertex_mirrors_the_strip():
@@ -101,12 +110,10 @@ def test_folding_vertex_mirrors_the_strip():
     p = Curve1D([0, 3, 0])
     q = Curve1D([-1, 4, 2, 5])
     d = compute_diagram_1d(p, q, 1)
-    from fsreal.model import cell_mirror_x
-
     for j in range(d.m_rows):
         left = d.cells[0][j]
         right = d.cells[1][j]
-        assert cell_mirror_x(right, d.col_widths[1], d.row_heights[j]) == left
+        assert _mirror_x(right, d.col_widths[1], d.row_heights[j]) == left
 
 
 def _rational_curve(rng, n_vertices):
@@ -141,8 +148,8 @@ def test_diagram_cells_match_fraction_reference():
         assert d.epsilon == eps
         for curve, lengths in ((p, d.col_widths), (q, d.row_heights)):
             assert lengths == tuple(abs(b - a) for a, b in zip(curve.vertices, curve.vertices[1:]))
-        for i in range(p.n_segments):
-            for j in range(q.n_segments):
+        for i in range(len(p.scaled_vertices) - 1):
+            for j in range(len(q.scaled_vertices) - 1):
                 assert d.cells[i][j] == _reference_cell(p, q, eps, i, j)
                 partial += d.cells[i][j].status == PARTIAL
     assert partial > 500

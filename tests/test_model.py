@@ -26,14 +26,11 @@ from fsreal import (
 from fsreal.model import (
     PARTIAL,
     cell_edge_interval,
-    cell_mirror_x,
-    cell_restrict_x,
-    cell_restrict_y,
+    cell_restrict,
     cell_transpose,
     classify_slab,
     consistency_problems,
     scaled_str,
-    slab_value_range,
     structural_problems,
 )
 
@@ -74,7 +71,8 @@ def test_rational_arithmetic_is_exact():
 def test_curve1d_invariants():
     c = Curve1D([0, 2, 1])
     assert c.vertices == (Fraction(0), Fraction(2), Fraction(1))
-    assert c.orientations == (1, -1)  # it folds at vertex 1
+    v = c.scaled_vertices
+    assert [1 if b > a else -1 for a, b in zip(v, v[1:])] == [1, -1]  # it folds at vertex 1
     with pytest.raises(ValueError):
         Curve1D([0])
     with pytest.raises(ValueError):
@@ -150,6 +148,13 @@ def test_curved_checks_dimension():
         CurveD([(0,), (1,)])
     with pytest.raises(ValueError):
         CurveD([(0, 0), (1, 2, 3)])
+    with pytest.raises(ValueError, match="at least one vertex"):
+        CurveD([])
+
+
+def test_unknown_cell_status_rejected():
+    with pytest.raises(ValueError, match="cell \\(0,0\\): unknown status 'half'"):
+        FreeSpaceDiagram1D(1, [1], [1], [[CellContent("half")]])
 
 
 def test_matrix_rejects_bad_entries():
@@ -477,18 +482,15 @@ def _cell_algebra_results(sigma, w, h, lo, hi, num):
     cell = CellContent(PARTIAL, sigma, num(lo), num(hi))
     nw, nh = num(w), num(h)
     out = [
-        ("slab_value_range", slab_value_range(sigma, nw, nh)),
         ("classify_slab", classify_slab(sigma, num(lo), num(hi), nw, nh)),
-        ("cell_mirror_x", cell_mirror_x(cell, nw, nh)),
         ("cell_transpose", cell_transpose(cell)),
     ]
     out += [("cell_edge_interval", cell_edge_interval(cell, nw, nh, edge)) for edge in "LRBT"]
     for x0 in range(w):
-        for x1 in range(x0 + 1, w + 1):
-            out.append(("cell_restrict_x", cell_restrict_x(cell, nw, nh, num(x0), num(x1))))
-    for y0 in range(h):
-        for y1 in range(y0 + 1, h + 1):
-            out.append(("cell_restrict_y", cell_restrict_y(cell, nw, nh, num(y0), num(y1))))
+        for y0 in range(h):
+            for w2 in range(1, w - x0 + 1):
+                for h2 in range(1, h - y0 + 1):
+                    out.append(("cell_restrict", cell_restrict(cell, num(x0), num(y0), num(w2), num(h2))))
     return out
 
 

@@ -21,8 +21,7 @@ from fsreal.model import (
     EMPTY,
     FULL,
     PARTIAL,
-    cell_restrict_x,
-    cell_restrict_y,
+    cell_restrict,
     consistency_problems,
     transpose_diagram,
 )
@@ -113,9 +112,8 @@ def _reference_typing(scaled):
     q_segs = _reference_pieces(transpose_diagram(scaled).cells, heights, widths)
 
     def cell(ps, qs):
-        w, h = widths[ps.orig], heights[qs.orig]
-        c = cell_restrict_x(scaled.cells[ps.orig][qs.orig], w, h, ps.offset, ps.offset + ps.length)
-        return cell_restrict_y(c, ps.length, h, qs.offset, qs.offset + qs.length)
+        c = cell_restrict(scaled.cells[ps.orig][qs.orig], ps.offset, 0, ps.length, heights[qs.orig])
+        return cell_restrict(c, 0, qs.offset, ps.length, qs.length)
 
     return p_segs, q_segs, [[cell(ps, qs) for qs in q_segs] for ps in p_segs]
 
@@ -270,8 +268,9 @@ def test_anchoring_reproduces_forward_layout():
         true_gap = None
         starts = {}
         offset = 0
+        v = p.scaled_vertices
         for k, seg in enumerate(typed.p_segs):
-            starts[k] = p.vertices[seg.orig] + p.orientations[seg.orig] * seg.offset
+            starts[k] = v[seg.orig] + (1 if v[seg.orig + 1] > v[seg.orig] else -1) * seg.offset
         true_gap = starts[b[1]] - starts[a[1]]
         assert frame[b][0] - frame[a][0] == true_gap
 
