@@ -210,6 +210,7 @@ def test_partial_cell_non_integer_sigma_rejected(sigma):
     "status, cell",
     [
         ("empty", {"status": "half"}),
+        ("empty", "empty"),
         ("empty", {"status": ["empty"]}),
         ("empty", {"status": None}),
         ("empty", {"status": "empty", "sigma": 1}),
@@ -377,7 +378,6 @@ def test_curves_epsilon_must_be_positive_and_finite(dimension, epsilon):
     with pytest.raises(FormatError):
         parse(json.dumps(obj))
 
-_DIAGRAM = json.loads(serialize(gen_partition([2, 2])))
 _CURVES_1D = json.loads(serialize(Witness(Curve1D([0, 2]), Curve1D([1, 3]), 1)))
 
 
@@ -386,7 +386,6 @@ _CURVES_1D = json.loads(serialize(Witness(Curve1D([0, 2]), Curve1D([1, 3]), 1)))
     [
         ([], "top-level value must be an object"),
         ({"format": "fsreal/1", "kind": "matrix", "rows": 1, "cols": 2, "entries": "11"}, "entries must be a list"),
-        ({**_DIAGRAM, "cells": [["empty"]] + _DIAGRAM["cells"][1:]}, "cells must be objects"),
         ({**_CURVES_1D, "curveKind": "spline"}, "unknown curveKind"),
         ({**_CURVES_1D, "dimension": 0}, "dimension must be 1 or an integer >= 2"),
         ({**json.loads(serialize(_plane_witness())), "curveP": []}, "at least one vertex"),

@@ -152,11 +152,6 @@ def test_curved_checks_dimension():
         CurveD([])
 
 
-def test_unknown_cell_status_rejected():
-    with pytest.raises(ValueError, match="cell \\(0,0\\): unknown status 'half'"):
-        FreeSpaceDiagram1D(1, [1], [1], [[CellContent("half")]])
-
-
 def test_matrix_rejects_bad_entries():
     with pytest.raises(ValueError):
         FreeSpaceMatrix([[0, 2]])
@@ -532,6 +527,7 @@ _MALFORMED_RATIONAL = [
         ["epsilon must be positive", "column 1: width must be positive", "row 0: height must be positive"],
     ),
     ((_F(1, 2), [_F(1, 2)], [_F(1, 3), 1], [[CellContent.full()]]), ["cell grid height does not match rowHeights"]),
+    ((_F(1, 2), [_F(1, 2)], [_F(1, 3)], [[CellContent("half")]]), ["cell (0,0): unknown status 'half'"]),
 ]
 
 
