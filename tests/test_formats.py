@@ -210,7 +210,6 @@ def test_partial_cell_non_integer_sigma_rejected(sigma):
     "status, cell",
     [
         ("empty", {"status": "half"}),
-        ("empty", "empty"),
         ("empty", {"status": ["empty"]}),
         ("empty", {"status": None}),
         ("empty", {"status": "empty", "sigma": 1}),
@@ -218,6 +217,7 @@ def test_partial_cell_non_integer_sigma_rejected(sigma):
         ("partial", {"status": "partial", "sigma": 1, "cLo": "0"}),
         ("partial", {"status": "partial", "sigma": 1, "cLo": True, "cHi": "2"}),
         ("partial", {"status": "partial", "sigma": 1, "cLo": "0", "cHi": 2.0}),
+        ("empty", "empty"),
     ],
 )
 def test_bad_cell_rejected(status, cell):
@@ -377,6 +377,7 @@ def test_curves_epsilon_must_be_positive_and_finite(dimension, epsilon):
     obj["epsilon"] = epsilon
     with pytest.raises(FormatError):
         parse(json.dumps(obj))
+
 
 _CURVES_1D = json.loads(serialize(Witness(Curve1D([0, 2]), Curve1D([1, 3]), 1)))
 
