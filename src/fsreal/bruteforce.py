@@ -104,28 +104,31 @@ def arrangement_cells(centers: list[Fraction], eps: Fraction) -> list[tuple[froz
 
 
 @lru_cache(maxsize=None)
-def arrangements(m: int) -> tuple[tuple[tuple[Fraction, ...], tuple[tuple[frozenset, Fraction], ...]], ...]:
-    """All combinatorial classes of m unit intervals: (centers per column,
-    (cover set, representative point) list). Columns are assigned to sorted
-    slots in every permutation."""
+def arrangements(m: int) -> tuple[tuple[tuple[Fraction, ...], tuple[tuple[int, Fraction], ...]], ...]:
+    """One entry per endpoint pattern of m unit intervals (C_m of them), with
+    the intervals in sorted slots: (sorted centers, (cover as a bitmask of
+    slots, representative point) per cell). A combinatorial class is a
+    pattern with the columns placed at its slots in some order; the callers
+    apply the m! orders themselves."""
     eps = Fraction(1, 2)
     out = []
     for pattern in _interleavings(m):
         left = _materialize(pattern, m)
-        if left is None:  # spacing quantum always suffices; defensive only
-            continue
-        centers_sorted = [l + eps for l in left]
-        base_cells = arrangement_cells(centers_sorted, eps)
-        for perm in itertools.permutations(range(m)):
-            # perm[k] = column placed at sorted slot k
-            centers = [Fraction(0)] * m
-            for slot, col in enumerate(perm):
-                centers[col] = centers_sorted[slot]
-            cells = tuple(
-                (frozenset(perm[k] for k in cover), rep) for cover, rep in base_cells
-            )
-            out.append((tuple(centers), cells))
+        if left is None:
+            raise RuntimeError(f"endpoint pattern {pattern} of {m} intervals did not materialize")
+        centers = [l + eps for l in left]
+        cells = tuple((sum(1 << k for k in cover), rep) for cover, rep in arrangement_cells(centers, eps))
+        out.append((tuple(centers), cells))
     return tuple(out)
+
+
+def _mask_table(to) -> list[int]:
+    """table[mask] is the bitmask of {to[k] : bit k of mask is set}, for
+    every mask of len(to) bits."""
+    table = [0]
+    for t in to:
+        table += [x | 1 << t for x in table]
+    return table
 
 
 def realizable_row_families(m: int) -> list[frozenset[frozenset[int]]]:
@@ -135,9 +138,15 @@ def realizable_row_families(m: int) -> list[frozenset[frozenset[int]]]:
     contained in one of these families (the empty support is always
     achievable outside the arrangement).
     """
+    # perm[k] = column placed at sorted slot k
+    tables = [_mask_table(perm) for perm in itertools.permutations(range(m))]
     families = set()
     for _, cells in arrangements(m):
-        families.add(frozenset(cover for cover, _ in cells) | {frozenset()})
+        covers = {cover for cover, _ in cells}
+        for table in tables:
+            families.add(frozenset(table[cover] for cover in covers))
+    columns = [frozenset(j for j in range(m) if mask >> j & 1) for mask in range(1 << m)]
+    families = {frozenset(columns[mask] for mask in fam) for fam in families}
     return sorted(families, key=lambda fam: (len(fam), sorted(map(sorted, fam))))
 
 
@@ -151,22 +160,28 @@ def brute_force_discrete_1d(matrix: FreeSpaceMatrix) -> Optional[Witness]:
     m = matrix.m_cols
     if m > DISCRETE_CAP:
         raise ValueError(f"brute force capped at {DISCRETE_CAP} columns (got {m})")
-    rows = matrix.row_sets()
-    for centers, cells in arrangements(m):
-        cover_map: dict[frozenset, Fraction] = {}
+    rows = matrix.row_masks
+    distinct = set(rows)
+    orders = []
+    for perm in itertools.permutations(range(m)):
+        # perm[k] = column placed at sorted slot k; to_slot maps a set of
+        # columns to the set of their slots
+        to_slot = _mask_table(sorted(range(m), key=perm.__getitem__))
+        orders.append((perm, to_slot, frozenset(to_slot[row] for row in distinct)))
+    for centers_sorted, cells in arrangements(m):
+        first_rep: dict[int, Fraction] = {}
         for cover, rep in cells:
-            cover_map.setdefault(cover, rep)
-        cover_map.setdefault(frozenset(), min(centers) - 2)
-        placement = []
-        for row in rows:
-            rep = cover_map.get(row)
-            if rep is None:
-                break
-            placement.append(rep)
-        else:
-            witness = Witness(PointSeq1D(placement), PointSeq1D(centers), Fraction(1, 2))
-            if compute_matrix(witness.curve_p, witness.curve_q, witness.epsilon) == matrix:
-                return witness
+            first_rep.setdefault(cover, rep)
+        covers = frozenset(first_rep)
+        for perm, to_slot, needed in orders:
+            if needed <= covers:
+                centers = [Fraction(0)] * m
+                for slot, col in enumerate(perm):
+                    centers[col] = centers_sorted[slot]
+                placement = [first_rep[to_slot[row]] for row in rows]
+                witness = Witness(PointSeq1D(placement), PointSeq1D(centers), Fraction(1, 2))
+                if compute_matrix(witness.curve_p, witness.curve_q, witness.epsilon) == matrix:
+                    return witness
     return None
 
 

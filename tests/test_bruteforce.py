@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from fsreal import (
     compute_matrix,
     gen_partition,
 )
+from fsreal import bruteforce
 from fsreal.bruteforce import arrangement_cells, arrangements, realizable_row_families
 
 
@@ -40,10 +43,74 @@ def test_cap_enforced():
 
 
 def test_arrangements_have_distinct_endpoints():
-    for centers, cells in arrangements(3):
-        eps = Fraction(1, 2)
-        events = [c - eps for c in centers] + [c + eps for c in centers]
-        assert len(set(events)) == len(events)
+    eps = Fraction(1, 2)
+    for m in range(1, 7):
+        for centers, cells in arrangements(m):
+            events = [c - eps for c in centers] + [c + eps for c in centers]
+            assert len(set(events)) == len(events)
+
+
+def test_one_arrangement_per_endpoint_pattern():
+    # the Catalan numbers C_1..C_6; arrangements raises if a pattern does
+    # not materialize, so every pattern is there
+    assert [len(arrangements(m)) for m in range(1, 7)] == [1, 2, 5, 14, 42, 132]
+    for m in range(1, 7):
+        for centers, cells in arrangements(m):
+            assert list(centers) == sorted(centers)
+            eps = Fraction(1, 2)
+            for cover, rep in cells:
+                assert cover == sum(1 << k for k, c in enumerate(centers) if c - eps <= rep <= c + eps)
+
+
+def test_pattern_that_does_not_materialize_raises(monkeypatch):
+    # a dropped class would turn YES labels into NO, so it is an error
+    monkeypatch.setattr(bruteforce, "_materialize", lambda pattern, m: None)
+    arrangements.cache_clear()
+    with pytest.raises(RuntimeError, match=r"pattern \(1, 2\) of 2 intervals"):
+        arrangements(2)
+
+
+def test_row_families_fill_the_arrangement_cache_once_per_call():
+    arrangements.cache_clear()
+    first = realizable_row_families(4)
+    info = arrangements.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 0, 1)
+    # no cache of its own: a second call asks for the arrangements again
+    assert realizable_row_families(4) == first
+    assert arrangements.cache_info().hits == 1
+    assert not hasattr(realizable_row_families, "cache_info")
+
+
+def _row_family_verdict(matrix, families) -> bool:
+    supports = frozenset(matrix.row_sets())
+    return any(supports <= fam for fam in families)
+
+
+def _six_column_matrices():
+    rng = random.Random(61)
+    for index in range(300):
+        n = rng.randint(2, 8)
+        if index % 2:
+            yield FreeSpaceMatrix.from_row_masks(6, [rng.getrandbits(6) for _ in range(n)])
+        else:
+            p = [rng.randint(0, 12) for _ in range(n)]
+            q = [rng.randint(0, 12) for _ in range(6)]
+            yield compute_matrix(p, q, rng.randint(1, 3))
+
+
+@pytest.mark.parametrize("shape", ["3x4", "4x3", "6 columns"])
+def test_verdict_matches_row_families(shape):
+    if shape == "6 columns":
+        matrices = list(_six_column_matrices())
+    else:
+        n, m = map(int, shape.split("x"))
+        matrices = [
+            FreeSpaceMatrix.from_row_masks(m, rows) for rows in itertools.product(range(1 << m), repeat=n)
+        ]
+    families = realizable_row_families(matrices[0].m_cols)
+    verdicts = [brute_force_discrete_1d(matrix) is not None for matrix in matrices]
+    assert verdicts == [_row_family_verdict(matrix, families) for matrix in matrices]
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_row_families_monotone_in_m():

@@ -8,7 +8,9 @@ alters a witness on purpose must say so and update the digest here. The
 FPT and discrete verdicts are also pinned on their own, so a change of
 witnesses cannot hide a change of answers, and so are the crease labels of
 ``infer_creases``, on a corpus that adds diagrams failing the consistency
-check.
+check. The discrete brute-force oracle's witnesses and the row families it
+labels the benchmark's matrices with are pinned too, so a faster oracle
+must give the same answers.
 """
 
 import hashlib
@@ -20,6 +22,7 @@ from fsreal import (
     CellContent,
     FreeSpaceDiagram1D,
     FreeSpaceMatrix,
+    brute_force_discrete_1d,
     compute_matrix,
     gen_partition,
     gen_random_instance,
@@ -28,6 +31,7 @@ from fsreal import (
     solve_fpt,
     solve_pseudo_poly,
 )
+from fsreal.bruteforce import realizable_row_families
 from fsreal.formats import serialize
 
 from conftest import random_integer_diagram, random_rational_diagram
@@ -73,6 +77,22 @@ DISCRETE_VERDICT_DIGEST = "f7ebf9f79a8ae02fb00998188e807fefd9a41360bd2d9a7c783a6
 # fail the consistency check (140 of the last 200), so their labels reach
 # no witness digest; 282 have a contradiction
 CREASE_DIGEST = "a3bd97fcd373c4c45271067a5995c9773704f2c48929e8fb84ae3aaba251573f"
+# realizable_row_families(m) for m = 1..6 (1, 2, 10, 94, 1286 and 22876
+# families), each family as its sorted list of sorted column lists, in the
+# order the function returns them; pinned while the oracle still built all
+# C_m * m! combinatorial classes
+ROW_FAMILY_DIGESTS = {
+    1: "2d662b6eccd38637ce9e6338a268a60008b12ae9c573008ec9fb44e073acfe0c",
+    2: "b80b52ea65721a15f046b211783a748e7fb807ee71798f28e755a62c947cc261",
+    3: "641fb9565a682caab38b0c56d5a90a744cb5a754c74caae55444e40b77bd2cf3",
+    4: "08b2f87ae3d8679041de730397b5a8a259bdc519caa2b65d5358fd81efdb96cb",
+    5: "2bac49e60caf416881aa9acea9bb74b3cc6f5478018a8ff10890e3c71d4f8ea4",
+    6: "6847bf9e7a72df5e69a4a7ec6d5583f0b15cf185cac2a4897c5b799935dcdd7f",
+}
+# brute_force_discrete_1d on every matrix of at most 3 x 4 or 4 x 3 entries
+# and 300 seeded matrices of 4 to 6 columns (8984 of the 9718 answers are
+# YES), pinned at the same time
+BRUTE_DISCRETE_DIGEST = "7fadfbccfda6a16b205971e74f85d4df2a44598ccd390d96c9ed612641683e90"
 
 
 def _corpus():
@@ -219,3 +239,32 @@ def test_discrete_witness_digest():
     witnesses = [solve_discrete_1d(m) for m in matrices]
     assert _sha256([w is not None for w in witnesses]) == DISCRETE_VERDICT_DIGEST
     assert _sha256([None if w is None else serialize(w) for w in witnesses]) == DISCRETE_DIGEST
+
+
+def test_row_family_digests():
+    digests = {m: _sha256([sorted(map(sorted, fam)) for fam in realizable_row_families(m)]) for m in range(1, 7)}
+    assert digests == ROW_FAMILY_DIGESTS
+
+
+def _brute_discrete_corpus():
+    for n in range(1, 5):
+        for m in range(1, 5):
+            if n * m <= 12:
+                full = (1 << m) - 1
+                for code in range(1 << (n * m)):
+                    yield FreeSpaceMatrix.from_row_masks(m, [code >> (m * i) & full for i in range(n)])
+    rng = random.Random(13)
+    for index in range(300):
+        n, m = rng.randint(2, 7), rng.randint(4, 6)
+        if index % 2:
+            yield FreeSpaceMatrix.from_row_masks(m, [rng.getrandbits(m) for _ in range(n)])
+        else:
+            p = [rng.randint(0, 12) for _ in range(n)]
+            q = [rng.randint(0, 12) for _ in range(m)]
+            yield compute_matrix(p, q, rng.randint(1, 3))
+
+
+def test_brute_discrete_witness_digest():
+    matrices = list(_brute_discrete_corpus())
+    assert len(matrices) == 9718
+    assert _digest(brute_force_discrete_1d, matrices) == BRUTE_DISCRETE_DIGEST
