@@ -145,9 +145,16 @@ def realizable_row_families(m: int) -> list[frozenset[frozenset[int]]]:
         covers = {cover for cover, _ in cells}
         for table in tables:
             families.add(frozenset(table[cover] for cover in covers))
-    columns = [frozenset(j for j in range(m) if mask >> j & 1) for mask in range(1 << m)]
-    families = {frozenset(columns[mask] for mask in fam) for fam in families}
-    return sorted(families, key=lambda fam: (len(fam), sorted(map(sorted, fam))))
+    # a family sorts by its size, then by its covers' sorted column lists,
+    # sorted; rank[mask] is the place of the mask's sorted column list among
+    # all of them, so the covers' ranks, sorted, give the same order
+    columns = [[j for j in range(m) if mask >> j & 1] for mask in range(1 << m)]
+    rank = [0] * (1 << m)
+    for k, mask in enumerate(sorted(range(1 << m), key=columns.__getitem__)):
+        rank[mask] = k
+    ordered = sorted(families, key=lambda fam: (len(fam), sorted(map(rank.__getitem__, fam))))
+    sets = [frozenset(cols) for cols in columns]
+    return [frozenset(sets[mask] for mask in fam) for fam in ordered]
 
 
 def brute_force_discrete_1d(matrix: FreeSpaceMatrix) -> Optional[Witness]:

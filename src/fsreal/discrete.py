@@ -93,10 +93,11 @@ def twin_quotient(matrix: FreeSpaceMatrix) -> tuple[FreeSpaceMatrix, list[int], 
     once in order of first occurrence; and ``row_class``, ``col_class``, the
     quotient row of each row and the quotient column of each column.
 
-    The column classes are refined by the distinct rows only: a row moves
-    its part of every class it cuts into a new class, so two columns share
-    a class iff they agree on every row. The work is bounded by the ones of
-    the distinct rows."""
+    The column classes are refined by the distinct rows only: a row splits
+    every class it cuts into its part and the rest, so two columns share a
+    class iff they agree on every row. Per row, the work is bounded by the
+    classes the row meets; on a split only the smaller part is relabelled,
+    so a column is relabelled at most log2(m) times."""
     row_index: dict[int, int] = {}
     row_class = [row_index.setdefault(r, len(row_index)) for r in matrix.row_masks]
     m = matrix.m_cols
@@ -108,7 +109,10 @@ def twin_quotient(matrix: FreeSpaceMatrix) -> tuple[FreeSpaceMatrix, list[int], 
             sub = row & masks[c]
             row ^= sub
             if sub != masks[c]:
-                masks[c] ^= sub
+                rest = masks[c] ^ sub
+                if sub.bit_count() > rest.bit_count():
+                    sub, rest = rest, sub
+                masks[c] = rest
                 for v in _mask_bits(sub):
                     class_of[v] = len(masks)
                 masks.append(sub)
@@ -250,37 +254,44 @@ def refine_by_rows(state: OrderState, rows: Sequence[int]) -> Optional[OrderStat
 
     For a row with support I and a class C with proper nonempty C' = C & I:
     an outside member of I ordered before (after) C pulls C' before (after)
-    C \\ C'. A row demanding both directions at once is a contradiction.
+    C \\ C'. A row demanding both directions at once is a contradiction; a
+    row that meets no class but C is recorded as a within-class row.
     Classes are sorted by (level, D), so a class's index is its place in
     that order.
+
+    The work per row is bounded by the classes it cuts: a singleton class is
+    never cut, so only ``row & multi`` is scanned, ``multi`` being the union
+    of the classes of two or more members; the side of a cut class is two
+    ANDs of the row with the members ordered before and after the class.
     """
     class_masks = [sum(1 << v for v in cls) for cls in state.classes]
+    prefix = [0]
+    multi = 0
+    for cls, mask in zip(state.classes, class_masks):
+        prefix.append(prefix[-1] | mask)
+        if len(cls) > 1:
+            multi |= mask
+    everything = prefix[-1]
     for row in rows:
-        # (class index, row & class) in order of the row's lowest column in
-        # each class; lo and hi are the least and greatest class index
-        touched = []
-        lo, hi = len(class_masks), -1
-        u = row
+        # the classes of two or more members that the row meets, in order of
+        # the row's lowest column in each
+        u = row & multi
         while u:
             idx = state.class_of[(u & -u).bit_length() - 1]
             sub = row & class_masks[idx]
-            touched.append((idx, sub))
-            lo, hi = min(lo, idx), max(hi, idx)
             u &= ~sub
-        if len(touched) == 1:
-            ((idx, sub),) = touched
-            if sub != class_masks[idx]:
-                state.within_rows.setdefault(idx, []).append(sub)
-            continue
-        for idx, sub in touched:
             if sub == class_masks[idx]:
                 continue
-            if lo < idx < hi:
+            before = row & prefix[idx]
+            after = row & (everything ^ prefix[idx + 1])
+            if before and after:
                 return None
-            if lo < idx:
+            if before:
                 state.constraints.setdefault(idx, []).append((sub, "left"))
-            elif hi > idx:
+            elif after:
                 state.constraints.setdefault(idx, []).append((sub, "right"))
+            else:
+                state.within_rows.setdefault(idx, []).append(sub)
     return state
 
 
@@ -310,7 +321,11 @@ def extend_global_order(state: OrderState) -> Optional[list[int]]:
 
     Each rule (sub, side) names a proper nonempty subset of its class, so it
     holds iff sub is the class's first (``left``) or last (``right``)
-    sub.bit_count() vertices of the order."""
+    sub.bit_count() vertices of the order.
+
+    The work is bounded by the classes that have rules: a class without one
+    (every singleton class, as no rule names a proper subset of it) is
+    appended as it is, ascending already."""
     order: list[int] = []
     n_classes = len(state.classes)
     for idx, cls in enumerate(state.classes):
@@ -318,6 +333,9 @@ def extend_global_order(state: OrderState) -> Optional[list[int]]:
         if extra is None:
             return None
         rules = state.constraints.get(idx, []) + extra
+        if not rules:
+            order.extend(cls)
+            continue
         blocks = [sum(1 << v for v in cls)]
         for sub, side in rules:
             new_blocks: list[int] = []

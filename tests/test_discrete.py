@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fsreal import FreeSpaceMatrix, PointSeq1D, compute_matrix, solve_discrete_1d, verify_witness
+from fsreal import FreeSpaceMatrix, PointSeq1D, compute_matrix, discrete, solve_discrete_1d, verify_witness
 from fsreal.bruteforce import brute_force_discrete_1d
 from fsreal.formats import parse, serialize
 from fsreal.discrete import (
@@ -178,6 +179,114 @@ def test_refine_by_rows_contradiction_across_column_order():
     # {0, 1, 3} meets class 1 in {1} and reaches classes 0 and 2 on both sides;
     # it visits class 2 first and class 0 last
     assert refine_by_rows(_ordered_classes(), [0b1011]) is None
+
+
+def test_refine_by_rows_singleton_classes_yield_nothing():
+    # no singleton class can be cut: no rule and no within-class row
+    state = OrderState(vertices=[0, 1, 2], level={0: 1, 1: 2, 2: 3})
+    state.d_value = {0: 0, 1: 0, 2: 0}
+    state.classes = [[0], [1], [2]]
+    state.class_of = {0: 0, 1: 1, 2: 2}
+    assert refine_by_rows(state, [0b011, 0b110, 0b010, 0b111]) is state
+    assert state.constraints == {} and state.within_rows == {}
+
+
+def _reference_refine_by_rows(state, rows):
+    """Row refinement one column at a time: every class the row touches, in
+    order of the row's lowest column in each, with the least and greatest
+    touched class index deciding the sides."""
+    class_masks = [sum(1 << v for v in cls) for cls in state.classes]
+    for row in rows:
+        touched = []
+        lo, hi = len(class_masks), -1
+        u = row
+        while u:
+            idx = state.class_of[(u & -u).bit_length() - 1]
+            sub = row & class_masks[idx]
+            touched.append((idx, sub))
+            lo, hi = min(lo, idx), max(hi, idx)
+            u &= ~sub
+        if len(touched) == 1:
+            ((idx, sub),) = touched
+            if sub != class_masks[idx]:
+                state.within_rows.setdefault(idx, []).append(sub)
+            continue
+        for idx, sub in touched:
+            if sub == class_masks[idx]:
+                continue
+            if lo < idx < hi:
+                return None
+            if lo < idx:
+                state.constraints.setdefault(idx, []).append((sub, "left"))
+            elif hi > idx:
+                state.constraints.setdefault(idx, []).append((sub, "right"))
+    return state
+
+
+def _fresh(state):
+    """A copy of ``state`` whose refinement records can be written to."""
+    return dataclasses.replace(
+        state,
+        constraints={k: list(v) for k, v in state.constraints.items()},
+        within_rows={k: list(v) for k, v in state.within_rows.items()},
+    )
+
+
+def _compare_refinements(monkeypatch, matrices):
+    """Solve the matrices with every ``refine_by_rows`` call checked against
+    the reference on a copy of the state it is passed. Returns the number of
+    calls, of refusals, and the most classes a checked state had."""
+    seen = {"calls": 0, "refused": 0, "classes": 0}
+    real = discrete.refine_by_rows
+
+    def checked(state, rows):
+        expected = _reference_refine_by_rows(_fresh(state), rows)
+        got = real(state, rows)
+        assert (got is None) == (expected is None)
+        if got is not None:
+            assert (got.constraints, got.within_rows) == (expected.constraints, expected.within_rows)
+        seen["calls"] += 1
+        seen["refused"] += got is None
+        seen["classes"] = max(seen["classes"], len(state.classes))
+        return got
+
+    monkeypatch.setattr(discrete, "refine_by_rows", checked)
+    for matrix in matrices:
+        solve_discrete_1d(matrix)
+    monkeypatch.undo()
+    return seen
+
+
+def test_refine_by_rows_matches_reference_on_4x4(monkeypatch):
+    # every state the solver builds over all 4x4 matrices: it decides the
+    # twin quotient, so solving each distinct quotient once builds them all.
+    # None of them refuses a row.
+    quotients = {}
+    for code in range(1 << 16):
+        quotient = twin_quotient(FreeSpaceMatrix.from_row_masks(4, [code >> 4 * r & 15 for r in range(4)]))[0]
+        quotients.setdefault((quotient.m_cols, tuple(quotient.row_masks)), quotient)
+    seen = _compare_refinements(monkeypatch, quotients.values())
+    assert seen["calls"] > 70_000
+
+
+def test_refine_by_rows_matches_reference_on_walks_and_random(monkeypatch):
+    # walk matrices of both regimes, the same with a few cells flipped, and
+    # random matrices of 6 to 12 columns, which reach the refusals
+    rng = random.Random(31)
+    matrices = []
+    for giant in (True, False):
+        for n, m in ((150, 1000), (400, 400), (1000, 150)):
+            walk = _walk_matrix(rng, n, m, giant)
+            flipped = list(walk.row_masks)
+            for _ in range(4):
+                flipped[rng.randrange(n)] ^= 1 << rng.randrange(m)
+            matrices += [walk, FreeSpaceMatrix.from_row_masks(m, flipped)]
+    for _ in range(300):
+        n, m, density = rng.randint(4, 12), rng.randint(6, 12), rng.uniform(0.15, 0.5)
+        matrices.append(FreeSpaceMatrix([[int(rng.random() < density) for _ in range(m)] for _ in range(n)]))
+    seen = _compare_refinements(monkeypatch, matrices)
+    assert seen["refused"] > 50 and seen["calls"] > 2 * seen["refused"]
+    assert seen["classes"] > 60  # the giant walks, most classes singletons
 
 
 def _one_class(n, rules):
@@ -362,24 +471,33 @@ def test_permuted_block_diagonal_agrees_with_oracle():
     assert verdicts.count(False) == 20 and verdicts.count(True) >= 20
 
 
-def _walks(rng, k):
-    """Two integer walks with steps -9..9, Q shifted to P's median."""
+def _walks(rng, n, m=None):
+    """Two integer walks of n and m points (m defaults to n) with steps
+    -9..9, Q shifted to P's median."""
+    m = n if m is None else m
     p, q = [0], [0]
-    for _ in range(k - 1):
-        p.append(p[-1] + rng.randint(-9, 9))
-        q.append(q[-1] + rng.randint(-9, 9))
-    shift = sorted(p)[k // 2] - sorted(q)[k // 2]
+    for k in range(1, max(n, m)):
+        if k < n:
+            p.append(p[-1] + rng.randint(-9, 9))
+        if k < m:
+            q.append(q[-1] + rng.randint(-9, 9))
+    shift = sorted(p)[n // 2] - sorted(q)[m // 2]
     return p, [x + shift for x in q]
 
 
+def _walk_matrix(rng, n, m, giant):
+    """The n x m matrix of two walks: at eps 1/16 of their range it has one
+    giant UIG component, at eps 1 several."""
+    p, q = _walks(rng, n, m)
+    eps = max(9, (max(p + q) - min(p + q)) // 16) if giant else 1
+    return compute_matrix(p, q, eps)
+
+
 def test_forward_walk_matrices_solve_yes():
-    # eps 1/16 of the range: one giant UIG component; eps 1: several
     rng = random.Random(5)
     for giant in (True, False):
         for _ in range(3):
-            p, q = _walks(rng, 200)
-            eps = max(9, (max(p + q) - min(p + q)) // 16) if giant else 1
-            matrix = compute_matrix(p, q, eps)
+            matrix = _walk_matrix(rng, 200, 200, giant)
             sizes = [len(c) for c in build_uig(matrix).components()]
             assert max(sizes) > 100 if giant else len(sizes) >= 5
             _assert_verified_yes(matrix)
@@ -447,6 +565,36 @@ def test_twin_quotient_keeps_first_occurrences():
 def test_twin_free_matrix_is_its_own_quotient():
     matrix = FreeSpaceMatrix([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
     assert twin_quotient(matrix) == (matrix, [0, 1, 2], [0, 1, 2])
+
+
+def _reference_quotient(matrix):
+    """Columns grouped by their column tuple and rows by their row tuple,
+    each group in order of first occurrence."""
+    rows = [tuple(row) for row in matrix.tolist()]
+    col_index: dict[tuple, int] = {}
+    col_class = [col_index.setdefault(col, len(col_index)) for col in zip(*rows)]
+    row_index: dict[tuple, int] = {}
+    row_class = [row_index.setdefault(row, len(row_index)) for row in rows]
+    firsts = [col_class.index(k) for k in range(len(col_index))]
+    quotient = FreeSpaceMatrix([[row[j] for j in firsts] for row in row_index])
+    return quotient, row_class, col_class
+
+
+def test_twin_quotient_matches_reference():
+    rng = random.Random(8)
+    matrices = []
+    for _ in range(400):
+        n, m = rng.randint(1, 12), rng.randint(1, 12)
+        density = rng.random()
+        matrices.append(FreeSpaceMatrix([[int(rng.random() < density) for _ in range(m)] for _ in range(n)]))
+    for giant in (True, False):
+        for n, m in ((150, 1000), (1000, 150), (400, 400), (60, 90)):
+            matrices.append(_walk_matrix(rng, n, m, giant))
+    for matrix in matrices:
+        assert twin_quotient(matrix) == _reference_quotient(matrix)
+    # the walks merge many twins: columns in the giant regime, rows in both
+    walks = [twin_quotient(matrix)[0] for matrix in matrices[400:]]
+    assert walks[0].m_cols < 200 and all(q.n_rows < matrix.n_rows for q, matrix in zip(walks, matrices[400:]))
 
 
 def _blow_up(rng, ent):
