@@ -10,7 +10,8 @@ witnesses cannot hide a change of answers, and so are the crease labels of
 ``infer_creases``, on a corpus that adds diagrams failing the consistency
 check. The discrete brute-force oracle's witnesses and the row families it
 labels the benchmark's matrices with are pinned too, so a faster oracle
-must give the same answers.
+must give the same answers. Long diagrams, on which most segments meet no
+partial cell, have their own pseudo-poly digests.
 """
 
 import hashlib
@@ -33,6 +34,7 @@ from fsreal import (
 )
 from fsreal.bruteforce import realizable_row_families
 from fsreal.formats import serialize
+from fsreal.model import cell_edge_interval, consistency_problems
 
 from conftest import random_integer_diagram, random_rational_diagram
 from test_fuzz_pseudopoly import consistent_diagrams, forward_diagrams
@@ -44,6 +46,12 @@ from test_fuzz_pseudopoly import consistent_diagrams, forward_diagrams
 PSEUDO_POLY_DIGEST = "ca3d76278117493a408b0822ef790289f20f6782c033fb8c7984a0876170bfbd"
 # the 400 YES/NO answers of solve_pseudo_poly alone (218 YES)
 PSEUDO_POLY_VERDICT_DIGEST = "7978d925a501ec75319db5644bc77cf2835eb44c6b36abcb9b6433fb08b54fc2"
+# solve_pseudo_poly on 32 forward diagrams of 60..200 P segments by 2..6 Q
+# segments at eps 3, 5, 10 and 20, the benchmark's long shape, where most
+# segments meet no partial cell, and their 53 consistent one-slab mutants
+PSEUDO_POLY_LONG_DIGEST = "59fbcad33ae608833166302c52dbb7e283e1c15483b62fbe2771d9ebd5776e19"
+# the 85 YES/NO answers alone (42 YES: the 32 forward diagrams, 10 mutants)
+PSEUDO_POLY_LONG_VERDICT_DIGEST = "9904ddfb82e6cc151006686840f2e75c7d8c4cee07702fcd0294a65e2ac10e65"
 # FPT decides the diagrams without partial cells by pseudo-poly's closed
 # form, which centres each curve's smallest window instead of its smallest
 # hull over the crease labels: 16 of the 201 witnesses changed, all on
@@ -154,6 +162,55 @@ def test_witness_digests():
     fpt_corpus = [d for d in diagrams if infer_creases(d).k <= 10]
     assert len(fpt_corpus) == 380
     assert _fpt_digests(fpt_corpus) == (FPT_DIGEST, FPT_VERDICT_DIGEST)
+
+
+def _long_forward_diagrams():
+    rng = random.Random(3)
+    for k in range(32):
+        n, m, eps = rng.randint(60, 200), rng.randint(2, 6), (3, 5, 10, 20)[k % 4]
+        yield random_integer_diagram(rng.randrange(1 << 30), n, m, eps, max_step=10)
+
+
+def _edges_agree(d: FreeSpaceDiagram1D, i: int, j: int, cell: CellContent) -> bool:
+    """Whether ``cell`` in place (i, j) meets its neighbours' white sets on
+    every shared grid line."""
+    w, h, cells = d.scaled_widths, d.scaled_heights, d.scaled_cells
+    for a, b, mine, theirs in ((i - 1, j, "L", "R"), (i + 1, j, "R", "L"), (i, j - 1, "B", "T"), (i, j + 1, "T", "B")):
+        if 0 <= a < d.n_cols and 0 <= b < d.m_rows:
+            if cell_edge_interval(cell, w[i], h[j], mine) != cell_edge_interval(cells[a][b], w[a], h[b], theirs):
+                return False
+    return True
+
+
+def _consistent_one_slab_mutants(d: FreeSpaceDiagram1D):
+    """Every well-formed diagram that shifts one slab of ``d`` by a nonzero
+    amount of at most 2*eps and still passes the grid-line check, in grid
+    order and by shift."""
+    eps = d.scaled_eps
+    for i, col in enumerate(d.scaled_cells):
+        for j, c in enumerate(col):
+            if not c.is_partial:
+                continue
+            for shift in [s for s in range(-2 * eps, 2 * eps + 1) if s]:
+                cell = CellContent(c.status, c.sigma, c.c_lo + shift, c.c_hi + shift)
+                if not _edges_agree(d, i, j, cell):
+                    continue
+                cols = [list(col) for col in d.scaled_cells]
+                cols[i][j] = cell
+                try:
+                    yield FreeSpaceDiagram1D.from_scaled(d.scale, eps, d.scaled_widths, d.scaled_heights, cols)
+                except ValueError:
+                    continue  # the shifted slab misses the cell or covers it
+
+
+def test_long_pseudo_poly_witness_digest():
+    diagrams = list(_long_forward_diagrams())
+    diagrams += [m for d in diagrams for m in _consistent_one_slab_mutants(d)]
+    assert len(diagrams) == 85
+    assert not any(consistency_problems(d) for d in diagrams)
+    witnesses = [solve_pseudo_poly(d) for d in diagrams]
+    assert _sha256([w is not None for w in witnesses]) == PSEUDO_POLY_LONG_VERDICT_DIGEST
+    assert _sha256([None if w is None else serialize(w) for w in witnesses]) == PSEUDO_POLY_LONG_DIGEST
 
 
 def _scrambled(rng: random.Random, d: FreeSpaceDiagram1D) -> FreeSpaceDiagram1D:
