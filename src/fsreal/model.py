@@ -14,7 +14,10 @@ Every module's cells are one value type, :class:`CellContent`, and
 computation's kernel inlines it, and FPT's crease labels, its sweep and
 pseudo-poly's frame check compare that kernel's cells with a diagram's.
 What stays here serves the diagram itself (its checks and its transpose)
-and pseudo-poly's typing, which cuts slabs with :func:`cell_restrict`.
+and pseudo-poly's typing, which cuts slabs with :func:`cell_restrict`. The
+grid-line check compares edge intervals inline on the ints, so
+:func:`cell_edge_interval` serves :mod:`fsreal.render` and the tests, which
+hold the check to it.
 Geometry in dimension >= 2 lives in floats and is handled in
 :mod:`fsreal.forward`.
 """
@@ -212,8 +215,8 @@ class CellContent(NamedTuple):
 
     status: str
     sigma: int = 0
-    c_lo: Optional[Fraction] = None
-    c_hi: Optional[Fraction] = None
+    c_lo: Optional[int | Fraction] = None
+    c_hi: Optional[int | Fraction] = None
 
     @staticmethod
     def empty() -> "CellContent":
@@ -234,7 +237,9 @@ class CellContent(NamedTuple):
         return self.status == PARTIAL
 
 
-def classify_slab(sigma: int, c_lo: Fraction, c_hi: Fraction, w: Fraction, h: Fraction) -> CellContent:
+def classify_slab(
+    sigma: int, c_lo: int | Fraction, c_hi: int | Fraction, w: int | Fraction, h: int | Fraction
+) -> CellContent:
     """Classify the slab's intersection with a w x h box (closed sets)."""
     vmin, vmax = (-w, h) if sigma == 1 else (0, w + h)  # the box's range of y - sigma*x
     if c_lo > vmax or c_hi < vmin:
@@ -244,7 +249,9 @@ def classify_slab(sigma: int, c_lo: Fraction, c_hi: Fraction, w: Fraction, h: Fr
     return CellContent(PARTIAL, sigma, c_lo, c_hi)
 
 
-def cell_restrict(cell: CellContent, x0: Fraction, y0: Fraction, w: Fraction, h: Fraction) -> CellContent:
+def cell_restrict(
+    cell: CellContent, x0: int | Fraction, y0: int | Fraction, w: int | Fraction, h: int | Fraction
+) -> CellContent:
     """Cell content restricted to the w x h box at (x0, y0), re-based to
     [0, w] x [0, h]."""
     if cell.status != PARTIAL:
@@ -265,8 +272,8 @@ def cell_transpose(cell: CellContent) -> CellContent:
 
 
 def cell_edge_interval(
-    cell: CellContent, w: Fraction, h: Fraction, edge: str
-) -> Optional[tuple[Fraction, Fraction]]:
+    cell: CellContent, w: int | Fraction, h: int | Fraction, edge: str
+) -> Optional[tuple[int | Fraction, int | Fraction]]:
     """Closed white interval on one cell edge, or None if empty.
 
     Edges: 'L'/'R' return a y-interval at x = 0 / x = w; 'B'/'T' return an
@@ -300,6 +307,9 @@ def cell_edge_interval(
         return None
     return a2, b2
 
+
+_EMPTY_CELL = CellContent.empty()
+_FULL_CELL = CellContent.full()
 
 _NOT_2D = "matrix must be two-dimensional and non-empty"
 _NOT_BINARY = "matrix entries must be 0 or 1"
@@ -611,24 +621,57 @@ def consistency_problems(d: FreeSpaceDiagram1D) -> list[str]:
     """Shared-boundary agreement: the white set restricted to a grid line must
     be identical computed from either adjacent cell. A well-formed diagram
     violating this is never realizable (forward computation always agrees),
-    so solvers answer NO instead of rejecting it."""
-    problems: list[str] = []
+    so solvers answer NO instead of rejecting it.
+
+    The edge intervals of :func:`cell_edge_interval` are compared inline, on
+    the ints: a partial cell's white set on an edge is its slab's intercept
+    range there, clipped to the edge, and None where the clip is empty."""
     cells, widths, heights = d.scaled_cells, d.scaled_widths, d.scaled_heights
     # White space restricted to a shared grid line must agree from both sides.
     # Two empty cells give None on both sides and two full cells the whole
-    # edge, so only a line with a partial cell or two statuses is compared.
-    for j, h in enumerate(heights):
-        for i in range(len(widths) - 1):
-            left, right = cells[i][j], cells[i + 1][j]
-            if left.status == right.status != PARTIAL:
+    # edge, so only a line with a partial cell or two statuses is compared,
+    # and two equal columns of empty and full cells have none.
+    across: list[tuple[int, int]] = []  # (row, left column) of each disagreeing line
+    for i, (left, right, w_l) in enumerate(zip(cells, cells[1:], widths)):
+        if left == right and left.count(_EMPTY_CELL) + left.count(_FULL_CELL) == len(left):
+            continue
+        for j, (a, b, h) in enumerate(zip(left, right, heights)):
+            if a.status == b.status != PARTIAL:
                 continue
-            if cell_edge_interval(left, widths[i], h, "R") != cell_edge_interval(right, widths[i + 1], h, "L"):
-                problems.append(f"grid line between columns {i},{i + 1} at row {j}: white sets disagree")
+            if a.status == PARTIAL:  # a's right edge, x = w_l
+                shift = w_l if a.sigma == 1 else -w_l
+                lo, hi = a.c_lo + shift, a.c_hi + shift
+                lo, hi = lo if lo > 0 else 0, hi if hi < h else h
+                edge_a = (lo, hi) if lo <= hi else None
+            else:
+                edge_a = (0, h) if a.status == FULL else None
+            if b.status == PARTIAL:  # b's left edge, x = 0
+                lo, hi = b.c_lo, b.c_hi
+                lo, hi = lo if lo > 0 else 0, hi if hi < h else h
+                edge_b = (lo, hi) if lo <= hi else None
+            else:
+                edge_b = (0, h) if b.status == FULL else None
+            if edge_a != edge_b:
+                across.append((j, i))
+    problems = [f"grid line between columns {i},{i + 1} at row {j}: white sets disagree" for j, i in sorted(across)]
     for i, (col, w) in enumerate(zip(cells, widths)):
-        for j in range(len(heights) - 1):
-            below, above = col[j], col[j + 1]
-            if below.status == above.status != PARTIAL:
+        if col[0].status != PARTIAL and col.count(col[0]) == len(col):
+            continue  # one empty or full cell all along
+        for j, (a, b, h_a) in enumerate(zip(col, col[1:], heights)):
+            if a.status == b.status != PARTIAL:
                 continue
-            if cell_edge_interval(below, w, heights[j], "T") != cell_edge_interval(above, w, heights[j + 1], "B"):
+            if a.status == PARTIAL:  # a's top edge, y = h_a
+                lo, hi = (h_a - a.c_hi, h_a - a.c_lo) if a.sigma == 1 else (a.c_lo - h_a, a.c_hi - h_a)
+                lo, hi = lo if lo > 0 else 0, hi if hi < w else w
+                edge_a = (lo, hi) if lo <= hi else None
+            else:
+                edge_a = (0, w) if a.status == FULL else None
+            if b.status == PARTIAL:  # b's bottom edge, y = 0
+                lo, hi = (-b.c_hi, -b.c_lo) if b.sigma == 1 else (b.c_lo, b.c_hi)
+                lo, hi = lo if lo > 0 else 0, hi if hi < w else w
+                edge_b = (lo, hi) if lo <= hi else None
+            else:
+                edge_b = (0, w) if b.status == FULL else None
+            if edge_a != edge_b:
                 problems.append(f"grid line between rows {j},{j + 1} at column {i}: white sets disagree")
     return problems

@@ -5,7 +5,12 @@ close or boundary) in one sweep per segment: each partial cell turns its
 slice empty, partial, full, partial and empty again at no more than four
 points, so the sweep walks the sorted points of the segment's cells keeping
 two counts, the cells whose slice is not empty and those whose slice is not
-full, and reads the type off them. Partial cells anchor subsegments in rigid
+full, and reads the type off them. A segment without a partial cell is one
+piece of the kind its counts of empty and full cells give, and one with a
+cell whose slice is partial all along is one boundary piece, with no sweep.
+Only a slab that a split piece cuts is restricted; other cells are kept as
+they are, and the partial typed cells found on the way are the edges of the
+placement graph. Partial cells anchor subsegments in rigid
 frames, one per component of the placement graph (at most two; the second
 floats with an unknown reflection rho and translation tau); each frame's
 cells are checked with the forward computation's cell test, whose cells are
@@ -40,7 +45,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Optional, Sequence
+from operator import itemgetter
+from typing import NamedTuple, Optional, Sequence
 
 from .model import (
     EMPTY,
@@ -61,8 +67,7 @@ TYPE_CLOSE = 2
 TYPE_BOUNDARY = 3
 
 
-@dataclass(frozen=True)
-class SubSeg:
+class SubSeg(NamedTuple):
     """Piece of an original segment after subdivision at type changes."""
 
     orig: int
@@ -77,45 +82,74 @@ class TypedDiagram:
     p_segs: list[SubSeg]
     q_segs: list[SubSeg]
     cells: list[list[CellContent]]  # [i][j] over subsegments
+    partial: list[tuple[int, int]]  # (i, j) of every partial cell of ``cells``, in grid order
 
 
-def _typed_pieces(orig: int, length: int, cells, spans, q_axis: bool) -> list[SubSeg]:
+_EMPTY_CELL = CellContent.empty()
+_FULL_CELL = CellContent.full()
+
+
+def _typed_pieces(orig: int, length: int, cells, spans, q_axis: bool) -> tuple[list[SubSeg], list[int]]:
     """The typed pieces of segment ``orig`` of this length, P's or Q's,
-    whose cell k pairs it with a segment of length ``spans[k]``.
+    whose cell k pairs it with a segment of length ``spans[k]``, and the
+    indices k of its partial cells.
 
     Once the other side of a sigma = 1 cell is mirrored, a partial cell's
     white set is lo <= t + u <= hi over 0 <= u <= span, so its slice at t is
     nonempty for lo - span < t < hi and full for lo < t < hi - span. One
     sweep over these points keeps two counts, the cells whose slice is not
     empty and those whose slice is not full: a piece is far while the first
-    is 0, close while the second is, and boundary otherwise."""
+    is 0, close while the second is, and boundary otherwise. Without a
+    partial cell the counts never change, and a cell whose slice is partial
+    all along keeps both positive: either way the segment is one piece,
+    found with no sweep."""
+    n_full = cells.count(_FULL_CELL)
+    if n_full + cells.count(_EMPTY_CELL) == len(cells):
+        kind = TYPE_FAR if not n_full else TYPE_CLOSE if n_full == len(cells) else TYPE_BOUNDARY
+        return [SubSeg(orig, 0, length, kind)], []
     statuses = [cell.status for cell in cells]
     nonempty = statuses.count(FULL)
     notfull = len(statuses) - nonempty
+    partial = [k for k, status in enumerate(statuses) if status == PARTIAL]
+    # an event is 4 * t + its change: nonempty +1, -1, notfull -1, +1
     events = []
-    for k in [k for k, status in enumerate(statuses) if status == PARTIAL]:
-        cell, span = cells[k], spans[k]
-        lo, hi = cell.c_lo, cell.c_hi
-        if cell.sigma == 1:
+    for k in partial:
+        _, sigma, lo, hi = cells[k]
+        span = spans[k]
+        if sigma == 1:
             lo, hi = (span + lo, span + hi) if q_axis else (span - hi, span - lo)
-        for a, b, d_nonempty, d_notfull in ((lo - span, hi, 1, 0), (lo, hi - span, 0, -1)):
-            a, b = a if a > 0 else 0, b if b < length else length
-            if a < b:
-                events += [(a, d_nonempty, d_notfull), (b, -d_nonempty, -d_notfull)]
+        a, b = lo - span, hi if hi < length else length  # nonempty slice
+        if a < 0:
+            a = 0
+        c, d = lo if lo > 0 else 0, hi - span  # full slice
+        if d > length:
+            d = length
+        if c >= d and a == 0 and b == length:  # partial all along
+            return [SubSeg(orig, 0, length, TYPE_BOUNDARY)], partial
+        if a < b:
+            events += (4 * a, 4 * b + 1)
+        if c < d:
+            events += (4 * c + 2, 4 * d + 3)
+    events.append(4 * length)  # closes the last piece; the counts are not read after it
     events.sort()
-    pieces: list[SubSeg] = []
+    starts: list[int] = []
+    kinds: list[int] = []
     at = 0
-    for t, d_nonempty, d_notfull in events + [(length, 0, 0)]:
+    for event in events:
+        t = event >> 2
         if t > at:
             kind = TYPE_FAR if not nonempty else TYPE_CLOSE if not notfull else TYPE_BOUNDARY
-            if pieces and pieces[-1].kind == kind:
-                pieces[-1] = SubSeg(orig, pieces[-1].offset, t - pieces[-1].offset, kind)
-            else:
-                pieces.append(SubSeg(orig, at, t - at, kind))
+            if not kinds or kinds[-1] != kind:
+                starts.append(at)
+                kinds.append(kind)
             at = t
-        nonempty += d_nonempty
-        notfull += d_notfull
-    return pieces
+        change = event & 3
+        if change < 2:
+            nonempty += 1 - 2 * change
+        else:
+            notfull += 2 * change - 5
+    ends = starts[1:] + [length]
+    return [SubSeg(orig, a, b - a, kind) for a, b, kind in zip(starts, ends, kinds)], partial
 
 
 def subdivide_and_type(diagram: FreeSpaceDiagram1D) -> TypedDiagram:
@@ -125,23 +159,41 @@ def subdivide_and_type(diagram: FreeSpaceDiagram1D) -> TypedDiagram:
     widths = diagram.scaled_widths
     heights = diagram.scaled_heights
     grid = diagram.scaled_cells
-    p_segs = [s for i, w in enumerate(widths) for s in _typed_pieces(i, w, grid[i], heights, False)]
-    q_segs = [s for j, h in enumerate(heights) for s in _typed_pieces(j, h, [col[j] for col in grid], widths, True)]
+    p_segs: list[SubSeg] = []
+    partial_rows: list[list[int]] = []  # the partial cells of each column
+    for i, (w, col) in enumerate(zip(widths, grid)):
+        pieces, rows = _typed_pieces(i, w, col, heights, False)
+        p_segs += pieces
+        partial_rows.append(rows)
+    q_segs = [
+        s for j, (h, row) in enumerate(zip(heights, zip(*grid))) for s in _typed_pieces(j, h, row, widths, True)[0]
+    ]
 
-    # only a slab cut by a split piece changes: other cells are kept as they are
-    q_split = [(qs, qs.length != heights[qs.orig]) for qs in q_segs]
+    # only a slab cut by a split piece changes: other cells are kept as they
+    # are, and a P piece's row starts as its column read at Q's pieces
+    q_orig = [qs.orig for qs in q_segs]
+    q_split = [qs.length != heights[qs.orig] for qs in q_segs]
+    q_pieces: list[list[int]] = [[] for _ in heights]  # Q's pieces of each original row
+    for k, j in enumerate(q_orig):
+        q_pieces[j].append(k)
+    # with a split row there are two Q pieces or more, so the getter returns a tuple
+    read = None if len(q_segs) == len(heights) else itemgetter(*q_orig)
     cells: list[list[CellContent]] = []
-    for ps in p_segs:
+    partial: list[tuple[int, int]] = []
+    for i, ps in enumerate(p_segs):
         col = grid[ps.orig]
+        row_out = list(col) if read is None else list(read(col))
         p_split = ps.length != widths[ps.orig]
-        row_out = []
-        for qs, split in q_split:
-            c = col[qs.orig]
-            if c.status == PARTIAL and (p_split or split):
-                c = cell_restrict(c, ps.offset, qs.offset, ps.length, qs.length)
-            row_out.append(c)
+        for j in partial_rows[ps.orig]:
+            for k in q_pieces[j]:
+                c = col[j]
+                if p_split or q_split[k]:
+                    qs = q_segs[k]
+                    c = row_out[k] = cell_restrict(c, ps.offset, qs.offset, ps.length, qs.length)
+                if c.status == PARTIAL:
+                    partial.append((i, k))
         cells.append(row_out)
-    return TypedDiagram(diagram.scaled_eps, p_segs, q_segs, cells)
+    return TypedDiagram(diagram.scaled_eps, p_segs, q_segs, cells, partial)
 
 
 @dataclass
@@ -154,11 +206,9 @@ class PlacementGraph:
 
 def build_placement_graph(typed: TypedDiagram) -> PlacementGraph:
     adjacency: dict[tuple[str, int], list[tuple[str, int]]] = {}
-    for i, row in enumerate(typed.cells):
-        for j, cell in enumerate(row):
-            if cell.status == PARTIAL:
-                adjacency.setdefault(("P", i), []).append(("Q", j))
-                adjacency.setdefault(("Q", j), []).append(("P", i))
+    for i, j in typed.partial:
+        adjacency.setdefault(("P", i), []).append(("Q", j))
+        adjacency.setdefault(("Q", j), []).append(("P", i))
     components: list[list[tuple[str, int]]] = []
     seen: set[tuple[str, int]] = set()
     for root in sorted(adjacency):
@@ -318,9 +368,17 @@ def dp_extract_path(
     the rightward step."""
     pos = (masks[0] & -masks[0]).bit_length() - 1
     path = [pos]
+    last = len(lengths) - 1
     for idx, step in enumerate(lengths):
-        targets = (pos + d * step for d in _step_dirs(idx, len(lengths), first_dir, last_dir))
-        pos = next(t for t in targets if t >= 0 and (masks[idx + 1] >> t) & 1)
+        # a forced step lands on a feasible position, as the table was built
+        # with it; a free one goes right if that is feasible, else left
+        forced = first_dir if idx == 0 and first_dir is not None else last_dir if idx == last else None
+        if forced is not None:
+            pos += forced * step
+        elif (masks[idx + 1] >> (pos + step)) & 1:
+            pos += step
+        else:
+            pos -= step
         path.append(pos)
     return path
 

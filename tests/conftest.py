@@ -47,6 +47,28 @@ def divided_diagram(d: FreeSpaceDiagram1D, k: int) -> FreeSpaceDiagram1D:
     return FreeSpaceDiagram1D(d.epsilon / k, [w / k for w in d.col_widths], [h / k for h in d.row_heights], cells)
 
 
+def scrambled_diagram(rng: random.Random, d: FreeSpaceDiagram1D) -> FreeSpaceDiagram1D:
+    """The diagram with up to three cells replaced by an empty cell, a full
+    cell, or the slab shifted or turned, each replacement kept when the
+    diagram stays well formed."""
+    cols = [list(col) for col in d.scaled_cells]
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.randrange(d.n_cols), rng.randrange(d.m_rows)
+        c = cols[i][j]
+        if not c.is_partial or rng.random() < 0.3:
+            cols[i][j] = rng.choice([CellContent.empty(), CellContent.full()])
+        elif rng.random() < 0.5:
+            shift = rng.choice([-1, 1]) * rng.randint(1, 2 * d.scaled_eps)
+            cols[i][j] = CellContent(c.status, c.sigma, c.c_lo + shift, c.c_hi + shift)
+        else:
+            cols[i][j] = CellContent(c.status, -c.sigma, c.c_lo, c.c_hi)
+        try:
+            FreeSpaceDiagram1D.from_scaled(d.scale, d.scaled_eps, d.scaled_widths, d.scaled_heights, cols)
+        except ValueError:
+            cols[i][j] = c
+    return FreeSpaceDiagram1D.from_scaled(d.scale, d.scaled_eps, d.scaled_widths, d.scaled_heights, cols)
+
+
 @pytest.fixture
 def partition_diagram():
     from fsreal import gen_partition

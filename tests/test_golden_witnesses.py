@@ -36,7 +36,7 @@ from fsreal.bruteforce import realizable_row_families
 from fsreal.formats import serialize
 from fsreal.model import cell_edge_interval, consistency_problems
 
-from conftest import random_integer_diagram, random_rational_diagram
+from conftest import random_integer_diagram, random_rational_diagram, scrambled_diagram
 from test_fuzz_pseudopoly import consistent_diagrams, forward_diagrams
 
 # 400 diagrams, 267 of them past the consistency check: pseudo-poly answers
@@ -213,28 +213,6 @@ def test_long_pseudo_poly_witness_digest():
     assert _sha256([None if w is None else serialize(w) for w in witnesses]) == PSEUDO_POLY_LONG_DIGEST
 
 
-def _scrambled(rng: random.Random, d: FreeSpaceDiagram1D) -> FreeSpaceDiagram1D:
-    """The diagram with up to three cells replaced by an empty cell, a full
-    cell, or the slab shifted or turned, each replacement kept when the
-    diagram stays well formed."""
-    cols = [list(col) for col in d.scaled_cells]
-    for _ in range(rng.randint(1, 3)):
-        i, j = rng.randrange(d.n_cols), rng.randrange(d.m_rows)
-        c = cols[i][j]
-        if not c.is_partial or rng.random() < 0.3:
-            cols[i][j] = rng.choice([CellContent.empty(), CellContent.full()])
-        elif rng.random() < 0.5:
-            shift = rng.choice([-1, 1]) * rng.randint(1, 2 * d.scaled_eps)
-            cols[i][j] = CellContent(c.status, c.sigma, c.c_lo + shift, c.c_hi + shift)
-        else:
-            cols[i][j] = CellContent(c.status, -c.sigma, c.c_lo, c.c_hi)
-        try:
-            FreeSpaceDiagram1D.from_scaled(d.scale, d.scaled_eps, d.scaled_widths, d.scaled_heights, cols)
-        except ValueError:
-            cols[i][j] = c
-    return FreeSpaceDiagram1D.from_scaled(d.scale, d.scaled_eps, d.scaled_widths, d.scaled_heights, cols)
-
-
 def _crease_corpus():
     yield from _corpus()
     yield from _rational_corpus()
@@ -246,7 +224,7 @@ def _crease_corpus():
             d = random_rational_diagram(rng)
         else:
             d = random_integer_diagram(index, rng.randint(1, 6), rng.randint(1, 5), rng.randint(1, 4))
-        yield _scrambled(rng, d)
+        yield scrambled_diagram(rng, d)
 
 
 def test_crease_label_digest():

@@ -24,6 +24,7 @@ from fsreal import (
     solve_pseudo_poly,
 )
 from fsreal.model import (
+    EMPTY,
     PARTIAL,
     cell_edge_interval,
     cell_restrict,
@@ -34,7 +35,7 @@ from fsreal.model import (
     structural_problems,
 )
 
-from conftest import divided_diagram, random_integer_diagram, random_rational_diagram
+from conftest import divided_diagram, random_integer_diagram, random_rational_diagram, scrambled_diagram
 
 
 def test_rat_parsing():
@@ -329,6 +330,7 @@ def _random_status_grid(rng: random.Random):
 
 def test_grid_line_check_matches_every_line_compared():
     from test_fuzz_pseudopoly import consistent_diagrams, forward_diagrams
+    from test_pseudopoly import _long_forward_diagrams
 
     rng = random.Random(29)
     diagrams = list(forward_diagrams(60, seed=3)) + list(consistent_diagrams(60, seed=4))
@@ -338,12 +340,19 @@ def test_grid_line_check_matches_every_line_compared():
     diagrams += [gen_partition([rng.randint(1, 30) for _ in range(rng.randint(2, 9))]) for _ in range(40)]
     diagrams += [random_rational_diagram(rng) for _ in range(100)]
     diagrams += [_random_status_grid(rng) for _ in range(400)]
-    named = 0
+    # long diagrams, most of whose columns hold no partial cell, as they are
+    # and with one to three cells replaced
+    long = list(_long_forward_diagrams(random.Random(31), 10))
+    diagrams += long + [scrambled_diagram(rng, d) for d in long for _ in range(4)]
+    named = long_named = 0
     for index, d in enumerate(diagrams):
         problems = consistency_problems(d)
         assert problems == _reference_grid_problems(d), index
         named += bool(problems)
-    assert named > 500
+        long_named += bool(problems) and d.n_cols >= 60
+    plain = [all(c.status == EMPTY for c in col) for d in long for col in d.scaled_cells]
+    assert named > 500 and long_named > 25
+    assert sum(plain) > len(plain) // 2
 
 
 def test_grid_lines_agree_and_a_shifted_slab_is_named():
