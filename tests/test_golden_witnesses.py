@@ -11,7 +11,7 @@ witnesses cannot hide a change of answers, and so are the crease labels of
 check. The discrete brute-force oracle's witnesses and the row families it
 labels the benchmark's matrices with are pinned too, so a faster oracle
 must give the same answers. Long diagrams, on which most segments meet no
-partial cell, have their own pseudo-poly digests.
+partial cell, have their own pseudo-poly and FPT digests.
 """
 
 import hashlib
@@ -52,6 +52,8 @@ PSEUDO_POLY_VERDICT_DIGEST = "7978d925a501ec75319db5644bc77cf2835eb44c6b36abcb9b
 PSEUDO_POLY_LONG_DIGEST = "59fbcad33ae608833166302c52dbb7e283e1c15483b62fbe2771d9ebd5776e19"
 # the 85 YES/NO answers alone (42 YES: the 32 forward diagrams, 10 mutants)
 PSEUDO_POLY_LONG_VERDICT_DIGEST = "9904ddfb82e6cc151006686840f2e75c7d8c4cee07702fcd0294a65e2ac10e65"
+# solve_fpt on the same 85 long diagrams; its verdicts are pseudo-poly's
+FPT_LONG_DIGEST = "112e0c1cbaa6cc08fa68cffd426b04f9bbdaa01a79ec4b8d6998f5eff3f781d9"
 # FPT decides the diagrams without partial cells by pseudo-poly's closed
 # form, which centres each curve's smallest window instead of its smallest
 # hull over the crease labels: 16 of the 201 witnesses changed, all on
@@ -203,14 +205,23 @@ def _consistent_one_slab_mutants(d: FreeSpaceDiagram1D):
                     continue  # the shifted slab misses the cell or covers it
 
 
-def test_long_pseudo_poly_witness_digest():
+def _long_corpus() -> list[FreeSpaceDiagram1D]:
     diagrams = list(_long_forward_diagrams())
     diagrams += [m for d in diagrams for m in _consistent_one_slab_mutants(d)]
     assert len(diagrams) == 85
+    return diagrams
+
+
+def test_long_pseudo_poly_witness_digest():
+    diagrams = _long_corpus()
     assert not any(consistency_problems(d) for d in diagrams)
     witnesses = [solve_pseudo_poly(d) for d in diagrams]
     assert _sha256([w is not None for w in witnesses]) == PSEUDO_POLY_LONG_VERDICT_DIGEST
     assert _sha256([None if w is None else serialize(w) for w in witnesses]) == PSEUDO_POLY_LONG_DIGEST
+
+
+def test_long_fpt_witness_digest():
+    assert _fpt_digests(_long_corpus()) == (FPT_LONG_DIGEST, PSEUDO_POLY_LONG_VERDICT_DIGEST)
 
 
 def _crease_corpus():
