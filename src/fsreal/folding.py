@@ -25,17 +25,14 @@ they are.
 That costs O(2^k_short * n * m * R), k_short the unknown lines of the
 enumerated side and R the largest layer.
 
-A consistent diagram without partial cells fixes no offset and needs no
-labels: it is all empty or all full, and
-:func:`fsreal.pseudopoly.closed_form_witness` decides it for both solvers
-(the far placement; the two curves' smallest closed windows, centred).
-
-The consistency check, the crease inference, the sweep and the witness all
-read the diagram's int form, its values times its scale; the diagram was
-checked to be well formed when it was built.
-The full assignment found fixes the witness, which :func:`extract_curves`
-reads off those ints and the forward computation checks against the
-diagram; :func:`check_foldable` is that check for one assignment on its
+The crease inference, the sweep and the witness all read the diagram's
+int form, its values times its scale; the diagram was checked to be well
+formed when it was built. This module only proposes candidates: each full
+assignment found fixes a pair, which :func:`extract_curves` reads off those
+ints. :func:`fsreal.pseudopoly.decide_diagram`, the entry of both diagram
+solvers, runs the grid-line check first, takes the closed form for a
+diagram without partial cells, and checks each candidate forward against
+the diagram; :func:`check_foldable` is that check for one assignment on its
 own.
 """
 
@@ -49,15 +46,14 @@ from .model import (
     FULL,
     PARTIAL,
     CellContent,
-    Curve1D,
     FreeSpaceDiagram1D,
     Witness,
-    consistency_problems,
+    consistency_problems,  # noqa: F401  not called: bench/tracing.py patches this name
     structural_problems,  # noqa: F401  not called: bench/tracing.py patches this name
     transpose_diagram,
 )
 from .forward import classify_column, compute_diagram_1d, q_segments
-from .pseudopoly import closed_form_witness
+from .pseudopoly import closed_form_witness, decide_diagram, int_witness
 
 FOLD = "fold"
 STRAIGHT = "straight"
@@ -158,8 +154,9 @@ def extract_curves(
 
     Fold lines flip segment orientation; the inter-curve offset comes from
     the first partial cell's slab (positive mirror). A diagram without
-    partial cells fixes no offset and needs no labels:
-    :func:`fsreal.pseudopoly.closed_form_witness` places it, or answers None.
+    partial cells fixes no offset and needs no labels: its pair is
+    :func:`fsreal.pseudopoly.closed_form_witness`'s, or None. Either way
+    the pair is unchecked; :func:`check_foldable` checks it forward.
     """
     cells = diagram.scaled_cells
     partials = ((i, j) for i, col in enumerate(cells) for j, c in enumerate(col) if c.status == PARTIAL)
@@ -177,10 +174,7 @@ def extract_curves(
     pref_q = _vertices(diagram.scaled_heights, sq)
     # c_lo = sq_j * (Pstart - Qstart) - eps
     q0 = p_pts[i0] - sq[j0] * (cell0.c_lo + diagram.scaled_eps) - pref_q[j0]
-    scale = diagram.scale
-    return Witness(
-        Curve1D.from_scaled(scale, p_pts), Curve1D.from_scaled(scale, [q0 + v for v in pref_q]), diagram.epsilon
-    )
+    return int_witness(diagram, p_pts, [q0 + v for v in pref_q], diagram.scale)
 
 
 def check_foldable(diagram: FreeSpaceDiagram1D, vertical: Sequence[str], horizontal: Sequence[str]) -> bool:
@@ -267,29 +261,25 @@ def solve_fpt(diagram: FreeSpaceDiagram1D) -> Optional[Witness]:
     that curve's labels are enumerated as a binary counter (fold = 1, its
     lines in order); when it is P, the diagram is transposed and the labels
     swapped back. For each completion the other curve is swept column by
-    column (see the module docstring). A diagram without partial cells goes
-    to :func:`fsreal.pseudopoly.closed_form_witness`, whose window search
-    keeps at most min(2^(n-i), sum(lengths) + 1) pairs per vertex i.
+    column (see the module docstring), and each full assignment found is a
+    candidate: the pair :func:`extract_curves` reads off it.
 
-    Every stage reads the diagram's int form. The first full assignment
-    found gives the witness: :func:`extract_curves` reads the pair off those
-    ints, and it is returned once the forward computation reproduces the
-    diagram from it.
+    :func:`fsreal.pseudopoly.decide_diagram` runs the grid-line check,
+    decides a diagram without partial cells by the closed form, and returns
+    the first candidate that the forward computation checks.
     """
-    if consistency_problems(diagram):
-        return None  # no curve pair produces disagreeing boundary restrictions
-    if not any(c.status == PARTIAL for col in diagram.scaled_cells for c in col):
-        return closed_form_witness(diagram)
+    return decide_diagram(diagram, _candidates)
+
+
+def _candidates(diagram: FreeSpaceDiagram1D):
+    """The pair of each full assignment the sweep finds, in its order."""
     inferred = infer_creases(diagram)
     if inferred.contradictions:
-        return None
+        return
     if inferred.vertical.count(UNKNOWN) < inferred.horizontal.count(UNKNOWN):
         # enumerate P's labels: sweep Q across the transposed diagram
         assignments = ((v, h) for h, v in _sweep(transpose_diagram(diagram), inferred.vertical))
     else:
         assignments = _sweep(diagram, inferred.horizontal)
     for vertical, horizontal in assignments:
-        witness = extract_curves(diagram, vertical, horizontal)
-        if compute_diagram_1d(witness.curve_p, witness.curve_q, diagram.epsilon) == diagram:
-            return witness
-    return None
+        yield extract_curves(diagram, vertical, horizontal)

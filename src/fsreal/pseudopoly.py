@@ -19,11 +19,12 @@ anchored ones form runs, placed by boolean reachability tables over integer
 positions in the region that the hulls of the two curves leave them: beyond
 the eps boundary for a far run, open at that boundary, and a closed window
 for a close (middle) run, since full cells are closed conditions. A
-diagram without partial cells is all empty or all full, and
-:func:`closed_form_witness` decides it: the far placement, or the smallest
-closed windows that hold the two curves, which must sum to at most 2*eps.
-:func:`fsreal.folding.solve_fpt` decides such diagrams with the same
-function.
+consistent diagram without partial cells is all empty or all full, and
+:func:`closed_form_witness` gives its one candidate: the far placement, or
+the smallest closed windows that hold the two curves, which must sum to at
+most 2*eps. :func:`decide_diagram`, the entry of this solver and of
+:func:`fsreal.folding.solve_fpt`, runs the grid-line check, then checks
+forward that candidate or those the solver proposes.
 
 The search over the unknowns is exact. tau comes from the cross-frame
 equations and the net displacements of the runs bridging the two frames.
@@ -31,14 +32,13 @@ Unless both curves have close runs, every hull extreme that a run is checked
 against is the other curve's anchored extent, so one candidate per
 (rho, tau) suffices. Otherwise each extreme lies within 2*eps of its
 anchored extent, and for each hull of P only the minimal staircase of hulls
-of Q at which Q's runs fit is tried. Every YES is verified forward.
+of Q at which Q's runs fit is tried; :func:`decide_diagram` checks each.
 
 Every stage reads the diagram's int form: its values times its scale L, so
 a rational diagram is decided as the integer one L times its size, which
 is realizable iff it is. The consistency check, the typing, the anchoring
-and the search all run on those Python ints; the witness found is a pair
-of int curves over L, checked forward against the diagram by an int
-comparison.
+and the search all run on those Python ints; each candidate is a pair of int
+curves over L, checked forward against the diagram by an int comparison.
 """
 
 from __future__ import annotations
@@ -498,33 +498,45 @@ def _to_global(frame: int, value: int, direction: Optional[int], rho: int, tau: 
     return tau + rho * value, None if direction is None else rho * direction
 
 
+def decide_diagram(diagram: FreeSpaceDiagram1D, candidates) -> Optional[Witness]:
+    """The first candidate that reproduces the diagram, or None: none past a
+    failed grid-line check, the closed form's without a partial cell, else
+    those that ``candidates(diagram)`` yields, in order."""
+    if consistency_problems(diagram):
+        return None  # no curve pair produces disagreeing boundary restrictions
+    partial = any(c.status == PARTIAL for col in diagram.scaled_cells for c in col)
+    for witness in candidates(diagram) if partial else [closed_form_witness(diagram)]:
+        if witness is not None and compute_diagram_1d(witness.curve_p, witness.curve_q, diagram.epsilon) == diagram:
+            return witness
+    return None
+
+
 def solve_pseudo_poly(diagram: FreeSpaceDiagram1D) -> Optional[Witness]:
     """Decide realizability of a diagram of rational dimensions; returns a
     forward-verified witness or None. The search runs on the diagram's int
     form, so its tables are as wide as the scaled dimensions."""
-    if consistency_problems(diagram):
-        return None  # no curve pair produces disagreeing boundary restrictions
-    if not any(c.status == PARTIAL for col in diagram.scaled_cells for c in col):
-        return closed_form_witness(diagram)
+    return decide_diagram(diagram, _candidates)
+
+
+def _candidates(diagram: FreeSpaceDiagram1D):
+    """The witness of each placement the search finds, in its order."""
     typed = subdivide_and_type(diagram)
     eps = typed.eps
 
     graph = build_placement_graph(typed)
     if len(graph.non_singleton) > 2:
-        return None
+        return
     anchoring = anchor_components(typed, graph)
     if anchoring is None:
-        return None
+        return
 
     p_runs = _collect_runs(typed, anchoring, "P")
     q_runs = _collect_runs(typed, anchoring, "Q")
     for rho, tau in _frame_candidates(anchoring, p_runs + q_runs):
         for values in _hull_candidates(typed, anchoring, p_runs, q_runs, rho, tau, eps):
             curves = _attempt(typed, anchoring, p_runs, q_runs, rho, tau, values, eps)
-            witness = curves and _checked_witness(diagram, *curves, diagram.scale)
-            if witness is not None:
-                return witness
-    return None
+            if curves is not None:
+                yield int_witness(diagram, *curves, diagram.scale)
 
 
 def _anchored_ends(typed, anchoring, node, rho, tau) -> tuple[int, int]:
@@ -716,13 +728,9 @@ def _run_path(run: Run, att_lo, att_hi, base: int, flip: int, bound: Optional[in
     return [base + flip * p for p in dp_extract_path(masks, run.lengths, first_dir, last_dir)]
 
 
-def _checked_witness(diagram: FreeSpaceDiagram1D, p_pts, q_pts, scale: int) -> Optional[Witness]:
-    """The witness whose vertices are these ints over ``scale``, if it
-    reproduces the diagram."""
-    witness = Witness(Curve1D.from_scaled(scale, p_pts), Curve1D.from_scaled(scale, q_pts), diagram.epsilon)
-    if compute_diagram_1d(witness.curve_p, witness.curve_q, diagram.epsilon) == diagram:
-        return witness
-    return None
+def int_witness(diagram: FreeSpaceDiagram1D, p_pts, q_pts, scale: int) -> Witness:
+    """The unchecked witness whose vertices are these ints over ``scale``."""
+    return Witness(Curve1D.from_scaled(scale, p_pts), Curve1D.from_scaled(scale, q_pts), diagram.epsilon)
 
 
 def _smallest_window(lengths: Sequence[int], limit: int) -> Optional[tuple[int, list[int]]]:
@@ -753,22 +761,23 @@ def _smallest_window(lengths: Sequence[int], limit: int) -> Optional[tuple[int, 
 
 
 def closed_form_witness(diagram: FreeSpaceDiagram1D) -> Optional[Witness]:
-    """Decide a consistent diagram without partial cells.
+    """The unchecked candidate for a diagram without partial cells, or None.
 
-    Such a diagram is all empty or all full, since a full cell next to an
-    empty one fails the grid-line check. All empty: both curves run
-    rightward, Q starting more than 2*eps beyond P's end (one unit more).
-    All full: every point of each curve lies within eps of every point of
-    the other iff the curves fit in windows of sizes a_p + a_q <= 2*eps
-    centred on each other, so the smallest window of each curve decides;
-    the centring shifts Q by (a_p - a_q) / 2, so the witness counts halves.
+    A consistent one is all empty or all full, since a full cell next to an
+    empty one fails the grid-line check; its first cell picks the case. All
+    empty: both curves run rightward, Q starting more than 2*eps beyond P's
+    end (one unit more). All full: every point of each curve lies within
+    eps of every point of the other iff the curves fit in windows of sizes
+    a_p + a_q <= 2*eps centred on each other, so the smallest window of each
+    curve decides; the centring shifts Q by (a_p - a_q) / 2, so the witness
+    counts halves.
     """
     scale, eps = diagram.scale, diagram.scaled_eps
     widths, heights = diagram.scaled_widths, diagram.scaled_heights
     if diagram.scaled_cells[0][0].status == EMPTY:
         p_pts = list(accumulate(widths, initial=0))
         q0 = p_pts[-1] + sum(heights) + 2 * eps + scale
-        return _checked_witness(diagram, p_pts, accumulate(heights, initial=q0), scale)
+        return int_witness(diagram, p_pts, accumulate(heights, initial=q0), scale)
     found_p = _smallest_window(widths, 2 * eps - 1)
     if found_p is None:
         return None
@@ -777,4 +786,4 @@ def closed_form_witness(diagram: FreeSpaceDiagram1D) -> Optional[Witness]:
     if found_q is None:
         return None
     a_q, path_q = found_q
-    return _checked_witness(diagram, [2 * v for v in path_p], [2 * v + a_p - a_q for v in path_q], 2 * scale)
+    return int_witness(diagram, [2 * v for v in path_p], [2 * v + a_p - a_q for v in path_q], 2 * scale)

@@ -126,6 +126,16 @@ def test_extract_all_empty_far_rule():
     assert compute_diagram_1d(w.curve_p, w.curve_q, 1) == d
 
 
+def test_check_foldable_without_partial_cells():
+    # extract_curves places a diagram without partial cells by the closed
+    # form, unchecked; check_foldable's forward check is what rejects it
+    mixed = FreeSpaceDiagram1D(2, [1, 1], [1], [[CellContent.full()], [CellContent.empty()]])
+    assert extract_curves(mixed, [STRAIGHT], []) is not None
+    assert not check_foldable(mixed, [STRAIGHT], []) and not check_foldable(mixed, [FOLD], [])
+    fits = FreeSpaceDiagram1D(2, [1, Fraction(3, 2)], [1], [[CellContent.full()]] * 2)
+    assert check_foldable(fits, [STRAIGHT], []) and check_foldable(fits, [FOLD], [])
+
+
 def test_partition_witness_round_trip(partition_diagram):
     w = solve_fpt(partition_diagram)
     assert w is not None

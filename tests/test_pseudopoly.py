@@ -17,6 +17,7 @@ from fsreal import (
     solve_pseudo_poly,
     subdivide_and_type,
 )
+from fsreal import pseudopoly
 from fsreal.model import (
     EMPTY,
     FULL,
@@ -231,6 +232,24 @@ def test_solvers_build_no_fractions(monkeypatch):
     assert [counts.get(name, 0) for name in solver_modules] == [0, 0, 0], counts
     monkeypatch.undo()
     assert all(a == b for a, b in answers) and 20 < sum(a for a, _ in answers) < len(diagrams)
+
+
+def test_every_diagram_yes_passes_the_one_forward_check(monkeypatch):
+    # both solvers answer YES only through the forward check of their shared
+    # entry: once it never matches, no diagram is YES, whether the closed
+    # form (all full, all empty) or a solver's candidates decide it
+    diagrams = [
+        _diagram(2, [1, Fraction(3, 2)], [1], [[CellContent.full()]] * 2),
+        _diagram(1, [2, 1], [3, Fraction(1, 2)], [[CellContent.empty()] * 2] * 2),
+        gen_partition([3, 2, 1, 2]),
+        *forward_diagrams(4, seed=17),
+    ]
+    assert all(solve_fpt(d) is not None and solve_pseudo_poly(d) is not None for d in diagrams)
+    never = _diagram(1, [7], [7], [[CellContent.empty()]])
+    assert never not in diagrams
+    monkeypatch.setattr(pseudopoly, "compute_diagram_1d", lambda p, q, eps: never)
+    for d in diagrams:
+        assert solve_fpt(d) is None and solve_pseudo_poly(d) is None
 
 
 def test_placement_graph_diagonal_chain():
