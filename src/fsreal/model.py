@@ -228,7 +228,7 @@ class CellContent(NamedTuple):
 
     @staticmethod
     def partial(sigma: int, c_lo: RationalLike, c_hi: RationalLike) -> "CellContent":
-        if sigma not in (1, -1):
+        if type(sigma) is not int or sigma not in (1, -1):
             raise ValueError("slab orientation must be +1 or -1")
         return CellContent(PARTIAL, sigma, rat(c_lo), rat(c_hi))
 
@@ -603,7 +603,7 @@ def structural_problems(d: FreeSpaceDiagram1D) -> list[str]:
                 continue
             if c.status != PARTIAL:
                 continue
-            if c.sigma not in (1, -1):
+            if type(c.sigma) is not int or c.sigma not in (1, -1):
                 problems.append(f"cell ({i},{j}): slab orientation must be +1 or -1")
                 continue
             if c.c_hi - c.c_lo != 2 * eps:

@@ -8,14 +8,15 @@ two counts, the cells whose slice is not empty and those whose slice is not
 full, and reads the type off them. A segment without a partial cell is one
 piece of the kind its counts of empty and full cells give, and one with a
 cell whose slice is partial all along is one boundary piece, with no sweep.
-Only a slab that a split piece cuts is restricted; other cells are kept as
-they are, and the partial typed cells found on the way are the edges of the
-placement graph. Partial cells anchor subsegments in rigid
-frames, one per component of the placement graph (at most two; the second
-floats with an unknown reflection rho and translation tau); each frame's
-cells are checked with the forward computation's cell test, whose cells are
-the diagram's own value type. The far and close subsegments left between
-anchored ones form runs, placed by boolean reachability tables over integer
+Only a slab that a split piece cuts is restricted, and the partial typed
+cells found on the way, the edges of the placement graph, are the only typed
+cells kept. Partial cells anchor subsegments in rigid frames, one per
+component of the placement graph (at most two; the second floats with an
+unknown reflection rho and translation tau). An anchored piece fixes its
+whole original segment, so each frame is checked against the diagram's own
+cells with the forward computation's cell test, one column per placed
+original of P. The far and close subsegments left between anchored ones
+form runs, placed by boolean reachability tables over integer
 positions in the region that the hulls of the two curves leave them: beyond
 the eps boundary for a far run, open at that boundary, and a closed window
 for a close (middle) run, since full cells are closed conditions. A
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 from .model import (
@@ -78,11 +78,10 @@ class SubSeg(NamedTuple):
 
 @dataclass
 class TypedDiagram:
-    eps: int
+    diagram: FreeSpaceDiagram1D
     p_segs: list[SubSeg]
     q_segs: list[SubSeg]
-    cells: list[list[CellContent]]  # [i][j] over subsegments
-    partial: list[tuple[int, int]]  # (i, j) of every partial cell of ``cells``, in grid order
+    partial: dict[tuple[int, int], CellContent]  # (i, k) -> the partial cell of P piece i, Q piece k, in grid order
 
 
 _EMPTY_CELL = CellContent.empty()
@@ -155,7 +154,8 @@ def _typed_pieces(orig: int, length: int, cells, spans, q_axis: bool) -> tuple[l
 def subdivide_and_type(diagram: FreeSpaceDiagram1D) -> TypedDiagram:
     """Insert subdivision vertices wherever a segment's slice status changes
     and type every resulting subsegment (far / close / boundary), on the
-    diagram's int form, as in the typed diagram."""
+    diagram's int form, as in the typed diagram; of the typed cells, keep the
+    partial ones."""
     widths = diagram.scaled_widths
     heights = diagram.scaled_heights
     grid = diagram.scaled_cells
@@ -169,31 +169,22 @@ def subdivide_and_type(diagram: FreeSpaceDiagram1D) -> TypedDiagram:
         s for j, (h, row) in enumerate(zip(heights, zip(*grid))) for s in _typed_pieces(j, h, row, widths, True)[0]
     ]
 
-    # only a slab cut by a split piece changes: other cells are kept as they
-    # are, and a P piece's row starts as its column read at Q's pieces
-    q_orig = [qs.orig for qs in q_segs]
-    q_split = [qs.length != heights[qs.orig] for qs in q_segs]
+    # a piece cell can be partial only where its original cell is, and only a
+    # slab cut by a split piece changes
     q_pieces: list[list[int]] = [[] for _ in heights]  # Q's pieces of each original row
-    for k, j in enumerate(q_orig):
-        q_pieces[j].append(k)
-    # with a split row there are two Q pieces or more, so the getter returns a tuple
-    read = None if len(q_segs) == len(heights) else itemgetter(*q_orig)
-    cells: list[list[CellContent]] = []
-    partial: list[tuple[int, int]] = []
+    for k, qs in enumerate(q_segs):
+        q_pieces[qs.orig].append(k)
+    partial: dict[tuple[int, int], CellContent] = {}
     for i, ps in enumerate(p_segs):
         col = grid[ps.orig]
-        row_out = list(col) if read is None else list(read(col))
-        p_split = ps.length != widths[ps.orig]
         for j in partial_rows[ps.orig]:
             for k in q_pieces[j]:
-                c = col[j]
-                if p_split or q_split[k]:
-                    qs = q_segs[k]
-                    c = row_out[k] = cell_restrict(c, ps.offset, qs.offset, ps.length, qs.length)
+                c, qs = col[j], q_segs[k]
+                if ps.length != widths[ps.orig] or qs.length != heights[j]:
+                    c = cell_restrict(c, ps.offset, qs.offset, ps.length, qs.length)
                 if c.status == PARTIAL:
-                    partial.append((i, k))
-        cells.append(row_out)
-    return TypedDiagram(diagram.scaled_eps, p_segs, q_segs, cells, partial)
+                    partial[i, k] = c
+    return TypedDiagram(diagram, p_segs, q_segs, partial)
 
 
 @dataclass
@@ -238,11 +229,13 @@ class Anchoring:
 
 def anchor_components(typed: TypedDiagram, graph: PlacementGraph) -> Optional[Anchoring]:
     """Propagate relative positions over partial cells within each component,
-    check each frame's P x Q cells with :func:`fsreal.forward.classify_column`,
-    then bind consecutive anchored subsegments of the same curve: a shared
-    vertex within a frame, a cross-frame equation between frames;
-    contradictions mean the instance is not realizable."""
-    eps = typed.eps
+    check each frame against the diagram's cells with
+    :func:`fsreal.forward.classify_column`, then bind consecutive anchored
+    subsegments of the same curve: a shared vertex within a frame, a
+    cross-frame equation between frames; contradictions mean the instance is
+    not realizable."""
+    diagram = typed.diagram
+    eps = diagram.scaled_eps
     frames: list[dict[tuple[str, int], tuple[int, int]]] = []
     frame_of: dict[tuple[str, int], int] = {}
     for comp in graph.non_singleton:
@@ -251,11 +244,11 @@ def anchor_components(typed: TypedDiagram, graph: PlacementGraph) -> Optional[An
             start, sigma = placement[node]
             for other in graph.adjacency[node]:  # relation: c_lo = sQ*(Ps - Qs) - eps
                 if node[0] == "P":
-                    cell = typed.cells[node[1]][other[1]]
+                    cell = typed.partial[node[1], other[1]]
                     o_sigma = cell.sigma * sigma  # sQ
                     o_start = start - o_sigma * (cell.c_lo + eps)
                 else:
-                    cell = typed.cells[other[1]][node[1]]
+                    cell = typed.partial[other[1], node[1]]
                     o_sigma = cell.sigma * sigma  # sP
                     o_start = start + sigma * (cell.c_lo + eps)
                 if other in placement:
@@ -268,17 +261,28 @@ def anchor_components(typed: TypedDiagram, graph: PlacementGraph) -> Optional[An
         for node in placement:
             frame_of[node] = idx
 
-    # every anchored pair within one frame must give its typed cell under
-    # the forward computation's cell test: one column per P piece
+    # An anchored piece fixes its original segment, which starts at the
+    # piece's start - sigma * offset and runs the same way; each placed
+    # original of P must give the diagram's cells with the frame's placed
+    # originals of Q. No answer changes. Restricting a cell to a piece's box
+    # is exact, so where the originals' cells are the diagram's, every piece
+    # cell is its typed cell: the check is at least as strong as one over
+    # the frame's pieces. A witness that decide_diagram returns places its
+    # originals where the frame does (up to rho and tau, which keep every
+    # cell) and reproduces the diagram, so every anchoring that leads to a
+    # YES passes.
+    widths, heights, grid = diagram.scaled_widths, diagram.scaled_heights, diagram.scaled_cells
     for placement in frames:
-        q_idx = [j for curve, j in placement if curve == "Q"]
-        q_segs = [(placement["Q", j][1] == 1, placement["Q", j][0], typed.q_segs[j].length) for j in q_idx]
-        for (curve, i), (start, sigma) in placement.items():
-            if curve == "P":
-                row = typed.cells[i]
-                end = start + sigma * typed.p_segs[i].length
-                if classify_column(start, end, q_segs, eps) != tuple([row[j] for j in q_idx]):
-                    return None
+        placed: dict[str, set[tuple[int, int, int]]] = {"P": set(), "Q": set()}  # (orig, start, sigma)
+        for (curve, k), (start, sigma) in placement.items():
+            seg = (typed.p_segs if curve == "P" else typed.q_segs)[k]
+            placed[curve].add((seg.orig, start - sigma * seg.offset, sigma))
+        q_placed = sorted(placed["Q"])
+        q_segs = [(sigma == 1, start, heights[j]) for j, start, sigma in q_placed]
+        for i, start, sigma in placed["P"]:
+            cells = tuple([grid[i][j] for j, _, _ in q_placed])
+            if classify_column(start, start + sigma * widths[i], q_segs, eps) != cells:
+                return None
 
     cross: list[tuple[int, int, int, int]] = []
     for curve, segs in (("P", typed.p_segs), ("Q", typed.q_segs)):
@@ -405,8 +409,8 @@ def _collect_runs(typed: TypedDiagram, anchoring: Anchoring, curve: str) -> list
     """Maximal runs of unanchored subsegments, with attachment values taken
     from the neighboring anchored subsegments.
 
-    An unanchored subsegment touches no partial cell, so its typed cells are
-    all empty (far) or all full (close): a boundary piece has a partial slice
+    An unanchored subsegment touches no partial cell, so its cells are all
+    empty (far) or all full (close): a boundary piece has a partial slice
     at its midpoint, since a full slice next to an empty one fails the
     grid-line check. A far and a close piece are never adjacent, as the line
     of their shared vertex would be both empty and full, so each run has one
@@ -521,7 +525,7 @@ def solve_pseudo_poly(diagram: FreeSpaceDiagram1D) -> Optional[Witness]:
 def _candidates(diagram: FreeSpaceDiagram1D):
     """The witness of each placement the search finds, in its order."""
     typed = subdivide_and_type(diagram)
-    eps = typed.eps
+    eps = diagram.scaled_eps
 
     graph = build_placement_graph(typed)
     if len(graph.non_singleton) > 2:
@@ -533,26 +537,18 @@ def _candidates(diagram: FreeSpaceDiagram1D):
     p_runs = _collect_runs(typed, anchoring, "P")
     q_runs = _collect_runs(typed, anchoring, "Q")
     for rho, tau in _frame_candidates(anchoring, p_runs + q_runs):
-        for values in _hull_candidates(typed, anchoring, p_runs, q_runs, rho, tau, eps):
-            curves = _attempt(typed, anchoring, p_runs, q_runs, rho, tau, values, eps)
+        anchored: dict[tuple[str, int], tuple[int, int]] = {}  # node -> global start and end of its piece
+        for frame, placement in enumerate(anchoring.frames):
+            for (curve, k), (start, sigma) in placement.items():
+                start, sigma = _to_global(frame, start, sigma, rho, tau)
+                anchored[curve, k] = start, start + sigma * (typed.p_segs if curve == "P" else typed.q_segs)[k].length
+        for values in _hull_candidates(anchored, p_runs, q_runs, rho, tau, eps):
+            curves = _attempt(typed, anchored, p_runs, q_runs, rho, tau, values, eps)
             if curves is not None:
                 yield int_witness(diagram, *curves, diagram.scale)
 
 
-def _anchored_ends(typed, anchoring, node, rho, tau) -> tuple[int, int]:
-    """Global start and end of an anchored subsegment."""
-    frame = anchoring.frame_of[node]
-    start, sigma = _to_global(frame, *anchoring.frames[frame][node], rho, tau)
-    length = (typed.p_segs if node[0] == "P" else typed.q_segs)[node[1]].length
-    return start, start + sigma * length
-
-
-def _anchored_extent(typed, anchoring, rho, tau, curve) -> tuple[int, int]:
-    ends = [_anchored_ends(typed, anchoring, node, rho, tau) for node in anchoring.frame_of if node[0] == curve]
-    return min(min(e) for e in ends), max(max(e) for e in ends)
-
-
-def _hull_candidates(typed, anchoring, p_runs, q_runs, rho, tau, eps):
+def _hull_candidates(anchored, p_runs, q_runs, rho, tau, eps):
     """Values of the hull extremes LP, RP, LQ, RQ to try for one frame
     placement, each the anchored extent or outward of it (None: no run is
     checked against that extreme).
@@ -566,10 +562,14 @@ def _hull_candidates(typed, anchoring, p_runs, q_runs, rho, tau, eps):
     hull is narrower than 2*eps and holds its anchored extent. Close runs only fit
     more easily as their own hull grows and less easily as the other hull
     grows, so for each (LP, RP) only the minimal (LQ, RQ) at which Q's runs
-    fit are tried.
+    fit are tried. ``anchored`` holds the global ends of every anchored piece.
     """
-    lo_p, hi_p = _anchored_extent(typed, anchoring, rho, tau, "P")
-    lo_q, hi_q = _anchored_extent(typed, anchoring, rho, tau, "Q")
+
+    def extent(curve: str) -> tuple[int, int]:
+        ends = [v for node, pair in anchored.items() if node[0] == curve for v in pair]
+        return min(ends), max(ends)
+
+    (lo_p, hi_p), (lo_q, hi_q) = extent("P"), extent("Q")
 
     if not (any(r.kind == TYPE_CLOSE for r in p_runs) and any(r.kind == TYPE_CLOSE for r in q_runs)):
         yield {
@@ -619,7 +619,7 @@ def _minimal_pairs(lows, highs, fits):
         yield low, highs[top]
 
 
-def _attempt(typed, anchoring, p_runs, q_runs, rho, tau, values, eps) -> Optional[tuple[list[int], list[int]]]:
+def _attempt(typed, anchored, p_runs, q_runs, rho, tau, values, eps) -> Optional[tuple[list[int], list[int]]]:
     """The original vertices of P and Q that the runs placed under these
     candidates and the anchored frames fix, or None.
 
@@ -633,7 +633,7 @@ def _attempt(typed, anchoring, p_runs, q_runs, rho, tau, values, eps) -> Optiona
     of each original segment run one way, its ends differ by its width."""
     lp, rp = values["LP"], values["RP"]
     lq, rq = values["LQ"], values["RQ"]
-    ends: dict[tuple[str, int], tuple[int, int]] = {}
+    ends = dict(anchored)  # the runs add their pieces
 
     for runs, other_lo, other_hi, own_lo, own_hi in (
         (q_runs, lp, rp, lq, rq),
@@ -648,10 +648,7 @@ def _attempt(typed, anchoring, p_runs, q_runs, rho, tau, values, eps) -> Optiona
 
     curves = {}
     for curve, segs in (("P", typed.p_segs), ("Q", typed.q_segs)):
-        pairs = [
-            ends.get(node) or _anchored_ends(typed, anchoring, node, rho, tau)
-            for node in [(curve, k) for k in range(len(segs))]
-        ]
+        pairs = [ends[curve, k] for k in range(len(segs))]
         # orientation must not change at subdivision vertices: two anchored
         # pieces of one segment in different frames can disagree under rho
         rising = [end > start for start, end in pairs]

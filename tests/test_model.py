@@ -238,6 +238,19 @@ def _single_cell(cell, w=2, h=2, eps=1):
     return FreeSpaceDiagram1D(eps, [w], [h], [[cell]])
 
 
+@pytest.mark.parametrize("sigma", [True, 1.0, Fraction(1)], ids=["True", "1.0", "Fraction(1)"])
+def test_non_int_sigma_rejected(sigma):
+    # each equals 1, but serialize would write it as true or 1.0, which parse
+    # refuses, or fail on it
+    with pytest.raises(ValueError, match="^slab orientation must be"):
+        CellContent.partial(sigma, -1, 1)
+    message = r"^invalid diagram: cell \(0,0\): slab orientation must be \+1 or -1$"
+    with pytest.raises(ValueError, match=message):
+        _single_cell(CellContent(PARTIAL, sigma, -1, 1))
+    with pytest.raises(ValueError, match=message):
+        FreeSpaceDiagram1D.from_scaled(1, 1, [2], [2], [[CellContent(PARTIAL, sigma, -1, 1)]])
+
+
 def test_validate_single_partial_ok():
     d = _single_cell(CellContent.partial(1, -1, 1))
     assert structural_problems(d) == [] and consistency_problems(d) == []

@@ -154,7 +154,9 @@ def test_typing_sweep_matches_the_per_slice_classifier():
         # size; the sweep reads the diagram's ints, which are in those units
         scaled = divided_diagram(diagram, Fraction(1, diagram.scale))
         typed = subdivide_and_type(diagram)
-        assert (typed.p_segs, typed.q_segs, typed.cells) == _reference_typing(scaled), index
+        p_segs, q_segs, cells = _reference_typing(scaled)
+        partial = [((i, k), c) for i, row in enumerate(cells) for k, c in enumerate(row) if c.status == PARTIAL]
+        assert (typed.p_segs, typed.q_segs, list(typed.partial.items())) == (p_segs, q_segs, partial), index
         for axis in (scaled, transpose_diagram(scaled)):
             for col, w in zip(axis.cells, axis.col_widths):
                 per_cell = [
@@ -311,25 +313,44 @@ def test_shifted_intercepts_fail_the_grid_line_check():
 
 
 def test_frame_check_rejects_a_consistent_diagram():
-    # consistent on every grid line, one placement-graph component, and
-    # not realizable: the frame's placement matches every partial cell it
-    # was propagated over, but not every P x Q cell of the frame
-    d = _diagram(
-        3,
-        [2, 5],
-        [5, 3, 4],
-        [
-            [CellContent.partial(1, -5, 1), CellContent.partial(-1, 4, 10), CellContent.partial(-1, 1, 7)],
-            [CellContent.partial(1, -3, 3), CellContent.partial(-1, 2, 8), CellContent.full()],
-        ],
-    )
-    assert consistency_problems(d) == []
-    typed = subdivide_and_type(d)
-    graph = build_placement_graph(typed)
-    assert len(graph.non_singleton) == 1
-    assert brute_force_continuous_1d(d) is None
-    assert anchor_components(typed, graph) is None
-    assert solve_pseudo_poly(d) is None
+    # each is consistent on every grid line, one placement-graph component,
+    # and not realizable. In the first the frame's placement matches every
+    # partial cell it was propagated over, but not every P x Q cell of the
+    # frame. In the second every pair of the frame's pieces gives its typed
+    # cell, but the frame places P's column 0 from its first piece at 0 and
+    # from its last at 1, and neither placement of the whole column gives
+    # the diagram's cells with the frame's rows.
+    empty = CellContent.empty()
+    diagrams = [
+        _diagram(
+            3,
+            [2, 5],
+            [5, 3, 4],
+            [
+                [CellContent.partial(1, -5, 1), CellContent.partial(-1, 4, 10), CellContent.partial(-1, 1, 7)],
+                [CellContent.partial(1, -3, 3), CellContent.partial(-1, 2, 8), CellContent.full()],
+            ],
+        ),
+        _diagram(
+            6,
+            [8, 3, 7, 3, 8, 8, 1],
+            [3, 3],
+            [
+                [CellContent.partial(1, -7, 5), CellContent.partial(1, -11, 1)],
+                [CellContent.partial(1, 1, 13), CellContent.partial(1, -2, 10)],
+                [empty, CellContent.partial(1, 1, 13)],
+            ]
+            + [[empty, empty]] * 4,
+        ),
+    ]
+    for index, d in enumerate(diagrams):
+        assert consistency_problems(d) == [], index
+        typed = subdivide_and_type(d)
+        graph = build_placement_graph(typed)
+        assert len(graph.non_singleton) == 1, index
+        assert brute_force_continuous_1d(d) is None, index
+        assert anchor_components(typed, graph) is None, index
+        assert solve_pseudo_poly(d) is None, index
 
 
 def test_fixed_dp_base_case():
