@@ -12,15 +12,8 @@ import sys
 from pathlib import Path
 
 from . import formats
-from .bruteforce import brute_force_continuous_1d, brute_force_discrete_1d
-from .discrete import solve as solve_discrete
-from .folding import solve_fpt
-from .forward import compute_diagram_1d, compute_matrix, verify_witness
-from .generators import PartitionInstance, SignVectorSet, gen_partition, gen_random_instance, gen_stretchability
 from .model import Curve1D, CurveD, FreeSpaceDiagram1D, FreeSpaceMatrix, Witness
 from .model import structural_problems  # noqa: F401  not called: bench/tracing.py patches this name
-from .pseudopoly import solve_pseudo_poly
-from .render import render_ascii, render_svg
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -32,10 +25,31 @@ class InputError(Exception):
     pass
 
 
+def _load(module: str, name: str):
+    """``name`` of the submodule ``module``, which is imported on first use:
+    each command compiles only the modules it runs. (``__import__``, unlike
+    ``importlib.import_module``, shows in ``python -X importtime``.)"""
+    return getattr(__import__(f"{__package__}.{module}", fromlist=[name]), name)
+
+
+# Not called: bench/tracing.py patches these names on this module, as it
+# patches structural_problems. ROADMAP item 1 deletes them with its table.
+def solve_discrete(instance):
+    return _load("discrete", "solve")(instance)
+
+
+def solve_fpt(instance):
+    return _load("folding", "solve_fpt")(instance)
+
+
+def solve_pseudo_poly(instance):
+    return _load("pseudopoly", "solve_pseudo_poly")(instance)
+
+
 def _read_instance(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     try:
         return formats.parse(text)
@@ -46,8 +60,11 @@ def _read_instance(path: str):
 def _write_output(text: str, path):
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
 
 
 def _eps_arg(text: str, exact: bool):
@@ -67,6 +84,8 @@ def _eps_arg(text: str, exact: bool):
 
 
 def _cmd_forward(args) -> int:
+    from .forward import compute_diagram_1d, compute_matrix
+
     witness = _read_instance(args.curves)
     if not isinstance(witness, Witness):
         raise InputError("forward needs a curves file")
@@ -82,36 +101,46 @@ def _cmd_forward(args) -> int:
     return EXIT_YES
 
 
+# mode -> (instance kind, solver module, solver); the solver is read off its
+# module when the mode runs
 _SOLVERS = {
-    "discrete1d": ("matrix", lambda inst: solve_discrete(inst)),
-    "cont1d-fpt": ("diagram", lambda inst: solve_fpt(inst)),
-    "cont1d-dp": ("diagram", lambda inst: solve_pseudo_poly(inst)),
-    "brute-discrete": ("matrix", lambda inst: brute_force_discrete_1d(inst)),
-    "brute-cont": ("diagram", lambda inst: brute_force_continuous_1d(inst)),
+    "discrete1d": ("matrix", "discrete", "solve"),
+    "cont1d-fpt": ("diagram", "folding", "solve_fpt"),
+    "cont1d-dp": ("diagram", "pseudopoly", "solve_pseudo_poly"),
+    "brute-discrete": ("matrix", "bruteforce", "brute_force_discrete_1d"),
+    "brute-cont": ("diagram", "bruteforce", "brute_force_continuous_1d"),
 }
 
 
 def _cmd_solve(args) -> int:
     instance = _read_instance(args.infile)
-    want, run = _SOLVERS[args.mode]
+    want, module, name = _SOLVERS[args.mode]
     if want == "matrix" and not isinstance(instance, FreeSpaceMatrix):
         raise InputError(f"mode {args.mode} needs a matrix instance")
     if want == "diagram" and not isinstance(instance, FreeSpaceDiagram1D):
         raise InputError(f"mode {args.mode} needs a diagram1d instance")
+    solve = _load(module, name)
     try:
-        witness = run(instance)
+        witness = solve(instance)
     except ValueError as exc:
         raise InputError(str(exc)) from None
     if witness is None:
         print("NO")
         return EXIT_NO
-    print("YES")
-    if args.witness:
+    # a witness file is written before the verdict, so a failed write prints
+    # no YES; on standard output the witness follows the verdict line
+    to_stdout = args.witness == "-"
+    if args.witness and not to_stdout:
         _write_output(formats.serialize(witness), args.witness)
+    print("YES")
+    if to_stdout:
+        sys.stdout.write(formats.serialize(witness))
     return EXIT_YES
 
 
 def _cmd_gen(args) -> int:
+    from .generators import PartitionInstance, SignVectorSet, gen_partition, gen_random_instance, gen_stretchability
+
     chosen = [k for k in ("partition", "stretchability", "random") if getattr(args, k) is not None]
     if len(chosen) != 1:
         raise InputError("choose exactly one of --partition / --stretchability / --random")
@@ -136,6 +165,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .forward import verify_witness
+
     instance = _read_instance(args.instance)
     witness = _read_instance(args.witness)
     if not isinstance(witness, Witness):
@@ -151,6 +182,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from .render import render_ascii, render_svg
+
     instance = _read_instance(args.infile)
     if not isinstance(instance, (FreeSpaceMatrix, FreeSpaceDiagram1D, Witness)):
         raise InputError("render needs a matrix, diagram1d or curves file")

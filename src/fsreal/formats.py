@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from .model import (
     PARTIAL,
@@ -35,11 +35,13 @@ from .model import (
     row_mask,
     scaled_str,
 )
-from .generators import SignVectorSet
+
+if TYPE_CHECKING:  # imported where a sign-vector file is read or written
+    from .generators import SignVectorSet
 
 FORMAT = "fsreal/1"
 
-Instance = Union[FreeSpaceMatrix, FreeSpaceDiagram1D, Witness, SignVectorSet]
+Instance = Union[FreeSpaceMatrix, FreeSpaceDiagram1D, Witness, "SignVectorSet"]
 
 
 class FormatError(ValueError):
@@ -161,6 +163,8 @@ def _to_obj(instance: Instance) -> dict:
             "epsilon": rat_str(instance.epsilon) if isinstance(instance.epsilon, (Fraction, int)) else float(instance.epsilon),
             **_curves_obj(instance.curve_p, instance.curve_q),
         }
+    from .generators import SignVectorSet
+
     if isinstance(instance, SignVectorSet):
         return {
             "format": FORMAT,
@@ -202,9 +206,12 @@ def _values_1d(curve) -> list[str]:
 
 
 def parse(text: str) -> Instance:
+    # besides JSONDecodeError, json.loads raises a plain ValueError for an
+    # integer literal past sys.get_int_max_str_digits() and RecursionError
+    # for deep nesting
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"malformed JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise FormatError("top-level value must be an object")
@@ -311,6 +318,8 @@ def _parse_curves(obj: dict) -> Witness:
 
 
 def _parse_signs(obj: dict) -> SignVectorSet:
+    from .generators import SignVectorSet
+
     _check_keys(obj, {"format", "kind", "vectors"})
     rows = obj["vectors"]
     if not isinstance(rows, list) or not all(isinstance(r, str) for r in rows):

@@ -286,15 +286,70 @@ def test_wrong_kind_of_file_exits_2(tmp_path, capsys, command, message):
 
 
 def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
-    from fsreal import FreeSpaceMatrix, cli
+    from fsreal import FreeSpaceMatrix, discrete
 
     def broken(matrix):
         raise RuntimeError("broken invariant")
 
-    monkeypatch.setattr(cli, "solve_discrete", broken)
+    monkeypatch.setattr(discrete, "solve", broken)
     path = _write(tmp_path, "m.json", FreeSpaceMatrix([[1]]))
     assert main(["solve", "--mode", "discrete1d", "--in", path]) == 3
     assert capsys.readouterr().err == "internal error: broken invariant\n"
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        # json.loads raises a plain ValueError past the int digit limit
+        (b'{"format": "fsreal/1", "kind": "matrix", "rows": ' + b"1" * 5000 + b"}", "{path}: "),
+        (b"[" * 100_000 + b"]" * 100_000, "{path}: malformed JSON: "),
+        (b'{"format": "fsreal/1", "kind": "matrix\xff"}', "cannot read {path}: "),
+    ],
+    ids=["long-int", "deep-nesting", "not-utf8"],
+)
+def test_unreadable_input_exits_2(tmp_path, capsys, content, message):
+    path = tmp_path / "in.json"
+    path.write_bytes(content)
+    assert main(["solve", "--mode", "discrete1d", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + message.format(path=path))
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["solve", "--mode", "discrete1d", "--in", "{matrix}", "--witness", "{out}"],
+        ["gen", "--random", "3", "--kind", "matrix", "--out", "{out}"],
+        ["forward", "--curves", "{curves}", "--out", "{out}"],
+        ["render", "--in", "{matrix}", "--out", "{out}"],
+        ["render", "--in", "{matrix}", "--ascii", "--out", "{out}"],
+    ],
+    ids=["solve-witness", "gen", "forward", "render-svg", "render-ascii"],
+)
+def test_unwritable_output_exits_2(tmp_path, capsys, command):
+    from fsreal import Curve1D, FreeSpaceMatrix, Witness
+
+    files = {
+        "matrix": _write(tmp_path, "m.json", FreeSpaceMatrix([[1, 0], [1, 1], [0, 1]])),
+        "curves": _write(tmp_path, "c.json", Witness(Curve1D([0, 2, 1]), Curve1D([1, 3]), 1)),
+        "out": str(tmp_path / "missing" / "out.json"),
+    }
+    assert main([arg.format(**files) for arg in command]) == 2
+    captured = capsys.readouterr()
+    # a witness that cannot be written comes with no verdict
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {files['out']}: ")
+
+
+def test_witness_to_stdout_follows_the_verdict(tmp_path, capsys):
+    from fsreal import FreeSpaceMatrix, Witness
+
+    path = _write(tmp_path, "m.json", FreeSpaceMatrix([[1, 0], [1, 1], [0, 1]]))
+    assert main(["solve", "--mode", "discrete1d", "--in", path, "--witness", "-"]) == 0
+    verdict, _, text = capsys.readouterr().out.partition("\n")
+    assert verdict == "YES"
+    assert isinstance(parse(text), Witness)
 
 def test_missing_file_exit_code():
     assert main(["solve", "--mode", "discrete1d", "--in", "/nonexistent.json"]) == 2
