@@ -590,11 +590,35 @@ def test_twin_quotient_matches_reference():
     for giant in (True, False):
         for n, m in ((150, 1000), (1000, 150), (400, 400), (60, 90)):
             matrices.append(_walk_matrix(rng, n, m, giant))
+    walks = matrices[400:]
+    # edge shapes: one row, one column, one distinct row, all 0, all 1,
+    # first and last columns twins, widths around byte and word boundaries,
+    # a width past the int/str digit limit for base 10 (4300 digits), and a
+    # dense matrix in which every row and every column is distinct
+    matrices += [FreeSpaceMatrix([[1, 0, 1, 1, 0]]), FreeSpaceMatrix([[1], [0], [1], [1]])]
+    matrices += [FreeSpaceMatrix([[0, 1, 1, 0, 1, 0]] * 5)]
+    matrices += [FreeSpaceMatrix([[b] * m for _ in range(n)]) for b in (0, 1) for n, m in ((1, 1), (3, 7), (6, 2))]
+    matrices += [FreeSpaceMatrix([[1, 0, 1, 0, 1], [0, 1, 1, 0, 0], [1, 1, 0, 1, 1]])]
+    for m in (7, 8, 9, 63, 64, 65):
+        for density in (0.1, 0.5, 0.9):
+            matrices.append(FreeSpaceMatrix.from_row_masks(m, [_random_mask(rng, m, density) for _ in range(12)]))
+    matrices.append(FreeSpaceMatrix.from_row_masks(5000, [rng.getrandbits(5000) for _ in range(3)]))
+    dense = FreeSpaceMatrix.from_row_masks(200, [rng.getrandbits(200) for _ in range(200)])
+    matrices.append(dense)
     for matrix in matrices:
         assert twin_quotient(matrix) == _reference_quotient(matrix)
+    assert twin_quotient(dense)[0] == dense
     # the walks merge many twins: columns in the giant regime, rows in both
-    walks = [twin_quotient(matrix)[0] for matrix in matrices[400:]]
-    assert walks[0].m_cols < 200 and all(q.n_rows < matrix.n_rows for q, matrix in zip(walks, matrices[400:]))
+    quotients = [twin_quotient(matrix)[0] for matrix in walks]
+    assert quotients[0].m_cols < 200 and all(q.n_rows < matrix.n_rows for q, matrix in zip(quotients, walks))
+
+
+def _random_mask(rng, m, density):
+    mask = 0
+    for v in range(m):
+        if rng.random() < density:
+            mask |= 1 << v
+    return mask
 
 
 def _blow_up(rng, ent):
