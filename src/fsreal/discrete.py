@@ -7,6 +7,8 @@ every column the Q value of its quotient column. This is sound and complete,
 since the quotient is a submatrix of the matrix, and giving a twin column
 the Q value of its representative makes the two columns equal, as they are
 in the matrix (rows likewise). A twin-free matrix is its own quotient.
+The quotient is found by writing the distinct rows as one table of
+characters '0'/'1', whose strided slices are the columns.
 
 Pipeline per connected component of the quotient's derived unit-interval
 graph: anchored BFS ordering, two order refinements, a greedy unit-interval
@@ -93,42 +95,24 @@ def twin_quotient(matrix: FreeSpaceMatrix) -> tuple[FreeSpaceMatrix, list[int], 
     once in order of first occurrence; and ``row_class``, ``col_class``, the
     quotient row of each row and the quotient column of each column.
 
-    The column classes are refined by the distinct rows only: a row splits
-    every class it cuts into its part and the rest, so two columns share a
-    class iff they agree on every row. Per row, the work is bounded by the
-    classes the row meets; on a split only the smaller part is relabelled,
-    so a column is relabelled at most log2(m) times."""
+    The t distinct rows are written once, one after another, as a table of
+    m characters '0'/'1' each, column v at place v (as
+    :meth:`FreeSpaceMatrix.tolist` formats a row). Column v over the
+    distinct rows is then the strided slice ``table[v::m]``, so two columns
+    are twins iff their slices are equal; the quotient rows are read back by
+    the stride t over the distinct slices joined. The work is string copies
+    of O(t * m) characters, and the table holds one byte per (distinct row,
+    column) cell. The conversions are base 2, which CPython's limit on
+    int/str digits does not cover."""
     row_index: dict[int, int] = {}
     row_class = [row_index.setdefault(r, len(row_index)) for r in matrix.row_masks]
-    m = matrix.m_cols
-    masks = [(1 << m) - 1]
-    class_of = [0] * m
-    for row in row_index:
-        while row:
-            c = class_of[(row & -row).bit_length() - 1]
-            sub = row & masks[c]
-            row ^= sub
-            if sub != masks[c]:
-                rest = masks[c] ^ sub
-                if sub.bit_count() > rest.bit_count():
-                    sub, rest = rest, sub
-                masks[c] = rest
-                for v in _mask_bits(sub):
-                    class_of[v] = len(masks)
-                masks.append(sub)
-    # quotient column k is the class with the k-th smallest first column
-    rank = [0] * len(masks)
-    for k, c in enumerate(sorted(range(len(masks)), key=lambda c: masks[c] & -masks[c])):
-        rank[c] = k
-    rows = []
-    for row in row_index:
-        q = 0
-        while row:
-            c = class_of[(row & -row).bit_length() - 1]
-            q |= 1 << rank[c]
-            row ^= masks[c]
-        rows.append(q)
-    return FreeSpaceMatrix.from_row_masks(len(masks), rows), row_class, [rank[c] for c in class_of]
+    m, t = matrix.m_cols, len(row_index)
+    table = "".join([format(r, "b").zfill(m)[::-1] for r in row_index])
+    col_index: dict[str, int] = {}
+    col_class = [col_index.setdefault(table[v::m], len(col_index)) for v in range(m)]
+    cols = "".join(col_index)
+    rows = [int(cols[r::t][::-1], 2) for r in range(t)]
+    return FreeSpaceMatrix.from_row_masks(len(col_index), rows), row_class, col_class
 
 
 def build_uig(matrix: FreeSpaceMatrix) -> UnitIntervalGraph:
