@@ -503,6 +503,55 @@ def test_forward_walk_matrices_solve_yes():
             _assert_verified_yes(matrix)
 
 
+def _transpose(matrix):
+    return FreeSpaceMatrix([list(col) for col in zip(*matrix.tolist())])
+
+
+def _solve_checked(matrix):
+    """The verdict of ``solve_discrete_1d``, its witness checked forward."""
+    witness = solve_discrete_1d(matrix)
+    assert witness is None or verify_witness(witness, matrix)
+    return witness is not None
+
+
+def test_walk_verdicts_hold_under_permutations_transpose_and_subsets():
+    # past the oracles' caps, the verdict is checked against itself: a row
+    # permutation, a column permutation and the transpose keep it, and every
+    # row-and-column subset of a YES matrix is YES (restrict the witness)
+    rng = random.Random(29)
+    matrices = []
+    for giant in (True, False):
+        for side in (60, 100, 140, 200) * 2:
+            walk = _walk_matrix(rng, side, side, giant)
+            flipped = walk.tolist()
+            for _ in range(4):
+                row = flipped[rng.randrange(side)]
+                row[rng.randrange(side)] ^= 1
+            matrices += [walk, FreeSpaceMatrix(flipped)]
+    noes = 0
+    for k, matrix in enumerate(matrices):
+        verdict = _solve_checked(matrix)
+        # the walks are forward-built; the flipped copies may go either way
+        assert verdict or k % 2
+        rows = matrix.tolist()
+        n, m = matrix.n_rows, matrix.m_cols
+        cols = rng.sample(range(m), m)
+        variants = [
+            FreeSpaceMatrix(rng.sample(rows, n)),
+            FreeSpaceMatrix([[row[j] for j in cols] for row in rows]),
+            _transpose(matrix),
+        ]
+        assert [_solve_checked(variant) for variant in variants] == [verdict] * 3
+        if not verdict:
+            noes += 1
+            continue
+        for _ in range(5):
+            sub_rows = sorted(rng.sample(range(n), rng.randint(1, n)))
+            sub_cols = sorted(rng.sample(range(m), rng.randint(1, m)))
+            assert _solve_checked(FreeSpaceMatrix([[rows[i][j] for j in sub_cols] for i in sub_rows]))
+    assert noes == 16
+
+
 def test_discrete_builds_no_fractions(monkeypatch):
     # the solver places its witness on one int grid and builds the point
     # sequences in their int form; the forward check and serialization read
