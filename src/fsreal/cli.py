@@ -28,8 +28,11 @@ class InputError(Exception):
 def _load(module: str, name: str):
     """``name`` of the submodule ``module``, which is imported on first use:
     each command compiles only the modules it runs. (``__import__``, unlike
-    ``importlib.import_module``, shows in ``python -X importtime``.)"""
-    return getattr(__import__(f"{__package__}.{module}", fromlist=[name]), name)
+    ``importlib.import_module``, shows in ``python -X importtime``.) Once
+    imported, the module is read from ``sys.modules``; ``name`` is looked up
+    on every call, so a solver replaced on its module is the one called."""
+    path = f"{__package__}.{module}"
+    return getattr(sys.modules.get(path) or __import__(path, fromlist=[name]), name)
 
 
 # Not called: bench/tracing.py patches these names on this module, as it
