@@ -112,7 +112,7 @@ def twin_quotient(matrix: FreeSpaceMatrix) -> tuple[FreeSpaceMatrix, list[int], 
     col_class = [col_index.setdefault(table[v::m], len(col_index)) for v in range(m)]
     cols = "".join(col_index)
     rows = [int(cols[r::t][::-1], 2) for r in range(t)]
-    return FreeSpaceMatrix.from_row_masks(len(col_index), rows), row_class, col_class
+    return FreeSpaceMatrix._built(len(col_index), rows), row_class, col_class
 
 
 def build_uig(matrix: FreeSpaceMatrix) -> UnitIntervalGraph:

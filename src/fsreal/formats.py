@@ -1,27 +1,45 @@
 """Strict JSON serialization of instances and witnesses (schema fsreal/1).
 
-Rationals travel as "num/den" strings so files never contain binary floats
-for 1D data; curves in R^d use plain JSON numbers. A matrix is written one
-row per line, each row a string over ``0``/``1`` whose character j is entry
-j; rows given as arrays of 0/1 ints, as earlier files hold them, are still
-read.
+Rationals travel as "num/den" strings or as ints over one scale, so files
+never contain binary floats for 1D data; curves in R^d use plain JSON
+numbers.
 
-The reader does its per-value work in C where it can: a string row becomes
-its int mask through one ``int(row[::-1], 2)``, and the exact 1D values are
-checked only for their JSON type and handed to the model's constructors as
-read, which scale them as int pairs (numerator, denominator) through the
-grammar of :func:`fsreal.model.rat`. Only a curves file's epsilon is read as
-a Fraction.
+A matrix is written one row per line, each row a string over ``0``/``1``
+whose character j is entry j; rows given as arrays of 0/1 ints, as earlier
+files hold them, are still read.
+
+A diagram is written as one int table over one ``scale``: ``epsilon``,
+``colWidths`` and ``rowHeights`` are ints, each of ``columns`` is a string
+with one letter per row (``e`` empty, ``f`` full, ``p`` and ``n`` partial
+with sigma +1 and -1), and ``intercepts`` is one flat int list holding
+(cLo, cHi) of each partial letter in column order. Diagrams whose
+``cells`` are objects of "num/den" strings, as earlier files hold them, are
+still read; the two layouts are told apart by their keys. The schema name
+stays ``fsreal/1``, so a reader older than the table layout refuses its
+files for their fields.
+
+The reader does its per-value work in C where it can: matrix rows are
+checked once over their joined text and each becomes its int mask through
+one ``int(row[::-1], 2)``; a diagram table is read as ints, its letters
+counted once over the joined columns. The values of a cell-object diagram
+or a 1D curves file are checked only for their JSON type and handed to the
+model's constructors as read, which scale them as int pairs (numerator,
+denominator) through the grammar of :func:`fsreal.model.rat`. Only a curves
+file's epsilon is read as a Fraction. Matrices, diagrams and witnesses on
+the line are written as text directly; their values are digits, ``-`` and
+``/``, which JSON does not escape.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 from typing import TYPE_CHECKING, Union
 
 from .model import (
+    _NOT_2D,
+    EMPTY,
+    FULL,
     PARTIAL,
     CellContent,
     Curve1D,
@@ -30,7 +48,7 @@ from .model import (
     FreeSpaceMatrix,
     PointSeq1D,
     Witness,
-    rat,
+    checked_epsilon,
     rat_str,
     row_mask,
     scaled_str,
@@ -91,7 +109,7 @@ _RATIONAL_TYPES = frozenset({int, str})
 
 def _rational_in(value):
     """A JSON integer or "num/den" string, left as read for the model's
-    constructors and :func:`rat` to read; ``true``, floats and ``null`` are
+    constructors and :func:`fsreal.model.rat` to read; ``true``, floats and ``null`` are
     rejected."""
     if type(value) not in _RATIONAL_TYPES:
         raise FormatError(f"expected a rational string or integer, got {value!r}")
@@ -107,31 +125,34 @@ def _rationals_in(value, field: str) -> list:
     return values
 
 
+def _ints_in(value, field: str) -> list:
+    """A JSON array of integers, its types checked at once (``true`` is not
+    an integer)."""
+    values = _list_in(value, field)
+    if not {*map(type, values)} <= {int}:
+        raise FormatError(f"{field} must hold integers, got {next(v for v in values if type(v) is not int)!r}")
+    return values
+
+
 def _eps_in(value, exact: bool):
-    """A positive epsilon: a rational for 1D curves (``exact``), otherwise a
-    finite float, which may also be given as a JSON number."""
-    if isinstance(value, float) and not exact:
-        eps = value
-    else:
-        value = _rational_in(value)
-        try:
-            eps = rat(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(str(exc)) from None
-    if not exact:
-        try:
-            eps = float(eps)
-        except OverflowError:
-            eps = math.inf
-    if not eps > 0 or eps == math.inf:
-        raise FormatError(f"epsilon must be positive and finite, got {value!r}")
-    return eps
+    """A curves file's epsilon under :func:`fsreal.model.checked_epsilon`: a
+    rational for 1D curves (``exact``), otherwise a finite float, which may
+    also be given as a JSON number."""
+    try:
+        return checked_epsilon(value, exact)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
 
 
 def serialize(instance: Instance) -> str:
-    """Indented JSON; a matrix is written one row string per line."""
+    """Indented JSON: a matrix one row string per line, a diagram one column
+    string per line, a 1D witness one value per line."""
     if isinstance(instance, FreeSpaceMatrix):
         return _matrix_text(instance)
+    if isinstance(instance, FreeSpaceDiagram1D):
+        return _diagram_text(instance)
+    if isinstance(instance, Witness) and not isinstance(instance.curve_p, CurveD):
+        return _curves_text(instance)
     return json.dumps(_to_obj(instance), indent=2) + "\n"
 
 
@@ -145,23 +166,67 @@ def _matrix_text(matrix: FreeSpaceMatrix) -> str:
     )
 
 
+_LETTERS = {EMPTY: "e", FULL: "f"}
+
+
+def _diagram_text(d: FreeSpaceDiagram1D) -> str:
+    """The diagram's ints over its scale: each column as one string of cell
+    letters, and the partial cells' intercepts in column order."""
+    cells = d.scaled_cells
+    columns = ",\n".join(
+        '    "' + "".join([_LETTERS.get(c.status) or ("p" if c.sigma == 1 else "n") for c in col]) + '"'
+        for col in cells
+    )
+    intercepts = [v for col in cells for c in col if c.status == PARTIAL for v in (c.c_lo, c.c_hi)]
+    return (
+        f'{{\n  "format": "{FORMAT}",\n  "kind": "diagram1d",\n  "scale": {d.scale},\n'
+        f'  "epsilon": {d.scaled_eps},\n  "colWidths": {_int_list(d.scaled_widths)},\n'
+        f'  "rowHeights": {_int_list(d.scaled_heights)},\n  "columns": [\n{columns}\n  ],\n'
+        f'  "intercepts": {_int_list(intercepts)}\n}}\n'
+    )
+
+
+def _int_list(values) -> str:
+    return "[" + ", ".join(map(str, values)) + "]"
+
+
+def _curves_text(witness: Witness) -> str:
+    """A witness on the line as ``json.dumps(..., indent=2)`` writes it."""
+    kind = "polyline" if isinstance(witness.curve_p, Curve1D) else "points"
+    return (
+        f'{{\n  "format": "{FORMAT}",\n  "kind": "curves",\n  "epsilon": "{rat_str(witness.epsilon)}",\n'
+        f'  "dimension": 1,\n  "curveKind": "{kind}",\n'
+        f'  "curveP": [\n{_values_text(witness.curve_p)}\n  ],\n'
+        f'  "curveQ": [\n{_values_text(witness.curve_q)}\n  ]\n}}\n'
+    )
+
+
+def _values_text(curve) -> str:
+    """The values of a 1D curve or point sequence, one string a line, each
+    formatted from its int over the curve's scale; a discrete witness
+    repeats the point of each twin class, so each distinct int is formatted
+    once."""
+    ints = curve.scaled_vertices if isinstance(curve, Curve1D) else curve.scaled_points
+    scale = curve.scale
+    if scale == 1:
+        values = map(str, ints)
+    else:
+        text = {v: scaled_str(v, scale) for v in set(ints)}
+        values = map(text.__getitem__, ints)
+    return '    "' + '",\n    "'.join(values) + '"'
+
+
 def _to_obj(instance: Instance) -> dict:
-    if isinstance(instance, FreeSpaceDiagram1D):
-        scale = instance.scale
-        return {
-            "format": FORMAT,
-            "kind": "diagram1d",
-            "epsilon": scaled_str(instance.scaled_eps, scale),
-            "colWidths": [scaled_str(w, scale) for w in instance.scaled_widths],
-            "rowHeights": [scaled_str(h, scale) for h in instance.scaled_heights],
-            "cells": [[_cell_obj(c, scale) for c in col] for col in instance.scaled_cells],
-        }
     if isinstance(instance, Witness):
+        p, q = instance.curve_p, instance.curve_q
         return {
             "format": FORMAT,
             "kind": "curves",
-            "epsilon": rat_str(instance.epsilon) if isinstance(instance.epsilon, (Fraction, int)) else float(instance.epsilon),
-            **_curves_obj(instance.curve_p, instance.curve_q),
+            "epsilon": instance.epsilon,
+            "dimension": p.dimension,
+            "curveKind": "points",
+            "curveP": [list(v) for v in p.vertices],
+            "curveQ": [list(v) for v in q.vertices],
         }
     from .generators import SignVectorSet
 
@@ -172,37 +237,6 @@ def _to_obj(instance: Instance) -> dict:
             "vectors": ["".join("+" if x > 0 else "-" for x in v) for v in instance.vectors],
         }
     raise TypeError(f"cannot serialize {type(instance).__name__}")
-
-
-def _cell_obj(cell: CellContent, scale: int) -> dict:
-    """A cell of a diagram's ``scaled_cells``, its intercepts over ``scale``."""
-    if not cell.is_partial:
-        return {"status": cell.status}
-    lo, hi = scaled_str(cell.c_lo, scale), scaled_str(cell.c_hi, scale)
-    return {"status": "partial", "sigma": cell.sigma, "cLo": lo, "cHi": hi}
-
-
-def _curves_obj(p, q) -> dict:
-    if isinstance(p, CurveD):
-        return {
-            "dimension": p.dimension,
-            "curveKind": "points",
-            "curveP": [list(v) for v in p.vertices],
-            "curveQ": [list(v) for v in q.vertices],
-        }
-    return {
-        "dimension": 1,
-        "curveKind": "polyline" if isinstance(p, Curve1D) else "points",
-        "curveP": _values_1d(p),
-        "curveQ": _values_1d(q),
-    }
-
-
-def _values_1d(curve) -> list[str]:
-    """The values of a 1D curve or point sequence, each formatted from its
-    int over the curve's scale."""
-    ints = curve.scaled_vertices if isinstance(curve, Curve1D) else curve.scaled_points
-    return [scaled_str(v, curve.scale) for v in ints]
 
 
 def parse(text: str) -> Instance:
@@ -221,7 +255,7 @@ def parse(text: str) -> Instance:
     if kind == "matrix":
         return _parse_matrix(obj)
     if kind == "diagram1d":
-        return _parse_diagram(obj)
+        return _parse_diagram(obj) if "cells" in obj else _parse_table(obj)
     if kind == "curves":
         return _parse_curves(obj)
     if kind == "signvectors":
@@ -234,27 +268,69 @@ def _parse_matrix(obj: dict) -> FreeSpaceMatrix:
     entries = obj["entries"]
     if not isinstance(entries, list):
         raise FormatError("entries must be a list of rows")
-    strings = all(type(r) is str for r in entries)
-    if not strings and not all(isinstance(r, list) for r in entries):
+    types = {*map(type, entries)}
+    strings = types <= {str}
+    if not strings and not types <= {list}:
         raise FormatError("entries must be a list of rows, all strings or all arrays")
     rows, cols = _int_in(obj["rows"], "rows"), _int_in(obj["cols"], "cols")
-    if len(entries) != rows or any(len(r) != cols for r in entries):
+    if len(entries) != rows or not {*map(len, entries)} <= {cols}:
         raise FormatError("entries shape does not match rows/cols")
     if strings:
-        # strip("01") leaves any sign, space, underscore or other digit that
-        # int() would read; the masks stay lazy, so cols < 1 is refused first
-        for row in entries:
-            if row.strip("01"):
-                raise FormatError(f"matrix rows must be strings over 0 and 1, got {row[:40]!r}")
-        masks = (int(row[::-1], 2) for row in entries)
-    else:
-        for row in entries:
-            for v in row:
-                if type(v) is not int or v not in (0, 1):
-                    raise FormatError(f"matrix entries must be 0 or 1, got {v!r}")
-        masks = map(row_mask, entries)
+        if cols < 1 or not entries:
+            raise FormatError(_NOT_2D)
+        # one count over the joined rows; a sign, space, underscore or other
+        # digit that int() would read fails it, and only then is the row found
+        text = "".join(entries)
+        if text.count("0") + text.count("1") != len(text):
+            row = next(row for row in entries if row.strip("01"))
+            raise FormatError(f"matrix rows must be strings over 0 and 1, got {row[:40]!r}")
+        return FreeSpaceMatrix._built(cols, [int(row[::-1], 2) for row in entries])
+    for row in entries:
+        for v in row:
+            if type(v) is not int or v not in (0, 1):
+                raise FormatError(f"matrix entries must be 0 or 1, got {v!r}")
     try:
-        return FreeSpaceMatrix.from_row_masks(cols, masks)
+        # the masks stay lazy, so cols < 1 is refused first
+        return FreeSpaceMatrix.from_row_masks(cols, map(row_mask, entries))
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+
+
+_TABLE_KEYS = frozenset({"format", "kind", "scale", "epsilon", "colWidths", "rowHeights", "columns", "intercepts"})
+_LETTER_CELLS = {"e": CellContent.empty(), "f": CellContent.full()}
+_LETTER_SIGMA = {"p": 1, "n": -1}
+
+
+def _parse_table(obj: dict) -> FreeSpaceDiagram1D:
+    """A diagram written as ints over one scale, a string of cell letters per
+    column and one flat list of intercepts."""
+    _check_keys(obj, _TABLE_KEYS)
+    scale = _int_in(obj["scale"], "scale")
+    if scale < 1:
+        raise FormatError(f"scale must be at least 1, got {scale}")
+    eps = _int_in(obj["epsilon"], "epsilon")
+    widths = _ints_in(obj["colWidths"], "colWidths")
+    heights = _ints_in(obj["rowHeights"], "rowHeights")
+    intercepts = _ints_in(obj["intercepts"], "intercepts")
+    columns = _list_in(obj["columns"], "columns")
+    m = len(heights)
+    if not {*map(type, columns)} <= {str} or not {*map(len, columns)} <= {m}:
+        raise FormatError(f"columns must be strings of one letter per row ({m})")
+    letters = "".join(columns)
+    partial = letters.count("p") + letters.count("n")
+    if partial + letters.count("e") + letters.count("f") != len(letters):
+        raise FormatError("columns must be strings over e, f, p and n")
+    if len(intercepts) != 2 * partial:
+        raise FormatError(f"intercepts must hold 2 ints for each of the {partial} partial cells, got {len(intercepts)}")
+    it = iter(intercepts)
+    cells = [
+        [_LETTER_CELLS.get(ch) or CellContent(PARTIAL, _LETTER_SIGMA[ch], next(it), next(it)) for ch in col]
+        if "p" in col or "n" in col
+        else [*map(_LETTER_CELLS.__getitem__, col)]
+        for col in columns
+    ]
+    try:
+        return FreeSpaceDiagram1D.from_scaled(scale, eps, widths, heights, cells)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 

@@ -106,7 +106,7 @@ def _matrix_1d(p, q, eps) -> FreeSpaceMatrix:
     for j in order:
         prefix.append(prefix[-1] | 1 << j)
     rows = [prefix[bisect_right(q_sorted, p + e)] ^ prefix[bisect_left(q_sorted, p - e)] for p in pi]
-    return FreeSpaceMatrix.from_row_masks(len(qi), rows)
+    return FreeSpaceMatrix._built(len(qi), rows)
 
 
 def classify_column(a: int, b: int, q_segs, e: int) -> tuple[CellContent, ...]:

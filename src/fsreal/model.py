@@ -7,8 +7,9 @@ denominators of its values, and every value times that scale as an int (the
 Equality, hashing, the solvers and serialization read these ints; the
 caller-unit `fractions.Fraction` views (``vertices``, ``points``,
 ``epsilon``, ``col_widths``, ``row_heights``, ``cells``) are built on first
-read and then kept. A witness's eps stays a Fraction. The cell algebra
-below is written for either number type and returns ints on int input.
+read and then kept. A witness's eps is a Fraction, or a float for curves in
+R^d. The cell algebra below is written for either number type and returns
+ints on int input.
 Every module's cells are one value type, :class:`CellContent`, and
 :func:`classify_slab` is the one slab-in-box test here; the forward
 computation's kernel inlines it, and FPT's crease labels, its sweep and
@@ -28,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -60,6 +61,31 @@ def _pair(text: str) -> tuple[int, int]:
     if d == 0:
         raise ZeroDivisionError(f"zero denominator in {text!r}")
     return n, d
+
+
+def checked_epsilon(value, exact: bool) -> Union[Fraction, float]:
+    """``value`` as the epsilon of a pair of curves, or ValueError. For curves
+    on the line (``exact``) it is a positive int, Fraction or "num/den"
+    string, returned as a Fraction; for curves in R^d it may also be a float,
+    and it is returned as a positive finite float. ``True`` is neither. The
+    one rule of :class:`Witness` and of a curves file's epsilon."""
+    if isinstance(value, float) and not exact:
+        eps = value
+    elif type(value) in (int, str) or isinstance(value, Fraction):
+        try:
+            eps = rat(value)
+        except ZeroDivisionError as exc:
+            raise ValueError(str(exc)) from None
+    else:
+        raise ValueError(f"expected a rational string or integer, got {value!r}")
+    if not exact:
+        try:
+            eps = float(eps)
+        except OverflowError:
+            eps = math.inf
+    if not eps > 0 or eps == math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {value!r}")
+    return eps
 
 
 def rat_str(q: Union[Fraction, int]) -> str:
@@ -184,7 +210,7 @@ class PointSeq1D:
 
 @dataclass(frozen=True)
 class CurveD:
-    """Point sequence in R^d, d >= 2, real-valued coordinates."""
+    """Point sequence in R^d, d >= 2, finite real coordinates."""
 
     vertices: tuple[tuple[float, ...], ...]
 
@@ -193,6 +219,8 @@ class CurveD:
         object.__setattr__(self, "vertices", vtx)
         if not vtx:
             raise ValueError("a curve needs at least one vertex")
+        if not all(map(math.isfinite, chain.from_iterable(vtx))):
+            raise ValueError("curve coordinates must be finite")
         d = len(vtx[0])
         if d < 2:
             raise ValueError("CurveD is for dimension >= 2; use Curve1D/PointSeq1D on the line")
@@ -349,9 +377,16 @@ class FreeSpaceMatrix:
             raise ValueError(_NOT_2D)
         if any(type(r) is not int or r < 0 or r >> m_cols for r in masks):
             raise ValueError(f"row masks must be ints in [0, 2^{m_cols})")
+        return cls._built(m_cols, masks)
+
+    @classmethod
+    def _built(cls, m_cols: int, row_masks) -> "FreeSpaceMatrix":
+        """:meth:`from_row_masks` unchecked, for the masks well formed by
+        construction: the forward computation's, the twin quotient's and a
+        file's 0/1 string rows."""
         matrix = object.__new__(cls)
         matrix.m_cols = m_cols
-        matrix.row_masks = masks
+        matrix.row_masks = tuple(row_masks)
         return matrix
 
     @property
@@ -556,12 +591,14 @@ class Witness:
 
     curve_p: Union[Curve1D, PointSeq1D, CurveD]
     curve_q: Union[Curve1D, PointSeq1D, CurveD]
-    epsilon: Fraction
+    epsilon: Union[Fraction, float]
 
     def __init__(self, curve_p, curve_q, epsilon):
+        """``epsilon`` under :func:`checked_epsilon`: a Fraction for curves on
+        the line, a float for curves in R^d."""
         object.__setattr__(self, "curve_p", curve_p)
         object.__setattr__(self, "curve_q", curve_q)
-        object.__setattr__(self, "epsilon", rat(epsilon) if not isinstance(epsilon, float) else epsilon)
+        object.__setattr__(self, "epsilon", checked_epsilon(epsilon, exact=not isinstance(curve_p, CurveD)))
 
 
 def _check_diagram(d: FreeSpaceDiagram1D) -> FreeSpaceDiagram1D:

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -36,6 +37,45 @@ def random_rational_diagram(rng: random.Random, max_p_segs: int = 5, max_q_segs:
 
     eps = Fraction(rng.randint(1, 10), rng.choice([1, 2, 3, 4]))
     return compute_diagram_1d(walk(rng.randint(1, max_p_segs)), walk(rng.randint(1, max_q_segs)), eps)
+
+
+def cell_dict_text(table_text: str) -> str:
+    """A diagram file in the layout written before the int table: the same
+    values as "num/den" strings, one object per cell, indented as
+    ``json.dumps(..., indent=2)`` writes it. Reads only the JSON of
+    ``table_text``, so it shares no code with the reader."""
+    obj = json.loads(table_text)
+    scale = obj["scale"]
+
+    def value(v):
+        return str(Fraction(v, scale))
+
+    intercepts = iter(obj["intercepts"])
+    cells = [
+        [
+            {"status": "empty"}
+            if ch == "e"
+            else {"status": "full"}
+            if ch == "f"
+            else {
+                "status": "partial",
+                "sigma": 1 if ch == "p" else -1,
+                "cLo": value(next(intercepts)),
+                "cHi": value(next(intercepts)),
+            }
+            for ch in col
+        ]
+        for col in obj["columns"]
+    ]
+    old = {
+        "format": obj["format"],
+        "kind": obj["kind"],
+        "epsilon": value(obj["epsilon"]),
+        "colWidths": [value(w) for w in obj["colWidths"]],
+        "rowHeights": [value(h) for h in obj["rowHeights"]],
+        "cells": cells,
+    }
+    return json.dumps(old, indent=2) + "\n"
 
 
 def divided_diagram(d: FreeSpaceDiagram1D, k: int) -> FreeSpaceDiagram1D:

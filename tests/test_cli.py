@@ -8,6 +8,8 @@ from fsreal.cli import main
 from fsreal.formats import parse, serialize
 from fsreal.render import render_ascii, render_svg
 
+from conftest import cell_dict_text
+
 
 def _write(tmp_path, name, instance):
     path = tmp_path / name
@@ -126,12 +128,38 @@ def test_one_structural_check_per_diagram_decision(tmp_path, capsys, structural_
 def test_malformed_diagram_file_exits_2_with_its_problem(tmp_path, capsys, mode, edit, problem):
     from fsreal import gen_partition
 
-    obj = json.loads(serialize(gen_partition([2, 2])))
+    obj = json.loads(cell_dict_text(serialize(gen_partition([2, 2]))))
     edit(obj, obj["cells"][0][0])
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
     assert main(["solve", "--mode", mode, "--in", str(bad)]) == 2
     assert f"invalid diagram: {problem}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["cont1d-fpt", "cont1d-dp", "brute-cont"])
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (lambda obj: obj["intercepts"].__setitem__(1, 99), "invalid diagram: cell (0,0): slab width != 2*eps"),
+        (lambda obj: obj["columns"].__setitem__(0, "x"), "columns must be strings over e, f, p and n"),
+        (lambda obj: obj["columns"].pop(1), "invalid diagram: cell grid width does not match colWidths"),
+        (lambda obj: obj["columns"].__setitem__(1, "ee"), "columns must be strings of one letter per row"),
+        (lambda obj: obj.update(epsilon=-1), "invalid diagram: epsilon must be positive"),
+    ],
+    ids=["slab-width", "letter", "missing-column", "long-column", "epsilon"],
+)
+def test_malformed_table_diagram_file_exits_2_with_its_problem(tmp_path, capsys, mode, edit, problem):
+    # the cases above, in the int table layout that serialize writes: a cell
+    # is a letter, so an orientation other than +1 or -1 is a letter other
+    # than p or n
+    from fsreal import gen_partition
+
+    obj = json.loads(serialize(gen_partition([2, 2])))
+    edit(obj)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["solve", "--mode", mode, "--in", str(bad)]) == 2
+    assert problem in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("widths", ["34", 7])
@@ -149,6 +177,17 @@ def test_non_array_widths_exit_code(tmp_path, widths):
 def test_empty_diagram_exit_code(tmp_path, capsys, widths, heights):
     obj = {"format": "fsreal/1", "kind": "diagram1d", "epsilon": "1"}
     obj.update(colWidths=widths, rowHeights=heights, cells=[[] for _ in widths])
+    bad = tmp_path / "empty.json"
+    bad.write_text(json.dumps(obj))
+    for args in (["solve", "--mode", "cont1d-fpt"], ["solve", "--mode", "cont1d-dp"], ["render", "--ascii"]):
+        assert main(args + ["--in", str(bad)]) == 2
+        assert "cell grid is empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("widths, heights", [([], []), ([], [1]), ([1, 2], [])])
+def test_empty_table_diagram_exit_code(tmp_path, capsys, widths, heights):
+    obj = {"format": "fsreal/1", "kind": "diagram1d", "scale": 1, "epsilon": 1}
+    obj.update(colWidths=widths, rowHeights=heights, columns=["" for _ in widths], intercepts=[])
     bad = tmp_path / "empty.json"
     bad.write_text(json.dumps(obj))
     for args in (["solve", "--mode", "cont1d-fpt"], ["solve", "--mode", "cont1d-dp"], ["render", "--ascii"]):

@@ -21,6 +21,8 @@ from fsreal import (
 from fsreal.formats import FormatError, parse, serialize
 from fsreal.model import rat
 
+from conftest import cell_dict_text
+
 
 def _round_trip(instance):
     text = serialize(instance)
@@ -64,9 +66,19 @@ def test_signvectors_round_trip():
 
 def test_rational_string_parsing():
     d = compute_diagram_1d(Curve1D([0, 1]), Curve1D([0, 1]), Fraction(1, 3))
-    obj = json.loads(serialize(d))
+    obj = json.loads(cell_dict_text(serialize(d)))
     assert obj["epsilon"] == "1/3"
     assert parse(json.dumps(obj)).epsilon == Fraction(1, 3)
+
+
+def test_table_values_are_ints_over_one_scale():
+    d = compute_diagram_1d(Curve1D([0, 1]), Curve1D([0, 1]), Fraction(1, 3))
+    obj = json.loads(serialize(d))
+    assert (obj["scale"], obj["epsilon"], obj["colWidths"], obj["rowHeights"]) == (3, 1, [3], [3])
+    assert parse(json.dumps(obj)).epsilon == Fraction(1, 3)
+    # a scale shared with the ints is divided out on reading
+    obj.update(scale=6, epsilon=2, colWidths=[6], rowHeights=[6], intercepts=[2 * v for v in obj["intercepts"]])
+    assert parse(json.dumps(obj)) == d
 
 
 def _random_entries(rng, n, m):
@@ -141,15 +153,16 @@ def _array_rows(text):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_cli_solve_corpus_files_read_in_both_layouts(seed, tmp_path, monkeypatch):
     # every file the benchmark's cli-solve workload writes: a matrix reads
-    # the same with its rows as strings or as arrays, and serialize gives
-    # back the text it was read from
+    # the same with its rows as strings or as arrays, a diagram the same as
+    # an int table or with one object per cell, and serialize gives back the
+    # text it was read from
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
     # import bench/corpus.py afresh; sys.modules gets back what it held
     monkeypatch.setitem(sys.modules, "corpus", None)
     del sys.modules["corpus"]
     corpus = importlib.import_module("corpus")
     decisions = corpus.WORKLOADS["cli-solve"](seed, tmp_path)
-    matrices = 0
+    matrices = diagrams = 0
     for decision in decisions:
         text = Path(decision.path).read_text(encoding="utf-8")
         instance = parse(text)
@@ -158,7 +171,11 @@ def test_cli_solve_corpus_files_read_in_both_layouts(seed, tmp_path, monkeypatch
         if isinstance(instance, FreeSpaceMatrix):
             matrices += 1
             assert parse(_array_rows(text)) == instance
-    assert matrices > 0
+        else:
+            diagrams += 1
+            assert '"columns": [' in text and '"cells"' not in text
+            assert parse(cell_dict_text(text)) == instance
+    assert matrices > 0 and diagrams > 0
 
 
 @pytest.mark.parametrize(
@@ -199,7 +216,7 @@ def test_matrix_non_integer_numbers_rejected(field, value):
 
 @pytest.mark.parametrize("sigma", [1.0, -1.0, True])
 def test_partial_cell_non_integer_sigma_rejected(sigma):
-    obj = json.loads(serialize(gen_partition([2, 2])))
+    obj = json.loads(cell_dict_text(serialize(gen_partition([2, 2]))))
     cell = next(c for col in obj["cells"] for c in col if c["status"] == "partial")
     cell["sigma"] = sigma
     with pytest.raises(FormatError):
@@ -221,7 +238,7 @@ def test_partial_cell_non_integer_sigma_rejected(sigma):
     ],
 )
 def test_bad_cell_rejected(status, cell):
-    obj = json.loads(serialize(gen_partition([2, 2])))
+    obj = json.loads(cell_dict_text(serialize(gen_partition([2, 2]))))
     col = next(col for col in obj["cells"] if any(c["status"] == status for c in col))
     col[next(j for j, c in enumerate(col) if c["status"] == status)] = cell
     with pytest.raises(FormatError):
@@ -242,7 +259,7 @@ def test_value_reader_agrees_with_rat(value):
         expected = None
     points = json.loads(serialize(Witness(PointSeq1D([0, 100]), PointSeq1D([1]), 1)))
     points["curveP"][0] = value
-    diagram = json.loads(serialize(gen_partition([1, 1])))
+    diagram = json.loads(cell_dict_text(serialize(gen_partition([1, 1]))))
     diagram["colWidths"][1] = value
     texts = [json.dumps(points), json.dumps(diagram)]
     if expected is None:
@@ -347,6 +364,53 @@ def test_plane_witness_round_trip():
     assert _round_trip(_plane_witness()) == _plane_witness()
 
 
+_WITNESS_CURVES = {
+    "polyline": (Curve1D([0, Fraction(5, 3)]), Curve1D([1, -2, 4])),
+    "points": (PointSeq1D([0, 0, Fraction(1, 7)]), PointSeq1D([2])),
+    "plane": (CurveD([[0, 0], [1, 2.5]]), CurveD([[3, 4]])),
+}
+_EPSILONS = [
+    1, 7, 10**400, Fraction(1, 3), Fraction(-1, 3), "5/2", " 3 ", "6/4", "1/0", "x", "",
+    0, -1, "-1/2", "0", 0.5, 2.0, 1e-300, 0.0, -0.5, float("nan"), float("inf"), True, False, None, [1],
+]
+
+
+@pytest.mark.parametrize("kind", _WITNESS_CURVES)
+def test_every_witness_that_builds_round_trips(kind):
+    # Witness refuses exactly the epsilons that a curves file refuses, so
+    # every witness that can be built is written and read back as it is
+    p, q = _WITNESS_CURVES[kind]
+    built = 0
+    for eps in _EPSILONS:
+        try:
+            witness = Witness(p, q, eps)
+        except ValueError:
+            witness = None
+        if type(eps) is not Fraction:  # a value a JSON file can hold
+            obj = json.loads(serialize(Witness(p, q, 1)))
+            obj["epsilon"] = eps
+            if witness is None:
+                with pytest.raises(FormatError):
+                    parse(json.dumps(obj))
+            else:
+                assert parse(json.dumps(obj)) == witness
+        if witness is None:
+            continue
+        built += 1
+        assert type(witness.epsilon) is (float if kind == "plane" else Fraction)
+        assert _round_trip(witness) == witness
+    assert built == (9 if kind == "plane" else 7)
+
+
+def test_witness_rejects_an_epsilon_that_the_forward_check_cannot_read():
+    with pytest.raises(ValueError, match="expected a rational string or integer"):
+        Witness(Curve1D([0, 1]), Curve1D([0, 1]), 0.5)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        Witness(PointSeq1D([0]), PointSeq1D([1]), Fraction(-1, 2))
+    with pytest.raises(ValueError, match="must be finite"):
+        Witness(CurveD([[0, float("inf")]]), CurveD([[0, 0]]), 1.0)
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -421,8 +485,70 @@ def test_malformed_json_rejected():
 
 
 def test_structurally_invalid_diagram_rejected():
-    text = serialize(gen_partition([2, 2]))
+    text = cell_dict_text(serialize(gen_partition([2, 2])))
     obj = json.loads(text)
     obj["cells"][0][0]["cHi"] = "99"  # slab width != 2*eps
     with pytest.raises(FormatError):
         parse(json.dumps(obj))
+
+
+def test_structurally_invalid_table_diagram_rejected():
+    obj = json.loads(serialize(gen_partition([2, 2])))
+    obj["intercepts"][1] = 99  # the first partial cell's cHi: slab width != 2*eps
+    with pytest.raises(FormatError, match="slab width != 2\\*eps"):
+        parse(json.dumps(obj))
+
+
+_DROP = object()
+
+
+# gen_partition([2, 2]): four columns of one row, "p" first and "n" last, and
+# four intercepts; a callable value maps the file's own value
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        pytest.param("scale", True, "scale must be an integer", id="scale-true"),
+        pytest.param("scale", 1.0, "scale must be an integer", id="scale-float"),
+        pytest.param("scale", "1", "scale must be an integer", id="scale-string"),
+        pytest.param("scale", 0, "scale must be at least 1", id="scale-0"),
+        pytest.param("scale", -2, "scale must be at least 1", id="scale-negative"),
+        pytest.param("epsilon", "1", "epsilon must be an integer", id="epsilon-string"),
+        pytest.param("epsilon", 1.0, "epsilon must be an integer", id="epsilon-float"),
+        pytest.param("epsilon", False, "epsilon must be an integer", id="epsilon-false"),
+        pytest.param("colWidths", lambda v: ["5", *v[1:]], "colWidths must hold integers", id="width-string"),
+        pytest.param("colWidths", lambda v: [*v[:-1], True], "colWidths must hold integers", id="width-true"),
+        pytest.param("rowHeights", [1.0], "rowHeights must hold integers", id="height-float"),
+        pytest.param("rowHeights", 1, "rowHeights must be an array", id="heights-int"),
+        pytest.param("intercepts", lambda v: [*v[:3], None], "intercepts must hold integers", id="intercept-null"),
+        pytest.param("intercepts", "-1,1,2,4", "intercepts must be an array", id="intercepts-string"),
+        pytest.param("intercepts", lambda v: v[:2], "2 ints for each of the 2 partial cells", id="intercepts-short"),
+        pytest.param("intercepts", lambda v: v + [0, 2], "2 ints for each of the 2 partial cells", id="intercepts-long"),
+        pytest.param("columns", "peen", "columns must be an array", id="columns-string"),
+        pytest.param("columns", lambda v: [list(c) for c in v], "columns must be strings of one letter", id="column-array"),
+        pytest.param("columns", lambda v: ["pe", *v[1:]], "columns must be strings of one letter", id="column-long"),
+        pytest.param("columns", lambda v: ["", *v[1:]], "columns must be strings of one letter", id="column-short"),
+        pytest.param("columns", lambda v: ["x", *v[1:]], "columns must be strings over e, f, p and n", id="letter-x"),
+        pytest.param("columns", lambda v: [*v[:-1], "N"], "columns must be strings over e, f, p and n", id="letter-N"),
+        pytest.param("columns", lambda v: ["1", *v[1:]], "columns must be strings over e, f, p and n", id="letter-1"),
+        pytest.param("scale", _DROP, "missing fields: \\['scale'\\]", id="no-scale"),
+        pytest.param("intercepts", _DROP, "missing fields: \\['intercepts'\\]", id="no-intercepts"),
+        pytest.param("rows", 1, "unknown fields: \\['rows'\\]", id="extra-rows"),
+        pytest.param("cells", [], "unknown fields", id="cells-and-columns"),
+    ],
+)
+def test_table_diagram_grammar_rejected(field, value, message, tmp_path, capsys):
+    from fsreal.cli import main
+
+    obj = json.loads(serialize(gen_partition([2, 2])))
+    assert obj["columns"] == ["p", "e", "e", "n"] and len(obj["intercepts"]) == 4
+    if value is _DROP:
+        del obj[field]
+    else:
+        obj[field] = value(obj[field]) if callable(value) else value
+    text = json.dumps(obj)
+    with pytest.raises(FormatError, match=message):
+        parse(text)
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["solve", "--mode", "cont1d-dp", "--in", str(bad)]) == 2
+    assert capsys.readouterr().err

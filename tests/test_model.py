@@ -160,6 +160,36 @@ def test_matrix_rejects_bad_entries():
     assert m.n_rows == 2 and m.m_cols == 2
 
 
+@pytest.mark.parametrize(
+    "m_cols, masks, message",
+    [
+        (0, [0], "two-dimensional"),
+        (2, [], "two-dimensional"),
+        (2, [4], "row masks must be ints"),
+        (2, [-1], "row masks must be ints"),
+        (2, [True], "row masks must be ints"),
+        (2, [1.0], "row masks must be ints"),
+    ],
+)
+def test_from_row_masks_checks_the_masks_of_callers(m_cols, masks, message):
+    with pytest.raises(ValueError, match=message):
+        FreeSpaceMatrix.from_row_masks(m_cols, masks)
+
+
+def test_library_built_masks_skip_the_mask_check(monkeypatch):
+    # the forward computation, the twin quotient and a file's 0/1 string
+    # rows build masks that are well formed by construction
+    from fsreal import formats
+
+    calls = []
+    real = FreeSpaceMatrix.from_row_masks.__func__
+    monkeypatch.setattr(FreeSpaceMatrix, "from_row_masks", classmethod(lambda cls, *a: calls.append(a) or real(cls, *a)))
+    matrix = compute_matrix(PointSeq1D([0, 3, 1, 7]), PointSeq1D([1, 2, 2, 8]), 1)
+    assert formats.parse(formats.serialize(matrix)) == matrix
+    assert solve_discrete_1d(matrix) is not None
+    assert calls == []
+
+
 @pytest.mark.parametrize("bad", [[[0.5, 1]], [[1.0, 0.0]], [["1", 0]], [[256, 0]], [[-1, 0]]])
 def test_matrix_rejects_non_binary_entries_before_cast(bad):
     # a cast to uint8 first would truncate 0.5 to 0, accept "1" and wrap or
