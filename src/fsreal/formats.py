@@ -109,8 +109,8 @@ _RATIONAL_TYPES = frozenset({int, str})
 
 def _rational_in(value):
     """A JSON integer or "num/den" string, left as read for the model's
-    constructors and :func:`fsreal.model.rat` to read; ``true``, floats and ``null`` are
-    rejected."""
+    constructors and :func:`fsreal.model.rat` to read; ``true``, floats and
+    ``null`` are rejected."""
     if type(value) not in _RATIONAL_TYPES:
         raise FormatError(f"expected a rational string or integer, got {value!r}")
     return value
@@ -325,8 +325,6 @@ def _parse_table(obj: dict) -> FreeSpaceDiagram1D:
     it = iter(intercepts)
     cells = [
         [_LETTER_CELLS.get(ch) or CellContent(PARTIAL, _LETTER_SIGMA[ch], next(it), next(it)) for ch in col]
-        if "p" in col or "n" in col
-        else [*map(_LETTER_CELLS.__getitem__, col)]
         for col in columns
     ]
     try:
@@ -356,6 +354,8 @@ def _cell_in(c) -> CellContent:
 
 
 def _parse_diagram(obj: dict) -> FreeSpaceDiagram1D:
+    """A diagram in the layout of earlier files: "num/den" strings and one
+    object per cell."""
     _check_keys(obj, {"format", "kind", "epsilon", "colWidths", "rowHeights", "cells"})
     eps = _rational_in(obj["epsilon"])
     widths = _rationals_in(obj["colWidths"], "colWidths")

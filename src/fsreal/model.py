@@ -76,16 +76,16 @@ def checked_epsilon(value, exact: bool) -> Union[Fraction, float]:
             eps = rat(value)
         except ZeroDivisionError as exc:
             raise ValueError(str(exc)) from None
+        if not exact:
+            try:
+                eps = float(eps)
+            except OverflowError:
+                eps = math.inf
     else:
         raise ValueError(f"expected a rational string or integer, got {value!r}")
-    if not exact:
-        try:
-            eps = float(eps)
-        except OverflowError:
-            eps = math.inf
-    if not eps > 0 or eps == math.inf:
-        raise ValueError(f"epsilon must be positive and finite, got {value!r}")
-    return eps
+    if eps.numerator > 0 if exact else 0 < eps < math.inf:
+        return eps
+    raise ValueError(f"epsilon must be positive and finite, got {value!r}")
 
 
 def rat_str(q: Union[Fraction, int]) -> str:

@@ -245,9 +245,10 @@ def test_bad_cell_rejected(status, cell):
         parse(json.dumps(obj))
 
 
-# each value of a diagram or 1D curves file is read as an int pair through
-# the grammar model.rat reads strings with; the file takes exactly what rat
-# takes from a JSON integer or string, and no true, 1.0 or null
+# each value of a cell-object diagram or 1D curves file is read as an int
+# pair through the grammar model.rat reads strings with; the file takes
+# exactly what rat takes from a JSON integer or string, and no true, 1.0 or
+# null
 @pytest.mark.parametrize(
     "value",
     ["3", " 3 ", "-3/4", "3/-4", "6/8", "1_000", "+2", " 1 / 2 ", "1/0", "1.5", "", "/", "1/2/3", 7, -7, True, 1.0, None],
@@ -292,8 +293,9 @@ def _count_fractions(monkeypatch, fn) -> int:
 
 
 def test_parse_builds_no_fractions(monkeypatch):
-    # diagram values are read as int pairs and stored over one scale; a 1D
-    # curves file builds one Fraction, its epsilon
+    # diagram values are read as ints, or int pairs in the cell-object
+    # layout, and stored over one scale; a 1D curves file builds one
+    # Fraction, its epsilon
     diagrams = [
         gen_partition([3, 2, 1, 2]),
         compute_diagram_1d(Curve1D([0, Fraction(5, 3), -1]), Curve1D([Fraction(1, 3), Fraction(7, 6)]), Fraction(1, 2)),
@@ -304,10 +306,11 @@ def test_parse_builds_no_fractions(monkeypatch):
         ),
     ]
     texts = [serialize(d) for d in diagrams]
+    texts += [cell_dict_text(t) for t in texts]
     assert [d.scale for d in diagrams] == [1, 6, 1000003 * 999983]
     parsed = []
     assert _count_fractions(monkeypatch, lambda: parsed.extend(map(parse, texts))) == 0
-    assert parsed == diagrams
+    assert parsed == diagrams * 2
     rng = random.Random(3)
     for k in (2, 40, 400):
         values = [v + Fraction(1, rng.choice([2, 3, 7])) for v in range(k)]
