@@ -186,7 +186,7 @@ def brute_force_discrete_1d(matrix: FreeSpaceMatrix) -> Optional[Witness]:
                 for slot, col in enumerate(perm):
                     centers[col] = centers_sorted[slot]
                 placement = [first_rep[to_slot[row]] for row in rows]
-                witness = Witness(PointSeq1D(placement), PointSeq1D(centers), Fraction(1, 2))
+                witness = Witness._built(PointSeq1D(placement), PointSeq1D(centers), Fraction(1, 2))
                 if compute_matrix(witness.curve_p, witness.curve_q, witness.epsilon) == matrix:
                     return witness
     return None
@@ -229,7 +229,7 @@ def brute_force_continuous_1d(diagram: FreeSpaceDiagram1D) -> Optional[Witness]:
             span_q = sum(heights)
             q0 = min(p_pts) + span_p + span_q + 2 * eps + 1
             q_pts = _curve_points(q0, [1] * m, heights)
-            witness = Witness(Curve1D(p_pts), Curve1D(q_pts), eps)
+            witness = Witness._built(Curve1D(p_pts), Curve1D(q_pts), eps)
             if compute_diagram_1d(witness.curve_p, witness.curve_q, eps) == diagram:
                 return witness
             return None
@@ -242,7 +242,7 @@ def brute_force_continuous_1d(diagram: FreeSpaceDiagram1D) -> Optional[Witness]:
                 q_rel = _curve_points(Fraction(0), q_bits, heights)
                 q0 = (max(p_pts) + min(p_pts)) / 2 - (max(q_rel) + min(q_rel)) / 2
                 q_pts = [q0 + v for v in q_rel]
-                witness = Witness(Curve1D(p_pts), Curve1D(q_pts), eps)
+                witness = Witness._built(Curve1D(p_pts), Curve1D(q_pts), eps)
                 if compute_diagram_1d(witness.curve_p, witness.curve_q, eps) == diagram:
                     return witness
         return None
@@ -266,7 +266,7 @@ def brute_force_continuous_1d(diagram: FreeSpaceDiagram1D) -> Optional[Witness]:
             q0 = pre_p - sq[j0] * (cell0.c_lo + eps) - pre_q
             p_pts = _curve_points(Fraction(0), sp, widths)
             q_pts = _curve_points(q0, sq, heights)
-            witness = Witness(Curve1D(p_pts), Curve1D(q_pts), eps)
+            witness = Witness._built(Curve1D(p_pts), Curve1D(q_pts), eps)
             if compute_diagram_1d(witness.curve_p, witness.curve_q, eps) == diagram:
                 return witness
     return None

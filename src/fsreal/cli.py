@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import formats
-from .model import Curve1D, CurveD, FreeSpaceDiagram1D, FreeSpaceMatrix, Witness
+from .model import Curve1D, CurveD, FreeSpaceDiagram1D, FreeSpaceMatrix, Witness, checked_epsilon
 from .model import structural_problems  # noqa: F401  not called: bench/tracing.py patches this name
 
 EXIT_YES = 0
@@ -81,8 +81,8 @@ def _eps_arg(text: str, exact: bool):
         except ValueError:
             pass  # "num/den" is read as a rational
     try:
-        return formats._eps_in(value, exact)
-    except formats.FormatError as exc:
+        return checked_epsilon(value, exact)
+    except ValueError as exc:
         raise InputError(f"--eps: {exc}") from None
 
 

@@ -530,7 +530,7 @@ def solve(matrix, eps=Fraction(1, 2)) -> Optional[Witness]:
         base += step * max(positions.values()) + 2 * grid
     num, den = eps.as_integer_ratio()
     scale = grid // 2 * den
-    witness = Witness(
+    witness = Witness._built(
         PointSeq1D.from_scaled(scale, [num * p_ints[k] for k in row_class]),
         PointSeq1D.from_scaled(scale, [num * q_ints[c] for c in col_class]),
         eps,

@@ -48,7 +48,6 @@ from .model import (
     FreeSpaceMatrix,
     PointSeq1D,
     Witness,
-    checked_epsilon,
     rat_str,
     row_mask,
     scaled_str,
@@ -134,16 +133,6 @@ def _ints_in(value, field: str) -> list:
     return values
 
 
-def _eps_in(value, exact: bool):
-    """A curves file's epsilon under :func:`fsreal.model.checked_epsilon`: a
-    rational for 1D curves (``exact``), otherwise a finite float, which may
-    also be given as a JSON number."""
-    try:
-        return checked_epsilon(value, exact)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
-
-
 def serialize(instance: Instance) -> str:
     """Indented JSON: a matrix one row string per line, a diagram one column
     string per line, a 1D witness one value per line."""
@@ -203,17 +192,10 @@ def _curves_text(witness: Witness) -> str:
 
 def _values_text(curve) -> str:
     """The values of a 1D curve or point sequence, one string a line, each
-    formatted from its int over the curve's scale; a discrete witness
-    repeats the point of each twin class, so each distinct int is formatted
-    once."""
+    formatted from its int over the curve's scale."""
     ints = curve.scaled_vertices if isinstance(curve, Curve1D) else curve.scaled_points
     scale = curve.scale
-    if scale == 1:
-        values = map(str, ints)
-    else:
-        text = {v: scaled_str(v, scale) for v in set(ints)}
-        values = map(text.__getitem__, ints)
-    return '    "' + '",\n    "'.join(values) + '"'
+    return '    "' + '",\n    "'.join(scaled_str(v, scale) for v in ints) + '"'
 
 
 def _to_obj(instance: Instance) -> dict:
@@ -371,14 +353,13 @@ def _parse_curves(obj: dict) -> Witness:
     _check_keys(obj, {"format", "kind", "epsilon", "dimension", "curveKind", "curveP", "curveQ"})
     dim = _int_in(obj["dimension"], "dimension")
     if dim == 1:
-        eps = _eps_in(obj["epsilon"], exact=True)
         pv = _rationals_in(obj["curveP"], "curveP")
         qv = _rationals_in(obj["curveQ"], "curveQ")
         try:
             if obj["curveKind"] == "polyline":
-                return Witness(Curve1D(pv), Curve1D(qv), eps)
+                return Witness(Curve1D(pv), Curve1D(qv), obj["epsilon"])
             if obj["curveKind"] == "points":
-                return Witness(PointSeq1D(pv), PointSeq1D(qv), eps)
+                return Witness(PointSeq1D(pv), PointSeq1D(qv), obj["epsilon"])
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(str(exc)) from None
         raise FormatError(f"unknown curveKind {obj['curveKind']!r}")
@@ -386,9 +367,8 @@ def _parse_curves(obj: dict) -> Witness:
         raise FormatError("dimension must be 1 or an integer >= 2")
     pv = [_point_in(v, dim, "curveP") for v in _list_in(obj["curveP"], "curveP")]
     qv = [_point_in(v, dim, "curveQ") for v in _list_in(obj["curveQ"], "curveQ")]
-    eps = _eps_in(obj["epsilon"], exact=False)
     try:
-        return Witness(CurveD(pv), CurveD(qv), eps)
+        return Witness(CurveD(pv), CurveD(qv), obj["epsilon"])
     except (ValueError, TypeError) as exc:
         raise FormatError(str(exc)) from None
 

@@ -600,6 +600,17 @@ class Witness:
         object.__setattr__(self, "curve_q", curve_q)
         object.__setattr__(self, "epsilon", checked_epsilon(epsilon, exact=not isinstance(curve_p, CurveD)))
 
+    @classmethod
+    def _built(cls, curve_p, curve_q, epsilon: Fraction) -> "Witness":
+        """:meth:`__init__` unchecked, for a solver's witness on the line,
+        whose ``epsilon`` is a diagram's or an already checked positive
+        Fraction."""
+        witness = object.__new__(cls)
+        object.__setattr__(witness, "curve_p", curve_p)
+        object.__setattr__(witness, "curve_q", curve_q)
+        object.__setattr__(witness, "epsilon", epsilon)
+        return witness
+
 
 def _check_diagram(d: FreeSpaceDiagram1D) -> FreeSpaceDiagram1D:
     problems = structural_problems(d)

@@ -727,7 +727,7 @@ def _run_path(run: Run, att_lo, att_hi, base: int, flip: int, bound: Optional[in
 
 def int_witness(diagram: FreeSpaceDiagram1D, p_pts, q_pts, scale: int) -> Witness:
     """The unchecked witness whose vertices are these ints over ``scale``."""
-    return Witness(Curve1D.from_scaled(scale, p_pts), Curve1D.from_scaled(scale, q_pts), diagram.epsilon)
+    return Witness._built(Curve1D.from_scaled(scale, p_pts), Curve1D.from_scaled(scale, q_pts), diagram.epsilon)
 
 
 def _smallest_window(lengths: Sequence[int], limit: int) -> Optional[tuple[int, list[int]]]:

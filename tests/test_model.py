@@ -190,6 +190,24 @@ def test_library_built_masks_skip_the_mask_check(monkeypatch):
     assert calls == []
 
 
+def test_solver_witnesses_skip_the_epsilon_check(monkeypatch):
+    # a solver's epsilon is a diagram's or an already checked Fraction; its
+    # witness equals the one the checking constructor builds
+    from fsreal import model
+
+    calls = []
+    real = model.checked_epsilon
+    monkeypatch.setattr(model, "checked_epsilon", lambda *a, **k: calls.append(a) or real(*a, **k))
+    diagram = compute_diagram_1d(Curve1D([0, 3, 1, 4]), Curve1D([1, 2, 0, 5]), Fraction(1, 2))
+    matrix = compute_matrix(PointSeq1D([0, 3, 1, 7]), PointSeq1D([1, 2, 2, 8]), 1)
+    witnesses = [solve_pseudo_poly(diagram), solve_discrete_1d(matrix, "2/3")]
+    assert None not in witnesses and calls == []
+    for w in witnesses:
+        assert model.Witness(w.curve_p, w.curve_q, w.epsilon) == w
+    with pytest.raises(ValueError):
+        solve_discrete_1d(matrix, 0)
+
+
 @pytest.mark.parametrize("bad", [[[0.5, 1]], [[1.0, 0.0]], [["1", 0]], [[256, 0]], [[-1, 0]]])
 def test_matrix_rejects_non_binary_entries_before_cast(bad):
     # a cast to uint8 first would truncate 0.5 to 0, accept "1" and wrap or
