@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .model import FreeSpaceMatrix, PointSeq1D, Witness, rat
+from .model import FreeSpaceMatrix, PointSeq1D, Witness, checked_epsilon
 from .forward import compute_matrix
 
 
@@ -489,9 +489,7 @@ def solve(matrix, eps=Fraction(1, 2)) -> Optional[Witness]:
     """
     if not isinstance(matrix, FreeSpaceMatrix):
         matrix = FreeSpaceMatrix(matrix)
-    eps = rat(eps)
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
+    eps = checked_epsilon(eps, exact=True)
     quotient, row_class, col_class = twin_quotient(matrix)
     g = build_uig(quotient)
     components = g.components()

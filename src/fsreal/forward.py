@@ -1,11 +1,13 @@
 """Forward free-space computation: matrices and 1D diagrams from curves,
 per-cell ellipse geometry in the plane, and witness verification.
 
-In 1D both forward computations read the curves' int form and build no
-Fraction: the curves' ints and eps are brought to the least common multiple
-of the curves' scales and eps's denominator, and a diagram is returned in
-its int form, built from those ints. Only curves in R^d and the planar
-ellipse geometry use numpy, which they import when called.
+Both forward computations are exact and run on Python ints. In 1D they read
+the curves' int form and build no Fraction: the curves' ints and eps are
+brought to the least common multiple of the curves' scales and eps's
+denominator, and a diagram is returned in its int form, built from those
+ints. In R^d every float coordinate and eps are brought to their largest
+power-of-two denominator. Only the planar ellipse geometry is float
+geometry, with absolute tolerance ``TOL``.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .model import (
@@ -24,7 +27,7 @@ from .model import (
     FreeSpaceMatrix,
     PointSeq1D,
     Witness,
-    rat,
+    checked_epsilon,
 )
 
 TOL = 1e-9
@@ -40,60 +43,56 @@ _FULL_CELL = CellContent.full()
 
 
 def _point_list(curve):
-    """A 1D curve or point sequence as it is, a list of rationals as a
-    :class:`PointSeq1D`, and points in R^d as a list."""
-    if isinstance(curve, (Curve1D, PointSeq1D)):
+    """A curve or point sequence as it is, a list of rationals as a
+    :class:`PointSeq1D`, and a list of points in R^d as a :class:`CurveD`,
+    which checks that they are finite and share one dimension."""
+    if isinstance(curve, (Curve1D, PointSeq1D, CurveD)):
         return curve
-    points = list(curve.vertices if isinstance(curve, CurveD) else curve)
+    points = list(curve)
     if not points:
         raise ValueError("curves must be non-empty")
     if isinstance(points[0], (tuple, list)) or getattr(points[0], "ndim", 0) != 0:
-        return points
+        return CurveD(points)
     return PointSeq1D(points)
 
 
-def _exact_eps(eps) -> tuple[int, int]:
-    """Numerator and denominator of a positive rational eps."""
-    e, den = (eps, 1) if type(eps) is int else rat(eps).as_integer_ratio()
-    if e <= 0:
-        raise ValueError("epsilon must be positive")
-    return e, den
-
-
 def compute_matrix(p, q, eps) -> FreeSpaceMatrix:
-    """Free space matrix: entry (i, j) is 1 iff ||p_i - q_j|| <= eps.
+    """Free space matrix: entry (i, j) is 1 iff ||p_i - q_j|| <= eps, decided
+    exactly on ints, on the line and in R^d.
 
-    1D inputs (numbers / rationals) are compared exactly; inputs in R^d use
-    floats with absolute tolerance ``TOL`` on the distance.
+    ``eps`` passes :func:`checked_epsilon`: a positive rational for curves on
+    the line, a positive finite float for curves in R^d.
     """
     P = _point_list(p)
     Q = _point_list(q)
-    exact = isinstance(P, (Curve1D, PointSeq1D))
-    if exact != isinstance(Q, (Curve1D, PointSeq1D)):
+    in_rd = isinstance(P, CurveD)
+    if in_rd != isinstance(Q, CurveD) or in_rd and P.dimension != Q.dimension:
         raise ValueError("curves must live in the same dimension")
-    if exact:
-        return _matrix_1d(P, Q, eps)
-    eps = float(eps)
-    if not eps > 0:
-        raise ValueError("epsilon must be positive")
-    d = len(P[0])
-    if any(len(v) != d for v in P) or any(len(v) != d for v in Q):
-        raise ValueError("curves must live in the same dimension")
-    import numpy as np
-
-    A = np.asarray(P, dtype=float)
-    B = np.asarray(Q, dtype=float)
-    dist = np.sqrt(((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2))
-    return FreeSpaceMatrix(dist <= eps + TOL)
+    eps = checked_epsilon(eps, exact=not in_rd)
+    return _matrix_d(P, Q, eps) if in_rd else _matrix_1d(P, Q, eps)
 
 
-def _matrix_1d(p, q, eps) -> FreeSpaceMatrix:
+def _matrix_d(p: CurveD, q: CurveD, eps: float) -> FreeSpaceMatrix:
+    """Row i is the mask of the q_j with ||p_i - q_j||^2 <= eps^2, on ints: a
+    finite float is an int over a power of two, so every coordinate and eps
+    are brought to the largest of those denominators."""
+    e, den = eps.as_integer_ratio()
+    ratios = [[x.as_integer_ratio() for x in v] for v in (*p.vertices, *q.vertices)]
+    scale = max(den, *(d for v in ratios for _, d in v))
+    points = [[n * (scale // d) for n, d in v] for v in ratios]
+    pi, qi = points[: len(p.vertices)], points[len(p.vertices) :]
+    e2 = (e * (scale // den)) ** 2
+    rows = [sum(1 << j for j, b in enumerate(qi) if sum((x - y) ** 2 for x, y in zip(a, b)) <= e2) for a in pi]
+    return FreeSpaceMatrix._built(len(qi), rows)
+
+
+def _matrix_1d(p, q, eps: Fraction) -> FreeSpaceMatrix:
     """Row i is the mask of the q_j in [p_i - eps, p_i + eps], on ints: the
     points and eps brought to the least common multiple of the two scales
     and eps's denominator, as in :func:`compute_diagram_1d`. Q is sorted
     once, ``prefix[k]`` is the mask of the k smallest, and row i the
     difference of the prefixes at the window's two bisections."""
-    e, den = _exact_eps(eps)
+    e, den = eps.as_integer_ratio()
     scale = math.lcm(den, p.scale, q.scale)
     pi, qi = (
         [v * (scale // c.scale) for v in (c.scaled_vertices if isinstance(c, Curve1D) else c.scaled_points)]
@@ -160,7 +159,7 @@ def compute_diagram_1d(p: Curve1D, q: Curve1D, eps) -> FreeSpaceDiagram1D:
     those ints without a Fraction, and without the constructors' structural
     check, which every cell of :func:`classify_column` passes.
     """
-    e, den = _exact_eps(eps)
+    e, den = checked_epsilon(eps, exact=True).as_integer_ratio()
     scale = math.lcm(den, p.scale, q.scale)
     pi = [v * (scale // p.scale) for v in p.scaled_vertices]
     q_segs = q_segments([v * (scale // q.scale) for v in q.scaled_vertices])
@@ -210,43 +209,50 @@ class RelativePlacement:
 
 
 def _seg_frame(seg) -> tuple:
-    """Start point, unit direction and length of a planar segment."""
-    import numpy as np
-
-    a = np.asarray(seg[0], dtype=float)
-    b = np.asarray(seg[1], dtype=float)
-    d = b - a
-    length = float(np.linalg.norm(d))
+    """Start point, unit direction and length of a planar segment, as
+    2-tuples and a float."""
+    (ax, ay), (bx, by) = seg
+    ax, ay = float(ax), float(ay)
+    dx, dy = float(bx) - ax, float(by) - ay
+    length = math.hypot(dx, dy)
     if length <= TOL:
         raise ValueError("degenerate segment")
-    return a, d / length, length
+    return (ax, ay), (dx / length, dy / length), length
 
 
 def cell_ellipse_2d(seg_p, seg_q, eps: float) -> EllipseCell:
     """Classify the free space of two planar segments within their cell.
 
-    Segments are ((x, y), (x, y)) pairs. The quadratic distance form is
-    minimized/maximized over the cell box exactly (convexity puts the max at
-    a corner), with absolute tolerance ``TOL``.
+    Segments are ((x, y), (x, y)) pairs. The squared distance
+    f(x, y) = |w + x*u - y*v|^2 is a convex quadratic on the cell box
+    [0, lp] x [0, lq]: its maximum is at a corner, and its minimum at the
+    stationary point, if that lies in the box, or on an edge, where f is a
+    1D quadratic with leading coefficient 1 whose vertex clamps to the edge.
+    Floats, with absolute tolerance ``TOL``.
     """
-    import numpy as np
-
-    a0, u, lp = _seg_frame(seg_p)
-    c0, v, lq = _seg_frame(seg_q)
+    (ax, ay), (ux, uy), lp = _seg_frame(seg_p)
+    (cx, cy), (vx, vy), lq = _seg_frame(seg_q)
     eps = float(eps)
-    w = a0 - c0
-    c = float(np.dot(u, v))
+    wx, wy = ax - cx, ay - cy
+    c = ux * vx + uy * vy
+    wu = wx * ux + wy * uy
+    wv = wx * vx + wy * vy
 
     def f(x: float, y: float) -> float:
-        r = w + x * u - y * v
-        return float(np.dot(r, r))
+        rx = wx + x * ux - y * vx
+        ry = wy + x * uy - y * vy
+        return rx * rx + ry * ry
 
     target = eps * eps
-
-    # Extremes of the convex quadratic over the box [0,lp] x [0,lq].
-    corners = [f(x, y) for x in (0.0, lp) for y in (0.0, lq)]
-    fmax = max(corners)
-    fmin = _box_min(f, c, w, u, v, lp, lq)
+    den = 1.0 - c * c
+    # the stationary point: x - c*y = -wu and y - c*x = wv
+    center = ((c * wv - wu) / den, (wv - c * wu) / den) if den > 1e-15 else None
+    candidates = [(x, min(max(c * x + wv, 0.0), lq)) for x in (0.0, lp)]
+    candidates += [(min(max(c * y - wu, 0.0), lp), y) for y in (0.0, lq)]
+    if center is not None and 0.0 <= center[0] <= lp and 0.0 <= center[1] <= lq:
+        candidates.append(center)
+    fmin = min(f(x, y) for x, y in candidates)
+    fmax = max(f(x, y) for x in (0.0, lp) for y in (0.0, lq))
 
     if fmin > target + TOL:
         return EllipseCell(ELLIPSE_EMPTY)
@@ -256,54 +262,22 @@ def cell_ellipse_2d(seg_p, seg_q, eps: float) -> EllipseCell:
     if abs(abs(c) - 1.0) <= 1e-12:
         # Parallel supporting lines: the sublevel set is a slab.
         s = 1 if c > 0 else -1
-        e = float(np.dot(w, u))
-        perp = w - e * u
-        d0sq = float(np.dot(perp, perp))
+        px, py = wx - wu * ux, wy - wu * uy
+        d0sq = px * px + py * py
         if d0sq > target:
             return EllipseCell(ELLIPSE_EMPTY)
         g = math.sqrt(target - d0sq)
-        if s == 1:
-            lo, hi = e - g, e + g
-        else:
-            lo, hi = -e - g, -e + g
+        lo, hi = (wu - g, wu + g) if s == 1 else (-wu - g, -wu + g)
         return EllipseCell(PARTIAL_SLAB, slab_sigma=s, slab_lo=lo, slab_hi=hi)
 
-    mat = np.array([[1.0, -c], [-c, 1.0]])
-    rhs = np.array([-float(np.dot(w, u)), float(np.dot(w, v))])
-    x0, y0 = np.linalg.solve(mat, rhs)
-    f0 = f(x0, y0)
-    val = target - f0
+    val = target - f(*center)
     if val <= 0:
         return EllipseCell(ELLIPSE_EMPTY)
     a_s = math.sqrt(val / (1.0 - c))  # half-width along (1, 1)
     a_t = math.sqrt(val / (1.0 + c))  # half-width along (-1, 1)
     if a_s >= a_t:
-        return EllipseCell(PARTIAL_ELLIPSE, (float(x0), float(y0)), a_s, a_t, 1)
-    return EllipseCell(PARTIAL_ELLIPSE, (float(x0), float(y0)), a_t, a_s, -1)
-
-
-def _box_min(f, c, w, u, v, lp, lq) -> float:
-    import numpy as np
-
-    best = min(f(x, y) for x in (0.0, lp) for y in (0.0, lq))
-    den = 1.0 - c * c
-    if den > 1e-15:
-        mat = np.array([[1.0, -c], [-c, 1.0]])
-        rhs = np.array([-float(np.dot(w, u)), float(np.dot(w, v))])
-        x0, y0 = np.linalg.solve(mat, rhs)
-        if 0.0 <= x0 <= lp and 0.0 <= y0 <= lq:
-            best = min(best, f(x0, y0))
-    # Edge minima: f restricted to an edge is a 1D quadratic with leading
-    # coefficient 1; its vertex clamps to the edge range.
-    for x in (0.0, lp):
-        y = c * x + float(np.dot(w, v))
-        y = min(max(y, 0.0), lq)
-        best = min(best, f(x, y))
-    for y in (0.0, lq):
-        x = c * y - float(np.dot(w, u))
-        x = min(max(x, 0.0), lp)
-        best = min(best, f(x, y))
-    return best
+        return EllipseCell(PARTIAL_ELLIPSE, center, a_s, a_t, 1)
+    return EllipseCell(PARTIAL_ELLIPSE, center, a_t, a_s, -1)
 
 
 def relative_placement_from_cell(cell: EllipseCell, eps: float) -> RelativePlacement:

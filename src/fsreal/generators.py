@@ -1,9 +1,11 @@
 """Instance factories: hardness-reduction constructions and seeded random
-instances built through the forward computation. Only the planar geometry
-of ``arrangement_to_witness`` uses numpy, which it imports when called."""
+instances built through the forward computation. The planar geometry of
+``arrangement_to_witness`` is float geometry on ``math``; the witness it
+builds is checked by the exact forward computation."""
 
 from __future__ import annotations
 
+import math
 import numbers
 import random
 from dataclasses import dataclass
@@ -150,55 +152,45 @@ def arrangement_to_witness(
         raise ValueError("need one line per sign coordinate")
     if len(cell_points) != len(signs.vectors):
         raise ValueError("need one interior point per sign vector")
-    import numpy as np
-
-    pts = [np.asarray(p, dtype=float) for p in cell_points]
+    pts = [tuple(map(float, p)) for p in cell_points]
     for vec, point in zip(signs.vectors, pts):
         actual = tuple(line.side(point) for line in lines)
         if actual != vec:
-            raise ValueError(f"cell point {point.tolist()} has sign vector {actual}, expected {vec}")
+            raise ValueError(f"cell point {list(point)} has sign vector {actual}, expected {vec}")
 
-    q1, q2 = pts[0], pts[1]
-    touches = []
-    normals = []
+    (x1, y1), (x2, y2) = pts[0], pts[1]
+    dx, dy = x2 - x1, y2 - y1
+    disks = []  # per line: the touch point and the unit normal
     for line in lines:
-        nvec = np.array([line.a, line.b], dtype=float)
-        denom = float(nvec @ (q2 - q1))
+        denom = line.a * dx + line.b * dy
         if abs(denom) < 1e-12:
             raise ValueError("a line is parallel to the all-minus/all-plus segment")
-        t = (line.c - float(nvec @ q1)) / denom
+        t = (line.c - (line.a * x1 + line.b * y1)) / denom
         if not 0.0 < t < 1.0:
             raise ValueError("a line misses the all-minus/all-plus segment")
-        touches.append(q1 + t * (q2 - q1))
-        normals.append(nvec / float(np.linalg.norm(nvec)))
+        norm = math.hypot(line.a, line.b)
+        disks.append(((x1 + t * dx, y1 + t * dy), (line.a / norm, line.b / norm)))
 
     r = 1.0
     for _ in range(200):
-        if _disks_contain(signs, lines, pts, touches, normals, r):
+        centers = _disk_centers(disks, r)
+        # each cell point lies in the disk on its side of every line
+        if all(math.dist(p, centers[i][vec[i] < 0]) <= r for vec, p in zip(signs.vectors, pts) for i in range(signs.n)):
             break
         r *= 2.0
     else:
         raise ValueError("could not find a containing radius for the arrangement")
 
-    a_pts = [tuple(touches[i] + r * normals[i]) for i in range(signs.n)]
-    b_pts = [tuple(touches[i] - r * normals[i]) for i in range(signs.n)]
-    witness = Witness(CurveD(a_pts + b_pts), CurveD([tuple(p) for p in pts]), float(r))
+    witness = Witness(CurveD([above for above, _ in centers] + [below for _, below in centers]), CurveD(pts), r)
     if compute_matrix(witness.curve_p, witness.curve_q, r) != gen_stretchability(signs):
         raise ValueError("arrangement produced a witness that does not reproduce the matrix")
     return witness
 
 
-def _disks_contain(signs, lines, pts, touches, normals, r: float) -> bool:
-    import numpy as np
-
-    for i in range(signs.n):
-        above = touches[i] + r * normals[i]
-        below = touches[i] - r * normals[i]
-        for vec, p in zip(signs.vectors, pts):
-            center = above if vec[i] > 0 else below
-            if float(np.linalg.norm(p - center)) > r:
-                return False
-    return True
+def _disk_centers(disks, r: float) -> list:
+    """Per line, the centers of its two tangent disks of radius r: on the
+    positive side, then on the negative."""
+    return [((tx + r * nx, ty + r * ny), (tx - r * nx, ty - r * ny)) for (tx, ty), (nx, ny) in disks]
 
 
 def gen_random_instance(

@@ -19,8 +19,8 @@ and pseudo-poly's typing, which cuts slabs with :func:`cell_restrict`. The
 grid-line check compares edge intervals inline on the ints, so
 :func:`cell_edge_interval` serves :mod:`fsreal.render` and the tests, which
 hold the check to it.
-Geometry in dimension >= 2 lives in floats and is handled in
-:mod:`fsreal.forward`.
+Curves in dimension >= 2 hold float coordinates, which
+:mod:`fsreal.forward` compares exactly on ints.
 """
 
 from __future__ import annotations

@@ -56,6 +56,51 @@ def test_matrix_rejects_nonpositive_eps(p, q, eps):
     with pytest.raises(ValueError, match="epsilon must be positive"):
         compute_matrix(p, q, eps)
 
+@pytest.mark.parametrize(
+    "p, q, eps, entry",
+    [
+        ((3, 4), (0, 0), 5, 1),  # exactly at eps
+        ((3, 4), (0, 0), 5 - 2**-40, 0),
+        ((3, 4 + 2**-40), (0, 0), 5, 0),
+        ((1, 2, 2), (0, 0, 0), 3, 1),
+        ((1, 2, 2), (0, 0, 0), 3 - 2**-40, 0),
+    ],
+)
+def test_matrix_in_rd_is_exact_at_the_boundary(p, q, eps, entry):
+    assert compute_matrix([p], [q], eps).tolist() == [[entry]]
+    assert compute_matrix(CurveD([q]), CurveD([p]), eps).tolist() == [[entry]]
+
+
+@pytest.mark.parametrize(
+    "p, q, eps",
+    [
+        ([(math.nan, 0.0)], [(0.0, 0.0)], 1.0),
+        ([(0.0, 0.0)], [(0.0, math.inf)], 1.0),
+        ([(0.0, 0.0), (1.0, -math.inf)], [(0.0, 0.0)], 1.0),
+        ([(0.0, 0.0)], [(1.0, 1.0)], math.inf),
+    ],
+)
+def test_matrix_in_rd_rejects_non_finite_input(p, q, eps):
+    with pytest.raises(ValueError, match="finite"):
+        compute_matrix(p, q, eps)
+
+
+def test_matrix_in_rd_matches_fraction_reference():
+    rng = random.Random(31)
+    ones = 0
+    for _ in range(60):
+        d = rng.choice([2, 3])
+        p, q = ([tuple(rng.uniform(-4, 4) for _ in range(d)) for _ in range(rng.randint(1, 7))] for _ in range(2))
+        eps = rng.uniform(0.5, 4)
+        expected = [
+            [int(sum((Fraction(x) - Fraction(y)) ** 2 for x, y in zip(a, b)) <= Fraction(eps) ** 2) for b in q]
+            for a in p
+        ]
+        assert compute_matrix(p, q, eps).tolist() == expected
+        ones += sum(map(sum, expected))
+    assert ones > 100
+
+
 def test_matrix_monotone_in_eps():
     rng = random.Random(11)
     for _ in range(40):
