@@ -10,7 +10,8 @@ witnesses cannot hide a change of answers, and so are the crease labels of
 ``infer_creases``, on a corpus that adds diagrams failing the consistency
 check. The discrete brute-force oracle's witnesses and the row families it
 labels the benchmark's matrices with are pinned too, so a faster oracle
-must give the same answers. Long diagrams, on which most segments meet no
+must give the same answers, and so are the continuous oracle's, on small
+diagrams of every kind it handles. Long diagrams, on which most segments meet no
 partial cell, have their own pseudo-poly and FPT digests.
 """
 
@@ -23,6 +24,7 @@ from fsreal import (
     CellContent,
     FreeSpaceDiagram1D,
     FreeSpaceMatrix,
+    brute_force_continuous_1d,
     brute_force_discrete_1d,
     compute_matrix,
     gen_partition,
@@ -103,6 +105,14 @@ ROW_FAMILY_DIGESTS = {
 # and 300 seeded matrices of 4 to 6 columns (8984 of the 9718 answers are
 # YES), pinned at the same time
 BRUTE_DISCRETE_DIGEST = "7fadfbccfda6a16b205971e74f85d4df2a44598ccd390d96c9ed612641683e90"
+# brute_force_continuous_1d on 300 diagrams of at most 12 segments: 60
+# integer forward diagrams and each with up to three cells replaced, 30
+# mutated random instances, 30 partitions, 60 rational forward diagrams and
+# 60 rational grids, all full and all empty in turn (181 YES), pinned while
+# the oracle still computed on Fractions
+CONTINUOUS_BRUTE_DIGEST = "46a86cc9c48d924644cdefb0f197e072b92c7e02a37e82760d01cc9904ad8501"
+# the 300 YES/NO answers alone
+CONTINUOUS_BRUTE_VERDICT_DIGEST = "52fdef4ae108e9befced56aa3c36433c46b213bd313fd5140c5b493876828665"
 
 
 def _corpus():
@@ -314,3 +324,35 @@ def test_brute_discrete_witness_digest():
     matrices = list(_brute_discrete_corpus())
     assert len(matrices) == 9718
     assert _digest(brute_force_discrete_1d, matrices) == BRUTE_DISCRETE_DIGEST
+
+
+def _brute_continuous_corpus():
+    rng = random.Random(17)
+    for _ in range(60):
+        d = random_integer_diagram(rng.randrange(1 << 30), rng.randint(1, 7), rng.randint(1, 5), rng.randint(1, 4))
+        yield d
+        yield scrambled_diagram(rng, d)
+    for _ in range(30):
+        yield gen_random_instance(
+            rng.randrange(1 << 30),
+            kind="diagram",
+            n_points=rng.randint(2, 6),
+            m_points=rng.randint(2, 5),
+            max_coord=8,
+            eps=rng.randint(1, 4),
+            mutate=True,
+        )
+    for _ in range(30):
+        yield gen_partition([rng.randint(1, 9) for _ in range(rng.randint(2, 7))])
+    for _ in range(60):
+        yield random_rational_diagram(rng)
+    for index in range(60):
+        yield _uniform_grid(rng, CellContent.full() if index % 2 else CellContent.empty())
+
+
+def test_brute_continuous_witness_digest():
+    diagrams = list(_brute_continuous_corpus())
+    assert len(diagrams) == 300
+    witnesses = [brute_force_continuous_1d(d) for d in diagrams]
+    assert _sha256([w is not None for w in witnesses]) == CONTINUOUS_BRUTE_VERDICT_DIGEST
+    assert _sha256([None if w is None else serialize(w) for w in witnesses]) == CONTINUOUS_BRUTE_DIGEST
