@@ -2,12 +2,14 @@
 
 Both oracles enumerate finite combinatorial classes and check candidates with
 the forward computation only; they share no code with the solvers they test.
+Both compute on Python ints: the discrete oracle lays m unit intervals out on
+the grid of unit 1/(8m), and the continuous oracle builds its curves from a
+diagram's ``scaled_*`` ints.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
@@ -47,10 +49,11 @@ def _interleavings(m: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _materialize(pattern: tuple[int, ...], m: int) -> Optional[list[Fraction]]:
-    """Left endpoints (length-1 intervals, eps = 1/2) realizing a pattern with
-    all 2m endpoints distinct. Solved as longest paths over the chain of
-    merged events with spacing quantum 1/(4m)."""
+def _materialize(pattern: tuple[int, ...], m: int) -> Optional[list[int]]:
+    """Left endpoints realizing a pattern with all 2m endpoints distinct, as
+    ints on the grid of unit 1/(8m): intervals of width 8m, spacing quantum
+    2, so every endpoint is even. Solved as longest paths over the chain of
+    merged events."""
     events: list[tuple[str, int]] = []
     by_slot: dict[int, list[int]] = {}
     for i, c in enumerate(pattern):
@@ -59,58 +62,50 @@ def _materialize(pattern: tuple[int, ...], m: int) -> Optional[list[Fraction]]:
         events.append(("l", j))
         for i in by_slot.get(j, []):
             events.append(("r", i))
-    delta = Fraction(1, 4 * m)
-    # positions: l_j variables; r_i = l_i + 1. Longest-path over the event chain.
-    pos = [Fraction(0)] * m
+    width, delta = 8 * m, 2
+    # positions: l_j variables; r_i = l_i + width. Longest-path over the
+    # event chain; a pass that changes nothing has checked the whole chain
+    pos = [0] * m
     for _ in range(2 * m + 1):
         changed = False
         prev_val = None
         for kind, idx in events:
-            val = pos[idx] + (1 if kind == "r" else 0)
+            val = pos[idx] + (width if kind == "r" else 0)
             if prev_val is not None and val < prev_val + delta:
                 need = prev_val + delta
-                if kind == "l":
-                    pos[idx] = need
-                else:
-                    pos[idx] = need - 1
+                pos[idx] = need if kind == "l" else need - width
                 val = need
                 changed = True
             prev_val = val
         if not changed:
-            break
-    else:
-        return None
-    # sanity: chain strictly increasing
-    prev_val = None
-    for kind, idx in events:
-        val = pos[idx] + (1 if kind == "r" else 0)
-        if prev_val is not None and val < prev_val + delta:
-            return None
-        prev_val = val
-    return pos
+            return pos
+    return None
 
 
-def arrangement_cells(centers: list[Fraction], eps: Fraction) -> list[tuple[frozenset[int], Fraction]]:
+def arrangement_cells(centers: list[int], eps: int) -> list[tuple[frozenset[int], int]]:
     """(cover, representative) of each maximal constant-cover region of the
     intervals [c - eps, c + eps], in order along the line: the two outside
-    regions, every endpoint, and each open gap between consecutive
-    endpoints (at its midpoint)."""
+    regions (one interval width out), every endpoint, and each open gap
+    between consecutive endpoints (at its midpoint). Ints whose endpoints
+    are all even, as on the grid of :func:`arrangements`, so that every
+    midpoint is an int."""
     events = sorted({c - eps for c in centers} | {c + eps for c in centers})
-    reps = [events[0] - 1]
+    reps = [events[0] - 2 * eps]
     for x, y in zip(events, events[1:]):
-        reps += [x, (x + y) / 2]
-    reps += [events[-1], events[-1] + 1]
+        reps += [x, (x + y) // 2]
+    reps += [events[-1], events[-1] + 2 * eps]
     return [(frozenset(j for j, c in enumerate(centers) if c - eps <= x <= c + eps), x) for x in reps]
 
 
 @lru_cache(maxsize=None)
-def arrangements(m: int) -> tuple[tuple[tuple[Fraction, ...], tuple[tuple[int, Fraction], ...]], ...]:
+def arrangements(m: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...]], ...]:
     """One entry per endpoint pattern of m unit intervals (C_m of them), with
-    the intervals in sorted slots: (sorted centers, (cover as a bitmask of
-    slots, representative point) per cell). A combinatorial class is a
-    pattern with the columns placed at its slots in some order; the callers
-    apply the m! orders themselves."""
-    eps = Fraction(1, 2)
+    the intervals in sorted slots, as ints on the grid of unit 1/(8m) (so
+    eps = 1/2 is 4m): (sorted centers, (cover as a bitmask of slots,
+    representative point) per cell). A combinatorial class is a pattern with
+    the columns placed at its slots in some order; the callers apply the m!
+    orders themselves."""
+    eps = 4 * m
     out = []
     for pattern in _interleavings(m):
         left = _materialize(pattern, m)
@@ -138,23 +133,39 @@ def realizable_row_families(m: int) -> list[frozenset[frozenset[int]]]:
     contained in one of these families (the empty support is always
     achievable outside the arrangement).
     """
-    # perm[k] = column placed at sorted slot k
-    tables = [_mask_table(perm) for perm in itertools.permutations(range(m))]
+    # a family sorts by its size, then by its covers' sorted column lists,
+    # sorted. It is gathered as one int: the cover whose column list is k-th
+    # in sorted order, by_rank[k], sets bit size-1-k. Of two families of one
+    # size, the one holding the first column list that they do not share
+    # sorts first, and it is the larger int.
+    size = 1 << m
+    columns = [[j for j in range(m) if mask >> j & 1] for mask in range(size)]
+    by_rank = sorted(range(size), key=columns.__getitem__)
+    bit = [0] * size
+    for k, mask in enumerate(by_rank):
+        bit[mask] = 1 << (size - 1 - k)
+    # perm[k] = column placed at sorted slot k; to_bit[cover] is the bit of
+    # the column mask that a cover of slots becomes
+    to_bits = [list(map(bit.__getitem__, _mask_table(perm))) for perm in itertools.permutations(range(m))]
     families = set()
     for _, cells in arrangements(m):
         covers = {cover for cover, _ in cells}
-        for table in tables:
-            families.add(frozenset(table[cover] for cover in covers))
-    # a family sorts by its size, then by its covers' sorted column lists,
-    # sorted; rank[mask] is the place of the mask's sorted column list among
-    # all of them, so the covers' ranks, sorted, give the same order
-    columns = [[j for j in range(m) if mask >> j & 1] for mask in range(1 << m)]
-    rank = [0] * (1 << m)
-    for k, mask in enumerate(sorted(range(1 << m), key=columns.__getitem__)):
-        rank[mask] = k
-    ordered = sorted(families, key=lambda fam: (len(fam), sorted(map(rank.__getitem__, fam))))
-    sets = [frozenset(cols) for cols in columns]
-    return [frozenset(sets[mask] for mask in fam) for fam in ordered]
+        families.update(sum(map(to_bit.__getitem__, covers)) for to_bit in to_bits)
+    ordered = sorted(families, key=lambda fam: (fam.bit_count(), -fam))
+    # frozensets only for these: parts[b][v] holds the sets at the set bits
+    # of the value v of a family's byte b
+    sets = [frozenset(columns[mask]) for mask in reversed(by_rank)]
+    n_bytes = (size + 7) // 8
+    parts = []
+    for b in range(n_bytes):
+        part = [()]
+        for s in sets[8 * b : 8 * b + 8]:
+            part += [x + (s,) for x in part]
+        parts.append(tuple(part))
+    return [
+        frozenset(itertools.chain.from_iterable(map(tuple.__getitem__, parts, fam.to_bytes(n_bytes, "little"))))
+        for fam in ordered
+    ]
 
 
 def brute_force_discrete_1d(matrix: FreeSpaceMatrix) -> Optional[Witness]:
@@ -172,21 +183,22 @@ def brute_force_discrete_1d(matrix: FreeSpaceMatrix) -> Optional[Witness]:
     orders = []
     for perm in itertools.permutations(range(m)):
         # perm[k] = column placed at sorted slot k; to_slot maps a set of
-        # columns to the set of their slots
+        # columns to the set of their slots; needed has bit s set for each
+        # slot set s that a row asks for
         to_slot = _mask_table(sorted(range(m), key=perm.__getitem__))
-        orders.append((perm, to_slot, frozenset(to_slot[row] for row in distinct)))
+        orders.append((perm, to_slot, sum(1 << to_slot[row] for row in distinct)))
     for centers_sorted, cells in arrangements(m):
-        first_rep: dict[int, Fraction] = {}
+        first_rep: dict[int, int] = {}
         for cover, rep in cells:
             first_rep.setdefault(cover, rep)
-        covers = frozenset(first_rep)
+        covers = sum(1 << cover for cover in first_rep)
         for perm, to_slot, needed in orders:
-            if needed <= covers:
-                centers = [Fraction(0)] * m
+            if needed & covers == needed:
+                centers = [0] * m
                 for slot, col in enumerate(perm):
                     centers[col] = centers_sorted[slot]
-                placement = [first_rep[to_slot[row]] for row in rows]
-                witness = Witness._built(PointSeq1D(placement), PointSeq1D(centers), Fraction(1, 2))
+                placement = PointSeq1D.from_scaled(8 * m, [first_rep[to_slot[row]] for row in rows])
+                witness = Witness(placement, PointSeq1D.from_scaled(8 * m, centers), "1/2")
                 if compute_matrix(witness.curve_p, witness.curve_q, witness.epsilon) == matrix:
                     return witness
     return None
@@ -203,59 +215,57 @@ def brute_force_continuous_1d(diagram: FreeSpaceDiagram1D) -> Optional[Witness]:
     Enumerates segment orientation vectors (P's first segment fixed positive;
     all of Q's free, covering both mirror classes), fixes the inter-curve
     offset from the first partial cell, recomputes the diagram, and compares
-    it cell-exactly.
+    it cell-exactly. The curves are ints over the diagram's scale.
     """
     n = diagram.n_cols
     m = diagram.m_rows
     if n + m > CONTINUOUS_CAP:
         raise ValueError(f"brute force capped at {CONTINUOUS_CAP} segments (got {n + m})")
-    eps = diagram.epsilon
-    widths = diagram.col_widths
-    heights = diagram.row_heights
+    scale = diagram.scale
+    eps = diagram.scaled_eps
+    widths = diagram.scaled_widths
+    heights = diagram.scaled_heights
+    cells = diagram.scaled_cells
 
-    partials = [
-        (i, j)
-        for i in range(n)
-        for j in range(m)
-        if diagram.cells[i][j].status == PARTIAL
-    ]
+    def check(p_pts, q_pts, scale=scale) -> Optional[Witness]:
+        """The witness of these ints over ``scale``, if it reproduces the diagram."""
+        p, q = Curve1D.from_scaled(scale, p_pts), Curve1D.from_scaled(scale, q_pts)
+        return Witness._built(p, q, diagram.epsilon) if compute_diagram_1d(p, q, diagram.epsilon) == diagram else None
+
+    partials = [(i, j) for i in range(n) for j in range(m) if cells[i][j].status == PARTIAL]
 
     if not partials:
-        any_full = any(diagram.cells[i][j].status == FULL for i in range(n) for j in range(m))
+        any_full = any(cells[i][j].status == FULL for i in range(n) for j in range(m))
         if not any_full:
             # all empty: any orientations, curves far apart
-            p_pts = _curve_points(Fraction(0), [1] * n, widths)
+            p_pts = _curve_points(0, [1] * n, widths)
             span_p = max(p_pts) - min(p_pts)
             span_q = sum(heights)
-            q0 = min(p_pts) + span_p + span_q + 2 * eps + 1
-            q_pts = _curve_points(q0, [1] * m, heights)
-            witness = Witness._built(Curve1D(p_pts), Curve1D(q_pts), eps)
-            if compute_diagram_1d(witness.curve_p, witness.curve_q, eps) == diagram:
-                return witness
-            return None
+            q0 = min(p_pts) + span_p + span_q + 2 * eps + scale
+            return check(p_pts, _curve_points(q0, [1] * m, heights))
         # all full: folding may be needed to shrink the spans; center each
-        # orientation combination on the other curve
+        # orientation combination on the other curve, on twice the scale so
+        # that the half-unit centring is an int
         for q_bits in _orientation_vectors(m):
             for p_bits in _orientation_vectors(n - 1):
                 sp = [1] + p_bits
-                p_pts = _curve_points(Fraction(0), sp, widths)
-                q_rel = _curve_points(Fraction(0), q_bits, heights)
-                q0 = (max(p_pts) + min(p_pts)) / 2 - (max(q_rel) + min(q_rel)) / 2
-                q_pts = [q0 + v for v in q_rel]
-                witness = Witness._built(Curve1D(p_pts), Curve1D(q_pts), eps)
-                if compute_diagram_1d(witness.curve_p, witness.curve_q, eps) == diagram:
+                p_pts = _curve_points(0, sp, widths)
+                q_rel = _curve_points(0, q_bits, heights)
+                q0 = max(p_pts) + min(p_pts) - max(q_rel) - min(q_rel)
+                witness = check([2 * v for v in p_pts], [q0 + 2 * v for v in q_rel], 2 * scale)
+                if witness is not None:
                     return witness
         return None
 
     i0, j0 = partials[0]
-    cell0 = diagram.cells[i0][j0]
+    cell0 = cells[i0][j0]
     for q_bits in _orientation_vectors(m):
         sq = q_bits
         for p_bits in _orientation_vectors(n - 1):
             sp = [1] + p_bits
             ok = True
             for (i, j) in partials:
-                if sp[i] * sq[j] != diagram.cells[i][j].sigma:
+                if sp[i] * sq[j] != cells[i][j].sigma:
                     ok = False
                     break
             if not ok:
@@ -264,22 +274,20 @@ def brute_force_continuous_1d(diagram: FreeSpaceDiagram1D) -> Optional[Witness]:
             pre_p = _prefix(sp, widths, i0)
             pre_q = _prefix(sq, heights, j0)
             q0 = pre_p - sq[j0] * (cell0.c_lo + eps) - pre_q
-            p_pts = _curve_points(Fraction(0), sp, widths)
-            q_pts = _curve_points(q0, sq, heights)
-            witness = Witness._built(Curve1D(p_pts), Curve1D(q_pts), eps)
-            if compute_diagram_1d(witness.curve_p, witness.curve_q, eps) == diagram:
+            witness = check(_curve_points(0, sp, widths), _curve_points(q0, sq, heights))
+            if witness is not None:
                 return witness
     return None
 
 
-def _prefix(orient, lengths, k: int) -> Fraction:
-    total = Fraction(0)
+def _prefix(orient, lengths, k: int) -> int:
+    total = 0
     for t in range(k):
         total += orient[t] * lengths[t]
     return total
 
 
-def _curve_points(start: Fraction, orient, lengths) -> list[Fraction]:
+def _curve_points(start: int, orient, lengths) -> list[int]:
     pts = [start]
     for s, w in zip(orient, lengths):
         pts.append(pts[-1] + s * w)

@@ -228,11 +228,12 @@ def cell_ellipse_2d(seg_p, seg_q, eps: float) -> EllipseCell:
     [0, lp] x [0, lq]: its maximum is at a corner, and its minimum at the
     stationary point, if that lies in the box, or on an edge, where f is a
     1D quadratic with leading coefficient 1 whose vertex clamps to the edge.
-    Floats, with absolute tolerance ``TOL``.
+    Floats, with absolute tolerance ``TOL``; ``eps`` passes
+    :func:`checked_epsilon` as the eps of curves in R^d.
     """
+    eps = checked_epsilon(eps, exact=False)
     (ax, ay), (ux, uy), lp = _seg_frame(seg_p)
     (cx, cy), (vx, vy), lq = _seg_frame(seg_q)
-    eps = float(eps)
     wx, wy = ax - cx, ay - cy
     c = ux * vx + uy * vy
     wu = wx * ux + wy * uy
@@ -281,11 +282,13 @@ def cell_ellipse_2d(seg_p, seg_q, eps: float) -> EllipseCell:
 
 
 def relative_placement_from_cell(cell: EllipseCell, eps: float) -> RelativePlacement:
-    """Invert a partial ellipse cell to the segments' relative placement."""
+    """Invert a partial ellipse cell to the segments' relative placement;
+    ``eps`` passes :func:`checked_epsilon` as in :func:`cell_ellipse_2d`."""
+    eps = checked_epsilon(eps, exact=False)
     if cell.status != PARTIAL_ELLIPSE:
         raise ValueError("relative placement is defined for partial ellipse cells")
     a_eff = cell.semi_major if cell.major_axis_sign == 1 else cell.semi_minor
-    arg = float(eps) / (math.sqrt(2.0) * a_eff)
+    arg = eps / (math.sqrt(2.0) * a_eff)
     if arg > 1.0 + TOL:
         raise ValueError("inconsistent cell: eps exceeds sqrt(2) * slab-axis half-width")
     angle = math.asin(min(arg, 1.0))

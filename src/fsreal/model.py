@@ -71,18 +71,23 @@ def checked_epsilon(value, exact: bool) -> Union[Fraction, float]:
     one rule of :class:`Witness` and of a curves file's epsilon."""
     if isinstance(value, float) and not exact:
         eps = value
-    elif type(value) in (int, str) or isinstance(value, Fraction):
-        try:
-            eps = rat(value)
-        except ZeroDivisionError as exc:
-            raise ValueError(str(exc)) from None
+    else:
+        if type(value) is int:
+            eps = Fraction(value)
+        elif isinstance(value, Fraction):
+            eps = value
+        elif type(value) is str:
+            try:
+                eps = Fraction(*_pair(value))
+            except ZeroDivisionError as exc:
+                raise ValueError(str(exc)) from None
+        else:
+            raise ValueError(f"expected a rational string or integer, got {value!r}")
         if not exact:
             try:
                 eps = float(eps)
             except OverflowError:
                 eps = math.inf
-    else:
-        raise ValueError(f"expected a rational string or integer, got {value!r}")
     if eps.numerator > 0 if exact else 0 < eps < math.inf:
         return eps
     raise ValueError(f"epsilon must be positive and finite, got {value!r}")

@@ -43,8 +43,8 @@ def test_cap_enforced():
 
 
 def test_arrangements_have_distinct_endpoints():
-    eps = Fraction(1, 2)
     for m in range(1, 7):
+        eps = 4 * m
         for centers, cells in arrangements(m):
             events = [c - eps for c in centers] + [c + eps for c in centers]
             assert len(set(events)) == len(events)
@@ -57,9 +57,66 @@ def test_one_arrangement_per_endpoint_pattern():
     for m in range(1, 7):
         for centers, cells in arrangements(m):
             assert list(centers) == sorted(centers)
-            eps = Fraction(1, 2)
+            eps = 4 * m
             for cover, rep in cells:
                 assert cover == sum(1 << k for k, c in enumerate(centers) if c - eps <= rep <= c + eps)
+
+
+def _reference_materialize(pattern, m):
+    """The oracle's left endpoints as it computed them on Fractions: unit
+    intervals at eps 1/2, spacing quantum 1/(4m)."""
+    events = []
+    by_slot = {}
+    for i, c in enumerate(pattern):
+        by_slot.setdefault(c - 1, []).append(i)
+    for j in range(m):
+        events.append(("l", j))
+        for i in by_slot.get(j, []):
+            events.append(("r", i))
+    delta = Fraction(1, 4 * m)
+    pos = [Fraction(0)] * m
+    for _ in range(2 * m + 1):
+        changed = False
+        prev_val = None
+        for kind, idx in events:
+            val = pos[idx] + (1 if kind == "r" else 0)
+            if prev_val is not None and val < prev_val + delta:
+                need = prev_val + delta
+                pos[idx] = need if kind == "l" else need - 1
+                val = need
+                changed = True
+            prev_val = val
+        if not changed:
+            return pos
+    return None
+
+
+def _reference_cells(centers, eps):
+    """The oracle's arrangement cells as it computed them on Fractions: the
+    outside regions one unit out, the gaps at their midpoints."""
+    events = sorted({c - eps for c in centers} | {c + eps for c in centers})
+    reps = [events[0] - 1]
+    for x, y in zip(events, events[1:]):
+        reps += [x, (x + y) / 2]
+    reps += [events[-1], events[-1] + 1]
+    return [(frozenset(j for j, c in enumerate(centers) if c - eps <= x <= c + eps), x) for x in reps]
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_arrangements_match_the_fraction_reference(m):
+    eps = Fraction(1, 2)
+    reference = []
+    for pattern in bruteforce._interleavings(m):
+        centers = [left + eps for left in _reference_materialize(pattern, m)]
+        cells = [(sum(1 << k for k in cover), rep) for cover, rep in _reference_cells(centers, eps)]
+        reference.append((centers, cells))
+    scale = 8 * m
+    rational = [
+        ([Fraction(c, scale) for c in centers], [(cover, Fraction(rep, scale)) for cover, rep in cells])
+        for centers, cells in arrangements(m)
+    ]
+    assert rational == reference
+    assert all(type(v) is int for centers, cells in arrangements(m) for v in (*centers, *(r for _, r in cells)))
 
 
 def test_pattern_that_does_not_materialize_raises(monkeypatch):
@@ -142,9 +199,16 @@ def test_continuous_cap():
         brute_force_continuous_1d(d)
 
 
-def test_arrangement_cells_partition_covered_range():
-    centers, eps = [0, Fraction(3, 4), 3], Fraction(1, 2)
-    cells = arrangement_cells(centers, eps)
+@pytest.mark.parametrize(
+    "cells_of, centers, eps",
+    [
+        (_reference_cells, [0, Fraction(3, 4), 3], Fraction(1, 2)),
+        (arrangement_cells, [0, 6, 24], 4),
+    ],
+    ids=["fraction reference", "int grid"],
+)
+def test_arrangement_cells_partition_covered_range(cells_of, centers, eps):
+    cells = cells_of(centers, eps)
     assert cells[0][0] == frozenset()
     assert cells[-1][0] == frozenset()
     for cover, rep in cells:
@@ -156,3 +220,11 @@ def test_arrangement_cells_partition_covered_range():
     assert interior[::2] == events
     assert all(a < gap < b for a, gap, b in zip(interior[::2], interior[1::2], interior[2::2]))
     assert cells[0][1] < events[0] and cells[-1][1] > events[-1]
+
+
+def test_int_arrangement_cells_are_the_fraction_reference_times_eight():
+    # the same centers as the fraction case above, on the grid of unit 1/8
+    cells = arrangement_cells([0, 6, 24], 4)
+    reference = _reference_cells([0, Fraction(3, 4), 3], Fraction(1, 2))
+    assert [(cover, Fraction(rep, 8)) for cover, rep in cells] == reference
+    assert all(type(rep) is int for _, rep in cells)

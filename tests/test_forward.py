@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -314,6 +315,41 @@ def test_ellipse_grid_sampling_oracle():
                 if abs(dist - 1.5) <= 1e-7:
                     continue  # on the boundary either answer is fine
                 assert _cell_membership(cell, x, y) == (dist <= 1.5)
+
+
+def _ellipse_answers(eps_values) -> str:
+    """sha256 of the cells and relative placements of 40 seeded planar
+    segment pairs at each eps."""
+    rng = random.Random(23)
+    answers = []
+    for eps in eps_values:
+        for _ in range(40):
+            sp = ((rng.uniform(-2, 2), rng.uniform(-2, 2)), (rng.uniform(-2, 2), rng.uniform(-2, 2)))
+            sq = ((rng.uniform(-2, 2), rng.uniform(-2, 2)), (rng.uniform(-2, 2), rng.uniform(-2, 2)))
+            cell = cell_ellipse_2d(sp, sq, eps)
+            answers.append(repr(cell))
+            if cell.status == PARTIAL_ELLIPSE:
+                try:
+                    answers.append(repr(relative_placement_from_cell(cell, eps)))
+                except ValueError as exc:
+                    answers.append(str(exc))
+    return hashlib.sha256("\n".join(answers).encode()).hexdigest()
+
+
+def test_ellipse_geometry_of_a_valid_epsilon_is_unchanged():
+    # pinned while both functions read eps through float() alone
+    digest = "ec88be19582519aea5c0c298ca4ac7c8303046966c25463b884fe94c77fb58e8"
+    assert _ellipse_answers([1.5, 2, Fraction(3, 4)]) == digest
+    assert _ellipse_answers(["3/2", 2.0, "3/4"]) == digest
+
+
+@pytest.mark.parametrize("eps", [-1.0, 0, 0.0, math.nan, math.inf, True, "1/0"])
+def test_ellipse_geometry_rejects_a_bad_epsilon(eps):
+    # eps -1.0 gave the eps 1 ellipse, and NaN an ellipse with NaN semi-axes
+    with pytest.raises(ValueError, match="epsilon|rational|denominator"):
+        cell_ellipse_2d(((0, 0), (1, 0)), ((0, 0), (0, 1)), eps)
+    with pytest.raises(ValueError, match="epsilon|rational|denominator"):
+        relative_placement_from_cell(EllipseCell(PARTIAL_ELLIPSE, (0.0, 0.0), math.sqrt(2), 1.0, 1), eps)
 
 
 def test_relative_placement_spot_values():

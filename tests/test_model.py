@@ -27,6 +27,7 @@ from fsreal.model import (
     EMPTY,
     PARTIAL,
     cell_edge_interval,
+    checked_epsilon,
     cell_restrict,
     cell_transpose,
     classify_slab,
@@ -206,6 +207,47 @@ def test_solver_witnesses_skip_the_epsilon_check(monkeypatch):
         assert model.Witness(w.curve_p, w.curve_q, w.epsilon) == w
     with pytest.raises(ValueError):
         solve_discrete_1d(matrix, 0)
+
+
+@pytest.mark.parametrize(
+    "value, exact, expected",
+    [
+        (3, True, Fraction(3)),
+        (3, False, 3.0),
+        (Fraction(3, 4), True, Fraction(3, 4)),
+        (Fraction(3, 4), False, 0.75),
+        ("3/4", True, Fraction(3, 4)),
+        ("6/8", False, 0.75),
+        (" 5 ", True, Fraction(5)),
+        (0.75, False, 0.75),
+        (10**400, False, None),
+        (True, True, None),
+        (True, False, None),
+        (0, True, None),
+        (0, False, None),
+        (-1, True, None),
+        (Fraction(-1, 2), True, None),
+        ("-1/2", True, None),
+        ("1/0", True, None),
+        ("one", True, None),
+        (0.75, True, None),
+        (math.nan, False, None),
+        (math.inf, False, None),
+        (-0.5, False, None),
+        (None, True, None),
+    ],
+)
+def test_checked_epsilon_accepts_and_rejects(value, exact, expected):
+    # one table for the epsilon rule: a positive rational, as a Fraction on
+    # the line and as a positive finite float in R^d; None means ValueError
+    if expected is None:
+        with pytest.raises(ValueError):
+            checked_epsilon(value, exact)
+        return
+    eps = checked_epsilon(value, exact)
+    assert eps == expected and type(eps) is type(expected)
+    if isinstance(value, Fraction) and exact:
+        assert eps is value
 
 
 @pytest.mark.parametrize("bad", [[[0.5, 1]], [[1.0, 0.0]], [["1", 0]], [[256, 0]], [[-1, 0]]])
