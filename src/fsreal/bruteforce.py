@@ -152,20 +152,10 @@ def realizable_row_families(m: int) -> list[frozenset[frozenset[int]]]:
         covers = {cover for cover, _ in cells}
         families.update(sum(map(to_bit.__getitem__, covers)) for to_bit in to_bits)
     ordered = sorted(families, key=lambda fam: (fam.bit_count(), -fam))
-    # frozensets only for these: parts[b][v] holds the sets at the set bits
-    # of the value v of a family's byte b
-    sets = [frozenset(columns[mask]) for mask in reversed(by_rank)]
-    n_bytes = (size + 7) // 8
-    parts = []
-    for b in range(n_bytes):
-        part = [()]
-        for s in sets[8 * b : 8 * b + 8]:
-            part += [x + (s,) for x in part]
-        parts.append(tuple(part))
-    return [
-        frozenset(itertools.chain.from_iterable(map(tuple.__getitem__, parts, fam.to_bytes(n_bytes, "little"))))
-        for fam in ordered
-    ]
+    # frozensets only for these; a family's size binary digits, highest
+    # first, say which of the sorted column lists it holds
+    sets = [frozenset(columns[mask]) for mask in by_rank]
+    return [frozenset(itertools.compress(sets, map("1".__eq__, f"{fam:0{size}b}"))) for fam in ordered]
 
 
 def brute_force_discrete_1d(matrix: FreeSpaceMatrix) -> Optional[Witness]:

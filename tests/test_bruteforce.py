@@ -16,6 +16,8 @@ from fsreal import (
 from fsreal import bruteforce
 from fsreal.bruteforce import arrangement_cells, arrangements, realizable_row_families
 
+from conftest import random_integer_diagram
+
 
 def test_single_entry_matrix():
     w = brute_force_discrete_1d(FreeSpaceMatrix([[1]]))
@@ -180,6 +182,16 @@ def test_continuous_single_partial():
     w = brute_force_continuous_1d(d)
     assert w is not None
     assert compute_diagram_1d(w.curve_p, w.curve_q, 1) == d
+
+
+def test_continuous_yes_on_forward_diagrams():
+    # the curves of these diagrams start apart, so the offset that the first
+    # partial cell fixes is not 0
+    rng = random.Random(41)
+    for _ in range(40):
+        d = random_integer_diagram(rng.randrange(1 << 30), rng.randint(1, 5), rng.randint(1, 4), rng.randint(1, 3))
+        w = brute_force_continuous_1d(d)
+        assert w is not None and compute_diagram_1d(w.curve_p, w.curve_q, d.epsilon) == d
 
 
 def test_continuous_partition_odd_sum():
