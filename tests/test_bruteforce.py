@@ -211,32 +211,22 @@ def test_continuous_cap():
         brute_force_continuous_1d(d)
 
 
-@pytest.mark.parametrize(
-    "cells_of, centers, eps",
-    [
+def test_arrangement_cells_partition_covered_range():
+    # the Fraction case on the reference, and the same centers on the int
+    # grid of unit 1/8
+    for cells_of, centers, eps in [
         (_reference_cells, [0, Fraction(3, 4), 3], Fraction(1, 2)),
         (arrangement_cells, [0, 6, 24], 4),
-    ],
-    ids=["fraction reference", "int grid"],
-)
-def test_arrangement_cells_partition_covered_range(cells_of, centers, eps):
-    cells = cells_of(centers, eps)
-    assert cells[0][0] == frozenset()
-    assert cells[-1][0] == frozenset()
-    for cover, rep in cells:
-        assert cover == frozenset(j for j, c in enumerate(centers) if c - eps <= rep <= c + eps)
-    # the interior regions alternate endpoints and the open gaps between
-    # consecutive endpoints, so they tile the covered range
-    events = sorted({c + s * eps for c in centers for s in (-1, 1)})
-    interior = [rep for _, rep in cells[1:-1]]
-    assert interior[::2] == events
-    assert all(a < gap < b for a, gap, b in zip(interior[::2], interior[1::2], interior[2::2]))
-    assert cells[0][1] < events[0] and cells[-1][1] > events[-1]
-
-
-def test_int_arrangement_cells_are_the_fraction_reference_times_eight():
-    # the same centers as the fraction case above, on the grid of unit 1/8
-    cells = arrangement_cells([0, 6, 24], 4)
-    reference = _reference_cells([0, Fraction(3, 4), 3], Fraction(1, 2))
-    assert [(cover, Fraction(rep, 8)) for cover, rep in cells] == reference
-    assert all(type(rep) is int for _, rep in cells)
+    ]:
+        cells = cells_of(centers, eps)
+        assert cells[0][0] == frozenset()
+        assert cells[-1][0] == frozenset()
+        for cover, rep in cells:
+            assert cover == frozenset(j for j, c in enumerate(centers) if c - eps <= rep <= c + eps)
+        # the interior regions alternate endpoints and the open gaps between
+        # consecutive endpoints, so they tile the covered range
+        events = sorted({c + s * eps for c in centers for s in (-1, 1)})
+        interior = [rep for _, rep in cells[1:-1]]
+        assert interior[::2] == events
+        assert all(a < gap < b for a, gap, b in zip(interior[::2], interior[1::2], interior[2::2]))
+        assert cells[0][1] < events[0] and cells[-1][1] > events[-1]

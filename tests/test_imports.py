@@ -100,6 +100,9 @@ def _run(script, *argv):
         ("discrete1d", "matrix", ["folding", "pseudopoly", "bruteforce", "generators", "render"]),
         ("cont1d-fpt", "diagram", ["discrete", "bruteforce", "generators", "render"]),
         ("cont1d-dp", "diagram", ["discrete", "folding", "bruteforce", "generators", "render"]),
+        # the oracles share no code with the solvers they check
+        ("brute-discrete", "matrix", ["discrete", "folding", "pseudopoly", "generators", "render"]),
+        ("brute-cont", "diagram", ["discrete", "folding", "pseudopoly", "generators", "render"]),
     ],
 )
 def test_solve_imports_only_its_mode(tmp_path, mode, kind, absent):
