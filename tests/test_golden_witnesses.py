@@ -12,7 +12,8 @@ check. The discrete brute-force oracle's witnesses and the row families it
 labels the benchmark's matrices with are pinned too, so a faster oracle
 must give the same answers, and so are the continuous oracle's, on small
 diagrams of every kind it handles. Long diagrams, on which most segments meet no
-partial cell, have their own pseudo-poly and FPT digests.
+partial cell, have their own pseudo-poly and FPT digests. The messages of
+the diagram checks and of the diagram table reader are pinned as text.
 """
 
 import hashlib
@@ -35,8 +36,15 @@ from fsreal import (
     solve_pseudo_poly,
 )
 from fsreal.bruteforce import realizable_row_families
-from fsreal.formats import serialize
-from fsreal.model import cell_edge_interval, consistency_problems
+from fsreal.formats import parse, serialize
+from fsreal.model import (
+    EMPTY,
+    PARTIAL,
+    cell_edge_interval,
+    consistency_problems,
+    structural_problems,
+    transpose_diagram,
+)
 
 from conftest import random_integer_diagram, random_rational_diagram, scrambled_diagram
 from test_fuzz_pseudopoly import consistent_diagrams, forward_diagrams
@@ -356,3 +364,119 @@ def test_brute_continuous_witness_digest():
     witnesses = [brute_force_continuous_1d(d) for d in diagrams]
     assert _sha256([w is not None for w in witnesses]) == CONTINUOUS_BRUTE_VERDICT_DIGEST
     assert _sha256([None if w is None else serialize(w) for w in witnesses]) == CONTINUOUS_BRUTE_DIGEST
+
+
+# the problems that model.structural_problems and consistency_problems name,
+# and the FormatError messages of the diagram table reader, as exact text:
+# [structural, consistency] of 600 built diagrams (forward, consistent,
+# their scrambled mutants and the transposes of all of these; 218 fail the
+# grid-line check), then the error of a malformed cell grid and of a
+# malformed table made from each (132 of the grids still build)
+PROBLEM_MESSAGE_DIGEST = "1289920df396594d94c308a46ad73efd6d11f88142a8e628209a1b789345b19b"
+
+
+def _message_corpus() -> list[FreeSpaceDiagram1D]:
+    rng = random.Random(33)
+    diagrams = list(forward_diagrams(75, seed=33)) + list(consistent_diagrams(75, seed=34))
+    diagrams += [scrambled_diagram(rng, d) for d in diagrams]
+    diagrams += [transpose_diagram(d) for d in diagrams]
+    return diagrams
+
+
+def _malformed_cells(rng: random.Random, d: FreeSpaceDiagram1D):
+    """The fields of a cell grid with one to three defects, in the order
+    that the cell-grid constructor takes them."""
+    eps, widths, heights = d.scaled_eps, list(d.scaled_widths), list(d.scaled_heights)
+    cols = [list(col) for col in d.scaled_cells]
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.randrange(len(cols)), rng.randrange(len(heights))
+        c, w, h = cols[i][j], widths[i], heights[j]
+        sigma = c.sigma if c.is_partial else rng.choice([1, -1])
+        vmin, vmax = (-w, h) if sigma == 1 else (0, w + h)
+        defect = rng.randrange(9)
+        if defect == 0 and c.is_partial:
+            cols[i][j] = CellContent(PARTIAL, sigma, c.c_lo, c.c_hi + rng.choice([-1, 1]))
+        elif defect == 1:
+            lo = vmax + rng.randint(1, 5) if rng.random() < 0.5 else vmin - 2 * eps - rng.randint(1, 5)
+            cols[i][j] = CellContent(PARTIAL, sigma, lo, lo + 2 * eps)
+        elif defect == 2 and 2 * eps >= vmax - vmin:
+            cols[i][j] = CellContent(PARTIAL, sigma, vmin, vmin + 2 * eps)
+        elif defect == 3:
+            cols[i][j] = CellContent(rng.choice(["half", "Empty", "p"]))
+        elif defect == 4:
+            cols[i][j] = CellContent(PARTIAL, rng.choice([0, 2, True]), vmin, vmin + 2 * eps)
+        elif defect == 5:
+            widths[i] = rng.choice([0, -w])
+        elif defect == 6:
+            heights[j] = rng.choice([0, -h])
+        elif defect == 7:
+            eps = rng.choice([0, -eps])
+        else:
+            cols[i][j] = CellContent.full() if c.status == EMPTY else CellContent.empty()
+    shape = rng.randrange(6)  # the grid's shape last, so the cell defects find their cells
+    i = rng.randrange(len(cols))
+    if shape == 0 and len(cols) > 1:
+        del cols[i]
+    elif shape == 1:
+        cols[i] = cols[i][:-1] if rng.random() < 0.5 else cols[i] + [CellContent.empty()]
+    return eps, widths, heights, cols
+
+
+def _malformed_table(rng: random.Random, d: FreeSpaceDiagram1D) -> str:
+    """The diagram's file with one defect of the table's grammar or shape,
+    or one slab made malformed."""
+    obj = json.loads(serialize(d))
+    columns, intercepts = obj["columns"], obj["intercepts"]
+    i = rng.randrange(len(columns))
+    col = columns[i]
+    defect = rng.randrange(9)
+    if defect == 0:
+        j = rng.randrange(len(col))
+        columns[i] = col[:j] + rng.choice("xEP1 ") + col[j + 1 :]
+    elif defect == 1:
+        columns[i] = col[:-1] if rng.random() < 0.5 else col + "e"
+    elif defect == 2:
+        obj["intercepts"] = intercepts[:-1] if intercepts and rng.random() < 0.5 else intercepts + [0, 2]
+    elif defect == 3 and intercepts:
+        k = rng.randrange(len(intercepts))
+        intercepts[k] += rng.choice([-1, 1])
+    elif defect == 4 and intercepts:
+        k = 2 * rng.randrange(len(intercepts) // 2)
+        shift = rng.choice([-1, 1]) * (sum(obj["colWidths"]) + sum(obj["rowHeights"]) + 4 * obj["epsilon"])
+        intercepts[k] += shift
+        intercepts[k + 1] += shift
+    elif defect == 5:
+        del columns[i]
+    elif defect == 6:
+        obj["colWidths"][i] = rng.choice([0, -1])
+    elif defect == 7:
+        obj["epsilon"] = rng.choice([0, -obj["epsilon"]])
+    else:
+        columns[i] = col.replace("e", "f") if "e" in col else col.replace("f", "e")
+    return json.dumps(obj)
+
+
+def _error(build) -> str:
+    try:
+        build()
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "built"
+
+
+def test_problem_message_digest():
+    diagrams = _message_corpus()
+    assert len(diagrams) == 600
+    answers = [[structural_problems(d), consistency_problems(d)] for d in diagrams]
+    assert sum(bool(a[1]) for a in answers) > 100
+    rng = random.Random(35)
+    for d in diagrams:
+        fields = _malformed_cells(rng, d)
+        answers.append(_error(lambda: FreeSpaceDiagram1D.from_scaled(d.scale, *fields)))
+    for d in diagrams:
+        text = _malformed_table(rng, d)
+        answers.append(_error(lambda: parse(text)))
+    errors = answers[len(diagrams) :]
+    assert sum(e.startswith("ValueError: invalid diagram") for e in errors) > 300
+    assert sum(e.startswith("FormatError") for e in errors) > 300
+    assert _sha256(answers) == PROBLEM_MESSAGE_DIGEST
