@@ -169,21 +169,21 @@ def brute_force_discrete_1d(matrix: FreeSpaceMatrix) -> Optional[Witness]:
     if m > DISCRETE_CAP:
         raise ValueError(f"brute force capped at {DISCRETE_CAP} columns (got {m})")
     rows = matrix.row_masks
-    distinct = set(rows)
+    distinct = [[c for c in range(m) if row >> c & 1] for row in set(rows)]  # each distinct row's columns
     orders = []
     for perm in itertools.permutations(range(m)):
-        # perm[k] = column placed at sorted slot k; to_slot maps a set of
-        # columns to the set of their slots; needed has bit s set for each
-        # slot set s that a row asks for
-        to_slot = _mask_table(sorted(range(m), key=perm.__getitem__))
-        orders.append((perm, to_slot, sum(1 << to_slot[row] for row in distinct)))
+        # perm[k] = column placed at sorted slot k, and slot[c] column c's
+        # slot; needed has bit s set for each slot set s that a row asks for
+        slot = sorted(range(m), key=perm.__getitem__)
+        orders.append((perm, sum(1 << sum(1 << slot[c] for c in cols) for cols in distinct)))
     for centers_sorted, cells in arrangements(m):
         first_rep: dict[int, int] = {}
         for cover, rep in cells:
             first_rep.setdefault(cover, rep)
         covers = sum(1 << cover for cover in first_rep)
-        for perm, to_slot, needed in orders:
+        for perm, needed in orders:
             if needed & covers == needed:
+                to_slot = _mask_table(sorted(range(m), key=perm.__getitem__))  # every set of columns to its slots
                 centers = [0] * m
                 for slot, col in enumerate(perm):
                     centers[col] = centers_sorted[slot]

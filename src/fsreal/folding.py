@@ -20,14 +20,11 @@ by column outward from i0: the reachable integer positions of each vertex
 are kept as a layer with back-pointers, stepping by +-w_i, and a step
 survives only when :func:`fsreal.forward.classify_column`, the cell test of
 the forward computation (and of the labels and pseudo-poly's frame check),
-returns the diagram's column: the cells are one value type, compared as
-they are.
-That costs O(2^k_short * n * m * R), k_short the unknown lines of the
+returns the diagram's column, its letters and intercepts. That costs O(2^k_short * n * m * R), k_short the unknown lines of the
 enumerated side and R the largest layer.
 
-The crease inference, the sweep and the witness all read the diagram's
-int form, its values times its scale; the diagram was checked to be well
-formed when it was built. This module only proposes candidates: each full
+The crease inference, the sweep and the witness read the diagram's int
+table; the diagram was checked to be well formed when it was built. This module only proposes candidates: each full
 assignment found fixes a pair, which :func:`extract_curves` reads off those
 ints. :func:`fsreal.pseudopoly.decide_diagram`, the entry of both diagram
 solvers, runs the grid-line check first, takes the closed form for a
@@ -42,11 +39,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .model import (
-    EMPTY,
-    FULL,
-    PARTIAL,
-    CellContent,
     FreeSpaceDiagram1D,
+    column_cells,
+    partial_rows,
     Witness,
     consistency_problems,  # noqa: F401  not called: bench/tracing.py patches this name
     structural_problems,  # noqa: F401  not called: bench/tracing.py patches this name
@@ -74,36 +69,46 @@ class CreaseAssignment:
         return sum(1 for s in self.vertical + self.horizontal if s == UNKNOWN)
 
 
-def _continues(left: CellContent, w_l, right: CellContent, w_r, h, e, fold: bool) -> bool:
+def _continues(left, w_l, right, w_r, h, e, fold: bool) -> bool:
     """Two P segments meeting at the line, with a fold there or straight,
-    give these two cells against one Q segment of length h.
+    give these two cells against one Q segment of length h; each cell is a
+    one-row column of :func:`fsreal.model.column_cells`.
 
     A partial cell fixes its P segment, run from 0 to its width, against the
     Q segment, and :func:`fsreal.forward.classify_column` gives the other
     cell; two cells without a slab fold into each other iff they are equal,
     and continue straight iff both are empty or both full with the whole
     row within 2*eps."""
-    if left.status == PARTIAL:
-        q_seg = (left.sigma == 1, -left.sigma * (left.c_lo + e), h)
-        return classify_column(w_l, w_l - w_r if fold else w_l + w_r, (q_seg,), e)[0] == right
-    if right.status == PARTIAL:
-        q_seg = (right.sigma == 1, -right.sigma * (right.c_lo + e), h)
-        return classify_column(w_l if fold else -w_l, 0, (q_seg,), e)[0] == left
-    if fold or left.status == EMPTY:
+    if left[1]:  # Q's segment starts at -sigma * (c_lo + e)
+        q_seg = (True, -left[1][0] - e, h) if left[0] == "p" else (False, left[1][0] + e, h)
+        return classify_column(w_l, w_l - w_r if fold else w_l + w_r, (q_seg,), e) == right
+    if right[1]:
+        q_seg = (True, -right[1][0] - e, h) if right[0] == "p" else (False, right[1][0] + e, h)
+        return classify_column(w_l if fold else -w_l, 0, (q_seg,), e) == left
+    if fold or left[0] == "e":
         return left == right
-    return right.status == FULL and w_l + w_r + h <= 2 * e
+    return right[0] == "f" and w_l + w_r + h <= 2 * e
 
 
-def _line_labels(columns, widths, heights, eps) -> tuple[list[str], list[str]]:
+def _line_labels(d: FreeSpaceDiagram1D) -> tuple[list[str], list[int]]:
     """Labels and contradiction notes for the lines between consecutive
-    column entries; ``columns[i]`` is the cell tuple of column i."""
+    columns of ``d``. Two columns without a partial letter fold into each
+    other iff their strings are equal, and continue straight iff they are
+    equal and each row of full cells fits within 2*eps."""
+    columns, intercepts, widths, heights, eps = d.columns, d.scaled_intercepts, d.scaled_widths, d.scaled_heights, d.scaled_eps
+    cells = [column_cells(col, ints) if ints else None for col, ints in zip(columns, intercepts)]
     labels = []
     notes = []
     for i in range(len(columns) - 1):
-        rows = list(zip(columns[i], columns[i + 1], heights))
         w_l, w_r = widths[i], widths[i + 1]
-        fold_ok = all(_continues(left, w_l, right, w_r, h, eps, True) for left, right, h in rows)
-        straight_ok = all(_continues(left, w_l, right, w_r, h, eps, False) for left, right, h in rows)
+        if cells[i] is None and cells[i + 1] is None:
+            left = columns[i]
+            fold_ok = left == columns[i + 1]
+            straight_ok = fold_ok and all(w_l + w_r + h <= 2 * eps for ch, h in zip(left, heights) if ch == "f")
+        else:
+            rows = list(zip(cells[i] or column_cells(columns[i], ()), cells[i + 1] or column_cells(columns[i + 1], ()), heights))
+            fold_ok = all(_continues(left, w_l, right, w_r, h, eps, True) for left, right, h in rows)
+            straight_ok = all(_continues(left, w_l, right, w_r, h, eps, False) for left, right, h in rows)
         if fold_ok and straight_ok:
             labels.append(UNKNOWN)
         elif fold_ok:
@@ -120,10 +125,8 @@ def infer_creases(diagram: FreeSpaceDiagram1D) -> CreaseAssignment:
     """Label every grid line whose adjacent cells admit only one of
     {fold, straight}; lines supporting both stay unknown, lines supporting
     neither are contradictions (the instance is not realizable)."""
-    eps = diagram.scaled_eps
-    v_labels, v_bad = _line_labels(diagram.scaled_cells, diagram.scaled_widths, diagram.scaled_heights, eps)
-    t = transpose_diagram(diagram)
-    h_labels, h_bad = _line_labels(t.scaled_cells, t.scaled_widths, t.scaled_heights, eps)
+    v_labels, v_bad = _line_labels(diagram)
+    h_labels, h_bad = _line_labels(transpose_diagram(diagram))
     notes = tuple(
         [f"vertical line {i}: no fold/straight assignment matches the white space" for i in v_bad]
         + [f"horizontal line {j}: no fold/straight assignment matches the white space" for j in h_bad]
@@ -158,22 +161,20 @@ def extract_curves(
     :func:`fsreal.pseudopoly.closed_form_witness`'s, or None. Either way
     the pair is unchecked; :func:`check_foldable` checks it forward.
     """
-    cells = diagram.scaled_cells
-    partials = ((i, j) for i, col in enumerate(cells) for j, c in enumerate(col) if c.status == PARTIAL)
-    i0, j0 = next(partials, (None, None))
+    partials = ((i, j, 1 if col[j] == "p" else -1) for i, col in enumerate(diagram.columns) for j in partial_rows(col))
+    i0, j0, sigma0 = next(partials, (None, None, None))
     if i0 is None:
         return closed_form_witness(diagram)
     sp = _orientations_from(vertical)
     sq_rel = _orientations_from(horizontal)
-    cell0 = cells[i0][j0]
-    sq1 = cell0.sigma * sp[i0] * sq_rel[j0]
+    sq1 = sigma0 * sp[i0] * sq_rel[j0]
     sq = [sq1 * s for s in sq_rel]
-    if any(sp[i] * sq[j] != cells[i][j].sigma for i, j in partials):  # the first one agrees by sq1
+    if any(sp[i] * sq[j] != sigma for i, j, sigma in partials):  # the first one agrees by sq1
         return None
     p_pts = _vertices(diagram.scaled_widths, sp)
     pref_q = _vertices(diagram.scaled_heights, sq)
     # c_lo = sq_j * (Pstart - Qstart) - eps
-    q0 = p_pts[i0] - sq[j0] * (cell0.c_lo + diagram.scaled_eps) - pref_q[j0]
+    q0 = p_pts[i0] - sq[j0] * (diagram.scaled_intercepts[i0][0] + diagram.scaled_eps) - pref_q[j0]
     return int_witness(diagram, p_pts, [q0 + v for v in pref_q], diagram.scale)
 
 
@@ -207,7 +208,7 @@ def _walk(d: FreeSpaceDiagram1D, q_segs, columns, forward: bool) -> Optional[lis
     e = d.scaled_eps
     layers = [{0: None}]
     for i in columns:
-        w, target, reached = d.scaled_widths[i], d.scaled_cells[i], {}
+        w, target, reached = d.scaled_widths[i], (d.columns[i], d.scaled_intercepts[i]), {}
         for x in layers[-1]:
             for y in (x + w, x - w):
                 if y in reached:
@@ -232,10 +233,10 @@ def _sweep(d: FreeSpaceDiagram1D, labels: Sequence[str]):
     diagram has a partial cell; the first, (i0, j0), puts P_{i0} at 0 and,
     given Q's orientation vector, fixes Q."""
     e = d.scaled_eps
-    partials = [[(j, c.sigma) for j, c in enumerate(col) if c.status == PARTIAL] for col in d.scaled_cells]
+    partials = [[(j, 1 if col[j] == "p" else -1) for j in partial_rows(col)] for col in d.columns]
     i0 = next(i for i, col in enumerate(partials) if col)
     j0 = partials[i0][0][0]
-    c_lo0 = d.scaled_cells[i0][j0].c_lo
+    c_lo0 = d.scaled_intercepts[i0][0]
     # the partial cells of one column share sp_i = sigma_j * sq_j
     parity = [(j, j2, s * s2) for col in partials for (j, s), (j2, s2) in zip(col, col[1:])]
     for horizontal in _completions(labels):

@@ -8,11 +8,12 @@ A matrix is written one row per line, each row a string over ``0``/``1``
 whose character j is entry j; rows given as arrays of 0/1 ints, as earlier
 files hold them, are still read.
 
-A diagram is written as one int table over one ``scale``: ``epsilon``,
-``colWidths`` and ``rowHeights`` are ints, each of ``columns`` is a string
-with one letter per row (``e`` empty, ``f`` full, ``p`` and ``n`` partial
-with sigma +1 and -1), and ``intercepts`` is one flat int list holding
-(cLo, cHi) of each partial letter in column order. Diagrams whose
+A diagram is written as its int table over one ``scale``, the model's
+layout: ``epsilon``, ``colWidths`` and ``rowHeights`` are ints, each of
+``columns`` is a string with one letter per row (``e`` empty, ``f`` full,
+``p`` and ``n`` partial with sigma +1 and -1), and ``intercepts`` is one
+flat int list holding (cLo, cHi) of each partial letter in column order,
+read and written with no cell built. Diagrams whose
 ``cells`` are objects of "num/den" strings, as earlier files hold them, are
 still read; the two layouts are told apart by their keys. The schema name
 stays ``fsreal/1``, so a reader older than the table layout refuses its
@@ -34,12 +35,12 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Union
 
 from .model import (
     _NOT_2D,
-    EMPTY,
-    FULL,
+    _check_diagram,
     PARTIAL,
     CellContent,
     Curve1D,
@@ -155,23 +156,15 @@ def _matrix_text(matrix: FreeSpaceMatrix) -> str:
     )
 
 
-_LETTERS = {EMPTY: "e", FULL: "f"}
-
-
 def _diagram_text(d: FreeSpaceDiagram1D) -> str:
-    """The diagram's ints over its scale: each column as one string of cell
-    letters, and the partial cells' intercepts in column order."""
-    cells = d.scaled_cells
-    columns = ",\n".join(
-        '    "' + "".join([_LETTERS.get(c.status) or ("p" if c.sigma == 1 else "n") for c in col]) + '"'
-        for col in cells
-    )
-    intercepts = [v for col in cells for c in col if c.status == PARTIAL for v in (c.c_lo, c.c_hi)]
+    """The diagram's table as it stores it: its ints over its scale, each
+    column's letter string, and every column's intercepts in column order."""
+    columns = ",\n".join(f'    "{col}"' for col in d.columns)
     return (
         f'{{\n  "format": "{FORMAT}",\n  "kind": "diagram1d",\n  "scale": {d.scale},\n'
         f'  "epsilon": {d.scaled_eps},\n  "colWidths": {_int_list(d.scaled_widths)},\n'
         f'  "rowHeights": {_int_list(d.scaled_heights)},\n  "columns": [\n{columns}\n  ],\n'
-        f'  "intercepts": {_int_list(intercepts)}\n}}\n'
+        f'  "intercepts": {_int_list(chain.from_iterable(d.scaled_intercepts))}\n}}\n'
     )
 
 
@@ -279,13 +272,9 @@ def _parse_matrix(obj: dict) -> FreeSpaceMatrix:
 
 
 _TABLE_KEYS = frozenset({"format", "kind", "scale", "epsilon", "colWidths", "rowHeights", "columns", "intercepts"})
-_LETTER_CELLS = {"e": CellContent.empty(), "f": CellContent.full()}
-_LETTER_SIGMA = {"p": 1, "n": -1}
-
-
 def _parse_table(obj: dict) -> FreeSpaceDiagram1D:
     """A diagram written as ints over one scale, a string of cell letters per
-    column and one flat list of intercepts."""
+    column and one flat list of intercepts, which is split by column."""
     _check_keys(obj, _TABLE_KEYS)
     scale = _int_in(obj["scale"], "scale")
     if scale < 1:
@@ -305,12 +294,9 @@ def _parse_table(obj: dict) -> FreeSpaceDiagram1D:
     if len(intercepts) != 2 * partial:
         raise FormatError(f"intercepts must hold 2 ints for each of the {partial} partial cells, got {len(intercepts)}")
     it = iter(intercepts)
-    cells = [
-        [_LETTER_CELLS.get(ch) or CellContent(PARTIAL, _LETTER_SIGMA[ch], next(it), next(it)) for ch in col]
-        for col in columns
-    ]
+    per_column = [tuple(islice(it, 2 * (col.count("p") + col.count("n")))) for col in columns]
     try:
-        return FreeSpaceDiagram1D.from_scaled(scale, eps, widths, heights, cells)
+        return _check_diagram(FreeSpaceDiagram1D._built(scale, eps, widths, heights, columns, per_column))
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 

@@ -19,8 +19,6 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .model import (
-    PARTIAL,
-    CellContent,
     Curve1D,
     CurveD,
     FreeSpaceDiagram1D,
@@ -37,9 +35,6 @@ ELLIPSE_EMPTY = "empty"
 ELLIPSE_FULL = "full"
 PARTIAL_ELLIPSE = "partial_ellipse"
 PARTIAL_SLAB = "partial_slab"
-
-_EMPTY_CELL = CellContent.empty()
-_FULL_CELL = CellContent.full()
 
 
 def _point_list(curve):
@@ -108,37 +103,40 @@ def _matrix_1d(p, q, eps: Fraction) -> FreeSpaceMatrix:
     return FreeSpaceMatrix._built(len(qi), rows)
 
 
-def classify_column(a: int, b: int, q_segs, e: int) -> tuple[CellContent, ...]:
-    """The cells of the column of P's segment from a to b, on ints.
+def classify_column(a: int, b: int, q_segs, e: int) -> tuple[str, tuple[int, ...]]:
+    """The column of P's segment from a to b, on ints, as a diagram stores
+    it: its letters and its partial cells' intercepts.
 
     ``q_segs`` holds each Q segment as (up, start, length), up true when it
     runs in the positive direction. Each cell is empty, full or, for the
     slab |P(x) - Q(y)| <= e cut by the cell box, partial with the white set
     c_lo <= y - sigma*x <= c_hi. The forward computation, FPT's crease
-    labels, its sweep and pseudo-poly's frame check compare these cells with
-    a diagram's.
+    labels, its sweep and pseudo-poly's frame check compare these columns
+    with a diagram's.
     """
-    w = abs(b - a)
-    p_up = b > a
-    cells = []
+    w, p_up, e2 = abs(b - a), b > a, 2 * e
+    letters, ints = [], []
     for q_up, c, h in q_segs:
-        # c_lo = sq * (p_start - q_start) - eps; sigma = sp * sq
-        if q_up:
-            c_lo = a - c - e
-            sigma = 1 if p_up else -1
+        # c_lo = sq * (p_start - q_start) - eps; sigma = sp * sq; the tests
+        # read the box's range of y - sigma*x, as model.classify_slab does
+        c_lo = a - c - e if q_up else c - a - e
+        c_hi = c_lo + e2
+        if q_up == p_up:  # sigma +1: y - x over [-w, h]
+            if c_lo > h or c_hi < -w:
+                letters.append("e")
+            elif c_lo <= -w and c_hi >= h:
+                letters.append("f")
+            else:
+                letters.append("p")
+                ints += (c_lo, c_hi)
+        elif c_lo > w + h or c_hi < 0:  # sigma -1: y + x over [0, w + h]
+            letters.append("e")
+        elif c_lo <= 0 and c_hi >= w + h:
+            letters.append("f")
         else:
-            c_lo = c - a - e
-            sigma = -1 if p_up else 1
-        c_hi = c_lo + 2 * e
-        # the box's range of y - sigma*x, as in model.classify_slab
-        vmin, vmax = (-w, h) if sigma == 1 else (0, w + h)
-        if c_lo > vmax or c_hi < vmin:
-            cells.append(_EMPTY_CELL)
-        elif c_lo <= vmin and c_hi >= vmax:
-            cells.append(_FULL_CELL)
-        else:
-            cells.append(CellContent(PARTIAL, sigma, c_lo, c_hi))
-    return tuple(cells)
+            letters.append("n")
+            ints += (c_lo, c_hi)
+    return "".join(letters), tuple(ints)
 
 
 def q_segments(q: Sequence[int]) -> list[tuple[bool, int, int]]:
@@ -152,21 +150,22 @@ def compute_diagram_1d(p: Curve1D, q: Curve1D, eps) -> FreeSpaceDiagram1D:
     Cell (i, j) is the slab |P_i(x) - Q_j(y)| <= eps classified against the
     cell box; orientation is the product of the two segments' orientations.
 
-    The cells are computed on Python ints by :func:`classify_column`, with
+    The columns are computed on Python ints by :func:`classify_column`, with
     the vertices and eps scaled by the least common multiple of the curves'
     scales and eps's denominator (never by a solver's scale, so the check
     stays independent of the code it checks); the diagram is built from
-    those ints without a Fraction, and without the constructors' structural
-    check, which every cell of :func:`classify_column` passes.
+    those letters and ints without a Fraction, and without the
+    constructors' structural check, which every column of
+    :func:`classify_column` passes.
     """
     e, den = checked_epsilon(eps, exact=True).as_integer_ratio()
     scale = math.lcm(den, p.scale, q.scale)
     pi = [v * (scale // p.scale) for v in p.scaled_vertices]
     q_segs = q_segments([v * (scale // q.scale) for v in q.scaled_vertices])
     e *= scale // den
-    cols = [classify_column(a, b, q_segs, e) for a, b in zip(pi, pi[1:])]
+    columns, intercepts = zip(*[classify_column(a, b, q_segs, e) for a, b in zip(pi, pi[1:])])
     widths = [abs(b - a) for a, b in zip(pi, pi[1:])]
-    return FreeSpaceDiagram1D._built(scale, e, widths, [h for _, _, h in q_segs], cols)
+    return FreeSpaceDiagram1D._built(scale, e, widths, [h for _, _, h in q_segs], columns, intercepts)
 
 
 @dataclass(frozen=True)

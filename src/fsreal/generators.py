@@ -20,6 +20,7 @@ from .model import (
     FreeSpaceMatrix,
     PointSeq1D,
     Witness,
+    _check_diagram,
     rat,
 )
 from .forward import compute_diagram_1d, compute_matrix
@@ -237,20 +238,15 @@ def _mutate_diagram(rng: random.Random, d: FreeSpaceDiagram1D) -> Optional[FreeS
     """Shift one partial cell's slab by one unit, keeping the diagram
     structurally well-formed (boundary consistency may break: that is the
     point, such instances are usually unrealizable)."""
-    candidates = [
-        (i, j, shift)
-        for i in range(d.n_cols)
-        for j in range(d.m_rows)
-        if d.scaled_cells[i][j].is_partial
-        for shift in (-d.scale, d.scale)
-    ]
+    candidates = [(i, k, shift) for i, ints in enumerate(d.scaled_intercepts) for k in range(0, len(ints), 2) for shift in (-d.scale, d.scale)]
     rng.shuffle(candidates)
-    for i, j, shift in candidates:
-        cols = [list(col) for col in d.scaled_cells]
-        c = cols[i][j]
-        cols[i][j] = CellContent(c.status, c.sigma, c.c_lo + shift, c.c_hi + shift)
+    for i, k, shift in candidates:
+        intercepts = list(d.scaled_intercepts)
+        ints = intercepts[i] = list(intercepts[i])
+        ints[k] += shift
+        ints[k + 1] += shift
         try:
-            return FreeSpaceDiagram1D.from_scaled(d.scale, d.scaled_eps, d.scaled_widths, d.scaled_heights, cols)
+            return _check_diagram(FreeSpaceDiagram1D._built(d.scale, d.scaled_eps, d.scaled_widths, d.scaled_heights, d.columns, intercepts))
         except ValueError:
             continue  # the shifted slab misses the cell or covers it
     return None

@@ -5,20 +5,14 @@ canonical int form: an int ``scale``, the least common multiple of the
 denominators of its values, and every value times that scale as an int (the
 ``scaled_*`` fields), so the ints and the scale share no common factor.
 Equality, hashing, the solvers and serialization read these ints; the
-caller-unit `fractions.Fraction` views (``vertices``, ``points``,
-``epsilon``, ``col_widths``, ``row_heights``, ``cells``) are built on first
-read and then kept. A witness's eps is a Fraction, or a float for curves in
-R^d. The cell algebra below is written for either number type and returns
-ints on int input.
-Every module's cells are one value type, :class:`CellContent`, and
-:func:`classify_slab` is the one slab-in-box test here; the forward
-computation's kernel inlines it, and FPT's crease labels, its sweep and
-pseudo-poly's frame check compare that kernel's cells with a diagram's.
-What stays here serves the diagram itself (its checks and its transpose)
-and pseudo-poly's typing, which cuts slabs with :func:`cell_restrict`. The
-grid-line check compares edge intervals inline on the ints, so
-:func:`cell_edge_interval` serves :mod:`fsreal.render` and the tests, which
-hold the check to it.
+caller-unit `fractions.Fraction` views are built on first read and kept. A
+witness's eps is a Fraction, or a float for curves in R^d.
+A diagram is held as its file's int table, a letter string and the partial
+cells' intercepts per column; its :class:`CellContent` cells are a view. The
+checks, the transpose and the solvers read the letters and do per-cell work
+only at partial ones. The cell algebra below is written for either number type, returns ints
+on int input, and serves pseudo-poly's typing (:func:`cell_restrict`),
+:mod:`fsreal.render` and the tests.
 Curves in dimension >= 2 hold float coordinates, which
 :mod:`fsreal.forward` compares exactly on ints.
 """
@@ -294,16 +288,6 @@ def cell_restrict(
     return classify_slab(cell.sigma, cell.c_lo + shift, cell.c_hi + shift, w, h)
 
 
-def cell_transpose(cell: CellContent) -> CellContent:
-    """Cell content with the x and y axes swapped."""
-    if cell.status != PARTIAL:
-        return cell
-    if cell.sigma == -1:
-        return cell
-    # x - y in [lo, hi]  <=>  y - x in [-hi, -lo]
-    return CellContent(PARTIAL, 1, -cell.c_hi, -cell.c_lo)
-
-
 def cell_edge_interval(
     cell: CellContent, w: int | Fraction, h: int | Fraction, edge: str
 ) -> Optional[tuple[int | Fraction, int | Fraction]]:
@@ -341,8 +325,7 @@ def cell_edge_interval(
     return a2, b2
 
 
-_EMPTY_CELL = CellContent.empty()
-_FULL_CELL = CellContent.full()
+_LETTER_CELLS = {"e": CellContent.empty(), "f": CellContent.full()}
 
 _NOT_2D = "matrix must be two-dimensional and non-empty"
 _NOT_BINARY = "matrix entries must be 0 or 1"
@@ -485,76 +468,110 @@ def _list_masks(entries) -> tuple[int, tuple[int, ...]]:
     return len(rows[0]), tuple(row_mask([_entry_bit(v) for v in r]) for r in rows)
 
 
-def _intercepts(cells):
-    """c_lo and c_hi of each partial cell, in grid order."""
-    return (v for col in cells for c in col if c.status == PARTIAL for v in (c.c_lo, c.c_hi))
+def _table(cells) -> tuple[list[str], list[list], dict[tuple[int, int], CellContent]]:
+    """A cell grid as its letter table. A cell that no letter spells (an
+    unknown status, or an orientation other than the int +1 or -1) is a
+    ``?``, returned by (column, row) for :func:`structural_problems`."""
+    columns, intercepts, odd = [], [], {}
+    for i, col in enumerate(cells):
+        letters, ints = [], []
+        for j, c in enumerate(col):
+            if c.status == PARTIAL and type(c.sigma) is int and c.sigma in (1, -1):
+                letters.append("p" if c.sigma == 1 else "n")
+                ints += (c.c_lo, c.c_hi)
+            elif c.status == EMPTY or c.status == FULL:
+                letters.append("e" if c.status == EMPTY else "f")
+            else:
+                letters.append("?")
+                odd[i, j] = c
+        columns.append("".join(letters))
+        intercepts.append(ints)
+    return columns, intercepts, odd
 
 
-def _rescaled(cells, f) -> tuple[tuple[CellContent, ...], ...]:
-    """The cells, each partial cell's intercepts mapped through ``f``."""
-    return tuple(
-        tuple(CellContent(PARTIAL, c.sigma, f(c.c_lo), f(c.c_hi)) if c.status == PARTIAL else c for c in col)
-        for col in cells
-    )
+def partial_rows(letters: str) -> list[int]:
+    """The indices of the partial letters, ``p`` and ``n``, of a column."""
+    marked, rows = letters.replace("n", "p"), []
+    k = marked.find("p")
+    while k >= 0:
+        rows.append(k)
+        k = marked.find("p", k + 1)
+    return rows
+
+
+def column_cells(letters: str, ints) -> list[tuple[str, tuple[int, ...]]]:
+    """Each cell of a column as a one-row column: its letter and (c_lo,
+    c_hi), or () for an empty or full letter."""
+    it = iter(ints)
+    return [(ch, (next(it), next(it)) if ch == "p" or ch == "n" else ()) for ch in letters]
 
 
 @dataclass(frozen=True)
 class FreeSpaceDiagram1D:
-    """Cell grid of a 1D free space diagram; ``cells[i][j]`` pairs the i-th
-    P segment (column, width ``col_widths[i]``) with the j-th Q segment
-    (row, height ``row_heights[j]``).
+    """1D free space diagram: column i pairs the i-th P segment (width
+    ``col_widths[i]``) with each Q segment, row j the j-th (height
+    ``row_heights[j]``).
 
-    Stored as ints over one ``scale``: ``scaled_eps``, ``scaled_widths``,
-    ``scaled_heights`` and ``scaled_cells``, whose partial cells carry int
-    intercepts. ``epsilon``, ``col_widths``, ``row_heights`` and ``cells``
-    are the same values as Fractions, built on first read.
+    Stored as a diagram file's table, ints over one ``scale``: per column
+    its letters in ``columns`` (``e`` empty, ``f`` full, ``p`` and ``n``
+    partial with sigma +1 and -1) and in ``scaled_intercepts`` the (c_lo,
+    c_hi) of its partial letters in row order. ``scaled_cells``
+    (``scaled_cells[i][j]`` for column i, row j), ``cells`` and the Fraction
+    values are views, built on first read.
 
-    Both constructors run :func:`structural_problems` and raise
-    ``ValueError("invalid diagram: ...")`` on a malformed diagram, so a
-    built diagram can fail only :func:`consistency_problems`."""
+    Both constructors take a cell grid, run :func:`structural_problems` and
+    raise ``ValueError("invalid diagram: ...")`` on a malformed diagram, so
+    a built diagram can fail only :func:`consistency_problems`."""
 
     scale: int
     scaled_eps: int
     scaled_widths: tuple[int, ...]
     scaled_heights: tuple[int, ...]
-    scaled_cells: tuple[tuple[CellContent, ...], ...]
+    columns: tuple[str, ...]
+    scaled_intercepts: tuple[tuple[int, ...], ...]
 
     def __init__(self, epsilon, col_widths, row_heights, cells):
-        widths, heights, cells = list(col_widths), list(row_heights), tuple(tuple(col) for col in cells)
-        self._set(*_scaled([epsilon, *widths, *heights, *_intercepts(cells)]), len(widths), len(heights), cells)
-        _check_diagram(self)
+        widths, heights = list(col_widths), list(row_heights)
+        columns, intercepts, odd = _table(cells)
+        self._set(*_scaled([epsilon, *widths, *heights, *chain.from_iterable(intercepts)]), len(widths), len(heights), columns, intercepts)
+        _check_diagram(self, odd)
 
     @classmethod
     def from_scaled(cls, scale: int, scaled_eps: int, scaled_widths, scaled_heights, scaled_cells):
         """The diagram whose values are these ints over ``scale``, a
         positive int; the scale and the ints are divided by their gcd."""
         _check_scale(scale)
-        return _check_diagram(cls._built(scale, scaled_eps, scaled_widths, scaled_heights, scaled_cells))
+        columns, intercepts, odd = _table(scaled_cells)
+        return _check_diagram(cls._built(scale, scaled_eps, scaled_widths, scaled_heights, columns, intercepts), odd)
 
     @classmethod
-    def _built(cls, scale: int, scaled_eps: int, scaled_widths, scaled_heights, scaled_cells):
-        """:meth:`from_scaled` unchecked, for the diagrams well formed by
-        construction: the forward computation's and :func:`transpose_diagram`'s."""
+    def _built(cls, scale: int, scaled_eps: int, scaled_widths, scaled_heights, columns, intercepts):
+        """The diagram of this letter table (one int tuple of intercepts per
+        column) over ``scale``, reduced and unchecked: the forward
+        computation's and :func:`transpose_diagram`'s, or a file's, which
+        :func:`_check_diagram` checks."""
         widths, heights = tuple(scaled_widths), tuple(scaled_heights)
-        cells = tuple(tuple(col) for col in scaled_cells)
+        intercepts = tuple(map(tuple, intercepts))
         diagram = object.__new__(cls)
         if scale > 1:
-            reduced_scale, ints = _reduced(scale, [scaled_eps, *widths, *heights, *_intercepts(cells)])
+            reduced_scale, ints = _reduced(scale, [scaled_eps, *widths, *heights, *chain.from_iterable(intercepts)])
             if reduced_scale < scale:
-                diagram._set(reduced_scale, ints, len(widths), len(heights), cells)
+                diagram._set(reduced_scale, ints, len(widths), len(heights), columns, intercepts)
                 return diagram
-        diagram._store(scale, scaled_eps, widths, heights, cells)
+        diagram._store(scale, scaled_eps, widths, heights, tuple(columns), intercepts)
         return diagram
 
-    def _set(self, scale: int, ints: Sequence[int], n: int, m: int, cells) -> None:
+    def _set(self, scale: int, ints: Sequence[int], n: int, m: int, columns, intercepts) -> None:
         """Store ``ints`` over ``scale``: eps, the n widths, the m heights,
-        then the intercepts of the partial ``cells`` in grid order."""
+        then the intercepts of each column's partial letters."""
         it = iter(ints)
         eps, widths, heights = next(it), tuple(islice(it, n)), tuple(islice(it, m))
-        self._store(scale, eps, widths, heights, _rescaled(cells, lambda _: next(it)))
+        scaled = tuple([tuple(islice(it, len(col))) for col in intercepts])
+        self._store(scale, eps, widths, heights, tuple(columns), scaled)
 
     def _store(self, *values) -> None:
-        for name, value in zip(("scale", "scaled_eps", "scaled_widths", "scaled_heights", "scaled_cells"), values):
+        names = ("scale", "scaled_eps", "scaled_widths", "scaled_heights", "columns", "scaled_intercepts")
+        for name, value in zip(names, values):
             object.__setattr__(self, name, value)
 
     @cached_property
@@ -570,8 +587,17 @@ class FreeSpaceDiagram1D:
         return tuple(Fraction(v, self.scale) for v in self.scaled_heights)
 
     @cached_property
+    def scaled_cells(self) -> tuple[tuple[CellContent, ...], ...]:
+        return self._grid(int)
+
+    @cached_property
     def cells(self) -> tuple[tuple[CellContent, ...], ...]:
-        return _rescaled(self.scaled_cells, lambda v: Fraction(v, self.scale))
+        return self._grid(lambda v: Fraction(v, self.scale))
+
+    def _grid(self, value) -> tuple[tuple[CellContent, ...], ...]:
+        """The cells, each intercept mapped through ``value``."""
+        grid = [column_cells(col, ints) for col, ints in zip(self.columns, self.scaled_intercepts)]
+        return tuple(tuple([_LETTER_CELLS.get(ch) or CellContent(PARTIAL, 1 if ch == "p" else -1, *map(value, s)) for ch, s in col]) for col in grid)
 
     @property
     def n_cols(self) -> int:
@@ -585,8 +611,11 @@ class FreeSpaceDiagram1D:
 def transpose_diagram(d: FreeSpaceDiagram1D) -> FreeSpaceDiagram1D:
     """The diagram of the swapped curve pair (Q, P): rows become columns and
     each cell is transposed."""
-    cells = [[cell_transpose(col[j]) for col in d.scaled_cells] for j in range(d.m_rows)]
-    return FreeSpaceDiagram1D._built(d.scale, d.scaled_eps, d.scaled_heights, d.scaled_widths, cells)
+    rows, row_ints = list(map("".join, zip(*d.columns))), [[] for _ in d.scaled_heights]
+    for col, ints in zip(d.columns, d.scaled_intercepts):
+        for j, lo, hi in zip(partial_rows(col), ints[::2], ints[1::2]):
+            row_ints[j] += (-hi, -lo) if col[j] == "p" else (lo, hi)  # x - y in [lo, hi]  <=>  y - x in [-hi, -lo]
+    return FreeSpaceDiagram1D._built(d.scale, d.scaled_eps, d.scaled_heights, d.scaled_widths, rows, row_ints)
 
 
 @dataclass(frozen=True)
@@ -617,7 +646,10 @@ class Witness:
         return witness
 
 
-def _check_diagram(d: FreeSpaceDiagram1D) -> FreeSpaceDiagram1D:
+def _check_diagram(d: FreeSpaceDiagram1D, odd=None) -> FreeSpaceDiagram1D:
+    """``d``, or ValueError naming its structural problems (``odd``: the cells of its ``?`` letters)."""
+    if odd:
+        object.__setattr__(d, "_odd_cells", odd)
     problems = structural_problems(d)
     if problems:
         raise ValueError("invalid diagram: " + "; ".join(problems))
@@ -625,15 +657,16 @@ def _check_diagram(d: FreeSpaceDiagram1D) -> FreeSpaceDiagram1D:
 
 
 def structural_problems(d: FreeSpaceDiagram1D) -> list[str]:
-    """Shape and per-cell invariants; violations mean malformed data."""
+    """Shape and per-cell invariants; violations mean malformed data. Only
+    the partial letters of a column get per-cell checks."""
     problems: list[str] = []
-    eps, widths, heights, cells = d.scaled_eps, d.scaled_widths, d.scaled_heights, d.scaled_cells
+    eps, widths, heights, columns = d.scaled_eps, d.scaled_widths, d.scaled_heights, d.columns
     if eps <= 0:
         problems.append("epsilon must be positive")
-    if len(cells) != d.n_cols:
+    if len(columns) != d.n_cols:
         problems.append("cell grid width does not match colWidths")
         return problems
-    if any(len(col) != d.m_rows for col in cells):
+    if any(len(col) != d.m_rows for col in columns):
         problems.append("cell grid height does not match rowHeights")
         return problems
     if d.n_cols == 0 or d.m_rows == 0:
@@ -648,24 +681,27 @@ def structural_problems(d: FreeSpaceDiagram1D) -> list[str]:
     if problems:
         return problems
 
-    for i, w in enumerate(widths):
-        for j, h in enumerate(heights):
-            c = cells[i][j]
-            if c.status not in (EMPTY, FULL, PARTIAL):
-                problems.append(f"cell ({i},{j}): unknown status {c.status!r}")
+    for i, (w, col, ints) in enumerate(zip(widths, columns, d.scaled_intercepts)):
+        if not ints and "?" not in col:
+            continue  # empty and full letters only
+        k = 0
+        for j, ch in enumerate(col):
+            if ch == "e" or ch == "f":
                 continue
-            if c.status != PARTIAL:
+            if ch == "?":  # a cell that no letter spells
+                status = d._odd_cells[i, j].status
+                known = status in (EMPTY, FULL, PARTIAL)
+                problems.append(f"cell ({i},{j}): " + ("slab orientation must be +1 or -1" if known else f"unknown status {status!r}"))
                 continue
-            if type(c.sigma) is not int or c.sigma not in (1, -1):
-                problems.append(f"cell ({i},{j}): slab orientation must be +1 or -1")
-                continue
-            if c.c_hi - c.c_lo != 2 * eps:
+            lo, hi, k = ints[k], ints[k + 1], k + 2
+            if hi - lo != 2 * eps:
                 problems.append(f"cell ({i},{j}): slab width != 2*eps")
                 continue
-            status = classify_slab(c.sigma, c.c_lo, c.c_hi, w, h).status
-            if status == EMPTY:
+            h = heights[j]
+            vmin, vmax = (-w, h) if ch == "p" else (0, w + h)  # the box's range of y - sigma*x
+            if lo > vmax or hi < vmin:
                 problems.append(f"cell ({i},{j}): white set empty")
-            elif status == FULL:
+            elif lo <= vmin and hi >= vmax:
                 problems.append(f"cell ({i},{j}): slab covers the whole cell")
     return problems
 
@@ -677,54 +713,67 @@ def consistency_problems(d: FreeSpaceDiagram1D) -> list[str]:
     so solvers answer NO instead of rejecting it.
 
     The edge intervals of :func:`cell_edge_interval` are compared inline, on
-    the ints: a partial cell's white set on an edge is its slab's intercept
-    range there, clipped to the edge, and None where the clip is empty."""
-    cells, widths, heights = d.scaled_cells, d.scaled_widths, d.scaled_heights
-    # White space restricted to a shared grid line must agree from both sides.
-    # Two empty cells give None on both sides and two full cells the whole
-    # edge, so only a line with a partial cell or two statuses is compared,
-    # and two equal columns of empty and full cells have none.
+    the ints: a partial cell's is its slab's intercept range on the edge,
+    clipped to it, None where the clip is empty. Equal empty or full
+    letters agree, so between two columns without a partial letter the
+    lines that disagree are the rows where their strings differ, and within
+    such a column those where its letter changes."""
+    columns, intercepts, widths, heights = d.columns, d.scaled_intercepts, d.scaled_widths, d.scaled_heights
     across: list[tuple[int, int]] = []  # (row, left column) of each disagreeing line
-    for i, (left, right, w_l) in enumerate(zip(cells, cells[1:], widths)):
-        if left == right and left.count(_EMPTY_CELL) + left.count(_FULL_CELL) == len(left):
+    for i, (left, right, w_l) in enumerate(zip(columns, columns[1:], widths)):
+        l_ints, r_ints = intercepts[i], intercepts[i + 1]
+        if not l_ints and not r_ints:
+            if left != right:
+                across += [(j, i) for j, (a, b) in enumerate(zip(left, right)) if a != b]
             continue
-        for j, (a, b, h) in enumerate(zip(left, right, heights)):
-            if a.status == b.status != PARTIAL:
+        ka = kb = 0  # the intercepts of the row's letters
+        for j, (a, b) in enumerate(zip(left, right)):
+            if a == b and (a == "e" or a == "f"):
                 continue
-            if a.status == PARTIAL:  # a's right edge, x = w_l
-                shift = w_l if a.sigma == 1 else -w_l
-                lo, hi = a.c_lo + shift, a.c_hi + shift
+            h = heights[j]
+            if a == "p" or a == "n":  # a's right edge, x = w_l
+                shift = w_l if a == "p" else -w_l
+                lo, hi, ka = l_ints[ka] + shift, l_ints[ka + 1] + shift, ka + 2
                 lo, hi = lo if lo > 0 else 0, hi if hi < h else h
                 edge_a = (lo, hi) if lo <= hi else None
             else:
-                edge_a = (0, h) if a.status == FULL else None
-            if b.status == PARTIAL:  # b's left edge, x = 0
-                lo, hi = b.c_lo, b.c_hi
+                edge_a = (0, h) if a == "f" else None
+            if b == "p" or b == "n":  # b's left edge, x = 0
+                lo, hi, kb = r_ints[kb], r_ints[kb + 1], kb + 2
                 lo, hi = lo if lo > 0 else 0, hi if hi < h else h
                 edge_b = (lo, hi) if lo <= hi else None
             else:
-                edge_b = (0, h) if b.status == FULL else None
+                edge_b = (0, h) if b == "f" else None
             if edge_a != edge_b:
                 across.append((j, i))
     problems = [f"grid line between columns {i},{i + 1} at row {j}: white sets disagree" for j, i in sorted(across)]
-    for i, (col, w) in enumerate(zip(cells, widths)):
-        if col[0].status != PARTIAL and col.count(col[0]) == len(col):
-            continue  # one empty or full cell all along
-        for j, (a, b, h_a) in enumerate(zip(col, col[1:], heights)):
-            if a.status == b.status != PARTIAL:
-                continue
-            if a.status == PARTIAL:  # a's top edge, y = h_a
-                lo, hi = (h_a - a.c_hi, h_a - a.c_lo) if a.sigma == 1 else (a.c_lo - h_a, a.c_hi - h_a)
-                lo, hi = lo if lo > 0 else 0, hi if hi < w else w
+    for i, (col, ints, w) in enumerate(zip(columns, intercepts, widths)):
+        if not ints:
+            if col.count(col[0]) == len(col):
+                continue  # one empty or full letter all along
+            problems += [
+                f"grid line between rows {j},{j + 1} at column {i}: white sets disagree"
+                for j in range(len(col) - 1)
+                if col[j] != col[j + 1]
+            ]
+            continue
+        k = 0  # the intercepts of row j's letter
+        for j, (a, b) in enumerate(zip(col, col[1:])):
+            if a == "p" or a == "n":  # a's top edge, y = h
+                h, lo, hi = heights[j], ints[k], ints[k + 1]
+                lo, hi = (h - hi, h - lo) if a == "p" else (lo - h, hi - h)
+                lo, hi, k = lo if lo > 0 else 0, hi if hi < w else w, k + 2
                 edge_a = (lo, hi) if lo <= hi else None
+            elif a == b:
+                continue
             else:
-                edge_a = (0, w) if a.status == FULL else None
-            if b.status == PARTIAL:  # b's bottom edge, y = 0
-                lo, hi = (-b.c_hi, -b.c_lo) if b.sigma == 1 else (b.c_lo, b.c_hi)
+                edge_a = (0, w) if a == "f" else None
+            if b == "p" or b == "n":  # b's bottom edge, y = 0
+                lo, hi = (-ints[k + 1], -ints[k]) if b == "p" else (ints[k], ints[k + 1])
                 lo, hi = lo if lo > 0 else 0, hi if hi < w else w
                 edge_b = (lo, hi) if lo <= hi else None
             else:
-                edge_b = (0, w) if b.status == FULL else None
+                edge_b = (0, w) if b == "f" else None
             if edge_a != edge_b:
                 problems.append(f"grid line between rows {j},{j + 1} at column {i}: white sets disagree")
     return problems

@@ -3,11 +3,9 @@
 Segments are subdivided and typed by their row/column slice status (far,
 close or boundary) in one sweep per segment: each partial cell turns its
 slice empty, partial, full, partial and empty again at no more than four
-points, so the sweep walks the sorted points of the segment's cells keeping
-two counts, the cells whose slice is not empty and those whose slice is not
-full, and reads the type off them. A segment without a partial cell is one
-piece of the kind its counts of empty and full cells give, and one with a
-cell whose slice is partial all along is one boundary piece, with no sweep.
+points on each of its segments, found in one pass over the diagram's
+partial letters, and the sweep reads the type off two counts. A segment
+without such points is one piece, typed by its letters alone.
 Only a slab that a split piece cuts is restricted, and the partial typed
 cells found on the way, the edges of the placement graph, are the only typed
 cells kept. Partial cells anchor subsegments in rigid frames, one per
@@ -45,19 +43,20 @@ curves over L, checked forward against the diagram by an int comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence
 
 from .model import (
-    EMPTY,
-    FULL,
     PARTIAL,
     CellContent,
     Curve1D,
     FreeSpaceDiagram1D,
     Witness,
     cell_restrict,
+    column_cells,
     consistency_problems,
+    partial_rows,
     structural_problems,  # noqa: F401  not called: bench/tracing.py patches this name
 )
 from .forward import classify_column, compute_diagram_1d
@@ -84,51 +83,46 @@ class TypedDiagram:
     partial: dict[tuple[int, int], CellContent]  # (i, k) -> the partial cell of P piece i, Q piece k, in grid order
 
 
-_EMPTY_CELL = CellContent.empty()
-_FULL_CELL = CellContent.full()
+_cell = partial(tuple.__new__, CellContent)  # a cell from its four fields, as CellContent builds it
 
 
-def _typed_pieces(orig: int, length: int, cells, spans, q_axis: bool) -> tuple[list[SubSeg], list[int]]:
-    """The typed pieces of segment ``orig`` of this length, P's or Q's,
-    whose cell k pairs it with a segment of length ``spans[k]``, and the
-    indices k of its partial cells.
+def _slice_events(events: list[int], lo: int, hi: int, span: int, length: int) -> bool:
+    """Add the points where one partial cell's slice changes along its
+    segment of this length to ``events``, or return True when the slice is
+    partial all along. With the other side of a sigma = 1 cell mirrored, the
+    white set is lo <= t + u <= hi over 0 <= u <= span: the slice at t is
+    nonempty for lo - span < t < hi and full for lo < t < hi - span. An
+    event is 4 * t + its change: nonempty +1, -1, notfull -1, +1."""
+    a, b = lo - span, hi if hi < length else length  # nonempty slice
+    if a < 0:
+        a = 0
+    c, d = lo if lo > 0 else 0, hi - span  # full slice
+    if d > length:
+        d = length
+    if c >= d and a == 0 and b == length:
+        return True
+    if a < b:
+        events += (4 * a, 4 * b + 1)
+    if c < d:
+        events += (4 * c + 2, 4 * d + 3)
+    return False
 
-    Once the other side of a sigma = 1 cell is mirrored, a partial cell's
-    white set is lo <= t + u <= hi over 0 <= u <= span, so its slice at t is
-    nonempty for lo - span < t < hi and full for lo < t < hi - span. One
-    sweep over these points keeps two counts, the cells whose slice is not
-    empty and those whose slice is not full: a piece is far while the first
-    is 0, close while the second is, and boundary otherwise. Without a
-    partial cell the counts never change, and a cell whose slice is partial
-    all along keeps both positive: either way the segment is one piece,
-    found with no sweep."""
-    n_full = cells.count(_FULL_CELL)
-    if n_full + cells.count(_EMPTY_CELL) == len(cells):
-        kind = TYPE_FAR if not n_full else TYPE_CLOSE if n_full == len(cells) else TYPE_BOUNDARY
-        return [SubSeg(orig, 0, length, kind)], []
-    statuses = [cell.status for cell in cells]
-    nonempty = statuses.count(FULL)
-    notfull = len(statuses) - nonempty
-    partial = [k for k, status in enumerate(statuses) if status == PARTIAL]
-    # an event is 4 * t + its change: nonempty +1, -1, notfull -1, +1
-    events = []
-    for k in partial:
-        _, sigma, lo, hi = cells[k]
-        span = spans[k]
-        if sigma == 1:
-            lo, hi = (span + lo, span + hi) if q_axis else (span - hi, span - lo)
-        a, b = lo - span, hi if hi < length else length  # nonempty slice
-        if a < 0:
-            a = 0
-        c, d = lo if lo > 0 else 0, hi - span  # full slice
-        if d > length:
-            d = length
-        if c >= d and a == 0 and b == length:  # partial all along
-            return [SubSeg(orig, 0, length, TYPE_BOUNDARY)], partial
-        if a < b:
-            events += (4 * a, 4 * b + 1)
-        if c < d:
-            events += (4 * c + 2, 4 * d + 3)
+
+def _pieces(orig: int, length: int, letters: str, events: list[int], along: bool) -> list[SubSeg]:
+    """The typed pieces of segment ``orig`` of this length, from its cells'
+    letters and its partial cells' slice events (``along``: a slice is
+    partial all along). One sweep over the events keeps two counts, the
+    cells whose slice is not empty and those whose slice is not full: a
+    piece is far while the first is 0, close while the second is, and
+    boundary otherwise. Without an event the counts never change, and a
+    slice partial all along keeps both positive: either way the segment is
+    one piece, found with no sweep."""
+    if along:
+        return [SubSeg(orig, 0, length, TYPE_BOUNDARY)]
+    nonempty = letters.count("f")
+    notfull = len(letters) - nonempty
+    if not events:
+        return [SubSeg(orig, 0, length, TYPE_FAR if not nonempty else TYPE_CLOSE if not notfull else TYPE_BOUNDARY)]
     events.append(4 * length)  # closes the last piece; the counts are not read after it
     events.sort()
     starts: list[int] = []
@@ -148,26 +142,38 @@ def _typed_pieces(orig: int, length: int, cells, spans, q_axis: bool) -> tuple[l
         else:
             notfull += 2 * change - 5
     ends = starts[1:] + [length]
-    return [SubSeg(orig, a, b - a, kind) for a, b, kind in zip(starts, ends, kinds)], partial
+    return [SubSeg(orig, a, b - a, kind) for a, b, kind in zip(starts, ends, kinds)]
 
 
 def subdivide_and_type(diagram: FreeSpaceDiagram1D) -> TypedDiagram:
     """Insert subdivision vertices wherever a segment's slice status changes
-    and type every resulting subsegment (far / close / boundary), on the
-    diagram's int form, as in the typed diagram; of the typed cells, keep the
-    partial ones."""
-    widths = diagram.scaled_widths
-    heights = diagram.scaled_heights
-    grid = diagram.scaled_cells
+    and type every resulting subsegment (far / close / boundary), as in the
+    typed diagram: one pass over each column's partial letters adds each
+    cell's slice events to its P and its Q segment. Of the typed cells, keep
+    the partial ones."""
+    widths, heights, columns, intercepts = diagram.scaled_widths, diagram.scaled_heights, diagram.columns, diagram.scaled_intercepts
     p_segs: list[SubSeg] = []
-    partial_rows: list[list[int]] = []  # the partial cells of each column
-    for i, (w, col) in enumerate(zip(widths, grid)):
-        pieces, rows = _typed_pieces(i, w, col, heights, False)
-        p_segs += pieces
-        partial_rows.append(rows)
-    q_segs = [
-        s for j, (h, row) in enumerate(zip(heights, zip(*grid))) for s in _typed_pieces(j, h, row, widths, True)[0]
-    ]
+    cells: dict[int, tuple[list[int], list[CellContent]]] = {}  # the rows and cells of each column's partial letters
+    q_events: list[list[int]] = [[] for _ in heights]
+    q_along = [False] * len(heights)
+    for i, (w, col, ints) in enumerate(zip(widths, columns, intercepts)):
+        events, along = [], False  # along: a slice partial all along
+        if ints:
+            rows, found = partial_rows(col), []
+            for j, lo, hi in zip(rows, ints[::2], ints[1::2]):
+                h = heights[j]
+                if col[j] == "p":  # mirrored: Q's side for P's slices, P's for Q's
+                    found.append(_cell((PARTIAL, 1, lo, hi)))
+                    along = _slice_events(events, h - hi, h - lo, h, w) or along
+                    q_along[j] = _slice_events(q_events[j], w + lo, w + hi, w, h) or q_along[j]
+                else:
+                    found.append(_cell((PARTIAL, -1, lo, hi)))
+                    along = _slice_events(events, lo, hi, h, w) or along
+                    q_along[j] = _slice_events(q_events[j], lo, hi, w, h) or q_along[j]
+            cells[i] = rows, found
+        p_segs += _pieces(i, w, col, events, along)
+    rows_letters = map("".join, zip(*columns))
+    q_segs = [s for j, (h, row) in enumerate(zip(heights, rows_letters)) for s in _pieces(j, h, row, q_events[j], q_along[j])]
 
     # a piece cell can be partial only where its original cell is, and only a
     # slab cut by a split piece changes
@@ -176,10 +182,9 @@ def subdivide_and_type(diagram: FreeSpaceDiagram1D) -> TypedDiagram:
         q_pieces[qs.orig].append(k)
     partial: dict[tuple[int, int], CellContent] = {}
     for i, ps in enumerate(p_segs):
-        col = grid[ps.orig]
-        for j in partial_rows[ps.orig]:
+        for j, cell in zip(*cells.get(ps.orig, ((), ()))):
             for k in q_pieces[j]:
-                c, qs = col[j], q_segs[k]
+                c, qs = cell, q_segs[k]
                 if ps.length != widths[ps.orig] or qs.length != heights[j]:
                     c = cell_restrict(c, ps.offset, qs.offset, ps.length, qs.length)
                 if c.status == PARTIAL:
@@ -271,7 +276,7 @@ def anchor_components(typed: TypedDiagram, graph: PlacementGraph) -> Optional[An
     # originals where the frame does (up to rho and tau, which keep every
     # cell) and reproduces the diagram, so every anchoring that leads to a
     # YES passes.
-    widths, heights, grid = diagram.scaled_widths, diagram.scaled_heights, diagram.scaled_cells
+    widths, heights, columns, intercepts = diagram.scaled_widths, diagram.scaled_heights, diagram.columns, diagram.scaled_intercepts
     for placement in frames:
         placed: dict[str, set[tuple[int, int, int]]] = {"P": set(), "Q": set()}  # (orig, start, sigma)
         for (curve, k), (start, sigma) in placement.items():
@@ -279,9 +284,13 @@ def anchor_components(typed: TypedDiagram, graph: PlacementGraph) -> Optional[An
             placed[curve].add((seg.orig, start - sigma * seg.offset, sigma))
         q_placed = sorted(placed["Q"])
         q_segs = [(sigma == 1, start, heights[j]) for j, start, sigma in q_placed]
+        rows = [j for j, _, _ in q_placed]
         for i, start, sigma in placed["P"]:
-            cells = tuple([grid[i][j] for j, _, _ in q_placed])
-            if classify_column(start, start + sigma * widths[i], q_segs, eps) != cells:
+            column = columns[i], intercepts[i]
+            if rows != list(range(len(heights))):  # not each original of Q once: the column at those rows
+                cells = column_cells(*column)
+                column = "".join([cells[j][0] for j in rows]), tuple([v for j in rows for v in cells[j][1]])
+            if classify_column(start, start + sigma * widths[i], q_segs, eps) != column:
                 return None
 
     cross: list[tuple[int, int, int, int]] = []
@@ -508,7 +517,7 @@ def decide_diagram(diagram: FreeSpaceDiagram1D, candidates) -> Optional[Witness]
     those that ``candidates(diagram)`` yields, in order."""
     if consistency_problems(diagram):
         return None  # no curve pair produces disagreeing boundary restrictions
-    partial = any(c.status == PARTIAL for col in diagram.scaled_cells for c in col)
+    partial = any(diagram.scaled_intercepts)
     for witness in candidates(diagram) if partial else [closed_form_witness(diagram)]:
         if witness is not None and compute_diagram_1d(witness.curve_p, witness.curve_q, diagram.epsilon) == diagram:
             return witness
@@ -771,7 +780,7 @@ def closed_form_witness(diagram: FreeSpaceDiagram1D) -> Optional[Witness]:
     """
     scale, eps = diagram.scale, diagram.scaled_eps
     widths, heights = diagram.scaled_widths, diagram.scaled_heights
-    if diagram.scaled_cells[0][0].status == EMPTY:
+    if diagram.columns[0][0] == "e":
         p_pts = list(accumulate(widths, initial=0))
         q0 = p_pts[-1] + sum(heights) + 2 * eps + scale
         return int_witness(diagram, p_pts, accumulate(heights, initial=q0), scale)

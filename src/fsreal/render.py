@@ -23,6 +23,7 @@ from .model import (
 
 Renderable = Union[FreeSpaceMatrix, FreeSpaceDiagram1D, Witness]
 SCALE = 24.0
+_ASCII_CELLS = str.maketrans("efpn", ".#/\\")
 
 
 def render_ascii(instance: Renderable) -> str:
@@ -30,18 +31,7 @@ def render_ascii(instance: Renderable) -> str:
         lines = ["".join("#" if v else "." for v in row) for row in instance.tolist()]
         return "\n".join(lines) + "\n"
     if isinstance(instance, FreeSpaceDiagram1D):
-        rows = []
-        for j in range(instance.m_rows - 1, -1, -1):
-            chars = []
-            for i in range(instance.n_cols):
-                c = instance.cells[i][j]
-                if c.is_partial:
-                    chars.append("/" if c.sigma == 1 else "\\")
-                elif c.status == "full":
-                    chars.append("#")
-                else:
-                    chars.append(".")
-            rows.append("".join(chars))
+        rows = [row.translate(_ASCII_CELLS) for row in map("".join, zip(*instance.columns))][::-1]  # top row first
         header = " ".join(rat_str(w) for w in instance.col_widths)
         return "\n".join(rows) + f"\nwidths: {header}\nheights: " + " ".join(
             rat_str(h) for h in instance.row_heights

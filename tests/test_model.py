@@ -29,7 +29,6 @@ from fsreal.model import (
     cell_edge_interval,
     checked_epsilon,
     cell_restrict,
-    cell_transpose,
     classify_slab,
     consistency_problems,
     scaled_str,
@@ -590,7 +589,6 @@ def _cell_algebra_results(sigma, w, h, lo, hi, num):
     nw, nh = num(w), num(h)
     out = [
         ("classify_slab", classify_slab(sigma, num(lo), num(hi), nw, nh)),
-        ("cell_transpose", cell_transpose(cell)),
     ]
     out += [("cell_edge_interval", cell_edge_interval(cell, nw, nh, edge)) for edge in "LRBT"]
     for x0 in range(w):
