@@ -239,8 +239,7 @@ def anchor_components(typed: TypedDiagram, graph: PlacementGraph) -> Optional[An
     subsegments of the same curve: a shared vertex within a frame, a
     cross-frame equation between frames; contradictions mean the instance is
     not realizable."""
-    diagram = typed.diagram
-    eps = diagram.scaled_eps
+    diagram, eps = typed.diagram, typed.diagram.scaled_eps
     frames: list[dict[tuple[str, int], tuple[int, int]]] = []
     frame_of: dict[tuple[str, int], int] = {}
     for comp in graph.non_singleton:
@@ -285,9 +284,10 @@ def anchor_components(typed: TypedDiagram, graph: PlacementGraph) -> Optional[An
         q_placed = sorted(placed["Q"])
         q_segs = [(sigma == 1, start, heights[j]) for j, start, sigma in q_placed]
         rows = [j for j, _, _ in q_placed]
+        whole = rows == list(range(len(heights)))  # each original of Q placed once: compare whole columns
         for i, start, sigma in placed["P"]:
             column = columns[i], intercepts[i]
-            if rows != list(range(len(heights))):  # not each original of Q once: the column at those rows
+            if not whole:  # the column at the placed rows
                 cells = column_cells(*column)
                 column = "".join([cells[j][0] for j in rows]), tuple([v for j in rows for v in cells[j][1]])
             if classify_column(start, start + sigma * widths[i], q_segs, eps) != column:

@@ -45,6 +45,7 @@ class Mutant(NamedTuple):
 BRUTE = "fsreal/bruteforce.py"
 BRUTE_TESTS = ("tests/test_bruteforce.py",)
 GOLDEN = "tests/test_golden_witnesses.py"
+MODEL = "fsreal/model.py"
 
 MUTANTS = [
     Mutant(
@@ -116,6 +117,49 @@ MUTANTS = [
         "reps = [events[0] - 2 * eps]",
         "reps = [events[0] - eps]",
         BRUTE_TESTS,
+    ),
+    # the diagram's letter table
+    Mutant(
+        "classify-column-empty-at-the-top-corner",
+        "fsreal/forward.py",
+        "if c_lo > h or c_hi < -w:",
+        "if c_lo >= h or c_hi < -w:",
+        ("tests/test_forward.py::test_diagram_cells_match_fraction_reference",),
+    ),
+    Mutant(
+        "classify-column-full-short-of-the-box",
+        "fsreal/forward.py",
+        "elif c_lo <= 0 and c_hi >= w + h:",
+        "elif c_lo <= 0 and c_hi > w + h:",
+        ("tests/test_forward.py::test_diagram_cells_match_fraction_reference",),
+    ),
+    Mutant(
+        "grid-line-clip-open",
+        MODEL,
+        "hi if hi < h else h\n                edge_a = (lo, hi) if lo <= hi else None",
+        "hi if hi < h else h\n                edge_a = (lo, hi) if lo < hi else None",
+        ("tests/test_model.py::test_grid_line_check_matches_every_line_compared",),
+    ),
+    Mutant(
+        "structural-slab-width-unchecked",
+        MODEL,
+        "if hi - lo != 2 * eps:",
+        "if False:",
+        ("tests/test_model.py::test_validate_slab_width", f"{GOLDEN}::test_problem_message_digest"),
+    ),
+    Mutant(
+        "transpose-flip-without-sign",
+        MODEL,
+        'row_ints[j] += (-hi, -lo) if col[j] == "p"',
+        'row_ints[j] += (hi, lo) if col[j] == "p"',
+        ("tests/test_symmetry.py::test_verdicts_hold_under_the_diagram_symmetries_on_the_fuzz_corpora",),
+    ),
+    Mutant(
+        "plain-segment-all-full-typed-boundary",
+        "fsreal/pseudopoly.py",
+        "TYPE_CLOSE if not notfull else TYPE_BOUNDARY)]",
+        "TYPE_BOUNDARY if not notfull else TYPE_BOUNDARY)]",
+        ("tests/test_pseudopoly.py::test_typing_all_full",),
     ),
 ]
 
