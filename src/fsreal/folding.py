@@ -41,7 +41,6 @@ from typing import Optional, Sequence
 from .model import (
     FreeSpaceDiagram1D,
     column_cells,
-    partial_rows,
     Witness,
     consistency_problems,  # noqa: F401  not called: bench/tracing.py patches this name
     structural_problems,  # noqa: F401  not called: bench/tracing.py patches this name
@@ -161,7 +160,7 @@ def extract_curves(
     :func:`fsreal.pseudopoly.closed_form_witness`'s, or None. Either way
     the pair is unchecked; :func:`check_foldable` checks it forward.
     """
-    partials = ((i, j, 1 if col[j] == "p" else -1) for i, col in enumerate(diagram.columns) for j in partial_rows(col))
+    partials = ((i, j, 1 if ch == "p" else -1) for i, col in enumerate(diagram.columns) for j, ch in enumerate(col) if ch in "pn")
     i0, j0, sigma0 = next(partials, (None, None, None))
     if i0 is None:
         return closed_form_witness(diagram)
@@ -233,7 +232,7 @@ def _sweep(d: FreeSpaceDiagram1D, labels: Sequence[str]):
     diagram has a partial cell; the first, (i0, j0), puts P_{i0} at 0 and,
     given Q's orientation vector, fixes Q."""
     e = d.scaled_eps
-    partials = [[(j, 1 if col[j] == "p" else -1) for j in partial_rows(col)] for col in d.columns]
+    partials = [[(j, 1 if ch == "p" else -1) for j, ch in enumerate(col) if ch in "pn"] for col in d.columns]
     i0 = next(i for i, col in enumerate(partials) if col)
     j0 = partials[i0][0][0]
     c_lo0 = d.scaled_intercepts[i0][0]

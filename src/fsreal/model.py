@@ -326,6 +326,7 @@ def cell_edge_interval(
 
 
 _LETTER_CELLS = {"e": CellContent.empty(), "f": CellContent.full()}
+_PLAIN_CELLS = {"e": ("e", ()), "f": ("f", ())}
 
 _NOT_2D = "matrix must be two-dimensional and non-empty"
 _NOT_BINARY = "matrix entries must be 0 or 1"
@@ -489,21 +490,11 @@ def _table(cells) -> tuple[list[str], list[list], dict[tuple[int, int], CellCont
     return columns, intercepts, odd
 
 
-def partial_rows(letters: str) -> list[int]:
-    """The indices of the partial letters, ``p`` and ``n``, of a column."""
-    marked, rows = letters.replace("n", "p"), []
-    k = marked.find("p")
-    while k >= 0:
-        rows.append(k)
-        k = marked.find("p", k + 1)
-    return rows
-
-
 def column_cells(letters: str, ints) -> list[tuple[str, tuple[int, ...]]]:
     """Each cell of a column as a one-row column: its letter and (c_lo,
     c_hi), or () for an empty or full letter."""
     it = iter(ints)
-    return [(ch, (next(it), next(it)) if ch == "p" or ch == "n" else ()) for ch in letters]
+    return [(ch, (next(it), next(it))) if ch == "p" or ch == "n" else _PLAIN_CELLS[ch] for ch in letters]
 
 
 @dataclass(frozen=True)
@@ -613,8 +604,13 @@ def transpose_diagram(d: FreeSpaceDiagram1D) -> FreeSpaceDiagram1D:
     each cell is transposed."""
     rows, row_ints = list(map("".join, zip(*d.columns))), [[] for _ in d.scaled_heights]
     for col, ints in zip(d.columns, d.scaled_intercepts):
-        for j, lo, hi in zip(partial_rows(col), ints[::2], ints[1::2]):
-            row_ints[j] += (-hi, -lo) if col[j] == "p" else (lo, hi)  # x - y in [lo, hi]  <=>  y - x in [-hi, -lo]
+        it = iter(ints)
+        for j, ch in enumerate(col if ints else ()):
+            if ch == "p":  # x - y in [lo, hi]  <=>  y - x in [-hi, -lo]
+                lo, hi = next(it), next(it)
+                row_ints[j] += (-hi, -lo)
+            elif ch == "n":
+                row_ints[j] += (next(it), next(it))
     return FreeSpaceDiagram1D._built(d.scale, d.scaled_eps, d.scaled_heights, d.scaled_widths, rows, row_ints)
 
 

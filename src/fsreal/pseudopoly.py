@@ -56,7 +56,6 @@ from .model import (
     cell_restrict,
     column_cells,
     consistency_problems,
-    partial_rows,
     structural_problems,  # noqa: F401  not called: bench/tracing.py patches this name
 )
 from .forward import classify_column, compute_diagram_1d
@@ -83,7 +82,8 @@ class TypedDiagram:
     partial: dict[tuple[int, int], CellContent]  # (i, k) -> the partial cell of P piece i, Q piece k, in grid order
 
 
-_cell = partial(tuple.__new__, CellContent)  # a cell from its four fields, as CellContent builds it
+# a cell and a piece from their fields, without the named tuples' Python-level __new__
+_cell, _piece = partial(tuple.__new__, CellContent), partial(tuple.__new__, SubSeg)
 
 
 def _slice_events(events: list[int], lo: int, hi: int, span: int, length: int) -> bool:
@@ -118,11 +118,11 @@ def _pieces(orig: int, length: int, letters: str, events: list[int], along: bool
     slice partial all along keeps both positive: either way the segment is
     one piece, found with no sweep."""
     if along:
-        return [SubSeg(orig, 0, length, TYPE_BOUNDARY)]
+        return [_piece((orig, 0, length, TYPE_BOUNDARY))]
     nonempty = letters.count("f")
     notfull = len(letters) - nonempty
     if not events:
-        return [SubSeg(orig, 0, length, TYPE_FAR if not nonempty else TYPE_CLOSE if not notfull else TYPE_BOUNDARY)]
+        return [_piece((orig, 0, length, TYPE_FAR if not nonempty else TYPE_CLOSE if not notfull else TYPE_BOUNDARY))]
     events.append(4 * length)  # closes the last piece; the counts are not read after it
     events.sort()
     starts: list[int] = []
@@ -142,7 +142,7 @@ def _pieces(orig: int, length: int, letters: str, events: list[int], along: bool
         else:
             notfull += 2 * change - 5
     ends = starts[1:] + [length]
-    return [SubSeg(orig, a, b - a, kind) for a, b, kind in zip(starts, ends, kinds)]
+    return [_piece((orig, a, b - a, kind)) for a, b, kind in zip(starts, ends, kinds)]
 
 
 def subdivide_and_type(diagram: FreeSpaceDiagram1D) -> TypedDiagram:
@@ -159,7 +159,7 @@ def subdivide_and_type(diagram: FreeSpaceDiagram1D) -> TypedDiagram:
     for i, (w, col, ints) in enumerate(zip(widths, columns, intercepts)):
         events, along = [], False  # along: a slice partial all along
         if ints:
-            rows, found = partial_rows(col), []
+            rows, found = [j for j, ch in enumerate(col) if ch in "pn"], []
             for j, lo, hi in zip(rows, ints[::2], ints[1::2]):
                 h = heights[j]
                 if col[j] == "p":  # mirrored: Q's side for P's slices, P's for Q's
@@ -182,13 +182,18 @@ def subdivide_and_type(diagram: FreeSpaceDiagram1D) -> TypedDiagram:
         q_pieces[qs.orig].append(k)
     partial: dict[tuple[int, int], CellContent] = {}
     for i, ps in enumerate(p_segs):
-        for j, cell in zip(*cells.get(ps.orig, ((), ()))):
+        if ps.orig not in cells:
+            continue
+        split = ps.length != widths[ps.orig]
+        for j, cell in zip(*cells[ps.orig]):
             for k in q_pieces[j]:
-                c, qs = cell, q_segs[k]
-                if ps.length != widths[ps.orig] or qs.length != heights[j]:
-                    c = cell_restrict(c, ps.offset, qs.offset, ps.length, qs.length)
-                if c.status == PARTIAL:
-                    partial[i, k] = c
+                qs = q_segs[k]
+                if not split and qs.length == heights[j]:
+                    partial[i, k] = cell
+                else:
+                    c = cell_restrict(cell, ps.offset, qs.offset, ps.length, qs.length)
+                    if c.status == PARTIAL:
+                        partial[i, k] = c
     return TypedDiagram(diagram, p_segs, q_segs, partial)
 
 

@@ -150,15 +150,15 @@ MUTANTS = [
     Mutant(
         "transpose-flip-without-sign",
         MODEL,
-        'row_ints[j] += (-hi, -lo) if col[j] == "p"',
-        'row_ints[j] += (hi, lo) if col[j] == "p"',
+        "row_ints[j] += (-hi, -lo)",
+        "row_ints[j] += (hi, lo)",
         ("tests/test_symmetry.py::test_verdicts_hold_under_the_diagram_symmetries_on_the_fuzz_corpora",),
     ),
     Mutant(
         "plain-segment-all-full-typed-boundary",
         "fsreal/pseudopoly.py",
-        "TYPE_CLOSE if not notfull else TYPE_BOUNDARY)]",
-        "TYPE_BOUNDARY if not notfull else TYPE_BOUNDARY)]",
+        "TYPE_CLOSE if not notfull else TYPE_BOUNDARY))]",
+        "TYPE_BOUNDARY if not notfull else TYPE_BOUNDARY))]",
         ("tests/test_pseudopoly.py::test_typing_all_full",),
     ),
 ]
