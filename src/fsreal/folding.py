@@ -20,17 +20,18 @@ by column outward from i0: the reachable integer positions of each vertex
 are kept as a layer with back-pointers, stepping by +-w_i, and a step
 survives only when :func:`fsreal.forward.classify_column`, the cell test of
 the forward computation (and of the labels and pseudo-poly's frame check),
-returns the diagram's column, its letters and intercepts. That costs O(2^k_short * n * m * R), k_short the unknown lines of the
-enumerated side and R the largest layer.
+returns the diagram's column, letters and intercepts alike. That costs
+O(2^k_short * n * m * R), k_short the unknown lines of the enumerated side
+and R the largest layer.
 
 The crease inference, the sweep and the witness read the diagram's int
-table; the diagram was checked to be well formed when it was built. This module only proposes candidates: each full
-assignment found fixes a pair, which :func:`extract_curves` reads off those
-ints. :func:`fsreal.pseudopoly.decide_diagram`, the entry of both diagram
+table, checked to be well formed when it was built. This module only
+proposes candidates: each full assignment found fixes a pair, which
+:func:`extract_curves` reads off those ints.
+:func:`fsreal.pseudopoly.decide_diagram`, the entry of both diagram
 solvers, runs the grid-line check first, takes the closed form for a
 diagram without partial cells, and checks each candidate forward against
-the diagram; :func:`check_foldable` is that check for one assignment on its
-own.
+the diagram; :func:`check_foldable` is that check for one assignment.
 """
 
 from __future__ import annotations
@@ -91,21 +92,19 @@ def _continues(left, w_l, right, w_r, h, e, fold: bool) -> bool:
 
 def _line_labels(d: FreeSpaceDiagram1D) -> tuple[list[str], list[int]]:
     """Labels and contradiction notes for the lines between consecutive
-    columns of ``d``. Two columns without a partial letter fold into each
-    other iff their strings are equal, and continue straight iff they are
-    equal and each row of full cells fits within 2*eps."""
-    columns, intercepts, widths, heights, eps = d.columns, d.scaled_intercepts, d.scaled_widths, d.scaled_heights, d.scaled_eps
-    cells = [column_cells(col, ints) if ints else None for col, ints in zip(columns, intercepts)]
+    columns of ``d``. Two columns without a partial letter fold iff they are
+    equal, and continue straight iff also each full row fits within 2*eps."""
+    intercepts, widths, heights, eps = d.scaled_intercepts, d.scaled_widths, d.scaled_heights, d.scaled_eps
+    cells = [column_cells(col, ints) for col, ints in zip(d.columns, intercepts)]
     labels = []
     notes = []
-    for i in range(len(columns) - 1):
+    for i in range(len(cells) - 1):
         w_l, w_r = widths[i], widths[i + 1]
-        if cells[i] is None and cells[i + 1] is None:
-            left = columns[i]
-            fold_ok = left == columns[i + 1]
-            straight_ok = fold_ok and all(w_l + w_r + h <= 2 * eps for ch, h in zip(left, heights) if ch == "f")
+        if not intercepts[i] and not intercepts[i + 1]:
+            fold_ok = d.columns[i] == d.columns[i + 1]
+            straight_ok = fold_ok and all(w_l + w_r + h <= 2 * eps for ch, h in zip(d.columns[i], heights) if ch == "f")
         else:
-            rows = list(zip(cells[i] or column_cells(columns[i], ()), cells[i + 1] or column_cells(columns[i + 1], ()), heights))
+            rows = list(zip(cells[i], cells[i + 1], heights))
             fold_ok = all(_continues(left, w_l, right, w_r, h, eps, True) for left, right, h in rows)
             straight_ok = all(_continues(left, w_l, right, w_r, h, eps, False) for left, right, h in rows)
         if fold_ok and straight_ok:
@@ -160,7 +159,9 @@ def extract_curves(
     :func:`fsreal.pseudopoly.closed_form_witness`'s, or None. Either way
     the pair is unchecked; :func:`check_foldable` checks it forward.
     """
-    partials = ((i, j, 1 if ch == "p" else -1) for i, col in enumerate(diagram.columns) for j, ch in enumerate(col) if ch in "pn")
+    partials = (
+        (i, j, 1 if c == "p" else -1) for i, col in enumerate(diagram.columns) for j, c in enumerate(col) if c in "pn"
+    )
     i0, j0, sigma0 = next(partials, (None, None, None))
     if i0 is None:
         return closed_form_witness(diagram)

@@ -238,15 +238,17 @@ def _mutate_diagram(rng: random.Random, d: FreeSpaceDiagram1D) -> Optional[FreeS
     """Shift one partial cell's slab by one unit, keeping the diagram
     structurally well-formed (boundary consistency may break: that is the
     point, such instances are usually unrealizable)."""
-    candidates = [(i, k, shift) for i, ints in enumerate(d.scaled_intercepts) for k in range(0, len(ints), 2) for shift in (-d.scale, d.scale)]
+    intercepts, unit = d.scaled_intercepts, d.scale
+    candidates = [(i, k, s) for i, ints in enumerate(intercepts) for k in range(0, len(ints), 2) for s in (-unit, unit)]
     rng.shuffle(candidates)
     for i, k, shift in candidates:
-        intercepts = list(d.scaled_intercepts)
-        ints = intercepts[i] = list(intercepts[i])
+        shifted = list(intercepts)
+        ints = shifted[i] = list(intercepts[i])
         ints[k] += shift
         ints[k + 1] += shift
+        mutant = FreeSpaceDiagram1D._built(unit, d.scaled_eps, d.scaled_widths, d.scaled_heights, d.columns, shifted)
         try:
-            return _check_diagram(FreeSpaceDiagram1D._built(d.scale, d.scaled_eps, d.scaled_widths, d.scaled_heights, d.columns, intercepts))
+            return _check_diagram(mutant)
         except ValueError:
             continue  # the shifted slab misses the cell or covers it
     return None

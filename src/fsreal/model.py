@@ -31,6 +31,7 @@ RationalLike = Union[Fraction, int, str]
 EMPTY = "empty"
 FULL = "full"
 PARTIAL = "partial"
+_BAD_SIGMA = "slab orientation must be +1 or -1"
 
 
 def rat(value: RationalLike) -> Fraction:
@@ -256,7 +257,7 @@ class CellContent(NamedTuple):
     @staticmethod
     def partial(sigma: int, c_lo: RationalLike, c_hi: RationalLike) -> "CellContent":
         if type(sigma) is not int or sigma not in (1, -1):
-            raise ValueError("slab orientation must be +1 or -1")
+            raise ValueError(_BAD_SIGMA)
         return CellContent(PARTIAL, sigma, rat(c_lo), rat(c_hi))
 
     @property
@@ -469,10 +470,10 @@ def _list_masks(entries) -> tuple[int, tuple[int, ...]]:
     return len(rows[0]), tuple(row_mask([_entry_bit(v) for v in r]) for r in rows)
 
 
-def _table(cells) -> tuple[list[str], list[list], dict[tuple[int, int], CellContent]]:
-    """A cell grid as its letter table. A cell that no letter spells (an
-    unknown status, or an orientation other than the int +1 or -1) is a
-    ``?``, returned by (column, row) for :func:`structural_problems`."""
+def _table(cells) -> tuple[list[str], list[list], dict[tuple[int, int], str]]:
+    """A cell grid as its letter table. A cell no letter spells (an unknown
+    status, or an orientation other than the int +1 or -1) is a ``?``, its
+    problem returned by (column, row) for :func:`structural_problems`."""
     columns, intercepts, odd = [], [], {}
     for i, col in enumerate(cells):
         letters, ints = [], []
@@ -484,7 +485,7 @@ def _table(cells) -> tuple[list[str], list[list], dict[tuple[int, int], CellCont
                 letters.append("e" if c.status == EMPTY else "f")
             else:
                 letters.append("?")
-                odd[i, j] = c
+                odd[i, j] = _BAD_SIGMA if c.status == PARTIAL else f"unknown status {c.status!r}"
         columns.append("".join(letters))
         intercepts.append(ints)
     return columns, intercepts, odd
@@ -524,7 +525,8 @@ class FreeSpaceDiagram1D:
     def __init__(self, epsilon, col_widths, row_heights, cells):
         widths, heights = list(col_widths), list(row_heights)
         columns, intercepts, odd = _table(cells)
-        self._set(*_scaled([epsilon, *widths, *heights, *chain.from_iterable(intercepts)]), len(widths), len(heights), columns, intercepts)
+        scale, ints = _scaled([epsilon, *widths, *heights, *chain.from_iterable(intercepts)])
+        self._set(scale, ints, len(widths), len(heights), columns, intercepts)
         _check_diagram(self, odd)
 
     @classmethod
@@ -587,8 +589,11 @@ class FreeSpaceDiagram1D:
 
     def _grid(self, value) -> tuple[tuple[CellContent, ...], ...]:
         """The cells, each intercept mapped through ``value``."""
-        grid = [column_cells(col, ints) for col, ints in zip(self.columns, self.scaled_intercepts)]
-        return tuple(tuple([_LETTER_CELLS.get(ch) or CellContent(PARTIAL, 1 if ch == "p" else -1, *map(value, s)) for ch, s in col]) for col in grid)
+        def cell(ch: str, slab) -> CellContent:
+            return _LETTER_CELLS.get(ch) or CellContent(PARTIAL, 1 if ch == "p" else -1, *map(value, slab))
+
+        columns = zip(self.columns, self.scaled_intercepts)
+        return tuple(tuple([cell(*c) for c in column_cells(col, ints)]) for col, ints in columns)
 
     @property
     def n_cols(self) -> int:
@@ -643,7 +648,7 @@ class Witness:
 
 
 def _check_diagram(d: FreeSpaceDiagram1D, odd=None) -> FreeSpaceDiagram1D:
-    """``d``, or ValueError naming its structural problems (``odd``: the cells of its ``?`` letters)."""
+    """``d``, or ValueError naming its structural problems (``odd``: those of its ``?`` letters)."""
     if odd:
         object.__setattr__(d, "_odd_cells", odd)
     problems = structural_problems(d)
@@ -685,9 +690,7 @@ def structural_problems(d: FreeSpaceDiagram1D) -> list[str]:
             if ch == "e" or ch == "f":
                 continue
             if ch == "?":  # a cell that no letter spells
-                status = d._odd_cells[i, j].status
-                known = status in (EMPTY, FULL, PARTIAL)
-                problems.append(f"cell ({i},{j}): " + ("slab orientation must be +1 or -1" if known else f"unknown status {status!r}"))
+                problems.append(f"cell ({i},{j}): {d._odd_cells[i, j]}")
                 continue
             lo, hi, k = ints[k], ints[k + 1], k + 2
             if hi - lo != 2 * eps:
@@ -727,19 +730,16 @@ def consistency_problems(d: FreeSpaceDiagram1D) -> list[str]:
             if a == b and (a == "e" or a == "f"):
                 continue
             h = heights[j]
+            edge_a, edge_b = (0, h) if a == "f" else None, (0, h) if b == "f" else None
             if a == "p" or a == "n":  # a's right edge, x = w_l
                 shift = w_l if a == "p" else -w_l
                 lo, hi, ka = l_ints[ka] + shift, l_ints[ka + 1] + shift, ka + 2
                 lo, hi = lo if lo > 0 else 0, hi if hi < h else h
                 edge_a = (lo, hi) if lo <= hi else None
-            else:
-                edge_a = (0, h) if a == "f" else None
             if b == "p" or b == "n":  # b's left edge, x = 0
                 lo, hi, kb = r_ints[kb], r_ints[kb + 1], kb + 2
                 lo, hi = lo if lo > 0 else 0, hi if hi < h else h
                 edge_b = (lo, hi) if lo <= hi else None
-            else:
-                edge_b = (0, h) if b == "f" else None
             if edge_a != edge_b:
                 across.append((j, i))
     problems = [f"grid line between columns {i},{i + 1} at row {j}: white sets disagree" for j, i in sorted(across)]
@@ -764,12 +764,11 @@ def consistency_problems(d: FreeSpaceDiagram1D) -> list[str]:
                 continue
             else:
                 edge_a = (0, w) if a == "f" else None
+            edge_b = (0, w) if b == "f" else None
             if b == "p" or b == "n":  # b's bottom edge, y = 0
                 lo, hi = (-ints[k + 1], -ints[k]) if b == "p" else (ints[k], ints[k + 1])
                 lo, hi = lo if lo > 0 else 0, hi if hi < w else w
                 edge_b = (lo, hi) if lo <= hi else None
-            else:
-                edge_b = (0, w) if b == "f" else None
             if edge_a != edge_b:
                 problems.append(f"grid line between rows {j},{j + 1} at column {i}: white sets disagree")
     return problems

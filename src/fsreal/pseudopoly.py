@@ -1,11 +1,9 @@
 """Pseudo-polynomial solver for 1D free space diagrams.
 
 Segments are subdivided and typed by their row/column slice status (far,
-close or boundary) in one sweep per segment: each partial cell turns its
-slice empty, partial, full, partial and empty again at no more than four
-points on each of its segments, found in one pass over the diagram's
-partial letters, and the sweep reads the type off two counts. A segment
-without such points is one piece, typed by its letters alone.
+close or boundary): each partial cell turns its slice empty, partial, full,
+partial and empty again at no more than four points on each of its two
+segments, and one sweep per segment reads the type off them.
 Only a slab that a split piece cuts is restricted, and the partial typed
 cells found on the way, the edges of the placement graph, are the only typed
 cells kept. Partial cells anchor subsegments in rigid frames, one per
@@ -109,14 +107,13 @@ def _slice_events(events: list[int], lo: int, hi: int, span: int, length: int) -
 
 
 def _pieces(orig: int, length: int, letters: str, events: list[int], along: bool) -> list[SubSeg]:
-    """The typed pieces of segment ``orig`` of this length, from its cells'
-    letters and its partial cells' slice events (``along``: a slice is
-    partial all along). One sweep over the events keeps two counts, the
-    cells whose slice is not empty and those whose slice is not full: a
-    piece is far while the first is 0, close while the second is, and
-    boundary otherwise. Without an event the counts never change, and a
-    slice partial all along keeps both positive: either way the segment is
-    one piece, found with no sweep."""
+    """The typed pieces of segment ``orig`` of this length, from its letters
+    and its partial cells' slice events (``along``: a slice is partial all
+    along). One sweep over the events keeps two counts, the cells whose
+    slice is not empty and those whose slice is not full: a piece is far
+    while the first is 0, close while the second is, and boundary otherwise.
+    Without an event the counts never change, and a slice partial all along
+    keeps both positive: either way the segment is one piece, no sweep."""
     if along:
         return [_piece((orig, 0, length, TYPE_BOUNDARY))]
     nonempty = letters.count("f")
@@ -151,7 +148,8 @@ def subdivide_and_type(diagram: FreeSpaceDiagram1D) -> TypedDiagram:
     typed diagram: one pass over each column's partial letters adds each
     cell's slice events to its P and its Q segment. Of the typed cells, keep
     the partial ones."""
-    widths, heights, columns, intercepts = diagram.scaled_widths, diagram.scaled_heights, diagram.columns, diagram.scaled_intercepts
+    widths, heights = diagram.scaled_widths, diagram.scaled_heights
+    columns, intercepts = diagram.columns, diagram.scaled_intercepts
     p_segs: list[SubSeg] = []
     cells: dict[int, tuple[list[int], list[CellContent]]] = {}  # the rows and cells of each column's partial letters
     q_events: list[list[int]] = [[] for _ in heights]
@@ -172,8 +170,8 @@ def subdivide_and_type(diagram: FreeSpaceDiagram1D) -> TypedDiagram:
                     q_along[j] = _slice_events(q_events[j], lo, hi, w, h) or q_along[j]
             cells[i] = rows, found
         p_segs += _pieces(i, w, col, events, along)
-    rows_letters = map("".join, zip(*columns))
-    q_segs = [s for j, (h, row) in enumerate(zip(heights, rows_letters)) for s in _pieces(j, h, row, q_events[j], q_along[j])]
+    rows = map("".join, zip(*columns))
+    q_segs = [s for j, (h, row) in enumerate(zip(heights, rows)) for s in _pieces(j, h, row, q_events[j], q_along[j])]
 
     # a piece cell can be partial only where its original cell is, and only a
     # slab cut by a split piece changes
@@ -280,7 +278,7 @@ def anchor_components(typed: TypedDiagram, graph: PlacementGraph) -> Optional[An
     # originals where the frame does (up to rho and tau, which keep every
     # cell) and reproduces the diagram, so every anchoring that leads to a
     # YES passes.
-    widths, heights, columns, intercepts = diagram.scaled_widths, diagram.scaled_heights, diagram.columns, diagram.scaled_intercepts
+    widths, heights = diagram.scaled_widths, diagram.scaled_heights
     for placement in frames:
         placed: dict[str, set[tuple[int, int, int]]] = {"P": set(), "Q": set()}  # (orig, start, sigma)
         for (curve, k), (start, sigma) in placement.items():
@@ -291,7 +289,7 @@ def anchor_components(typed: TypedDiagram, graph: PlacementGraph) -> Optional[An
         rows = [j for j, _, _ in q_placed]
         whole = rows == list(range(len(heights)))  # each original of Q placed once: compare whole columns
         for i, start, sigma in placed["P"]:
-            column = columns[i], intercepts[i]
+            column = diagram.columns[i], diagram.scaled_intercepts[i]
             if not whole:  # the column at the placed rows
                 cells = column_cells(*column)
                 column = "".join([cells[j][0] for j in rows]), tuple([v for j in rows for v in cells[j][1]])
