@@ -83,6 +83,9 @@ FPT_RATIONAL_VERDICT_DIGEST = "b547ffe16c0f4319792cc4e3b5b80ce6098c85af53f0e83a5
 # solve_pseudo_poly on the same 200 rational diagrams (167 YES), where the
 # scale of the diagram and of its witness must be handled exactly
 PSEUDO_POLY_RATIONAL_DIGEST = "65bca2457a793a3f50f8de07a728a89333e25baf197c4ff6d073f81889df4ac5"
+# its 200 YES/NO answers alone (167 YES), pinned apart from the witnesses so
+# that a re-pin of the witness digest cannot hide a verdict change
+PSEUDO_POLY_RATIONAL_VERDICT_DIGEST = "b547ffe16c0f4319792cc4e3b5b80ce6098c85af53f0e83a55cd3daf7ece0a17"
 # the discrete solver on 120 criterion-1 round trips, 300 random matrices up
 # to 8x8 (94 of the 429 answers are NO), 8 walk matrices and one pair of
 # points beyond 2^62, which an int64 forward kernel could not hold. Equal
@@ -267,7 +270,9 @@ def test_rational_fpt_witness_digest():
 
 
 def test_rational_pseudo_poly_witness_digest():
-    assert _digest(solve_pseudo_poly, _rational_corpus()) == PSEUDO_POLY_RATIONAL_DIGEST
+    witnesses = [solve_pseudo_poly(d) for d in _rational_corpus()]
+    assert _sha256([w is not None for w in witnesses]) == PSEUDO_POLY_RATIONAL_VERDICT_DIGEST
+    assert _sha256([None if w is None else serialize(w) for w in witnesses]) == PSEUDO_POLY_RATIONAL_DIGEST
 
 
 def _walk(rng: random.Random, k: int) -> list[int]:
