@@ -11,8 +11,7 @@ A diagram is held as its file's int table, a letter string and the partial
 cells' intercepts per column; its :class:`CellContent` cells are a view. The
 checks, the transpose and the solvers read the letters and do per-cell work
 only at partial ones. The cell algebra below is written for either number type, returns ints
-on int input, and serves pseudo-poly's typing (:func:`cell_restrict`),
-:mod:`fsreal.render` and the tests.
+on int input, and serves :mod:`fsreal.render` and the tests.
 Curves in dimension >= 2 hold float coordinates, which
 :mod:`fsreal.forward` compares exactly on ints.
 """
@@ -275,18 +274,6 @@ def classify_slab(
     if c_lo <= vmin and c_hi >= vmax:
         return CellContent.full()
     return CellContent(PARTIAL, sigma, c_lo, c_hi)
-
-
-def cell_restrict(
-    cell: CellContent, x0: int | Fraction, y0: int | Fraction, w: int | Fraction, h: int | Fraction
-) -> CellContent:
-    """Cell content restricted to the w x h box at (x0, y0), re-based to
-    [0, w] x [0, h]."""
-    if cell.status != PARTIAL:
-        return cell
-    # y0 + y' - sigma*(x0 + x') = (y' - sigma*x') + y0 - sigma*x0
-    shift = cell.sigma * x0 - y0
-    return classify_slab(cell.sigma, cell.c_lo + shift, cell.c_hi + shift, w, h)
 
 
 def cell_edge_interval(

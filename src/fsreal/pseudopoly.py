@@ -1,17 +1,16 @@
 """Pseudo-polynomial solver for 1D free space diagrams.
 
-Segments are subdivided and typed by their row/column slice status (far,
-close or boundary): each partial cell turns its slice empty, partial, full,
-partial and empty again at no more than four points on each of its two
-segments, and one sweep per segment reads the type off them.
-Only a slab that a split piece cuts is restricted, and the partial typed
-cells found on the way, the edges of the placement graph, are the only typed
-cells kept. Partial cells anchor subsegments in rigid frames, one per
-component of the placement graph (at most two; the second floats with an
-unknown reflection rho and translation tau). An anchored piece fixes its
-whole original segment, so each frame is checked against the diagram's own
-cells with the forward computation's cell test, one column per placed
-original of P. The far and close subsegments left between anchored ones
+Each segment of P and Q is typed by its letters: far if all its cells are
+empty, close if all are full, and boundary if it has a partial cell. The
+paper subdivides segments where their slice type changes; on a diagram that
+passes the grid-line check that decides nothing (see
+:func:`subdivide_and_type`), so the segments are the diagram's own.
+The partial cells, the edges of the placement graph, anchor boundary
+segments in rigid frames, one per component of the placement graph (at most
+two; the second floats with an unknown reflection rho and translation tau).
+Each frame is checked against the diagram's own cells with the forward
+computation's cell test, one column per placed segment of P. The far and
+close segments left between anchored ones
 form runs, placed by boolean reachability tables over integer
 positions in the region that the hulls of the two curves leave them: beyond
 the eps boundary for a far run, open at that boundary, and a closed window
@@ -43,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .model import (
     PARTIAL,
@@ -51,7 +50,6 @@ from .model import (
     Curve1D,
     FreeSpaceDiagram1D,
     Witness,
-    cell_restrict,
     column_cells,
     consistency_problems,
     structural_problems,  # noqa: F401  not called: bench/tracing.py patches this name
@@ -62,142 +60,51 @@ TYPE_FAR = 1
 TYPE_CLOSE = 2
 TYPE_BOUNDARY = 3
 
-
-class SubSeg(NamedTuple):
-    """Piece of an original segment after subdivision at type changes."""
-
-    orig: int
-    offset: int  # arc-length offset within the original segment
-    length: int
-    kind: int  # TYPE_FAR / TYPE_CLOSE / TYPE_BOUNDARY
+# a cell from its fields, without the named tuple's Python-level __new__
+_cell = partial(tuple.__new__, CellContent)
 
 
 @dataclass
 class TypedDiagram:
     diagram: FreeSpaceDiagram1D
-    p_segs: list[SubSeg]
-    q_segs: list[SubSeg]
-    partial: dict[tuple[int, int], CellContent]  # (i, k) -> the partial cell of P piece i, Q piece k, in grid order
+    p_kinds: list[int]  # TYPE_FAR / TYPE_CLOSE / TYPE_BOUNDARY of each segment of P
+    q_kinds: list[int]
+    partial: dict[tuple[int, int], CellContent]  # (i, j) -> the partial cell of column i, row j
 
 
-# a cell and a piece from their fields, without the named tuples' Python-level __new__
-_cell, _piece = partial(tuple.__new__, CellContent), partial(tuple.__new__, SubSeg)
-
-
-def _slice_events(events: list[int], lo: int, hi: int, span: int, length: int) -> bool:
-    """Add the points where one partial cell's slice changes along its
-    segment of this length to ``events``, or return True when the slice is
-    partial all along. With the other side of a sigma = 1 cell mirrored, the
-    white set is lo <= t + u <= hi over 0 <= u <= span: the slice at t is
-    nonempty for lo - span < t < hi and full for lo < t < hi - span. An
-    event is 4 * t + its change: nonempty +1, -1, notfull -1, +1."""
-    a, b = lo - span, hi if hi < length else length  # nonempty slice
-    if a < 0:
-        a = 0
-    c, d = lo if lo > 0 else 0, hi - span  # full slice
-    if d > length:
-        d = length
-    if c >= d and a == 0 and b == length:
-        return True
-    if a < b:
-        events += (4 * a, 4 * b + 1)
-    if c < d:
-        events += (4 * c + 2, 4 * d + 3)
-    return False
-
-
-def _pieces(orig: int, length: int, letters: str, events: list[int], along: bool) -> list[SubSeg]:
-    """The typed pieces of segment ``orig`` of this length, from its letters
-    and its partial cells' slice events (``along``: a slice is partial all
-    along). One sweep over the events keeps two counts, the cells whose
-    slice is not empty and those whose slice is not full: a piece is far
-    while the first is 0, close while the second is, and boundary otherwise.
-    Without an event the counts never change, and a slice partial all along
-    keeps both positive: either way the segment is one piece, no sweep."""
-    if along:
-        return [_piece((orig, 0, length, TYPE_BOUNDARY))]
-    nonempty = letters.count("f")
-    notfull = len(letters) - nonempty
-    if not events:
-        return [_piece((orig, 0, length, TYPE_FAR if not nonempty else TYPE_CLOSE if not notfull else TYPE_BOUNDARY))]
-    events.append(4 * length)  # closes the last piece; the counts are not read after it
-    events.sort()
-    starts: list[int] = []
-    kinds: list[int] = []
-    at = 0
-    for event in events:
-        t = event >> 2
-        if t > at:
-            kind = TYPE_FAR if not nonempty else TYPE_CLOSE if not notfull else TYPE_BOUNDARY
-            if not kinds or kinds[-1] != kind:
-                starts.append(at)
-                kinds.append(kind)
-            at = t
-        change = event & 3
-        if change < 2:
-            nonempty += 1 - 2 * change
-        else:
-            notfull += 2 * change - 5
-    ends = starts[1:] + [length]
-    return [_piece((orig, a, b - a, kind)) for a, b, kind in zip(starts, ends, kinds)]
+def _kind(letters: str) -> int:
+    """A segment's type from its cells' letters: far if all empty, close if
+    all full, else boundary."""
+    return TYPE_FAR if not letters.strip("e") else TYPE_CLOSE if not letters.strip("f") else TYPE_BOUNDARY
 
 
 def subdivide_and_type(diagram: FreeSpaceDiagram1D) -> TypedDiagram:
-    """Insert subdivision vertices wherever a segment's slice status changes
-    and type every resulting subsegment (far / close / boundary), as in the
-    typed diagram: one pass over each column's partial letters adds each
-    cell's slice events to its P and its Q segment. Of the typed cells, keep
-    the partial ones."""
-    widths, heights = diagram.scaled_widths, diagram.scaled_heights
-    columns, intercepts = diagram.columns, diagram.scaled_intercepts
-    p_segs: list[SubSeg] = []
-    cells: dict[int, tuple[list[int], list[CellContent]]] = {}  # the rows and cells of each column's partial letters
-    q_events: list[list[int]] = [[] for _ in heights]
-    q_along = [False] * len(heights)
-    for i, (w, col, ints) in enumerate(zip(widths, columns, intercepts)):
-        events, along = [], False  # along: a slice partial all along
-        if ints:
-            rows, found = [j for j, ch in enumerate(col) if ch in "pn"], []
-            for j, lo, hi in zip(rows, ints[::2], ints[1::2]):
-                h = heights[j]
-                if col[j] == "p":  # mirrored: Q's side for P's slices, P's for Q's
-                    found.append(_cell((PARTIAL, 1, lo, hi)))
-                    along = _slice_events(events, h - hi, h - lo, h, w) or along
-                    q_along[j] = _slice_events(q_events[j], w + lo, w + hi, w, h) or q_along[j]
-                else:
-                    found.append(_cell((PARTIAL, -1, lo, hi)))
-                    along = _slice_events(events, lo, hi, h, w) or along
-                    q_along[j] = _slice_events(q_events[j], lo, hi, w, h) or q_along[j]
-            cells[i] = rows, found
-        p_segs += _pieces(i, w, col, events, along)
-    rows = map("".join, zip(*columns))
-    q_segs = [s for j, (h, row) in enumerate(zip(heights, rows)) for s in _pieces(j, h, row, q_events[j], q_along[j])]
+    """Type every segment of P and Q by its letters, and keep the partial
+    cells. The name is older than this body, which subdivides nothing:
+    bench/tracing.py patches the stage under it (ROADMAP item 1).
 
-    # a piece cell can be partial only where its original cell is, and only a
-    # slab cut by a split piece changes
-    q_pieces: list[list[int]] = [[] for _ in heights]  # Q's pieces of each original row
-    for k, qs in enumerate(q_segs):
-        q_pieces[qs.orig].append(k)
-    partial: dict[tuple[int, int], CellContent] = {}
-    for i, ps in enumerate(p_segs):
-        if ps.orig not in cells:
-            continue
-        split = ps.length != widths[ps.orig]
-        for j, cell in zip(*cells[ps.orig]):
-            for k in q_pieces[j]:
-                qs = q_segs[k]
-                if not split and qs.length == heights[j]:
-                    partial[i, k] = cell
-                else:
-                    c = cell_restrict(cell, ps.offset, qs.offset, ps.length, qs.length)
-                    if c.status == PARTIAL:
-                        partial[i, k] = c
-    return TypedDiagram(diagram, p_segs, q_segs, partial)
+    The paper subdivides a segment wherever its slice type changes. On a
+    diagram that passes the grid-line check that is never needed. A segment
+    without a partial letter is all empty or all full, since a full cell
+    next to an empty one fails that check: it is one far or one close piece.
+    Every other segment has a partial cell, so it is a node of the placement
+    graph, and an anchored piece fixes its whole segment: its frame fixes
+    all of its pieces, whatever their types."""
+    columns, intercepts = diagram.columns, diagram.scaled_intercepts
+    cells: dict[tuple[int, int], CellContent] = {}
+    for i, (col, ints) in enumerate(zip(columns, intercepts)):
+        if ints:
+            rows = [j for j, ch in enumerate(col) if ch in "pn"]
+            for j, lo, hi in zip(rows, ints[::2], ints[1::2]):
+                cells[i, j] = _cell((PARTIAL, 1 if col[j] == "p" else -1, lo, hi))
+    p_kinds = [_kind(col) for col in columns]
+    q_kinds = [_kind(row) for row in map("".join, zip(*columns))]
+    return TypedDiagram(diagram, p_kinds, q_kinds, cells)
 
 
 @dataclass
 class PlacementGraph:
-    """Bipartite graph on subsegments; an edge marks a partial cell."""
+    """Bipartite graph on segments; an edge marks a partial cell."""
 
     adjacency: dict[tuple[str, int], list[tuple[str, int]]]
     non_singleton: list[list[tuple[str, int]]]  # components with an edge, breadth-first from the least node
@@ -226,7 +133,7 @@ def build_placement_graph(typed: TypedDiagram) -> PlacementGraph:
 
 @dataclass
 class Anchoring:
-    """Relative placements of the subsegments that touch a partial cell, one
+    """Relative placements of the segments that touch a partial cell, one
     rigid frame per non-singleton component; frame 1 (if present) floats with
     an unknown translation and reflection resolved during the search."""
 
@@ -239,7 +146,7 @@ def anchor_components(typed: TypedDiagram, graph: PlacementGraph) -> Optional[An
     """Propagate relative positions over partial cells within each component,
     check each frame against the diagram's cells with
     :func:`fsreal.forward.classify_column`, then bind consecutive anchored
-    subsegments of the same curve: a shared vertex within a frame, a
+    segments of the same curve: a shared vertex within a frame, a
     cross-frame equation between frames; contradictions mean the instance is
     not realizable."""
     diagram, eps = typed.diagram, typed.diagram.scaled_eps
@@ -268,27 +175,20 @@ def anchor_components(typed: TypedDiagram, graph: PlacementGraph) -> Optional[An
         for node in placement:
             frame_of[node] = idx
 
-    # An anchored piece fixes its original segment, which starts at the
-    # piece's start - sigma * offset and runs the same way; each placed
-    # original of P must give the diagram's cells with the frame's placed
-    # originals of Q. No answer changes. Restricting a cell to a piece's box
-    # is exact, so where the originals' cells are the diagram's, every piece
-    # cell is its typed cell: the check is at least as strong as one over
-    # the frame's pieces. A witness that decide_diagram returns places its
-    # originals where the frame does (up to rho and tau, which keep every
-    # cell) and reproduces the diagram, so every anchoring that leads to a
-    # YES passes.
+    # Each placed segment of P must give the diagram's cells with the
+    # frame's placed segments of Q. A witness that decide_diagram returns
+    # places its segments where the frame does (up to rho and tau, which keep
+    # every cell) and reproduces the diagram, so every anchoring that leads
+    # to a YES passes.
     widths, heights = diagram.scaled_widths, diagram.scaled_heights
     for placement in frames:
-        placed: dict[str, set[tuple[int, int, int]]] = {"P": set(), "Q": set()}  # (orig, start, sigma)
-        for (curve, k), (start, sigma) in placement.items():
-            seg = (typed.p_segs if curve == "P" else typed.q_segs)[k]
-            placed[curve].add((seg.orig, start - sigma * seg.offset, sigma))
-        q_placed = sorted(placed["Q"])
+        q_placed = sorted((j, start, sigma) for (curve, j), (start, sigma) in placement.items() if curve == "Q")
         q_segs = [(sigma == 1, start, heights[j]) for j, start, sigma in q_placed]
         rows = [j for j, _, _ in q_placed]
-        whole = rows == list(range(len(heights)))  # each original of Q placed once: compare whole columns
-        for i, start, sigma in placed["P"]:
+        whole = len(rows) == len(heights)  # every segment of Q placed: compare whole columns
+        for (curve, i), (start, sigma) in placement.items():
+            if curve != "P":
+                continue
             column = diagram.columns[i], diagram.scaled_intercepts[i]
             if not whole:  # the column at the placed rows
                 cells = column_cells(*column)
@@ -297,14 +197,14 @@ def anchor_components(typed: TypedDiagram, graph: PlacementGraph) -> Optional[An
                 return None
 
     cross: list[tuple[int, int, int, int]] = []
-    for curve, segs in (("P", typed.p_segs), ("Q", typed.q_segs)):
-        for k in range(len(segs) - 1):
+    for curve, lengths in (("P", widths), ("Q", heights)):
+        for k in range(len(lengths) - 1):
             a, b = (curve, k), (curve, k + 1)
             fa, fb = frame_of.get(a), frame_of.get(b)
             if fa is None or fb is None:
                 continue  # a run starts or ends here
             sa, ga = frames[fa][a]
-            end_a = sa + ga * segs[k].length
+            end_a = sa + ga * lengths[k]
             sb, _ = frames[fb][b]
             if fa == fb:
                 if end_a != sb:
@@ -318,23 +218,11 @@ def anchor_components(typed: TypedDiagram, graph: PlacementGraph) -> Optional[An
 # Reachability tables over integer positions (boolean, bitmask encoded).
 
 
-def _step_dirs(idx: int, k: int, first_dir: Optional[int], last_dir: Optional[int]) -> tuple[int, ...]:
-    """Directions step idx of k may take, rightward first; on a one-step run
-    the forced first direction wins."""
-    if idx == 0 and first_dir is not None:
-        return (first_dir,)
-    if idx == k - 1 and last_dir is not None:
-        return (last_dir,)
-    return (1, -1)
-
-
 def fixed_boundary_dp(
     lengths: Sequence[int],
     bound: Optional[int],
     start: Optional[int] = None,
     end: Optional[int] = 0,
-    first_dir: Optional[int] = None,
-    last_dir: Optional[int] = None,
 ) -> list[int]:
     """Reachability of a subcurve over the integer positions of a region.
 
@@ -342,10 +230,7 @@ def fixed_boundary_dp(
     boundary 0, so a free vertex lies at 1, 2, ...; or a middle window, the
     closed interval [0, bound], since full cells are closed conditions.
     Positions are capped at ``sum(lengths) + max(start, end)`` (and at bound).
-    ``start``/``end`` fix the first/last vertex to a position (None: free);
-    ``first_dir``/``last_dir`` force the first/last step direction (+1 right,
-    -1 left), used where the neighboring vertex is a subdivision point at
-    which the curve may not turn.
+    ``start``/``end`` fix the first/last vertex to a position (None: free).
 
     Bit s of ``masks[k]`` is set iff the suffix from vertex k embeds with
     vertex k at s, every vertex within its guard: its fixed position, or the
@@ -368,33 +253,19 @@ def fixed_boundary_dp(
     for idx in range(k - 1, -1, -1):
         step = lengths[idx]
         nxt = masks[idx + 1]
-        cur = 0
-        for d in _step_dirs(idx, k, first_dir, last_dir):
-            cur |= nxt >> step if d == 1 else (nxt << step) & full
-        masks[idx] = cur & (guard(start) if idx == 0 else region)
+        masks[idx] = (nxt >> step | (nxt << step) & full) & (guard(start) if idx == 0 else region)
     return masks
 
 
-def dp_extract_path(
-    masks: list[int], lengths: Sequence[int], first_dir: Optional[int] = None, last_dir: Optional[int] = None
-) -> list[int]:
+def dp_extract_path(masks: list[int], lengths: Sequence[int]) -> list[int]:
     """Vertex positions of one embedding from the tables of
-    :func:`fixed_boundary_dp` (called with the same lengths and directions,
-    ``masks[0]`` nonempty): start at the lowest feasible position and prefer
-    the rightward step."""
+    :func:`fixed_boundary_dp` (called with the same lengths, ``masks[0]``
+    nonempty): start at the lowest feasible position and prefer the
+    rightward step."""
     pos = (masks[0] & -masks[0]).bit_length() - 1
     path = [pos]
-    last = len(lengths) - 1
     for idx, step in enumerate(lengths):
-        # a forced step lands on a feasible position, as the table was built
-        # with it; a free one goes right if that is feasible, else left
-        forced = first_dir if idx == 0 and first_dir is not None else last_dir if idx == last else None
-        if forced is not None:
-            pos += forced * step
-        elif (masks[idx + 1] >> (pos + step)) & 1:
-            pos += step
-        else:
-            pos -= step
+        pos += step if (masks[idx + 1] >> (pos + step)) & 1 else -step
         path.append(pos)
     return path
 
@@ -405,61 +276,50 @@ def dp_extract_path(
 
 @dataclass
 class Run:
-    """Maximal run of same-type uncertainty subsegments of one curve."""
+    """Maximal run of unanchored segments of one curve."""
 
     curve: str
     kind: int
-    first: int  # subsegment index range [first, last]
+    first: int  # segment index range [first, last]
     last: int
     lengths: tuple[int, ...]
-    # attachments: (frame, vertex value, forced_dir or None) or None per end
-    attach_lo: Optional[tuple[int, int, Optional[int]]] = None
-    attach_hi: Optional[tuple[int, int, Optional[int]]] = None
+    # attachments: (frame, vertex value) or None per end
+    attach_lo: Optional[tuple[int, int]] = None
+    attach_hi: Optional[tuple[int, int]] = None
 
 
 def _collect_runs(typed: TypedDiagram, anchoring: Anchoring, curve: str) -> list[Run]:
-    """Maximal runs of unanchored subsegments, with attachment values taken
-    from the neighboring anchored subsegments.
+    """Maximal runs of unanchored segments, attached at the vertices they
+    share with the neighbouring anchored segments.
 
-    An unanchored subsegment touches no partial cell, so its cells are all
-    empty (far) or all full (close): a boundary piece has a partial slice
-    at its midpoint, since a full slice next to an empty one fails the
-    grid-line check. A far and a close piece are never adjacent, as the line
-    of their shared vertex would be both empty and full, so each run has one
-    kind; being maximal, a run ends at the curve's ends or at anchored
-    subsegments.
+    An unanchored segment has no partial letter, so it is far or close
+    (:func:`subdivide_and_type`). A far and a close segment are never
+    adjacent, as the line of their shared vertex would be both empty and
+    full, so each run has one kind; being maximal, a run ends at the curve's
+    ends or at anchored segments.
     """
-    segs = typed.p_segs if curve == "P" else typed.q_segs
-    anchored = [(curve, k) in anchoring.frame_of for k in range(len(segs))]
+    diagram = typed.diagram
+    kinds, lengths = (typed.p_kinds, diagram.scaled_widths) if curve == "P" else (typed.q_kinds, diagram.scaled_heights)
+    frame_of, frames = anchoring.frame_of, anchoring.frames
     runs: list[Run] = []
-    idx = 0
-    while idx < len(segs):
-        if anchored[idx]:
+    idx, n = 0, len(kinds)
+    while idx < n:
+        if (curve, idx) in frame_of:
             idx += 1
             continue
         first = idx
-        while idx < len(segs) and not anchored[idx]:
+        while idx < n and (curve, idx) not in frame_of:
             idx += 1
-        last = idx - 1
-        run = Run(curve, segs[first].kind, first, last, tuple(s.length for s in segs[first : last + 1]))
-        if first > 0:
-            run.attach_lo = _attachment(typed, anchoring, curve, first - 1, first, end_hi=True)
-        if last + 1 < len(segs):
-            run.attach_hi = _attachment(typed, anchoring, curve, last + 1, last, end_hi=False)
+        run = Run(curve, kinds[first], first, idx - 1, tuple(lengths[first:idx]))
+        if first > 0:  # the end of the anchored segment before the run
+            frame = frame_of[curve, first - 1]
+            start, sigma = frames[frame][curve, first - 1]
+            run.attach_lo = frame, start + sigma * lengths[first - 1]
+        if idx < n:  # the start of the anchored segment after it
+            frame = frame_of[curve, idx]
+            run.attach_hi = frame, frames[frame][curve, idx][0]
         runs.append(run)
     return runs
-
-
-def _attachment(typed, anchoring: Anchoring, curve: str, seg3: int, run_seg: int, end_hi: bool):
-    """(frame, value, forced direction) of the vertex that anchored
-    subsegment seg3 shares with the run; the direction is forced where the
-    two pieces come from one original segment."""
-    node = (curve, seg3)
-    frame = anchoring.frame_of[node]
-    start, sigma = anchoring.frames[frame][node]
-    segs = typed.p_segs if curve == "P" else typed.q_segs
-    value = start + sigma * segs[seg3].length if end_hi else start
-    return frame, value, sigma if segs[seg3].orig == segs[run_seg].orig else None
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +354,8 @@ def _frame_candidates(anchoring: Anchoring, runs: list[Run]):
         for run in runs:
             if run.attach_lo is None or run.attach_hi is None or run.attach_lo[0] == run.attach_hi[0]:
                 continue
-            fa, va, _ = run.attach_lo
-            _, vb, _ = run.attach_hi
+            fa, va = run.attach_lo
+            vb = run.attach_hi[1]
             nets = _net_displacements(run.lengths)
             if fa == 0:
                 cand = {va + net - rho * vb for net in nets}
@@ -506,12 +366,10 @@ def _frame_candidates(anchoring: Anchoring, runs: list[Run]):
             yield rho, tau
 
 
-def _to_global(frame: int, value: int, direction: Optional[int], rho: int, tau: int):
-    """A frame's position and direction (or None) in global coordinates:
-    frame 0 is global, frame 1 is reflected by rho and translated by tau."""
-    if frame == 0:
-        return value, direction
-    return tau + rho * value, None if direction is None else rho * direction
+def _to_global(frame: int, value: int, rho: int, tau: int) -> int:
+    """A frame's position in global coordinates: frame 0 is global, frame 1
+    is reflected by rho and translated by tau."""
+    return value if frame == 0 else tau + rho * value
 
 
 def decide_diagram(diagram: FreeSpaceDiagram1D, candidates) -> Optional[Witness]:
@@ -548,12 +406,13 @@ def _candidates(diagram: FreeSpaceDiagram1D):
 
     p_runs = _collect_runs(typed, anchoring, "P")
     q_runs = _collect_runs(typed, anchoring, "Q")
+    lengths = {"P": diagram.scaled_widths, "Q": diagram.scaled_heights}
     for rho, tau in _frame_candidates(anchoring, p_runs + q_runs):
-        anchored: dict[tuple[str, int], tuple[int, int]] = {}  # node -> global start and end of its piece
+        anchored: dict[tuple[str, int], tuple[int, int]] = {}  # node -> global start and end of its segment
         for frame, placement in enumerate(anchoring.frames):
             for (curve, k), (start, sigma) in placement.items():
-                start, sigma = _to_global(frame, start, sigma, rho, tau)
-                anchored[curve, k] = start, start + sigma * (typed.p_segs if curve == "P" else typed.q_segs)[k].length
+                end = start + sigma * lengths[curve][k]
+                anchored[curve, k] = _to_global(frame, start, rho, tau), _to_global(frame, end, rho, tau)
         for values in _hull_candidates(anchored, p_runs, q_runs, rho, tau, eps):
             curves = _attempt(typed, anchored, p_runs, q_runs, rho, tau, values, eps)
             if curves is not None:
@@ -565,16 +424,16 @@ def _hull_candidates(anchored, p_runs, q_runs, rho, tau, eps):
     placement, each the anchored extent or outward of it (None: no run is
     checked against that extreme).
 
-    A close subsegment of one curve never coexists with a far one of the
-    other: the point (midpoint of the close piece, midpoint of the far piece)
-    would be both white and black. So unless both curves have close runs,
+    A close segment of one curve never coexists with a far one of the other:
+    the point (midpoint of the close one, midpoint of the far one) would be
+    both white and black. So unless both curves have close runs,
     every extreme that a run is checked against is the other curve's
     anchored extent: one candidate suffices. Otherwise every run is close and
     hangs off an anchored vertex inside a window narrower than 2*eps, so each
     hull is narrower than 2*eps and holds its anchored extent. Close runs only fit
     more easily as their own hull grows and less easily as the other hull
     grows, so for each (LP, RP) only the minimal (LQ, RQ) at which Q's runs
-    fit are tried. ``anchored`` holds the global ends of every anchored piece.
+    fit are tried. ``anchored`` holds the global ends of every anchored segment.
     """
 
     def extent(curve: str) -> tuple[int, int]:
@@ -632,20 +491,18 @@ def _minimal_pairs(lows, highs, fits):
 
 
 def _attempt(typed, anchored, p_runs, q_runs, rho, tau, values, eps) -> Optional[tuple[list[int], list[int]]]:
-    """The original vertices of P and Q that the runs placed under these
-    candidates and the anchored frames fix, or None.
+    """The vertices of P and Q that the runs placed under these candidates
+    and the anchored frames fix, or None.
 
-    Each curve is read straight off its pieces' (start, end) pairs, since two
-    pieces never disagree at the vertex they share: a run's path starts and
-    ends at its attachments' global values (:func:`_run_path` fixes them),
-    two consecutive pieces of one frame meet (:func:`anchor_components`
-    checks it), and every tau meets every cross-frame equation
-    (:func:`_frame_candidates` intersects them). No piece is flat: each has
-    positive length, and a path step or a frame moves by it. Once the pieces
-    of each original segment run one way, its ends differ by its width."""
+    Each curve is read straight off its segments' (start, end) pairs, since
+    two segments never disagree at the vertex they share: a run's path
+    starts and ends at its attachments' global values (:func:`_run_path`
+    fixes them), two consecutive segments of one frame meet
+    (:func:`anchor_components` checks it), and every tau meets every
+    cross-frame equation (:func:`_frame_candidates` intersects them)."""
     lp, rp = values["LP"], values["RP"]
     lq, rq = values["LQ"], values["RQ"]
-    ends = dict(anchored)  # the runs add their pieces
+    ends = dict(anchored)  # the runs add their segments
 
     for runs, other_lo, other_hi, own_lo, own_hi in (
         (q_runs, lp, rp, lq, rq),
@@ -658,20 +515,9 @@ def _attempt(typed, anchored, p_runs, q_runs, rho, tau, values, eps) -> Optional
             for off, idx in enumerate(range(run.first, run.last + 1)):
                 ends[(run.curve, idx)] = path[off], path[off + 1]
 
-    curves = {}
-    for curve, segs in (("P", typed.p_segs), ("Q", typed.q_segs)):
-        pairs = [ends[curve, k] for k in range(len(segs))]
-        # orientation must not change at subdivision vertices: two anchored
-        # pieces of one segment in different frames can disagree under rho
-        rising = [end > start for start, end in pairs]
-        for k in range(len(segs) - 1):
-            if segs[k].orig == segs[k + 1].orig and rising[k] != rising[k + 1]:
-                return None
-        # keep original vertices only: P's or Q's start, then the end of each segment's last piece
-        curves[curve] = [pairs[0][0]] + [
-            pairs[k][1] for k in range(len(segs)) if k + 1 == len(segs) or segs[k].orig != segs[k + 1].orig
-        ]
-    return curves["P"], curves["Q"]
+    p_n, q_n = len(typed.p_kinds), len(typed.q_kinds)
+    p_pts = [ends["P", 0][0]] + [ends["P", k][1] for k in range(p_n)]
+    return p_pts, [ends["Q", 0][0]] + [ends["Q", k][1] for k in range(q_n)]
 
 
 def _place_run(
@@ -699,8 +545,8 @@ def _place_run(
 
     if run.kind == TYPE_FAR:
         left_b = other_lo - eps
-        att = att_lo or att_hi
-        if att is not None and att[0] <= left_b:
+        att = att_hi if att_lo is None else att_lo
+        if att is not None and att <= left_b:
             return _run_path(run, att_lo, att_hi, left_b, -1, None)
         return _run_path(run, att_lo, att_hi, other_hi + eps, 1, None)
 
@@ -722,19 +568,12 @@ def _run_path(run: Run, att_lo, att_hi, base: int, flip: int, bound: Optional[in
     """Solve one run in region coordinates pos = flip * (value - base): a far
     run (bound None) beyond the eps boundary at 0, a middle run in the closed
     window [0, bound]; see :func:`fixed_boundary_dp`."""
-    start = end = first_dir = last_dir = None
-    if att_lo is not None:
-        start = flip * (att_lo[0] - base)
-        if att_lo[1] is not None:
-            first_dir = att_lo[1] * flip
-    if att_hi is not None:
-        end = flip * (att_hi[0] - base)
-        if att_hi[1] is not None:
-            last_dir = att_hi[1] * flip
-    masks = fixed_boundary_dp(run.lengths, bound, start, end, first_dir, last_dir)
+    start = None if att_lo is None else flip * (att_lo - base)
+    end = None if att_hi is None else flip * (att_hi - base)
+    masks = fixed_boundary_dp(run.lengths, bound, start, end)
     if not masks[0]:
         return None
-    return [base + flip * p for p in dp_extract_path(masks, run.lengths, first_dir, last_dir)]
+    return [base + flip * p for p in dp_extract_path(masks, run.lengths)]
 
 
 def int_witness(diagram: FreeSpaceDiagram1D, p_pts, q_pts, scale: int) -> Witness:

@@ -46,6 +46,8 @@ BRUTE = "fsreal/bruteforce.py"
 BRUTE_TESTS = ("tests/test_bruteforce.py",)
 GOLDEN = "tests/test_golden_witnesses.py"
 MODEL = "fsreal/model.py"
+PSEUDO = "fsreal/pseudopoly.py"
+PSEUDO_TESTS = "tests/test_pseudopoly.py"
 
 MUTANTS = [
     Mutant(
@@ -154,12 +156,55 @@ MUTANTS = [
         "row_ints[j] += (hi, lo)",
         ("tests/test_symmetry.py::test_verdicts_hold_under_the_diagram_symmetries_on_the_fuzz_corpora",),
     ),
+    # pseudo-poly on whole segments
     Mutant(
         "plain-segment-all-full-typed-boundary",
-        "fsreal/pseudopoly.py",
-        "TYPE_CLOSE if not notfull else TYPE_BOUNDARY))]",
-        "TYPE_BOUNDARY if not notfull else TYPE_BOUNDARY))]",
-        ("tests/test_pseudopoly.py::test_typing_all_full",),
+        PSEUDO,
+        'TYPE_CLOSE if not letters.strip("f")',
+        'TYPE_BOUNDARY if not letters.strip("f")',
+        (f"{PSEUDO_TESTS}::test_typing_all_full",),
+    ),
+    Mutant(
+        "run-kind-read-off-the-wrong-letter",
+        PSEUDO,
+        'TYPE_FAR if not letters.strip("e")',
+        'TYPE_FAR if not letters.strip("f")',
+        (f"{PSEUDO_TESTS}::test_typing_all_empty",),
+    ),
+    Mutant(
+        "placement-contradiction-unchecked",
+        PSEUDO,
+        "if placement[other] != (o_start, o_sigma):\n                        return None",
+        "if placement[other] != (o_start, o_sigma):\n                        pass",
+        (f"{PSEUDO_TESTS}::test_frame_check_rejects_a_consistent_diagram",),
+    ),
+    Mutant(
+        "frame-check-first-rows",
+        PSEUDO,
+        "rows = [j for j, _, _ in q_placed]",
+        "rows = list(range(len(q_placed)))",
+        (f"{PSEUDO_TESTS}::test_forward_diagram_solves_yes",),
+    ),
+    Mutant(
+        "consecutive-segments-not-joined",
+        PSEUDO,
+        "if end_a != sb:\n                    return None",
+        "if end_a != sb:\n                    pass",
+        (f"{PSEUDO_TESTS}::test_typing_and_anchoring_invariants",),
+    ),
+    Mutant(
+        "far-run-at-the-band-edge-goes-right",
+        PSEUDO,
+        "if att is not None and att <= left_b:",
+        "if att is not None and att < left_b:",
+        (f"{PSEUDO_TESTS}::test_far_run_lies_on_the_side_of_its_first_attachment",),
+    ),
+    Mutant(
+        "far-region-closed-at-the-eps-boundary",
+        PSEUDO,
+        "region = full if bound is not None else full & ~1",
+        "region = full",
+        (f"{PSEUDO_TESTS}::test_dp_matches_brute_force_step_directions",),
     ),
 ]
 

@@ -28,7 +28,6 @@ from fsreal.model import (
     PARTIAL,
     cell_edge_interval,
     checked_epsilon,
-    cell_restrict,
     classify_slab,
     consistency_problems,
     scaled_str,
@@ -595,7 +594,9 @@ def _cell_algebra_results(sigma, w, h, lo, hi, num):
         for y0 in range(h):
             for w2 in range(1, w - x0 + 1):
                 for h2 in range(1, h - y0 + 1):
-                    out.append(("cell_restrict", cell_restrict(cell, num(x0), num(y0), num(w2), num(h2))))
+                    # the slab in the w2 x h2 box at (x0, y0), re-based to its corner
+                    shift = sigma * num(x0) - num(y0)
+                    out.append(("classify_slab", classify_slab(sigma, num(lo) + shift, num(hi) + shift, num(w2), num(h2))))
     return out
 
 

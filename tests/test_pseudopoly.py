@@ -1,7 +1,10 @@
 import itertools
+import math
 import random
 import sys
+import time
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
@@ -18,11 +21,12 @@ from fsreal import (
     subdivide_and_type,
 )
 from fsreal import pseudopoly
+from fsreal.formats import parse
 from fsreal.model import (
     EMPTY,
     FULL,
     PARTIAL,
-    cell_restrict,
+    classify_slab,
     consistency_problems,
     transpose_diagram,
 )
@@ -31,7 +35,6 @@ from fsreal.pseudopoly import (
     TYPE_CLOSE,
     TYPE_FAR,
     Run,
-    SubSeg,
     _collect_runs,
     _place_run,
     _smallest_window,
@@ -51,31 +54,49 @@ def _diagram(eps, widths, heights, cells):
 def test_typing_all_empty():
     d = _diagram(1, [2, 3], [2], [[CellContent.empty()], [CellContent.empty()]])
     typed = subdivide_and_type(d)
-    assert all(s.kind == TYPE_FAR for s in typed.p_segs)
-    assert all(s.kind == TYPE_FAR for s in typed.q_segs)
+    assert typed.p_kinds == [TYPE_FAR] * 2 and typed.q_kinds == [TYPE_FAR]
 
 
 def test_typing_all_full():
     d = compute_diagram_1d(Curve1D([0, 1]), Curve1D([0, 1]), 5)
     typed = subdivide_and_type(d)
-    assert all(s.kind == TYPE_CLOSE for s in typed.p_segs)
-    assert all(s.kind == TYPE_CLOSE for s in typed.q_segs)
+    assert typed.p_kinds == [TYPE_CLOSE] and typed.q_kinds == [TYPE_CLOSE]
 
 
 def test_typing_partial_cell_spanning_its_row():
-    # 2x1 grid: first column partial spanning the whole row, second empty
+    # 2x1 grid: the first column's cell is partial all along the row, the
+    # second's only near its start, so that segment of P is far past 3 and
+    # the paper would split it; a segment with a partial cell is typed
+    # boundary whole, as its frame fixes all of it
     d = compute_diagram_1d(Curve1D([0, 2, 8]), Curve1D([0, 2]), 1)
+    assert d.columns == ("p", "p")
     typed = subdivide_and_type(d)
-    assert typed.q_segs[0].kind == TYPE_BOUNDARY
-    kinds = {(s.orig, s.kind) for s in typed.p_segs}
-    assert (0, TYPE_BOUNDARY) in kinds
-    assert any(orig == 1 and kind == TYPE_FAR for orig, kind in kinds)
+    assert typed.p_kinds == [TYPE_BOUNDARY, TYPE_BOUNDARY] and typed.q_kinds == [TYPE_BOUNDARY]
+    assert sorted(typed.partial) == [(0, 0), (1, 0)]
+
+
+class Piece(NamedTuple):
+    """A piece of segment ``orig``, starting ``offset`` along it."""
+
+    orig: int
+    offset: int
+    length: int
+    kind: int
+
+
+def _restrict(cell: CellContent, x0, y0, w, h) -> CellContent:
+    """The cell restricted to the w x h box at (x0, y0), re-based to
+    [0, w] x [0, h]: y0 + y' - sigma*(x0 + x') = (y' - sigma*x') + y0 - sigma*x0."""
+    if cell.status != PARTIAL:
+        return cell
+    shift = cell.sigma * x0 - y0
+    return classify_slab(cell.sigma, cell.c_lo + shift, cell.c_hi + shift, w, h)
 
 
 def _reference_pieces(columns, widths, heights):
-    """A per-slice classifier: cut each segment at every breakpoint of its
-    partial cells and classify all its cells again at the midpoint of every
-    piece (doubled coordinates)."""
+    """A per-slice classifier, the paper's subdivision: cut each segment at
+    every breakpoint of its partial cells and classify all its cells again
+    at the midpoint of every piece (doubled coordinates)."""
     out = []
     for i, col in enumerate(columns):
         w = widths[i]
@@ -98,9 +119,9 @@ def _reference_pieces(columns, widths, heights):
                 statuses.add(EMPTY if lo > h2 or hi < 0 else FULL if lo <= 0 and hi >= h2 else PARTIAL)
             kind = TYPE_FAR if statuses == {EMPTY} else TYPE_CLOSE if statuses == {FULL} else TYPE_BOUNDARY
             if pieces and pieces[-1].kind == kind:
-                pieces[-1] = SubSeg(i, pieces[-1].offset, b - pieces[-1].offset, kind)
+                pieces[-1] = Piece(i, pieces[-1].offset, b - pieces[-1].offset, kind)
             else:
-                pieces.append(SubSeg(i, a, b - a, kind))
+                pieces.append(Piece(i, a, b - a, kind))
         out += pieces
     return out
 
@@ -113,8 +134,8 @@ def _reference_typing(scaled):
     q_segs = _reference_pieces(transpose_diagram(scaled).cells, heights, widths)
 
     def cell(ps, qs):
-        c = cell_restrict(scaled.cells[ps.orig][qs.orig], ps.offset, 0, ps.length, heights[qs.orig])
-        return cell_restrict(c, 0, qs.offset, ps.length, qs.length)
+        c = _restrict(scaled.cells[ps.orig][qs.orig], ps.offset, 0, ps.length, heights[qs.orig])
+        return _restrict(c, 0, qs.offset, ps.length, qs.length)
 
     return p_segs, q_segs, [[cell(ps, qs) for qs in q_segs] for ps in p_segs]
 
@@ -148,15 +169,32 @@ def test_typing_sweep_matches_the_per_slice_classifier():
             ((0, 2, 0, 2), (3, 1, 3), 1),
         )
     ]
-    corner = shared = q_reversed = 0
+    # The typing reads each segment's letters and subdivides nothing. Its
+    # premise, on diagrams that pass the grid-line check: a segment with a
+    # partial letter has a reference piece with a partial typed cell, so it
+    # is a node of the placement graph; any other segment is one far or
+    # close reference piece, of the kind its letters give
+    corner = shared = q_reversed = split = 0
     for index, diagram in enumerate(diagrams):
+        assert not consistency_problems(diagram), index
         # the reference reads the Fractions of an explicit copy L times the
-        # size; the sweep reads the diagram's ints, which are in those units
+        # size; the typing reads the diagram's ints, which are in those units
         scaled = divided_diagram(diagram, Fraction(1, diagram.scale))
         typed = subdivide_and_type(diagram)
         p_segs, q_segs, cells = _reference_typing(scaled)
-        partial = [((i, k), c) for i, row in enumerate(cells) for k, c in enumerate(row) if c.status == PARTIAL]
-        assert (typed.p_segs, typed.q_segs, list(typed.partial.items())) == (p_segs, q_segs, partial), index
+        partial = {(i, j): c for i, col in enumerate(scaled.cells) for j, c in enumerate(col) if c.status == PARTIAL}
+        assert typed.partial == partial, index
+        for kinds, segs, letters, typed_partial in (
+            (typed.p_kinds, p_segs, diagram.columns, lambda a: any(c.status == PARTIAL for c in cells[a])),
+            (typed.q_kinds, q_segs, map("".join, zip(*diagram.columns)), lambda b: any(row[b].status == PARTIAL for row in cells)),
+        ):
+            pieces = [[k for k, s in enumerate(segs) if s.orig == i] for i in range(len(kinds))]
+            for kind, own, seg_letters in zip(kinds, pieces, letters):
+                if "p" in seg_letters or "n" in seg_letters:
+                    assert kind == TYPE_BOUNDARY and any(typed_partial(k) for k in own), index
+                    split += len(own) > 1
+                else:
+                    assert len(own) == 1 and segs[own[0]].kind == kind in (TYPE_FAR, TYPE_CLOSE), index
         for axis in (scaled, transpose_diagram(scaled)):
             for col, w in zip(axis.cells, axis.col_widths):
                 per_cell = [
@@ -168,7 +206,7 @@ def test_typing_sweep_matches_the_per_slice_classifier():
                 inside = [x for points in per_cell for x in points if 0 < x < w]
                 shared += len(inside) > len(set(inside))
         q_reversed += any(c.status == PARTIAL and c.sigma == -1 for col in scaled.cells for c in col)
-    assert corner > 500 and shared > 500 and q_reversed > 200
+    assert corner > 500 and shared > 500 and q_reversed > 200 and split > 500
 
 
 def test_solver_decides_rational_diagrams():
@@ -284,16 +322,10 @@ def test_anchoring_reproduces_forward_layout():
     # relative distances inside the frame match the generating curves up to
     # translation: compare two anchored P starts against the true gap
     p_nodes = sorted(n for n in frame if n[0] == "P")
-    if len(p_nodes) >= 2:
-        (a, b) = p_nodes[:2]
-        true_gap = None
-        starts = {}
-        offset = 0
-        v = p.scaled_vertices
-        for k, seg in enumerate(typed.p_segs):
-            starts[k] = v[seg.orig] + (1 if v[seg.orig + 1] > v[seg.orig] else -1) * seg.offset
-        true_gap = starts[b[1]] - starts[a[1]]
-        assert frame[b][0] - frame[a][0] == true_gap
+    assert len(p_nodes) == 2
+    a, b = p_nodes
+    v = p.scaled_vertices
+    assert frame[b][0] - frame[a][0] == v[b[1]] - v[a[1]]
 
 
 def test_shifted_intercepts_fail_the_grid_line_check():
@@ -312,14 +344,16 @@ def test_shifted_intercepts_fail_the_grid_line_check():
     assert solve_pseudo_poly(mutated) is None
 
 
-def test_frame_check_rejects_a_consistent_diagram():
+def test_frame_check_rejects_a_consistent_diagram(monkeypatch):
     # each is consistent on every grid line, one placement-graph component,
     # and not realizable. In the first the frame's placement matches every
     # partial cell it was propagated over, but not every P x Q cell of the
-    # frame. In the second every pair of the frame's pieces gives its typed
-    # cell, but the frame places P's column 0 from its first piece at 0 and
-    # from its last at 1, and neither placement of the whole column gives
-    # the diagram's cells with the frame's rows.
+    # frame. In the second, split into the paper's pieces, every pair of the
+    # frame's pieces gives its typed cell, but the frame places P's column 0
+    # from its first piece at 0 and from its last at 1; on whole segments,
+    # column 0's two partial cells place it in those two ways, and the
+    # propagation stops at the contradiction, before the frame check reads a
+    # column.
     empty = CellContent.empty()
     diagrams = [
         _diagram(
@@ -343,13 +377,18 @@ def test_frame_check_rejects_a_consistent_diagram():
             + [[empty, empty]] * 4,
         ),
     ]
+    columns_read = []
+    classify = pseudopoly.classify_column
+    monkeypatch.setattr(pseudopoly, "classify_column", lambda *args: columns_read.append(1) or classify(*args))
     for index, d in enumerate(diagrams):
         assert consistency_problems(d) == [], index
         typed = subdivide_and_type(d)
         graph = build_placement_graph(typed)
         assert len(graph.non_singleton) == 1, index
         assert brute_force_continuous_1d(d) is None, index
+        columns_read.clear()
         assert anchor_components(typed, graph) is None, index
+        assert bool(columns_read) == (index == 0), index
         assert solve_pseudo_poly(d) is None, index
 
 
@@ -468,21 +507,16 @@ def test_witness_positions_respect_regions():
         assert v > q_high + 1 or v < q_low - 1
 
 
-def _walk_ok(path, lengths, bound, start, end, first_dir, last_dir):
-    """Whether a vertex path takes the given steps in the allowed directions
-    and keeps every vertex at its fixed position (which may lie on the far
-    boundary 0) or inside the region, and within the cap."""
+def _walk_ok(path, lengths, bound, start, end):
+    """Whether a vertex path takes the given steps and keeps every vertex at
+    its fixed position (which may lie on the far boundary 0) or inside the
+    region, and within the cap."""
     cap = sum(lengths) + max(0, start or 0, end or 0)
     if bound is not None:
         cap = min(cap, bound)
     lowest = 0 if bound is not None else 1  # a far region is open at 0
     k = len(lengths)
-    dirs = [1 if b > a else -1 for a, b in zip(path, path[1:])]
     if [abs(b - a) for a, b in zip(path, path[1:])] != list(lengths):
-        return False
-    if first_dir is not None and dirs[0] != first_dir:
-        return False
-    if last_dir is not None and dirs[-1] != last_dir and not (k == 1 and first_dir is not None):
         return False
     fixed = {0: start, k: end}
     return all(
@@ -499,9 +533,7 @@ def test_dp_matches_brute_force_step_directions():
         bound = rng.choice([None, rng.randint(1, 12)])
         start = rng.choice([None, rng.randint(0, 8)])
         end = rng.choice([None, rng.randint(0, 8)])
-        first_dir = rng.choice([None, 1, -1])
-        last_dir = rng.choice([None, 1, -1])
-        guards = (bound, start, end, first_dir, last_dir)
+        guards = (bound, start, end)
         masks = fixed_boundary_dp(lengths, *guards)
         # every walk starts within the cap, which is at most sum + 8 here
         walks = [
@@ -518,7 +550,50 @@ def test_dp_matches_brute_force_step_directions():
             # a walk goes on from it: the greatest walk from that start
             lowest = min(starts)
             expected = max(path for path in walks if path[0] == lowest)
-            assert dp_extract_path(masks, lengths, first_dir, last_dir) == expected, (lengths, guards)
+            assert dp_extract_path(masks, lengths) == expected, (lengths, guards)
+
+
+def _item_3_family(scale: int, jitter: bool = False) -> FreeSpaceDiagram1D:
+    """ROADMAP item 3's family: integer walks of 9 and 7 steps from 0, each
+    step in -6..6 but 0, at eps 8, all times ``scale``; with ``jitter``
+    every vertex then moves by -1, 0 or 1, which leaves a gcd of 1."""
+    rng = random.Random(229)
+
+    def walk(steps: int) -> list[int]:
+        pts = [0]
+        for _ in range(steps):
+            step = 0
+            while step == 0:
+                step = rng.randint(-6, 6)
+            pts.append(pts[-1] + step)
+        return [scale * v for v in pts]
+
+    p, q = walk(9), walk(7)
+    if jitter:
+        moves = random.Random(230)
+        p, q = ([v + moves.choice((-1, 0, 1)) for v in curve] for curve in (p, q))
+    return compute_diagram_1d(Curve1D(p), Curve1D(q), 8 * scale)
+
+
+# The 4 x 1 consistent one-slab mutant at scaled eps 54 (scale 12) that
+# _rational_one_slab_mutants(random.Random(7), 600) draws 319th.
+_EPS_54_MUTANT = """{"format": "fsreal/1", "kind": "diagram1d", "scale": 12, "epsilon": 54,
+ "colWidths": [15, 6, 30, 15], "rowHeights": [15], "columns": ["f", "f", "f", "n"], "intercepts": [-91, 17]}"""
+
+
+def test_scaled_diagrams_with_close_runs_decide_fast():
+    # they took 9.2, 0.5 and 1.1 s of process time when segments were split
+    # where their slice type changes: the split-off pieces of anchored
+    # segments became close runs on both curves, which set off the hull search
+    jittered = _item_3_family(4, jitter=True)
+    assert math.gcd(jittered.scaled_eps, *jittered.scaled_widths, *jittered.scaled_heights) == 1
+    mutant = parse(_EPS_54_MUTANT)
+    assert mutant.scaled_eps == 54 and not consistency_problems(mutant)
+    for d in (_item_3_family(8), jittered, mutant):
+        start = time.process_time()
+        w = solve_pseudo_poly(d)
+        assert time.process_time() - start < 0.1
+        assert _verified(d, w)
 
 
 def test_dp_table_size_bound():
@@ -531,15 +606,15 @@ def test_dp_table_size_bound():
 def test_placement_graph_two_components_from_short_curves():
     # both curves span less than 2*eps; the exactly-eps zones on either side
     # split the partial cells into two components, and solving proceeds
-    p = Curve1D([2, -2])
-    q = Curve1D([-2, 0, 3])
-    d = compute_diagram_1d(p, q, 3)
+    p = Curve1D([2, -2, -5])
+    q = Curve1D([-6, 1, 2])
+    d = compute_diagram_1d(p, q, 6)
     typed = subdivide_and_type(d)
     g = build_placement_graph(typed)
     assert len(g.non_singleton) == 2
     w = solve_pseudo_poly(d)
     assert w is not None
-    assert compute_diagram_1d(w.curve_p, w.curve_q, 3) == d
+    assert compute_diagram_1d(w.curve_p, w.curve_q, 6) == d
 
 
 def test_minimal_pairs_match_brute_force():
@@ -564,8 +639,12 @@ def test_minimal_pairs_match_brute_force():
 
 def _two_frame_diagrams():
     """Forward diagrams whose partial cells fall into two frames (rare in the
-    corpora); in the last three, a curve passes from one frame straight to
-    the other, which makes a cross-frame equation."""
+    corpora). In the first seven that holds for the paper's pieces, split
+    where a slice type changes; on whole segments only the fifth keeps two.
+    The last five keep two frames on whole segments: in all but the last, a
+    curve passes from one frame straight to the other, which makes a
+    cross-frame equation; in the third and fourth, and in the last, a run
+    bridges the frames, and the last is placed only with frame 1 reflected."""
     return [
         compute_diagram_1d(Curve1D(p), Curve1D(q), eps)
         for p, q, eps in (
@@ -576,16 +655,22 @@ def _two_frame_diagrams():
             ((1, 3, 0, -3), (2, 0, -2), 3),
             ((1, 4, 0), (3, 2, 0), 2),
             ((-2, 4, 8), (-2, 1, 3, 7), 5),
+            ((2, -2, -5), (-6, 1, 2), 6),
+            ((2, 0, -4), (-4, -2, 3), 5),
+            ((-3, 3, 2, 5), (4, 2, -1, 0), 5),
+            ((-1, -4, -6), (-8, -5, -2, -4, 1), 6),
+            ((-2, 4, -6, -2, -7), (0, -1, -2, -8, -1), 6),
         )
     ]
 
 
 def test_typing_and_anchoring_invariants():
-    """The facts behind the solver's run collection and search, which have no
-    NO exit of their own: once the grid-line check has passed, no curve has a
-    close subsegment while the other has a far one; once anchoring has
-    succeeded, every unanchored subsegment is far or close, each run has one
-    kind, and each run's neighbours on its curve are anchored."""
+    """The facts behind the solver's run collection and search: once the
+    grid-line check has passed, no curve has a close segment while the other
+    has a far one; once anchoring has succeeded, every unanchored segment is
+    far or close, each run has one kind, each run's neighbours on its curve
+    are anchored, and two consecutive segments of one frame share their
+    vertex. Only the last has a NO exit of its own, in anchor_components."""
     rng = random.Random(11)
     partitions = [gen_partition([rng.randint(1, 30) for _ in range(rng.randint(2, 9))]) for _ in range(40)]
     diagrams = itertools.chain(
@@ -596,8 +681,7 @@ def test_typing_and_anchoring_invariants():
         if consistency_problems(diagram):
             continue
         typed = subdivide_and_type(diagram)
-        p_kinds = {s.kind for s in typed.p_segs}
-        q_kinds = {s.kind for s in typed.q_segs}
+        p_kinds, q_kinds = set(typed.p_kinds), set(typed.q_kinds)
         assert not (TYPE_CLOSE in p_kinds and TYPE_FAR in q_kinds), index
         assert not (TYPE_CLOSE in q_kinds and TYPE_FAR in p_kinds), index
         graph = build_placement_graph(typed)
@@ -607,27 +691,33 @@ def test_typing_and_anchoring_invariants():
         if anchoring is None:
             continue
         anchored += 1
-        for curve, segs in (("P", typed.p_segs), ("Q", typed.q_segs)):
-            free = [(curve, k) not in anchoring.frame_of for k in range(len(segs))]
+        for curve, kinds in (("P", typed.p_kinds), ("Q", typed.q_kinds)):
+            free = [(curve, k) not in anchoring.frame_of for k in range(len(kinds))]
             assert not all(free), index
             in_runs = []
             for run in _collect_runs(typed, anchoring, curve):
                 members = range(run.first, run.last + 1)
                 in_runs += members
-                assert {segs[k].kind for k in members} == {run.kind} and run.kind in (TYPE_FAR, TYPE_CLOSE), index
+                assert {kinds[k] for k in members} == {run.kind} and run.kind in (TYPE_FAR, TYPE_CLOSE), index
                 for att, k in ((run.attach_lo, run.first - 1), (run.attach_hi, run.last + 1)):
-                    if 0 <= k < len(segs):
+                    if 0 <= k < len(kinds):
                         assert att is not None and att[0] == anchoring.frame_of[(curve, k)], index
                     else:
                         assert att is None, index
-            assert in_runs == [k for k in range(len(segs)) if free[k]], index
+            assert in_runs == [k for k in range(len(kinds)) if free[k]], index
+            lengths = diagram.scaled_widths if curve == "P" else diagram.scaled_heights
+            for k in range(len(kinds) - 1):
+                frame = anchoring.frame_of.get((curve, k))
+                if frame is not None and anchoring.frame_of.get((curve, k + 1)) == frame:
+                    start, sigma = anchoring.frames[frame][curve, k]
+                    assert start + sigma * lengths[k] == anchoring.frames[frame][curve, k + 1][0], index
     assert anchored >= 190
 
 
 
 def test_run_paths_end_at_attachments_and_taus_meet_cross_equations(monkeypatch):
     """The premises on which _attempt reads each curve straight off its
-    pieces, with no check that two pieces agree at a shared vertex: a run's
+    segments, with no check that two segments agree at a shared vertex: a run's
     path starts and ends at its attachments' global values, and every frame
     placement meets every cross-frame equation."""
     import fsreal.pseudopoly as pp
@@ -641,20 +731,21 @@ def test_run_paths_end_at_attachments_and_taus_meet_cross_equations(monkeypatch)
             assert len(path) == len(run.lengths) + 1
             for att, vertex in ((run.attach_lo, path[0]), (run.attach_hi, path[-1])):
                 if att is not None:
-                    assert vertex == pp._to_global(*att, rho, tau)[0]
+                    assert vertex == pp._to_global(*att, rho, tau)
                     seen["ends"] += 1
         return path
 
     def checked_candidates(anchoring, runs):
         for rho, tau in frame_candidates(anchoring, runs):
             for fa, va, fb, vb in anchoring.cross_eqs:
-                assert pp._to_global(fa, va, None, rho, tau)[0] == pp._to_global(fb, vb, None, rho, tau)[0]
+                assert pp._to_global(fa, va, rho, tau) == pp._to_global(fb, vb, rho, tau)
                 seen["equations"] += 1
             yield rho, tau
 
     monkeypatch.setattr(pp, "_place_run", checked_place_run)
     monkeypatch.setattr(pp, "_frame_candidates", checked_candidates)
-    for diagram in itertools.chain(forward_diagrams(40, seed=7), consistent_diagrams(80, seed=8), _two_frame_diagrams()):
+    # twice the corpus that pieces needed for 1,000 ends: whole segments make fewer runs
+    for diagram in itertools.chain(forward_diagrams(80, seed=7), consistent_diagrams(160, seed=8), _two_frame_diagrams()):
         solve_pseudo_poly(diagram)
     assert seen["ends"] >= 1000 and seen["equations"] >= 5
 
@@ -662,12 +753,12 @@ def test_run_paths_end_at_attachments_and_taus_meet_cross_equations(monkeypatch)
 @pytest.mark.parametrize(
     "attach_lo, attach_hi",
     [
-        ((0, 2, None), None),
-        (None, (0, 5, None)),
-        ((1, -3, None), None),
-        ((0, -3, None), (0, 7, None)),
-        ((0, 7, None), (0, -3, None)),
-        ((0, -3, None), (0, 0, None)),
+        ((0, 2), None),
+        (None, (0, 5)),
+        ((1, -3), None),
+        ((0, -3), (0, 7)),
+        ((0, 7), (0, -3)),
+        ((0, -3), (0, 0)),
     ],
     ids=["first-inside", "last-inside", "reflected-inside", "left-then-right", "right-then-left", "left-then-inside"],
 )
@@ -681,10 +772,10 @@ def test_far_run_attached_inside_the_band_or_on_both_sides_gets_no_path(attach_l
 @pytest.mark.parametrize(
     "attach_lo, attach_hi, path",
     [
-        ((0, -3, None), None, [-3, -4, -5]),
-        ((1, 3, None), (0, -5, None), [-3, -4, -5]),
-        ((0, -2, None), None, [-2, -3, -4]),
-        (None, (0, 7, None), [7, 8, 7]),
+        ((0, -3), None, [-3, -4, -5]),
+        ((1, 3), (0, -5), [-3, -4, -5]),
+        ((0, -2), None, [-2, -3, -4]),
+        (None, (0, 7), [7, 8, 7]),
         (None, None, [7, 8, 7]),
     ],
     ids=["left", "left-both-ends", "left-at-the-boundary", "right", "unattached"],
