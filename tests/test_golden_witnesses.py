@@ -53,13 +53,18 @@ from test_fuzz_pseudopoly import consistent_diagrams, forward_diagrams
 # 218 YES; FPT runs on the 380 with k <= 10 and answers 201 YES. The k <= 10
 # filter dates from FPT's enumeration of all 2^k crease assignments; it
 # stays so that the corpus, and with it the digests, stays the same.
-PSEUDO_POLY_DIGEST = "ca3d76278117493a408b0822ef790289f20f6782c033fb8c7984a0876170bfbd"
+# Re-pinned when pseudo-poly stopped subdividing segments: 52 of the 218
+# witnesses changed, 49 of them by a translation (a frame is now rooted at
+# a segment's start, not at its first anchored piece); the verdicts held.
+PSEUDO_POLY_DIGEST = "24f9b4c9bcc0d7c0b62bb72c3926f49badec3e39d0a00d44d2ff7f4e9f7eb55c"
 # the 400 YES/NO answers of solve_pseudo_poly alone (218 YES)
 PSEUDO_POLY_VERDICT_DIGEST = "7978d925a501ec75319db5644bc77cf2835eb44c6b36abcb9b6433fb08b54fc2"
 # solve_pseudo_poly on 32 forward diagrams of 60..200 P segments by 2..6 Q
 # segments at eps 3, 5, 10 and 20, the benchmark's long shape, where most
-# segments meet no partial cell, and their 53 consistent one-slab mutants
-PSEUDO_POLY_LONG_DIGEST = "59fbcad33ae608833166302c52dbb7e283e1c15483b62fbe2771d9ebd5776e19"
+# segments meet no partial cell, and their 53 consistent one-slab mutants.
+# Re-pinned when pseudo-poly stopped subdividing segments: 8 of the 42
+# witnesses changed, all 8 by a translation; the verdicts held.
+PSEUDO_POLY_LONG_DIGEST = "6e6a3866ae6724a9ff7edc1f7e508f41157424f64a916596f00a6c6b96fe77fb"
 # the 85 YES/NO answers alone (42 YES: the 32 forward diagrams, 10 mutants)
 PSEUDO_POLY_LONG_VERDICT_DIGEST = "9904ddfb82e6cc151006686840f2e75c7d8c4cee07702fcd0294a65e2ac10e65"
 # solve_fpt on the same 85 long diagrams; its verdicts are pseudo-poly's
@@ -81,8 +86,10 @@ FPT_RATIONAL_DIGEST = "20dfd670e0cdd189a4fd8c143d15656dd58a791b79057f726d539222a
 # which changed 56 of the 167 witnesses
 FPT_RATIONAL_VERDICT_DIGEST = "b547ffe16c0f4319792cc4e3b5b80ce6098c85af53f0e83a55cd3daf7ece0a17"
 # solve_pseudo_poly on the same 200 rational diagrams (167 YES), where the
-# scale of the diagram and of its witness must be handled exactly
-PSEUDO_POLY_RATIONAL_DIGEST = "65bca2457a793a3f50f8de07a728a89333e25baf197c4ff6d073f81889df4ac5"
+# scale of the diagram and of its witness must be handled exactly.
+# Re-pinned when pseudo-poly stopped subdividing segments: 23 of the 167
+# witnesses changed, 21 of them by a translation; the verdicts held.
+PSEUDO_POLY_RATIONAL_DIGEST = "f49ed2e3740ce992e15d7eeef1cd89f432f1b6991b38609ce9143a7b7772f7e6"
 # its 200 YES/NO answers alone (167 YES), pinned apart from the witnesses so
 # that a re-pin of the witness digest cannot hide a verdict change
 PSEUDO_POLY_RATIONAL_VERDICT_DIGEST = "b547ffe16c0f4319792cc4e3b5b80ce6098c85af53f0e83a55cd3daf7ece0a17"
