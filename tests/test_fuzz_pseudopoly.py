@@ -7,7 +7,10 @@ consistent mutated and partition diagrams must get the verdict of
 ``solve_fpt``. Run as a script to count false NOs and disagreements on
 larger corpora of the same shapes; the script also runs ``solve_fpt`` on
 the forward corpus, whose diagrams leave far more than 10 crease lines
-unknown, and counts its false NOs. It exits 1 if there is any:
+unknown, and counts its false NOs, and it checks both solvers' verdicts on
+the consistent corpus under the transforms of ``tests/test_symmetry.py``
+(the transpose, P reversed, Q reversed and scaling by 3), counting each
+verdict that changes. It exits 1 if there is any:
 
     PYTHONPATH=src python tests/test_fuzz_pseudopoly.py 600 1692
 """
@@ -76,10 +79,16 @@ if __name__ == "__main__":
         false_no += not _verified(d, solve_pseudo_poly(d))
         fpt_false_no += not _verified(d, solve_fpt(d))
     print(f"forward: {false_no} false NO of {n_forward}; solve_fpt: {fpt_false_no} false NO")
-    disagree = yes = 0
+    from test_symmetry import p_reversed, q_reversed, scaled, transposed
+
+    disagree = yes = changed = 0
     for d in consistent_diagrams(n_consistent):
         fpt = solve_fpt(d) is not None
+        dp = solve_pseudo_poly(d) is not None
         yes += fpt
-        disagree += (solve_pseudo_poly(d) is not None) != fpt
+        disagree += dp != fpt
+        for v in (transposed(d), p_reversed(d), q_reversed(d), scaled(d, 3)):
+            changed += ((solve_fpt(v) is not None) != fpt) + ((solve_pseudo_poly(v) is not None) != dp)
     print(f"consistent: {disagree} disagreements with solve_fpt of {n_consistent} ({yes} realizable)")
-    sys.exit(1 if false_no or fpt_false_no or disagree else 0)
+    print(f"symmetries: {changed} verdicts changed of {8 * n_consistent} (4 transforms, 2 solvers)")
+    sys.exit(1 if false_no or fpt_false_no or disagree or changed else 0)
