@@ -170,18 +170,20 @@ def brute_force_discrete_1d(matrix: FreeSpaceMatrix) -> Optional[Witness]:
         raise ValueError(f"brute force capped at {DISCRETE_CAP} columns (got {m})")
     rows = matrix.row_masks
     distinct = [[c for c in range(m) if row >> c & 1] for row in set(rows)]  # each distinct row's columns
-    orders = []
+    # each distinct needed mask, with the first column order that gives it:
+    # the orders that share a mask pass or fail the cover test together
+    orders: dict[int, tuple[int, ...]] = {}
     for perm in itertools.permutations(range(m)):
         # perm[k] = column placed at sorted slot k, and slot[c] column c's
         # slot; needed has bit s set for each slot set s that a row asks for
         slot = sorted(range(m), key=perm.__getitem__)
-        orders.append((perm, sum(1 << sum(1 << slot[c] for c in cols) for cols in distinct)))
+        orders.setdefault(sum(1 << sum(1 << slot[c] for c in cols) for cols in distinct), perm)
     for centers_sorted, cells in arrangements(m):
         first_rep: dict[int, int] = {}
         for cover, rep in cells:
             first_rep.setdefault(cover, rep)
         covers = sum(1 << cover for cover in first_rep)
-        for perm, needed in orders:
+        for needed, perm in orders.items():
             if needed & covers == needed:
                 to_slot = _mask_table(sorted(range(m), key=perm.__getitem__))  # every set of columns to its slots
                 centers = [0] * m
