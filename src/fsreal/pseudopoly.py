@@ -10,11 +10,11 @@ segments in rigid frames, one per component of the placement graph (at most
 two; the second floats with an unknown reflection rho and translation tau).
 Each frame is checked against the diagram's own cells with the forward
 computation's cell test, one column per placed segment of P. The far and
-close segments left between anchored ones
-form runs, placed by boolean reachability tables over integer
-positions in the region that the hulls of the two curves leave them: beyond
-the eps boundary for a far run, open at that boundary, and a closed window
-for a close (middle) run, since full cells are closed conditions. A
+close segments left between anchored ones form runs, placed by boolean
+reachability tables over integer positions in the region that the hulls of
+the two curves leave them: beyond the eps boundary for a far run, open at
+that boundary, and a closed window for a close (middle) run, since full
+cells are closed conditions. A
 consistent diagram without partial cells is all empty or all full, and
 :func:`closed_form_witness` gives its one candidate: the far placement, or
 the smallest closed windows that hold the two curves, which must sum to at
