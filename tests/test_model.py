@@ -596,7 +596,8 @@ def _cell_algebra_results(sigma, w, h, lo, hi, num):
                 for h2 in range(1, h - y0 + 1):
                     # the slab in the w2 x h2 box at (x0, y0), re-based to its corner
                     shift = sigma * num(x0) - num(y0)
-                    out.append(("classify_slab", classify_slab(sigma, num(lo) + shift, num(hi) + shift, num(w2), num(h2))))
+                    restricted = classify_slab(sigma, num(lo) + shift, num(hi) + shift, num(w2), num(h2))
+                    out.append(("classify_slab", restricted))
     return out
 
 

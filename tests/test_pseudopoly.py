@@ -184,9 +184,10 @@ def test_typing_sweep_matches_the_per_slice_classifier():
         p_segs, q_segs, cells = _reference_typing(scaled)
         partial = {(i, j): c for i, col in enumerate(scaled.cells) for j, c in enumerate(col) if c.status == PARTIAL}
         assert typed.partial == partial, index
+        rows = map("".join, zip(*diagram.columns))
         for kinds, segs, letters, typed_partial in (
             (typed.p_kinds, p_segs, diagram.columns, lambda a: any(c.status == PARTIAL for c in cells[a])),
-            (typed.q_kinds, q_segs, map("".join, zip(*diagram.columns)), lambda b: any(row[b].status == PARTIAL for row in cells)),
+            (typed.q_kinds, q_segs, rows, lambda b: any(row[b].status == PARTIAL for row in cells)),
         ):
             pieces = [[k for k, s in enumerate(segs) if s.orig == i] for i in range(len(kinds))]
             for kind, own, seg_letters in zip(kinds, pieces, letters):
@@ -745,7 +746,8 @@ def test_run_paths_end_at_attachments_and_taus_meet_cross_equations(monkeypatch)
     monkeypatch.setattr(pp, "_place_run", checked_place_run)
     monkeypatch.setattr(pp, "_frame_candidates", checked_candidates)
     # twice the corpus that pieces needed for 1,000 ends: whole segments make fewer runs
-    for diagram in itertools.chain(forward_diagrams(80, seed=7), consistent_diagrams(160, seed=8), _two_frame_diagrams()):
+    corpus = itertools.chain(forward_diagrams(80, seed=7), consistent_diagrams(160, seed=8), _two_frame_diagrams())
+    for diagram in corpus:
         solve_pseudo_poly(diagram)
     assert seen["ends"] >= 1000 and seen["equations"] >= 5
 
