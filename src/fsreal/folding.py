@@ -19,10 +19,9 @@ column i's cells then depend only on (P_i, P_{i+1}). So P is swept column
 by column outward from i0: the reachable integer positions of each vertex
 are kept as a layer with back-pointers, stepping by +-w_i, and a step
 survives only when :func:`fsreal.forward.classify_column`, the cell test of
-the forward computation (and of the labels and pseudo-poly's frame check),
-returns the diagram's column, letters and intercepts alike. That costs
-O(2^k_short * n * m * R), k_short the unknown lines of the enumerated side
-and R the largest layer.
+the forward computation (and of the labels), returns the diagram's column,
+letters and intercepts alike. That costs O(2^k_short * n * m * R), k_short
+the unknown lines of the enumerated side and R the largest layer.
 
 The crease inference, the sweep and the witness read the diagram's int
 table, checked to be well formed when it was built. This module only

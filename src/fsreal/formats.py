@@ -272,6 +272,8 @@ def _parse_matrix(obj: dict) -> FreeSpaceMatrix:
 
 
 _TABLE_KEYS = frozenset({"format", "kind", "scale", "epsilon", "colWidths", "rowHeights", "columns", "intercepts"})
+
+
 def _parse_table(obj: dict) -> FreeSpaceDiagram1D:
     """A diagram written as ints over one scale, a string of cell letters per
     column and one flat list of intercepts, which is split by column."""

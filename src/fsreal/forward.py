@@ -111,8 +111,7 @@ def classify_column(a: int, b: int, q_segs, e: int) -> tuple[str, tuple[int, ...
     runs in the positive direction. Each cell is empty, full or, for the
     slab |P(x) - Q(y)| <= e cut by the cell box, partial with the white set
     c_lo <= y - sigma*x <= c_hi. The forward computation, FPT's crease
-    labels, its sweep and pseudo-poly's frame check compare these columns
-    with a diagram's.
+    labels and its sweep compare these columns with a diagram's.
     """
     w, p_up, e2 = abs(b - a), b > a, 2 * e
     letters, ints = [], []

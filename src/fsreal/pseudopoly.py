@@ -8,19 +8,17 @@ passes the grid-line check that decides nothing (see
 The partial cells, the edges of the placement graph, anchor boundary
 segments in rigid frames, one per component of the placement graph (at most
 two; the second floats with an unknown reflection rho and translation tau).
-Each frame is checked against the diagram's own cells with the forward
-computation's cell test, one column per placed segment of P. The far and
-close segments left between anchored ones form runs, placed by boolean
-reachability tables over integer positions in the region that the hulls of
-the two curves leave them: beyond the eps boundary for a far run, open at
-that boundary, and a closed window for a close (middle) run, since full
-cells are closed conditions. A
-consistent diagram without partial cells is all empty or all full, and
-:func:`closed_form_witness` gives its one candidate: the far placement, or
-the smallest closed windows that hold the two curves, which must sum to at
-most 2*eps. :func:`decide_diagram`, the entry of this solver and of
-:func:`fsreal.folding.solve_fpt`, runs the grid-line check, then checks
-forward that candidate or those the solver proposes.
+The far and close segments left between anchored ones form runs, placed by
+boolean reachability tables over integer positions in the region that the
+hulls of the two curves leave them: beyond the eps boundary for a far run,
+open at that boundary, and a closed window for a close (middle) run, since
+full cells are closed conditions. A consistent diagram without partial cells
+is all empty or all full, and :func:`closed_form_witness` gives its one
+candidate: the far placement, or the smallest closed windows that hold the
+two curves, which must sum to at most 2*eps. :func:`decide_diagram`, the
+entry of this solver and of :func:`fsreal.folding.solve_fpt`, runs the
+grid-line check, then checks forward that candidate or those the solver
+proposes.
 
 The search over the unknowns is exact. tau comes from the cross-frame
 equations and the net displacements of the runs bridging the two frames.
@@ -50,11 +48,10 @@ from .model import (
     Curve1D,
     FreeSpaceDiagram1D,
     Witness,
-    column_cells,
     consistency_problems,
     structural_problems,  # noqa: F401  not called: bench/tracing.py patches this name
 )
-from .forward import classify_column, compute_diagram_1d
+from .forward import compute_diagram_1d
 
 TYPE_FAR = 1
 TYPE_CLOSE = 2
@@ -144,11 +141,10 @@ class Anchoring:
 
 def anchor_components(typed: TypedDiagram, graph: PlacementGraph) -> Optional[Anchoring]:
     """Propagate relative positions over partial cells within each component,
-    check each frame against the diagram's cells with
-    :func:`fsreal.forward.classify_column`, then bind consecutive anchored
-    segments of the same curve: a shared vertex within a frame, a
-    cross-frame equation between frames; contradictions mean the instance is
-    not realizable."""
+    then bind consecutive anchored segments of the same curve: a shared vertex
+    within a frame, a cross-frame equation between frames; contradictions mean
+    the instance is not realizable. Only the partial cells are read:
+    :func:`decide_diagram` checks every candidate against the whole diagram."""
     diagram, eps = typed.diagram, typed.diagram.scaled_eps
     frames: list[dict[tuple[str, int], tuple[int, int]]] = []
     frame_of: dict[tuple[str, int], int] = {}
@@ -175,27 +171,7 @@ def anchor_components(typed: TypedDiagram, graph: PlacementGraph) -> Optional[An
         for node in placement:
             frame_of[node] = idx
 
-    # Each placed segment of P must give the diagram's cells with the
-    # frame's placed segments of Q. A witness that decide_diagram returns
-    # places its segments where the frame does (up to rho and tau, which keep
-    # every cell) and reproduces the diagram, so every anchoring that leads
-    # to a YES passes.
     widths, heights = diagram.scaled_widths, diagram.scaled_heights
-    for placement in frames:
-        q_placed = sorted((j, start, sigma) for (curve, j), (start, sigma) in placement.items() if curve == "Q")
-        q_segs = [(sigma == 1, start, heights[j]) for j, start, sigma in q_placed]
-        rows = [j for j, _, _ in q_placed]
-        whole = len(rows) == len(heights)  # every segment of Q placed: compare whole columns
-        for (curve, i), (start, sigma) in placement.items():
-            if curve != "P":
-                continue
-            column = diagram.columns[i], diagram.scaled_intercepts[i]
-            if not whole:  # the column at the placed rows
-                cells = column_cells(*column)
-                column = "".join([cells[j][0] for j in rows]), tuple([v for j in rows for v in cells[j][1]])
-            if classify_column(start, start + sigma * widths[i], q_segs, eps) != column:
-                return None
-
     cross: list[tuple[int, int, int, int]] = []
     for curve, lengths in (("P", widths), ("Q", heights)):
         for k in range(len(lengths) - 1):

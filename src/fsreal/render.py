@@ -166,7 +166,8 @@ def _witness_svg(w: Witness) -> str:
         ys = [v[1] for v in all_pts]
         dx, dy = min(xs), min(ys)
         for v in w.curve_p.vertices:
-            elems.append(f'<rect x="{(v[0]-dx)*SCALE:.2f}" y="{(v[1]-dy)*SCALE:.2f}" width="4" height="4" fill="#c02020"/>')
+            x, y = (v[0] - dx) * SCALE, (v[1] - dy) * SCALE
+            elems.append(f'<rect x="{x:.2f}" y="{y:.2f}" width="4" height="4" fill="#c02020"/>')
         for v in w.curve_q.vertices:
             elems.append(f'<circle cx="{(v[0]-dx)*SCALE:.2f}" cy="{(v[1]-dy)*SCALE:.2f}" r="3" fill="#2020c0"/>')
         return _svg(elems, (max(xs) - dx) * SCALE + 8, (max(ys) - dy) * SCALE + 8)
@@ -182,7 +183,9 @@ def _witness_svg(w: Witness) -> str:
     elems = [f'<line x1="0" y1="40" x2="{width:.0f}" y2="40" stroke="#999999"/>']
     for v in q:
         r = (eps / span) * (width - 40)
-        elems.append(f'<rect x="{x_of(v) - r:.2f}" y="36" width="{2 * r:.2f}" height="8" fill="#b0c4ff" opacity="0.5"/>')
+        elems.append(
+            f'<rect x="{x_of(v) - r:.2f}" y="36" width="{2 * r:.2f}" height="8" fill="#b0c4ff" opacity="0.5"/>'
+        )
     for k, v in enumerate(q):
         elems.append(f'<circle cx="{x_of(v):.2f}" cy="40" r="3" fill="#2020c0"/>')
         elems.append(f'<text x="{x_of(v):.2f}" y="58" font-size="9" text-anchor="middle">q{k}</text>')

@@ -44,6 +44,7 @@ class Mutant(NamedTuple):
 
 BRUTE = "fsreal/bruteforce.py"
 BRUTE_TESTS = ("tests/test_bruteforce.py",)
+FOLDING = "fsreal/folding.py"
 GOLDEN = "tests/test_golden_witnesses.py"
 MODEL = "fsreal/model.py"
 PSEUDO = "fsreal/pseudopoly.py"
@@ -176,14 +177,7 @@ MUTANTS = [
         PSEUDO,
         "if placement[other] != (o_start, o_sigma):\n                        return None",
         "if placement[other] != (o_start, o_sigma):\n                        pass",
-        (f"{PSEUDO_TESTS}::test_frame_check_rejects_a_consistent_diagram",),
-    ),
-    Mutant(
-        "frame-check-first-rows",
-        PSEUDO,
-        "rows = [j for j, _, _ in q_placed]",
-        "rows = list(range(len(q_placed)))",
-        (f"{PSEUDO_TESTS}::test_forward_diagram_solves_yes",),
+        (f"{PSEUDO_TESTS}::test_consistent_one_component_diagrams_are_no",),
     ),
     Mutant(
         "consecutive-segments-not-joined",
@@ -205,6 +199,35 @@ MUTANTS = [
         "region = full if bound is not None else full & ~1",
         "region = full",
         (f"{PSEUDO_TESTS}::test_dp_matches_brute_force_step_directions",),
+    ),
+    # off by one at an eps-band comparison
+    Mutant(
+        "far-run-right-of-the-band-one-out",
+        PSEUDO,
+        "return _run_path(run, att_lo, att_hi, other_hi + eps, 1, None)",
+        "return _run_path(run, att_lo, att_hi, other_hi + eps + 1, 1, None)",
+        (f"{PSEUDO_TESTS}::test_far_run_lies_on_the_side_of_its_first_attachment[right]",),
+    ),
+    Mutant(
+        "fold-of-full-cells-open-at-2eps",
+        FOLDING,
+        'return right[0] == "f" and w_l + w_r + h <= 2 * e',
+        'return right[0] == "f" and w_l + w_r + h < 2 * e',
+        ("tests/test_folding.py::test_forward_diagrams_always_solve_yes_exactly",),
+    ),
+    Mutant(
+        "straight-line-label-full-rows-open-at-2eps",
+        FOLDING,
+        "all(w_l + w_r + h <= 2 * eps for ch",
+        "all(w_l + w_r + h < 2 * eps for ch",
+        ("tests/test_folding.py::test_transposed_diagram_gets_the_same_verdict",),
+    ),
+    Mutant(
+        "discrete-cover-open-at-the-right-end",
+        "fsreal/discrete.py",
+        "hi = bisect_right(centers, x + eps)",
+        "hi = bisect_left(centers, x + eps)",
+        (f"{GOLDEN}::test_discrete_witness_digest",),
     ),
 ]
 

@@ -300,8 +300,9 @@ def test_criterion_9_cli_contract(tmp_path):
     assert main(["solve", "--mode", "discrete1d", "--in", str(no_fixture)]) == 1
 
     witness_path = str(tmp_path / "wit.json")
-    assert main(["solve", "--mode", "cont1d-fpt", "--in", str(tmp_path / "partition.json"), "--witness", witness_path]) == 0
-    assert main(["verify", "--instance", str(tmp_path / "partition.json"), "--witness", witness_path]) == 0
+    partition_path = str(tmp_path / "partition.json")
+    assert main(["solve", "--mode", "cont1d-fpt", "--in", partition_path, "--witness", witness_path]) == 0
+    assert main(["verify", "--instance", partition_path, "--witness", witness_path]) == 0
     assert main(["solve", "--mode", "cont1d-dp", "--in", str(tmp_path / "odd.json")]) == 1
 
     bad = tmp_path / "bad.json"

@@ -251,7 +251,8 @@ def test_bad_cell_rejected(status, cell):
 # null
 @pytest.mark.parametrize(
     "value",
-    ["3", " 3 ", "-3/4", "3/-4", "6/8", "1_000", "+2", " 1 / 2 ", "1/0", "1.5", "", "/", "1/2/3", 7, -7, True, 1.0, None],
+    ["3", " 3 ", "-3/4", "3/-4", "6/8", "1_000", "+2", " 1 / 2 ", "1/0", "1.5", "", "/", "1/2/3"]
+    + [7, -7, True, 1.0, None],
 )
 def test_value_reader_agrees_with_rat(value):
     try:
@@ -525,9 +526,13 @@ _DROP = object()
         pytest.param("intercepts", lambda v: [*v[:3], None], "intercepts must hold integers", id="intercept-null"),
         pytest.param("intercepts", "-1,1,2,4", "intercepts must be an array", id="intercepts-string"),
         pytest.param("intercepts", lambda v: v[:2], "2 ints for each of the 2 partial cells", id="intercepts-short"),
-        pytest.param("intercepts", lambda v: v + [0, 2], "2 ints for each of the 2 partial cells", id="intercepts-long"),
+        pytest.param(
+            "intercepts", lambda v: v + [0, 2], "2 ints for each of the 2 partial cells", id="intercepts-long"
+        ),
         pytest.param("columns", "peen", "columns must be an array", id="columns-string"),
-        pytest.param("columns", lambda v: [list(c) for c in v], "columns must be strings of one letter", id="column-array"),
+        pytest.param(
+            "columns", lambda v: [list(c) for c in v], "columns must be strings of one letter", id="column-array"
+        ),
         pytest.param("columns", lambda v: ["pe", *v[1:]], "columns must be strings of one letter", id="column-long"),
         pytest.param("columns", lambda v: ["", *v[1:]], "columns must be strings of one letter", id="column-short"),
         pytest.param("columns", lambda v: ["x", *v[1:]], "columns must be strings over e, f, p and n", id="letter-x"),

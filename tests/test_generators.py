@@ -17,7 +17,13 @@ from fsreal import (
     has_balanced_partition,
     solve_fpt,
 )
-from fsreal.model import FreeSpaceDiagram1D, FreeSpaceMatrix, consistency_problems, structural_problems, transpose_diagram
+from fsreal.model import (
+    FreeSpaceDiagram1D,
+    FreeSpaceMatrix,
+    consistency_problems,
+    structural_problems,
+    transpose_diagram,
+)
 
 from conftest import random_rational_diagram
 

@@ -182,7 +182,8 @@ def test_library_built_masks_skip_the_mask_check(monkeypatch):
 
     calls = []
     real = FreeSpaceMatrix.from_row_masks.__func__
-    monkeypatch.setattr(FreeSpaceMatrix, "from_row_masks", classmethod(lambda cls, *a: calls.append(a) or real(cls, *a)))
+    counting = classmethod(lambda cls, *a: calls.append(a) or real(cls, *a))
+    monkeypatch.setattr(FreeSpaceMatrix, "from_row_masks", counting)
     matrix = compute_matrix(PointSeq1D([0, 3, 1, 7]), PointSeq1D([1, 2, 2, 8]), 1)
     assert formats.parse(formats.serialize(matrix)) == matrix
     assert solve_discrete_1d(matrix) is not None
@@ -308,7 +309,8 @@ def test_from_row_masks_rejects_out_of_range(m, masks):
 
 def test_cell_content_is_an_immutable_value():
     cell = CellContent.partial(1, -1, 1)
-    assert cell == CellContent("partial", 1, Fraction(-1), Fraction(1)) == CellContent(status=PARTIAL, sigma=1, c_lo=-1, c_hi=1)
+    assert cell == CellContent("partial", 1, Fraction(-1), Fraction(1))
+    assert cell == CellContent(status=PARTIAL, sigma=1, c_lo=-1, c_hi=1)
     assert (cell.status, cell.sigma, cell.c_lo, cell.c_hi, cell.is_partial) == (PARTIAL, 1, -1, 1, True)
     assert hash(CellContent(PARTIAL, 1, -1, 1)) == hash(cell)  # int against Fraction intercepts
     assert len({cell, CellContent(PARTIAL, 1, -1, 1), CellContent.partial(-1, -1, 1)}) == 2
@@ -633,7 +635,10 @@ _MALFORMED_RATIONAL = [
         (_F(3, 2), [_F(1, 2)], [_F(1, 2)], [[CellContent.partial(1, _F(-3, 2), _F(3, 2))]]),
         ["cell (0,0): slab covers the whole cell"],
     ),
-    ((_F(1, 3), [_F(1, 3)], [_F(1, 4)], [[CellContent.partial(1, _F(5, 3), _F(7, 3))]]), ["cell (0,0): white set empty"]),
+    (
+        (_F(1, 3), [_F(1, 3)], [_F(1, 4)], [[CellContent.partial(1, _F(5, 3), _F(7, 3))]]),
+        ["cell (0,0): white set empty"],
+    ),
     (
         (_F(-1, 3), [_F(1, 2), _F(-2, 5)], [0], [[CellContent.empty()], [CellContent.full()]]),
         ["epsilon must be positive", "column 1: width must be positive", "row 0: height must be positive"],
@@ -646,7 +651,13 @@ _MALFORMED_RATIONAL = [
 def _int_form(eps, widths, heights, cells):
     """The scale L of the fields and the fields times L, as ints."""
     scale = math.lcm(*(Fraction(v).denominator for v in _fields(eps, widths, heights, cells)))
-    cells = [[c if c.status != PARTIAL else CellContent(PARTIAL, c.sigma, int(c.c_lo * scale), int(c.c_hi * scale)) for c in col] for col in cells]
+    cells = [
+        [
+            c if c.status != PARTIAL else CellContent(PARTIAL, c.sigma, int(c.c_lo * scale), int(c.c_hi * scale))
+            for c in col
+        ]
+        for col in cells
+    ]
     return scale, int(eps * scale), [int(w * scale) for w in widths], [int(h * scale) for h in heights], cells
 
 

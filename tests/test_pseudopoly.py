@@ -345,16 +345,19 @@ def test_shifted_intercepts_fail_the_grid_line_check():
     assert solve_pseudo_poly(mutated) is None
 
 
-def test_frame_check_rejects_a_consistent_diagram(monkeypatch):
+def test_consistent_one_component_diagrams_are_no():
     # each is consistent on every grid line, one placement-graph component,
     # and not realizable. In the first the frame's placement matches every
     # partial cell it was propagated over, but not every P x Q cell of the
-    # frame. In the second, split into the paper's pieces, every pair of the
-    # frame's pieces gives its typed cell, but the frame places P's column 0
-    # from its first piece at 0 and from its last at 1; on whole segments,
-    # column 0's two partial cells place it in those two ways, and the
-    # propagation stops at the contradiction, before the frame check reads a
-    # column.
+    # frame: the anchoring succeeds, and the forward check rejects the one
+    # candidate it leads to. In the second, split into the paper's pieces,
+    # every pair of the frame's pieces gives its typed cell, but the frame
+    # places P's column 0 from its first piece at 0 and from its last at 1;
+    # on whole segments, column 0's two partial cells place it in those two
+    # ways, and the propagation stops at the contradiction. In the third
+    # (_rational_one_slab_mutants(random.Random(1), 600) draws it at index
+    # 474), the four partial cells form a cycle whose placements disagree,
+    # while P's two segments still meet: only that contradiction stops it.
     empty = CellContent.empty()
     diagrams = [
         _diagram(
@@ -377,20 +380,51 @@ def test_frame_check_rejects_a_consistent_diagram(monkeypatch):
             ]
             + [[empty, empty]] * 4,
         ),
+        parse(
+            """{"format": "fsreal/1", "kind": "diagram1d", "scale": 2, "epsilon": 6, "colWidths": [10, 9],
+             "rowHeights": [6, 1, 5], "columns": ["nep", "pen"], "intercepts": [-8, 4, 3, 15, -18, -6, 11, 23]}"""
+        ),
     ]
-    columns_read = []
-    classify = pseudopoly.classify_column
-    monkeypatch.setattr(pseudopoly, "classify_column", lambda *args: columns_read.append(1) or classify(*args))
+    anchorings = []
     for index, d in enumerate(diagrams):
         assert consistency_problems(d) == [], index
         typed = subdivide_and_type(d)
         graph = build_placement_graph(typed)
         assert len(graph.non_singleton) == 1, index
         assert brute_force_continuous_1d(d) is None, index
-        columns_read.clear()
-        assert anchor_components(typed, graph) is None, index
-        assert bool(columns_read) == (index == 0), index
-        assert solve_pseudo_poly(d) is None, index
+        assert solve_pseudo_poly(d) is None and solve_fpt(d) is None, index
+        anchorings.append(anchor_components(typed, graph))
+    assert [a is None for a in anchorings] == [False, True, True]
+    candidates = list(pseudopoly._candidates(diagrams[0]))
+    assert candidates and not any(_verified(diagrams[0], w) for w in candidates)
+
+
+# Consistent one-slab mutants that the forward check alone answers NO: the
+# anchoring succeeds on each. _rational_one_slab_mutants(random.Random(s), 600)
+# draws them at index 403, 129, 541, 440 and 549 for s = 1, 2, 3, 4 and 7.
+_ANCHORED_NO_MUTANTS = [
+    """{"format": "fsreal/1", "kind": "diagram1d", "scale": 3, "epsilon": 9, "colWidths": [5, 3, 9],
+     "rowHeights": [5, 9, 9, 1], "columns": ["neee", "eeee", "peen"], "intercepts": [-15, 3, -26, -8, 10, 28]}""",
+    """{"format": "fsreal/1", "kind": "diagram1d", "scale": 12, "epsilon": 9, "colWidths": [42, 18, 60, 36, 36],
+     "rowHeights": [6, 12], "columns": ["ep", "ee", "pn", "ee", "ee"], "intercepts": [1, 19, -45, -27, 33, 51]}""",
+    """{"format": "fsreal/1", "kind": "diagram1d", "scale": 4, "epsilon": 14, "colWidths": [20, 12, 18],
+     "rowHeights": [12, 8], "columns": ["np", "ee", "pe"], "intercepts": [-14, 14, -2, 26, -41, -13]}""",
+    """{"format": "fsreal/1", "kind": "diagram1d", "scale": 2, "epsilon": 7, "colWidths": [2, 5, 9],
+     "rowHeights": [4, 1, 2, 6], "columns": ["nfff", "ffff", "pfnp"], "intercepts": [2, 16, -8, 6, -4, 10, -8, 6]}""",
+    """{"format": "fsreal/1", "kind": "diagram1d", "scale": 12, "epsilon": 32, "colWidths": [12, 6, 30],
+     "rowHeights": [24, 6, 6, 27], "columns": ["fffp", "fffp", "pffp"],
+     "intercepts": [-56, 8, -44, 20, -26, 38, -38, 26]}""",
+]
+
+
+@pytest.mark.parametrize("text", _ANCHORED_NO_MUTANTS, ids=["s1-403", "s2-129", "s3-541", "s4-440", "s7-549"])
+def test_anchored_one_slab_mutants_are_no(text):
+    d = parse(text)
+    assert consistency_problems(d) == []
+    typed = subdivide_and_type(d)
+    assert anchor_components(typed, build_placement_graph(typed)) is not None
+    assert brute_force_continuous_1d(d) is None
+    assert solve_pseudo_poly(d) is None and solve_fpt(d) is None
 
 
 def test_fixed_dp_base_case():

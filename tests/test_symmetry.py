@@ -26,7 +26,10 @@ def _fields(d: FreeSpaceDiagram1D):
         assert (v * scale).denominator == 1
         return int(v * scale)
 
-    cells = [[c if c.status != PARTIAL else CellContent(PARTIAL, c.sigma, num(c.c_lo), num(c.c_hi)) for c in col] for col in d.cells]
+    cells = [
+        [c if c.status != PARTIAL else CellContent(PARTIAL, c.sigma, num(c.c_lo), num(c.c_hi)) for c in col]
+        for col in d.cells
+    ]
     return num(d.epsilon), [num(w) for w in d.col_widths], [num(h) for h in d.row_heights], cells
 
 
@@ -64,7 +67,10 @@ def q_reversed(d: FreeSpaceDiagram1D) -> FreeSpaceDiagram1D:
 def scaled(d: FreeSpaceDiagram1D, k: int) -> FreeSpaceDiagram1D:
     """Every length and intercept times k, over the same scale."""
     eps, widths, heights, cells = _fields(d)
-    cells = [[c if c.status != PARTIAL else CellContent(PARTIAL, c.sigma, k * c.c_lo, k * c.c_hi) for c in col] for col in cells]
+    cells = [
+        [c if c.status != PARTIAL else CellContent(PARTIAL, c.sigma, k * c.c_lo, k * c.c_hi) for c in col]
+        for col in cells
+    ]
     return FreeSpaceDiagram1D.from_scaled(d.scale, k * eps, [k * w for w in widths], [k * h for h in heights], cells)
 
 
