@@ -9,18 +9,8 @@ likewise imports only its mode's modules.
 
 # submodule -> the public names it supplies, in the order of ``__all__``
 _EXPORTS = {
-    "model": (
-        "CellContent",
-        "Curve1D",
-        "CurveD",
-        "FreeSpaceDiagram1D",
-        "FreeSpaceMatrix",
-        "PointSeq1D",
-        "Witness",
-        "rat",
-        "rat_str",
-        "consistency_problems",
-    ),
+    "model": ("Curve1D", "CurveD", "FreeSpaceMatrix", "PointSeq1D", "Witness", "rat", "rat_str"),
+    "diagram": ("CellContent", "FreeSpaceDiagram1D", "consistency_problems"),
     "forward": (
         "EllipseCell",
         "RelativePlacement",

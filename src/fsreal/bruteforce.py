@@ -13,15 +13,8 @@ import itertools
 from functools import lru_cache
 from typing import Optional
 
-from .model import (
-    FULL,
-    PARTIAL,
-    Curve1D,
-    FreeSpaceDiagram1D,
-    FreeSpaceMatrix,
-    PointSeq1D,
-    Witness,
-)
+from .diagram import FULL, PARTIAL, FreeSpaceDiagram1D
+from .model import Curve1D, FreeSpaceMatrix, PointSeq1D, Witness
 from .forward import compute_diagram_1d, compute_matrix
 
 DISCRETE_CAP = 6

@@ -12,8 +12,7 @@ import sys
 from pathlib import Path
 
 from . import formats
-from .model import Curve1D, CurveD, FreeSpaceDiagram1D, FreeSpaceMatrix, Witness, checked_epsilon
-from .model import structural_problems  # noqa: F401  not called: bench/tracing.py patches this name
+from .model import Curve1D, CurveD, FreeSpaceMatrix, Witness, checked_epsilon
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -35,8 +34,12 @@ def _load(module: str, name: str):
     return getattr(sys.modules.get(path) or __import__(path, fromlist=[name]), name)
 
 
-# Not called: bench/tracing.py patches these names on this module, as it
-# patches structural_problems. ROADMAP item 1 deletes them with its table.
+# Not called: bench/tracing.py patches these names on this module. ROADMAP
+# item 1 deletes them with its table.
+def structural_problems(d):
+    return _load("diagram", "structural_problems")(d)
+
+
 def solve_discrete(instance):
     return _load("discrete", "solve")(instance)
 
@@ -120,7 +123,7 @@ def _cmd_solve(args) -> int:
     want, module, name = _SOLVERS[args.mode]
     if want == "matrix" and not isinstance(instance, FreeSpaceMatrix):
         raise InputError(f"mode {args.mode} needs a matrix instance")
-    if want == "diagram" and not isinstance(instance, FreeSpaceDiagram1D):
+    if want == "diagram" and not isinstance(instance, _load("diagram", "FreeSpaceDiagram1D")):
         raise InputError(f"mode {args.mode} needs a diagram1d instance")
     solve = _load(module, name)
     try:
@@ -174,7 +177,7 @@ def _cmd_verify(args) -> int:
     witness = _read_instance(args.witness)
     if not isinstance(witness, Witness):
         raise InputError("witness file must contain curves")
-    if not isinstance(instance, (FreeSpaceMatrix, FreeSpaceDiagram1D)):
+    if not isinstance(instance, FreeSpaceMatrix) and not isinstance(instance, _load("diagram", "FreeSpaceDiagram1D")):
         raise InputError("instance must be a matrix or diagram1d file")
     try:
         ok = verify_witness(witness, instance)
@@ -185,6 +188,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from .diagram import FreeSpaceDiagram1D
     from .render import render_ascii, render_svg
 
     instance = _read_instance(args.infile)

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -140,21 +139,21 @@ def _prefix_masks(order: Sequence[int]) -> list[int]:
     return prefix
 
 
-@dataclass
 class OrderState:
     """Ordering knowledge accumulated over the pipeline for one component."""
 
-    vertices: list[int]
-    level: dict[int, int]
-    d_value: dict[int, int] = field(default_factory=dict)
-    classes: list[list[int]] = field(default_factory=list)
-    class_of: dict[int, int] = field(default_factory=dict)
-    # row refinements: per class, (subset mask, 'left'|'right') records
-    constraints: dict[int, list[tuple[int, str]]] = field(default_factory=dict)
-    # rows supported entirely inside one class: such a cell exists only when
-    # the subset sits at a free end of the class (prefix of the first class /
-    # suffix of the last); these are resolved in extend_global_order
-    within_rows: dict[int, list[int]] = field(default_factory=dict)
+    def __init__(self, vertices: list[int], level: dict[int, int]):
+        self.vertices = vertices
+        self.level = level
+        self.d_value: dict[int, int] = {}
+        self.classes: list[list[int]] = []
+        self.class_of: dict[int, int] = {}
+        # row refinements: per class, (subset mask, 'left'|'right') records
+        self.constraints: dict[int, list[tuple[int, str]]] = {}
+        # rows supported entirely inside one class: such a cell exists only when
+        # the subset sits at a free end of the class (prefix of the first class /
+        # suffix of the last); these are resolved in extend_global_order
+        self.within_rows: dict[int, list[int]] = {}
 
 
 def _bfs_levels(g: UnitIntervalGraph, sources: Sequence[int], base: int) -> dict[int, int]:

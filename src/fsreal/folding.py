@@ -38,14 +38,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .model import (
+from .diagram import (
     FreeSpaceDiagram1D,
     column_cells,
-    Witness,
     consistency_problems,  # noqa: F401  not called: bench/tracing.py patches this name
     structural_problems,  # noqa: F401  not called: bench/tracing.py patches this name
     transpose_diagram,
 )
+from .model import Witness
 from .forward import classify_column, compute_diagram_1d, q_segments
 from .pseudopoly import closed_form_witness, decide_diagram, int_witness
 
@@ -71,7 +71,7 @@ class CreaseAssignment:
 def _continues(left, w_l, right, w_r, h, e, fold: bool) -> bool:
     """Two P segments meeting at the line, with a fold there or straight,
     give these two cells against one Q segment of length h; each cell is a
-    one-row column of :func:`fsreal.model.column_cells`.
+    one-row column of :func:`fsreal.diagram.column_cells`.
 
     A partial cell fixes its P segment, run from 0 to its width, against the
     Q segment, and :func:`fsreal.forward.classify_column` gives the other

@@ -8,8 +8,8 @@ A matrix is written one row per line, each row a string over ``0``/``1``
 whose character j is entry j; rows given as arrays of 0/1 ints, as earlier
 files hold them, are still read.
 
-A diagram is written as its int table over one ``scale``, the model's
-layout: ``epsilon``, ``colWidths`` and ``rowHeights`` are ints, each of
+A diagram is written as its int table over one ``scale``, as it is held in
+memory: ``epsilon``, ``colWidths`` and ``rowHeights`` are ints, each of
 ``columns`` is a string with one letter per row (``e`` empty, ``f`` full,
 ``p`` and ``n`` partial with sigma +1 and -1), and ``intercepts`` is one
 flat int list holding (cLo, cHi) of each partial letter in column order,
@@ -40,26 +40,24 @@ from typing import TYPE_CHECKING, Union
 
 from .model import (
     _NOT_2D,
-    _check_diagram,
-    PARTIAL,
-    CellContent,
     Curve1D,
     CurveD,
-    FreeSpaceDiagram1D,
     FreeSpaceMatrix,
     PointSeq1D,
     Witness,
+    diagram_module,
     rat_str,
     row_mask,
     scaled_str,
 )
 
-if TYPE_CHECKING:  # imported where a sign-vector file is read or written
+if TYPE_CHECKING:  # imported where a diagram or a sign-vector file is read or written
+    from .diagram import FreeSpaceDiagram1D
     from .generators import SignVectorSet
 
 FORMAT = "fsreal/1"
 
-Instance = Union[FreeSpaceMatrix, FreeSpaceDiagram1D, Witness, "SignVectorSet"]
+Instance = Union[FreeSpaceMatrix, "FreeSpaceDiagram1D", Witness, "SignVectorSet"]
 
 
 class FormatError(ValueError):
@@ -139,10 +137,12 @@ def serialize(instance: Instance) -> str:
     string per line, a 1D witness one value per line."""
     if isinstance(instance, FreeSpaceMatrix):
         return _matrix_text(instance)
-    if isinstance(instance, FreeSpaceDiagram1D):
-        return _diagram_text(instance)
-    if isinstance(instance, Witness) and not isinstance(instance.curve_p, CurveD):
+    if isinstance(instance, Witness):
+        if isinstance(instance.curve_p, CurveD):
+            return json.dumps(_to_obj(instance), indent=2) + "\n"
         return _curves_text(instance)
+    if isinstance(instance, diagram_module().FreeSpaceDiagram1D):
+        return _diagram_text(instance)
     return json.dumps(_to_obj(instance), indent=2) + "\n"
 
 
@@ -297,42 +297,45 @@ def _parse_table(obj: dict) -> FreeSpaceDiagram1D:
         raise FormatError(f"intercepts must hold 2 ints for each of the {partial} partial cells, got {len(intercepts)}")
     it = iter(intercepts)
     per_column = [tuple(islice(it, 2 * (col.count("p") + col.count("n")))) for col in columns]
+    diagram = diagram_module()
     try:
-        return _check_diagram(FreeSpaceDiagram1D._built(scale, eps, widths, heights, columns, per_column))
+        built = diagram.FreeSpaceDiagram1D._built(scale, eps, widths, heights, columns, per_column)
+        return diagram._check_diagram(built)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 
 
 _PARTIAL_KEYS = frozenset({"status", "sigma", "cLo", "cHi"})
 _STATUS_KEYS = frozenset({"status"})
-_STATUS_CELLS = {"empty": CellContent.empty(), "full": CellContent.full()}
 
 
-def _cell_in(c) -> CellContent:
-    """A cell, a partial cell's intercepts still as read."""
+def _cell_in(c) -> tuple:
+    """A cell's fields, a partial cell's intercepts still as read."""
     if not isinstance(c, dict):
         raise FormatError("cells must be objects")
     status = c.get("status")
     if status == "partial":
         _check_keys(c, _PARTIAL_KEYS)
         lo, hi = _rational_in(c["cLo"]), _rational_in(c["cHi"])
-        return CellContent(PARTIAL, _int_in(c["sigma"], "sigma"), lo, hi)
+        return status, _int_in(c["sigma"], "sigma"), lo, hi
     if status in ("empty", "full"):
         _check_keys(c, _STATUS_KEYS)
-        return _STATUS_CELLS[status]
+        return (status,)
     raise FormatError(f"unknown cell status {status!r}")
 
 
 def _parse_diagram(obj: dict) -> FreeSpaceDiagram1D:
     """A diagram in the layout of earlier files: "num/den" strings and one
     object per cell."""
+    diagram = diagram_module()
     _check_keys(obj, {"format", "kind", "epsilon", "colWidths", "rowHeights", "cells"})
     eps = _rational_in(obj["epsilon"])
     widths = _rationals_in(obj["colWidths"], "colWidths")
     heights = _rationals_in(obj["rowHeights"], "rowHeights")
-    cols = [[_cell_in(c) for c in _list_in(col, "each cell column")] for col in _list_in(obj["cells"], "cells")]
+    cells = _list_in(obj["cells"], "cells")
+    cols = [[diagram.CellContent(*_cell_in(c)) for c in _list_in(col, "each cell column")] for col in cells]
     try:
-        return FreeSpaceDiagram1D(eps, widths, heights, cols)
+        return diagram.FreeSpaceDiagram1D(eps, widths, heights, cols)
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(str(exc)) from None
 

@@ -14,19 +14,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
 
-from .model import (
-    Curve1D,
-    CurveD,
-    FreeSpaceDiagram1D,
-    FreeSpaceMatrix,
-    PointSeq1D,
-    Witness,
-    checked_epsilon,
-)
+from .model import Curve1D, CurveD, FreeSpaceMatrix, PointSeq1D, Witness, checked_epsilon, diagram_module
+
+if TYPE_CHECKING:  # imported where a diagram is built or checked
+    from .diagram import FreeSpaceDiagram1D
 
 TOL = 1e-9
 
@@ -117,7 +111,7 @@ def classify_column(a: int, b: int, q_segs, e: int) -> tuple[str, tuple[int, ...
     letters, ints = [], []
     for q_up, c, h in q_segs:
         # c_lo = sq * (p_start - q_start) - eps; sigma = sp * sq; the tests
-        # read the box's range of y - sigma*x, as model.classify_slab does
+        # read the box's range of y - sigma*x, as diagram.classify_slab does
         c_lo = a - c - e if q_up else c - a - e
         c_hi = c_lo + e2
         if q_up == p_up:  # sigma +1: y - x over [-w, h]
@@ -164,11 +158,10 @@ def compute_diagram_1d(p: Curve1D, q: Curve1D, eps) -> FreeSpaceDiagram1D:
     e *= scale // den
     columns, intercepts = zip(*[classify_column(a, b, q_segs, e) for a, b in zip(pi, pi[1:])])
     widths = [abs(b - a) for a, b in zip(pi, pi[1:])]
-    return FreeSpaceDiagram1D._built(scale, e, widths, [h for _, _, h in q_segs], columns, intercepts)
+    return diagram_module().FreeSpaceDiagram1D._built(scale, e, widths, [h for _, _, h in q_segs], columns, intercepts)
 
 
-@dataclass(frozen=True)
-class EllipseCell:
+class EllipseCell(NamedTuple):
     """Free space of one planar segment pair inside its cell.
 
     For a ``partial_ellipse`` the boundary is an ellipse with axes along the
@@ -188,8 +181,7 @@ class EllipseCell:
     slab_hi: float = 0.0
 
 
-@dataclass(frozen=True)
-class RelativePlacement:
+class RelativePlacement(NamedTuple):
     """Relative placement recovered from a partial ellipse cell.
 
     ``angle`` is arcsin(eps / (sqrt(2) * a)) for the cell's slab-axis
@@ -298,7 +290,7 @@ def verify_witness(witness: Witness, instance: Union[FreeSpaceMatrix, FreeSpaceD
     """True iff forward computation of the witness reproduces the instance."""
     if isinstance(instance, FreeSpaceMatrix):
         return compute_matrix(witness.curve_p, witness.curve_q, witness.epsilon) == instance
-    if isinstance(instance, FreeSpaceDiagram1D):
+    if isinstance(instance, diagram_module().FreeSpaceDiagram1D):
         if not (isinstance(witness.curve_p, Curve1D) and isinstance(witness.curve_q, Curve1D)):
             raise ValueError("a diagram1d instance needs 1D polyline curves")
         return compute_diagram_1d(witness.curve_p, witness.curve_q, witness.epsilon) == instance

@@ -12,17 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .model import (
-    CellContent,
-    Curve1D,
-    CurveD,
-    FreeSpaceDiagram1D,
-    FreeSpaceMatrix,
-    PointSeq1D,
-    Witness,
-    _check_diagram,
-    rat,
-)
+from .diagram import CellContent, FreeSpaceDiagram1D, _check_diagram
+from .model import Curve1D, CurveD, FreeSpaceMatrix, PointSeq1D, Witness, rat
 from .forward import compute_diagram_1d, compute_matrix
 
 

@@ -42,15 +42,14 @@ from functools import partial
 from itertools import accumulate
 from typing import Optional, Sequence
 
-from .model import (
+from .diagram import (
     PARTIAL,
     CellContent,
-    Curve1D,
     FreeSpaceDiagram1D,
-    Witness,
     consistency_problems,
     structural_problems,  # noqa: F401  not called: bench/tracing.py patches this name
 )
+from .model import Curve1D, Witness
 from .forward import compute_diagram_1d
 
 TYPE_FAR = 1

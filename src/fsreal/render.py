@@ -11,15 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from .model import (
-    Curve1D,
-    FreeSpaceDiagram1D,
-    FreeSpaceMatrix,
-    PointSeq1D,
-    Witness,
-    cell_edge_interval,
-    rat_str,
-)
+from .diagram import FreeSpaceDiagram1D, cell_edge_interval
+from .model import Curve1D, FreeSpaceMatrix, PointSeq1D, Witness, rat_str
 
 Renderable = Union[FreeSpaceMatrix, FreeSpaceDiagram1D, Witness]
 SCALE = 24.0

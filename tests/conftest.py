@@ -118,14 +118,14 @@ def partition_diagram():
 
 @pytest.fixture
 def structural_checks(monkeypatch):
-    """The diagrams passed to ``model.structural_problems`` while the test
+    """The diagrams passed to ``diagram.structural_problems`` while the test
     runs, counted at every module that has the name."""
     import sys
 
-    from fsreal import model
+    from fsreal import diagram
 
     calls = []
-    real = model.structural_problems
+    real = diagram.structural_problems
 
     def counted(d):
         calls.append(d)

@@ -2,15 +2,16 @@
 
 Each entry of ``MUTANTS`` names a source file under ``src/``, an exact
 snippet of it, the replacement, and the test files (or node ids) that must
-catch the change. For each entry the script copies ``src/``, ``tests/`` and
-``pyproject.toml`` into a temporary directory, applies the one replacement
-there, and runs ``pytest -x -q`` on the listed tests; the mutant is killed
-when a test fails (pytest's exit code 1). A snippet that is not found exactly
-once is an error, so a rewrite of the code cannot empty the table without
-notice, and so is any other pytest exit code, such as a test id that no
-longer exists. Stdlib only
-(pytest runs in a subprocess); tier-1 does not collect this file. Run from
-the repository root:
+catch the change. For each entry the script copies ``src/``, ``tests/``,
+``bench/`` (``tests/test_formats.py`` imports ``bench/corpus.py``, so without
+it an import error would count as a kill) and ``pyproject.toml`` into a
+temporary directory, applies the one replacement there, and runs
+``pytest -x -q`` on the listed tests; the mutant is killed when a test fails
+(pytest's exit code 1). A snippet that is not found exactly once is an
+error, so a rewrite of the code cannot empty the table without notice, and
+so is any other pytest exit code, such as a test id that no longer exists.
+Stdlib only (pytest runs in a subprocess); tier-1 does not collect this
+file. Run from the repository root:
 
     python tests/mutants.py            # every mutant
     python tests/mutants.py NAME ...   # the named ones
@@ -44,9 +45,9 @@ class Mutant(NamedTuple):
 
 BRUTE = "fsreal/bruteforce.py"
 BRUTE_TESTS = ("tests/test_bruteforce.py",)
+DIAGRAM = "fsreal/diagram.py"
 FOLDING = "fsreal/folding.py"
 GOLDEN = "tests/test_golden_witnesses.py"
-MODEL = "fsreal/model.py"
 PSEUDO = "fsreal/pseudopoly.py"
 PSEUDO_TESTS = "tests/test_pseudopoly.py"
 
@@ -138,21 +139,21 @@ MUTANTS = [
     ),
     Mutant(
         "grid-line-clip-open",
-        MODEL,
+        DIAGRAM,
         "hi if hi < h else h\n                edge_a = (lo, hi) if lo <= hi else None",
         "hi if hi < h else h\n                edge_a = (lo, hi) if lo < hi else None",
         ("tests/test_model.py::test_grid_line_check_matches_every_line_compared",),
     ),
     Mutant(
         "structural-slab-width-unchecked",
-        MODEL,
+        DIAGRAM,
         "if hi - lo != 2 * eps:",
         "if False:",
         ("tests/test_model.py::test_validate_slab_width", f"{GOLDEN}::test_problem_message_digest"),
     ),
     Mutant(
         "transpose-flip-without-sign",
-        MODEL,
+        DIAGRAM,
         "row_ints[j] += (-hi, -lo)",
         "row_ints[j] += (hi, lo)",
         ("tests/test_symmetry.py::test_verdicts_hold_under_the_diagram_symmetries_on_the_fuzz_corpora",),
@@ -249,6 +250,7 @@ def _pytest_exit_code(mutant: Mutant) -> int:
         ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache")
         shutil.copytree(ROOT / "src", tree / "src", ignore=ignore)
         shutil.copytree(ROOT / "tests", tree / "tests", ignore=ignore)
+        shutil.copytree(ROOT / "bench", tree / "bench", ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", tree / "pyproject.toml")
         (tree / "src" / mutant.file).write_text(_mutated(mutant))
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(tree / "src"))

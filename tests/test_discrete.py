@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 import random
 import sys
 from fractions import Fraction
@@ -225,11 +225,10 @@ def _reference_refine_by_rows(state, rows):
 
 def _fresh(state):
     """A copy of ``state`` whose refinement records can be written to."""
-    return dataclasses.replace(
-        state,
-        constraints={k: list(v) for k, v in state.constraints.items()},
-        within_rows={k: list(v) for k, v in state.within_rows.items()},
-    )
+    fresh = copy.copy(state)
+    fresh.constraints = {k: list(v) for k, v in state.constraints.items()}
+    fresh.within_rows = {k: list(v) for k, v in state.within_rows.items()}
+    return fresh
 
 
 def _compare_refinements(monkeypatch, matrices):

@@ -21,7 +21,7 @@ from fsreal import (
 )
 from fsreal import folding
 from fsreal.folding import FOLD, STRAIGHT, UNKNOWN
-from fsreal.model import consistency_problems, transpose_diagram
+from fsreal.diagram import consistency_problems, transpose_diagram
 
 from conftest import divided_diagram, random_integer_diagram, random_rational_diagram
 

@@ -18,6 +18,7 @@ from fsreal import (
     relative_placement_from_cell,
     verify_witness,
 )
+from fsreal.diagram import EMPTY, FULL, PARTIAL, classify_slab
 from fsreal.forward import (
     ELLIPSE_EMPTY,
     ELLIPSE_FULL,
@@ -26,7 +27,6 @@ from fsreal.forward import (
     EllipseCell,
 )
 from fsreal.formats import parse, serialize
-from fsreal.model import EMPTY, FULL, PARTIAL, classify_slab
 
 from conftest import random_integer_curves
 
@@ -275,6 +275,17 @@ def test_ellipse_parallel_degenerates_to_slab():
     half = math.sqrt(1 - 0.25)
     assert cell.slab_lo == pytest.approx(-half, abs=1e-12)
     assert cell.slab_hi == pytest.approx(half, abs=1e-12)
+
+
+def test_ellipse_parallel_just_past_eps_is_empty():
+    # the lines are eps + 2e-10 apart: the nearest points pass the corner
+    # test, which allows TOL, and the slab's own distance test refuses them
+    cell = cell_ellipse_2d(((0, 0), (2, 0)), ((0, 1 + 2e-10), (2, 1 + 2e-10)), 1.0)
+    assert cell == EllipseCell(ELLIPSE_EMPTY)
+    assert repr(cell) == (
+        "EllipseCell(status='empty', center=None, semi_major=0.0, semi_minor=0.0, major_axis_sign=1,"
+        " slab_sigma=0, slab_lo=0.0, slab_hi=0.0)"
+    )
 
 
 def _cell_membership(cell, x, y):

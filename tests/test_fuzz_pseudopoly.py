@@ -19,7 +19,7 @@ import random
 import sys
 
 from fsreal import compute_diagram_1d, gen_partition, gen_random_instance, infer_creases, solve_fpt, solve_pseudo_poly
-from fsreal.model import consistency_problems
+from fsreal.diagram import consistency_problems
 
 from conftest import random_integer_diagram
 

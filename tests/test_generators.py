@@ -17,13 +17,8 @@ from fsreal import (
     has_balanced_partition,
     solve_fpt,
 )
-from fsreal.model import (
-    FreeSpaceDiagram1D,
-    FreeSpaceMatrix,
-    consistency_problems,
-    structural_problems,
-    transpose_diagram,
-)
+from fsreal.diagram import FreeSpaceDiagram1D, consistency_problems, structural_problems, transpose_diagram
+from fsreal.model import FreeSpaceMatrix
 
 from conftest import random_rational_diagram
 

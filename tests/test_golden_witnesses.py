@@ -36,8 +36,7 @@ from fsreal import (
     solve_pseudo_poly,
 )
 from fsreal.bruteforce import realizable_row_families
-from fsreal.formats import parse, serialize
-from fsreal.model import (
+from fsreal.diagram import (
     EMPTY,
     PARTIAL,
     cell_edge_interval,
@@ -45,6 +44,7 @@ from fsreal.model import (
     structural_problems,
     transpose_diagram,
 )
+from fsreal.formats import parse, serialize
 
 from conftest import random_integer_diagram, random_rational_diagram, scrambled_diagram
 from test_fuzz_pseudopoly import consistent_diagrams, forward_diagrams
@@ -378,7 +378,7 @@ def test_brute_continuous_witness_digest():
     assert _sha256([None if w is None else serialize(w) for w in witnesses]) == CONTINUOUS_BRUTE_DIGEST
 
 
-# the problems that model.structural_problems and consistency_problems name,
+# the problems that diagram.structural_problems and consistency_problems name,
 # and the FormatError messages of the diagram table reader, as exact text:
 # [structural, consistency] of 600 built diagrams (forward, consistent,
 # their scrambled mutants and the transposes of all of these; 218 fail the

@@ -21,18 +21,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # the public names by the submodule that defines them, in ``__all__`` order;
 # solve_discrete_1d is discrete.solve
 PUBLIC = {
-    "model": [
-        "CellContent",
-        "Curve1D",
-        "CurveD",
-        "FreeSpaceDiagram1D",
-        "FreeSpaceMatrix",
-        "PointSeq1D",
-        "Witness",
-        "rat",
-        "rat_str",
-        "consistency_problems",
-    ],
+    "model": ["Curve1D", "CurveD", "FreeSpaceMatrix", "PointSeq1D", "Witness", "rat", "rat_str"],
+    "diagram": ["CellContent", "FreeSpaceDiagram1D", "consistency_problems"],
     "forward": [
         "EllipseCell",
         "RelativePlacement",
@@ -62,7 +52,7 @@ _SOLVE = """
 import json, sys
 from fsreal.cli import main
 code = main(["solve", "--mode", sys.argv[1], "--in", sys.argv[2]])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("fsreal"))]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("fsreal") or m == "dataclasses")]))
 """
 
 _PACKAGE = """
@@ -97,7 +87,7 @@ def _run(script, *argv):
 @pytest.mark.parametrize(
     "mode, kind, absent",
     [
-        ("discrete1d", "matrix", ["folding", "pseudopoly", "bruteforce", "generators", "render"]),
+        ("discrete1d", "matrix", ["diagram", "folding", "pseudopoly", "bruteforce", "generators", "render"]),
         ("cont1d-fpt", "diagram", ["discrete", "bruteforce", "generators", "render"]),
         ("cont1d-dp", "diagram", ["discrete", "folding", "bruteforce", "generators", "render"]),
         # the oracles share no code with the solvers they check
@@ -113,6 +103,9 @@ def test_solve_imports_only_its_mode(tmp_path, mode, kind, absent):
     assert code == 0
     assert {"fsreal.cli", "fsreal.formats", "fsreal.model"} <= set(loaded)
     assert not {f"fsreal.{name}" for name in absent} & set(loaded), loaded
+    if kind == "matrix":
+        # the matrix path builds no dataclass, so it never imports inspect
+        assert "dataclasses" not in loaded, loaded
 
 
 def test_public_names_load_on_first_use():

@@ -23,16 +23,8 @@ from fsreal import (
     solve_fpt,
     solve_pseudo_poly,
 )
-from fsreal.model import (
-    EMPTY,
-    PARTIAL,
-    cell_edge_interval,
-    checked_epsilon,
-    classify_slab,
-    consistency_problems,
-    scaled_str,
-    structural_problems,
-)
+from fsreal.diagram import EMPTY, PARTIAL, cell_edge_interval, classify_slab, consistency_problems, structural_problems
+from fsreal.model import checked_epsilon, scaled_str
 
 from conftest import divided_diagram, random_integer_diagram, random_rational_diagram, scrambled_diagram
 
@@ -682,7 +674,7 @@ def test_solvers_reject_malformed_rational_diagram_with_its_problems(solve, d):
 def test_solvers_and_forward_run_no_structural_check(structural_checks):
     # a built diagram is well formed, so neither solver checks it again, and
     # the forward computation and transpose_diagram build theirs unchecked
-    from fsreal.model import transpose_diagram
+    from fsreal.diagram import transpose_diagram
 
     rng = random.Random(18)
     diagrams = [gen_partition([3, 2, 1, 2]), gen_partition([1, 1, 1]), random_rational_diagram(rng)]

@@ -21,8 +21,7 @@ from fsreal import (
     subdivide_and_type,
 )
 from fsreal import pseudopoly
-from fsreal.formats import parse
-from fsreal.model import (
+from fsreal.diagram import (
     EMPTY,
     FULL,
     PARTIAL,
@@ -30,6 +29,7 @@ from fsreal.model import (
     consistency_problems,
     transpose_diagram,
 )
+from fsreal.formats import parse
 from fsreal.pseudopoly import (
     TYPE_BOUNDARY,
     TYPE_CLOSE,

@@ -11,7 +11,7 @@ excepted) must give the diagram back.
 """
 
 from fsreal import CellContent, FreeSpaceDiagram1D, solve_fpt, solve_pseudo_poly
-from fsreal.model import PARTIAL, transpose_diagram
+from fsreal.diagram import PARTIAL, transpose_diagram
 
 from test_fuzz_pseudopoly import consistent_diagrams, forward_diagrams
 from test_golden_witnesses import _long_corpus
